@@ -58,10 +58,7 @@ struct ModeResult {
   estima::bench::LatencyRecorder latency;  ///< one sample per predict()
 };
 
-estima::core::PredictionConfig make_config(int target, int ckmax,
-                                           bool memoize,
-                                           estima::core::FitEngine engine,
-                                           estima::parallel::ThreadPool* pool) {
+estima::core::PredictionConfig make_config(int target, int ckmax) {
   estima::core::PredictionConfig cfg;
   cfg.target_cores = estima::core::cores_up_to(target);
   // A production-style sweep over checkpoint settings 1..ckmax: the fit of
@@ -69,10 +66,18 @@ estima::core::PredictionConfig make_config(int target, int ckmax,
   // what the memoization exploits.
   cfg.extrap.checkpoint_counts.clear();
   for (int c = 1; c <= ckmax; ++c) cfg.extrap.checkpoint_counts.push_back(c);
-  cfg.extrap.memoize_fits = memoize;
-  cfg.extrap.engine = engine;
-  cfg.extrap.pool = pool;
   return cfg;
+}
+
+// How a mode executes the same config: the fit layout, the engine and the
+// pool. None of them can change the answer.
+estima::core::ExecContext make_context(bool memoize,
+                                       estima::core::FitEngine engine,
+                                       estima::parallel::ThreadPool* pool) {
+  estima::core::ExecContext ctx(pool);
+  ctx.memoize_fits = memoize;
+  ctx.engine = engine;
+  return ctx;
 }
 
 // Sums the per-category fit accounting of one prediction (plus the
@@ -93,11 +98,11 @@ void accumulate_stats(const estima::core::Prediction& pred, ModeResult* r) {
 ModeResult run_mode(const std::string& name,
                     const estima::core::MeasurementSet& ms,
                     const estima::core::PredictionConfig& cfg,
-                    double seconds) {
+                    const estima::core::ExecContext& ctx, double seconds) {
   ModeResult r;
   r.name = name;
   // Warm-up: thread-local LM workspaces, allocator pools, page faults.
-  auto pred = estima::core::predict(ms, cfg);
+  auto pred = estima::core::predict(ms, cfg, ctx);
   accumulate_stats(pred, &r);
 
   double sink = 0.0;  // defeat dead-code elimination
@@ -105,7 +110,7 @@ ModeResult run_mode(const std::string& name,
   int iters = 0;
   for (;;) {
     const auto op_start = Clock::now();
-    const auto p = estima::core::predict(ms, cfg);
+    const auto p = estima::core::predict(ms, cfg, ctx);
     r.latency.record(op_start, Clock::now());
     sink += p.time_s.back();
     ++iters;
@@ -174,30 +179,27 @@ int run_bench(int argc, char** argv) {
               points, target, threads, seconds);
 
   using estima::core::FitEngine;
+  const estima::core::PredictionConfig cfg = make_config(target, ckmax);
   std::vector<ModeResult> results;
   const bool all = only_mode == "all";
   if (all || only_mode == "baseline") {
     results.push_back(run_mode(
-        "baseline", ms,
-        make_config(target, ckmax, false, FitEngine::kReference, nullptr),
-        seconds));
+        "baseline", ms, cfg,
+        make_context(false, FitEngine::kReference, nullptr), seconds));
   }
   if (all || only_mode == "scalar") {
     results.push_back(run_mode(
-        "scalar", ms,
-        make_config(target, ckmax, true, FitEngine::kReference, nullptr),
+        "scalar", ms, cfg, make_context(true, FitEngine::kReference, nullptr),
         seconds));
   }
   if (all || only_mode == "memoized") {
     results.push_back(run_mode(
-        "memoized", ms,
-        make_config(target, ckmax, true, FitEngine::kBatched, nullptr),
+        "memoized", ms, cfg, make_context(true, FitEngine::kBatched, nullptr),
         seconds));
   }
   if (all || only_mode == "parallel") {
     results.push_back(run_mode(
-        "parallel", ms,
-        make_config(target, ckmax, true, FitEngine::kBatched, &pool),
+        "parallel", ms, cfg, make_context(true, FitEngine::kBatched, &pool),
         seconds));
   }
 
@@ -233,10 +235,8 @@ int run_bench(int argc, char** argv) {
 
   // Determinism cross-check: single-threaded vs pooled prediction must
   // agree bit-for-bit.
-  const auto serial = estima::core::predict(
-      ms, make_config(target, ckmax, true, FitEngine::kBatched, nullptr));
-  const auto pooled = estima::core::predict(
-      ms, make_config(target, ckmax, true, FitEngine::kBatched, &pool));
+  const auto serial = estima::core::predict(ms, cfg);
+  const auto pooled = estima::core::predict(ms, cfg, &pool);
   const bool identical = bit_identical(serial, pooled);
   std::printf("  1-thread vs %d-thread output bit-identical: %s\n", threads,
               identical ? "yes" : "NO");

@@ -267,16 +267,16 @@ int run_bench(int argc, char** argv) {
   if (streaming) {
     const auto full = make_campaign(0, points + appends);
     estima::core::FitMemo memo;
-    (void)estima::core::predict(full.truncated(points), cfg, nullptr,
-                                nullptr, nullptr, nullptr, &memo);
+    estima::core::ExecContext memoized;
+    memoized.memo = &memo;
+    (void)estima::core::predict(full.truncated(points), cfg, memoized);
     for (int a = 1; a <= appends; ++a) {
       const auto ms = full.truncated(static_cast<std::size_t>(points + a));
       const auto c0 = Clock::now();
       const auto cold = estima::core::predict(ms, cfg);
       stream_cold_s += seconds_since(c0);
       const auto i0 = Clock::now();
-      const auto incr = estima::core::predict(ms, cfg, nullptr, nullptr,
-                                              nullptr, nullptr, &memo);
+      const auto incr = estima::core::predict(ms, cfg, memoized);
       stream_incr_s += seconds_since(i0);
       if (!bit_identical(cold, incr)) stream_identical = false;
     }

@@ -2,7 +2,8 @@
 // estima_serve, exercises the prediction path, then
 //   * scrapes GET /v1/metrics and holds it to the Prometheus text grammar
 //     (obs::validate_prometheus_text) plus the stable stage schema, the
-//     per-kernel fit families and the estima_build_info gauge;
+//     per-kernel fit families and the estima_build_info gauge, whose
+//     engine label must read "batched";
 //   * verifies the X-Estima-Trace-Id echo and GET /v1/trace shape;
 //   * POSTs /v1/explain and checks the audit JSON shape — and that the
 //     audit's factor winner kernel matches the prediction actually served
@@ -279,6 +280,16 @@ int main(int argc, char** argv) {
           "estima_fit_attempts_total{", "estima_fit_seconds_count{"}) {
       if (metrics.body.find(family) == std::string::npos) {
         return fail("metrics content", std::string("missing ") + family);
+      }
+    }
+    // estima_build_info's labels are a stable schema, and every prediction
+    // the daemon serves runs on the batched fit engine.
+    {
+      const std::size_t at = metrics.body.find("estima_build_info{");
+      const std::string sample =
+          metrics.body.substr(at, metrics.body.find('\n', at) - at);
+      if (sample.find("engine=\"batched\"") == std::string::npos) {
+        return fail("build info", "engine label is not batched: " + sample);
       }
     }
     // The lifecycle above drove each campaign counter family (values are

@@ -199,7 +199,6 @@ int main(int argc, char** argv) {
   }
 
   service::ServiceConfig scfg;
-  scfg.prediction.extrap.metrics = &fit_metrics;
   scfg.prediction.target_cores = core::cores_up_to(target);
   scfg.cache_capacity = static_cast<std::size_t>(
       cache_capacity > 0 ? cache_capacity : 4096);
@@ -216,7 +215,9 @@ int main(int argc, char** argv) {
     scfg.snapshot_every = static_cast<std::size_t>(snapshot_every);
     scfg.auto_snapshot_path = snapshot_file;
   }
-  service::PredictionService svc(scfg, &pool);
+  core::ExecContext base(&pool);
+  base.metrics = &fit_metrics;
+  service::PredictionService svc(scfg, base);
 
   if (restore && !snapshot_file.empty() &&
       std::filesystem::exists(snapshot_file)) {

@@ -52,11 +52,16 @@ std::vector<std::vector<CandidateFit>> enumerate_candidates_filtered(
     const std::vector<int>& cores, const std::vector<double>& values,
     const ExtrapolationConfig& cfg,
     const std::vector<RealismOptions>& realism_filters,
-    EnumerationStats* stats) {
+    const ExecContext& ctx, FitAudit* audit, EnumerationStats* stats) {
   const std::size_t V = realism_filters.size();
   if (V == 0 || V > 64) {
     throw std::invalid_argument(
         "enumerate_candidates_filtered: need 1..64 realism filters");
+  }
+  if (ctx.audit != nullptr) {
+    throw std::invalid_argument(
+        "enumerate_candidates_filtered: a PredictionAudit belongs to "
+        "predict(); pass the enumeration's FitAudit as its own argument");
   }
   EnumerationStats acct;
   acct.realism_variants = V;
@@ -101,7 +106,7 @@ std::vector<std::vector<CandidateFit>> enumerate_candidates_filtered(
   // filters, which only re-score. Jobs are laid out K kernels per prefix,
   // so kernel = index % K.
   std::vector<int> job_prefix;
-  if (cfg.memoize_fits) {
+  if (ctx.memoize_fits) {
     int max_prefix = 0;
     for (int c : valid_cs) max_prefix = std::max(max_prefix, m - c);
     for (int i = cfg.min_prefix; i <= max_prefix; ++i) {
@@ -131,10 +136,14 @@ std::vector<std::vector<CandidateFit>> enumerate_candidates_filtered(
   std::atomic<std::size_t> memo_hit_count{0};
   // Audit/metrics collection: per-slot diagnostic records, filled by the
   // workers (each writes only its own slots) and emitted serially below.
-  const bool collect = cfg.audit != nullptr || cfg.metrics != nullptr;
+  const bool collect = audit != nullptr || ctx.metrics != nullptr;
   std::vector<FitDiag> slot_diags;
   if (collect) slot_diags.resize(job_prefix.size());
-  if (cfg.engine == FitEngine::kBatched) {
+  // Diags are also needed whenever a memo is attached: memo entries must
+  // carry a replayable diag, so misses record theirs even on audit-free
+  // calls. With neither, no FitDiag is collected at all.
+  const bool want_diags = collect || ctx.memo != nullptr;
+  if (ctx.engine == FitEngine::kBatched) {
     // Batched engine: one job per KERNEL covering every prefix (and, in
     // brute mode, every checkpoint repetition) of that kernel. All of a
     // kernel's LM problems advance in one lockstep multi-problem batch,
@@ -162,11 +171,11 @@ std::vector<std::vector<CandidateFit>> enumerate_candidates_filtered(
       grid_of[v] = gi;
     }
     const std::size_t n_entries = job_prefix.size() / K;
-    parallel::parallel_for(cfg.pool, K, [&](std::size_t k) {
-      if (cfg.deadline != nullptr && cfg.deadline->expired()) {
+    parallel::parallel_for(ctx.pool, K, [&](std::size_t k) {
+      if (ctx.deadline != nullptr && ctx.deadline->expired()) {
         jobs_cancelled.fetch_add(n_entries, std::memory_order_relaxed);
-        if (cfg.metrics != nullptr) {
-          cfg.metrics->count(kAllKernels[k], FitOutcome::kCancelled,
+        if (ctx.metrics != nullptr) {
+          ctx.metrics->count(kAllKernels[k], FitOutcome::kCancelled,
                              n_entries);
         }
         return;
@@ -176,73 +185,55 @@ std::vector<std::vector<CandidateFit>> enumerate_candidates_filtered(
         const KernelType type = kAllKernels[k];
         const std::size_t np = kernel_param_count(type);
         thread_local FitBatchWorkspace fbw;
-        std::vector<std::size_t> prefixes(n_entries);
-        for (std::size_t e = 0; e < n_entries; ++e) {
-          prefixes[e] = static_cast<std::size_t>(job_prefix[e * K + k]);
-        }
         std::vector<std::optional<FittedFunction>> fits(n_entries);
-        // Diags are collected for audit/metrics AND whenever a memo is
-        // attached: memo entries must carry a replayable diag, so misses
-        // need theirs recorded even on audit-free calls.
-        std::vector<FitDiag> job_diags;
-        if (collect || cfg.memo != nullptr) job_diags.resize(n_entries);
+        std::vector<FitDiag> job_diags(want_diags ? n_entries : 0);
         // Memo partition: entries whose (kernel, prefix bits, FitOptions)
-        // key is resident replay the stored fit + diag; only the misses
-        // execute, as one compacted batch. Safe because each problem's LM
-        // trajectory is independent of the batch's composition (the
-        // lockstep batch is bit-identical to sequential fits).
-        std::vector<std::uint64_t> keys;
-        std::vector<std::size_t> miss;
-        if (cfg.memo != nullptr) {
-          keys.resize(n_entries);
-          for (std::size_t e = 0; e < n_entries; ++e) {
-            keys[e] = FitMemo::key_of(type, xs.data(), values.data(),
-                                      prefixes[e], cfg.fit);
+        // key is resident replay the stored fit + diag; the misses (every
+        // entry when no memo is attached) execute as one compacted batch.
+        // Safe because each problem's LM trajectory is independent of the
+        // batch's composition (the lockstep batch is bit-identical to
+        // sequential fits).
+        std::vector<std::uint64_t> keys(ctx.memo != nullptr ? n_entries : 0);
+        std::vector<std::size_t> miss, miss_prefixes;
+        for (std::size_t e = 0; e < n_entries; ++e) {
+          const auto prefix = static_cast<std::size_t>(job_prefix[e * K + k]);
+          if (ctx.memo != nullptr) {
+            keys[e] = FitMemo::key_of(type, xs.data(), values.data(), prefix,
+                                      cfg.fit);
             FitMemoEntry ment;
-            if (cfg.memo->lookup(keys[e], &ment)) {
+            if (ctx.memo->lookup(keys[e], &ment)) {
               fits[e] = std::move(ment.fn);
               job_diags[e] = std::move(ment.diag);
-            } else {
-              miss.push_back(e);
+              continue;
             }
           }
-          memo_hit_count.fetch_add(n_entries - miss.size(),
-                                   std::memory_order_relaxed);
+          miss.push_back(e);
+          miss_prefixes.push_back(prefix);
         }
-        {
-          obs::SpanTimer levmar_span(cfg.trace, obs::Stage::kFitLevmar);
+        memo_hit_count.fetch_add(n_entries - miss.size(),
+                                 std::memory_order_relaxed);
+        if (!miss.empty()) {
+          obs::SpanTimer levmar_span(ctx.trace, obs::Stage::kFitLevmar);
           std::chrono::steady_clock::time_point t0;
-          if (cfg.metrics != nullptr) t0 = std::chrono::steady_clock::now();
+          if (ctx.metrics != nullptr) t0 = std::chrono::steady_clock::now();
+          std::vector<std::optional<FittedFunction>> miss_fits(miss.size());
+          std::vector<FitDiag> miss_diags(want_diags ? miss.size() : 0);
           fbw.model_evals = 0;
-          if (cfg.memo != nullptr) {
-            if (!miss.empty()) {
-              std::vector<std::size_t> miss_prefixes(miss.size());
-              for (std::size_t i = 0; i < miss.size(); ++i) {
-                miss_prefixes[i] = prefixes[miss[i]];
-              }
-              std::vector<std::optional<FittedFunction>> miss_fits(
-                  miss.size());
-              std::vector<FitDiag> miss_diags(miss.size());
-              fit_kernel_over_prefixes(type, xs, tables, values,
-                                       miss_prefixes.data(), miss.size(),
-                                       cfg.fit, fbw, miss_fits.data(),
-                                       miss_diags.data());
-              for (std::size_t i = 0; i < miss.size(); ++i) {
-                cfg.memo->insert(keys[miss[i]],
-                                 FitMemoEntry{miss_fits[i], miss_diags[i]});
-                fits[miss[i]] = std::move(miss_fits[i]);
-                job_diags[miss[i]] = std::move(miss_diags[i]);
-              }
-            }
-          } else {
-            fit_kernel_over_prefixes(type, xs, tables, values,
-                                     prefixes.data(), n_entries, cfg.fit,
-                                     fbw, fits.data(),
-                                     collect ? job_diags.data() : nullptr);
-          }
+          fit_kernel_over_prefixes(
+              type, xs, tables, values, miss_prefixes.data(), miss.size(),
+              cfg.fit, fbw, miss_fits.data(),
+              want_diags ? miss_diags.data() : nullptr);
           point_evals.fetch_add(fbw.model_evals, std::memory_order_relaxed);
-          if (cfg.metrics != nullptr) {
-            cfg.metrics->record_fit_seconds(type, elapsed_seconds(t0));
+          if (ctx.metrics != nullptr) {
+            ctx.metrics->record_fit_seconds(type, elapsed_seconds(t0));
+          }
+          for (std::size_t i = 0; i < miss.size(); ++i) {
+            if (ctx.memo != nullptr) {
+              ctx.memo->insert(keys[miss[i]],
+                               FitMemoEntry{miss_fits[i], miss_diags[i]});
+            }
+            fits[miss[i]] = std::move(miss_fits[i]);
+            if (want_diags) job_diags[miss[i]] = std::move(miss_diags[i]);
           }
         }
         if (collect) {
@@ -262,7 +253,7 @@ std::vector<std::vector<CandidateFit>> enumerate_candidates_filtered(
                                             static_cast<std::ptrdiff_t>(i * np));
         }
         {
-          obs::SpanTimer realism_span(cfg.trace, obs::Stage::kFitRealism);
+          obs::SpanTimer realism_span(ctx.trace, obs::Stage::kFitRealism);
           for (std::size_t gi = 0; gi < grids.size(); ++gi) {
             const std::size_t gm = grids[gi].tables.size();
             fbw.walk_vals.resize(live.size() * gm);
@@ -322,11 +313,11 @@ std::vector<std::vector<CandidateFit>> enumerate_candidates_filtered(
     });
   } else {
     parallel::parallel_for(
-        cfg.pool, job_prefix.size(), [&](std::size_t idx) {
-          if (cfg.deadline != nullptr && cfg.deadline->expired()) {
+        ctx.pool, job_prefix.size(), [&](std::size_t idx) {
+          if (ctx.deadline != nullptr && ctx.deadline->expired()) {
             jobs_cancelled.fetch_add(1, std::memory_order_relaxed);
-            if (cfg.metrics != nullptr) {
-              cfg.metrics->count(kAllKernels[idx % K], FitOutcome::kCancelled);
+            if (ctx.metrics != nullptr) {
+              ctx.metrics->count(kAllKernels[idx % K], FitOutcome::kCancelled);
             }
             return;
           }
@@ -334,48 +325,45 @@ std::vector<std::vector<CandidateFit>> enumerate_candidates_filtered(
             if (fault::fault_point("alloc.workspace")) throw std::bad_alloc();
             const int i = job_prefix[idx];
             const KernelType type = kAllKernels[idx % K];
-            std::optional<FittedFunction> fitted;
+            FitDiag local_diag;
+            FitDiag* dptr = collect ? &slot_diags[idx]
+                            : want_diags ? &local_diag
+                                         : nullptr;
+            // A resident memo entry replays the stored fit + diag; a miss
+            // (every job when no memo is attached) executes.
             std::uint64_t mkey = 0;
-            bool replayed = false;
-            if (cfg.memo != nullptr) {
+            FitMemoEntry ment;
+            if (ctx.memo != nullptr) {
               mkey = FitMemo::key_of(type, xs.data(), values.data(),
                                      static_cast<std::size_t>(i), cfg.fit);
-              FitMemoEntry ment;
-              if (cfg.memo->lookup(mkey, &ment)) {
-                fitted = std::move(ment.fn);
-                if (collect) slot_diags[idx] = std::move(ment.diag);
-                memo_hit_count.fetch_add(1, std::memory_order_relaxed);
-                replayed = true;
-              }
             }
-            if (!replayed) {
+            std::optional<FittedFunction> fitted;
+            if (ctx.memo != nullptr && ctx.memo->lookup(mkey, &ment)) {
+              fitted = std::move(ment.fn);
+              if (collect) *dptr = std::move(ment.diag);
+              memo_hit_count.fetch_add(1, std::memory_order_relaxed);
+            } else {
               const std::vector<double> pxs(xs.begin(), xs.begin() + i);
               const std::vector<double> pys(values.begin(),
                                             values.begin() + i);
-              obs::SpanTimer levmar_span(cfg.trace, obs::Stage::kFitLevmar);
+              obs::SpanTimer levmar_span(ctx.trace, obs::Stage::kFitLevmar);
               std::chrono::steady_clock::time_point t0;
-              if (cfg.metrics != nullptr) {
+              if (ctx.metrics != nullptr) {
                 t0 = std::chrono::steady_clock::now();
               }
-              // Memo misses need a diag even without audit/metrics so the
-              // inserted entry can replay it later.
-              FitDiag local_diag;
-              FitDiag* dptr = collect ? &slot_diags[idx]
-                              : cfg.memo != nullptr ? &local_diag
-                                                    : nullptr;
               fitted = fit_kernel(type, pxs, pys, cfg.fit, dptr);
-              if (cfg.metrics != nullptr) {
-                cfg.metrics->record_fit_seconds(type, elapsed_seconds(t0));
+              if (ctx.metrics != nullptr) {
+                ctx.metrics->record_fit_seconds(type, elapsed_seconds(t0));
               }
               levmar_span.stop();
-              if (cfg.memo != nullptr) {
-                cfg.memo->insert(mkey, FitMemoEntry{fitted, *dptr});
+              if (ctx.memo != nullptr) {
+                ctx.memo->insert(mkey, FitMemoEntry{fitted, *dptr});
               }
             }
             if (!fitted) return;
             FitSlot& slot = slots[idx];
             {
-              obs::SpanTimer realism_span(cfg.trace, obs::Stage::kFitRealism);
+              obs::SpanTimer realism_span(ctx.trace, obs::Stage::kFitRealism);
               for (std::size_t v = 0; v < filters.size(); ++v) {
                 if (is_realistic(*fitted, filters[v], vmax, nonneg)) {
                   slot.realistic_mask |= std::uint64_t{1} << v;
@@ -406,9 +394,9 @@ std::vector<std::vector<CandidateFit>> enumerate_candidates_filtered(
     acct.fits_executed -= acct.fits_cancelled + acct.fits_aborted;
     acct.duplicate_fits_eliminated =
         acct.candidates_attempted - job_prefix.size();
-    if (cfg.audit != nullptr) {
-      cfg.audit->fits_cancelled += acct.fits_cancelled;
-      cfg.audit->fits_aborted += acct.fits_aborted;
+    if (audit != nullptr) {
+      audit->fits_cancelled += acct.fits_cancelled;
+      audit->fits_aborted += acct.fits_aborted;
     }
     if (stats) *stats = acct;
     return out;
@@ -421,7 +409,7 @@ std::vector<std::vector<CandidateFit>> enumerate_candidates_filtered(
   // audit_mark_winner once a caller selects it.
   if (collect) {
     FitAudit scratch;  // metrics-only collection still needs a sink
-    FitAudit* audit = cfg.audit != nullptr ? cfg.audit : &scratch;
+    FitAudit* sink = audit != nullptr ? audit : &scratch;
     // Checkpoint index sets per setting, for candidate re-scoring.
     std::vector<std::vector<std::size_t>> cidx(valid_cs.size());
     for (std::size_t ci = 0; ci < valid_cs.size(); ++ci) {
@@ -431,7 +419,7 @@ std::vector<std::vector<CandidateFit>> enumerate_candidates_filtered(
     }
     // Brute-force layout: each slot belongs to exactly one setting.
     std::vector<std::size_t> slot_setting;
-    if (!cfg.memoize_fits) {
+    if (!ctx.memoize_fits) {
       slot_setting.resize(slots.size());
       std::size_t running = 0;
       for (std::size_t ci = 0; ci < valid_cs.size(); ++ci) {
@@ -441,8 +429,8 @@ std::vector<std::vector<CandidateFit>> enumerate_candidates_filtered(
         }
       }
     }
-    const std::size_t attempts_base = audit->attempts.size();
-    const std::size_t candidates_base = audit->candidates.size();
+    const std::size_t attempts_base = sink->attempts.size();
+    const std::size_t candidates_base = sink->candidates.size();
     for (std::size_t idx = 0; idx < slots.size(); ++idx) {
       const int prefix = job_prefix[idx];
       const KernelType kernel = kAllKernels[idx % K];
@@ -458,7 +446,7 @@ std::vector<std::vector<CandidateFit>> enumerate_candidates_filtered(
           a.rmse = st.rmse;
           a.iterations = st.iterations;
           a.model_evals = st.model_evals;
-          audit->attempts.push_back(a);
+          sink->attempts.push_back(a);
         }
       } else {
         FitAttempt a;
@@ -466,7 +454,7 @@ std::vector<std::vector<CandidateFit>> enumerate_candidates_filtered(
         a.prefix_len = prefix;
         a.start = -1;
         a.outcome = diag.solved ? FitOutcome::kConverged : FitOutcome::kNoFit;
-        audit->attempts.push_back(a);
+        sink->attempts.push_back(a);
       }
 
       const FitSlot& slot = slots[idx];
@@ -488,7 +476,7 @@ std::vector<std::vector<CandidateFit>> enumerate_candidates_filtered(
       } else {
         cand.outcome = FitOutcome::kWorseRmse;
         double best_err = std::numeric_limits<double>::quiet_NaN();
-        if (cfg.memoize_fits) {
+        if (ctx.memoize_fits) {
           for (std::size_t ci = 0; ci < valid_cs.size(); ++ci) {
             if (prefix > m - valid_cs[ci]) continue;
             const double err = numeric::rmse_at(slot.pred, values, cidx[ci]);
@@ -502,17 +490,17 @@ std::vector<std::vector<CandidateFit>> enumerate_candidates_filtered(
         }
         cand.checkpoint_rmse = best_err;
       }
-      audit->candidates.push_back(cand);
+      sink->candidates.push_back(cand);
     }
-    if (cfg.metrics != nullptr) {
-      for (std::size_t a = attempts_base; a < audit->attempts.size(); ++a) {
-        cfg.metrics->count(audit->attempts[a].kernel,
-                           audit->attempts[a].outcome);
+    if (ctx.metrics != nullptr) {
+      for (std::size_t a = attempts_base; a < sink->attempts.size(); ++a) {
+        ctx.metrics->count(sink->attempts[a].kernel,
+                           sink->attempts[a].outcome);
       }
-      for (std::size_t c = candidates_base; c < audit->candidates.size();
+      for (std::size_t c = candidates_base; c < sink->candidates.size();
            ++c) {
-        cfg.metrics->count(audit->candidates[c].kernel,
-                           audit->candidates[c].outcome);
+        ctx.metrics->count(sink->candidates[c].kernel,
+                           sink->candidates[c].outcome);
       }
     }
   }
@@ -532,7 +520,7 @@ std::vector<std::vector<CandidateFit>> enumerate_candidates_filtered(
       for (int i = cfg.min_prefix; i <= n; ++i) {
         for (std::size_t k = 0; k < K; ++k) {
           const std::size_t idx =
-              cfg.memoize_fits
+              ctx.memoize_fits
                   ? static_cast<std::size_t>(i - cfg.min_prefix) * K + k
                   : running++;
           const FitSlot& slot = slots[idx];
@@ -551,9 +539,10 @@ std::vector<std::vector<CandidateFit>> enumerate_candidates_filtered(
 
 std::vector<CandidateFit> enumerate_candidates(
     const std::vector<int>& cores, const std::vector<double>& values,
-    const ExtrapolationConfig& cfg, EnumerationStats* stats) {
-  auto lists =
-      enumerate_candidates_filtered(cores, values, cfg, {cfg.realism}, stats);
+    const ExtrapolationConfig& cfg, const ExecContext& ctx, FitAudit* audit,
+    EnumerationStats* stats) {
+  auto lists = enumerate_candidates_filtered(cores, values, cfg,
+                                             {cfg.realism}, ctx, audit, stats);
   return std::move(lists.front());
 }
 
@@ -592,9 +581,11 @@ void audit_mark_winner(FitAudit* audit, FitMetrics* metrics,
 
 std::optional<SeriesExtrapolation> extrapolate_series(
     const std::vector<int>& cores, const std::vector<double>& values,
-    const ExtrapolationConfig& cfg, EnumerationStats* out_stats) {
+    const ExtrapolationConfig& cfg, const ExecContext& ctx, FitAudit* audit,
+    EnumerationStats* out_stats) {
   EnumerationStats stats;
-  const auto candidates = enumerate_candidates(cores, values, cfg, &stats);
+  const auto candidates =
+      enumerate_candidates(cores, values, cfg, ctx, audit, &stats);
   if (out_stats) *out_stats = stats;
   if (candidates.empty()) return std::nullopt;
 
@@ -627,7 +618,7 @@ std::optional<SeriesExtrapolation> extrapolate_series(
     }
   }
 
-  audit_mark_winner(cfg.audit, cfg.metrics, *best, cores, values);
+  audit_mark_winner(audit, ctx.metrics, *best, cores, values);
 
   SeriesExtrapolation out;
   out.best = best->fn;

@@ -22,39 +22,17 @@
 #include <vector>
 
 #include "core/deadline.hpp"
+#include "core/exec_context.hpp"
 #include "core/fit_engine.hpp"
 #include "core/kernels.hpp"
-
-namespace estima::parallel {
-class ThreadPool;
-}  // namespace estima::parallel
-
-namespace estima::obs {
-class TraceContext;
-}  // namespace estima::obs
 
 namespace estima::core {
 
 struct FitAudit;
-struct FitMetrics;
-class FitMemo;
 
-/// Which fitting pipeline executes the (kernel, prefix) jobs. Both produce
-/// bit-identical candidates — the batched engine restructures the *work*
-/// (SoA panels, lockstep LM, shared tables), never the arithmetic — so
-/// this knob, like `memoize_fits` and `pool`, is excluded from
-/// config_signature.
-enum class FitEngine {
-  /// Per-prefix batched jobs: all six kernels fitted in one pass over
-  /// shared EvalTables, LM starts advanced in lockstep, realism walks
-  /// scanned over precomputed grids. The default.
-  kBatched,
-  /// The scalar per-(kernel, prefix) path: one fit_kernel / is_realistic
-  /// call per job. Kept runnable as the bit-identity oracle and the
-  /// benchmark baseline.
-  kReference,
-};
-
+/// The extrapolation settings: every field can change the answer, and
+/// config_signature hashes all of them. How the fits are executed (pool,
+/// engine, deadline, sinks, memo) is an ExecContext, passed beside it.
 struct ExtrapolationConfig {
   /// Checkpoint counts to try; the paper's experiments use 2 and 4.
   std::vector<int> checkpoint_counts = {2, 4};
@@ -62,54 +40,6 @@ struct ExtrapolationConfig {
   double target_max_cores = 64; ///< realism + extrapolation horizon
   RealismOptions realism;       ///< range is overwritten from target_max
   FitOptions fit;
-  /// Fit each (kernel, prefix) pair once and reuse it across checkpoint
-  /// settings. Off = the brute-force reference (one fit per candidate),
-  /// kept runnable for benchmarking and regression testing.
-  bool memoize_fits = true;
-  /// Which pipeline executes the fits (bit-identical either way).
-  FitEngine engine = FitEngine::kBatched;
-  /// Fan the independent fit jobs (and, in predict(), the independent
-  /// stall categories) out across this pool. Null = single-threaded.
-  parallel::ThreadPool* pool = nullptr;
-  /// Cooperative cancellation: fit jobs poll this between fits and stop
-  /// early once it expires. An enumeration that observed expiry returns
-  /// EMPTY candidate lists (a partial enumeration must never be scored)
-  /// and reports the skips in EnumerationStats::fits_cancelled; it does
-  /// not throw — callers decide, in serial context, whether to raise
-  /// DeadlineExceeded. Null = never cancelled. Like `pool`, this knob
-  /// cannot change produced values, only whether they are produced.
-  const Deadline* deadline = nullptr;
-  /// Observability seam, threaded exactly like `deadline`: when set, the
-  /// fit jobs record `fit.levmar` (kernel fitting) and `fit.realism`
-  /// (filter evaluation) spans into it. These are nested, per-worker
-  /// spans — their sums aggregate CPU time across the pool. Null (the
-  /// default) compiles the timing away to one branch; like `pool` and
-  /// `deadline`, this knob cannot change produced values.
-  obs::TraceContext* trace = nullptr;
-  /// Fit-audit sink, threaded exactly like `trace`: when set, the
-  /// enumeration appends one FitAttempt per (kernel, prefix, start)
-  /// executed and one FitCandidate per (kernel, prefix) slot, emitted in
-  /// serial context in the fixed slot order from per-slot data — so the
-  /// records are bit-identical across engines and pool sizes. NOT
-  /// thread-safe: each enumeration needs its own sink (predict() hands
-  /// every category its own via PredictionAudit). Excluded from
-  /// config_signature; cannot change produced values.
-  FitAudit* audit = nullptr;
-  /// Per-kernel fit metrics (attempt/outcome counters plus fit-time
-  /// histograms). Thread-safe and shareable process-wide. Excluded from
-  /// config_signature; cannot change produced values.
-  FitMetrics* metrics = nullptr;
-  /// Cross-prediction (kernel, prefix) fit memo for streaming campaigns:
-  /// when set, fit jobs whose full input (kernel, FitOptions, prefix
-  /// data bits) is already memoized replay the stored fit + FitDiag
-  /// instead of executing, and executed fits are inserted for the next
-  /// call. Thread-safe; threaded exactly like `pool`/`audit` and, like
-  /// them, excluded from config_signature — the replayed fit is the
-  /// bit-identical outcome of the execution it stands in for, so
-  /// candidates, audits and work accounting are unchanged (only
-  /// EnumerationStats::memo_hits and the wall time move). Null = every
-  /// fit executes.
-  FitMemo* memo = nullptr;
 };
 
 /// One scored candidate fit (kept for diagnostics / bench output).
@@ -143,15 +73,16 @@ struct EnumerationStats {
   /// like every accounting field it is outside the bit-identity contract
   /// and not serialised.
   std::size_t levmar_point_evals = 0;
-  /// Fit jobs answered from cfg.memo instead of executing. Counted inside
-  /// fits_executed (a memo hit replays an execution, it does not change
-  /// the enumeration's job ledger — fits_executed is serialised and must
-  /// stay identical with or without a memo); like levmar_point_evals this
-  /// field is accounting only, never serialised.
+  /// Fit jobs answered from ExecContext::memo instead of executing.
+  /// Counted inside fits_executed (a memo hit replays an execution, it
+  /// does not change the enumeration's job ledger — fits_executed is
+  /// serialised and must stay identical with or without a memo); like
+  /// levmar_point_evals this field is accounting only, never serialised.
   std::size_t memo_hits = 0;
-  /// Fit jobs skipped because cfg.deadline expired mid-enumeration. Any
-  /// nonzero value means the candidate lists were abandoned (returned
-  /// empty) and the caller should treat the computation as cancelled.
+  /// Fit jobs skipped because ExecContext::deadline expired
+  /// mid-enumeration. Any nonzero value means the candidate lists were
+  /// abandoned (returned empty) and the caller should treat the
+  /// computation as cancelled.
   std::size_t fits_cancelled = 0;
   /// Fit jobs abandoned because a workspace allocation failed. Nonzero
   /// means the candidate lists were abandoned (returned empty): dropping
@@ -178,6 +109,14 @@ struct SeriesExtrapolation {
   }
 };
 
+// The enumeration level runs under an ExecContext like predict() does,
+// but takes its audit sink as its own argument: `audit`, when non-null,
+// receives one FitAttempt per (kernel, prefix, start) executed and one
+// FitCandidate per (kernel, prefix) slot, emitted in serial context in the
+// fixed slot order — so the records are bit-identical across engines and
+// pool sizes. A context carrying a PredictionAudit (ctx.audit) is
+// rejected with std::invalid_argument: that sink belongs to predict().
+
 /// Extrapolates one series of (cores, values). Returns std::nullopt when no
 /// realistic candidate exists (degenerate input, fewer than min_prefix + 1
 /// points, ...). When `stats` is non-null it receives the enumeration's
@@ -185,16 +124,19 @@ struct SeriesExtrapolation {
 /// extension can still report the fits that were executed.
 std::optional<SeriesExtrapolation> extrapolate_series(
     const std::vector<int>& cores, const std::vector<double>& values,
-    const ExtrapolationConfig& cfg, EnumerationStats* stats = nullptr);
+    const ExtrapolationConfig& cfg, const ExecContext& ctx = {},
+    FitAudit* audit = nullptr, EnumerationStats* stats = nullptr);
 
 /// Enumerates every realistic candidate (used by the scaling-factor step,
 /// which selects by correlation rather than checkpoint RMSE, and by tests).
 /// Candidate order is fixed (checkpoint setting, then prefix, then kernel)
-/// and identical for every memoize_fits / pool combination. When `stats`
-/// is non-null it receives the work accounting of this enumeration.
+/// and identical for every engine / memoize_fits / pool combination. When
+/// `stats` is non-null it receives the work accounting of this
+/// enumeration.
 std::vector<CandidateFit> enumerate_candidates(
     const std::vector<int>& cores, const std::vector<double>& values,
-    const ExtrapolationConfig& cfg, EnumerationStats* stats = nullptr);
+    const ExtrapolationConfig& cfg, const ExecContext& ctx = {},
+    FitAudit* audit = nullptr, EnumerationStats* stats = nullptr);
 
 /// Enumerates candidates once per realism filter while executing every
 /// (kernel, prefix) fit at most once across all filters: a fit depends
@@ -208,6 +150,7 @@ std::vector<std::vector<CandidateFit>> enumerate_candidates_filtered(
     const std::vector<int>& cores, const std::vector<double>& values,
     const ExtrapolationConfig& cfg,
     const std::vector<RealismOptions>& realism_filters,
+    const ExecContext& ctx = {}, FitAudit* audit = nullptr,
     EnumerationStats* stats = nullptr);
 
 /// Marks `best` as the winner of an enumeration in `audit`: upgrades the

@@ -1,11 +1,11 @@
 // Fit provenance: why each (kernel, prefix, start) attempt ended the way
 // it did, which candidates survived realism and scoring, and which one
-// won. The audit sink rides in ExtrapolationConfig exactly like `trace`
-// and `deadline`: an opt-in pointer that cannot change produced values,
-// excluded from config_signature. Both fit engines emit records from the
-// same per-slot data in the same serial order, so for a given input the
-// audit is byte-identical across {kReference, kBatched} x any pool size —
-// the golden-corpus bit-identity rule extends to audits.
+// won. The audit sink rides in the ExecContext exactly like `trace` and
+// `deadline`: an opt-in pointer that cannot change produced values, kept
+// out of the config that config_signature hashes. Both fit engines emit
+// records from the same per-slot data in the same serial order, so for a
+// given input the audit is byte-identical across {kReference, kBatched}
+// x any pool size — the golden-corpus bit-identity rule extends to audits.
 //
 // Per-kernel fit metrics (estima_fit_attempts_total{kernel,outcome},
 // estima_fit_seconds{kernel}) piggyback on the same records; wall-clock
@@ -106,8 +106,8 @@ struct FitAudit {
 };
 
 /// The audit of one full predict(): one FitAudit per stall category plus
-/// the scaling-factor enumeration's audit. predict() points each
-/// category's config at its own sink, so the parallel category fan-out
+/// the scaling-factor enumeration's audit. predict() hands each
+/// category's enumeration its own sink, so the parallel category fan-out
 /// never shares one.
 struct PredictionAudit {
   struct Category {

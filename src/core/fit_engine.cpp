@@ -277,20 +277,6 @@ void RealismGrid::build(const RealismOptions& opts) {
   tables.assign(pts);
 }
 
-void realism_walk_eval(const FittedFunction& f, const RealismGrid& grid,
-                       std::vector<double>& vals, std::vector<double>& dens) {
-  const std::size_t count = grid.tables.size();
-  vals.resize(count);
-  dens.resize(count);
-  kernel_eval_panel(f.type, grid.tables, count, f.params.data(), 1,
-                    vals.data());
-  // f(n) = y_scale * kernel_eval(n): same multiplication the scalar
-  // FittedFunction::operator() performs, applied after the panel.
-  const double y_scale = f.y_scale;
-  for (std::size_t i = 0; i < count; ++i) vals[i] = y_scale * vals[i];
-  kernel_denominator_batch(f.type, grid.tables, count, f.params, dens.data());
-}
-
 bool realism_scan(const double* vals, const double* dens, int steps,
                   const RealismOptions& opts, double data_max_abs,
                   bool data_nonnegative) {
@@ -454,17 +440,6 @@ void fit_kernel_over_prefixes(KernelType type, const std::vector<double>& xs,
     }
     if (diags != nullptr) diags[j].solved = best.has_value();
     out[j] = std::move(best);
-  }
-}
-
-void fit_kernels_for_prefix(
-    const std::vector<double>& xs, const EvalTables& tables,
-    const std::vector<double>& values, std::size_t prefix,
-    const FitOptions& opts, FitBatchWorkspace& ws,
-    std::array<std::optional<FittedFunction>, kNumKernels>& out) {
-  for (std::size_t k = 0; k < kNumKernels; ++k) {
-    fit_kernel_over_prefixes(kAllKernels[k], xs, tables, values, &prefix, 1,
-                             opts, ws, &out[k]);
   }
 }
 

@@ -8,7 +8,6 @@
 // not realistic for this approximation" (Section 3.1.2).
 #pragma once
 
-#include <array>
 #include <optional>
 #include <vector>
 
@@ -76,9 +75,6 @@ std::optional<FittedFunction> fit_kernel(KernelType type,
 // precomputed input tables, and Levenberg-Marquardt starts advanced in
 // lockstep so model evaluations fuse into panel calls.
 
-/// Number of Table-1 kernels (the width of a per-prefix fit batch).
-inline constexpr std::size_t kNumKernels = kAllKernels.size();
-
 /// The realism pole-walk grid for one RealismOptions: the walk points plus
 /// their log/sqrt tables, precomputed once per enumeration and shared by
 /// every candidate (the grid depends only on the range, never on the fit).
@@ -90,13 +86,6 @@ struct RealismGrid {
   /// same clamped lo, same hi, same step count, same point arithmetic.
   void build(const RealismOptions& opts);
 };
-
-/// Evaluates f and its kernel denominator over the whole grid: vals[i] =
-/// f(grid point i) and dens[i] = kernel_denominator at that point, each
-/// bit-identical to the scalar calls inside is_realistic. Buffers are
-/// resized in place.
-void realism_walk_eval(const FittedFunction& f, const RealismGrid& grid,
-                       std::vector<double>& vals, std::vector<double>& dens);
 
 /// The realism predicate over precomputed walk values: applies the same
 /// checks in the same order as is_realistic, so
@@ -148,15 +137,5 @@ void fit_kernel_over_prefixes(KernelType type, const std::vector<double>& xs,
                               FitBatchWorkspace& ws,
                               std::optional<FittedFunction>* out,
                               FitDiag* diags = nullptr);
-
-/// Fits all six Table-1 kernels to the first `prefix` points of
-/// (xs, values): a one-prefix wrapper over fit_kernel_over_prefixes.
-/// out[k] receives the fit of kAllKernels[k], bit-identical to
-/// fit_kernel(kAllKernels[k], xs[0..prefix), values[0..prefix), opts).
-void fit_kernels_for_prefix(
-    const std::vector<double>& xs, const EvalTables& tables,
-    const std::vector<double>& values, std::size_t prefix,
-    const FitOptions& opts, FitBatchWorkspace& ws,
-    std::array<std::optional<FittedFunction>, kNumKernels>& out);
 
 }  // namespace estima::core

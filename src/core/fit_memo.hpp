@@ -24,9 +24,9 @@
 //
 // Thread safety: all methods are safe to call concurrently; one memo is
 // shared by the parallel category fan-out and the six per-kernel fit jobs
-// inside each enumeration. Like `pool` and `audit`, the memo pointer is
-// excluded from config_signature — it cannot change produced values, only
-// how fast they are produced.
+// inside each enumeration. Like `pool` and `audit`, the memo rides in the
+// ExecContext, outside config_signature — it cannot change produced
+// values, only how fast they are produced.
 #pragma once
 
 #include <cstdint>

@@ -58,21 +58,10 @@ double compute_freq_scale(const MeasurementSet& ms,
   return 1.0;
 }
 
-ExtrapolationConfig tuned_extrap(const PredictionConfig& cfg,
-                                 parallel::ThreadPool* pool,
-                                 const Deadline* deadline = nullptr,
-                                 obs::TraceContext* trace = nullptr,
-                                 FitMemo* memo = nullptr) {
+// The extrapolation horizon reaches at least the largest target core
+// count: realism is judged over the whole range the answer covers.
+ExtrapolationConfig horizon_extrap(const PredictionConfig& cfg) {
   ExtrapolationConfig e = cfg.extrap;
-  e.pool = pool;
-  e.deadline = deadline;
-  e.trace = trace;
-  e.memo = memo;
-  // A caller-set audit sink cannot serve the parallel category fan-out
-  // (one sink, many writers); predict() hands each category its own sink
-  // via the PredictionAudit overload instead. cfg.extrap.metrics stays:
-  // it is thread-safe and shareable by design.
-  e.audit = nullptr;
   if (!cfg.target_cores.empty()) {
     e.target_max_cores = std::max<double>(
         e.target_max_cores,
@@ -101,37 +90,9 @@ void raise_if_abandoned(const EnumerationStats& stats, const char* where) {
 
 int Prediction::best_core_count() const { return argmin_cores(cores, time_s); }
 
-Prediction predict(const MeasurementSet& ms, const PredictionConfig& cfg) {
-  return predict(ms, cfg, cfg.extrap.pool);
-}
-
 Prediction predict(const MeasurementSet& ms, const PredictionConfig& cfg,
-                   parallel::ThreadPool* pool) {
-  return predict(ms, cfg, pool, cfg.extrap.deadline);
-}
-
-Prediction predict(const MeasurementSet& ms, const PredictionConfig& cfg,
-                   parallel::ThreadPool* pool, const Deadline* deadline) {
-  return predict(ms, cfg, pool, deadline, cfg.extrap.trace);
-}
-
-Prediction predict(const MeasurementSet& ms, const PredictionConfig& cfg,
-                   parallel::ThreadPool* pool, const Deadline* deadline,
-                   obs::TraceContext* trace) {
-  return predict(ms, cfg, pool, deadline, trace, nullptr);
-}
-
-Prediction predict(const MeasurementSet& ms, const PredictionConfig& cfg,
-                   parallel::ThreadPool* pool, const Deadline* deadline,
-                   obs::TraceContext* trace, PredictionAudit* audit) {
-  return predict(ms, cfg, pool, deadline, trace, audit, cfg.extrap.memo);
-}
-
-Prediction predict(const MeasurementSet& ms, const PredictionConfig& cfg,
-                   parallel::ThreadPool* pool, const Deadline* deadline,
-                   obs::TraceContext* trace, PredictionAudit* audit,
-                   FitMemo* memo) {
-  if (deadline != nullptr && deadline->expired()) {
+                   const ExecContext& ctx) {
+  if (ctx.deadline != nullptr && ctx.deadline->expired()) {
     throw DeadlineExceeded("predict: deadline expired before work began");
   }
   ms.validate();
@@ -166,8 +127,12 @@ Prediction predict(const MeasurementSet& ms, const PredictionConfig& cfg,
     input.categories = {std::move(agg)};
   }
 
-  const ExtrapolationConfig extrap =
-      tuned_extrap(cfg, pool, deadline, trace, memo);
+  const ExtrapolationConfig extrap = horizon_extrap(cfg);
+  // The enumerations run under this context minus the PredictionAudit:
+  // each gets its own FitAudit slot of it as a separate argument.
+  PredictionAudit* const audit = ctx.audit;
+  ExecContext fits = ctx;
+  fits.audit = nullptr;
 
   Prediction out;
   out.cores = cfg.target_cores;
@@ -177,7 +142,7 @@ Prediction predict(const MeasurementSet& ms, const PredictionConfig& cfg,
   // extrapolation (B) through the scaling-factor enumeration (C). The
   // nested fit.levmar / fit.realism spans recorded by the jobs inside
   // aggregate worker CPU time within this window.
-  obs::SpanTimer enumerate_span(trace, obs::Stage::kFitEnumerate);
+  obs::SpanTimer enumerate_span(ctx.trace, obs::Stage::kFitEnumerate);
 
   // (B) Extrapolate every stall category independently; weak scaling
   // multiplies the extrapolated stall volume by the dataset factor. The
@@ -198,16 +163,11 @@ Prediction predict(const MeasurementSet& ms, const PredictionConfig& cfg,
     audit->factor_used_relaxed = false;
   }
   parallel::parallel_for(
-      extrap.pool, input.categories.size(), [&](std::size_t i) {
-        if (audit != nullptr) {
-          ExtrapolationConfig per_cat = extrap;
-          per_cat.audit = &audit->categories[i].audit;
-          exts[i] = extrapolate_series(input.cores, input.categories[i].values,
-                                       per_cat, &ext_stats[i]);
-        } else {
-          exts[i] = extrapolate_series(input.cores, input.categories[i].values,
-                                       extrap, &ext_stats[i]);
-        }
+      ctx.pool, input.categories.size(), [&](std::size_t i) {
+        exts[i] = extrapolate_series(
+            input.cores, input.categories[i].values, extrap, fits,
+            audit != nullptr ? &audit->categories[i].audit : nullptr,
+            &ext_stats[i]);
       });
   // A category whose enumeration was abandoned mid-way reads as "no
   // realistic fit" — indistinguishable from a legitimately unfittable
@@ -269,11 +229,9 @@ Prediction predict(const MeasurementSet& ms, const PredictionConfig& cfg,
   // refitting everything on the retry (auditable via factor_stats).
   RealismOptions strict_realism = extrap.realism;
   strict_realism.explosion_factor = 5.0;
-  ExtrapolationConfig factor_extrap = extrap;
-  if (audit != nullptr) factor_extrap.audit = &audit->factor;
   auto factor_passes = enumerate_candidates_filtered(
-      input.cores, factor_meas, factor_extrap,
-      {strict_realism, extrap.realism}, &out.factor_stats);
+      input.cores, factor_meas, extrap, {strict_realism, extrap.realism}, fits,
+      audit != nullptr ? &audit->factor : nullptr, &out.factor_stats);
   raise_if_abandoned(out.factor_stats, "scaling-factor enumeration");
   enumerate_span.stop();
   out.factor_used_relaxed_realism = factor_passes[0].empty();
@@ -352,7 +310,7 @@ Prediction predict(const MeasurementSet& ms, const PredictionConfig& cfg,
   // enumeration, so the winner upgrade happens here too. Metrics-only
   // callers still get their winner counter bumped.
   audit_mark_winner(audit != nullptr ? &audit->factor : nullptr,
-                    extrap.metrics, *chosen, input.cores, factor_meas);
+                    ctx.metrics, *chosen, input.cores, factor_meas);
 
   // The factor (seconds per stalled-cycle-per-core) is a slowly varying
   // link between two quantities that already carry the scaling trend, so
@@ -377,12 +335,13 @@ Prediction predict(const MeasurementSet& ms, const PredictionConfig& cfg,
 }
 
 Prediction predict_time_extrapolation(const MeasurementSet& ms,
-                                      const PredictionConfig& cfg) {
+                                      const PredictionConfig& cfg,
+                                      const ExecContext& ctx) {
   ms.validate();
   if (cfg.target_cores.empty()) {
     throw std::invalid_argument("time extrapolation: no target core counts");
   }
-  const ExtrapolationConfig extrap = tuned_extrap(cfg, cfg.extrap.pool);
+  const ExtrapolationConfig extrap = horizon_extrap(cfg);
 
   Prediction out;
   out.cores = cfg.target_cores;
@@ -392,7 +351,9 @@ Prediction predict_time_extrapolation(const MeasurementSet& ms,
   for (double& t : scaled_time) t *= out.freq_scale;
 
   EnumerationStats time_stats;
-  auto ext = extrapolate_series(ms.cores, scaled_time, extrap, &time_stats);
+  auto ext =
+      extrapolate_series(ms.cores, scaled_time, extrap, ctx, nullptr,
+                         &time_stats);
   raise_if_abandoned(time_stats, "time extrapolation");
   if (!ext) {
     throw std::invalid_argument(
@@ -444,6 +405,11 @@ PredictionError evaluate_prediction(const Prediction& pred,
   return err;
 }
 
+// Hashes every field of the config, in declaration order; a field added
+// to PredictionConfig or ExtrapolationConfig must be hashed here. The work
+// accounting of a Prediction (factor_stats, the per-category
+// fits_executed / duplicate_fits_eliminated) describes the run that
+// computed it, not the campaign, and stays outside the identity contract.
 std::uint64_t config_signature(const PredictionConfig& cfg) {
   Fnv1a h;
   h.u64(cfg.target_cores.size());
@@ -466,16 +432,6 @@ std::uint64_t config_signature(const PredictionConfig& cfg) {
   h.i64(e.realism.max_steps);
   h.f64(e.fit.ridge_lambda);
   h.i64(e.fit.levmar_max_iterations);
-  // e.memoize_fits, e.engine, e.pool, e.deadline, e.trace, e.audit,
-  // e.metrics and e.memo deliberately excluded:
-  // the *answer* (times, stalls, chosen fits) is bit-identical across all
-  // of them — a deadline can only turn an answer into an exception, a
-  // trace only observes where the time went, and the batched fit engine
-  // restructures the work without changing the arithmetic — so
-  // cached results stay shareable. Only the work-accounting fields (factor_stats, the
-  // per-category fits_executed / duplicate_fits_eliminated) reflect the
-  // run that actually computed the prediction — accounting describes the
-  // computation, not the campaign, and is outside the identity contract.
   return h.value();
 }
 

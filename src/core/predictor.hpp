@@ -23,8 +23,10 @@
 
 namespace estima::core {
 
-struct PredictionAudit;
-
+/// What a prediction answers: every field here can change the result, and
+/// config_signature hashes all of them. How the prediction is executed
+/// (pool, deadline, trace, audit, metrics, memo, engine) is an
+/// ExecContext, passed beside the config.
 struct PredictionConfig {
   std::vector<int> target_cores;    ///< core counts to predict for
   double target_freq_ghz = 0.0;     ///< 0 => same frequency as measurement
@@ -65,71 +67,45 @@ struct Prediction {
 
 /// Runs the ESTIMA pipeline. Throws std::invalid_argument on malformed
 /// input (too few points, missing categories, no realistic fits).
-Prediction predict(const MeasurementSet& ms, const PredictionConfig& cfg);
-
-/// Same pipeline with the fan-out pool supplied separately, overriding
-/// cfg.extrap.pool. Callers holding a shared immutable config (the serving
-/// layer) inject their pool per call without copying or mutating the
-/// config; output is bit-identical for every pool.
+///
+/// The answer is a function of (ms, cfg) alone; `ctx` only says how it is
+/// executed, and a prediction that returns is byte-identical for every
+/// context:
+///   * ctx.pool fans the stall categories and their fit jobs out;
+///   * ctx.deadline is polled between fits — once it expires the pipeline
+///     stops within one fit and throws DeadlineExceeded;
+///   * ctx.trace receives a `fit.enumerate` wall span over the
+///     extrapolation + scaling-factor phases and, inside the fit jobs,
+///     nested `fit.levmar` / `fit.realism` spans;
+///   * ctx.audit receives one FitAudit per stall category (each category
+///     writes its own, so the parallel fan-out never shares one) plus the
+///     scaling-factor enumeration's audit with its winner scorecard,
+///     collected in serial slot order so it too is bit-identical across
+///     engines and pool sizes;
+///   * ctx.metrics counts fit outcomes and fit time per kernel;
+///   * ctx.memo replays fits whose exact input it already holds and keeps
+///     the executed ones — the streaming-campaign path threads a
+///     per-campaign memo here so an append-then-repredict executes only
+///     the fits the new point created;
+///   * ctx.engine / ctx.memoize_fits pick the fit pipeline.
 Prediction predict(const MeasurementSet& ms, const PredictionConfig& cfg,
-                   parallel::ThreadPool* pool);
+                   const ExecContext& ctx = {});
 
-/// Same pipeline under a cooperative deadline (overriding both
-/// cfg.extrap.pool and cfg.extrap.deadline). Fit jobs poll the deadline
-/// between fits; once it expires the pipeline stops within one fit and
-/// throws DeadlineExceeded. A prediction that returns at all is
-/// bit-identical to an undeadlined run — a deadline can only replace an
-/// answer with an exception, never alter it. Null deadline = unlimited.
-Prediction predict(const MeasurementSet& ms, const PredictionConfig& cfg,
-                   parallel::ThreadPool* pool, const Deadline* deadline);
-
-/// Same pipeline with a per-request trace attached (overriding
-/// cfg.extrap.trace as well): records a `fit.enumerate` wall span over
-/// the extrapolation + scaling-factor phases and, inside the fit jobs,
-/// nested `fit.levmar` / `fit.realism` spans. Like pool and deadline,
-/// the trace pointer cannot change produced values. Null = untraced.
-Prediction predict(const MeasurementSet& ms, const PredictionConfig& cfg,
-                   parallel::ThreadPool* pool, const Deadline* deadline,
-                   obs::TraceContext* trace);
-
-/// Same pipeline with a fit-audit sink attached: when `audit` is non-null
-/// it receives one FitAudit per stall category (each category's config
-/// points at its own sink, so the parallel category fan-out never shares
-/// one) plus the scaling-factor enumeration's audit with its winner
-/// scorecard. Audits are collected in serial slot order from per-slot
-/// data, so like the prediction itself they are bit-identical across
-/// {kReference, kBatched} x any pool size. Null = unaudited; the pointer
-/// cannot change produced values. cfg.extrap.audit itself is ignored by
-/// predict() — a single sink cannot serve parallel categories.
-Prediction predict(const MeasurementSet& ms, const PredictionConfig& cfg,
-                   parallel::ThreadPool* pool, const Deadline* deadline,
-                   obs::TraceContext* trace, PredictionAudit* audit);
-
-/// Same pipeline with a cross-prediction fit memo attached (overriding
-/// cfg.extrap.memo): fit jobs whose exact input is already memoized replay
-/// the stored result, and executed fits are inserted for the next call.
-/// The streaming-campaign path threads a per-campaign memo here so an
-/// append-then-repredict executes only the fits the new point created.
-/// Like pool/deadline/trace/audit, the memo cannot change produced values
-/// — a prediction with a memo attached is byte-identical to a cold one.
-/// Null = every fit executes.
-Prediction predict(const MeasurementSet& ms, const PredictionConfig& cfg,
-                   parallel::ThreadPool* pool, const Deadline* deadline,
-                   obs::TraceContext* trace, PredictionAudit* audit,
-                   FitMemo* memo);
-
-/// Stable 64-bit FNV-1a signature over every config field that can change
-/// a prediction's numeric result. memoize_fits, the pool pointer, the
-/// deadline, the trace pointer, the audit/metrics sinks, and the fit memo
-/// are excluded: all are bit-identical-output knobs by construction, so
-/// results may be shared across them. The serving layer combines this with
-/// a measurement digest into campaign-hash cache keys.
+/// Stable 64-bit FNV-1a signature over the whole config: every field of a
+/// PredictionConfig can change a prediction's numeric result, and nothing
+/// else can. The serving layer combines this with a measurement digest
+/// into campaign-hash cache keys, so results are shared across every
+/// ExecContext.
 std::uint64_t config_signature(const PredictionConfig& cfg);
 
 /// Baseline: extrapolates execution time directly using the same kernel and
 /// checkpoint machinery (Section 2.4).
+/// `ctx` as for predict(), except that a PredictionAudit has nothing to
+/// describe here: a context carrying one is rejected with
+/// std::invalid_argument.
 Prediction predict_time_extrapolation(const MeasurementSet& ms,
-                                      const PredictionConfig& cfg);
+                                      const PredictionConfig& cfg,
+                                      const ExecContext& ctx = {});
 
 /// Error metrics of a prediction against ground-truth measurements of the
 /// target machine. Only core counts present in both are compared.

@@ -618,19 +618,4 @@ void levenberg_marquardt_multi(const PanelModel& model, const double* ys,
   }
 }
 
-LevMarResult levenberg_marquardt(const ModelFn& f,
-                                 const std::vector<double>& xs,
-                                 const std::vector<double>& ys,
-                                 std::vector<double> initial,
-                                 const LevMarOptions& opts) {
-  const auto batch = [&f](const std::vector<double>& bxs,
-                          const std::vector<double>& p,
-                          std::vector<double>& out) {
-    out.resize(bxs.size());
-    for (std::size_t i = 0; i < bxs.size(); ++i) out[i] = f(bxs[i], p);
-  };
-  LevMarWorkspace ws;
-  return levenberg_marquardt(batch, xs, ys, std::move(initial), opts, ws);
-}
-
 }  // namespace estima::numeric

@@ -17,9 +17,6 @@
 
 namespace estima::numeric {
 
-/// Model callback: value of the model at scalar input x for parameters p.
-using ModelFn = std::function<double(double x, const std::vector<double>& p)>;
-
 /// Batched model callback: fills out[i] = f(xs[i]; p) for every point.
 /// `out` arrives pre-sized to xs.size().
 using BatchModelFn = std::function<void(const std::vector<double>& xs,
@@ -84,14 +81,6 @@ LevMarResult levenberg_marquardt(const BatchModelFn& f,
                                  std::vector<double> initial,
                                  const LevMarOptions& opts,
                                  LevMarWorkspace& ws);
-
-/// Scalar-model convenience overload (wraps f into a BatchModelFn and uses
-/// a local workspace). Prefer the batched overload on hot paths.
-LevMarResult levenberg_marquardt(const ModelFn& f,
-                                 const std::vector<double>& xs,
-                                 const std::vector<double>& ys,
-                                 std::vector<double> initial,
-                                 const LevMarOptions& opts = {});
 
 /// A model evaluated panel-at-a-time: eval writes f(grid[i]; p_s) for
 /// i in [0, ms[s]) to out + s * out_stride for each of the n_sets

@@ -139,10 +139,13 @@ void Tracer::finish(TraceContext& trace, TraceContext::Clock::time_point end) {
   }
   SlowTrace slow;
   slow.trace_id = trace.id_;
-  slow.seq = seq_.fetch_add(1, std::memory_order_relaxed);
   slow.total_ns = total;
   slow.spans = trace.spans();
   std::lock_guard<std::mutex> lock(ring_mu_);
+  // The sequence number is taken under the ring lock so that ring order
+  // and seq order agree: taken before it, two finishers could insert in
+  // the opposite order of their seqs.
+  slow.seq = seq_++;
   if (ring_.size() < cfg_.ring_capacity) {
     ring_.push_back(std::move(slow));
   } else {

@@ -187,11 +187,11 @@ class Tracer {
   Histogram* stages_[kStageCount];
   Histogram* request_;
   std::atomic<std::uint64_t> id_state_;
-  std::atomic<std::uint64_t> seq_{0};
 
   mutable std::mutex ring_mu_;
   std::vector<SlowTrace> ring_;  // circular once full
   std::size_t ring_next_ = 0;
+  std::uint64_t seq_ = 0;  // guarded by ring_mu_, like the ring itself
 };
 
 }  // namespace estima::obs

@@ -10,14 +10,19 @@
 
 namespace estima::service {
 
-PredictionService::PredictionService(ServiceConfig cfg,
-                                     parallel::ThreadPool* pool)
+PredictionService::PredictionService(ServiceConfig cfg, core::ExecContext base)
     : cfg_(std::move(cfg)),
-      pool_(pool),
+      base_(base),
       cache_(cfg_.cache_capacity, cfg_.cache_shards, cfg_.cache_ttl_ms) {
-  // The seam the service relies on: predict(ms, cfg, pool) injects the
-  // pool per call, so the stored config never aliases a live pool.
-  cfg_.prediction.extrap.pool = nullptr;
+  const core::ExecContext defaults;
+  if (base_.deadline != nullptr || base_.trace != nullptr ||
+      base_.memo != nullptr || base_.audit != nullptr ||
+      base_.engine != defaults.engine ||
+      base_.memoize_fits != defaults.memoize_fits) {
+    throw std::invalid_argument(
+        "PredictionService: the base context carries only a pool and fit "
+        "metrics; deadline, trace, memo and audit are per call");
+  }
   if (cfg_.snapshot_every > 0 && cfg_.auto_snapshot_path.empty()) {
     throw std::invalid_argument(
         "PredictionService: snapshot_every requires auto_snapshot_path");
@@ -76,8 +81,8 @@ std::shared_ptr<const core::Prediction> PredictionService::compute_or_join(
     if (disposition != nullptr) *disposition = CacheDisposition::kHit;
   } else {
     try {
-      auto result = std::make_shared<const core::Prediction>(core::predict(
-          ms, cfg_.prediction, pool_, deadline, trace, nullptr, memo));
+      auto result = std::make_shared<const core::Prediction>(
+          compute(ms, deadline, trace, memo, nullptr));
       cache_.put(key, result);
       flight->result = std::move(result);
       inserted = true;
@@ -107,6 +112,18 @@ std::shared_ptr<const core::Prediction> PredictionService::compute_or_join(
   if (inserted) note_insertion_for_auto_snapshot();
   if (flight->error) std::rethrow_exception(flight->error);
   return flight->result;
+}
+
+core::Prediction PredictionService::compute(
+    const core::MeasurementSet& ms, const core::Deadline* deadline,
+    obs::TraceContext* trace, core::FitMemo* memo,
+    core::PredictionAudit* audit) const {
+  core::ExecContext ctx = base_;
+  ctx.deadline = deadline;
+  ctx.trace = trace;
+  ctx.memo = memo;
+  ctx.audit = audit;
+  return core::predict(ms, cfg_.prediction, ctx);
 }
 
 void PredictionService::note_insertion_for_auto_snapshot() {
@@ -153,7 +170,7 @@ core::Prediction PredictionService::explain(const core::MeasurementSet& ms,
     std::lock_guard<std::mutex> lock(stats_mu_);
     ++explains_served_;
   }
-  return core::predict(ms, cfg_.prediction, pool_, deadline, trace, &audit);
+  return compute(ms, deadline, trace, nullptr, &audit);
 }
 
 std::shared_ptr<const core::Prediction> PredictionService::cached_or_stale(
@@ -198,7 +215,7 @@ std::vector<core::Prediction> PredictionService::predict_many(
   // shares the same pool safely (caller-participates parallel_for). Jobs
   // must not throw across the pool boundary — exceptions are parked per
   // unit and rethrown below.
-  parallel::parallel_for(pool_, units.size(), [&](std::size_t u) {
+  parallel::parallel_for(base_.pool, units.size(), [&](std::size_t u) {
     try {
       units[u].result = compute_or_join(
           units[u].key, campaigns[units[u].input_idx], deadline, trace);

@@ -39,10 +39,6 @@
 #include "service/result_cache.hpp"
 #include "service/snapshot.hpp"
 
-namespace estima::parallel {
-class ThreadPool;
-}  // namespace estima::parallel
-
 namespace estima::service {
 
 /// Minimal C++17 stand-in for std::span<const T>: lets the serving API
@@ -120,13 +116,14 @@ struct ServiceStats {
 
 class PredictionService {
  public:
-  /// The pool is borrowed, may be null (serial), and is shared with the
-  /// per-campaign fit fan-out. cfg.prediction.extrap.pool is ignored; the
-  /// service injects `pool` itself on every predict() call. Throws
-  /// std::invalid_argument when snapshot_every > 0 without an
-  /// auto_snapshot_path.
-  explicit PredictionService(ServiceConfig cfg,
-                             parallel::ThreadPool* pool = nullptr);
+  /// `base` is the execution context every computation starts from: its
+  /// pool (borrowed, may be null = serial) fans out both the batch and the
+  /// per-campaign fits, and its fit metrics see every prediction. The
+  /// service adds the per-call deadline, trace, memo and audit itself and
+  /// always serves from the default (batched, memoized) fit pipeline, so
+  /// `base` carries nothing else. Throws std::invalid_argument when it
+  /// does, or when snapshot_every > 0 without an auto_snapshot_path.
+  explicit PredictionService(ServiceConfig cfg, core::ExecContext base = {});
 
   /// Campaign key under this service's config.
   std::uint64_t hash_of(const core::MeasurementSet& ms) const;
@@ -224,6 +221,13 @@ class PredictionService {
       CacheDisposition* disposition = nullptr,
       core::FitMemo* memo = nullptr);
 
+  /// The one place a computation's context is assembled: the base context
+  /// plus this call's deadline, trace, memo and audit.
+  core::Prediction compute(const core::MeasurementSet& ms,
+                           const core::Deadline* deadline,
+                           obs::TraceContext* trace, core::FitMemo* memo,
+                           core::PredictionAudit* audit) const;
+
   /// Counts one computed insertion toward snapshot_every and writes the
   /// automatic snapshot when this insertion is the K-th. Exactly one
   /// thread snapshots per K insertions: the decision is taken under the
@@ -231,7 +235,7 @@ class PredictionService {
   void note_insertion_for_auto_snapshot();
 
   ServiceConfig cfg_;
-  parallel::ThreadPool* pool_;
+  core::ExecContext base_;
   ResultCache cache_;
 
   std::mutex inflight_mu_;

@@ -693,15 +693,11 @@ net::HttpResponse ServiceRouter::handle_metrics() {
   const ServiceStats& s = snap.service;
   obs::PrometheusWriter w;
   // Build/runtime identity as a constant-1 info gauge, the Prometheus
-  // convention for exposing labels rather than a value.
+  // convention for exposing labels rather than a value. The label set is
+  // a stable schema; the service always fits with the batched engine.
   w.gauge("estima_build_info",
           "version=\"" + prom_label_escape(cfg_.build_version) +
-              "\",engine=\"" +
-              (service_.config().prediction.extrap.engine ==
-                       core::FitEngine::kBatched
-                   ? "batched"
-                   : "reference") +
-              "\",fault_injection=\"" +
+              "\",engine=\"batched\",fault_injection=\"" +
               (fault::compiled_in() ? "on" : "off") + "\"",
           "Build and runtime identity; the value is always 1.",
           std::int64_t{1});

@@ -4,6 +4,7 @@
 // in the categories ESTIMA's plugins expect.
 #pragma once
 
+#include <atomic>
 #include <functional>
 #include <thread>
 #include <vector>
@@ -34,8 +35,19 @@ inline std::vector<ThreadContext> run_parallel(
     contexts[t].tid = t;
     contexts[t].num_threads = threads;
   }
+  // Start gate: no worker begins until every worker exists. Without it
+  // the first threads can drain a short workload while later ones are
+  // still being spawned, so an n-thread run would not run n threads at
+  // once and contention stalls (STM aborts, lock spins) would go unseen.
+  std::atomic<int> arrived{0};
   for (int t = 0; t < threads; ++t) {
-    pool.emplace_back([&, t] { body(contexts[t]); });
+    pool.emplace_back([&, t] {
+      arrived.fetch_add(1, std::memory_order_acq_rel);
+      while (arrived.load(std::memory_order_acquire) < threads) {
+        std::this_thread::yield();
+      }
+      body(contexts[t]);
+    });
   }
   for (auto& th : pool) th.join();
 

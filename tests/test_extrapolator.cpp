@@ -125,19 +125,19 @@ TEST(Extrapolator, MemoizedMatchesBruteForceReference) {
   const auto ms =
       estima::testing::make_synthetic(spec, estima::testing::counts_up_to(12));
 
-  ExtrapolationConfig memo;
-  memo.checkpoint_counts = {1, 2, 3, 4};
-  memo.target_max_cores = 64;
-  ExtrapolationConfig brute = memo;
+  ExtrapolationConfig cfg;
+  cfg.checkpoint_counts = {1, 2, 3, 4};
+  cfg.target_max_cores = 64;
+  ExecContext memo, brute;
   memo.memoize_fits = true;
   brute.memoize_fits = false;
 
   for (const auto& cat : ms.categories) {
     EnumerationStats memo_stats, brute_stats;
-    const auto a = enumerate_candidates(ms.cores, cat.values, memo,
-                                        &memo_stats);
-    const auto b = enumerate_candidates(ms.cores, cat.values, brute,
-                                        &brute_stats);
+    const auto a = enumerate_candidates(ms.cores, cat.values, cfg, memo,
+                                        nullptr, &memo_stats);
+    const auto b = enumerate_candidates(ms.cores, cat.values, cfg, brute,
+                                        nullptr, &brute_stats);
     ASSERT_EQ(a.size(), b.size()) << cat.name;
     for (std::size_t i = 0; i < a.size(); ++i) {
       EXPECT_EQ(a[i].fn.type, b[i].fn.type);
@@ -179,15 +179,17 @@ TEST(Extrapolator, FilteredSweepSharesFitsAcrossRealismFilters) {
 
   for (const auto& cat : ms.categories) {
     EnumerationStats shared_stats;
-    const auto lists = enumerate_candidates_filtered(
-        ms.cores, cat.values, cfg, {strict, cfg.realism}, &shared_stats);
+    const auto lists =
+        enumerate_candidates_filtered(ms.cores, cat.values, cfg,
+                                      {strict, cfg.realism}, {}, nullptr,
+                                      &shared_stats);
     ASSERT_EQ(lists.size(), 2u);
 
     ExtrapolationConfig strict_cfg = cfg;
     strict_cfg.realism = strict;
     EnumerationStats solo_stats;
-    const auto strict_solo =
-        enumerate_candidates(ms.cores, cat.values, strict_cfg, &solo_stats);
+    const auto strict_solo = enumerate_candidates(
+        ms.cores, cat.values, strict_cfg, {}, nullptr, &solo_stats);
     const auto relaxed_solo = enumerate_candidates(ms.cores, cat.values, cfg);
 
     for (std::size_t v = 0; v < 2; ++v) {

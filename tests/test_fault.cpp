@@ -230,13 +230,16 @@ TEST(Deadline, ExpiredDeadlineMakesPredictThrowNotAnswer) {
   expired.tighten(std::chrono::milliseconds(0));
   core::PredictionConfig cfg;
   cfg.target_cores = core::cores_up_to(24);
-  EXPECT_THROW(core::predict(ms, cfg, nullptr, &expired),
-               core::DeadlineExceeded);
+  core::ExecContext ctx;
+  ctx.deadline = &expired;
+  EXPECT_THROW(core::predict(ms, cfg, ctx), core::DeadlineExceeded);
   // And without the deadline the same call still answers identically to a
-  // config that never saw one — the deadline is excluded from the
-  // config signature precisely because it cannot change produced values.
+  // context that never saw one — the deadline lives in the execution
+  // context, outside the config signature, precisely because it cannot
+  // change produced values.
+  ctx.deadline = nullptr;
   EXPECT_EQ(record_of(core::predict(ms, cfg)),
-            record_of(core::predict(ms, cfg, nullptr, nullptr)));
+            record_of(core::predict(ms, cfg, ctx)));
 }
 
 TEST(Deadline, ServiceCountsCancelledPredictionsAndCachesNothing) {
@@ -357,7 +360,9 @@ TEST(DeadlinePropagation, BadDeadlineHeaderIs400) {
 
 TEST(DeadlinePropagation, Edge408MidComputeCancelsTheAbandonedFit) {
   // A 50 ms edge budget against a campaign whose cold predict takes
-  // hundreds of ms: the loop's 408 fires while the handler is mid-fit.
+  // hundreds of ms (a 48-point campaign already computes in ~45 ms on a
+  // 4-core x86 host, which races the budget): the loop's 408 fires while
+  // the handler is mid-fit.
   // The propagated deadline must stop that fit (predictions_cancelled
   // moves) instead of leaving the pool thread computing an answer nobody
   // will read.
@@ -369,7 +374,7 @@ TEST(DeadlinePropagation, Edge408MidComputeCancelsTheAbandonedFit) {
   Stack stack(std::move(ncfg));
 
   auto c = stack.client();
-  const auto ms = demo_campaign(4, 48);  // ~240 ms cold, >> the 50 ms budget
+  const auto ms = demo_campaign(4, 128);  // ~350 ms cold, >> the 50 ms budget
   net::HttpResponse resp;
   try {
     resp = c.post("/v1/predict", csv_of(ms), "text/csv");

@@ -102,9 +102,11 @@ TEST(FitAudit, ByteIdenticalAcrossEnginesAndPoolSizes) {
     for (parallel::ThreadPool* p :
          {static_cast<parallel::ThreadPool*>(nullptr), &pool}) {
       PredictionConfig cfg = base_config();
-      cfg.extrap.engine = engine;
       PredictionAudit audit;
-      const Prediction pred = predict(ms, cfg, p, nullptr, nullptr, &audit);
+      ExecContext ctx(p);
+      ctx.engine = engine;
+      ctx.audit = &audit;
+      const Prediction pred = predict(ms, cfg, ctx);
       ASSERT_FALSE(audit.categories.empty());
       const std::string fp = fingerprint(audit);
       if (first) {
@@ -129,7 +131,9 @@ TEST(FitAudit, WinnerRecordsDescribeTheServedPrediction) {
   const MeasurementSet ms = campaign();
   PredictionConfig cfg = base_config();
   PredictionAudit audit;
-  const Prediction pred = predict(ms, cfg, nullptr, nullptr, nullptr, &audit);
+  ExecContext ctx;
+  ctx.audit = &audit;
+  const Prediction pred = predict(ms, cfg, ctx);
 
   ASSERT_EQ(audit.categories.size(), pred.categories.size());
   for (std::size_t i = 0; i < pred.categories.size(); ++i) {
@@ -175,9 +179,10 @@ TEST(FitAudit, AuditCannotChangeThePredictionOrTheSignature) {
   obs::Registry reg;
   FitMetrics metrics;
   metrics.init(reg);
-  audited.extrap.metrics = &metrics;
-  const Prediction with =
-      predict(ms, audited, nullptr, nullptr, nullptr, &audit);
+  ExecContext ctx;
+  ctx.audit = &audit;
+  ctx.metrics = &metrics;
+  const Prediction with = predict(ms, audited, ctx);
 
   ASSERT_EQ(without.time_s.size(), with.time_s.size());
   for (std::size_t i = 0; i < without.time_s.size(); ++i) {
@@ -188,15 +193,32 @@ TEST(FitAudit, AuditCannotChangeThePredictionOrTheSignature) {
   EXPECT_EQ(config_signature(plain), config_signature(audited));
 }
 
+// A PredictionAudit describes a whole prediction. The enumeration level
+// takes its FitAudit as a separate argument and refuses a context that
+// carries a PredictionAudit rather than silently dropping it.
+TEST(FitAudit, EnumerationRejectsAPredictionAuditInItsContext) {
+  const MeasurementSet ms = campaign();
+  PredictionAudit audit;
+  ExecContext ctx;
+  ctx.audit = &audit;
+  EXPECT_THROW(enumerate_candidates(ms.cores, ms.categories[0].values,
+                                    ExtrapolationConfig{}, ctx),
+               std::invalid_argument);
+  EXPECT_THROW(predict_time_extrapolation(ms, base_config(), ctx),
+               std::invalid_argument);
+}
+
 TEST(FitMetrics, CountsWinnersAndRecordsFitSeconds) {
   const MeasurementSet ms = campaign();
   obs::Registry reg;
   FitMetrics metrics;
   metrics.init(reg);
   PredictionConfig cfg = base_config();
-  cfg.extrap.metrics = &metrics;
   PredictionAudit audit;
-  const Prediction pred = predict(ms, cfg, nullptr, nullptr, nullptr, &audit);
+  ExecContext ctx;
+  ctx.audit = &audit;
+  ctx.metrics = &metrics;
+  const Prediction pred = predict(ms, cfg, ctx);
 
   // One winner per decided series: every category plus the factor.
   std::uint64_t winners = 0;

@@ -214,9 +214,12 @@ TEST(FitBatch, PrefixBatchMatchesScalarFitBitwise) {
   tables.assign(xs);
   FitBatchWorkspace ws;
   for (std::size_t prefix = 2; prefix <= xs.size(); ++prefix) {
-    std::array<std::optional<FittedFunction>, kNumKernels> batch;
-    fit_kernels_for_prefix(xs, tables, ys, prefix, {}, ws, batch);
-    for (std::size_t k = 0; k < kNumKernels; ++k) {
+    std::array<std::optional<FittedFunction>, kAllKernels.size()> batch;
+    for (std::size_t k = 0; k < kAllKernels.size(); ++k) {
+      fit_kernel_over_prefixes(kAllKernels[k], xs, tables, ys, &prefix, 1, {},
+                               ws, &batch[k]);
+    }
+    for (std::size_t k = 0; k < kAllKernels.size(); ++k) {
       const KernelType type = kAllKernels[k];
       const std::vector<double> pxs(xs.begin(), xs.begin() + prefix);
       const std::vector<double> pys(ys.begin(), ys.begin() + prefix);
@@ -281,9 +284,16 @@ TEST(FitBatch, RealismScanMatchesIsRealistic) {
       {KernelType::kCubicLn, {1.0, -5.0, 0.0, 0.0}, 1.0},          // negative
       {KernelType::kPoly25, {0.0, 0.0, 0.0, 1e6}, 1.0},            // explode
   };
-  std::vector<double> vals, dens;
+  const std::size_t count = grid.tables.size();
+  std::vector<double> vals(count), dens(count);
   for (const auto& f : fits) {
-    realism_walk_eval(f, grid, vals, dens);
+    // The walk values as the batched engine computes them: one panel over
+    // the grid, then f(n) = y_scale * kernel_eval(n).
+    kernel_eval_panel(f.type, grid.tables, count, f.params.data(), 1,
+                      vals.data());
+    for (double& v : vals) v = f.y_scale * v;
+    kernel_denominator_panel(f.type, grid.tables, count, f.params.data(), 1,
+                             dens.data());
     EXPECT_EQ(
         realism_scan(vals.data(), dens.data(), grid.steps, opts, 10.0, true),
         is_realistic(f, opts, 10.0, true))

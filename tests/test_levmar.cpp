@@ -9,6 +9,23 @@
 namespace estima::numeric {
 namespace {
 
+// Runs the LM engine on a point-at-a-time model: wraps it into the
+// BatchModelFn the engine takes, with default options and a fresh
+// workspace.
+template <typename Model>
+LevMarResult fit_scalar_model(const Model& model, const std::vector<double>& xs,
+                              const std::vector<double>& ys,
+                              std::vector<double> initial) {
+  const BatchModelFn batch = [&model](const std::vector<double>& bxs,
+                                      const std::vector<double>& p,
+                                      std::vector<double>& out) {
+    out.resize(bxs.size());
+    for (std::size_t i = 0; i < bxs.size(); ++i) out[i] = model(bxs[i], p);
+  };
+  LevMarWorkspace ws;
+  return levenberg_marquardt(batch, xs, ys, std::move(initial), {}, ws);
+}
+
 TEST(LevMar, RecoversExponentialDecay) {
   // y = 5 * exp(-0.3 x)
   auto model = [](double x, const std::vector<double>& p) {
@@ -19,7 +36,7 @@ TEST(LevMar, RecoversExponentialDecay) {
     xs.push_back(i);
     ys.push_back(5.0 * std::exp(-0.3 * i));
   }
-  auto r = levenberg_marquardt(model, xs, ys, {1.0, -0.1});
+  auto r = fit_scalar_model(model, xs, ys, {1.0, -0.1});
   EXPECT_NEAR(r.params[0], 5.0, 1e-5);
   EXPECT_NEAR(r.params[1], -0.3, 1e-6);
   EXPECT_LT(r.rmse, 1e-7);
@@ -35,7 +52,7 @@ TEST(LevMar, RecoversRationalFunction) {
     xs.push_back(i);
     ys.push_back((1.0 + 2.0 * i) / (1.0 + 0.5 * i));
   }
-  auto r = levenberg_marquardt(model, xs, ys, {0.5, 1.0, 0.1});
+  auto r = fit_scalar_model(model, xs, ys, {0.5, 1.0, 0.1});
   EXPECT_NEAR(r.params[0], 1.0, 1e-4);
   EXPECT_NEAR(r.params[1], 2.0, 1e-4);
   EXPECT_NEAR(r.params[2], 0.5, 1e-4);
@@ -51,7 +68,7 @@ TEST(LevMar, ToleratesNoisyData) {
     xs.push_back(i);
     ys.push_back(3.0 + 0.7 * i + 0.01 * rng.next_gaussian());
   }
-  auto r = levenberg_marquardt(model, xs, ys, {0.0, 0.0});
+  auto r = fit_scalar_model(model, xs, ys, {0.0, 0.0});
   EXPECT_NEAR(r.params[0], 3.0, 0.05);
   EXPECT_NEAR(r.params[1], 0.7, 0.01);
 }
@@ -64,14 +81,14 @@ TEST(LevMar, HandlesPoleInStartingPoint) {
   std::vector<double> xs{1.0, 2.0, 3.0, 4.0};
   std::vector<double> ys;
   for (double x : xs) ys.push_back(1.0 / (1.0 + 0.1 * x));
-  auto r = levenberg_marquardt(model, xs, ys, {0.5});  // pole at x=2
+  auto r = fit_scalar_model(model, xs, ys, {0.5});  // pole at x=2
   EXPECT_TRUE(std::isfinite(r.rmse));
   EXPECT_NEAR(r.params[0], -0.1, 1e-3);
 }
 
 TEST(LevMar, EmptyInputIsNoop) {
   auto model = [](double, const std::vector<double>&) { return 0.0; };
-  auto r = levenberg_marquardt(model, {}, {}, {1.0});
+  auto r = fit_scalar_model(model, {}, {}, {1.0});
   EXPECT_EQ(r.iterations, 0);
   EXPECT_DOUBLE_EQ(r.params[0], 1.0);
 }
@@ -82,7 +99,7 @@ TEST(LevMar, PerfectInitialGuessStaysPut) {
   };
   std::vector<double> xs{1.0, 2.0, 3.0};
   std::vector<double> ys{2.0, 4.0, 6.0};
-  auto r = levenberg_marquardt(model, xs, ys, {2.0});
+  auto r = fit_scalar_model(model, xs, ys, {2.0});
   EXPECT_NEAR(r.params[0], 2.0, 1e-10);
   EXPECT_LT(r.rmse, 1e-10);
 }

@@ -78,9 +78,7 @@ TEST(ParallelPredict, BitIdenticalAcrossThreadCounts) {
 
   for (std::size_t threads : {1u, 2u, 4u, 7u}) {
     parallel::ThreadPool pool(threads);
-    core::PredictionConfig pcfg = cfg;
-    pcfg.extrap.pool = &pool;
-    const auto pooled = core::predict(ms, pcfg);
+    const auto pooled = core::predict(ms, cfg, &pool);
 
     ASSERT_EQ(serial.time_s.size(), pooled.time_s.size());
     EXPECT_EQ(serial.time_s, pooled.time_s) << threads << " threads";

@@ -259,10 +259,10 @@ TEST(Predictor, GoldenCorpusByteEqualAcrossEnginesAndPools) {
 
     const auto record = [&](FitEngine engine,
                             parallel::ThreadPool* p) -> std::string {
-      PredictionConfig c = cfg;
-      c.extrap.engine = engine;
+      ExecContext ctx(p);
+      ctx.engine = engine;
       std::ostringstream os;
-      write_prediction(os, predict(measured, c, p));
+      write_prediction(os, predict(measured, cfg, ctx));
       return os.str();
     };
 

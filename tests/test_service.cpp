@@ -92,16 +92,17 @@ TEST(CampaignHash, SensitiveToValueAndConfigChanges) {
   EXPECT_NE(campaign_hash(ms, other_cores), h);
 }
 
-TEST(CampaignHash, ConfigSignatureIgnoresBitIdenticalKnobs) {
-  // memoize_fits and the pool pointer cannot change predict() output, so
-  // cached results must be shared across them.
+// Snapshots are gated on config_signature, so its value is part of the
+// on-disk format: these literals were computed before the execution knobs
+// (pool, engine, memoize_fits, sinks, memo) moved out of the config, and a
+// snapshot written then must still restore. The knobs cannot perturb the
+// signature any more because the config no longer has them.
+TEST(CampaignHash, ConfigSignatureValuesArePinned) {
+  EXPECT_EQ(core::config_signature(core::PredictionConfig{}),
+            0xd65d2843a01b6922ull);
   auto cfg = serving_config();
   const std::uint64_t sig = core::config_signature(cfg);
-  cfg.extrap.memoize_fits = false;
-  EXPECT_EQ(core::config_signature(cfg), sig);
-  parallel::ThreadPool pool(1);
-  cfg.extrap.pool = &pool;
-  EXPECT_EQ(core::config_signature(cfg), sig);
+  EXPECT_EQ(sig, 0x02dcc147272e8e22ull);
   cfg.extrap.min_prefix = 2;
   EXPECT_NE(core::config_signature(cfg), sig);
 }
@@ -448,6 +449,25 @@ TEST(AutoSnapshot, SnapshotEveryWithoutPathIsRejected) {
   scfg.prediction = serving_config();
   scfg.snapshot_every = 2;
   EXPECT_THROW(PredictionService service(scfg), std::invalid_argument);
+}
+
+// The service adds each call's deadline, trace, memo and audit itself and
+// serves from the batched engine, so a base context carrying any of those
+// would be ignored: it is refused instead.
+TEST(PredictionService, BaseContextCarriesOnlyPoolAndMetrics) {
+  ServiceConfig scfg;
+  scfg.prediction = serving_config();
+  core::Deadline deadline;
+  core::ExecContext with_deadline;
+  with_deadline.deadline = &deadline;
+  EXPECT_THROW(PredictionService service(scfg, with_deadline),
+               std::invalid_argument);
+  core::ExecContext reference;
+  reference.engine = core::FitEngine::kReference;
+  EXPECT_THROW(PredictionService service(scfg, reference),
+               std::invalid_argument);
+  parallel::ThreadPool pool(1);
+  EXPECT_NO_THROW(PredictionService service(scfg, &pool));
 }
 
 }  // namespace

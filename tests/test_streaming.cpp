@@ -163,20 +163,21 @@ TEST(StreamingGolden, MemoizedByteIdenticalAcrossEnginesAndPools) {
   for (const auto engine :
        {core::FitEngine::kReference, core::FitEngine::kBatched}) {
     for (const bool pooled : {false, true}) {
-      auto cfg = serving_config();
-      cfg.extrap.engine = engine;
+      const auto cfg = serving_config();
       parallel::ThreadPool pool(4);
-      parallel::ThreadPool* p = pooled ? &pool : nullptr;
+      core::ExecContext cold_ctx(pooled ? &pool : nullptr);
+      cold_ctx.engine = engine;
 
       core::FitMemo memo;
+      core::ExecContext warm_ctx = cold_ctx;
+      warm_ctx.memo = &memo;
       // Grow the series 12 -> 13 -> 15 through one persistent memo, the
       // way a campaign grows through appends.
       for (const std::size_t k :
            {std::size_t{12}, std::size_t{13}, std::size_t{15}}) {
         const auto ms = full.truncated(k);
-        const auto cold = core::predict(ms, cfg, p, nullptr, nullptr);
-        const auto warm =
-            core::predict(ms, cfg, p, nullptr, nullptr, nullptr, &memo);
+        const auto cold = core::predict(ms, cfg, cold_ctx);
+        const auto warm = core::predict(ms, cfg, warm_ctx);
         EXPECT_EQ(serialized(cold), serialized(warm))
             << "engine=" << static_cast<int>(engine) << " pooled=" << pooled
             << " points=" << k;
@@ -198,10 +199,10 @@ TEST(StreamingGolden, MemoHitsCountedOutsideSerializedAccounting) {
   const auto cold = core::predict(ms, cfg);
 
   core::FitMemo memo;
-  const auto first =
-      core::predict(ms, cfg, nullptr, nullptr, nullptr, nullptr, &memo);
-  const auto second =
-      core::predict(ms, cfg, nullptr, nullptr, nullptr, nullptr, &memo);
+  core::ExecContext ctx;
+  ctx.memo = &memo;
+  const auto first = core::predict(ms, cfg, ctx);
+  const auto second = core::predict(ms, cfg, ctx);
 
   EXPECT_EQ(serialized(first), serialized(cold));
   EXPECT_EQ(serialized(second), serialized(cold));
@@ -227,13 +228,13 @@ TEST(StreamingGolden, AppendExecutesOnlyNewPrefixFits) {
   const auto full = campaign(2, 13);
 
   core::FitMemo memo;
-  (void)core::predict(full.truncated(12), cfg, nullptr, nullptr, nullptr,
-                      nullptr, &memo);
+  core::ExecContext ctx;
+  ctx.memo = &memo;
+  (void)core::predict(full.truncated(12), cfg, ctx);
   const auto base_misses = memo.stats().misses;
   ASSERT_GT(base_misses, 0u);
 
-  const auto grown = core::predict(full.truncated(13), cfg, nullptr, nullptr,
-                                   nullptr, nullptr, &memo);
+  const auto grown = core::predict(full.truncated(13), cfg, ctx);
   EXPECT_EQ(serialized(grown), serialized(core::predict(full.truncated(13),
                                                         cfg)));
   const auto new_misses = memo.stats().misses - base_misses;
