@@ -54,6 +54,7 @@
 #include "core/prediction_io.hpp"
 #include "core/predictor.hpp"
 #include "net/client.hpp"
+#include "net/fd_limit.hpp"
 #include "net/server.hpp"
 #include "obs/trace.hpp"
 #include "parallel/thread_pool.hpp"
@@ -226,7 +227,7 @@ int run_bench(int argc, char** argv) {
   // the whole warm window. Under the old thread-per-connection server
   // this many idle clients exhausted the worker budget; the event loop
   // must serve warm traffic at full speed past them.
-  estima::testing::raise_fd_limit(
+  estima::net::raise_fd_limit(
       static_cast<rlim_t>(2 * idle_clients + 256));
   std::vector<int> horde = open_idle_clients(server.port(), idle_clients);
   const int horde_connected = static_cast<int>(
@@ -310,7 +311,8 @@ int run_bench(int argc, char** argv) {
   // times are tail-trimmed before comparing means, so one preempted
   // round trip cannot masquerade as tracing cost. The traced side pays
   // the full edge path: trace creation, edge.read/parse/queue.wait/
-  // serialize/edge.write spans, stage histograms, and finish().
+  // serialize/edge.encode/edge.write spans, stage histograms, and
+  // finish().
   estima::obs::Registry registry;
   estima::obs::TracerConfig tcfg;
   tcfg.slow_threshold_ms = -1;  // measuring span cost, not collecting slow

@@ -23,14 +23,15 @@
 // Exit 0 when every check passes, 1 with the first violation on stderr.
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <thread>
 
-#include "bench/bench_util.hpp"
 #include "core/measurement.hpp"
 #include "core/prediction_io.hpp"
+#include "examples/cli_flags.hpp"
 #include "net/client.hpp"
 #include "obs/prometheus.hpp"
 #include "obs/trace.hpp"
@@ -102,14 +103,15 @@ bool valid_event_line(const std::string& line) {
 
 int main(int argc, char** argv) {
   using namespace estima;
-  using bench::parse_flag_d;
-  using bench::parse_flag_s;
-
-  const int port = static_cast<int>(parse_flag_d(argc, argv, "port", 8080));
-  const std::string host = parse_flag_s(argc, argv, "host", "127.0.0.1");
-  const int requests =
-      static_cast<int>(parse_flag_d(argc, argv, "requests", 8));
-  const std::string event_log = parse_flag_s(argc, argv, "event-log", "");
+  examples::Flags flags(argc, argv);
+  const int port = flags.integer("port", 8080);
+  const std::string host = flags.str("host", "127.0.0.1");
+  const int requests = flags.integer("requests", 8);
+  const std::string event_log = flags.str("event-log", "");
+  if (const auto err = flags.error()) {
+    std::fprintf(stderr, "example_check_metrics: %s\n", err->c_str());
+    return 2;
+  }
 
   net::HttpClient client(host, port);
   std::string explain_csv;      // campaign re-used by the explain checks
@@ -270,6 +272,17 @@ int main(int argc, char** argv) {
           std::string(obs::stage_name(static_cast<obs::Stage>(i))) + "\"}";
       if (metrics.body.find(needle) == std::string::npos) {
         return fail("stage schema", "missing series " + needle);
+      }
+    }
+    // Every response the pool sent went through wire assembly, so the
+    // appended edge.encode stage must carry samples, not just a series.
+    {
+      const std::string needle =
+          "estima_stage_duration_seconds_count{stage=\"edge.encode\"} ";
+      const std::size_t at = metrics.body.find(needle);
+      if (at == std::string::npos ||
+          std::atof(metrics.body.c_str() + at + needle.size()) < 1) {
+        return fail("stage schema", "edge.encode recorded no samples");
       }
     }
     for (const char* family :

@@ -69,8 +69,8 @@
 //
 // Observability: every request is traced (edge.read, queue.wait, parse,
 // cache.lookup, fit.enumerate, fit.levmar, fit.realism, serialize,
-// edge.write) with its id echoed in X-Estima-Trace-Id; SIGUSR1 prints
-// the slow ring to stdout without disturbing serving.
+// edge.write, edge.encode) with its id echoed in X-Estima-Trace-Id;
+// SIGUSR1 prints the slow ring to stdout without disturbing serving.
 //
 // Shutdown is a graceful drain: on SIGINT/SIGTERM /v1/health flips to
 // 503 "draining", the listener closes, in-flight responses finish, and
@@ -85,9 +85,10 @@
 #include <string>
 #include <thread>
 
-#include "bench/bench_util.hpp"
 #include "core/fit_audit.hpp"
 #include "core/predictor.hpp"
+#include "examples/cli_flags.hpp"
+#include "net/fd_limit.hpp"
 #include "net/server.hpp"
 #include "obs/event_log.hpp"
 #include "obs/histogram.hpp"
@@ -95,7 +96,6 @@
 #include "parallel/thread_pool.hpp"
 #include "service/prediction_service.hpp"
 #include "service/routes.hpp"
-#include "tests/net_support.hpp"
 
 namespace {
 
@@ -128,47 +128,32 @@ void dump_slow_traces(const estima::obs::Tracer& tracer) {
 
 int main(int argc, char** argv) {
   using namespace estima;
-  using bench::parse_flag_d;
-  using bench::parse_flag_s;
-
-  const int port = static_cast<int>(parse_flag_d(argc, argv, "port", 8080));
-  const std::string address =
-      parse_flag_s(argc, argv, "address", "127.0.0.1");
-  const int threads = static_cast<int>(parse_flag_d(
-      argc, argv, "threads",
-      static_cast<double>(parallel::ThreadPool::hardware_threads())));
-  const int http_threads =
-      static_cast<int>(parse_flag_d(argc, argv, "http-threads", 8));
-  const int io_threads =
-      static_cast<int>(parse_flag_d(argc, argv, "io-threads", 2));
-  const int max_connections =
-      static_cast<int>(parse_flag_d(argc, argv, "max-connections", 4096));
-  const int cache_capacity =
-      static_cast<int>(parse_flag_d(argc, argv, "cache-capacity", 4096));
-  const int target = static_cast<int>(parse_flag_d(argc, argv, "target", 48));
-  const std::string snapshot_file =
-      parse_flag_s(argc, argv, "snapshot-file", "");
-  const bool restore = parse_flag_d(argc, argv, "restore", 1) != 0;
-  const int snapshot_every =
-      static_cast<int>(parse_flag_d(argc, argv, "snapshot-every", 0));
-  const int max_queue_depth =
-      static_cast<int>(parse_flag_d(argc, argv, "max-queue-depth", 256));
-  const int queue_delay_ms =
-      static_cast<int>(parse_flag_d(argc, argv, "queue-delay-ms", 0));
-  const int cache_ttl_ms =
-      static_cast<int>(parse_flag_d(argc, argv, "cache-ttl-ms", 0));
-  const int slow_trace_ms =
-      static_cast<int>(parse_flag_d(argc, argv, "slow-trace-ms", 250));
-  const int trace_ring =
-      static_cast<int>(parse_flag_d(argc, argv, "trace-ring", 64));
-  const std::string event_log_path =
-      parse_flag_s(argc, argv, "event-log", "");
-  const int event_log_rotate_mb =
-      static_cast<int>(parse_flag_d(argc, argv, "event-log-rotate-mb", 64));
-  const int explain_retention =
-      static_cast<int>(parse_flag_d(argc, argv, "explain-retention", 32));
-  const int max_campaigns =
-      static_cast<int>(parse_flag_d(argc, argv, "max-campaigns", 256));
+  examples::Flags flags(argc, argv);
+  const int port = flags.integer("port", 8080);
+  const std::string address = flags.str("address", "127.0.0.1");
+  const int threads = flags.integer(
+      "threads", static_cast<int>(parallel::ThreadPool::hardware_threads()));
+  const int http_threads = flags.integer("http-threads", 8);
+  const int io_threads = flags.integer("io-threads", 2);
+  const int max_connections = flags.integer("max-connections", 4096);
+  const int cache_capacity = flags.integer("cache-capacity", 4096);
+  const int target = flags.integer("target", 48);
+  const std::string snapshot_file = flags.str("snapshot-file", "");
+  const bool restore = flags.integer("restore", 1) != 0;
+  const int snapshot_every = flags.integer("snapshot-every", 0);
+  const int max_queue_depth = flags.integer("max-queue-depth", 256);
+  const int queue_delay_ms = flags.integer("queue-delay-ms", 0);
+  const int cache_ttl_ms = flags.integer("cache-ttl-ms", 0);
+  const int slow_trace_ms = flags.integer("slow-trace-ms", 250);
+  const int trace_ring = flags.integer("trace-ring", 64);
+  const std::string event_log_path = flags.str("event-log", "");
+  const int event_log_rotate_mb = flags.integer("event-log-rotate-mb", 64);
+  const int explain_retention = flags.integer("explain-retention", 32);
+  const int max_campaigns = flags.integer("max-campaigns", 256);
+  if (const auto err = flags.error()) {
+    std::fprintf(stderr, "example_estima_serve: %s\n", err->c_str());
+    return 2;
+  }
 
   parallel::ThreadPool pool(
       static_cast<std::size_t>(threads > 0 ? threads : 1));
@@ -246,8 +231,7 @@ int main(int argc, char** argv) {
   // admission cap is only honest if the process may actually hold that
   // many sockets.
   if (max_connections > 0) {
-    estima::testing::raise_fd_limit(
-        static_cast<rlim_t>(max_connections) + 512);
+    net::raise_fd_limit(static_cast<rlim_t>(max_connections) + 512);
   }
 
   net::ServerConfig ncfg;

@@ -1,12 +1,10 @@
 #include "core/measurement.hpp"
 
 #include <fstream>
-
-#include "core/text_parse.hpp"
-#include <iomanip>
-#include <limits>
 #include <sstream>
 #include <stdexcept>
+
+#include "core/text_parse.hpp"
 
 namespace estima::core {
 namespace {
@@ -129,22 +127,38 @@ void MeasurementSet::validate() const {
 }
 
 void write_csv(std::ostream& os, const MeasurementSet& ms) {
-  // Full round-trip precision: predictions must be identical when a
-  // campaign is saved and reloaded.
-  os << std::setprecision(std::numeric_limits<double>::max_digits10);
-  os << "# workload=" << ms.workload << " machine=" << ms.machine
-     << " freq_ghz=" << ms.freq_ghz << " dataset_bytes=" << ms.dataset_bytes
-     << "\n";
-  os << "cores,time_s";
+  // Full round-trip precision (core/text_parse.hpp's emitters): predictions
+  // must be identical when a campaign is saved and reloaded, whatever
+  // flags or locale the destination stream carries.
+  using textparse::append_f64;
+  std::string out;
+  out += "# workload=";
+  out += ms.workload;
+  out += " machine=";
+  out += ms.machine;
+  out += " freq_ghz=";
+  append_f64(out, ms.freq_ghz);
+  out += " dataset_bytes=";
+  append_f64(out, ms.dataset_bytes);
+  out += "\ncores,time_s";
   for (const auto& cat : ms.categories) {
-    os << ',' << stall_domain_prefix(cat.domain) << ':' << cat.name;
+    out += ',';
+    out += stall_domain_prefix(cat.domain);
+    out += ':';
+    out += cat.name;
   }
-  os << "\n";
+  out += '\n';
   for (std::size_t i = 0; i < ms.cores.size(); ++i) {
-    os << ms.cores[i] << ',' << ms.time_s[i];
-    for (const auto& cat : ms.categories) os << ',' << cat.values[i];
-    os << "\n";
+    textparse::append_int(out, ms.cores[i]);
+    out += ',';
+    append_f64(out, ms.time_s[i]);
+    for (const auto& cat : ms.categories) {
+      out += ',';
+      append_f64(out, cat.values[i]);
+    }
+    out += '\n';
   }
+  os.write(out.data(), static_cast<std::streamsize>(out.size()));
 }
 
 MeasurementSet read_csv(std::istream& is) {

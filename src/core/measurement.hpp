@@ -70,6 +70,9 @@ struct MeasurementSet {
 /// Serialises to the on-disk CSV format:
 ///   # workload=... machine=... freq_ghz=... dataset_bytes=...
 ///   cores,time_s,hw:<name>,fe:<name>,sw:<name>,...
+/// Doubles are written %.17g and integers plain (core/text_parse.hpp), and
+/// the row bytes go out unformatted: the stream's flags and locale never
+/// change them.
 void write_csv(std::ostream& os, const MeasurementSet& ms);
 MeasurementSet read_csv(std::istream& is);
 

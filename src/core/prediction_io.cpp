@@ -1,13 +1,12 @@
 #include "core/prediction_io.hpp"
 
 #include <cstdlib>
-#include <iomanip>
 #include <istream>
-#include <limits>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "core/kernels.hpp"
@@ -86,11 +85,47 @@ std::vector<double> read_f64_series(std::istream& is, const char* tag) {
   return out;
 }
 
-void write_fn(std::ostream& os, const char* tag, const FittedFunction& fn) {
-  os << tag << ' ' << kernel_name(fn.type) << ' ' << fn.y_scale << ' '
-     << fn.params.size();
-  for (double p : fn.params) os << ' ' << p;
-  os << '\n';
+using textparse::append_f64;
+using textparse::append_int;
+
+/// `tag <n> v0 v1 ... v{n-1}`.
+template <typename T>
+void append_series(std::string& out, const char* tag,
+                   const std::vector<T>& values) {
+  out += tag;
+  out += ' ';
+  append_int(out, values.size());
+  for (const T v : values) {
+    out += ' ';
+    if constexpr (std::is_floating_point_v<T>) {
+      append_f64(out, v);
+    } else {
+      append_int(out, v);
+    }
+  }
+  out += '\n';
+}
+
+void append_fn(std::string& out, const char* tag, const FittedFunction& fn) {
+  out += tag;
+  out += ' ';
+  out += kernel_name(fn.type);
+  out += ' ';
+  append_f64(out, fn.y_scale);
+  out += ' ';
+  append_int(out, fn.params.size());
+  for (const double p : fn.params) {
+    out += ' ';
+    append_f64(out, p);
+  }
+  out += '\n';
+}
+
+/// Space-separated integers closing a line: ` v0 v1 ...\n`.
+template <typename... Int>
+void append_ints(std::string& out, Int... values) {
+  ((out += ' ', append_int(out, values)), ...);
+  out += '\n';
 }
 
 /// Expects `tag <kernel> <y_scale> <np> p0 ...` with np matching the
@@ -121,52 +156,50 @@ FittedFunction read_fn(std::istream& is, const char* tag) {
 
 }  // namespace
 
-void write_prediction(std::ostream& os, const Prediction& p) {
-  // Same full-precision discipline as write_csv: a restored prediction
-  // must be bit-identical to the one that was saved.
-  const auto saved_precision =
-      os.precision(std::numeric_limits<double>::max_digits10);
+std::string render_prediction(const Prediction& p) {
+  std::string out = "prediction v=1\n";
+  append_series(out, "cores", p.cores);
+  append_series(out, "time_s", p.time_s);
+  append_series(out, "stalls_per_core", p.stalls_per_core);
+  append_fn(out, "factor_fn", p.factor_fn);
+  out += "factor_correlation ";
+  append_f64(out, p.factor_correlation);
+  out += "\nfreq_scale ";
+  append_f64(out, p.freq_scale);
+  out += "\nfactor_stats";
+  append_ints(out, p.factor_stats.candidates_attempted,
+              p.factor_stats.fits_executed,
+              p.factor_stats.duplicate_fits_eliminated,
+              p.factor_stats.realism_variants,
+              p.factor_stats.variant_refits_avoided);
+  out += "factor_used_relaxed_realism ";
+  out += p.factor_used_relaxed_realism ? "1\n" : "0\n";
 
-  os << "prediction v=1\n";
-  os << "cores " << p.cores.size();
-  for (int c : p.cores) os << ' ' << c;
-  os << '\n';
-  os << "time_s " << p.time_s.size();
-  for (double v : p.time_s) os << ' ' << v;
-  os << '\n';
-  os << "stalls_per_core " << p.stalls_per_core.size();
-  for (double v : p.stalls_per_core) os << ' ' << v;
-  os << '\n';
-  write_fn(os, "factor_fn", p.factor_fn);
-  os << "factor_correlation " << p.factor_correlation << '\n';
-  os << "freq_scale " << p.freq_scale << '\n';
-  os << "factor_stats " << p.factor_stats.candidates_attempted << ' '
-     << p.factor_stats.fits_executed << ' '
-     << p.factor_stats.duplicate_fits_eliminated << ' '
-     << p.factor_stats.realism_variants << ' '
-     << p.factor_stats.variant_refits_avoided << '\n';
-  os << "factor_used_relaxed_realism "
-     << (p.factor_used_relaxed_realism ? 1 : 0) << '\n';
-
-  os << "categories " << p.categories.size() << '\n';
+  out += "categories";
+  append_ints(out, p.categories.size());
   for (const auto& cat : p.categories) {
     // The name is the remainder of the line: spaces and commas round-trip.
-    os << "category " << stall_domain_prefix(cat.domain) << ' ' << cat.name
-       << '\n';
-    os << "values " << cat.values.size();
-    for (double v : cat.values) os << ' ' << v;
-    os << '\n';
-    write_fn(os, "best", cat.extrapolation.best);
-    os << "extrap " << cat.extrapolation.checkpoint_rmse << ' '
-       << cat.extrapolation.chosen_prefix << ' '
-       << cat.extrapolation.chosen_checkpoints << ' '
-       << cat.extrapolation.candidates_considered << ' '
-       << cat.extrapolation.candidates_realistic << ' '
-       << cat.extrapolation.fits_executed << ' '
-       << cat.extrapolation.duplicate_fits_eliminated << '\n';
+    out += "category ";
+    out += stall_domain_prefix(cat.domain);
+    out += ' ';
+    out += cat.name;
+    out += '\n';
+    append_series(out, "values", cat.values);
+    append_fn(out, "best", cat.extrapolation.best);
+    const SeriesExtrapolation& x = cat.extrapolation;
+    out += "extrap ";
+    append_f64(out, x.checkpoint_rmse);
+    append_ints(out, x.chosen_prefix, x.chosen_checkpoints,
+                x.candidates_considered, x.candidates_realistic,
+                x.fits_executed, x.duplicate_fits_eliminated);
   }
-  os << "end prediction\n";
-  os.precision(saved_precision);
+  out += "end prediction\n";
+  return out;
+}
+
+void write_prediction(std::ostream& os, const Prediction& p) {
+  const std::string record = render_prediction(p);
+  os.write(record.data(), static_cast<std::streamsize>(record.size()));
 }
 
 Prediction read_prediction(std::istream& is) {

@@ -3,7 +3,7 @@
 //
 // Mirrors write_csv's round-trip guarantee and extends it: every double is
 // formatted so that reading it back reproduces the identical bit pattern
-// (max_digits10 decimal for finite values; "inf"/"-inf"/"nan" survive too,
+// (%.17g decimal for finite values; "inf"/"-inf"/"nan" survive too,
 // parsed with strtod rather than istream extraction, which rejects them).
 // Category and kernel names may contain spaces and commas; names are
 // written as the remainder of their line, so any single-line string
@@ -21,13 +21,23 @@
 #pragma once
 
 #include <iosfwd>
+#include <string>
 
 #include "core/predictor.hpp"
 
 namespace estima::core {
 
-/// Serialises every field of the prediction (answer fields *and* the
-/// work-accounting stats — a cached entry restores exactly as it was).
+/// Renders every field of the prediction (answer fields *and* the
+/// work-accounting stats — a cached entry restores exactly as it was) as
+/// one "prediction v=1" record. The bytes depend on the prediction alone:
+/// numbers go through core/text_parse.hpp's to_chars emitters, so no
+/// stream flag or global locale can change them. Every server-side writer
+/// of the record (/v1/predict, /v1/predict_batch, campaign GETs,
+/// snapshots) calls this.
+std::string render_prediction(const Prediction& p);
+
+/// Writes render_prediction(p) to `os` unformatted (os.write): the
+/// stream's flags, width and locale do not touch the bytes.
 void write_prediction(std::ostream& os, const Prediction& p);
 
 /// Parses one prediction record from the stream, consuming through its

@@ -1,9 +1,19 @@
-// Whole-cell numeric parsing and line normalization shared by every text
-// format in the tree (measurement CSV, prediction records, snapshots).
+// Numeric cell emission, whole-cell numeric parsing and line
+// normalization shared by every text format in the tree (measurement CSV,
+// prediction records, snapshots).
 //
 // One implementation on purpose: the CSV and snapshot formats both
-// advertise a bit-exact round-trip, so their accept/reject rules for a
-// numeric cell must never diverge. Parsing goes through strtod/strtoll,
+// advertise a bit-exact round-trip, so their emit rules and their
+// accept/reject rules for a numeric cell must never diverge.
+//
+// Emission goes through std::to_chars, never an ostream: the bytes must
+// not depend on a caller's stream flags (fixed, showpos, width) or on the
+// global locale (a decimal comma or digit grouping would produce cells
+// the parsers below reject). append_f64 writes what printf("%.17g")
+// writes — max_digits10 significant digits, "inf"/"-inf"/"nan"/"-nan" for
+// the non-finite values — so every double reads back bit-identical.
+//
+// Parsing goes through strtod/strtoll,
 // not istream extraction or stod: strtod accepts "inf"/"-inf"/"nan"
 // (which istream rejects), and the whole-cell check rejects trailing
 // garbage ("1x" must not parse as 1, silently corrupting a campaign).
@@ -13,14 +23,45 @@
 #pragma once
 
 #include <cerrno>
+#include <charconv>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <limits>
 #include <optional>
+#include <stdexcept>
 #include <string>
+#include <system_error>
+#include <type_traits>
 
 namespace estima::core::textparse {
+
+/// Appends `v` as printf("%.17g", v) would, independent of any stream or
+/// locale state.
+inline void append_f64(std::string& out, double v) {
+  // Longest %.17g form: sign, 17 digits, '.', "e-308" = 24 chars.
+  char buf[32];
+  const auto r = std::to_chars(buf, buf + sizeof buf, v,
+                               std::chars_format::general,
+                               std::numeric_limits<double>::max_digits10);
+  if (r.ec != std::errc()) {
+    throw std::logic_error("append_f64: to_chars buffer too small");
+  }
+  out.append(buf, r.ptr);
+}
+
+/// Appends a plain decimal integer (no grouping, no '+').
+template <typename Int>
+inline void append_int(std::string& out, Int v) {
+  static_assert(std::is_integral_v<Int> && !std::is_same_v<Int, bool>,
+                "append_int takes an integer");
+  char buf[24];  // 20 digits of a u64, or a sign and 19 digits of an i64
+  const auto r = std::to_chars(buf, buf + sizeof buf, v);
+  if (r.ec != std::errc()) {
+    throw std::logic_error("append_int: to_chars buffer too small");
+  }
+  out.append(buf, r.ptr);
+}
 
 /// Drops a trailing '\r' so CRLF files parse identically to LF files on
 /// every line.

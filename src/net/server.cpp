@@ -976,9 +976,9 @@ void HttpServer::HandlerPool::run() {
         job.keep && !srv_.stopping_.load(std::memory_order_acquire);
     std::string wire;
     {
-      // Wire assembly counts toward `serialize` alongside the body
-      // formatting the router already records.
-      obs::SpanTimer span(job.trace.get(), obs::Stage::kSerialize);
+      // Wire assembly is its own stage: `serialize` is the router's body
+      // rendering, recorded once per request.
+      obs::SpanTimer span(job.trace.get(), obs::Stage::kEdgeEncode);
       wire = serialize_response(resp, keep);
     }
     job.loop->post_completion(job.conn_id, std::move(wire), keep,

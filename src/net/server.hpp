@@ -121,7 +121,7 @@ struct ServerConfig {
   bool propagate_deadline = true;
   /// Observability: when set (borrowed, must outlive the server), every
   /// dispatched request gets a TraceContext recording the edge stages
-  /// (edge.read, parse, queue.wait, serialize, edge.write) and the
+  /// (edge.read, parse, queue.wait, edge.encode, edge.write) and the
   /// request-duration histogram; the trace id is echoed by the router in
   /// X-Estima-Trace-Id. Null (the default) keeps the hot path untraced —
   /// one relaxed atomic load per event. Swappable at runtime via

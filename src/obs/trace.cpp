@@ -17,7 +17,7 @@ std::uint64_t dur_ns(TraceContext::Clock::time_point a,
 
 constexpr const char* kStageNames[kStageCount] = {
     "edge.read",  "queue.wait", "parse",       "cache.lookup", "fit.enumerate",
-    "fit.levmar", "fit.realism", "serialize",  "edge.write",
+    "fit.levmar", "fit.realism", "serialize",  "edge.write", "edge.encode",
 };
 
 /// splitmix64: cheap, well-mixed id stream from a seeded counter.

@@ -10,9 +10,12 @@
 //
 // The stage names are a STABLE SCHEMA (see ROADMAP invariants):
 //   edge.read, queue.wait, parse, cache.lookup, fit.enumerate,
-//   fit.levmar, fit.realism, serialize, edge.write
+//   fit.levmar, fit.realism, serialize, edge.write, edge.encode
 // Renaming one is a breaking change for anything scraping /v1/metrics
-// or /v1/trace.
+// or /v1/trace; new stages are appended, so existing indices keep their
+// values. `serialize` is the router rendering the response body;
+// `edge.encode` is the HTTP layer assembling status line, headers and
+// body into wire bytes.
 //
 // Span accounting: `fit.levmar` and `fit.realism` are NESTED stages —
 // they aggregate CPU time across the fit worker threads inside
@@ -51,8 +54,9 @@ enum class Stage : std::uint8_t {
   kFitRealism,
   kSerialize,
   kEdgeWrite,
+  kEdgeEncode,
 };
-inline constexpr std::size_t kStageCount = 9;
+inline constexpr std::size_t kStageCount = 10;
 
 const char* stage_name(Stage s);
 

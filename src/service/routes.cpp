@@ -344,13 +344,11 @@ net::HttpResponse ServiceRouter::handle_predict(
       ev.disposition = stale ? "stale" : "hit";
       ev.winner_kernel = core::kernel_name(cached->factor_fn.type);
       obs::SpanTimer serialize_span(trace, obs::Stage::kSerialize);
-      std::ostringstream os;
-      core::write_prediction(os, *cached);
       net::HttpResponse resp;
       resp.status = 200;
       resp.headers.emplace_back("content-type", "text/plain");
       if (stale) resp.headers.emplace_back("x-estima-stale", "1");
-      resp.body = os.str();
+      resp.body = core::render_prediction(*cached);
       return resp;
     }
   }
@@ -360,12 +358,10 @@ net::HttpResponse ServiceRouter::handle_predict(
   ev.disposition = disp == CacheDisposition::kMiss ? "miss" : "hit";
   ev.winner_kernel = core::kernel_name(pred.factor_fn.type);
   obs::SpanTimer serialize_span(trace, obs::Stage::kSerialize);
-  std::ostringstream os;
-  core::write_prediction(os, pred);
   net::HttpResponse resp;
   resp.status = 200;
   resp.headers.emplace_back("content-type", "text/plain");
-  resp.body = os.str();
+  resp.body = core::render_prediction(pred);
   return resp;
 }
 
@@ -556,15 +552,13 @@ net::HttpResponse ServiceRouter::handle_campaigns(
     ev.disposition = disp == CacheDisposition::kMiss ? "miss" : "hit";
     ev.winner_kernel = core::kernel_name(pred.factor_fn.type);
     obs::SpanTimer serialize_span(trace, obs::Stage::kSerialize);
-    std::ostringstream os;
-    core::write_prediction(os, pred);
     net::HttpResponse resp;
     resp.status = 200;
     resp.headers.emplace_back("content-type", "text/plain");
     resp.headers.emplace_back("x-estima-campaign-version",
                               std::to_string(info.version));
     resp.headers.emplace_back("x-estima-campaign-hash", hash_hex(info.hash));
-    resp.body = os.str();
+    resp.body = core::render_prediction(pred);
     return resp;
   }
   if (req.method == "DELETE") {
@@ -608,11 +602,7 @@ net::HttpResponse ServiceRouter::handle_predict_batch(
   obs::SpanTimer serialize_span(trace, obs::Stage::kSerialize);
   std::vector<std::string> records;
   records.reserve(preds.size());
-  for (const auto& p : preds) {
-    std::ostringstream os;
-    core::write_prediction(os, p);
-    records.push_back(os.str());
-  }
+  for (const auto& p : preds) records.push_back(core::render_prediction(p));
   net::HttpResponse resp;
   resp.status = 200;
   resp.headers.emplace_back("content-type", "text/plain");

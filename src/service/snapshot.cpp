@@ -98,16 +98,14 @@ SnapshotWriteReport save_snapshot(const std::string& path,
     content += hcrc;
 
     for (const auto& e : entries) {
-      std::ostringstream payload_os;
-      core::write_prediction(payload_os, *e.prediction);
-      const std::string payload = payload_os.str();
+      const std::string payload = core::render_prediction(*e.prediction);
 
       char frame[128];
       std::snprintf(frame, sizeof frame,
                     "#entry key=%016" PRIx64 " len=%zu crc=%016" PRIx64 "\n",
                     e.key, payload.size(), entry_crc(e.key, payload));
       content += frame;
-      // write_prediction's trailing newline doubles as the frame separator.
+      // The record's trailing newline doubles as the frame separator.
       content += payload;
     }
     content += "#end\n";

@@ -1,32 +1,16 @@
 // Shared raw-socket plumbing for the network tests and benches that
-// stress the serving edge with hundreds of loopback connections.
+// stress the serving edge with hundreds of loopback connections (the fd
+// headroom such hordes need comes from net/fd_limit.hpp).
 #pragma once
-
 #include <arpa/inet.h>
 #include <netinet/in.h>
-#include <sys/resource.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cstdint>
 #include <cstring>
 
 namespace estima::testing {
-
-/// Both ends of every loopback connection live in the same process, so an
-/// idle horde needs ~2 fds per connection; default soft limits are often
-/// 1024. Best-effort: raises the soft limit toward `want`, capped by the
-/// hard limit.
-inline void raise_fd_limit(rlim_t want) {
-  struct rlimit rl;
-  if (::getrlimit(RLIMIT_NOFILE, &rl) != 0) return;
-  if (rl.rlim_cur >= want) return;
-  rl.rlim_cur = rl.rlim_max == RLIM_INFINITY
-                    ? want
-                    : std::min<rlim_t>(want, rl.rlim_max);
-  ::setrlimit(RLIMIT_NOFILE, &rl);
-}
 
 /// Blocking loopback connect; -1 on failure.
 inline int raw_connect(int port) {

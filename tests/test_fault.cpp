@@ -47,8 +47,8 @@
 #include "core/predictor.hpp"
 #include "fault/fault_injection.hpp"
 #include "net/client.hpp"
+#include "net/fd_limit.hpp"
 #include "net/server.hpp"
-#include "net_support.hpp"
 #include "parallel/thread_pool.hpp"
 #include "service/prediction_service.hpp"
 #include "service/result_cache.hpp"
@@ -765,7 +765,7 @@ struct ChaosOutcome {
 void chaos_round(std::uint64_t seed) {
   std::printf("[chaos] seed=0x%llx (replay: arm the same schedule)\n",
               static_cast<unsigned long long>(seed));
-  estima::testing::raise_fd_limit(4096);
+  estima::net::raise_fd_limit(4096);
 
   const fs::path dir = fs::temp_directory_path() / "estima_chaos_snap";
   fs::remove_all(dir);

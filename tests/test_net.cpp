@@ -51,6 +51,7 @@
 #include "core/prediction_io.hpp"
 #include "core/predictor.hpp"
 #include "net/client.hpp"
+#include "net/fd_limit.hpp"
 #include "net/server.hpp"
 #include "obs/event_log.hpp"
 #include "obs/prometheus.hpp"
@@ -1193,10 +1194,75 @@ TEST_F(NetEndToEnd, TracedServerEchoesTraceIdAndExposesSlowRing) {
   server.stop();
 }
 
+TEST(TraceStages, WarmPredictRecordsOneSerializeAndOneEdgeEncodeSpan) {
+  // `serialize` is the router rendering the body and `edge.encode` the
+  // HTTP layer assembling the wire bytes: one occurrence each per request,
+  // never one stage recorded from both layers.
+  obs::Registry registry;
+  obs::TracerConfig tcfg;
+  tcfg.slow_threshold_ms = 0;  // retain every request
+  tcfg.ring_capacity = 8;
+  obs::Tracer tracer(registry, tcfg);
+
+  parallel::ThreadPool pool(2);
+  service::ServiceConfig scfg;
+  scfg.prediction.target_cores = core::cores_up_to(24);
+  service::PredictionService svc(scfg, &pool);
+  service::ServiceRouter router(svc, service::RouterConfig{});
+  router.set_observability(&registry, &tracer);
+
+  ServerConfig ncfg;
+  ncfg.worker_threads = 2;
+  ncfg.tracer = &tracer;
+  HttpServer server(ncfg,
+                    [&router](const HttpRequest& req,
+                              const RequestContext& ctx) {
+                      return router.handle(req, ctx);
+                    });
+  server.start();
+
+  HttpClient c("127.0.0.1", server.port());
+  const std::string csv = csv_of(demo_campaign(6, 8));
+  ASSERT_EQ(c.post("/v1/predict", csv, "text/csv").status, 200);  // cold
+  const std::uint64_t id = 0x5e71a112e0000001ull;
+  const auto warm =
+      c.request("POST", "/v1/predict", csv,
+                {{"content-type", "text/csv"},
+                 {"x-estima-trace-id", obs::format_trace_id(id)}});
+  ASSERT_EQ(warm.status, 200);
+  EXPECT_EQ(svc.stats().cache.hits, 1u);
+
+  // The trace closes after its last byte is written, which may land just
+  // after the client has read the response.
+  std::vector<obs::TraceContext::SpanSnapshot> spans;
+  const auto give_up = std::chrono::steady_clock::now() +
+                       std::chrono::seconds(5);
+  while (spans.empty() && std::chrono::steady_clock::now() < give_up) {
+    for (const auto& t : tracer.slow_traces()) {
+      if (t.trace_id == id) spans = t.spans;
+    }
+    if (spans.empty()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+  }
+  ASSERT_FALSE(spans.empty()) << "warm request never reached the ring";
+  std::uint64_t serialize = 0, encode = 0, enumerate = 0;
+  for (const auto& sp : spans) {
+    if (sp.stage == obs::Stage::kSerialize) serialize = sp.count;
+    if (sp.stage == obs::Stage::kEdgeEncode) encode = sp.count;
+    if (sp.stage == obs::Stage::kFitEnumerate) enumerate = sp.count;
+  }
+  EXPECT_EQ(serialize, 1u);
+  EXPECT_EQ(encode, 1u);
+  EXPECT_EQ(enumerate, 0u) << "a warm hit must not enter the fit pipeline";
+
+  server.stop();
+}
+
 // ---------------------------------------------------------------------------
 // 4. Event-loop torture
 
-using estima::testing::raise_fd_limit;
+using estima::net::raise_fd_limit;
 using estima::testing::raw_connect;
 
 /// Spin-waits (bounded) until the server's stats satisfy `pred` — accept

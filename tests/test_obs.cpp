@@ -358,7 +358,7 @@ TEST(Trace, StageNamesAreTheStableSchema) {
   const char* want[kStageCount] = {
       "edge.read",  "queue.wait", "parse",
       "cache.lookup", "fit.enumerate", "fit.levmar",
-      "fit.realism", "serialize",  "edge.write"};
+      "fit.realism", "serialize",  "edge.write", "edge.encode"};
   for (std::size_t i = 0; i < kStageCount; ++i) {
     EXPECT_STREQ(stage_name(static_cast<Stage>(i)), want[i]);
   }

@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "core/prediction_io.hpp"
+#include "legacy_writers.hpp"
 #include "parallel/thread_pool.hpp"
 #include "synthetic.hpp"
 
@@ -257,12 +258,17 @@ TEST(Predictor, GoldenCorpusByteEqualAcrossEnginesAndPools) {
     PredictionConfig cfg;
     cfg.target_cores = counts_up_to(48);
 
+    // Every record is also held byte-equal to the legacy ostream writer
+    // (tests/legacy_writers.hpp), the format's reference bytes.
     const auto record = [&](FitEngine engine,
                             parallel::ThreadPool* p) -> std::string {
       ExecContext ctx(p);
       ctx.engine = engine;
+      const Prediction pred = predict(measured, cfg, ctx);
       std::ostringstream os;
-      write_prediction(os, predict(measured, cfg, ctx));
+      write_prediction(os, pred);
+      EXPECT_EQ(os.str(), testing::legacy_record(pred))
+          << "workload " << w << ": record drifted from the legacy bytes";
       return os.str();
     };
 

@@ -25,6 +25,7 @@
 #include "core/hash.hpp"
 #include "core/prediction_io.hpp"
 #include "core/predictor.hpp"
+#include "legacy_writers.hpp"
 #include "parallel/thread_pool.hpp"
 #include "service/prediction_service.hpp"
 #include "synthetic.hpp"
@@ -309,6 +310,39 @@ TEST(SnapshotRoundTrip, TwoHundredRandomizedCampaignsRestoreBitIdentical) {
     for (std::size_t i = 0; i < batch.size(); ++i) {
       expect_prediction_exact(first[i], second[i]);
     }
+  }
+  fs::remove_all(dir);
+}
+
+TEST(SnapshotRoundTrip, PayloadsAreTheLegacyRecordBytes) {
+  // A v1 payload is one `prediction v=1` record, and its bytes are pinned
+  // to the legacy ostream writer (tests/legacy_writers.hpp): snapshots
+  // written before and after the to_chars renderer are the same file.
+  const fs::path dir = fresh_dir("estima_snapshot_payload_bytes");
+  std::mt19937 rng(20261017u);
+  std::vector<core::MeasurementSet> batch;
+  for (int i = 0; i < 12; ++i) batch.push_back(random_campaign(rng, i));
+  ServiceConfig scfg;
+  scfg.prediction = config_variant(0);
+  PredictionService svc(scfg);
+  const auto preds = svc.predict_many(batch);
+  const std::string path = (dir / "payload.snapshot").string();
+  ASSERT_EQ(svc.snapshot_to(path).entries_written, batch.size());
+
+  std::ifstream is(path, std::ios::binary);
+  std::ostringstream content;
+  content << is.rdbuf();
+  const std::string file = content.str();
+  for (std::size_t i = 0; i < preds.size(); ++i) {
+    const std::string record = testing::legacy_record(preds[i]);
+    const std::string framed =
+        " len=" + std::to_string(record.size()) + " crc=";
+    const std::size_t at = file.find(record);
+    ASSERT_NE(at, std::string::npos) << "campaign " << i;
+    const std::size_t frame = file.rfind("#entry ", at);
+    ASSERT_NE(frame, std::string::npos);
+    EXPECT_NE(file.substr(frame, at - frame).find(framed), std::string::npos)
+        << "campaign " << i;
   }
   fs::remove_all(dir);
 }
