@@ -100,8 +100,7 @@ inline std::string parse_flag_s(int argc, char** argv, const char* name,
 /// Bitwise equality of a Prediction's *answer* — everything the campaign
 /// determines. The work-accounting fields (factor_stats, per-category
 /// fits_executed / duplicate_fits_eliminated) are deliberately excluded:
-/// they describe the computing run and legitimately differ between the
-/// memoized and brute-force modes the benches compare. The throughput
+/// they describe the computing run, not the answer. The throughput
 /// benches exit non-zero on any mismatch, so this comparator is the
 /// single place to extend when Prediction grows an answer field.
 inline bool bit_identical(const core::Prediction& a,

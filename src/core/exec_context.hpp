@@ -6,12 +6,12 @@
 // the result cache, snapshots and campaign hashes key on it.
 //
 // Everything else lives here: where the fits run (pool), which fitting
-// pipeline runs them (engine, memoize_fits), when they stop (deadline),
-// what observes them (trace, audit, metrics) and what replays them (memo).
-// None of these can change a produced value — a deadline can only replace
-// an answer with DeadlineExceeded, and every engine, layout, pool size and
-// memo yields byte-identical output — so none of them are part of the
-// identity. Observation stays apart from the computation it observes.
+// pipeline runs them (engine), when they stop (deadline), what observes
+// them (trace, audit, metrics) and what replays them (memo). None of these
+// can change a produced value — a deadline can only replace an answer with
+// DeadlineExceeded, and every engine, pool size and memo yields
+// byte-identical output — so none of them are part of the identity.
+// Observation stays apart from the computation it observes.
 #pragma once
 
 namespace estima::parallel {
@@ -82,10 +82,6 @@ struct ExecContext {
   FitMemo* memo = nullptr;
   /// Which pipeline executes the fits.
   FitEngine engine = FitEngine::kBatched;
-  /// Fit each (kernel, prefix) pair once and reuse it across checkpoint
-  /// settings. Off = the brute-force reference (one fit per candidate),
-  /// kept runnable for benchmarking and regression testing.
-  bool memoize_fits = true;
 };
 
 }  // namespace estima::core

@@ -29,18 +29,6 @@ double max_abs(const std::vector<double>& v) {
   return m;
 }
 
-// The outcome of one executed (kernel, prefix) fit job: the fit plus its
-// predictions at every measured core count, and the bitmask of realism
-// filters it passed (bit v = realism_filters[v]). Empty fn = the fit
-// failed or no filter accepted it. In memoized mode one slot is shared by
-// every checkpoint setting; only the checkpoint RMSE differs between
-// settings, and every realism filter reads the same slot.
-struct FitSlot {
-  std::optional<FittedFunction> fn;
-  std::vector<double> pred;
-  std::uint64_t realistic_mask = 0;
-};
-
 double elapsed_seconds(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
       .count();
@@ -94,65 +82,78 @@ std::vector<std::vector<CandidateFit>> enumerate_candidates_filtered(
   }
 
   const std::size_t K = kAllKernels.size();
+  int max_prefix = 0;
   for (int c : valid_cs) {
     acct.candidates_attempted +=
         V * K * static_cast<std::size_t>(m - c - cfg.min_prefix + 1);
+    max_prefix = std::max(max_prefix, m - c);
   }
 
-  // Fit jobs. A fit depends only on (kernel, prefix), never on the
-  // checkpoint setting or the realism filter, so memoized mode executes
-  // each distinct pair once; brute-force mode re-executes it per setting
-  // (the baseline/reference). Either way the execution is shared across
-  // filters, which only re-score. Jobs are laid out K kernels per prefix,
-  // so kernel = index % K.
-  std::vector<int> job_prefix;
-  if (ctx.memoize_fits) {
-    int max_prefix = 0;
-    for (int c : valid_cs) max_prefix = std::max(max_prefix, m - c);
-    for (int i = cfg.min_prefix; i <= max_prefix; ++i) {
-      for (std::size_t k = 0; k < K; ++k) job_prefix.push_back(i);
-    }
-  } else {
-    for (int c : valid_cs) {
-      for (int i = cfg.min_prefix; i <= m - c; ++i) {
-        for (std::size_t k = 0; k < K; ++k) job_prefix.push_back(i);
+  // Fit jobs: one slot per (kernel, prefix) pair, s = (prefix - min_prefix)
+  // * K + kernel. A fit depends only on (kernel, prefix), never on the
+  // checkpoint setting or the realism filter, so every setting and every
+  // filter re-scores the same slot.
+  const std::size_t n_prefixes =
+      static_cast<std::size_t>(max_prefix - cfg.min_prefix + 1);
+  const std::size_t n_slots = n_prefixes * K;
+  const auto prefix_of = [&](std::size_t s) {
+    return cfg.min_prefix + static_cast<int>(s / K);
+  };
+  acct.fits_executed = n_slots;
+  acct.duplicate_fits_eliminated = acct.candidates_attempted - n_slots;
+  acct.variant_refits_avoided = (V - 1) * n_slots;
+
+  // Per-slot results. fits[s] holds the fit (nullopt = it failed) whether
+  // or not a realism filter accepts it; bit v of realistic[s] is set when
+  // realism_filters[v] accepts it, and only then does preds[s] hold its
+  // predictions at every measured core count. diags[s] is the fit's
+  // diagnostic record, collected for the audit and metrics and for the
+  // memo, whose entries must carry a replayable diag.
+  std::vector<std::optional<FittedFunction>> fits(n_slots);
+  std::vector<std::uint64_t> realistic(n_slots, 0);
+  std::vector<std::vector<double>> preds(n_slots);
+  const bool collect = audit != nullptr || ctx.metrics != nullptr;
+  std::vector<FitDiag> diags(collect || ctx.memo != nullptr ? n_slots : 0);
+  FitDiag* const diag_base = diags.empty() ? nullptr : diags.data();
+
+  // Memo replay, serial: a slot whose full input (kernel, FitOptions,
+  // prefix data bits) is resident takes the stored fit + diag, and the
+  // engines below fit only the slots the memo did not answer.
+  std::vector<std::uint64_t> keys(ctx.memo != nullptr ? n_slots : 0);
+  std::vector<char> replayed(n_slots, 0);
+  if (ctx.memo != nullptr) {
+    for (std::size_t s = 0; s < n_slots; ++s) {
+      keys[s] = FitMemo::key_of(kAllKernels[s % K], xs.data(), values.data(),
+                                static_cast<std::size_t>(prefix_of(s)),
+                                cfg.fit);
+      FitMemoEntry entry;
+      if (ctx.memo->lookup(keys[s], &entry)) {
+        fits[s] = std::move(entry.fn);
+        diags[s] = std::move(entry.diag);
+        replayed[s] = 1;
+        ++acct.memo_hits;
       }
     }
   }
-  acct.fits_executed = job_prefix.size();
-  acct.duplicate_fits_eliminated =
-      acct.candidates_attempted - acct.fits_executed;
-  acct.variant_refits_avoided = (V - 1) * acct.fits_executed;
 
   // Execute the jobs, possibly fanned out across the pool. Each job writes
-  // only its own slot, so the fan-out cannot change results. Jobs run
+  // only its own slots, so the fan-out cannot change results. Jobs run
   // inside parallel_for and therefore must not throw: a job that observes
   // an expired deadline or a failed workspace allocation records the fact
   // atomically and returns, and the whole enumeration is abandoned below.
-  std::vector<FitSlot> slots(job_prefix.size());
   std::atomic<std::size_t> jobs_cancelled{0};
   std::atomic<std::size_t> jobs_aborted{0};
   std::atomic<std::size_t> point_evals{0};
-  std::atomic<std::size_t> memo_hit_count{0};
-  // Audit/metrics collection: per-slot diagnostic records, filled by the
-  // workers (each writes only its own slots) and emitted serially below.
-  const bool collect = audit != nullptr || ctx.metrics != nullptr;
-  std::vector<FitDiag> slot_diags;
-  if (collect) slot_diags.resize(job_prefix.size());
-  // Diags are also needed whenever a memo is attached: memo entries must
-  // carry a replayable diag, so misses record theirs even on audit-free
-  // calls. With neither, no FitDiag is collected at all.
-  const bool want_diags = collect || ctx.memo != nullptr;
   if (ctx.engine == FitEngine::kBatched) {
-    // Batched engine: one job per KERNEL covering every prefix (and, in
-    // brute mode, every checkpoint repetition) of that kernel. All of a
-    // kernel's LM problems advance in one lockstep multi-problem batch,
-    // its realism walks evaluate as one parameter panel per shared grid,
-    // and its predictions fill in a single panel call. The walk grids
-    // depend only on the filters' ranges, so they are built once and
-    // shared; filters that agree on the step count re-scan the same walk
-    // values. Cancellation/abort accounting stays in fit units (a kernel
-    // job covers n_entries fits), so totals match the reference engine's.
+    // Batched engine: one job per KERNEL covering every prefix of that
+    // kernel. All of a kernel's LM problems advance in one lockstep
+    // multi-problem batch, its realism walks evaluate as one parameter
+    // panel per shared grid, and its predictions fill in a single panel
+    // call. The walk grids depend only on the filters' ranges, so they are
+    // built once and shared; filters that agree on the step count re-scan
+    // the same walk values. Cancellation/abort accounting stays in fit
+    // units (a kernel job covers n_prefixes fits), so totals match the
+    // reference engine's.
     EvalTables tables;
     tables.assign(xs);
     std::vector<RealismGrid> grids;
@@ -170,13 +171,12 @@ std::vector<std::vector<CandidateFit>> enumerate_candidates_filtered(
       if (gi == grids.size()) grids.push_back(std::move(g));
       grid_of[v] = gi;
     }
-    const std::size_t n_entries = job_prefix.size() / K;
     parallel::parallel_for(ctx.pool, K, [&](std::size_t k) {
       if (ctx.deadline != nullptr && ctx.deadline->expired()) {
-        jobs_cancelled.fetch_add(n_entries, std::memory_order_relaxed);
+        jobs_cancelled.fetch_add(n_prefixes, std::memory_order_relaxed);
         if (ctx.metrics != nullptr) {
           ctx.metrics->count(kAllKernels[k], FitOutcome::kCancelled,
-                             n_entries);
+                             n_prefixes);
         }
         return;
       }
@@ -185,65 +185,39 @@ std::vector<std::vector<CandidateFit>> enumerate_candidates_filtered(
         const KernelType type = kAllKernels[k];
         const std::size_t np = kernel_param_count(type);
         thread_local FitBatchWorkspace fbw;
-        std::vector<std::optional<FittedFunction>> fits(n_entries);
-        std::vector<FitDiag> job_diags(want_diags ? n_entries : 0);
-        // Memo partition: entries whose (kernel, prefix bits, FitOptions)
-        // key is resident replay the stored fit + diag; the misses (every
-        // entry when no memo is attached) execute as one compacted batch.
-        // Safe because each problem's LM trajectory is independent of the
-        // batch's composition (the lockstep batch is bit-identical to
-        // sequential fits).
-        std::vector<std::uint64_t> keys(ctx.memo != nullptr ? n_entries : 0);
+        // The slots the memo did not answer execute as one compacted
+        // batch. Safe because each problem's LM trajectory is independent
+        // of the batch's composition (the lockstep batch is bit-identical
+        // to sequential fits).
         std::vector<std::size_t> miss, miss_prefixes;
-        for (std::size_t e = 0; e < n_entries; ++e) {
-          const auto prefix = static_cast<std::size_t>(job_prefix[e * K + k]);
-          if (ctx.memo != nullptr) {
-            keys[e] = FitMemo::key_of(type, xs.data(), values.data(), prefix,
-                                      cfg.fit);
-            FitMemoEntry ment;
-            if (ctx.memo->lookup(keys[e], &ment)) {
-              fits[e] = std::move(ment.fn);
-              job_diags[e] = std::move(ment.diag);
-              continue;
-            }
-          }
-          miss.push_back(e);
-          miss_prefixes.push_back(prefix);
+        for (std::size_t s = k; s < n_slots; s += K) {
+          if (replayed[s]) continue;
+          miss.push_back(s);
+          miss_prefixes.push_back(static_cast<std::size_t>(prefix_of(s)));
         }
-        memo_hit_count.fetch_add(n_entries - miss.size(),
-                                 std::memory_order_relaxed);
         if (!miss.empty()) {
           obs::SpanTimer levmar_span(ctx.trace, obs::Stage::kFitLevmar);
           std::chrono::steady_clock::time_point t0;
           if (ctx.metrics != nullptr) t0 = std::chrono::steady_clock::now();
           std::vector<std::optional<FittedFunction>> miss_fits(miss.size());
-          std::vector<FitDiag> miss_diags(want_diags ? miss.size() : 0);
+          std::vector<FitDiag> miss_diags(diag_base ? miss.size() : 0);
           fbw.model_evals = 0;
           fit_kernel_over_prefixes(
               type, xs, tables, values, miss_prefixes.data(), miss.size(),
               cfg.fit, fbw, miss_fits.data(),
-              want_diags ? miss_diags.data() : nullptr);
+              diag_base ? miss_diags.data() : nullptr);
           point_evals.fetch_add(fbw.model_evals, std::memory_order_relaxed);
           if (ctx.metrics != nullptr) {
             ctx.metrics->record_fit_seconds(type, elapsed_seconds(t0));
           }
           for (std::size_t i = 0; i < miss.size(); ++i) {
-            if (ctx.memo != nullptr) {
-              ctx.memo->insert(keys[miss[i]],
-                               FitMemoEntry{miss_fits[i], miss_diags[i]});
-            }
             fits[miss[i]] = std::move(miss_fits[i]);
-            if (want_diags) job_diags[miss[i]] = std::move(miss_diags[i]);
+            if (diag_base) diags[miss[i]] = std::move(miss_diags[i]);
           }
         }
-        if (collect) {
-          for (std::size_t e = 0; e < n_entries; ++e) {
-            slot_diags[e * K + k] = std::move(job_diags[e]);
-          }
-        }
-        std::vector<std::size_t> live;
-        for (std::size_t e = 0; e < n_entries; ++e) {
-          if (fits[e]) live.push_back(e);
+        std::vector<std::size_t> live;  // this kernel's slots holding a fit
+        for (std::size_t s = k; s < n_slots; s += K) {
+          if (fits[s]) live.push_back(s);
         }
         if (live.empty()) return;
         fbw.cand_panel.resize(live.size() * np);
@@ -252,6 +226,7 @@ std::vector<std::vector<CandidateFit>> enumerate_candidates_filtered(
           std::copy(p.begin(), p.end(), fbw.cand_panel.begin() +
                                             static_cast<std::ptrdiff_t>(i * np));
         }
+        std::vector<std::uint64_t> masks(live.size(), 0);
         {
           obs::SpanTimer realism_span(ctx.trace, obs::Stage::kFitRealism);
           for (std::size_t gi = 0; gi < grids.size(); ++gi) {
@@ -271,12 +246,11 @@ std::vector<std::vector<CandidateFit>> enumerate_candidates_filtered(
               // scalar FittedFunction::operator() performs.
               const double y_scale = fits[live[i]]->y_scale;
               for (std::size_t p = 0; p < gm; ++p) vals[p] = y_scale * vals[p];
-              FitSlot& slot = slots[live[i] * K + k];
               for (std::size_t v = 0; v < filters.size(); ++v) {
                 if (grid_of[v] != gi) continue;
                 if (realism_scan(vals, dens, grids[gi].steps, filters[v],
                                  vmax, nonneg)) {
-                  slot.realistic_mask |= std::uint64_t{1} << v;
+                  masks[i] |= std::uint64_t{1} << v;
                 }
               }
             }
@@ -285,8 +259,9 @@ std::vector<std::vector<CandidateFit>> enumerate_candidates_filtered(
         // Predictions for every surviving candidate of this kernel, one
         // panel over the measured core counts.
         std::vector<std::size_t> surv;
-        for (std::size_t e : live) {
-          if (slots[e * K + k].realistic_mask != 0) surv.push_back(e);
+        for (std::size_t i = 0; i < live.size(); ++i) {
+          realistic[live[i]] = masks[i];
+          if (masks[i] != 0) surv.push_back(live[i]);
         }
         if (surv.empty()) return;
         fbw.cand_panel.resize(surv.size() * np);
@@ -300,106 +275,88 @@ std::vector<std::vector<CandidateFit>> enumerate_candidates_filtered(
         kernel_eval_panel(type, tables, mm, fbw.cand_panel.data(),
                           surv.size(), fbw.pred_vals.data());
         for (std::size_t i = 0; i < surv.size(); ++i) {
-          FitSlot& slot = slots[surv[i] * K + k];
           const double y_scale = fits[surv[i]]->y_scale;
           const double* row = fbw.pred_vals.data() + i * mm;
-          slot.pred.resize(mm);
-          for (std::size_t p = 0; p < mm; ++p) slot.pred[p] = y_scale * row[p];
-          slot.fn = std::move(*fits[surv[i]]);
+          std::vector<double>& pred = preds[surv[i]];
+          pred.resize(mm);
+          for (std::size_t p = 0; p < mm; ++p) pred[p] = y_scale * row[p];
         }
       } catch (const std::bad_alloc&) {
-        jobs_aborted.fetch_add(n_entries, std::memory_order_relaxed);
+        jobs_aborted.fetch_add(n_prefixes, std::memory_order_relaxed);
       }
     });
   } else {
-    parallel::parallel_for(
-        ctx.pool, job_prefix.size(), [&](std::size_t idx) {
-          if (ctx.deadline != nullptr && ctx.deadline->expired()) {
-            jobs_cancelled.fetch_add(1, std::memory_order_relaxed);
-            if (ctx.metrics != nullptr) {
-              ctx.metrics->count(kAllKernels[idx % K], FitOutcome::kCancelled);
-            }
-            return;
+    parallel::parallel_for(ctx.pool, n_slots, [&](std::size_t s) {
+      if (ctx.deadline != nullptr && ctx.deadline->expired()) {
+        jobs_cancelled.fetch_add(1, std::memory_order_relaxed);
+        if (ctx.metrics != nullptr) {
+          ctx.metrics->count(kAllKernels[s % K], FitOutcome::kCancelled);
+        }
+        return;
+      }
+      try {
+        if (fault::fault_point("alloc.workspace")) throw std::bad_alloc();
+        const KernelType type = kAllKernels[s % K];
+        if (!replayed[s]) {
+          const int i = prefix_of(s);
+          const std::vector<double> pxs(xs.begin(), xs.begin() + i);
+          const std::vector<double> pys(values.begin(), values.begin() + i);
+          obs::SpanTimer levmar_span(ctx.trace, obs::Stage::kFitLevmar);
+          std::chrono::steady_clock::time_point t0;
+          if (ctx.metrics != nullptr) t0 = std::chrono::steady_clock::now();
+          fits[s] = fit_kernel(type, pxs, pys, cfg.fit,
+                               diag_base ? diag_base + s : nullptr);
+          if (ctx.metrics != nullptr) {
+            ctx.metrics->record_fit_seconds(type, elapsed_seconds(t0));
           }
-          try {
-            if (fault::fault_point("alloc.workspace")) throw std::bad_alloc();
-            const int i = job_prefix[idx];
-            const KernelType type = kAllKernels[idx % K];
-            FitDiag local_diag;
-            FitDiag* dptr = collect ? &slot_diags[idx]
-                            : want_diags ? &local_diag
-                                         : nullptr;
-            // A resident memo entry replays the stored fit + diag; a miss
-            // (every job when no memo is attached) executes.
-            std::uint64_t mkey = 0;
-            FitMemoEntry ment;
-            if (ctx.memo != nullptr) {
-              mkey = FitMemo::key_of(type, xs.data(), values.data(),
-                                     static_cast<std::size_t>(i), cfg.fit);
+        }
+        if (!fits[s]) return;
+        const FittedFunction& fn = *fits[s];
+        std::uint64_t mask = 0;
+        {
+          obs::SpanTimer realism_span(ctx.trace, obs::Stage::kFitRealism);
+          for (std::size_t v = 0; v < filters.size(); ++v) {
+            if (is_realistic(fn, filters[v], vmax, nonneg)) {
+              mask |= std::uint64_t{1} << v;
             }
-            std::optional<FittedFunction> fitted;
-            if (ctx.memo != nullptr && ctx.memo->lookup(mkey, &ment)) {
-              fitted = std::move(ment.fn);
-              if (collect) *dptr = std::move(ment.diag);
-              memo_hit_count.fetch_add(1, std::memory_order_relaxed);
-            } else {
-              const std::vector<double> pxs(xs.begin(), xs.begin() + i);
-              const std::vector<double> pys(values.begin(),
-                                            values.begin() + i);
-              obs::SpanTimer levmar_span(ctx.trace, obs::Stage::kFitLevmar);
-              std::chrono::steady_clock::time_point t0;
-              if (ctx.metrics != nullptr) {
-                t0 = std::chrono::steady_clock::now();
-              }
-              fitted = fit_kernel(type, pxs, pys, cfg.fit, dptr);
-              if (ctx.metrics != nullptr) {
-                ctx.metrics->record_fit_seconds(type, elapsed_seconds(t0));
-              }
-              levmar_span.stop();
-              if (ctx.memo != nullptr) {
-                ctx.memo->insert(mkey, FitMemoEntry{fitted, *dptr});
-              }
-            }
-            if (!fitted) return;
-            FitSlot& slot = slots[idx];
-            {
-              obs::SpanTimer realism_span(ctx.trace, obs::Stage::kFitRealism);
-              for (std::size_t v = 0; v < filters.size(); ++v) {
-                if (is_realistic(*fitted, filters[v], vmax, nonneg)) {
-                  slot.realistic_mask |= std::uint64_t{1} << v;
-                }
-              }
-            }
-            if (slot.realistic_mask == 0) return;
-            slot.pred.resize(static_cast<std::size_t>(m));
-            for (std::size_t j = 0; j < static_cast<std::size_t>(m); ++j) {
-              slot.pred[j] = (*fitted)(xs[j]);
-            }
-            slot.fn = std::move(*fitted);
-          } catch (const std::bad_alloc&) {
-            jobs_aborted.fetch_add(1, std::memory_order_relaxed);
           }
-        });
+        }
+        realistic[s] = mask;
+        if (mask == 0) return;
+        std::vector<double>& pred = preds[s];
+        pred.resize(static_cast<std::size_t>(m));
+        for (std::size_t j = 0; j < pred.size(); ++j) pred[j] = fn(xs[j]);
+      } catch (const std::bad_alloc&) {
+        jobs_aborted.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
   }
   acct.fits_cancelled = jobs_cancelled.load(std::memory_order_relaxed);
   acct.fits_aborted = jobs_aborted.load(std::memory_order_relaxed);
   acct.levmar_point_evals = point_evals.load(std::memory_order_relaxed);
-  acct.memo_hits = memo_hit_count.load(std::memory_order_relaxed);
   if (acct.fits_cancelled > 0 || acct.fits_aborted > 0) {
     // An incomplete fit pool must not be scored: a missing fit could flip
     // which candidate wins, which would be a silently different answer.
-    // The audit likewise gets no per-slot records (partial records would
-    // depend on which jobs happened to run before expiry); it reports
-    // only the abandonment counts, mirroring EnumerationStats.
+    // Nor may it reach the memo: a slot whose job never ran holds no fit,
+    // and replaying that "no fit" later would change an answer. The audit
+    // likewise gets no per-slot records (partial records would depend on
+    // which jobs happened to run before expiry); it reports only the
+    // abandonment counts, mirroring EnumerationStats.
     acct.fits_executed -= acct.fits_cancelled + acct.fits_aborted;
-    acct.duplicate_fits_eliminated =
-        acct.candidates_attempted - job_prefix.size();
     if (audit != nullptr) {
       audit->fits_cancelled += acct.fits_cancelled;
       audit->fits_aborted += acct.fits_aborted;
     }
     if (stats) *stats = acct;
     return out;
+  }
+
+  // Checkpoint index sets per setting, for candidate scoring.
+  std::vector<std::vector<std::size_t>> cidx(valid_cs.size());
+  for (std::size_t ci = 0; ci < valid_cs.size(); ++ci) {
+    for (int i = m - valid_cs[ci]; i < m; ++i) {
+      cidx[ci].push_back(static_cast<std::size_t>(i));
+    }
   }
 
   // Serial audit emission, in the fixed slot order (and therefore
@@ -410,38 +367,19 @@ std::vector<std::vector<CandidateFit>> enumerate_candidates_filtered(
   if (collect) {
     FitAudit scratch;  // metrics-only collection still needs a sink
     FitAudit* sink = audit != nullptr ? audit : &scratch;
-    // Checkpoint index sets per setting, for candidate re-scoring.
-    std::vector<std::vector<std::size_t>> cidx(valid_cs.size());
-    for (std::size_t ci = 0; ci < valid_cs.size(); ++ci) {
-      for (int i = m - valid_cs[ci]; i < m; ++i) {
-        cidx[ci].push_back(static_cast<std::size_t>(i));
-      }
-    }
-    // Brute-force layout: each slot belongs to exactly one setting.
-    std::vector<std::size_t> slot_setting;
-    if (!ctx.memoize_fits) {
-      slot_setting.resize(slots.size());
-      std::size_t running = 0;
-      for (std::size_t ci = 0; ci < valid_cs.size(); ++ci) {
-        const int n = m - valid_cs[ci];
-        for (int i = cfg.min_prefix; i <= n; ++i) {
-          for (std::size_t k = 0; k < K; ++k) slot_setting[running++] = ci;
-        }
-      }
-    }
     const std::size_t attempts_base = sink->attempts.size();
     const std::size_t candidates_base = sink->candidates.size();
-    for (std::size_t idx = 0; idx < slots.size(); ++idx) {
-      const int prefix = job_prefix[idx];
-      const KernelType kernel = kAllKernels[idx % K];
-      const FitDiag& diag = slot_diags[idx];
+    for (std::size_t s = 0; s < n_slots; ++s) {
+      const int prefix = prefix_of(s);
+      const KernelType kernel = kAllKernels[s % K];
+      const FitDiag& diag = diags[s];
       if (diag.path == FitDiag::Path::kNonlinear && !diag.starts.empty()) {
-        for (std::size_t s = 0; s < diag.starts.size(); ++s) {
-          const FitDiag::Start& st = diag.starts[s];
+        for (std::size_t i = 0; i < diag.starts.size(); ++i) {
+          const FitDiag::Start& st = diag.starts[i];
           FitAttempt a;
           a.kernel = kernel;
           a.prefix_len = prefix;
-          a.start = static_cast<int>(s);
+          a.start = static_cast<int>(i);
           a.outcome = fit_outcome_from_term(st.term);
           a.rmse = st.rmse;
           a.iterations = st.iterations;
@@ -457,36 +395,28 @@ std::vector<std::vector<CandidateFit>> enumerate_candidates_filtered(
         sink->attempts.push_back(a);
       }
 
-      const FitSlot& slot = slots[idx];
       FitCandidate cand;
       cand.kernel = kernel;
       cand.prefix_len = prefix;
-      cand.realistic_mask = slot.realistic_mask;
-      if (!slot.fn) {
+      cand.realistic_mask = realistic[s];
+      if (!fits[s]) {
         cand.outcome = FitOutcome::kNoFit;
-      } else if (slot.realistic_mask == 0) {
+      } else if (realistic[s] == 0) {
         // Rejected by every filter: with one filter that IS the strict
         // rejection; with a strict+relaxed sweep even relaxed refused it.
         cand.outcome = V > 1 ? FitOutcome::kUnrealisticRelaxed
                              : FitOutcome::kUnrealisticStrict;
-      } else if ((slot.realistic_mask & 1) == 0) {
+      } else if ((realistic[s] & 1) == 0) {
         // Passed some filter but not filter 0 (the strict one, by the
         // predict() convention).
         cand.outcome = FitOutcome::kUnrealisticStrict;
       } else {
         cand.outcome = FitOutcome::kWorseRmse;
         double best_err = std::numeric_limits<double>::quiet_NaN();
-        if (ctx.memoize_fits) {
-          for (std::size_t ci = 0; ci < valid_cs.size(); ++ci) {
-            if (prefix > m - valid_cs[ci]) continue;
-            const double err = numeric::rmse_at(slot.pred, values, cidx[ci]);
-            if (std::isfinite(err) && !(err >= best_err)) best_err = err;
-          }
-        } else {
-          const std::size_t ci = slot_setting[idx];
-          cand.checkpoints = valid_cs[ci];
-          const double err = numeric::rmse_at(slot.pred, values, cidx[ci]);
-          if (std::isfinite(err)) best_err = err;
+        for (std::size_t ci = 0; ci < valid_cs.size(); ++ci) {
+          if (prefix > m - valid_cs[ci]) continue;
+          const double err = numeric::rmse_at(preds[s], values, cidx[ci]);
+          if (std::isfinite(err) && !(err >= best_err)) best_err = err;
         }
         cand.checkpoint_rmse = best_err;
       }
@@ -507,30 +437,31 @@ std::vector<std::vector<CandidateFit>> enumerate_candidates_filtered(
 
   // Serial assembly per filter in the fixed (checkpoint setting, prefix,
   // kernel) order: scoring against each checkpoint set is cheap (c
-  // subtractions), which is exactly why the fit above is worth caching.
+  // subtractions), which is exactly why the fit above is worth sharing.
   for (std::size_t v = 0; v < V; ++v) {
     const std::uint64_t bit = std::uint64_t{1} << v;
-    std::size_t running = 0;  // job cursor for the brute-force layout
-    for (int c : valid_cs) {
-      const int n = m - c;
-      std::vector<std::size_t> checkpoint_idx;
-      for (int i = n; i < m; ++i) {
-        checkpoint_idx.push_back(static_cast<std::size_t>(i));
-      }
-      for (int i = cfg.min_prefix; i <= n; ++i) {
+    for (std::size_t ci = 0; ci < valid_cs.size(); ++ci) {
+      const int c = valid_cs[ci];
+      for (int i = cfg.min_prefix; i <= m - c; ++i) {
         for (std::size_t k = 0; k < K; ++k) {
-          const std::size_t idx =
-              ctx.memoize_fits
-                  ? static_cast<std::size_t>(i - cfg.min_prefix) * K + k
-                  : running++;
-          const FitSlot& slot = slots[idx];
-          if (!slot.fn || !(slot.realistic_mask & bit)) continue;
-          const double err =
-              numeric::rmse_at(slot.pred, values, checkpoint_idx);
+          const std::size_t s =
+              static_cast<std::size_t>(i - cfg.min_prefix) * K + k;
+          if (!(realistic[s] & bit)) continue;
+          const double err = numeric::rmse_at(preds[s], values, cidx[ci]);
           if (!std::isfinite(err)) continue;
-          out[v].push_back(CandidateFit{*slot.fn, i, c, err});
+          out[v].push_back(CandidateFit{*fits[s], i, c, err});
         }
       }
+    }
+  }
+
+  // Keep the executed fits for the next call. The entries are copies, not
+  // moves: a copy allocates exactly what it holds, and the memo keeps its
+  // entries for the life of the campaign.
+  if (ctx.memo != nullptr) {
+    for (std::size_t s = 0; s < n_slots; ++s) {
+      if (replayed[s]) continue;
+      ctx.memo->insert(keys[s], FitMemoEntry{fits[s], diags[s]});
     }
   }
   if (stats) *stats = acct;
@@ -571,8 +502,7 @@ void audit_mark_winner(FitAudit* audit, FitMetrics* metrics,
     }
   }
   for (auto& cand : audit->candidates) {
-    if (cand.kernel == best.fn.type && cand.prefix_len == best.prefix_len &&
-        (cand.checkpoints == 0 || cand.checkpoints == best.checkpoints)) {
+    if (cand.kernel == best.fn.type && cand.prefix_len == best.prefix_len) {
       cand.outcome = FitOutcome::kWinner;
       break;
     }

@@ -9,12 +9,12 @@
 //  4. keeps the minimiser and uses it to extrapolate.
 //
 // The fit of a (kernel, prefix) pair depends only on the prefix, never on
-// the checkpoint setting, so by default the enumeration memoizes fits
-// across checkpoint settings and only re-scores the cached fit against
-// each checkpoint set. The (kernel, prefix) fit jobs are independent and
-// can be fanned out across a parallel::ThreadPool; candidate assembly and
-// scoring stay serial in a fixed order, so results are bit-identical
-// regardless of memoization or thread count.
+// the checkpoint setting, so the enumeration executes each pair once and
+// re-scores that one fit against every checkpoint set. The (kernel,
+// prefix) fit jobs are independent and can be fanned out across a
+// parallel::ThreadPool; candidate assembly and scoring stay serial in a
+// fixed order, so results are bit-identical regardless of engine, memo or
+// thread count.
 #pragma once
 
 #include <optional>
@@ -58,9 +58,9 @@ struct EnumerationStats {
   std::size_t candidates_attempted = 0;
   /// fit_kernel invocations actually executed.
   std::size_t fits_executed = 0;
-  /// Refits avoided by sharing: the (kernel, prefix) cache across
-  /// checkpoint settings plus the fit pool across realism filters. Zero
-  /// when memoization is off and a single filter is scored.
+  /// Refits avoided by sharing: one (kernel, prefix) fit across checkpoint
+  /// settings plus the fit pool across realism filters. Zero when a single
+  /// checkpoint setting and a single filter are scored.
   std::size_t duplicate_fits_eliminated = 0;
   /// Realism filters scored against this enumeration's shared fit pool
   /// (1 for the single-filter entry points).
@@ -130,9 +130,10 @@ std::optional<SeriesExtrapolation> extrapolate_series(
 /// Enumerates every realistic candidate (used by the scaling-factor step,
 /// which selects by correlation rather than checkpoint RMSE, and by tests).
 /// Candidate order is fixed (checkpoint setting, then prefix, then kernel)
-/// and identical for every engine / memoize_fits / pool combination. When
-/// `stats` is non-null it receives the work accounting of this
-/// enumeration.
+/// and identical for every engine / memo / pool combination. Each (kernel,
+/// prefix) pair is fitted once and scored under every checkpoint setting
+/// whose fitting range contains the prefix. When `stats` is non-null it
+/// receives the work accounting of this enumeration.
 std::vector<CandidateFit> enumerate_candidates(
     const std::vector<int>& cores, const std::vector<double>& values,
     const ExtrapolationConfig& cfg, const ExecContext& ctx = {},

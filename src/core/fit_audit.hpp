@@ -68,9 +68,9 @@ struct FitAttempt {
 struct FitCandidate {
   KernelType kernel = KernelType::kCubicLn;
   int prefix_len = 0;
-  /// Checkpoint setting that scored this slot under the brute-force
-  /// layout; 0 when one memoized slot is scored across every applicable
-  /// setting (the default).
+  /// Always 0: one (kernel, prefix) fit is scored across every applicable
+  /// checkpoint setting, so no single setting owns the candidate. Kept
+  /// because /v1/explain serves the key.
   int checkpoints = 0;
   FitOutcome outcome = FitOutcome::kNoFit;
   std::uint64_t realistic_mask = 0;  ///< bit v = passed realism filter v

@@ -23,10 +23,12 @@
 // every call — only the expensive LM refinement is memoized.
 //
 // Thread safety: all methods are safe to call concurrently; one memo is
-// shared by the parallel category fan-out and the six per-kernel fit jobs
-// inside each enumeration. Like `pool` and `audit`, the memo rides in the
-// ExecContext, outside config_signature — it cannot change produced
-// values, only how fast they are produced.
+// shared by the parallel category fan-out. Each enumeration looks up all
+// its (kernel, prefix) slots before its fit jobs run and inserts the
+// executed ones after they all completed, never from inside a job. Like
+// `pool` and `audit`, the memo rides in the ExecContext, outside
+// config_signature — it cannot change produced values, only how fast
+// they are produced.
 #pragma once
 
 #include <cstdint>

@@ -331,50 +331,6 @@ double kernel_denominator(KernelType type, double n,
   return 1.0;
 }
 
-void kernel_denominator_batch(KernelType type, const EvalTables& t,
-                              std::size_t m, const std::vector<double>& p,
-                              double* out) {
-  const double* ns = t.n.data();
-  switch (type) {
-    case KernelType::kRat22: {
-      const double b1 = p[3], b2 = p[4];
-      for (std::size_t i = 0; i < m; ++i) {
-        const double n = ns[i];
-        out[i] = 1.0 + b1 * n + b2 * (n * n);
-      }
-      return;
-    }
-    case KernelType::kRat23: {
-      const double b1 = p[3], b2 = p[4], b3 = p[5];
-      for (std::size_t i = 0; i < m; ++i) {
-        const double n = ns[i];
-        const double n2 = n * n;
-        out[i] = 1.0 + b1 * n + b2 * n2 + b3 * (n2 * n);
-      }
-      return;
-    }
-    case KernelType::kRat33: {
-      const double b1 = p[4], b2 = p[5], b3 = p[6];
-      for (std::size_t i = 0; i < m; ++i) {
-        const double n = ns[i];
-        const double n2 = n * n;
-        out[i] = 1.0 + b1 * n + b2 * n2 + b3 * (n2 * n);
-      }
-      return;
-    }
-    case KernelType::kExpRat: {
-      const double d = p[2];
-      for (std::size_t i = 0; i < m; ++i) out[i] = 1.0 + d * ns[i];
-      return;
-    }
-    case KernelType::kCubicLn:
-    case KernelType::kPoly25:
-      for (std::size_t i = 0; i < m; ++i) out[i] = 1.0;
-      return;
-  }
-  for (std::size_t i = 0; i < m; ++i) out[i] = 1.0;
-}
-
 void kernel_denominator_panel(KernelType type, const EvalTables& t,
                               std::size_t m, const double* panel,
                               std::size_t n_sets, double* out) {

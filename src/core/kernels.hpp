@@ -102,17 +102,11 @@ void kernel_eval_panel_v(KernelType type, const EvalTables& t,
 double kernel_denominator(KernelType type, double n,
                           const std::vector<double>& p);
 
-/// Batched kernel_denominator over the first m points of the tables:
-/// out[i] = kernel_denominator(type, t.n[i], p), bit-identical to the
-/// scalar form. Feeds the realism pole-walk.
-void kernel_denominator_batch(KernelType type, const EvalTables& t,
-                              std::size_t m, const std::vector<double>& p,
-                              double* out);
-
-/// Multi-set kernel_denominator_batch: parameter set s (at
-/// panel[s * kernel_param_count(type)]) writes its denominators to
-/// out[s * m .. s * m + m). Lets the realism pole-walk evaluate every
-/// candidate of one kernel over a shared grid in a single call.
+/// Batched kernel_denominator over the first m points of the tables, one
+/// row per parameter set: set s (at panel[s * kernel_param_count(type)])
+/// writes out[s * m + i] = kernel_denominator(type, t.n[i], set s),
+/// bit-identical to the scalar form. Lets the realism pole-walk evaluate
+/// every candidate of one kernel over a shared grid in a single call.
 void kernel_denominator_panel(KernelType type, const EvalTables& t,
                               std::size_t m, const double* panel,
                               std::size_t n_sets, double* out);

@@ -87,7 +87,7 @@ struct Prediction {
 ///     the executed ones — the streaming-campaign path threads a
 ///     per-campaign memo here so an append-then-repredict executes only
 ///     the fits the new point created;
-///   * ctx.engine / ctx.memoize_fits pick the fit pipeline.
+///   * ctx.engine picks the fit pipeline.
 Prediction predict(const MeasurementSet& ms, const PredictionConfig& cfg,
                    const ExecContext& ctx = {});
 

@@ -17,8 +17,7 @@ PredictionService::PredictionService(ServiceConfig cfg, core::ExecContext base)
   const core::ExecContext defaults;
   if (base_.deadline != nullptr || base_.trace != nullptr ||
       base_.memo != nullptr || base_.audit != nullptr ||
-      base_.engine != defaults.engine ||
-      base_.memoize_fits != defaults.memoize_fits) {
+      base_.engine != defaults.engine) {
     throw std::invalid_argument(
         "PredictionService: the base context carries only a pool and fit "
         "metrics; deadline, trace, memo and audit are per call");

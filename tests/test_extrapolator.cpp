@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
+#include "core/fit_engine.hpp"
+#include "numeric/stats.hpp"
+#include "parallel/thread_pool.hpp"
 #include "synthetic.hpp"
 
 namespace estima::core {
@@ -115,9 +119,11 @@ TEST(Extrapolator, ConstantSeriesExtrapolatesFlat) {
   EXPECT_NEAR(ext->best(48), 42.0, 1.0);
 }
 
-// The memoized enumeration must return exactly the candidate set of the
-// brute-force reference (one fit per kernel x prefix x checkpoint-setting
-// combination), in the same order, on realistic synthetic campaigns.
+// The enumeration must return exactly the candidate set of an independent
+// brute-force loop (one fit_kernel + is_realistic per kernel x prefix x
+// checkpoint-setting combination), in the same order, on realistic
+// synthetic campaigns, while executing each (kernel, prefix) fit once —
+// on both engines, serial and with pool threads writing the slots.
 TEST(Extrapolator, MemoizedMatchesBruteForceReference) {
   estima::testing::SyntheticSpec spec;
   spec.stm_rate = 1e-4;
@@ -128,37 +134,72 @@ TEST(Extrapolator, MemoizedMatchesBruteForceReference) {
   ExtrapolationConfig cfg;
   cfg.checkpoint_counts = {1, 2, 3, 4};
   cfg.target_max_cores = 64;
-  ExecContext memo, brute;
-  memo.memoize_fits = true;
-  brute.memoize_fits = false;
+  const std::vector<double> xs(ms.cores.begin(), ms.cores.end());
+  const int m = static_cast<int>(xs.size());
+  RealismOptions realism = cfg.realism;
+  realism.range_min = xs.front();
+  realism.range_max = std::max(cfg.target_max_cores, xs.back());
+  parallel::ThreadPool pool(4);
 
   for (const auto& cat : ms.categories) {
-    EnumerationStats memo_stats, brute_stats;
-    const auto a = enumerate_candidates(ms.cores, cat.values, cfg, memo,
-                                        nullptr, &memo_stats);
-    const auto b = enumerate_candidates(ms.cores, cat.values, cfg, brute,
-                                        nullptr, &brute_stats);
-    ASSERT_EQ(a.size(), b.size()) << cat.name;
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      EXPECT_EQ(a[i].fn.type, b[i].fn.type);
-      EXPECT_EQ(a[i].fn.params, b[i].fn.params);  // bitwise
-      EXPECT_EQ(a[i].fn.y_scale, b[i].fn.y_scale);
-      EXPECT_EQ(a[i].prefix_len, b[i].prefix_len);
-      EXPECT_EQ(a[i].checkpoints, b[i].checkpoints);
-      EXPECT_EQ(a[i].checkpoint_rmse, b[i].checkpoint_rmse);  // bitwise
+    const std::vector<double>& ys = cat.values;
+    double vmax = 0.0;
+    bool nonneg = true;
+    for (double y : ys) {
+      vmax = std::max(vmax, std::fabs(y));
+      nonneg = nonneg && y >= 0.0;
+    }
+    std::vector<CandidateFit> want;
+    std::size_t brute_fits = 0;
+    for (int c : cfg.checkpoint_counts) {
+      std::vector<std::size_t> checkpoint_idx;
+      for (int i = m - c; i < m; ++i) {
+        checkpoint_idx.push_back(static_cast<std::size_t>(i));
+      }
+      for (int i = cfg.min_prefix; i <= m - c; ++i) {
+        const std::vector<double> pxs(xs.begin(), xs.begin() + i);
+        const std::vector<double> pys(ys.begin(), ys.begin() + i);
+        for (const KernelType type : kAllKernels) {
+          ++brute_fits;
+          const auto fn = fit_kernel(type, pxs, pys, cfg.fit);
+          if (!fn || !is_realistic(*fn, realism, vmax, nonneg)) continue;
+          std::vector<double> pred;
+          for (double x : xs) pred.push_back((*fn)(x));
+          const double err = numeric::rmse_at(pred, ys, checkpoint_idx);
+          if (std::isfinite(err)) want.push_back({*fn, i, c, err});
+        }
+      }
     }
 
-    // Work accounting: both consider the same combinations, the reference
-    // executes one fit per combination while the memoized enumeration
-    // provably never refits a (kernel, prefix) pair.
-    EXPECT_EQ(memo_stats.candidates_attempted, brute_stats.candidates_attempted);
-    EXPECT_EQ(brute_stats.fits_executed, brute_stats.candidates_attempted);
-    EXPECT_EQ(brute_stats.duplicate_fits_eliminated, 0u);
-    const std::size_t unique_pairs = kAllKernels.size() *
-                                     static_cast<std::size_t>(12 - 1 - 3 + 1);
-    EXPECT_EQ(memo_stats.fits_executed, unique_pairs);
-    EXPECT_EQ(memo_stats.duplicate_fits_eliminated,
-              memo_stats.candidates_attempted - unique_pairs);
+    for (const FitEngine engine : {FitEngine::kReference, FitEngine::kBatched}) {
+      for (parallel::ThreadPool* p :
+           {static_cast<parallel::ThreadPool*>(nullptr), &pool}) {
+        ExecContext ctx(p);
+        ctx.engine = engine;
+        EnumerationStats stats;
+        const auto got =
+            enumerate_candidates(ms.cores, ys, cfg, ctx, nullptr, &stats);
+        ASSERT_EQ(got.size(), want.size()) << cat.name;
+        for (std::size_t i = 0; i < got.size(); ++i) {
+          EXPECT_EQ(got[i].fn.type, want[i].fn.type);
+          EXPECT_EQ(got[i].fn.params, want[i].fn.params);  // bitwise
+          EXPECT_EQ(got[i].fn.y_scale, want[i].fn.y_scale);
+          EXPECT_EQ(got[i].prefix_len, want[i].prefix_len);
+          EXPECT_EQ(got[i].checkpoints, want[i].checkpoints);
+          EXPECT_EQ(got[i].checkpoint_rmse, want[i].checkpoint_rmse);
+        }
+
+        // Work accounting: the enumeration considers every combination
+        // the brute-force loop fitted, yet provably never refits a
+        // (kernel, prefix) pair.
+        EXPECT_EQ(stats.candidates_attempted, brute_fits);
+        const std::size_t unique_pairs =
+            kAllKernels.size() * static_cast<std::size_t>(12 - 1 - 3 + 1);
+        EXPECT_EQ(stats.fits_executed, unique_pairs);
+        EXPECT_EQ(stats.duplicate_fits_eliminated,
+                  stats.candidates_attempted - unique_pairs);
+      }
+    }
   }
 }
 

@@ -16,9 +16,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <string>
 
+#include "core/extrapolator.hpp"
+#include "core/fit_engine.hpp"
 #include "core/predictor.hpp"
 #include "obs/histogram.hpp"
 #include "obs/prometheus.hpp"
@@ -206,6 +210,84 @@ TEST(FitAudit, EnumerationRejectsAPredictionAuditInItsContext) {
                std::invalid_argument);
   EXPECT_THROW(predict_time_extrapolation(ms, base_config(), ctx),
                std::invalid_argument);
+}
+
+// Every candidate record's outcome must follow from its own fit: a fit
+// that fit_kernel produces but some realism filter rejects is audited as
+// unrealistic, never as no-fit. Checked against an independent
+// fit_kernel + is_realistic per record, on both engines, for a
+// single-filter enumeration and for the strict + relaxed sweep predict()
+// runs for the scaling factor.
+TEST(FitAudit, RealismRejectedFitsAreAuditedAsUnrealistic) {
+  SyntheticSpec spec;
+  spec.stm_rate = 1e-4;
+  spec.noise = 0.03;
+  const MeasurementSet ms = make_synthetic(spec, counts_up_to(12));
+  ExtrapolationConfig cfg;
+  cfg.target_max_cores = 64;
+  RealismOptions strict = cfg.realism;
+  strict.explosion_factor = 5.0;
+  const std::vector<double> xs(ms.cores.begin(), ms.cores.end());
+
+  for (const FitEngine engine : {FitEngine::kReference, FitEngine::kBatched}) {
+    ExecContext ctx;
+    ctx.engine = engine;
+    for (const std::vector<RealismOptions>& filters :
+         {std::vector<RealismOptions>{cfg.realism},
+          std::vector<RealismOptions>{strict, cfg.realism}}) {
+      std::vector<RealismOptions> ranged = filters;
+      for (auto& r : ranged) {
+        r.range_min = xs.front();
+        r.range_max = std::max(cfg.target_max_cores, xs.back());
+      }
+      std::size_t rejected_by_all = 0;
+      for (const auto& cat : ms.categories) {
+        const std::vector<double>& ys = cat.values;
+        double vmax = 0.0;
+        bool nonneg = true;
+        for (double y : ys) {
+          vmax = std::max(vmax, std::fabs(y));
+          nonneg = nonneg && y >= 0.0;
+        }
+        FitAudit audit;
+        (void)enumerate_candidates_filtered(ms.cores, ys, cfg, filters, ctx,
+                                            &audit);
+        ASSERT_FALSE(audit.candidates.empty());
+        for (const FitCandidate& c : audit.candidates) {
+          const std::vector<double> pxs(xs.begin(), xs.begin() + c.prefix_len);
+          const std::vector<double> pys(ys.begin(), ys.begin() + c.prefix_len);
+          const auto fn = fit_kernel(c.kernel, pxs, pys, cfg.fit);
+          const std::string where = cat.name + " " + kernel_name(c.kernel) +
+                                    " prefix " +
+                                    std::to_string(c.prefix_len);
+          if (!fn) {
+            EXPECT_EQ(c.outcome, FitOutcome::kNoFit) << where;
+            continue;
+          }
+          std::uint64_t mask = 0;
+          for (std::size_t v = 0; v < ranged.size(); ++v) {
+            if (is_realistic(*fn, ranged[v], vmax, nonneg)) {
+              mask |= std::uint64_t{1} << v;
+            }
+          }
+          EXPECT_EQ(c.realistic_mask, mask) << where;
+          if (mask == 0) {
+            ++rejected_by_all;
+            EXPECT_EQ(c.outcome, filters.size() > 1
+                                     ? FitOutcome::kUnrealisticRelaxed
+                                     : FitOutcome::kUnrealisticStrict)
+                << where;
+          } else if ((mask & 1) == 0) {
+            EXPECT_EQ(c.outcome, FitOutcome::kUnrealisticStrict) << where;
+          } else {
+            EXPECT_EQ(c.outcome, FitOutcome::kWorseRmse) << where;
+          }
+        }
+      }
+      // The campaign must actually exercise the rejected-fit path.
+      EXPECT_GT(rejected_by_all, 0u) << filters.size() << " filter(s)";
+    }
+  }
 }
 
 TEST(FitMetrics, CountsWinnersAndRecordsFitSeconds) {

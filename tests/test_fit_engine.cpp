@@ -238,8 +238,8 @@ TEST(FitBatch, PrefixBatchMatchesScalarFitBitwise) {
   }
 }
 
-// The kernel-major entry point batches MANY prefixes (with duplicates, as
-// the brute-force enumeration produces) into one lockstep LM call; every
+// The kernel-major entry point batches MANY prefixes (duplicates included)
+// into one lockstep LM call; every
 // per-prefix result must still be the scalar fit, bit for bit.
 TEST(FitBatch, KernelMajorBatchMatchesScalarFitBitwise) {
   auto xs = core_counts(12);

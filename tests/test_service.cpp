@@ -94,7 +94,7 @@ TEST(CampaignHash, SensitiveToValueAndConfigChanges) {
 
 // Snapshots are gated on config_signature, so its value is part of the
 // on-disk format: these literals were computed before the execution knobs
-// (pool, engine, memoize_fits, sinks, memo) moved out of the config, and a
+// (pool, engine, fit layout, sinks, memo) moved out of the config, and a
 // snapshot written then must still restore. The knobs cannot perturb the
 // signature any more because the config no longer has them.
 TEST(CampaignHash, ConfigSignatureValuesArePinned) {

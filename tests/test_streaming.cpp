@@ -22,6 +22,8 @@
 #include <thread>
 #include <vector>
 
+#include "core/deadline.hpp"
+#include "core/extrapolator.hpp"
 #include "core/fit_memo.hpp"
 #include "core/prediction_io.hpp"
 #include "core/predictor.hpp"
@@ -241,6 +243,56 @@ TEST(StreamingGolden, AppendExecutesOnlyNewPrefixFits) {
   EXPECT_LT(new_misses, base_misses)
       << "append re-ran " << new_misses << " of " << base_misses
       << " fits — the memo is not carrying old prefixes";
+}
+
+// An abandoned enumeration must leave the memo untouched: a slot whose job
+// never ran holds no fit, and replaying that "no fit" later would change
+// the answer. The next complete enumeration then fits and inserts every
+// slot, and its candidates equal a memo-free run's bit for bit.
+TEST(StreamingGolden, AbandonedEnumerationInsertsNothingIntoTheMemo) {
+  const auto ms = campaign(4);
+  const auto& ys = ms.categories.front().values;
+  const core::ExtrapolationConfig cfg;
+  const std::size_t slots =
+      core::kAllKernels.size() *
+      (ms.cores.size() - 2 - static_cast<std::size_t>(cfg.min_prefix) + 1);
+  for (const auto engine :
+       {core::FitEngine::kReference, core::FitEngine::kBatched}) {
+    core::FitMemo memo;
+    core::Deadline expired;
+    expired.cancel();
+    core::ExecContext ctx;
+    ctx.engine = engine;
+    ctx.memo = &memo;
+    ctx.deadline = &expired;
+    core::EnumerationStats abandoned;
+    EXPECT_TRUE(core::enumerate_candidates(ms.cores, ys, cfg, ctx, nullptr,
+                                           &abandoned)
+                    .empty());
+    EXPECT_EQ(abandoned.fits_cancelled, slots);
+    EXPECT_EQ(memo.stats().entries, 0u);
+
+    ctx.deadline = nullptr;
+    core::EnumerationStats completed;
+    const auto got =
+        core::enumerate_candidates(ms.cores, ys, cfg, ctx, nullptr, &completed);
+    core::ExecContext cold_ctx;
+    cold_ctx.engine = engine;
+    const auto want = core::enumerate_candidates(ms.cores, ys, cfg, cold_ctx);
+    ASSERT_EQ(got.size(), want.size());
+    ASSERT_FALSE(want.empty());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].fn.type, want[i].fn.type);
+      EXPECT_EQ(got[i].fn.params, want[i].fn.params);  // bitwise
+      EXPECT_EQ(got[i].fn.y_scale, want[i].fn.y_scale);
+      EXPECT_EQ(got[i].prefix_len, want[i].prefix_len);
+      EXPECT_EQ(got[i].checkpoints, want[i].checkpoints);
+      EXPECT_EQ(got[i].checkpoint_rmse, want[i].checkpoint_rmse);  // bitwise
+    }
+    EXPECT_EQ(completed.fits_cancelled, 0u);
+    EXPECT_EQ(completed.memo_hits, 0u);
+    EXPECT_EQ(memo.stats().entries, slots);
+  }
 }
 
 // ---------------------------------------------------------------------------
