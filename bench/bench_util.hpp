@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/measurement.hpp"
@@ -57,6 +58,11 @@ class LatencyRecorder {
  private:
   obs::Histogram hist_;
 };
+
+/// The host's logical core count (0 when unknown). Every BENCH_*.json
+/// records it next to its "bench" key: a throughput or latency figure means
+/// little without the hardware it was measured on.
+inline unsigned host_cores() { return std::thread::hardware_concurrency(); }
 
 /// Emits a LatencyRecorder's quantiles as a keyed object into an open
 /// JSON object: "<key>": {"count":..., "p50_ms":..., ...}. Every

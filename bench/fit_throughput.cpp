@@ -288,6 +288,7 @@ int run_bench(int argc, char** argv) {
   estima::obs::JsonWriter w;
   w.begin_object();
   w.kv("bench", "fit_throughput");
+  w.kv("host_cores", estima::bench::host_cores());
   w.kv("measured_points", points);
   w.kv("target_cores", target);
   w.kv("pool_threads", threads);

@@ -504,6 +504,7 @@ int run_bench(int argc, char** argv) {
   estima::obs::JsonWriter w;
   w.begin_object();
   w.kv("bench", "net_throughput");
+  w.kv("host_cores", estima::bench::host_cores());
   w.kv("campaigns", campaigns);
   w.kv("measured_points", points);
   w.kv("target_cores", target);

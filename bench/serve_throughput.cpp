@@ -331,6 +331,7 @@ int run_bench(int argc, char** argv) {
   estima::obs::JsonWriter w;
   w.begin_object();
   w.kv("bench", "serve_throughput");
+  w.kv("host_cores", estima::bench::host_cores());
   w.kv("campaigns", campaigns);
   w.kv("repeat_per_batch", repeat);
   w.kv("measured_points", points);

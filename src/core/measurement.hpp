@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace estima::core {
@@ -74,6 +75,23 @@ struct MeasurementSet {
 /// the row bytes go out unformatted: the stream's flags and locale never
 /// change them.
 void write_csv(std::ostream& os, const MeasurementSet& ms);
+
+/// Parses the CSV format above from an in-memory body, in place: lines and
+/// cells are views over `body` (no stream, no per-cell string), and
+/// numbers go through core/text_parse.hpp's whole-cell rule (from_chars,
+/// strtod for anything from_chars does not take whole). Line handling is
+/// std::getline's: '\n' ends a line, a trailing '\r' is dropped, and a
+/// final line needs no '\n'. Blank lines and '#' lines between data rows
+/// are skipped. A data row has exactly one cell per column — a trailing
+/// ',' counts as an empty (rejected) cell — while a trailing ',' on the
+/// column header adds no column. The header must start with
+/// cores,time_s; metadata numbers (freq_ghz, dataset_bytes) follow the
+/// cell rule. Throws std::invalid_argument, naming the line, on any
+/// malformed input.
+MeasurementSet read_csv(std::string_view body);
+
+/// The same parse over a stream (files, tests): reads the rest of `is` in
+/// one go and calls read_csv(std::string_view).
 MeasurementSet read_csv(std::istream& is);
 
 /// File-based convenience wrappers.

@@ -4,7 +4,8 @@
 // Mirrors write_csv's round-trip guarantee and extends it: every double is
 // formatted so that reading it back reproduces the identical bit pattern
 // (%.17g decimal for finite values; "inf"/"-inf"/"nan" survive too,
-// parsed with strtod rather than istream extraction, which rejects them).
+// parsed by core/text_parse.hpp's strtod rule rather than istream
+// extraction, which rejects them).
 // Category and kernel names may contain spaces and commas; names are
 // written as the remainder of their line, so any single-line string
 // round-trips. The format is line-oriented and self-terminating

@@ -13,13 +13,32 @@
 // writes — max_digits10 significant digits, "inf"/"-inf"/"nan"/"-nan" for
 // the non-finite values — so every double reads back bit-identical.
 //
-// Parsing goes through strtod/strtoll,
-// not istream extraction or stod: strtod accepts "inf"/"-inf"/"nan"
-// (which istream rejects), and the whole-cell check rejects trailing
-// garbage ("1x" must not parse as 1, silently corrupting a campaign).
-// Callers wrap the nullopt into their own error message (with their own
-// line numbers / line text), so diagnostics stay format-specific while
-// the semantics stay shared.
+// Parsing is defined by strtod/strtoll/strtoull, not istream extraction
+// or stod: strtod accepts "inf"/"-inf"/"nan" (which istream rejects), and
+// the whole-cell check rejects trailing garbage ("1x" must not parse as
+// 1, silently corrupting a campaign). Callers wrap the nullopt into their
+// own error message (with their own line numbers / line text), so
+// diagnostics stay format-specific while the semantics stay shared.
+//
+// The parsers take the cell as a view and run in two steps:
+//   - Fast path: std::from_chars over the view. Its result is used only
+//     when it consumed the whole cell with errc{} and, for doubles, gave
+//     a finite value. Plain decimal cells — everything the emitters
+//     write except inf/nan — take this path, with no copy and no errno.
+//   - Fallback: anything else is copied into a std::string and decided by
+//     the strtod/strtoll/strtoull rule unchanged (detail::parse_*_rule).
+//     That covers leading whitespace, '+', hex floats, inf/nan with sign
+//     and payload, overflow (rejected), underflow to zero (kept: from_chars
+//     reports it as out of range, strtod returns the zero) and every
+//     rejection. Subnormals take the fast path; both parsers round them
+//     the same way.
+// The two steps cannot disagree: from_chars's grammar is a subset of
+// strtod's, strtoll's and strtoull's, an in-range from_chars integer is
+// the strtoll/strtoull value, and both double parsers round correctly to
+// nearest. Precondition: the "C" locale for LC_NUMERIC (strtod would
+// otherwise take a locale decimal point) and the default rounding mode
+// (from_chars always rounds to nearest; strtod follows fesetround). The
+// daemon, the benches and the tests never change either.
 #pragma once
 
 #include <cerrno>
@@ -31,6 +50,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <system_error>
 #include <type_traits>
 
@@ -69,12 +89,18 @@ inline void strip_cr(std::string& line) {
   if (!line.empty() && line.back() == '\r') line.pop_back();
 }
 
-/// Whole-cell double: the entire cell must be one number (literal "inf"/
-/// "nan" included). Returns nullopt otherwise — including on overflow: a
-/// typo'd exponent ("1e999") must be rejected, not silently loaded as
-/// infinity. Underflow is NOT rejected (glibc sets ERANGE for denormals
-/// too, and the bit-exact round-trip carries denormals).
-inline std::optional<double> parse_f64(const std::string& cell) {
+inline void strip_cr(std::string_view& line) {
+  if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
+}
+
+namespace detail {
+
+/// The strtod rule that defines parse_f64: the entire cell must be one
+/// number (literal "inf"/"nan" included), and overflow is rejected — a
+/// typo'd exponent ("1e999") must not silently load as infinity.
+/// Underflow is NOT rejected (glibc sets ERANGE for denormals too, and the
+/// bit-exact round-trip carries denormals).
+inline std::optional<double> parse_f64_rule(const std::string& cell) {
   if (cell.empty()) return std::nullopt;
   char* end = nullptr;
   errno = 0;
@@ -86,8 +112,8 @@ inline std::optional<double> parse_f64(const std::string& cell) {
   return v;
 }
 
-/// Whole-cell decimal int within `int` range.
-inline std::optional<int> parse_i32(const std::string& cell) {
+/// The strtoll rule that defines parse_i32: whole cell, within `int`.
+inline std::optional<int> parse_i32_rule(const std::string& cell) {
   if (cell.empty()) return std::nullopt;
   char* end = nullptr;
   errno = 0;
@@ -100,8 +126,8 @@ inline std::optional<int> parse_i32(const std::string& cell) {
   return static_cast<int>(v);
 }
 
-/// Whole-cell decimal u64.
-inline std::optional<std::uint64_t> parse_u64(const std::string& cell) {
+/// The strtoull rule that defines parse_u64: whole cell, no leading '-'.
+inline std::optional<std::uint64_t> parse_u64_rule(const std::string& cell) {
   if (cell.empty() || cell[0] == '-') return std::nullopt;
   char* end = nullptr;
   errno = 0;
@@ -110,6 +136,38 @@ inline std::optional<std::uint64_t> parse_u64(const std::string& cell) {
     return std::nullopt;
   }
   return static_cast<std::uint64_t>(v);
+}
+
+/// True when std::from_chars read all of `cell` as one T (the fast path).
+template <typename T>
+bool from_chars_whole(std::string_view cell, T& v) {
+  if (cell.empty()) return false;
+  const char* const last = cell.data() + cell.size();
+  const auto r = std::from_chars(cell.data(), last, v);
+  return r.ec == std::errc() && r.ptr == last;
+}
+
+}  // namespace detail
+
+/// Whole-cell double (parse_f64_rule's semantics, from_chars fast path).
+inline std::optional<double> parse_f64(std::string_view cell) {
+  double v = 0.0;
+  if (detail::from_chars_whole(cell, v) && std::isfinite(v)) return v;
+  return detail::parse_f64_rule(std::string(cell));
+}
+
+/// Whole-cell decimal int within `int` range (parse_i32_rule's semantics).
+inline std::optional<int> parse_i32(std::string_view cell) {
+  int v = 0;
+  if (detail::from_chars_whole(cell, v)) return v;
+  return detail::parse_i32_rule(std::string(cell));
+}
+
+/// Whole-cell decimal u64 (parse_u64_rule's semantics).
+inline std::optional<std::uint64_t> parse_u64(std::string_view cell) {
+  std::uint64_t v = 0;
+  if (detail::from_chars_whole(cell, v)) return v;
+  return detail::parse_u64_rule(std::string(cell));
 }
 
 }  // namespace estima::core::textparse

@@ -4,7 +4,6 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
-#include <sstream>
 #include <stdexcept>
 
 #include "core/deadline.hpp"
@@ -38,11 +37,6 @@ net::HttpResponse method_not_allowed(const std::string& allow) {
   net::HttpResponse resp = text_response(405, "method not allowed");
   resp.headers.emplace_back("allow", allow);
   return resp;
-}
-
-core::MeasurementSet campaign_from_csv(const std::string& csv) {
-  std::istringstream is(csv);
-  return core::read_csv(is);  // throws std::invalid_argument on bad input
 }
 
 net::HttpResponse json_response(const obs::JsonWriter& w) {
@@ -329,7 +323,7 @@ net::HttpResponse ServiceRouter::handle_predict(
     const core::Deadline* deadline, RequestEvent& ev) {
   obs::TraceContext* const trace = ctx.trace.get();
   obs::SpanTimer parse_span(trace, obs::Stage::kParse);
-  const core::MeasurementSet ms = campaign_from_csv(req.body);
+  const core::MeasurementSet ms = core::read_csv(req.body);
   parse_span.stop();
   ev.has_campaign = true;
   ev.campaign_hash = service_.hash_of(ms);
@@ -370,7 +364,7 @@ net::HttpResponse ServiceRouter::handle_explain(
     const core::Deadline* deadline, RequestEvent& ev) {
   obs::TraceContext* const trace = ctx.trace.get();
   obs::SpanTimer parse_span(trace, obs::Stage::kParse);
-  const core::MeasurementSet ms = campaign_from_csv(req.body);
+  const core::MeasurementSet ms = core::read_csv(req.body);
   parse_span.stop();
   const std::uint64_t hash = service_.hash_of(ms);
   ev.has_campaign = true;
@@ -491,7 +485,7 @@ net::HttpResponse ServiceRouter::handle_campaigns(
     // lands in the cache under the new hash for subsequent GETs.
     if (req.method != "POST") return method_not_allowed("POST");
     obs::SpanTimer parse_span(trace, obs::Stage::kParse);
-    const core::MeasurementSet delta = campaign_from_csv(req.body);
+    const core::MeasurementSet delta = core::read_csv(req.body);
     parse_span.stop();
     CampaignInfo info = campaigns_.append(name, delta);
     CacheDisposition disp = CacheDisposition::kUnknown;
@@ -520,7 +514,7 @@ net::HttpResponse ServiceRouter::handle_campaigns(
     // Create (201) or replace (200) from the same CSV body /v1/predict
     // takes; a campaign predict() would reject is never stored.
     obs::SpanTimer parse_span(trace, obs::Stage::kParse);
-    core::MeasurementSet ms = campaign_from_csv(req.body);
+    core::MeasurementSet ms = core::read_csv(req.body);
     parse_span.stop();
     bool created = false;
     const CampaignInfo info =
@@ -590,7 +584,7 @@ net::HttpResponse ServiceRouter::handle_predict_batch(
   campaigns.reserve(csvs.size());
   for (std::size_t i = 0; i < csvs.size(); ++i) {
     try {
-      campaigns.push_back(campaign_from_csv(csvs[i]));
+      campaigns.push_back(core::read_csv(csvs[i]));
     } catch (const std::invalid_argument& e) {
       throw std::invalid_argument("campaign frame " + std::to_string(i) +
                                   ": " + e.what());

@@ -20,8 +20,12 @@
 #include "core/prediction_io.hpp"
 #include "core/predictor.hpp"
 #include "core/text_parse.hpp"
+#include "legacy_readers.hpp"
 #include "legacy_writers.hpp"
 #include "parallel/thread_pool.hpp"
+#include "simmachine/machine.hpp"
+#include "simmachine/presets.hpp"
+#include "simmachine/simulator.hpp"
 
 namespace estima::core {
 namespace {
@@ -219,6 +223,54 @@ TEST(Measurement, CsvRejectsGarbage) {
   std::istringstream bad_first(
       "# workload=w machine=m\nnotcores,time_s\n");
   EXPECT_THROW(read_csv(bad_first), std::invalid_argument);
+}
+
+TEST(Measurement, CsvMetadataNumbersFollowTheCellRule) {
+  const auto body = [](const std::string& meta) {
+    return "# workload=w machine=m " + meta + "\ncores,time_s\n1,1.0\n";
+  };
+  // stod loaded "2.1GHz" as 2.1, answered "fast" with a bare "stod" and
+  // threw std::out_of_range (a 500 at the router) on "1e999".
+  for (const std::string bad :
+       {"freq_ghz=1e999", "freq_ghz=fast", "freq_ghz=2.1GHz", "freq_ghz=",
+        "dataset_bytes=-1e999", "dataset_bytes=1e9B", "dataset_bytes=0x"}) {
+    try {
+      read_csv(std::string_view(body(bad)));
+      FAIL() << bad << ": expected std::invalid_argument";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()),
+                "measurement csv: malformed metadata value '" + bad + "'");
+    }
+  }
+  // Whatever a data cell takes, a metadata number takes: subnormals (stod
+  // threw std::out_of_range), inf, hex.
+  const auto ms = read_csv(std::string_view(
+      body("freq_ghz=1e-310 dataset_bytes=0x1p30")));
+  EXPECT_EQ(ms.freq_ghz, 1e-310);
+  EXPECT_EQ(ms.dataset_bytes, 1073741824.0);
+  EXPECT_EQ(read_csv(std::string_view(body("freq_ghz=inf"))).freq_ghz,
+            std::numeric_limits<double>::infinity());
+  EXPECT_EQ(read_csv(std::string_view(body("freq_ghz=2.1"))).freq_ghz, 2.1);
+}
+
+TEST(Measurement, CsvRejectsColumnHeadersWithoutCoresAndTimeS) {
+  // These passed with no time_s check: "cores" alone took two-cell rows.
+  for (const std::string header : {"cores", "cores,", ""}) {
+    const std::string body =
+        "# workload=w machine=m\n" + header + "\n1,1.0\n";
+    try {
+      read_csv(std::string_view(body));
+      FAIL() << "header '" << header << "': expected std::invalid_argument";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()),
+                "measurement csv: column header must start with cores,time_s");
+    }
+  }
+  // cores,time_s alone is a campaign without stall categories.
+  const auto ms =
+      read_csv(std::string_view("# workload=w\ncores,time_s\n1,1.0\n"));
+  EXPECT_EQ(ms.num_points(), 1u);
+  EXPECT_TRUE(ms.categories.empty());
 }
 
 TEST(Measurement, DomainNames) {
@@ -492,6 +544,392 @@ TEST(PredictionWriter, GlobalLocaleDoesNotChangeTheBytes) {
   ASSERT_NO_THROW(ms_back = read_csv(csv_is));
   EXPECT_EQ(ms_back.time_s, ms.time_s);
   EXPECT_EQ(ms_back.categories[0].values, ms.categories[0].values);
+}
+
+// ---------------------------------------------------------------------------
+// Readers: the in-place read_csv and the from_chars fast path held bitwise
+// to the legacy stream reader and strtod rule (tests/legacy_readers.hpp):
+// the same value, or the same exception type and message.
+
+using testing::legacy_parse_f64;
+using testing::legacy_parse_i32;
+using testing::legacy_parse_u64;
+using testing::legacy_read_csv;
+
+std::uint64_t bits_of(double v) {
+  std::uint64_t b;
+  std::memcpy(&b, &v, sizeof b);
+  return b;
+}
+
+template <typename T>
+bool same_cell(const std::optional<T>& a, const std::optional<T>& b) {
+  if (a.has_value() != b.has_value()) return false;
+  if (!a) return true;
+  if constexpr (std::is_same_v<T, double>) {
+    return bits_of(*a) == bits_of(*b);
+  } else {
+    return *a == *b;
+  }
+}
+
+/// Counts the cells on which any of the three parsers disagrees with its
+/// legacy rule; reports the first few.
+std::size_t cell_rule_mismatches(const std::vector<std::string>& cells) {
+  std::size_t bad = 0;
+  for (const std::string& c : cells) {
+    const bool ok = same_cell(textparse::parse_f64(c), legacy_parse_f64(c)) &&
+                    same_cell(textparse::parse_i32(c), legacy_parse_i32(c)) &&
+                    same_cell(textparse::parse_u64(c), legacy_parse_u64(c));
+    if (!ok && ++bad <= 10) {
+      ADD_FAILURE() << "cell rule differs on '" << c << "'";
+    }
+  }
+  return bad;
+}
+
+std::string printed(const char* fmt, double v) {
+  char buf[1100];  // "%.17f" of DBL_MAX is 327 chars
+  const int n = std::snprintf(buf, sizeof buf, fmt, v);
+  return std::string(buf, static_cast<std::size_t>(n));
+}
+
+TEST(CellRule, EdgeCellsMatchTheStrtodRule) {
+  std::vector<std::string> cells = {
+      "", " ", "0", "-0", "+0", "00", "007", "1", "-1", "+1", " 1", "1 ",
+      "\t1", "1\n", ".", "-", "+", "e", "e5", "1e", "1e+", "1e-", "1.",
+      ".5", "-.5", "+.5", "5.e3", "1,5", "1_000", "1x", "0x", "0x1p3",
+      "0X1P-3", "-0x1.8p1", "0x10", "0b1", "inf", "-inf", "+inf", "INF",
+      "Inf", "infinity", "-Infinity", "infin", "nan", "-nan", "+nan", "NaN",
+      "nan(123)", "nan(0x7ff)", "-nan(1)", "nan(", "nanx", "1e999",
+      "-1e999", "1e308", "1.7976931348623157e308", "1.7976931348623158e308",
+      "1.7976931348623159e308", "-1.7976931348623159e308", "1e-999",
+      "-1e-999", "1e-400", "2e-324", "2.4703282292062327e-324",
+      "2.4703282292062328e-324", "4.9406564584124654e-324", "5e-324",
+      "1e-310", "-1e-310", "2.2250738585072011e-308",
+      "2.2250738585072014e-308", "9007199254740993", "9007199254740992.5",
+      "0.1", "0.30000000000000004", "123456789012345678901234567890",
+      "1e99999999999999999999", "1e-99999999999999999999",
+      "0e99999999999999999999", "2147483647", "2147483648", "-2147483648",
+      "-2147483649", "9223372036854775807", "9223372036854775808",
+      "-9223372036854775808", "-9223372036854775809",
+      "18446744073709551615", "18446744073709551616", " -1", "--1", "-+1",
+      "1.0", "1e0", "٣", "\xef\xbc\x91", "\xff", "1.5e+03", "1.5E-03"};
+  cells.push_back(std::string("1\0", 2));
+  cells.push_back(std::string("\0" "1", 2));
+  cells.push_back(std::string(800, '9'));
+  cells.push_back("0." + std::string(800, '0') + "1");
+  cells.push_back("1" + std::string(400, '0') + "e-400");
+  EXPECT_EQ(cell_rule_mismatches(cells), 0u);
+}
+
+TEST(CellRule, RandomCellsMatchTheStrtodRule) {
+  std::mt19937_64 rng(0xCE11);
+  std::vector<std::string> cells;
+  // Random-bit doubles as every writer prints them (%.17g), plus shorter,
+  // fixed, scientific and hex forms.
+  const char* const fmts[] = {"%.17g", "%.17g", "%.17g", "%.17g",
+                              "%.3g",  "%.6e",  "%a",    "%.17f"};
+  for (int i = 0; i < (1 << 21); ++i) {
+    const std::uint64_t r = rng();
+    cells.push_back(printed(fmts[r & 7], from_bits(r)));
+  }
+  // Record-range values (the bulk of real cells).
+  std::uniform_real_distribution<double> mag(-30.0, 30.0);
+  for (int i = 0; i < (1 << 18); ++i) {
+    cells.push_back(printed("%.17g", std::pow(10.0, mag(rng))));
+  }
+  // Integers of every width, both signs.
+  for (int i = 0; i < (1 << 16); ++i) {
+    const std::uint64_t r = rng();
+    const unsigned shift = static_cast<unsigned>(r % 64);
+    cells.push_back(std::to_string((r >> shift) ^ (r & 1 ? 0 : 1)));
+    cells.push_back(std::to_string(-static_cast<long long>(r >> (shift | 1))));
+  }
+  // Random strings over the numeric alphabet plus a few strangers.
+  const std::string alpha = "0123456789012345678901234567.eE+-xpinfa() ,\t";
+  for (int i = 0; i < (1 << 18); ++i) {
+    const std::size_t len = 1 + rng() % 24;
+    std::string c;
+    for (std::size_t k = 0; k < len; ++k) c += alpha[rng() % alpha.size()];
+    if (rng() % 64 == 0) c[rng() % len] = '\0';
+    cells.push_back(std::move(c));
+  }
+  ASSERT_GT(cells.size(), 2500000u);
+  EXPECT_EQ(cell_rule_mismatches(cells), 0u);
+}
+
+bool same_set(const MeasurementSet& a, const MeasurementSet& b) {
+  const auto same_series = [](const std::vector<double>& x,
+                              const std::vector<double>& y) {
+    if (x.size() != y.size()) return false;
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      if (bits_of(x[i]) != bits_of(y[i])) return false;
+    }
+    return true;
+  };
+  if (a.workload != b.workload || a.machine != b.machine ||
+      bits_of(a.freq_ghz) != bits_of(b.freq_ghz) ||
+      bits_of(a.dataset_bytes) != bits_of(b.dataset_bytes) ||
+      a.cores != b.cores || !same_series(a.time_s, b.time_s) ||
+      a.categories.size() != b.categories.size()) {
+    return false;
+  }
+  for (std::size_t c = 0; c < a.categories.size(); ++c) {
+    if (a.categories[c].name != b.categories[c].name ||
+        a.categories[c].domain != b.categories[c].domain ||
+        !same_series(a.categories[c].values, b.categories[c].values)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// A reader's answer to one body: the set, or the exception it threw.
+struct ReadOutcome {
+  bool ok = false;
+  MeasurementSet ms;
+  std::string error;  // "<type>: <what()>"
+};
+
+template <typename Read>
+ReadOutcome outcome_of(Read&& read) {
+  ReadOutcome o;
+  try {
+    o.ms = read();
+    o.ok = true;
+  } catch (const std::invalid_argument& e) {
+    o.error = std::string("invalid_argument: ") + e.what();
+  } catch (const std::out_of_range& e) {
+    o.error = std::string("out_of_range: ") + e.what();
+  } catch (const std::exception& e) {
+    o.error = std::string("exception: ") + e.what();
+  }
+  return o;
+}
+
+bool same_outcome(const ReadOutcome& a, const ReadOutcome& b) {
+  return a.ok == b.ok && (a.ok ? same_set(a.ms, b.ms) : a.error == b.error);
+}
+
+/// True when the two bugfixes make the reader answer differently from the
+/// legacy one by design: a freq_ghz / dataset_bytes value that std::stod
+/// rejects or reads differently from the cell rule, or a column header
+/// with fewer than two columns that starts with "cores". Both have their
+/// own tests above.
+bool changed_by_design(const std::string& body) {
+  std::istringstream is(body);
+  std::string line;
+  if (!std::getline(is, line)) return false;
+  if (!line.empty() && line.back() == '\r') line.pop_back();
+  if (line.empty() || line[0] != '#') return false;
+  std::istringstream meta(line.substr(1));
+  std::string tok;
+  while (meta >> tok) {
+    const auto eq = tok.find('=');
+    if (eq == std::string::npos) continue;
+    const std::string key = tok.substr(0, eq);
+    if (key != "freq_ghz" && key != "dataset_bytes") continue;
+    const std::string val = tok.substr(eq + 1);
+    std::optional<double> by_stod;
+    try {
+      by_stod = std::stod(val);
+    } catch (const std::exception&) {
+    }
+    // A value stod rejects is rejected with a different message now.
+    if (!by_stod || !same_cell(by_stod, textparse::parse_f64(val))) {
+      return true;
+    }
+  }
+  if (!std::getline(is, line)) return false;
+  if (!line.empty() && line.back() == '\r') line.pop_back();
+  // A one-column header other than "cores" fails the first-column check
+  // in both readers.
+  return line.empty() || line == "cores" || line == "cores,";
+}
+
+/// Holds read_csv (view and stream forms) to the legacy reader on one
+/// body. Returns false (without comparing) for a carved-out body.
+bool expect_reader_matches_legacy(const std::string& body,
+                                  const std::string& label) {
+  if (changed_by_design(body)) return false;
+  const ReadOutcome want = outcome_of([&] { return legacy_read_csv(body); });
+  const ReadOutcome view =
+      outcome_of([&] { return read_csv(std::string_view(body)); });
+  EXPECT_TRUE(same_outcome(view, want))
+      << label << ": view reader '" << view.error << "' vs legacy '"
+      << want.error << "'";
+  std::istringstream is(body);
+  const ReadOutcome stream = outcome_of([&] { return read_csv(is); });
+  EXPECT_TRUE(same_outcome(stream, want))
+      << label << ": stream reader '" << stream.error << "' vs legacy '"
+      << want.error << "'";
+  return true;
+}
+
+std::vector<std::string> split_lines(const std::string& body) {
+  std::vector<std::string> lines;
+  std::istringstream is(body);
+  std::string line;
+  while (std::getline(is, line)) lines.push_back(line);
+  return lines;
+}
+
+std::string joined(const std::vector<std::string>& lines,
+                   const std::string& eol, bool final_eol = true) {
+  std::string out;
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    out += lines[i];
+    if (i + 1 < lines.size() || final_eol) out += eol;
+  }
+  return out;
+}
+
+/// The corpus bodies: the committed demo campaigns and simulated campaigns
+/// of every preset on both 48-core machines.
+std::vector<std::pair<std::string, std::string>> reader_corpus() {
+  std::vector<std::pair<std::string, std::string>> out;
+  for (int i = 0; i < 6; ++i) {
+    const std::string path = std::string(ESTIMA_SOURCE_DIR) +
+                             "/serve_demo_campaigns/campaign_" +
+                             std::to_string(i) + ".csv";
+    out.emplace_back(path, read_file(path));
+  }
+  for (const auto& machine : {sim::opteron48(), sim::xeon48()}) {
+    for (const std::string& name : sim::presets::all_workload_names()) {
+      const auto ms = sim::simulate(sim::presets::workload(name), machine,
+                                    {1, 2, 3, 4, 6, 8, 12, 16, 24, 32, 48});
+      out.emplace_back(name + "@" + machine.name, written_csv(ms));
+    }
+  }
+  return out;
+}
+
+/// Well-formed and malformed variants of one body: line endings, comments,
+/// blank lines, short/long rows, trailing commas, embedded NULs, a missing
+/// final newline, and single-byte edits.
+std::vector<std::string> variants_of(const std::string& body,
+                                     std::mt19937_64& rng) {
+  const std::vector<std::string> lines = split_lines(body);
+  std::vector<std::string> out = {body, joined(lines, "\r\n"),
+                                  joined(lines, "\n", false),
+                                  joined(lines, "\r\n", false)};
+  const std::size_t n = lines.size();
+  const auto edited = [&](std::size_t at, const std::string& line) {
+    std::vector<std::string> l = lines;
+    l[at] = line;
+    return joined(l, "\n");
+  };
+  const auto inserted = [&](std::size_t at, const std::string& line) {
+    std::vector<std::string> l = lines;
+    l.insert(l.begin() + static_cast<std::ptrdiff_t>(at), line);
+    return joined(l, "\n");
+  };
+  const std::size_t row = 2 + rng() % (n - 2);  // a data row
+  const std::string& r = lines[row];
+  for (const std::string extra : {"", "\r", "# comment, with commas", "#",
+                                  "\r\r", " ", ","}) {
+    out.push_back(inserted(row, extra));
+    out.push_back(inserted(n, extra));
+    out.push_back(inserted(1, extra));  // between metadata and header
+  }
+  out.push_back(edited(row, r + ","));
+  out.push_back(edited(row, r + ",1"));
+  out.push_back(edited(row, r.substr(0, r.rfind(','))));
+  out.push_back(edited(row, "," + r));
+  out.push_back(edited(row, r + "\r"));
+  out.push_back(edited(row, r + " "));
+  out.push_back(edited(1, lines[1] + ","));
+  out.push_back(edited(1, lines[1] + ",,"));
+  out.push_back(edited(1, lines[1] + ",hw:extra"));
+  out.push_back(edited(1, lines[1] + ",xx:extra"));
+  out.push_back(edited(1, lines[1] + ",noprefix"));
+  out.push_back(edited(0, lines[0] + " \t\v\f token_without_eq ="));
+  out.push_back(edited(0, "#workload=a=b machine= freq_ghz=3"));
+  out.push_back(edited(0, lines[0].substr(1)));
+  std::string nul_cell = r;
+  nul_cell.insert(r.size() / 2, 1, '\0');
+  out.push_back(edited(row, nul_cell));
+  std::string nul_name = lines[1];
+  nul_name.insert(nul_name.size() - 1, 1, '\0');
+  out.push_back(edited(1, nul_name));
+  out.push_back(edited(0, lines[0] + " note=" + std::string(1, '\0')));
+  // Swap two rows (non-ascending cores) and duplicate one.
+  {
+    std::vector<std::string> l = lines;
+    std::swap(l[2], l[n - 1]);
+    out.push_back(joined(l, "\n"));
+    l = lines;
+    l.insert(l.begin() + 3, l[2]);
+    out.push_back(joined(l, "\n"));
+  }
+  // Single-byte edits and truncations anywhere.
+  const std::string strangers = std::string(",\n\r#-+e.x 0\t", 12) + '\0';
+  for (int k = 0; k < 24; ++k) {
+    std::string b = body;
+    b[rng() % b.size()] = strangers[rng() % strangers.size()];
+    out.push_back(std::move(b));
+    out.push_back(body.substr(0, rng() % body.size()));
+  }
+  return out;
+}
+
+TEST(CsvReader, CorpusBodiesAndVariantsMatchTheLegacyReader) {
+  std::mt19937_64 rng(0xC5F);
+  std::size_t compared = 0, accepted = 0, carved_out = 0;
+  const auto corpus = reader_corpus();
+  ASSERT_EQ(corpus.size(), 6 + 2 * sim::presets::all_workload_names().size());
+  for (const auto& [label, body] : corpus) {
+    const auto variants = variants_of(body, rng);
+    for (std::size_t v = 0; v < variants.size(); ++v) {
+      if (!expect_reader_matches_legacy(variants[v],
+                                        label + " variant " +
+                                            std::to_string(v))) {
+        ++carved_out;
+        continue;
+      }
+      ++compared;
+      if (v == 0) {
+        EXPECT_NO_THROW(read_csv(std::string_view(variants[v]))) << label;
+      }
+      accepted += outcome_of([&] {
+                    return read_csv(std::string_view(variants[v]));
+                  }).ok;
+    }
+  }
+  // Every body of the demo campaigns' byte prefixes, too: each truncation
+  // point of a line, a cell and a number.
+  for (std::size_t i = 0; i < 2; ++i) {
+    const std::string& body = corpus[i].second;
+    for (std::size_t len = 0; len <= body.size(); ++len) {
+      if (expect_reader_matches_legacy(body.substr(0, len),
+                                       corpus[i].first + " prefix " +
+                                           std::to_string(len))) {
+        ++compared;
+      } else {
+        ++carved_out;
+      }
+    }
+  }
+  // Not vacuous: thousands compared, both outcomes well represented, and
+  // the carve-out (short headers from truncation) stays a small minority.
+  EXPECT_GT(compared, 5000u);
+  EXPECT_GT(accepted, 500u);
+  EXPECT_GT(compared - accepted, 1000u);
+  EXPECT_LT(carved_out * 20, compared);
+}
+
+TEST(CsvReader, StreamFormReadsFromTheCurrentPosition) {
+  // The istream overload reads the rest of the stream, as the getline loop
+  // did; a stream that is not good() reads as empty.
+  const std::string body = written_csv(sample_set());
+  std::istringstream is("skipped" + body);
+  is.ignore(7);
+  EXPECT_TRUE(same_set(read_csv(is), sample_set()));
+  std::istringstream failed(body);
+  failed.setstate(std::ios::failbit);
+  EXPECT_THROW(read_csv(failed), std::invalid_argument);
+  EXPECT_THROW(legacy_read_csv(failed), std::invalid_argument);
 }
 
 }  // namespace

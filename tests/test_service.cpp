@@ -14,6 +14,11 @@
 #include "service/ingest.hpp"
 #include "service/result_cache.hpp"
 #include "synthetic.hpp"
+#ifdef ESTIMA_BUILD_NET
+#include <sstream>
+
+#include "service/routes.hpp"
+#endif
 
 namespace estima::service {
 namespace {
@@ -469,6 +474,62 @@ TEST(PredictionService, BaseContextCarriesOnlyPoolAndMetrics) {
   parallel::ThreadPool pool(1);
   EXPECT_NO_THROW(PredictionService service(scfg, &pool));
 }
+
+#ifdef ESTIMA_BUILD_NET
+// Every route that reads a campaign body answers a malformed metadata
+// number or a short column header with 400 and the reader's message —
+// never 500, which the router reserves for exceptions other than
+// std::invalid_argument (std::stod's std::out_of_range on "1e999" was one).
+TEST(ServiceRouter, MalformedCampaignHeadersAnswer400OnEveryCampaignRoute) {
+  PredictionService service(ServiceConfig{serving_config(), 64, 4, 0, 0, ""});
+  ServiceRouter router(service);
+  const auto request = [&](const std::string& method,
+                           const std::string& target,
+                           const std::string& body) {
+    net::HttpRequest req;
+    req.method = method;
+    req.target = target;
+    req.body = body;
+    return router.handle(req);
+  };
+  std::ostringstream good;
+  core::write_csv(good, campaign(1));
+  ASSERT_EQ(request("PUT", "/v1/campaigns/c", good.str()).status, 201);
+
+  const std::string rows = "1,1.0\n2,0.6\n";
+  const std::vector<std::pair<std::string, std::string>> bad = {
+      {"# workload=w freq_ghz=1e999\ncores,time_s\n" + rows,
+       "measurement csv: malformed metadata value 'freq_ghz=1e999'"},
+      {"# workload=w freq_ghz=fast\ncores,time_s\n" + rows,
+       "measurement csv: malformed metadata value 'freq_ghz=fast'"},
+      {"# workload=w freq_ghz=2.1GHz\ncores,time_s\n" + rows,
+       "measurement csv: malformed metadata value 'freq_ghz=2.1GHz'"},
+      {"# workload=w dataset_bytes=-1e999\ncores,time_s\n" + rows,
+       "measurement csv: malformed metadata value 'dataset_bytes=-1e999'"},
+      {"# workload=w\ncores\n" + rows,
+       "measurement csv: column header must start with cores,time_s"},
+      {"# workload=w\n\n" + rows,
+       "measurement csv: column header must start with cores,time_s"},
+  };
+  for (const auto& [body, message] : bad) {
+    for (const auto& [method, target] :
+         std::vector<std::pair<std::string, std::string>>{
+             {"POST", "/v1/predict"},
+             {"POST", "/v1/explain"},
+             {"PUT", "/v1/campaigns/d"},
+             {"POST", "/v1/campaigns/c/points"}}) {
+      const auto resp = request(method, target, body);
+      EXPECT_EQ(resp.status, 400) << method << ' ' << target << ": " << body;
+      EXPECT_EQ(resp.body, message + "\n") << method << ' ' << target;
+    }
+    const auto resp = request("POST", "/v1/predict_batch",
+                              frame_bodies({good.str(), body}, "campaign"));
+    EXPECT_EQ(resp.status, 400) << body;
+    EXPECT_EQ(resp.body, "campaign frame 1: " + message + "\n");
+  }
+  EXPECT_EQ(request("GET", "/v1/campaigns/d", "").status, 404);
+}
+#endif
 
 }  // namespace
 }  // namespace estima::service
