@@ -4,20 +4,22 @@
 // predictor reruns the candidate-enumeration loop (Section 3.1) for many
 // applications, so the pipeline's own speed is a first-class metric. Four
 // modes are measured:
-//   baseline  — one predict() per checkpoint setting, reference scalar fit
-//               engine, no pool: every setting refits every (kernel,
-//               prefix) pair, so one fit_kernel call runs per candidate,
-//               exactly the pre-optimization pipeline shape. One baseline
+//   baseline  — one predict() per checkpoint setting on the scalar oracle
+//               (tests/oracle/, plugged in through ExecContext::engine),
+//               no pool: every setting refits every (kernel, prefix)
+//               pair, so one fit_kernel call runs per candidate, exactly
+//               the pre-optimization pipeline shape. One baseline
 //               "prediction" is the whole sweep of settings. The bench
 //               exits 3 if the baseline ever shares a fit, since the
 //               speedup bar is measured against it;
-//   scalar    — one predict() over every setting, still the reference
-//               engine: each (kernel, prefix) pair is fitted once and
+//   scalar    — one predict() over every setting, still the scalar
+//               oracle: each (kernel, prefix) pair is fitted once and
 //               re-scored per setting, which isolates the sharing win
 //               from the SoA win;
-//   memoized  — the same with the batched SoA engine (lockstep multi-LM,
-//               panel realism walks), single-threaded;
-//   parallel  — batched + fit/category fan-out across a pool.
+//   memoized  — the same with the library's one engine (batched SoA
+//               panels, lockstep multi-LM, panel realism walks),
+//               single-threaded;
+//   parallel  — the library engine + fit/category fan-out across a pool.
 // The last three produce bit-identical predictions.
 //
 // Reports predictions/sec, fits/sec and LM kernel point-evals/sec per
@@ -44,8 +46,9 @@
 
 #include "bench/bench_util.hpp"
 #include "core/predictor.hpp"
+#include "oracle/scalar_fit.hpp"
 #include "parallel/thread_pool.hpp"
-#include "tests/synthetic.hpp"
+#include "simmachine/synthetic.hpp"
 
 namespace {
 
@@ -95,9 +98,9 @@ std::vector<estima::core::PredictionConfig> per_setting_configs(
   return out;
 }
 
-// How a mode executes: the engine and the pool. Neither can change the
-// answer.
-estima::core::ExecContext make_context(estima::core::FitEngine engine,
+// How a mode executes: the fill (null = the library's) and the pool.
+// Neither can change the answer.
+estima::core::ExecContext make_context(estima::core::FitFillFn engine,
                                        estima::parallel::ThreadPool* pool) {
   estima::core::ExecContext ctx(pool);
   ctx.engine = engine;
@@ -190,11 +193,11 @@ int run_bench(int argc, char** argv) {
   // A three-category synthetic campaign (two hardware series + software
   // aborts) with mild contention growth and noise — representative of the
   // paper's STAMP-style inputs.
-  estima::testing::SyntheticSpec spec;
+  estima::sim::SyntheticSpec spec;
   spec.stm_rate = 1e-4;
   spec.noise = 0.02;
   const auto ms =
-      estima::testing::make_synthetic(spec, estima::testing::counts_up_to(points));
+      estima::sim::make_synthetic(spec, estima::sim::counts_up_to(points));
 
   estima::parallel::ThreadPool pool(static_cast<std::size_t>(
       threads > 0 ? threads : 1));
@@ -203,29 +206,27 @@ int run_bench(int argc, char** argv) {
               "%d pool threads, %.1fs per mode\n",
               points, target, threads, seconds);
 
-  using estima::core::FitEngine;
   const estima::core::PredictionConfig cfg = make_config(target, ckmax);
   std::vector<ModeResult> results;
   const bool all = only_mode == "all";
+  const estima::core::FitFillFn oracle = &estima::core::scalar_fill;
   if (all || only_mode == "baseline") {
     results.push_back(run_mode("baseline", ms,
                                per_setting_configs(cfg, points),
-                               make_context(FitEngine::kReference, nullptr),
-                               seconds));
+                               make_context(oracle, nullptr), seconds));
   }
   if (all || only_mode == "scalar") {
     results.push_back(run_mode("scalar", ms, {cfg},
-                               make_context(FitEngine::kReference, nullptr),
-                               seconds));
+                               make_context(oracle, nullptr), seconds));
   }
   if (all || only_mode == "memoized") {
     results.push_back(run_mode("memoized", ms, {cfg},
-                               make_context(FitEngine::kBatched, nullptr),
+                               make_context(nullptr, nullptr),
                                seconds));
   }
   if (all || only_mode == "parallel") {
     results.push_back(run_mode("parallel", ms, {cfg},
-                               make_context(FitEngine::kBatched, &pool),
+                               make_context(nullptr, &pool),
                                seconds));
   }
 

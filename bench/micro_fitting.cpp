@@ -4,6 +4,8 @@
 // performance (a full 21-workload campaign sweep runs thousands of fits).
 #include <benchmark/benchmark.h>
 
+#include <optional>
+
 #include "core/extrapolator.hpp"
 #include "core/fit_engine.hpp"
 #include "core/predictor.hpp"
@@ -39,12 +41,20 @@ void BM_KernelEval(benchmark::State& state) {
 }
 BENCHMARK(BM_KernelEval)->DenseRange(0, 5);
 
+// One kernel fitted to one 12-point prefix by the production fitter.
 void BM_FitKernel(benchmark::State& state) {
   const auto type = core::kAllKernels[static_cast<std::size_t>(state.range(0))];
   const auto xs = sample_xs(12);
   const auto ys = sample_ys(xs);
+  core::EvalTables tables;
+  tables.assign(xs);
+  core::FitBatchWorkspace ws;
+  const std::size_t prefix = xs.size();
+  std::optional<core::FittedFunction> fit;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(core::fit_kernel(type, xs, ys));
+    core::fit_kernel_over_prefixes(type, xs, tables, ys, &prefix, 1, {}, ws,
+                                   &fit);
+    benchmark::DoNotOptimize(fit);
   }
 }
 BENCHMARK(BM_FitKernel)->DenseRange(0, 5);

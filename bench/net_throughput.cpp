@@ -61,7 +61,7 @@
 #include "service/prediction_service.hpp"
 #include "service/routes.hpp"
 #include "tests/net_support.hpp"
-#include "tests/synthetic.hpp"
+#include "simmachine/synthetic.hpp"
 
 namespace {
 
@@ -71,13 +71,13 @@ using estima::bench::parse_flag_d;
 using estima::bench::parse_flag_s;
 
 estima::core::MeasurementSet make_campaign(int seed, int points) {
-  estima::testing::SyntheticSpec spec;
+  estima::sim::SyntheticSpec spec;
   spec.mem_rate = 0.25 + 0.02 * (seed % 7);
   spec.serial_frac = 0.005 + 0.0015 * (seed % 5);
   spec.stm_rate = seed % 2 ? 1e-4 : 0.0;
   spec.noise = 0.02;
-  return estima::testing::make_synthetic(
-      spec, estima::testing::counts_up_to(points),
+  return estima::sim::make_synthetic(
+      spec, estima::sim::counts_up_to(points),
       ("net-campaign-" + std::to_string(seed)).c_str());
 }
 

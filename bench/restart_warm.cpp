@@ -37,7 +37,7 @@
 #include "core/predictor.hpp"
 #include "parallel/thread_pool.hpp"
 #include "service/prediction_service.hpp"
-#include "tests/synthetic.hpp"
+#include "simmachine/synthetic.hpp"
 
 namespace {
 
@@ -47,13 +47,13 @@ using estima::bench::parse_flag_d;
 using estima::bench::parse_flag_s;
 
 estima::core::MeasurementSet make_campaign(int seed, int points) {
-  estima::testing::SyntheticSpec spec;
+  estima::sim::SyntheticSpec spec;
   spec.mem_rate = 0.25 + 0.02 * (seed % 7);
   spec.serial_frac = 0.005 + 0.0015 * (seed % 5);
   spec.stm_rate = seed % 2 ? 1e-4 : 0.0;
   spec.noise = 0.02;
-  return estima::testing::make_synthetic(
-      spec, estima::testing::counts_up_to(points),
+  return estima::sim::make_synthetic(
+      spec, estima::sim::counts_up_to(points),
       ("restart-campaign-" + std::to_string(seed)).c_str());
 }
 

@@ -35,7 +35,7 @@
 #include "net/client.hpp"
 #include "obs/prometheus.hpp"
 #include "obs/trace.hpp"
-#include "tests/synthetic.hpp"
+#include "simmachine/synthetic.hpp"
 
 namespace {
 
@@ -120,11 +120,11 @@ int main(int argc, char** argv) {
     // Exercise the full pipeline (cold computes + warm cache hits) so the
     // stage histograms have samples, not just registrations.
     for (int i = 0; i < requests; ++i) {
-      testing::SyntheticSpec spec;
+      sim::SyntheticSpec spec;
       spec.mem_rate = 0.25 + 0.02 * (i % 3);
       spec.noise = 0.02;
-      const auto ms = testing::make_synthetic(
-          spec, testing::counts_up_to(16),
+      const auto ms = sim::make_synthetic(
+          spec, sim::counts_up_to(16),
           ("metrics-check-" + std::to_string(i % 3)).c_str());
       const std::string id = obs::format_trace_id(0xfeed0000u + i);
       const net::HttpResponse resp =
@@ -200,11 +200,11 @@ int main(int argc, char** argv) {
     // append the last 2, re-predict, delete — exactly what the campaign
     // counter families and the event-log dispositions must record.
     {
-      testing::SyntheticSpec spec;
+      sim::SyntheticSpec spec;
       spec.mem_rate = 0.31;
       spec.noise = 0.02;
-      const auto full = testing::make_synthetic(
-          spec, testing::counts_up_to(12), "metrics-campaign");
+      const auto full = sim::make_synthetic(
+          spec, sim::counts_up_to(12), "metrics-campaign");
       auto tail = full;
       tail.cores.assign(full.cores.begin() + 10, full.cores.end());
       tail.time_s.assign(full.time_s.begin() + 10, full.time_s.end());

@@ -26,7 +26,7 @@
 #include "parallel/thread_pool.hpp"
 #include "service/ingest.hpp"
 #include "service/prediction_service.hpp"
-#include "tests/synthetic.hpp"
+#include "simmachine/synthetic.hpp"
 
 namespace {
 
@@ -34,13 +34,13 @@ std::string write_demo_dir() {
   const std::string dir = "serve_demo_campaigns";
   std::filesystem::create_directories(dir);
   for (int i = 0; i < 6; ++i) {
-    estima::testing::SyntheticSpec spec;
+    estima::sim::SyntheticSpec spec;
     spec.mem_rate = 0.25 + 0.03 * i;
     spec.serial_frac = 0.004 + 0.002 * i;
     spec.stm_rate = i % 2 ? 1e-4 : 0.0;
     spec.noise = 0.02;
-    const auto ms = estima::testing::make_synthetic(
-        spec, estima::testing::counts_up_to(12),
+    const auto ms = estima::sim::make_synthetic(
+        spec, estima::sim::counts_up_to(12),
         ("demo-workload-" + std::to_string(i)).c_str());
     estima::core::save_csv(dir + "/campaign_" + std::to_string(i) + ".csv",
                            ms);

@@ -5,11 +5,11 @@
 // is the answer's identity: config_signature hashes the whole config, and
 // the result cache, snapshots and campaign hashes key on it.
 //
-// Everything else lives here: where the fits run (pool), which fitting
-// pipeline runs them (engine), when they stop (deadline), what observes
-// them (trace, audit, metrics) and what replays them (memo). None of these
-// can change a produced value — a deadline can only replace an answer with
-// DeadlineExceeded, and every engine, pool size and memo yields
+// Everything else lives here: where the fits run (pool), when they stop
+// (deadline), what observes them (trace, audit, metrics), what replays them
+// (memo) and the test seam that swaps the fill phase (engine). None of
+// these can change a produced value — a deadline can only replace an answer
+// with DeadlineExceeded, and every pool size, memo and fill yields
 // byte-identical output — so none of them are part of the identity.
 // Observation stays apart from the computation it observes.
 #pragma once
@@ -27,21 +27,14 @@ namespace estima::core {
 class Deadline;
 class FitMemo;
 struct FitMetrics;
+struct FitSlots;
 struct PredictionAudit;
+struct ExecContext;
 
-/// Which fitting pipeline executes the (kernel, prefix) jobs. Both produce
-/// bit-identical candidates — the batched engine restructures the *work*
-/// (SoA panels, lockstep LM, shared tables), never the arithmetic.
-enum class FitEngine {
-  /// Per-prefix batched jobs: all six kernels fitted in one pass over
-  /// shared EvalTables, LM starts advanced in lockstep, realism walks
-  /// scanned over precomputed grids. The default.
-  kBatched,
-  /// The scalar per-(kernel, prefix) path: one fit_kernel / is_realistic
-  /// call per job. Kept runnable as the bit-identity oracle and the
-  /// benchmark baseline.
-  kReference,
-};
+/// The fill phase of a candidate enumeration: fits the slots the memo did
+/// not answer, runs the realism filters and predicts (core/fit_slots.hpp
+/// has the contract).
+using FitFillFn = void (*)(FitSlots& slots, const ExecContext& ctx);
 
 struct ExecContext {
   ExecContext() = default;
@@ -80,8 +73,10 @@ struct ExecContext {
   /// unchanged; only EnumerationStats::memo_hits and the wall time move.
   /// Null = every fit executes.
   FitMemo* memo = nullptr;
-  /// Which pipeline executes the fits.
-  FitEngine engine = FitEngine::kBatched;
+  /// Test seam: a fill to run instead of the library's. Null on every
+  /// production path (PredictionService rejects a base context setting
+  /// it); the scalar oracle in tests/oracle/ plugs in here.
+  FitFillFn engine = nullptr;
 };
 
 }  // namespace estima::core

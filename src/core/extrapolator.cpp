@@ -11,6 +11,7 @@
 
 #include "core/fit_audit.hpp"
 #include "core/fit_memo.hpp"
+#include "core/fit_slots.hpp"
 #include "fault/fault_injection.hpp"
 #include "numeric/stats.hpp"
 #include "obs/trace.hpp"
@@ -19,321 +20,262 @@
 namespace estima::core {
 namespace {
 
-bool all_nonnegative(const std::vector<double>& v) {
-  return std::all_of(v.begin(), v.end(), [](double x) { return x >= 0.0; });
-}
-
-double max_abs(const std::vector<double>& v) {
-  double m = 0.0;
-  for (double x : v) m = std::max(m, std::fabs(x));
-  return m;
-}
-
 double elapsed_seconds(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
       .count();
 }
 
-}  // namespace
-
-std::vector<std::vector<CandidateFit>> enumerate_candidates_filtered(
-    const std::vector<int>& cores, const std::vector<double>& values,
-    const ExtrapolationConfig& cfg,
-    const std::vector<RealismOptions>& realism_filters,
-    const ExecContext& ctx, FitAudit* audit, EnumerationStats* stats) {
-  const std::size_t V = realism_filters.size();
-  if (V == 0 || V > 64) {
-    throw std::invalid_argument(
-        "enumerate_candidates_filtered: need 1..64 realism filters");
-  }
-  if (ctx.audit != nullptr) {
-    throw std::invalid_argument(
-        "enumerate_candidates_filtered: a PredictionAudit belongs to "
-        "predict(); pass the enumeration's FitAudit as its own argument");
-  }
+// The phases' shared state: the fill sees only `slots`.
+struct Enumeration {
+  FitSlots slots;
+  std::vector<int> valid_cs;        ///< checkpoint settings, config order
+  std::vector<std::uint64_t> keys;  ///< memo key per slot (empty: no memo)
   EnumerationStats acct;
-  acct.realism_variants = V;
-  std::vector<std::vector<CandidateFit>> out(V);
+};
+
+// Plan: the slot layout and the memo replay. Returns false when no
+// checkpoint setting leaves anything to fit.
+bool plan(const std::vector<int>& cores, const std::vector<double>& values,
+          const ExtrapolationConfig& cfg,
+          const std::vector<RealismOptions>& realism_filters,
+          const ExecContext& ctx, bool want_diags, Enumeration& e) {
+  const std::size_t V = realism_filters.size();
   const int m = static_cast<int>(cores.size());
+  e.acct.realism_variants = V;
   if (m != static_cast<int>(values.size()) || m < cfg.min_prefix + 1) {
-    if (stats) *stats = acct;
-    return out;
+    return false;
   }
-
-  std::vector<double> xs(cores.begin(), cores.end());
-  const bool nonneg = all_nonnegative(values);
-  const double vmax = max_abs(values);
-
-  std::vector<RealismOptions> filters = realism_filters;
-  for (auto& realism : filters) {
-    realism.range_min = xs.front();
-    realism.range_max = std::max(cfg.target_max_cores, xs.back());
-  }
-
   // Checkpoint settings that leave at least min_prefix points to fit on,
   // in configuration order.
-  std::vector<int> valid_cs;
   for (int c : cfg.checkpoint_counts) {
-    if (c > 0 && m - c >= cfg.min_prefix) valid_cs.push_back(c);
+    if (c > 0 && m - c >= cfg.min_prefix) e.valid_cs.push_back(c);
   }
-  if (valid_cs.empty()) {
-    if (stats) *stats = acct;
-    return out;
+  if (e.valid_cs.empty()) return false;
+
+  FitSlots& sl = e.slots;
+  sl.xs.assign(cores.begin(), cores.end());
+  sl.values = &values;
+  sl.fit = &cfg.fit;
+  sl.nonneg = std::all_of(values.begin(), values.end(),
+                          [](double x) { return x >= 0.0; });
+  for (double x : values) sl.vmax = std::max(sl.vmax, std::fabs(x));
+  sl.filters = realism_filters;
+  for (auto& realism : sl.filters) {
+    realism.range_min = sl.xs.front();
+    realism.range_max = std::max(cfg.target_max_cores, sl.xs.back());
   }
 
-  const std::size_t K = kAllKernels.size();
+  // One slot per (kernel, prefix) pair. A fit depends only on (kernel,
+  // prefix), never on the checkpoint setting or the realism filter, so
+  // every setting and every filter re-scores the same slot.
+  const std::size_t K = FitSlots::K;
   int max_prefix = 0;
-  for (int c : valid_cs) {
-    acct.candidates_attempted +=
+  for (int c : e.valid_cs) {
+    e.acct.candidates_attempted +=
         V * K * static_cast<std::size_t>(m - c - cfg.min_prefix + 1);
     max_prefix = std::max(max_prefix, m - c);
   }
+  sl.min_prefix = cfg.min_prefix;
+  sl.n_slots = static_cast<std::size_t>(max_prefix - cfg.min_prefix + 1) * K;
+  e.acct.fits_executed = sl.n_slots;
+  e.acct.duplicate_fits_eliminated = e.acct.candidates_attempted - sl.n_slots;
+  e.acct.variant_refits_avoided = (V - 1) * sl.n_slots;
 
-  // Fit jobs: one slot per (kernel, prefix) pair, s = (prefix - min_prefix)
-  // * K + kernel. A fit depends only on (kernel, prefix), never on the
-  // checkpoint setting or the realism filter, so every setting and every
-  // filter re-scores the same slot.
-  const std::size_t n_prefixes =
-      static_cast<std::size_t>(max_prefix - cfg.min_prefix + 1);
-  const std::size_t n_slots = n_prefixes * K;
-  const auto prefix_of = [&](std::size_t s) {
-    return cfg.min_prefix + static_cast<int>(s / K);
-  };
-  acct.fits_executed = n_slots;
-  acct.duplicate_fits_eliminated = acct.candidates_attempted - n_slots;
-  acct.variant_refits_avoided = (V - 1) * n_slots;
-
-  // Per-slot results. fits[s] holds the fit (nullopt = it failed) whether
-  // or not a realism filter accepts it; bit v of realistic[s] is set when
-  // realism_filters[v] accepts it, and only then does preds[s] hold its
-  // predictions at every measured core count. diags[s] is the fit's
-  // diagnostic record, collected for the audit and metrics and for the
-  // memo, whose entries must carry a replayable diag.
-  std::vector<std::optional<FittedFunction>> fits(n_slots);
-  std::vector<std::uint64_t> realistic(n_slots, 0);
-  std::vector<std::vector<double>> preds(n_slots);
-  const bool collect = audit != nullptr || ctx.metrics != nullptr;
-  std::vector<FitDiag> diags(collect || ctx.memo != nullptr ? n_slots : 0);
-  FitDiag* const diag_base = diags.empty() ? nullptr : diags.data();
+  sl.fits.resize(sl.n_slots);
+  sl.realistic.assign(sl.n_slots, 0);
+  sl.preds.resize(sl.n_slots);
+  sl.replayed.assign(sl.n_slots, 0);
+  // The memo's entries must carry a replayable diag.
+  if (want_diags || ctx.memo != nullptr) sl.diags.resize(sl.n_slots);
 
   // Memo replay, serial: a slot whose full input (kernel, FitOptions,
   // prefix data bits) is resident takes the stored fit + diag, and the
-  // engines below fit only the slots the memo did not answer.
-  std::vector<std::uint64_t> keys(ctx.memo != nullptr ? n_slots : 0);
-  std::vector<char> replayed(n_slots, 0);
+  // fill fits only the slots the memo did not answer.
   if (ctx.memo != nullptr) {
-    for (std::size_t s = 0; s < n_slots; ++s) {
-      keys[s] = FitMemo::key_of(kAllKernels[s % K], xs.data(), values.data(),
-                                static_cast<std::size_t>(prefix_of(s)),
-                                cfg.fit);
+    e.keys.resize(sl.n_slots);
+    for (std::size_t s = 0; s < sl.n_slots; ++s) {
+      e.keys[s] = FitMemo::key_of(sl.kernel_of(s), sl.xs.data(), values.data(),
+                                  static_cast<std::size_t>(sl.prefix_of(s)),
+                                  cfg.fit);
       FitMemoEntry entry;
-      if (ctx.memo->lookup(keys[s], &entry)) {
-        fits[s] = std::move(entry.fn);
-        diags[s] = std::move(entry.diag);
-        replayed[s] = 1;
-        ++acct.memo_hits;
+      if (ctx.memo->lookup(e.keys[s], &entry)) {
+        sl.fits[s] = std::move(entry.fn);
+        sl.diags[s] = std::move(entry.diag);
+        sl.replayed[s] = 1;
+        ++e.acct.memo_hits;
       }
     }
   }
+  return true;
+}
 
-  // Execute the jobs, possibly fanned out across the pool. Each job writes
-  // only its own slots, so the fan-out cannot change results. Jobs run
-  // inside parallel_for and therefore must not throw: a job that observes
-  // an expired deadline or a failed workspace allocation records the fact
-  // atomically and returns, and the whole enumeration is abandoned below.
+// Fill, the library's: one job per KERNEL covering every prefix of that
+// kernel, fanned out across the pool. All of a kernel's LM problems advance
+// in one lockstep multi-problem batch, its realism walks evaluate as one
+// parameter panel per shared grid, and its predictions fill in a single
+// panel call. The walk grids depend only on the filters' ranges, so they
+// are built once and shared; filters that agree on the step count re-scan
+// the same walk values. Each job writes only its own kernel's slots, so the
+// fan-out cannot change results. Jobs run inside parallel_for and must not
+// throw: a job that observes an expired deadline or a failed workspace
+// allocation records the fact atomically, in fit units (a kernel job
+// covers every prefix), and returns.
+void batched_fill(FitSlots& sl, const ExecContext& ctx) {
+  const std::size_t K = FitSlots::K;
+  const std::size_t n_slots = sl.n_slots;
+  const std::size_t n_prefixes = n_slots / K;
+  const std::vector<double>& xs = sl.xs;
+  const std::vector<double>& values = *sl.values;
+  const std::vector<RealismOptions>& filters = sl.filters;
+  FitDiag* const diag_base = sl.diags.empty() ? nullptr : sl.diags.data();
   std::atomic<std::size_t> jobs_cancelled{0};
   std::atomic<std::size_t> jobs_aborted{0};
   std::atomic<std::size_t> point_evals{0};
-  if (ctx.engine == FitEngine::kBatched) {
-    // Batched engine: one job per KERNEL covering every prefix of that
-    // kernel. All of a kernel's LM problems advance in one lockstep
-    // multi-problem batch, its realism walks evaluate as one parameter
-    // panel per shared grid, and its predictions fill in a single panel
-    // call. The walk grids depend only on the filters' ranges, so they are
-    // built once and shared; filters that agree on the step count re-scan
-    // the same walk values. Cancellation/abort accounting stays in fit
-    // units (a kernel job covers n_prefixes fits), so totals match the
-    // reference engine's.
-    EvalTables tables;
-    tables.assign(xs);
-    std::vector<RealismGrid> grids;
-    std::vector<std::size_t> grid_of(filters.size(), 0);
-    for (std::size_t v = 0; v < filters.size(); ++v) {
-      RealismGrid g;
-      g.build(filters[v]);
-      std::size_t gi = grids.size();
-      for (std::size_t u = 0; u < grids.size(); ++u) {
-        if (grids[u].steps == g.steps) {
-          gi = u;
-          break;
-        }
+
+  EvalTables tables;
+  tables.assign(xs);
+  std::vector<RealismGrid> grids;
+  std::vector<std::size_t> grid_of(filters.size(), 0);
+  for (std::size_t v = 0; v < filters.size(); ++v) {
+    RealismGrid g;
+    g.build(filters[v]);
+    std::size_t gi = grids.size();
+    for (std::size_t u = 0; u < grids.size(); ++u) {
+      if (grids[u].steps == g.steps) {
+        gi = u;
+        break;
       }
-      if (gi == grids.size()) grids.push_back(std::move(g));
-      grid_of[v] = gi;
     }
-    parallel::parallel_for(ctx.pool, K, [&](std::size_t k) {
-      if (ctx.deadline != nullptr && ctx.deadline->expired()) {
-        jobs_cancelled.fetch_add(n_prefixes, std::memory_order_relaxed);
-        if (ctx.metrics != nullptr) {
-          ctx.metrics->count(kAllKernels[k], FitOutcome::kCancelled,
-                             n_prefixes);
-        }
-        return;
+    if (gi == grids.size()) grids.push_back(std::move(g));
+    grid_of[v] = gi;
+  }
+  parallel::parallel_for(ctx.pool, K, [&](std::size_t k) {
+    if (ctx.deadline != nullptr && ctx.deadline->expired()) {
+      jobs_cancelled.fetch_add(n_prefixes, std::memory_order_relaxed);
+      if (ctx.metrics != nullptr) {
+        ctx.metrics->count(kAllKernels[k], FitOutcome::kCancelled,
+                           n_prefixes);
       }
-      try {
-        if (fault::fault_point("alloc.workspace")) throw std::bad_alloc();
-        const KernelType type = kAllKernels[k];
-        const std::size_t np = kernel_param_count(type);
-        thread_local FitBatchWorkspace fbw;
-        // The slots the memo did not answer execute as one compacted
-        // batch. Safe because each problem's LM trajectory is independent
-        // of the batch's composition (the lockstep batch is bit-identical
-        // to sequential fits).
-        std::vector<std::size_t> miss, miss_prefixes;
-        for (std::size_t s = k; s < n_slots; s += K) {
-          if (replayed[s]) continue;
-          miss.push_back(s);
-          miss_prefixes.push_back(static_cast<std::size_t>(prefix_of(s)));
+      return;
+    }
+    try {
+      if (fault::fault_point("alloc.workspace")) throw std::bad_alloc();
+      const KernelType type = kAllKernels[k];
+      const std::size_t np = kernel_param_count(type);
+      thread_local FitBatchWorkspace fbw;
+      // The slots the memo did not answer execute as one compacted batch.
+      // Safe because each problem's LM trajectory is independent of the
+      // batch's composition (the lockstep batch is bit-identical to
+      // sequential fits).
+      std::vector<std::size_t> miss, miss_prefixes;
+      for (std::size_t s = k; s < n_slots; s += K) {
+        if (sl.replayed[s]) continue;
+        miss.push_back(s);
+        miss_prefixes.push_back(static_cast<std::size_t>(sl.prefix_of(s)));
+      }
+      if (!miss.empty()) {
+        obs::SpanTimer levmar_span(ctx.trace, obs::Stage::kFitLevmar);
+        std::chrono::steady_clock::time_point t0;
+        if (ctx.metrics != nullptr) t0 = std::chrono::steady_clock::now();
+        std::vector<std::optional<FittedFunction>> miss_fits(miss.size());
+        std::vector<FitDiag> miss_diags(diag_base ? miss.size() : 0);
+        fbw.model_evals = 0;
+        fit_kernel_over_prefixes(
+            type, xs, tables, values, miss_prefixes.data(), miss.size(),
+            *sl.fit, fbw, miss_fits.data(),
+            diag_base ? miss_diags.data() : nullptr);
+        point_evals.fetch_add(fbw.model_evals, std::memory_order_relaxed);
+        if (ctx.metrics != nullptr) {
+          ctx.metrics->record_fit_seconds(type, elapsed_seconds(t0));
         }
-        if (!miss.empty()) {
-          obs::SpanTimer levmar_span(ctx.trace, obs::Stage::kFitLevmar);
-          std::chrono::steady_clock::time_point t0;
-          if (ctx.metrics != nullptr) t0 = std::chrono::steady_clock::now();
-          std::vector<std::optional<FittedFunction>> miss_fits(miss.size());
-          std::vector<FitDiag> miss_diags(diag_base ? miss.size() : 0);
-          fbw.model_evals = 0;
-          fit_kernel_over_prefixes(
-              type, xs, tables, values, miss_prefixes.data(), miss.size(),
-              cfg.fit, fbw, miss_fits.data(),
-              diag_base ? miss_diags.data() : nullptr);
-          point_evals.fetch_add(fbw.model_evals, std::memory_order_relaxed);
-          if (ctx.metrics != nullptr) {
-            ctx.metrics->record_fit_seconds(type, elapsed_seconds(t0));
-          }
-          for (std::size_t i = 0; i < miss.size(); ++i) {
-            fits[miss[i]] = std::move(miss_fits[i]);
-            if (diag_base) diags[miss[i]] = std::move(miss_diags[i]);
-          }
+        for (std::size_t i = 0; i < miss.size(); ++i) {
+          sl.fits[miss[i]] = std::move(miss_fits[i]);
+          if (diag_base) sl.diags[miss[i]] = std::move(miss_diags[i]);
         }
-        std::vector<std::size_t> live;  // this kernel's slots holding a fit
-        for (std::size_t s = k; s < n_slots; s += K) {
-          if (fits[s]) live.push_back(s);
-        }
-        if (live.empty()) return;
-        fbw.cand_panel.resize(live.size() * np);
-        for (std::size_t i = 0; i < live.size(); ++i) {
-          const auto& p = fits[live[i]]->params;
-          std::copy(p.begin(), p.end(), fbw.cand_panel.begin() +
-                                            static_cast<std::ptrdiff_t>(i * np));
-        }
-        std::vector<std::uint64_t> masks(live.size(), 0);
-        {
-          obs::SpanTimer realism_span(ctx.trace, obs::Stage::kFitRealism);
-          for (std::size_t gi = 0; gi < grids.size(); ++gi) {
-            const std::size_t gm = grids[gi].tables.size();
-            fbw.walk_vals.resize(live.size() * gm);
-            fbw.walk_dens.resize(live.size() * gm);
-            kernel_eval_panel(type, grids[gi].tables, gm,
-                              fbw.cand_panel.data(), live.size(),
-                              fbw.walk_vals.data());
-            kernel_denominator_panel(type, grids[gi].tables, gm,
-                                     fbw.cand_panel.data(), live.size(),
-                                     fbw.walk_dens.data());
-            for (std::size_t i = 0; i < live.size(); ++i) {
-              double* vals = fbw.walk_vals.data() + i * gm;
-              const double* dens = fbw.walk_dens.data() + i * gm;
-              // f(n) = y_scale * kernel_eval(n): same multiplication the
-              // scalar FittedFunction::operator() performs.
-              const double y_scale = fits[live[i]]->y_scale;
-              for (std::size_t p = 0; p < gm; ++p) vals[p] = y_scale * vals[p];
-              for (std::size_t v = 0; v < filters.size(); ++v) {
-                if (grid_of[v] != gi) continue;
-                if (realism_scan(vals, dens, grids[gi].steps, filters[v],
-                                 vmax, nonneg)) {
-                  masks[i] |= std::uint64_t{1} << v;
-                }
+      }
+      std::vector<std::size_t> live;  // this kernel's slots holding a fit
+      for (std::size_t s = k; s < n_slots; s += K) {
+        if (sl.fits[s]) live.push_back(s);
+      }
+      if (live.empty()) return;
+      fbw.cand_panel.resize(live.size() * np);
+      for (std::size_t i = 0; i < live.size(); ++i) {
+        const auto& p = sl.fits[live[i]]->params;
+        std::copy(p.begin(), p.end(), fbw.cand_panel.begin() +
+                                          static_cast<std::ptrdiff_t>(i * np));
+      }
+      std::vector<std::uint64_t> masks(live.size(), 0);
+      {
+        obs::SpanTimer realism_span(ctx.trace, obs::Stage::kFitRealism);
+        for (std::size_t gi = 0; gi < grids.size(); ++gi) {
+          const std::size_t gm = grids[gi].tables.size();
+          fbw.walk_vals.resize(live.size() * gm);
+          fbw.walk_dens.resize(live.size() * gm);
+          kernel_eval_panel(type, grids[gi].tables, gm, fbw.cand_panel.data(),
+                            live.size(), fbw.walk_vals.data());
+          kernel_denominator_panel(type, grids[gi].tables, gm,
+                                   fbw.cand_panel.data(), live.size(),
+                                   fbw.walk_dens.data());
+          for (std::size_t i = 0; i < live.size(); ++i) {
+            double* vals = fbw.walk_vals.data() + i * gm;
+            const double* dens = fbw.walk_dens.data() + i * gm;
+            // f(n) = y_scale * kernel_eval(n): same multiplication the
+            // scalar FittedFunction::operator() performs.
+            const double y_scale = sl.fits[live[i]]->y_scale;
+            for (std::size_t p = 0; p < gm; ++p) vals[p] = y_scale * vals[p];
+            for (std::size_t v = 0; v < filters.size(); ++v) {
+              if (grid_of[v] != gi) continue;
+              if (realism_scan(vals, dens, grids[gi].steps, filters[v],
+                               sl.vmax, sl.nonneg)) {
+                masks[i] |= std::uint64_t{1} << v;
               }
             }
           }
         }
-        // Predictions for every surviving candidate of this kernel, one
-        // panel over the measured core counts.
-        std::vector<std::size_t> surv;
-        for (std::size_t i = 0; i < live.size(); ++i) {
-          realistic[live[i]] = masks[i];
-          if (masks[i] != 0) surv.push_back(live[i]);
-        }
-        if (surv.empty()) return;
-        fbw.cand_panel.resize(surv.size() * np);
-        for (std::size_t i = 0; i < surv.size(); ++i) {
-          const auto& p = fits[surv[i]]->params;
-          std::copy(p.begin(), p.end(), fbw.cand_panel.begin() +
-                                            static_cast<std::ptrdiff_t>(i * np));
-        }
-        const std::size_t mm = static_cast<std::size_t>(m);
-        fbw.pred_vals.resize(surv.size() * mm);
-        kernel_eval_panel(type, tables, mm, fbw.cand_panel.data(),
-                          surv.size(), fbw.pred_vals.data());
-        for (std::size_t i = 0; i < surv.size(); ++i) {
-          const double y_scale = fits[surv[i]]->y_scale;
-          const double* row = fbw.pred_vals.data() + i * mm;
-          std::vector<double>& pred = preds[surv[i]];
-          pred.resize(mm);
-          for (std::size_t p = 0; p < mm; ++p) pred[p] = y_scale * row[p];
-        }
-      } catch (const std::bad_alloc&) {
-        jobs_aborted.fetch_add(n_prefixes, std::memory_order_relaxed);
       }
-    });
-  } else {
-    parallel::parallel_for(ctx.pool, n_slots, [&](std::size_t s) {
-      if (ctx.deadline != nullptr && ctx.deadline->expired()) {
-        jobs_cancelled.fetch_add(1, std::memory_order_relaxed);
-        if (ctx.metrics != nullptr) {
-          ctx.metrics->count(kAllKernels[s % K], FitOutcome::kCancelled);
-        }
-        return;
+      // Predictions for every surviving candidate of this kernel, one panel
+      // over the measured core counts.
+      std::vector<std::size_t> surv;
+      for (std::size_t i = 0; i < live.size(); ++i) {
+        sl.realistic[live[i]] = masks[i];
+        if (masks[i] != 0) surv.push_back(live[i]);
       }
-      try {
-        if (fault::fault_point("alloc.workspace")) throw std::bad_alloc();
-        const KernelType type = kAllKernels[s % K];
-        if (!replayed[s]) {
-          const int i = prefix_of(s);
-          const std::vector<double> pxs(xs.begin(), xs.begin() + i);
-          const std::vector<double> pys(values.begin(), values.begin() + i);
-          obs::SpanTimer levmar_span(ctx.trace, obs::Stage::kFitLevmar);
-          std::chrono::steady_clock::time_point t0;
-          if (ctx.metrics != nullptr) t0 = std::chrono::steady_clock::now();
-          fits[s] = fit_kernel(type, pxs, pys, cfg.fit,
-                               diag_base ? diag_base + s : nullptr);
-          if (ctx.metrics != nullptr) {
-            ctx.metrics->record_fit_seconds(type, elapsed_seconds(t0));
-          }
-        }
-        if (!fits[s]) return;
-        const FittedFunction& fn = *fits[s];
-        std::uint64_t mask = 0;
-        {
-          obs::SpanTimer realism_span(ctx.trace, obs::Stage::kFitRealism);
-          for (std::size_t v = 0; v < filters.size(); ++v) {
-            if (is_realistic(fn, filters[v], vmax, nonneg)) {
-              mask |= std::uint64_t{1} << v;
-            }
-          }
-        }
-        realistic[s] = mask;
-        if (mask == 0) return;
-        std::vector<double>& pred = preds[s];
-        pred.resize(static_cast<std::size_t>(m));
-        for (std::size_t j = 0; j < pred.size(); ++j) pred[j] = fn(xs[j]);
-      } catch (const std::bad_alloc&) {
-        jobs_aborted.fetch_add(1, std::memory_order_relaxed);
+      if (surv.empty()) return;
+      fbw.cand_panel.resize(surv.size() * np);
+      for (std::size_t i = 0; i < surv.size(); ++i) {
+        const auto& p = sl.fits[surv[i]]->params;
+        std::copy(p.begin(), p.end(), fbw.cand_panel.begin() +
+                                          static_cast<std::ptrdiff_t>(i * np));
       }
-    });
-  }
-  acct.fits_cancelled = jobs_cancelled.load(std::memory_order_relaxed);
-  acct.fits_aborted = jobs_aborted.load(std::memory_order_relaxed);
-  acct.levmar_point_evals = point_evals.load(std::memory_order_relaxed);
+      const std::size_t mm = xs.size();
+      fbw.pred_vals.resize(surv.size() * mm);
+      kernel_eval_panel(type, tables, mm, fbw.cand_panel.data(), surv.size(),
+                        fbw.pred_vals.data());
+      for (std::size_t i = 0; i < surv.size(); ++i) {
+        const double y_scale = sl.fits[surv[i]]->y_scale;
+        const double* row = fbw.pred_vals.data() + i * mm;
+        std::vector<double>& pred = sl.preds[surv[i]];
+        pred.resize(mm);
+        for (std::size_t p = 0; p < mm; ++p) pred[p] = y_scale * row[p];
+      }
+    } catch (const std::bad_alloc&) {
+      jobs_aborted.fetch_add(n_prefixes, std::memory_order_relaxed);
+    }
+  });
+  sl.fits_cancelled = jobs_cancelled.load(std::memory_order_relaxed);
+  sl.fits_aborted = jobs_aborted.load(std::memory_order_relaxed);
+  sl.levmar_point_evals = point_evals.load(std::memory_order_relaxed);
+}
+
+// Score: everything after the fill, serial and in the fixed slot order, so
+// nothing here depends on the fill or the pool.
+void score(Enumeration& e, const ExecContext& ctx, FitAudit* audit,
+           std::vector<std::vector<CandidateFit>>& out) {
+  const FitSlots& sl = e.slots;
+  EnumerationStats& acct = e.acct;
+  acct.fits_cancelled = sl.fits_cancelled;
+  acct.fits_aborted = sl.fits_aborted;
+  acct.levmar_point_evals = sl.levmar_point_evals;
   if (acct.fits_cancelled > 0 || acct.fits_aborted > 0) {
     // An incomplete fit pool must not be scored: a missing fit could flip
     // which candidate wins, which would be a silently different answer.
@@ -347,32 +289,34 @@ std::vector<std::vector<CandidateFit>> enumerate_candidates_filtered(
       audit->fits_cancelled += acct.fits_cancelled;
       audit->fits_aborted += acct.fits_aborted;
     }
-    if (stats) *stats = acct;
-    return out;
+    return;
   }
 
+  const std::vector<double>& values = *sl.values;
+  const int m = static_cast<int>(sl.xs.size());
+  const std::size_t V = sl.filters.size();
+  const std::size_t K = FitSlots::K;
   // Checkpoint index sets per setting, for candidate scoring.
-  std::vector<std::vector<std::size_t>> cidx(valid_cs.size());
-  for (std::size_t ci = 0; ci < valid_cs.size(); ++ci) {
-    for (int i = m - valid_cs[ci]; i < m; ++i) {
+  std::vector<std::vector<std::size_t>> cidx(e.valid_cs.size());
+  for (std::size_t ci = 0; ci < e.valid_cs.size(); ++ci) {
+    for (int i = m - e.valid_cs[ci]; i < m; ++i) {
       cidx[ci].push_back(static_cast<std::size_t>(i));
     }
   }
 
-  // Serial audit emission, in the fixed slot order (and therefore
-  // independent of engine and pool): one FitAttempt per LM start (or per
-  // direct solve, start == -1) and one FitCandidate per slot. The
-  // candidate's provisional outcome is upgraded to kWinner later by
-  // audit_mark_winner once a caller selects it.
-  if (collect) {
+  // Audit emission: one FitAttempt per LM start (or per direct solve,
+  // start == -1) and one FitCandidate per slot. The candidate's provisional
+  // outcome is upgraded to kWinner later by audit_mark_winner once a caller
+  // selects it.
+  if (audit != nullptr || ctx.metrics != nullptr) {
     FitAudit scratch;  // metrics-only collection still needs a sink
     FitAudit* sink = audit != nullptr ? audit : &scratch;
     const std::size_t attempts_base = sink->attempts.size();
     const std::size_t candidates_base = sink->candidates.size();
-    for (std::size_t s = 0; s < n_slots; ++s) {
-      const int prefix = prefix_of(s);
-      const KernelType kernel = kAllKernels[s % K];
-      const FitDiag& diag = diags[s];
+    for (std::size_t s = 0; s < sl.n_slots; ++s) {
+      const int prefix = sl.prefix_of(s);
+      const KernelType kernel = sl.kernel_of(s);
+      const FitDiag& diag = sl.diags[s];
       if (diag.path == FitDiag::Path::kNonlinear && !diag.starts.empty()) {
         for (std::size_t i = 0; i < diag.starts.size(); ++i) {
           const FitDiag::Start& st = diag.starts[i];
@@ -398,24 +342,24 @@ std::vector<std::vector<CandidateFit>> enumerate_candidates_filtered(
       FitCandidate cand;
       cand.kernel = kernel;
       cand.prefix_len = prefix;
-      cand.realistic_mask = realistic[s];
-      if (!fits[s]) {
+      cand.realistic_mask = sl.realistic[s];
+      if (!sl.fits[s]) {
         cand.outcome = FitOutcome::kNoFit;
-      } else if (realistic[s] == 0) {
+      } else if (sl.realistic[s] == 0) {
         // Rejected by every filter: with one filter that IS the strict
         // rejection; with a strict+relaxed sweep even relaxed refused it.
         cand.outcome = V > 1 ? FitOutcome::kUnrealisticRelaxed
                              : FitOutcome::kUnrealisticStrict;
-      } else if ((realistic[s] & 1) == 0) {
+      } else if ((sl.realistic[s] & 1) == 0) {
         // Passed some filter but not filter 0 (the strict one, by the
         // predict() convention).
         cand.outcome = FitOutcome::kUnrealisticStrict;
       } else {
         cand.outcome = FitOutcome::kWorseRmse;
         double best_err = std::numeric_limits<double>::quiet_NaN();
-        for (std::size_t ci = 0; ci < valid_cs.size(); ++ci) {
-          if (prefix > m - valid_cs[ci]) continue;
-          const double err = numeric::rmse_at(preds[s], values, cidx[ci]);
+        for (std::size_t ci = 0; ci < e.valid_cs.size(); ++ci) {
+          if (prefix > m - e.valid_cs[ci]) continue;
+          const double err = numeric::rmse_at(sl.preds[s], values, cidx[ci]);
           if (std::isfinite(err) && !(err >= best_err)) best_err = err;
         }
         cand.checkpoint_rmse = best_err;
@@ -435,21 +379,21 @@ std::vector<std::vector<CandidateFit>> enumerate_candidates_filtered(
     }
   }
 
-  // Serial assembly per filter in the fixed (checkpoint setting, prefix,
-  // kernel) order: scoring against each checkpoint set is cheap (c
-  // subtractions), which is exactly why the fit above is worth sharing.
+  // Assembly per filter in the fixed (checkpoint setting, prefix, kernel)
+  // order: scoring against each checkpoint set is cheap (c subtractions),
+  // which is exactly why the fit is worth sharing.
   for (std::size_t v = 0; v < V; ++v) {
     const std::uint64_t bit = std::uint64_t{1} << v;
-    for (std::size_t ci = 0; ci < valid_cs.size(); ++ci) {
-      const int c = valid_cs[ci];
-      for (int i = cfg.min_prefix; i <= m - c; ++i) {
+    for (std::size_t ci = 0; ci < e.valid_cs.size(); ++ci) {
+      const int c = e.valid_cs[ci];
+      for (int i = sl.min_prefix; i <= m - c; ++i) {
         for (std::size_t k = 0; k < K; ++k) {
           const std::size_t s =
-              static_cast<std::size_t>(i - cfg.min_prefix) * K + k;
-          if (!(realistic[s] & bit)) continue;
-          const double err = numeric::rmse_at(preds[s], values, cidx[ci]);
+              static_cast<std::size_t>(i - sl.min_prefix) * K + k;
+          if (!(sl.realistic[s] & bit)) continue;
+          const double err = numeric::rmse_at(sl.preds[s], values, cidx[ci]);
           if (!std::isfinite(err)) continue;
-          out[v].push_back(CandidateFit{*fits[s], i, c, err});
+          out[v].push_back(CandidateFit{*sl.fits[s], i, c, err});
         }
       }
     }
@@ -459,12 +403,38 @@ std::vector<std::vector<CandidateFit>> enumerate_candidates_filtered(
   // moves: a copy allocates exactly what it holds, and the memo keeps its
   // entries for the life of the campaign.
   if (ctx.memo != nullptr) {
-    for (std::size_t s = 0; s < n_slots; ++s) {
-      if (replayed[s]) continue;
-      ctx.memo->insert(keys[s], FitMemoEntry{fits[s], diags[s]});
+    for (std::size_t s = 0; s < sl.n_slots; ++s) {
+      if (sl.replayed[s]) continue;
+      ctx.memo->insert(e.keys[s], FitMemoEntry{sl.fits[s], sl.diags[s]});
     }
   }
-  if (stats) *stats = acct;
+}
+
+}  // namespace
+
+std::vector<std::vector<CandidateFit>> enumerate_candidates_filtered(
+    const std::vector<int>& cores, const std::vector<double>& values,
+    const ExtrapolationConfig& cfg,
+    const std::vector<RealismOptions>& realism_filters,
+    const ExecContext& ctx, FitAudit* audit, EnumerationStats* stats) {
+  const std::size_t V = realism_filters.size();
+  if (V == 0 || V > 64) {
+    throw std::invalid_argument(
+        "enumerate_candidates_filtered: need 1..64 realism filters");
+  }
+  if (ctx.audit != nullptr) {
+    throw std::invalid_argument(
+        "enumerate_candidates_filtered: a PredictionAudit belongs to "
+        "predict(); pass the enumeration's FitAudit as its own argument");
+  }
+  std::vector<std::vector<CandidateFit>> out(V);
+  Enumeration e;
+  const bool want_diags = audit != nullptr || ctx.metrics != nullptr;
+  if (plan(cores, values, cfg, realism_filters, ctx, want_diags, e)) {
+    (ctx.engine != nullptr ? ctx.engine : &batched_fill)(e.slots, ctx);
+    score(e, ctx, audit, out);
+  }
+  if (stats) *stats = e.acct;
   return out;
 }
 

@@ -13,8 +13,8 @@
 // re-scores that one fit against every checkpoint set. The (kernel,
 // prefix) fit jobs are independent and can be fanned out across a
 // parallel::ThreadPool; candidate assembly and scoring stay serial in a
-// fixed order, so results are bit-identical regardless of engine, memo or
-// thread count.
+// fixed order, so results are bit-identical regardless of memo or thread
+// count (core/fit_slots.hpp has the plan / fill / score split).
 #pragma once
 
 #include <optional>
@@ -32,7 +32,7 @@ struct FitAudit;
 
 /// The extrapolation settings: every field can change the answer, and
 /// config_signature hashes all of them. How the fits are executed (pool,
-/// engine, deadline, sinks, memo) is an ExecContext, passed beside it.
+/// deadline, sinks, memo) is an ExecContext, passed beside it.
 struct ExtrapolationConfig {
   /// Checkpoint counts to try; the paper's experiments use 2 and 4.
   std::vector<int> checkpoint_counts = {2, 4};
@@ -56,7 +56,7 @@ struct EnumerationStats {
   /// kernel x prefix x checkpoint-setting combinations considered, summed
   /// over every realism filter scored.
   std::size_t candidates_attempted = 0;
-  /// fit_kernel invocations actually executed.
+  /// (kernel, prefix) fits executed: one per slot of the job layout.
   std::size_t fits_executed = 0;
   /// Refits avoided by sharing: one (kernel, prefix) fit across checkpoint
   /// settings plus the fit pool across realism filters. Zero when a single
@@ -69,9 +69,8 @@ struct EnumerationStats {
   /// rerunning — a strict-then-relaxed retry would refit everything.
   std::size_t variant_refits_avoided = 0;
   /// Model point evaluations consumed by Levenberg-Marquardt refinement.
-  /// Maintained by the batched engine (the reference engine leaves it 0);
-  /// like every accounting field it is outside the bit-identity contract
-  /// and not serialised.
+  /// Like every accounting field it is outside the bit-identity contract
+  /// and not serialised (the scalar oracle leaves it 0).
   std::size_t levmar_point_evals = 0;
   /// Fit jobs answered from ExecContext::memo instead of executing.
   /// Counted inside fits_executed (a memo hit replays an execution, it
@@ -100,8 +99,8 @@ struct SeriesExtrapolation {
   std::size_t candidates_realistic = 0;
   std::size_t fits_executed = 0;
   std::size_t duplicate_fits_eliminated = 0;
-  /// LM point evaluations spent by the batched engine (0 under kReference);
-  /// accounting only, never serialised.
+  /// LM point evaluations spent by the fill; accounting only, never
+  /// serialised.
   std::size_t levmar_point_evals = 0;
 
   std::vector<double> predict(const std::vector<int>& cores) const {
@@ -113,9 +112,9 @@ struct SeriesExtrapolation {
 // but takes its audit sink as its own argument: `audit`, when non-null,
 // receives one FitAttempt per (kernel, prefix, start) executed and one
 // FitCandidate per (kernel, prefix) slot, emitted in serial context in the
-// fixed slot order — so the records are bit-identical across engines and
-// pool sizes. A context carrying a PredictionAudit (ctx.audit) is
-// rejected with std::invalid_argument: that sink belongs to predict().
+// fixed slot order — so the records are bit-identical at any pool size. A
+// context carrying a PredictionAudit (ctx.audit) is rejected with
+// std::invalid_argument: that sink belongs to predict().
 
 /// Extrapolates one series of (cores, values). Returns std::nullopt when no
 /// realistic candidate exists (degenerate input, fewer than min_prefix + 1
@@ -130,7 +129,7 @@ std::optional<SeriesExtrapolation> extrapolate_series(
 /// Enumerates every realistic candidate (used by the scaling-factor step,
 /// which selects by correlation rather than checkpoint RMSE, and by tests).
 /// Candidate order is fixed (checkpoint setting, then prefix, then kernel)
-/// and identical for every engine / memo / pool combination. Each (kernel,
+/// and identical for every memo / pool combination. Each (kernel,
 /// prefix) pair is fitted once and scored under every checkpoint setting
 /// whose fitting range contains the prefix. When `stats` is non-null it
 /// receives the work accounting of this enumeration.
@@ -158,8 +157,9 @@ std::vector<std::vector<CandidateFit>> enumerate_candidates_filtered(
 /// matching candidate record to FitOutcome::kWinner and fills the winner
 /// scorecard — the held-out checkpoint cores, the winning fit's scalar
 /// predictions there, and the measured values (scalar evaluation, so the
-/// scorecard is bit-identical across engines). Bumps the per-kernel
-/// winner counter when `metrics` is set. No-op when both are null.
+/// scorecard is bit-identical however the candidates were fitted). Bumps
+/// the per-kernel winner counter when `metrics` is set. No-op when both
+/// are null.
 void audit_mark_winner(FitAudit* audit, FitMetrics* metrics,
                        const CandidateFit& best,
                        const std::vector<int>& cores,

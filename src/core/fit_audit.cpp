@@ -50,8 +50,8 @@ void FitMetrics::init(obs::Registry& reg) {
     }
     fit_seconds[k] = reg.histogram(
         "estima_fit_seconds", "kernel=\"" + kname + "\"",
-        "Wall time of one fit job (all prefixes of a kernel batch, or one "
-        "reference-engine fit) by kernel");
+        "Wall time of one fit job (every prefix of one kernel that the "
+        "memo did not answer) by kernel");
   }
 }
 

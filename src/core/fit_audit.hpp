@@ -2,10 +2,11 @@
 // it did, which candidates survived realism and scoring, and which one
 // won. The audit sink rides in the ExecContext exactly like `trace` and
 // `deadline`: an opt-in pointer that cannot change produced values, kept
-// out of the config that config_signature hashes. Both fit engines emit
-// records from the same per-slot data in the same serial order, so for a
-// given input the audit is byte-identical across {kReference, kBatched}
-// x any pool size — the golden-corpus bit-identity rule extends to audits.
+// out of the config that config_signature hashes. The records are emitted
+// after the fill, from the per-slot data in the fixed serial slot order, so
+// for a given input the audit is byte-identical at any pool size and
+// between the library's fill and the scalar oracle's (tests/oracle/) — the
+// golden-corpus bit-identity rule extends to audits.
 //
 // Per-kernel fit metrics (estima_fit_attempts_total{kernel,outcome},
 // estima_fit_seconds{kernel}) piggyback on the same records; wall-clock
@@ -121,8 +122,8 @@ struct PredictionAudit {
 
 /// Registry-backed per-kernel fit metrics, shared by every enumeration of
 /// a process (Counter/Histogram recording is lock-free). Outcome counts
-/// piggyback on the audit records; fit wall time is recorded by the
-/// engines per fit job and is deliberately absent from FitAudit.
+/// piggyback on the audit records; fit wall time is recorded by the fill
+/// per fit job and is deliberately absent from FitAudit.
 struct FitMetrics {
   static constexpr std::size_t kKernels = kAllKernels.size();
   obs::Counter* attempts[kKernels][kFitOutcomeCount] = {};

@@ -16,12 +16,6 @@ using numeric::Matrix;
 
 constexpr double kTiny = 1e-30;
 
-double max_abs(const std::vector<double>& v) {
-  double m = 0.0;
-  for (double x : v) m = std::max(m, std::fabs(x));
-  return m;
-}
-
 // Solves a linear system min ||A p - b|| with QR, falling back to ridge for
 // short/rank-deficient prefixes (the paper's i-in-3..n loop regularly fits
 // kernels with more parameters than points).
@@ -37,7 +31,8 @@ std::optional<std::vector<double>> robust_linear_solve(
   return r.x;
 }
 
-// Linear-in-parameters kernels: direct solve on scaled values.
+}  // namespace
+
 std::optional<FittedFunction> fit_linear_kernel(
     KernelType type, const std::vector<double>& xs,
     const std::vector<double>& ys_scaled, double y_scale,
@@ -53,11 +48,6 @@ std::optional<FittedFunction> fit_linear_kernel(
   return FittedFunction{type, std::move(*p), y_scale};
 }
 
-// Starting points for the LM refinement of a nonlinear kernel: the
-// linearised least-squares guess when the data admits one, plus two bland
-// fallbacks. Shared by the scalar and the batched fitting paths so both
-// refine from byte-identical starts.
-//
 // ExpRat's linearisation requires positive values, so it is skipped on
 // mixed-sign data — but the bland fallback starts still run: LM itself
 // needs no positivity, and a series with a single zero point would
@@ -109,137 +99,6 @@ std::vector<std::vector<double>> nonlinear_starts(
   return starts;
 }
 
-// Rational / ExpRat kernels: linearised initial guess + LM refinement.
-std::optional<FittedFunction> fit_nonlinear_kernel(
-    KernelType type, const std::vector<double>& xs,
-    const std::vector<double>& ys_scaled, double y_scale,
-    const FitOptions& opts, FitDiag* diag) {
-  auto starts = nonlinear_starts(type, xs, ys_scaled, opts);
-
-  numeric::LevMarOptions lm;
-  lm.max_iterations = opts.levmar_max_iterations;
-  const auto model = [type](const std::vector<double>& bxs,
-                            const std::vector<double>& p,
-                            std::vector<double>& out) {
-    kernel_eval_batch(type, bxs, p, out);
-  };
-  // One workspace per thread: enumerate_candidates fans fits out across a
-  // pool, and each worker reuses its buffers across thousands of fits.
-  thread_local numeric::LevMarWorkspace ws;
-
-  std::optional<FittedFunction> best;
-  double best_rmse = std::numeric_limits<double>::infinity();
-  for (auto& start : starts) {
-    auto res =
-        numeric::levenberg_marquardt(model, xs, ys_scaled, start, lm, ws);
-    if (diag != nullptr) {
-      diag->starts.push_back(
-          FitDiag::Start{res.rmse, res.iterations, res.model_evals, res.term});
-    }
-    if (!std::isfinite(res.rmse)) continue;
-    bool finite = true;
-    for (double v : res.params) {
-      if (!std::isfinite(v)) {
-        finite = false;
-        break;
-      }
-    }
-    if (!finite) continue;
-    if (res.rmse < best_rmse) {
-      best_rmse = res.rmse;
-      best = FittedFunction{type, std::move(res.params), y_scale};
-    }
-  }
-  if (diag != nullptr) diag->solved = best.has_value();
-  return best;
-}
-
-}  // namespace
-
-bool is_realistic(const FittedFunction& f, const RealismOptions& opts,
-                  double data_max_abs, bool data_nonnegative) {
-  const double bound =
-      opts.explosion_factor * std::max(data_max_abs, kTiny);
-  const double neg_floor =
-      -opts.negativity_slack * std::max(data_max_abs, kTiny);
-
-  // Walk the range densely enough to catch poles between integer counts,
-  // but never more finely than max_steps: on wide extrapolation ranges the
-  // un-capped walk did thousands of kernel evals per candidate and
-  // dominated enumeration time, while a pole narrower than the capped grid
-  // spacing is not reachable from a fit through integer core counts.
-  // Core counts are positive, so a range_min <= 0 (callers may pass 0 for
-  // "from the start") is clamped: walking CubicLn through log(n <= 0)
-  // would NaN-reject perfectly good fits over the real range.
-  const double lo = opts.range_min > 0.0 ? opts.range_min : 1.0;
-  const double hi = std::max(opts.range_max, lo + 1.0);
-  const int steps = std::min(std::max(64, static_cast<int>((hi - lo) * 4)),
-                             std::max(opts.max_steps, 1));
-  double prev_den = 0.0;
-  bool have_prev = false;
-  for (int s = 0; s <= steps; ++s) {
-    const double n = lo + (hi - lo) * static_cast<double>(s) / steps;
-    const double v = f(n);
-    if (!std::isfinite(v)) return false;
-    if (std::fabs(v) > bound) return false;
-    if (data_nonnegative && opts.require_nonnegative && v < neg_floor) {
-      return false;
-    }
-    const double den = kernel_denominator(f.type, n, f.params);
-    if (std::fabs(den) < 1e-9) return false;  // pole (or nearly) in range
-    if (have_prev && std::signbit(den) != std::signbit(prev_den)) {
-      return false;  // denominator crosses zero inside the range
-    }
-    prev_den = den;
-    have_prev = true;
-  }
-  return true;
-}
-
-std::optional<FittedFunction> fit_kernel(KernelType type,
-                                         const std::vector<double>& xs,
-                                         const std::vector<double>& ys,
-                                         const FitOptions& opts,
-                                         FitDiag* diag) {
-  if (diag != nullptr) *diag = FitDiag{};  // Path::kGuard until proven better
-  if (xs.size() != ys.size() || xs.size() < 2) return std::nullopt;
-  for (double x : xs) {
-    if (!(x > 0.0)) return std::nullopt;  // core counts are positive
-  }
-
-  // Scale values to O(1) for conditioning. All-zero series fit trivially —
-  // but only for kernels where zero params evaluate to zero. ExpRat has no
-  // parameter vector producing the zero function (exp(anything) > 0), and
-  // zero params mean exp(0) = 1: returning them would answer an all-zero
-  // campaign with a prediction of 1.0.
-  const double scale = max_abs(ys);
-  if (scale <= 0.0) {
-    if (type == KernelType::kExpRat) return std::nullopt;
-    if (diag != nullptr) {
-      diag->path = FitDiag::Path::kTrivial;
-      diag->solved = true;
-    }
-    std::vector<double> zeros(kernel_param_count(type), 0.0);
-    return FittedFunction{type, std::move(zeros), 1.0};
-  }
-  std::vector<double> ys_scaled(ys.size());
-  for (std::size_t i = 0; i < ys.size(); ++i) ys_scaled[i] = ys[i] / scale;
-
-  if (kernel_is_linear(type)) {
-    auto fitted = fit_linear_kernel(type, xs, ys_scaled, scale, opts);
-    if (diag != nullptr) {
-      diag->path = FitDiag::Path::kLinear;
-      diag->solved = fitted.has_value();
-    }
-    return fitted;
-  }
-  if (diag != nullptr) diag->path = FitDiag::Path::kNonlinear;
-  return fit_nonlinear_kernel(type, xs, ys_scaled, scale, opts, diag);
-}
-
-// ---------------------------------------------------------------------------
-// SoA batched fitting path.
-
 namespace {
 
 // Panel-model adapter for the multi-problem LM engine: evaluates one
@@ -262,9 +121,9 @@ void kernel_panel_eval(const void* vctx, const double* panel,
 }  // namespace
 
 void RealismGrid::build(const RealismOptions& opts) {
-  // Must mirror the is_realistic walk exactly: same clamped lo, same hi,
-  // same step count, same per-point arithmetic — so the grid points are
-  // the same doubles the scalar walk visits.
+  // Must mirror the scalar oracle's is_realistic walk exactly: same
+  // clamped lo, same hi, same step count, same per-point arithmetic — so
+  // the grid points are the same doubles the scalar walk visits.
   const double lo = opts.range_min > 0.0 ? opts.range_min : 1.0;
   const double hi = std::max(opts.range_max, lo + 1.0);
   steps = std::min(std::max(64, static_cast<int>((hi - lo) * 4)),
@@ -318,8 +177,9 @@ void fit_kernel_over_prefixes(KernelType type, const std::vector<double>& xs,
   }
   if (n_prefixes == 0) return;
 
-  // Core counts must be positive over the prefix (fit_kernel's guard). The
-  // points are shared, so one scan yields the longest admissible prefix.
+  // Core counts must be positive over the prefix (the scalar oracle's
+  // fit_kernel guard). The points are shared, so one scan yields the
+  // longest admissible prefix.
   std::size_t positive_limit = 0;
   while (positive_limit < xs.size() && xs[positive_limit] > 0.0) {
     ++positive_limit;
@@ -354,7 +214,8 @@ void fit_kernel_over_prefixes(KernelType type, const std::vector<double>& xs,
     }
     if (scale <= 0.0) {
       // All-zero series fit trivially — except ExpRat, for which zero
-      // params mean exp(0) = 1, not 0 (see fit_kernel).
+      // params mean exp(0) = 1: returning them would answer an all-zero
+      // campaign with a prediction of 1.0.
       if (type != KernelType::kExpRat) {
         std::vector<double> zeros(np, 0.0);
         out[j] = FittedFunction{type, std::move(zeros), 1.0};
@@ -412,7 +273,7 @@ void fit_kernel_over_prefixes(KernelType type, const std::vector<double>& xs,
   }
 
   // Scatter phase: best-of-starts per prefix, same rule and order as the
-  // scalar path (each problem's LM trajectory is bit-identical to a
+  // scalar oracle (each problem's LM trajectory is bit-identical to a
   // sequential fit, so the winner is the scalar winner).
   for (std::size_t j = 0; j < n_prefixes; ++j) {
     if (ws.prob_lo[j] == ws.prob_hi[j]) continue;

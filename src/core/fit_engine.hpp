@@ -1,4 +1,5 @@
-// Fitting a single Table-1 kernel to a series of (core count, value) points.
+// Fitting a Table-1 kernel to the prefixes of a series of (core count,
+// value) points.
 //
 // Linear kernels are solved directly by QR (ridge fallback for short
 // prefixes); rational/ExpRat kernels get a linearised initial guess that is
@@ -6,6 +7,10 @@
 // poles, sign flips or explosions inside the extrapolation range, mirroring
 // the paper's "discarding the function types that produce functions that are
 // not realistic for this approximation" (Section 3.1.2).
+//
+// The library fits through per-kernel parameter panels and lockstep LM
+// starts; the scalar oracle in tests/oracle/ holds it to bit-identity, and
+// both share the start rule below.
 #pragma once
 
 #include <optional>
@@ -25,12 +30,6 @@ struct RealismOptions {
   int max_steps = 4096;  ///< ceiling on realism-walk evaluations per candidate
 };
 
-/// Checks a fitted function against the realism rules over [range_min,
-/// range_max]: finite everywhere, denominator pole-free, bounded, and
-/// non-negative when the data was.
-bool is_realistic(const FittedFunction& f, const RealismOptions& opts,
-                  double data_max_abs, bool data_nonnegative);
-
 struct FitOptions {
   double ridge_lambda = 1e-8;  ///< regulariser for under-determined prefixes
   int levmar_max_iterations = 120;
@@ -38,8 +37,8 @@ struct FitOptions {
 
 /// Per-fit diagnostic record for the audit layer: what happened to each LM
 /// start (or the single direct solve) of one (kernel, prefix) fit. The
-/// scalar and batched paths fill it from the same per-problem LM results,
-/// so for a given fit the record is bit-identical across engines.
+/// library and the scalar oracle fill it from the same per-problem LM
+/// results, so for a given fit the record is bit-identical across them.
 struct FitDiag {
   /// How the fit was produced. kGuard covers rejected inputs (too few
   /// points, non-positive cores, the all-zero ExpRat case); kTrivial the
@@ -57,23 +56,19 @@ struct FitDiag {
   std::vector<Start> starts;  ///< nonlinear path only
 };
 
-/// Fits `type` to the points (xs, ys). Returns std::nullopt when the fit is
-/// impossible (too few points, degenerate data) or produced non-finite
-/// parameters. The returned function is *not* realism-checked; callers
-/// apply is_realistic with their extrapolation range. When `diag` is
-/// non-null it is overwritten with the fit's diagnostic record.
-std::optional<FittedFunction> fit_kernel(KernelType type,
-                                         const std::vector<double>& xs,
-                                         const std::vector<double>& ys,
-                                         const FitOptions& opts = {},
-                                         FitDiag* diag = nullptr);
+/// The linear kernels' direct solve on values already scaled to O(1):
+/// QR, with a ridge fallback for short or rank-deficient prefixes.
+std::optional<FittedFunction> fit_linear_kernel(
+    KernelType type, const std::vector<double>& xs,
+    const std::vector<double>& ys_scaled, double y_scale,
+    const FitOptions& opts);
 
-// ---------------------------------------------------------------------------
-// SoA batched fitting path. Everything below produces results bit-identical
-// to the scalar entry points above (fit_kernel / is_realistic); it differs
-// only in how the work is laid out: per-kernel parameter panels, shared
-// precomputed input tables, and Levenberg-Marquardt starts advanced in
-// lockstep so model evaluations fuse into panel calls.
+/// The LM starting points of a nonlinear kernel, in start order: the
+/// linearised least-squares guess when the data admits one, then two bland
+/// fallbacks. Every fitting path refines from exactly these starts.
+std::vector<std::vector<double>> nonlinear_starts(
+    KernelType type, const std::vector<double>& xs,
+    const std::vector<double>& ys_scaled, const FitOptions& opts);
 
 /// The realism pole-walk grid for one RealismOptions: the walk points plus
 /// their log/sqrt tables, precomputed once per enumeration and shared by
@@ -82,15 +77,17 @@ struct RealismGrid {
   int steps = 0;       ///< the walk visits steps + 1 points
   EvalTables tables;   ///< grid points (and ln/sqrt) in walk order
 
-  /// Builds the grid exactly as the scalar is_realistic walk does:
-  /// same clamped lo, same hi, same step count, same point arithmetic.
+  /// Builds the walk grid over [lo, hi]: lo is range_min (1 when <= 0), hi
+  /// is max(range_max, lo + 1), steps = min(max(64, (hi - lo) * 4),
+  /// max_steps).
   void build(const RealismOptions& opts);
 };
 
-/// The realism predicate over precomputed walk values: applies the same
-/// checks in the same order as is_realistic, so
-///   realism_scan(walk values of f) == is_realistic(f)
-/// for every fit and every filter sharing the grid's range.
+/// The realism predicate over the walk values f(n) and denominators of one
+/// fit on a RealismGrid: finite everywhere, |f| <= explosion_factor *
+/// max|y|, not below the negativity slack when the data was non-negative,
+/// and a denominator that neither nears zero nor changes sign. The scalar
+/// oracle's is_realistic walks the same points with the same checks.
 bool realism_scan(const double* vals, const double* dens, int steps,
                   const RealismOptions& opts, double data_max_abs,
                   bool data_nonnegative);
@@ -118,17 +115,18 @@ struct FitBatchWorkspace {
 
 /// Fits ONE Table-1 kernel to every requested prefix of (xs, values) in a
 /// single batched pass — the kernel-major layout of the enumeration loop.
-/// Linear kernels solve each prefix by QR exactly as fit_kernel does; for
-/// the nonlinear kernels every (prefix, LM start) pair becomes one problem
+/// Linear kernels solve each prefix by fit_linear_kernel; for the
+/// nonlinear kernels every (prefix, LM start) pair becomes one problem
 /// of a single lockstep levenberg_marquardt_multi call, so the model
 /// evaluations of all prefixes fuse into shared SoA panels and the damping
 /// factorizations of independent prefixes interleave. `tables` holds the
 /// precomputed EvalTables of the *full* xs; prefix j reads its leading
-/// prefixes[j] entries. out[j] receives the fit for prefixes[j],
-/// bit-identical to fit_kernel(type, xs[0..prefixes[j]),
-/// values[0..prefixes[j]), opts). When `diags` is non-null it points at
-/// n_prefixes records; diags[j] is overwritten with the same diagnostic
-/// record fit_kernel would produce for prefix j.
+/// prefixes[j] entries. out[j] receives the fit for prefixes[j] (nullopt
+/// for fewer than 2 points, a non-positive core count, the all-zero ExpRat
+/// case or non-finite parameters). When `diags` is non-null it points at
+/// n_prefixes records; diags[j] is overwritten with prefix j's diagnostic
+/// record. Each problem's arithmetic is the scalar oracle's, so a batch of
+/// one prefix is bit-identical to its fit_kernel.
 void fit_kernel_over_prefixes(KernelType type, const std::vector<double>& xs,
                               const EvalTables& tables,
                               const std::vector<double>& values,

@@ -3,62 +3,10 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "core/kernel_points.hpp"
+
 namespace estima::core {
 namespace {
-
-// Per-point kernel forms, shared verbatim by the scalar, batched and SoA
-// panel entry points so all three agree bit-for-bit. The arithmetic
-// reproduces the original power-accumulation loops exactly: sums associate
-// left starting from the accumulator seed (0.0 for numerators, 1.0 for
-// denominators) and powers are built by repeated multiplication
-// (n2 = n * n, n3 = n2 * n), so the restructuring cannot move a rounding.
-// The leading `0.0 +` on the rational numerators is not dead code: the
-// original accumulator started at 0.0, which turns a -0.0 first term into
-// +0.0; dropping it could flip the sign of an all-zero numerator.
-//
-// Every parameter is received by value (hoisted out of the parameter
-// vector by the caller), so the point loops below carry no per-point
-// std::vector indirection and vectorize.
-
-inline double rat22_point(double n, double a0, double a1, double a2,
-                          double b1, double b2) {
-  const double n2 = n * n;
-  const double num = 0.0 + a0 + a1 * n + a2 * n2;
-  const double den = 1.0 + b1 * n + b2 * n2;
-  return num / den;
-}
-
-inline double rat23_point(double n, double a0, double a1, double a2,
-                          double b1, double b2, double b3) {
-  const double n2 = n * n;
-  const double n3 = n2 * n;
-  const double num = 0.0 + a0 + a1 * n + a2 * n2;
-  const double den = 1.0 + b1 * n + b2 * n2 + b3 * n3;
-  return num / den;
-}
-
-inline double rat33_point(double n, double a0, double a1, double a2,
-                          double a3, double b1, double b2, double b3) {
-  const double n2 = n * n;
-  const double n3 = n2 * n;
-  const double num = 0.0 + a0 + a1 * n + a2 * n2 + a3 * n3;
-  const double den = 1.0 + b1 * n + b2 * n2 + b3 * n3;
-  return num / den;
-}
-
-inline double cubicln_point(double l, double a, double b, double c,
-                            double d) {
-  return a + b * l + c * l * l + d * l * l * l;
-}
-
-inline double exprat_point(double n, double a, double b, double d) {
-  return std::exp((a + b * n) / (1.0 + d * n));
-}
-
-inline double poly25_point(double n, double sq, double a, double b, double c,
-                           double d) {
-  return a + b * n + c * n * n + d * n * n * sq;
-}
 
 // SoA panel loops: one function per kernel, parameters hoisted per set,
 // inner loop over contiguous points. `n_params` strides the panel. Each
@@ -217,62 +165,6 @@ double kernel_eval(KernelType type, double n, const std::vector<double>& p) {
   return std::nan("");
 }
 
-void kernel_eval_batch(KernelType type, const std::vector<double>& xs,
-                       const std::vector<double>& p,
-                       std::vector<double>& out) {
-  out.resize(xs.size());
-  const std::size_t m = xs.size();
-  const double* ns = xs.data();
-  double* o = out.data();
-  switch (type) {
-    case KernelType::kRat22: {
-      const double a0 = p[0], a1 = p[1], a2 = p[2], b1 = p[3], b2 = p[4];
-      for (std::size_t i = 0; i < m; ++i) {
-        o[i] = rat22_point(ns[i], a0, a1, a2, b1, b2);
-      }
-      return;
-    }
-    case KernelType::kRat23: {
-      const double a0 = p[0], a1 = p[1], a2 = p[2];
-      const double b1 = p[3], b2 = p[4], b3 = p[5];
-      for (std::size_t i = 0; i < m; ++i) {
-        o[i] = rat23_point(ns[i], a0, a1, a2, b1, b2, b3);
-      }
-      return;
-    }
-    case KernelType::kRat33: {
-      const double a0 = p[0], a1 = p[1], a2 = p[2], a3 = p[3];
-      const double b1 = p[4], b2 = p[5], b3 = p[6];
-      for (std::size_t i = 0; i < m; ++i) {
-        o[i] = rat33_point(ns[i], a0, a1, a2, a3, b1, b2, b3);
-      }
-      return;
-    }
-    case KernelType::kCubicLn: {
-      const double a = p[0], b = p[1], c = p[2], d = p[3];
-      for (std::size_t i = 0; i < m; ++i) {
-        o[i] = cubicln_point(std::log(ns[i]), a, b, c, d);
-      }
-      return;
-    }
-    case KernelType::kExpRat: {
-      const double a = p[0], b = p[1], d = p[2];
-      for (std::size_t i = 0; i < m; ++i) {
-        o[i] = exprat_point(ns[i], a, b, d);
-      }
-      return;
-    }
-    case KernelType::kPoly25: {
-      const double a = p[0], b = p[1], c = p[2], d = p[3];
-      for (std::size_t i = 0; i < m; ++i) {
-        o[i] = poly25_point(ns[i], std::sqrt(ns[i]), a, b, c, d);
-      }
-      return;
-    }
-  }
-  for (double& v : out) v = std::nan("");
-}
-
 void kernel_eval_panel_v(KernelType type, const EvalTables& t,
                          const std::size_t* ms, std::size_t m,
                          std::size_t out_stride, const double* panel,
@@ -307,28 +199,6 @@ void kernel_eval_panel_v(KernelType type, const EvalTables& t,
 void kernel_eval_panel(KernelType type, const EvalTables& t, std::size_t m,
                        const double* panel, std::size_t n_sets, double* out) {
   kernel_eval_panel_v(type, t, nullptr, m, m, panel, n_sets, out);
-}
-
-double kernel_denominator(KernelType type, double n,
-                          const std::vector<double>& p) {
-  switch (type) {
-    case KernelType::kRat22:
-      return 1.0 + p[3] * n + p[4] * (n * n);
-    case KernelType::kRat23: {
-      const double n2 = n * n;
-      return 1.0 + p[3] * n + p[4] * n2 + p[5] * (n2 * n);
-    }
-    case KernelType::kRat33: {
-      const double n2 = n * n;
-      return 1.0 + p[4] * n + p[5] * n2 + p[6] * (n2 * n);
-    }
-    case KernelType::kExpRat:
-      return 1.0 + p[2] * n;
-    case KernelType::kCubicLn:
-    case KernelType::kPoly25:
-      return 1.0;
-  }
-  return 1.0;
 }
 
 void kernel_denominator_panel(KernelType type, const EvalTables& t,
@@ -431,14 +301,6 @@ double kernel_linearized_rhs(KernelType type, double n, double y) {
   (void)n;
   if (type == KernelType::kExpRat) return std::log(y);
   return y;
-}
-
-std::vector<double> FittedFunction::eval_many(
-    const std::vector<double>& ns) const {
-  std::vector<double> out;
-  out.reserve(ns.size());
-  for (double n : ns) out.push_back((*this)(n));
-  return out;
 }
 
 std::vector<double> FittedFunction::eval_many(const std::vector<int>& ns) const {

@@ -53,15 +53,6 @@ bool kernel_is_linear(KernelType type);
 /// (size == kernel_param_count). Returns NaN/Inf on poles; callers filter.
 double kernel_eval(KernelType type, double n, const std::vector<double>& p);
 
-/// Evaluates the kernel at every point of xs into out (resized in place,
-/// so repeated calls at the same size allocate nothing). One dispatch on
-/// `type` per batch instead of per point — this is the model-evaluation
-/// primitive of the Levenberg-Marquardt hot loop. Bit-identical per point
-/// to kernel_eval.
-void kernel_eval_batch(KernelType type, const std::vector<double>& xs,
-                       const std::vector<double>& p,
-                       std::vector<double>& out);
-
 /// Precomputed per-point input tables for the SoA evaluation panel: the
 /// core counts plus their log and square root, so CubicLn/Poly25 panel
 /// evaluations reuse one libm call per point instead of one per (set,
@@ -96,17 +87,11 @@ void kernel_eval_panel_v(KernelType type, const EvalTables& t,
                          std::size_t out_stride, const double* panel,
                          std::size_t n_sets, double* out);
 
-/// Value of the denominator polynomial at n for the rational kernels and
-/// ExpRat; returns 1.0 for kernels with no denominator. Used by the realism
-/// filter to detect poles inside the extrapolation range.
-double kernel_denominator(KernelType type, double n,
-                          const std::vector<double>& p);
-
-/// Batched kernel_denominator over the first m points of the tables, one
-/// row per parameter set: set s (at panel[s * kernel_param_count(type)])
-/// writes out[s * m + i] = kernel_denominator(type, t.n[i], set s),
-/// bit-identical to the scalar form. Lets the realism pole-walk evaluate
-/// every candidate of one kernel over a shared grid in a single call.
+/// The denominator polynomial of the rational kernels and ExpRat (1.0 for
+/// kernels without one) over the first m points of the tables, one row per
+/// parameter set: set s (at panel[s * kernel_param_count(type)]) writes
+/// out[s * m + i]. The realism pole-walk evaluates every candidate of one
+/// kernel over a shared grid in a single call.
 void kernel_denominator_panel(KernelType type, const EvalTables& t,
                               std::size_t m, const double* panel,
                               std::size_t n_sets, double* out);
@@ -133,7 +118,6 @@ struct FittedFunction {
   double operator()(double n) const {
     return y_scale * kernel_eval(type, n, params);
   }
-  std::vector<double> eval_many(const std::vector<double>& ns) const;
   std::vector<double> eval_many(const std::vector<int>& ns) const;
 };
 

@@ -25,8 +25,8 @@ namespace estima::core {
 
 /// What a prediction answers: every field here can change the result, and
 /// config_signature hashes all of them. How the prediction is executed
-/// (pool, deadline, trace, audit, metrics, memo, engine) is an
-/// ExecContext, passed beside the config.
+/// (pool, deadline, trace, audit, metrics, memo) is an ExecContext,
+/// passed beside the config.
 struct PredictionConfig {
   std::vector<int> target_cores;    ///< core counts to predict for
   double target_freq_ghz = 0.0;     ///< 0 => same frequency as measurement
@@ -81,13 +81,14 @@ struct Prediction {
 ///     writes its own, so the parallel fan-out never shares one) plus the
 ///     scaling-factor enumeration's audit with its winner scorecard,
 ///     collected in serial slot order so it too is bit-identical across
-///     engines and pool sizes;
+///     pool sizes;
 ///   * ctx.metrics counts fit outcomes and fit time per kernel;
 ///   * ctx.memo replays fits whose exact input it already holds and keeps
 ///     the executed ones — the streaming-campaign path threads a
 ///     per-campaign memo here so an append-then-repredict executes only
 ///     the fits the new point created;
-///   * ctx.engine picks the fit pipeline.
+///   * ctx.engine is the test seam that swaps in another fill (the scalar
+///     oracle); null, the library's one engine, everywhere else.
 Prediction predict(const MeasurementSet& ms, const PredictionConfig& cfg,
                    const ExecContext& ctx = {});
 

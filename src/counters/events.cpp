@@ -41,14 +41,6 @@ const std::vector<EventDesc> kIntelFrontend = {
 
 }  // namespace
 
-std::string arch_name(CounterArch arch) {
-  switch (arch) {
-    case CounterArch::kAmdFam10h: return "amd-fam10h";
-    case CounterArch::kIntelCore: return "intel-core";
-  }
-  return "?";
-}
-
 const std::vector<EventDesc>& backend_events(CounterArch arch) {
   switch (arch) {
     case CounterArch::kAmdFam10h: return kAmdBackend;

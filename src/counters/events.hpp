@@ -18,8 +18,6 @@ enum class CounterArch {
   kIntelCore,  ///< Intel Core/Xeon (SDM vol. 3B)
 };
 
-std::string arch_name(CounterArch arch);
-
 /// Which pipeline stage an event accounts for.
 enum class EventStage { kBackend, kFrontend };
 

@@ -4,11 +4,6 @@
 #include <cmath>
 #include <limits>
 
-#if defined(__linux__)
-#include <pthread.h>
-#include <sched.h>
-#endif
-
 #include "counters/perf.hpp"
 
 namespace estima::counters {
@@ -21,18 +16,6 @@ double seconds_since(Clock::time_point start) {
 }
 
 }  // namespace
-
-void pin_current_thread(int cpu) {
-#if defined(__linux__)
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  CPU_SET(cpu, &set);
-  // Best effort: containers may reject affinity changes.
-  (void)pthread_setaffinity_np(pthread_self(), sizeof(set), &set);
-#else
-  (void)cpu;
-#endif
-}
 
 double estimate_freq_ghz() {
   // Time a dependent-add spin of known iteration count. Each iteration is

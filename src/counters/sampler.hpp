@@ -51,7 +51,4 @@ core::MeasurementSet run_campaign(const std::string& workload_name,
 /// Estimates the CPU frequency in GHz by timing a calibrated spin loop.
 double estimate_freq_ghz();
 
-/// Pins the calling thread to the given logical CPU (no-op on failure).
-void pin_current_thread(int cpu);
-
 }  // namespace estima::counters

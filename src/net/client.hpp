@@ -21,9 +21,8 @@ namespace estima::net {
 /// [base_delay_ms, 3 * previous_delay], capped at max_delay_ms — which
 /// spreads a thundering herd of retrying clients apart instead of
 /// synchronising them the way plain exponential backoff does. A shed
-/// server's Retry-After header, when honored, acts as a floor on the
-/// drawn delay (the server knows its recovery horizon better than our
-/// jitter does).
+/// server's Retry-After header acts as a floor on the drawn delay (the
+/// server knows its recovery horizon better than our jitter does).
 struct RetryConfig {
   /// Total tries, the first included. <= 1 means no retries.
   int max_attempts = 4;
@@ -33,8 +32,6 @@ struct RetryConfig {
   /// whose delay would push the total past this is not attempted —
   /// the last outcome (response or error) is returned/rethrown instead.
   int budget_ms = 10'000;
-  /// Use a 503's Retry-After seconds as a floor on the next delay.
-  bool honor_retry_after = true;
   /// Treat a 503 response as retryable (it is how the server sheds).
   bool retry_on_503 = true;
   /// Seed for the jitter RNG; fixed seeds make retry timing replayable.

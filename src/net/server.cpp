@@ -689,7 +689,7 @@ struct HttpServer::EventLoop {
         c.want_write = false;
         update_poller(c);
         std::shared_ptr<core::Deadline> deadline;
-        if (srv_.cfg_.propagate_deadline && srv_.cfg_.idle_timeout_ms > 0) {
+        if (srv_.cfg_.idle_timeout_ms > 0) {
           // The handler inherits the REMAINDER of the request's 408
           // budget: the clock started at the request's first byte, and
           // the loop's timer is re-armed at the same absolute expiry so

@@ -49,10 +49,10 @@ namespace estima::net {
 /// Per-request context handed to ContextHandler alongside the request.
 struct RequestContext {
   /// The request's remaining edge budget as a cooperative deadline: set
-  /// from the 408 timer at dispatch (ServerConfig::propagate_deadline),
-  /// cancelled by the event loop if the 408 fires or the connection dies
-  /// while the handler runs. Handlers poll it and abandon work the client
-  /// will never see. Null when propagation is disabled.
+  /// from the 408 timer at dispatch, cancelled by the event loop if the 408
+  /// fires or the connection dies while the handler runs — so an abandoned
+  /// cold predict() stops burning pool CPU. Handlers poll it and abandon
+  /// work the client will never see. Null when idle_timeout_ms <= 0.
   std::shared_ptr<core::Deadline> deadline;
   /// True when the handler pool is currently shedding load — the
   /// handler's cue to prefer degraded answers (serve-stale) over fresh
@@ -114,11 +114,6 @@ struct ServerConfig {
   /// after the last shed, so degraded serving covers the recovery tail
   /// rather than flickering per-request.
   int shed_recovery_ms = 1'000;
-  /// Hand each request's remaining 408 budget to the handler as a
-  /// cooperative core::Deadline (RequestContext::deadline), cancelled by
-  /// the loop when the 408 fires — so an abandoned cold predict() stops
-  /// burning pool CPU. Requires idle_timeout_ms > 0 to have any effect.
-  bool propagate_deadline = true;
   /// Observability: when set (borrowed, must outlive the server), every
   /// dispatched request gets a TraceContext recording the edge stages
   /// (edge.read, parse, queue.wait, edge.encode, edge.write) and the

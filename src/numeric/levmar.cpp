@@ -8,34 +8,13 @@
 #include "numeric/linalg.hpp"
 
 namespace estima::numeric {
+
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-// Sum of squared residuals from pre-evaluated model values; +inf when any
-// value is non-finite.
-double sse_from_values(const std::vector<double>& vals,
-                       const std::vector<double>& ys) {
-  double acc = 0.0;
-  for (std::size_t i = 0; i < vals.size(); ++i) {
-    if (!std::isfinite(vals[i])) return kInf;
-    const double r = vals[i] - ys[i];
-    acc += r * r;
-  }
-  return acc;
-}
-
-double sse(const BatchModelFn& f, const std::vector<double>& xs,
-           const std::vector<double>& ys, const std::vector<double>& p,
-           std::vector<double>& vals) {
-  vals.resize(xs.size());
-  f(xs, p, vals);
-  return sse_from_values(vals, ys);
-}
-
-// Raw-array twin of sse_from_values, for the multi-problem engine's
-// arena slices. Same arithmetic, same early-out on the first non-finite
-// value.
+// Sum of squared residuals over an arena slice; +inf at the first
+// non-finite value (the scalar oracle's sse_from_values, same arithmetic).
 double sse_raw(const double* vals, const double* ys, std::size_t m) {
   double acc = 0.0;
   for (std::size_t i = 0; i < m; ++i) {
@@ -52,168 +31,16 @@ double norm2_raw(const double* v, std::size_t n) {
   return std::sqrt(acc);
 }
 
-}  // namespace
-
-const char* levmar_termination_name(LevMarTermination t) {
-  switch (t) {
-    case LevMarTermination::kNone: return "none";
-    case LevMarTermination::kConverged: return "converged";
-    case LevMarTermination::kMaxIterations: return "max-iterations";
-    case LevMarTermination::kNoProgress: return "no-progress";
-    case LevMarTermination::kCholeskyFail: return "cholesky-fail";
-    case LevMarTermination::kNudgeExhausted: return "nudge-exhausted";
-    case LevMarTermination::kNonFinite: return "non-finite";
-  }
-  return "unknown";
-}
-
-LevMarResult levenberg_marquardt(const BatchModelFn& f,
-                                 const std::vector<double>& xs,
-                                 const std::vector<double>& ys,
-                                 std::vector<double> initial,
-                                 const LevMarOptions& opts,
-                                 LevMarWorkspace& ws) {
-  const std::size_t m = xs.size();
-  const std::size_t n = initial.size();
-  LevMarResult out;
-  out.params = initial;
-  if (m == 0 || n == 0) return out;
-
-  ws.p = std::move(initial);
-  std::vector<double>& p = ws.p;
-  double cost = sse(f, xs, ys, p, ws.vals);
-  out.model_evals += m;
-  if (!std::isfinite(cost)) {
-    // The starting point is on a pole; nudge towards zero until finite.
-    for (int attempt = 0; attempt < 16 && !std::isfinite(cost); ++attempt) {
-      for (double& v : p) v *= 0.5;
-      cost = sse(f, xs, ys, p, ws.vals);
-      out.model_evals += m;
-    }
-    if (!std::isfinite(cost)) {
-      out.rmse = kInf;
-      out.term = LevMarTermination::kNudgeExhausted;
-      return out;
-    }
-  }
-
-  out.term = LevMarTermination::kMaxIterations;
-  double lambda = opts.initial_lambda;
-  ws.J.resize(m, n);
-  ws.resid.resize(m);
-  ws.pj_vals.resize(m);
-
-  int iter = 0;
-  bool stop = false;
-  for (; iter < opts.max_iterations && !stop; ++iter) {
-    // Residuals at p; ws.vals already holds the model values for the
-    // current point (sse keeps it in sync with every accepted step).
-    bool finite = true;
-    for (std::size_t i = 0; i < m; ++i) {
-      if (!std::isfinite(ws.vals[i])) {
-        finite = false;
-        break;
-      }
-      ws.resid[i] = ws.vals[i] - ys[i];
-    }
-    if (!finite) {
-      out.term = LevMarTermination::kNonFinite;
-      break;
-    }
-
-    // Forward-difference Jacobian, one batched model sweep per column.
-    for (std::size_t j = 0; j < n; ++j) {
-      const double h =
-          opts.jacobian_eps * std::max(std::fabs(p[j]), 1e-8);
-      ws.pj = p;
-      ws.pj[j] += h;
-      f(xs, ws.pj, ws.pj_vals);
-      out.model_evals += m;
-      for (std::size_t i = 0; i < m; ++i) {
-        const double v = ws.pj_vals[i];
-        ws.J(i, j) = std::isfinite(v) ? (v - ws.vals[i]) / h : 0.0;
-      }
-    }
-
-    // Normal equations formed directly: J^T J and g = J^T r.
-    normal_equations(ws.J, ws.resid, ws.JtJ, ws.g);
-
-    double gmax = 0.0;
-    for (double v : ws.g) gmax = std::max(gmax, std::fabs(v));
-    if (gmax < opts.gradient_tol) {
-      out.converged = true;
-      out.term = LevMarTermination::kConverged;
-      break;
-    }
-
-    bool step_taken = false;
-    bool factor_failed_last = false;
-    for (int tries = 0; tries < 12 && !step_taken; ++tries) {
-      ws.damped = ws.JtJ;
-      for (std::size_t j = 0; j < n; ++j) {
-        const double d = ws.JtJ(j, j);
-        ws.damped(j, j) += lambda * (d > 0.0 ? d : 1.0);
-      }
-      if (!cholesky_factor(ws.damped, ws.L)) {
-        factor_failed_last = true;
-        lambda *= opts.lambda_up;
-        continue;
-      }
-      ws.neg_g.resize(n);
-      for (std::size_t j = 0; j < n; ++j) ws.neg_g[j] = -ws.g[j];
-      cholesky_solve(ws.L, ws.neg_g, ws.tmp, ws.dp);
-
-      ws.cand.resize(n);
-      for (std::size_t j = 0; j < n; ++j) ws.cand[j] = p[j] + ws.dp[j];
-      const double cand_cost = sse(f, xs, ys, ws.cand, ws.pj_vals);
-      out.model_evals += m;
-      if (cand_cost < cost) {
-        const double step = norm2(ws.dp);
-        const double scale = std::max(norm2(p), 1e-12);
-        p.swap(ws.cand);
-        ws.vals.swap(ws.pj_vals);  // model values at the accepted point
-        cost = cand_cost;
-        lambda = std::max(lambda * opts.lambda_down, 1e-14);
-        step_taken = true;
-        if (step / scale < opts.step_tol) {
-          out.converged = true;
-          out.term = LevMarTermination::kConverged;
-          stop = true;
-        }
-      } else {
-        factor_failed_last = false;
-        lambda *= opts.lambda_up;
-      }
-    }
-    if (!step_taken) {
-      // Damping exhausted: local minimum reached. Report what the final
-      // try did — the distinction (singular system vs rejected step) is
-      // what the fit audit surfaces.
-      out.term = factor_failed_last ? LevMarTermination::kCholeskyFail
-                                    : LevMarTermination::kNoProgress;
-      break;
-    }
-  }
-
-  out.params = p;
-  out.iterations = iter;
-  out.rmse = std::isfinite(cost) ? std::sqrt(cost / static_cast<double>(m))
-                                 : kInf;
-  return out;
-}
-
-namespace {
-
 // Lockstep multi-problem engine. Each problem runs the exact sequential
-// algorithm above as an explicit state machine; what is shared across
-// problems is the *round*: every problem that needs model values stages
-// its parameter vectors into one panel, a single PanelModel::eval serves
-// them all, and the damping factorizations that follow drain through the
-// interleaved cholesky_*_multi routines so the sqrt/div chains of
-// independent problems overlap. Per problem the evaluation sequence and
-// every arithmetic operation match sequential levenberg_marquardt, so
-// results are bit-identical; only the grouping of evaluations and the
-// interleaving of *independent* problems' instructions change.
+// algorithm (the scalar oracle's levenberg_marquardt) as an explicit state
+// machine; what is shared across problems is the *round*: every problem
+// that needs model values stages its parameter vectors into one panel, a
+// single PanelModel::eval serves them all, and the damping factorizations
+// that follow drain through the interleaved cholesky_*_multi routines so
+// the sqrt/div chains of independent problems overlap. Per problem the
+// evaluation sequence and every arithmetic operation match the sequential
+// solver, so results are bit-identical; only the grouping of evaluations
+// and the interleaving of *independent* problems' instructions change.
 
 enum : int {
   kPhaseInit = 0,  // awaiting model values at the current point p

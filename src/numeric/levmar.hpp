@@ -3,25 +3,17 @@
 // Fits y ~= f(x; p) for the nonlinear kernels of Table 1 (the rational
 // families and ExpRat). Problems are tiny (<= 7 parameters, <= a few dozen
 // points) but ESTIMA runs thousands of them per prediction, so the solver
-// works out of a caller-provided workspace: after the first iteration at a
-// given problem size it performs no heap allocation, and the model is
-// evaluated in batches (one dispatch per residual/Jacobian column instead
-// of one per point).
+// advances many independent problems in lockstep out of one caller-provided
+// workspace: after warm-up it performs no heap allocation, and each round's
+// model evaluations fuse into one panel call. The single-problem solver it
+// is held to, bit for bit, is the scalar oracle in tests/oracle/.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
-#include "numeric/matrix.hpp"
-
 namespace estima::numeric {
-
-/// Batched model callback: fills out[i] = f(xs[i]; p) for every point.
-/// `out` arrives pre-sized to xs.size().
-using BatchModelFn = std::function<void(const std::vector<double>& xs,
-                                        const std::vector<double>& p,
-                                        std::vector<double>& out)>;
 
 struct LevMarOptions {
   int max_iterations = 200;
@@ -33,9 +25,9 @@ struct LevMarOptions {
   double jacobian_eps = 1e-7;    ///< relative forward-difference step
 };
 
-/// Why the solver stopped. Both engines set this at the same exits of the
-/// same per-problem algorithm, so for a given problem the value is
-/// bit-for-bit reproducible regardless of engine or batching.
+/// Why the solver stopped. The lockstep solver and the scalar oracle set
+/// this at the same exits of the same per-problem algorithm, so for a given
+/// problem the value is bit-for-bit reproducible regardless of batching.
 enum class LevMarTermination : std::uint8_t {
   kNone = 0,         ///< degenerate problem (no points or no parameters)
   kConverged,        ///< gradient_tol or step_tol triggered the stop
@@ -46,8 +38,6 @@ enum class LevMarTermination : std::uint8_t {
   kNonFinite,        ///< model values went non-finite at the current point
 };
 
-const char* levmar_termination_name(LevMarTermination t);
-
 struct LevMarResult {
   std::vector<double> params;
   double rmse = 0.0;           ///< root mean squared residual at the optimum
@@ -56,31 +46,6 @@ struct LevMarResult {
   std::size_t model_evals = 0; ///< model point evaluations consumed
   LevMarTermination term = LevMarTermination::kNone;  ///< why it stopped
 };
-
-/// Reusable scratch space for levenberg_marquardt. Keep one per thread and
-/// pass it to every call: all per-iteration buffers (Jacobian, normal
-/// equations, Cholesky factor, trial points) live here and are resized in
-/// place, so repeated fits allocate nothing after warm-up.
-struct LevMarWorkspace {
-  Matrix J, JtJ, damped, L;
-  std::vector<double> vals;      ///< model values at the current point
-  std::vector<double> pj_vals;   ///< model values at a perturbed point
-  std::vector<double> resid;
-  std::vector<double> g, neg_g, dp, tmp;
-  std::vector<double> p, pj, cand;
-};
-
-/// Minimises sum_i (f(x_i; p) - y_i)^2 starting from `initial`, using `ws`
-/// for every intermediate buffer.
-///
-/// Non-finite model evaluations are treated as infinitely bad steps, so the
-/// optimiser backs away from poles of rational models instead of diverging.
-LevMarResult levenberg_marquardt(const BatchModelFn& f,
-                                 const std::vector<double>& xs,
-                                 const std::vector<double>& ys,
-                                 std::vector<double> initial,
-                                 const LevMarOptions& opts,
-                                 LevMarWorkspace& ws);
 
 /// A model evaluated panel-at-a-time: eval writes f(grid[i]; p_s) for
 /// i in [0, ms[s]) to out + s * out_stride for each of the n_sets
@@ -144,8 +109,9 @@ struct MultiLevMarWorkspace {
 /// panel), and the round's damping factorizations drain through the
 /// interleaved cholesky_*_multi routines so their sqrt/div chains overlap
 /// across problems. Per problem, the arithmetic and evaluation sequence
-/// are exactly those of sequential levenberg_marquardt, so each result is
-/// bit-identical to a sequential fit of the same problem.
+/// are exactly those of the sequential algorithm (the scalar oracle's
+/// levenberg_marquardt), so each result is bit-identical to a sequential
+/// fit of the same problem.
 void levenberg_marquardt_multi(const PanelModel& model, const double* ys,
                                const std::size_t* ys_off,
                                const std::size_t* prob_m,

@@ -130,49 +130,10 @@ LeastSquaresResult ridge(const Matrix& A, const std::vector<double>& b,
   return LeastSquaresResult{std::vector<double>(n, 0.0), norm2(b), 0};
 }
 
-std::vector<double> solve_lower_triangular(const Matrix& L,
-                                           const std::vector<double>& b) {
-  const std::size_t n = L.rows();
-  std::vector<double> x(n, 0.0);
-  for (std::size_t i = 0; i < n; ++i) {
-    double acc = b[i];
-    for (std::size_t j = 0; j < i; ++j) acc -= L(i, j) * x[j];
-    x[i] = L(i, i) != 0.0 ? acc / L(i, i) : 0.0;
-  }
-  return x;
-}
-
-std::vector<double> solve_upper_triangular(const Matrix& U,
-                                           const std::vector<double>& b) {
-  const std::size_t n = U.rows();
-  std::vector<double> x(n, 0.0);
-  for (std::size_t ii = n; ii-- > 0;) {
-    double acc = b[ii];
-    for (std::size_t j = ii + 1; j < n; ++j) acc -= U(ii, j) * x[j];
-    x[ii] = U(ii, ii) != 0.0 ? acc / U(ii, ii) : 0.0;
-  }
-  return x;
-}
-
-void normal_equations_raw(const double* J, std::size_t m, std::size_t n,
-                          const double* r, double* JtJ, double* Jtr) {
-  for (std::size_t j = 0; j < n; ++j) {
-    for (std::size_t k = 0; k <= j; ++k) {
-      double acc = 0.0;
-      for (std::size_t i = 0; i < m; ++i) acc += J[i * n + j] * J[i * n + k];
-      JtJ[j * n + k] = acc;
-      JtJ[k * n + j] = acc;
-    }
-    double acc = 0.0;
-    for (std::size_t i = 0; i < m; ++i) acc += J[i * n + j] * r[i];
-    Jtr[j] = acc;
-  }
-}
-
 void normal_equations_cm(const double* Jc, std::size_t ldj, std::size_t m,
                          std::size_t n, const double* r, double* JtJ,
                          double* Jtr) {
-  // Same j/k/i loop nest as normal_equations_raw — identical products in
+  // Same j/k/i loop nest as the row-major form — identical products in
   // identical summation order, so the outputs are bit-identical; only the
   // loads are contiguous (column j is one dense run of m doubles).
   for (std::size_t j = 0; j < n; ++j) {
@@ -188,16 +149,6 @@ void normal_equations_cm(const double* Jc, std::size_t ldj, std::size_t m,
     for (std::size_t i = 0; i < m; ++i) acc += cj[i] * r[i];
     Jtr[j] = acc;
   }
-}
-
-void normal_equations(const Matrix& J, const std::vector<double>& r,
-                      Matrix& JtJ, std::vector<double>& Jtr) {
-  const std::size_t m = J.rows();
-  const std::size_t n = J.cols();
-  JtJ.resize(n, n);
-  Jtr.assign(n, 0.0);
-  normal_equations_raw(J.raw(), m, n, r.data(), JtJ.mutable_data(),
-                       Jtr.data());
 }
 
 bool cholesky_factor_raw(const double* A, std::size_t n, double* L) {
@@ -216,13 +167,6 @@ bool cholesky_factor_raw(const double* A, std::size_t n, double* L) {
   return true;
 }
 
-bool cholesky_factor(const Matrix& A, Matrix& L) {
-  if (A.rows() != A.cols()) return false;
-  const std::size_t n = A.rows();
-  L.resize(n, n);
-  return cholesky_factor_raw(A.raw(), n, L.mutable_data());
-}
-
 void cholesky_solve_raw(const double* L, std::size_t n, const double* b,
                         double* tmp, double* x) {
   // Forward: L tmp = b.
@@ -237,14 +181,6 @@ void cholesky_solve_raw(const double* L, std::size_t n, const double* b,
     for (std::size_t j = ii + 1; j < n; ++j) acc -= L[j * n + ii] * x[j];
     x[ii] = L[ii * n + ii] != 0.0 ? acc / L[ii * n + ii] : 0.0;
   }
-}
-
-void cholesky_solve(const Matrix& L, const std::vector<double>& b,
-                    std::vector<double>& tmp, std::vector<double>& x) {
-  const std::size_t n = L.rows();
-  tmp.assign(n, 0.0);
-  x.assign(n, 0.0);
-  cholesky_solve_raw(L.raw(), n, b.data(), tmp.data(), x.data());
 }
 
 namespace {
@@ -346,12 +282,6 @@ void cholesky_solve_multi(std::size_t n, const double* const* L,
     i += 2;
   }
   for (; i < count; ++i) cholesky_solve_raw(L[i], n, b[i], tmp[i], x[i]);
-}
-
-std::optional<Matrix> cholesky(const Matrix& A) {
-  Matrix L;
-  if (!cholesky_factor(A, L)) return std::nullopt;
-  return L;
 }
 
 }  // namespace estima::numeric

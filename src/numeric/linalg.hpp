@@ -32,43 +32,19 @@ std::optional<LeastSquaresResult> least_squares(const Matrix& A,
 LeastSquaresResult ridge(const Matrix& A, const std::vector<double>& b,
                          double lambda);
 
-/// Solves the square system L x = b where L is lower-triangular.
-std::vector<double> solve_lower_triangular(const Matrix& L,
-                                           const std::vector<double>& b);
-
-/// Solves the square system U x = b where U is upper-triangular.
-std::vector<double> solve_upper_triangular(const Matrix& U,
-                                           const std::vector<double>& b);
-
-/// Cholesky factorisation of a symmetric positive-definite matrix.
-/// Returns std::nullopt when the matrix is not (numerically) SPD.
-std::optional<Matrix> cholesky(const Matrix& A);
-
-/// Forms the normal equations of a least-squares step directly from J and
-/// r: JtJ = J^T J (syrk-style, only the lower triangle is computed and then
-/// mirrored) and Jtr = J^T r — without materializing J.transposed().
-/// Outputs are resized in place, so repeated calls at the same problem size
-/// allocate nothing.
-void normal_equations(const Matrix& J, const std::vector<double>& r,
-                      Matrix& JtJ, std::vector<double>& Jtr);
-
-// Raw flat-array forms of the tiny dense kernels inside the LM inner loop.
-// The Matrix overloads delegate to these, so both entry points share one
-// loop body and agree bit-for-bit; the batched multi-problem LM engine
-// calls the raw forms directly on slices of its SoA scratch arenas (the
+// Flat-array forms of the tiny dense kernels inside the LM inner loop. The
+// lockstep LM engine calls them on slices of its SoA scratch arenas (the
 // problems are n <= 7, where per-call Matrix bookkeeping costs more than
-// the arithmetic).
+// the arithmetic); the scalar oracle's Matrix forms (tests/oracle/) run
+// the same loops, so both agree bit-for-bit.
 
-/// J is row-major m x n, JtJ is n x n, Jtr has n entries.
-void normal_equations_raw(const double* J, std::size_t m, std::size_t n,
-                          const double* r, double* JtJ, double* Jtr);
-
-/// Column-major variant: column j of the Jacobian lives at Jc + j * ldj
-/// (ldj >= m). The batched LM engine stores J transposed because each
-/// forward-difference column arrives as one contiguous slice of the model
-/// panel; this form consumes it without the strided scatter a row-major
-/// build would need. Products and summation order match
-/// normal_equations_raw exactly, so outputs are bit-identical.
+/// Forms the normal equations of a least-squares step, JtJ = J^T J (n x n,
+/// syrk-style: the lower triangle computed, then mirrored) and Jtr = J^T r,
+/// from a column-major Jacobian: column j lives at Jc + j * ldj (ldj >= m).
+/// Each forward-difference column arrives as one contiguous slice of the
+/// model panel, so the engine stores J this way. Products and summation
+/// order match the oracle's row-major normal_equations_raw exactly, so
+/// outputs are bit-identical.
 void normal_equations_cm(const double* Jc, std::size_t ldj, std::size_t m,
                          std::size_t n, const double* r, double* JtJ,
                          double* Jtr);
@@ -100,16 +76,5 @@ void cholesky_factor_multi(std::size_t n, const double* const* A,
 void cholesky_solve_multi(std::size_t n, const double* const* L,
                           const double* const* b, double* const* tmp,
                           double* const* x, std::size_t count);
-
-/// Allocation-free Cholesky: factors A into the lower-triangular L (resized
-/// in place). Returns false when A is not (numerically) SPD, in which case
-/// L's contents are unspecified.
-bool cholesky_factor(const Matrix& A, Matrix& L);
-
-/// Solves (L L^T) x = b given a Cholesky factor L, reusing `tmp` for the
-/// intermediate forward-substitution result. x and tmp are resized in
-/// place; no allocation on repeated same-size use.
-void cholesky_solve(const Matrix& L, const std::vector<double>& b,
-                    std::vector<double>& tmp, std::vector<double>& x);
 
 }  // namespace estima::numeric

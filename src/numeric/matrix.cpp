@@ -1,6 +1,5 @@
 #include "numeric/matrix.hpp"
 
-#include <algorithm>
 #include <cmath>
 
 namespace estima::numeric {
@@ -17,59 +16,6 @@ Matrix::Matrix(std::initializer_list<std::initializer_list<double>> init) {
   }
 }
 
-Matrix Matrix::identity(std::size_t n) {
-  Matrix m(n, n, 0.0);
-  for (std::size_t i = 0; i < n; ++i) m(i, i) = 1.0;
-  return m;
-}
-
-Matrix Matrix::transposed() const {
-  Matrix t(cols_, rows_);
-  for (std::size_t r = 0; r < rows_; ++r)
-    for (std::size_t c = 0; c < cols_; ++c) t(c, r) = (*this)(r, c);
-  return t;
-}
-
-Matrix Matrix::operator*(const Matrix& rhs) const {
-  if (cols_ != rhs.rows_) {
-    throw std::invalid_argument("Matrix multiply: dimension mismatch");
-  }
-  Matrix out(rows_, rhs.cols_, 0.0);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    for (std::size_t k = 0; k < cols_; ++k) {
-      const double a = (*this)(r, k);
-      if (a == 0.0) continue;
-      for (std::size_t c = 0; c < rhs.cols_; ++c) {
-        out(r, c) += a * rhs(k, c);
-      }
-    }
-  }
-  return out;
-}
-
-Matrix Matrix::operator+(const Matrix& rhs) const {
-  if (rows_ != rhs.rows_ || cols_ != rhs.cols_) {
-    throw std::invalid_argument("Matrix add: dimension mismatch");
-  }
-  Matrix out = *this;
-  for (std::size_t i = 0; i < data_.size(); ++i) out.data_[i] += rhs.data_[i];
-  return out;
-}
-
-Matrix Matrix::operator-(const Matrix& rhs) const {
-  if (rows_ != rhs.rows_ || cols_ != rhs.cols_) {
-    throw std::invalid_argument("Matrix sub: dimension mismatch");
-  }
-  Matrix out = *this;
-  for (std::size_t i = 0; i < data_.size(); ++i) out.data_[i] -= rhs.data_[i];
-  return out;
-}
-
-Matrix& Matrix::operator*=(double s) {
-  for (double& x : data_) x *= s;
-  return *this;
-}
-
 std::vector<double> Matrix::operator*(const std::vector<double>& v) const {
   if (v.size() != cols_) {
     throw std::invalid_argument("Matrix*vector: dimension mismatch");
@@ -83,37 +29,10 @@ std::vector<double> Matrix::operator*(const std::vector<double>& v) const {
   return out;
 }
 
-double Matrix::frobenius_norm() const {
-  double acc = 0.0;
-  for (double x : data_) acc += x * x;
-  return std::sqrt(acc);
-}
-
-double Matrix::max_abs() const {
-  double m = 0.0;
-  for (double x : data_) m = std::max(m, std::fabs(x));
-  return m;
-}
-
 double norm2(const std::vector<double>& v) {
   double acc = 0.0;
   for (double x : v) acc += x * x;
   return std::sqrt(acc);
-}
-
-double dot(const std::vector<double>& a, const std::vector<double>& b) {
-  assert(a.size() == b.size());
-  double acc = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) acc += a[i] * b[i];
-  return acc;
-}
-
-std::vector<double> axpy(const std::vector<double>& a, double s,
-                         const std::vector<double>& b) {
-  assert(a.size() == b.size());
-  std::vector<double> out(a.size());
-  for (std::size_t i = 0; i < a.size(); ++i) out[i] = a[i] + s * b[i];
-  return out;
 }
 
 }  // namespace estima::numeric

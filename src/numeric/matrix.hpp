@@ -26,8 +26,6 @@ class Matrix {
   /// same length.
   Matrix(std::initializer_list<std::initializer_list<double>> init);
 
-  static Matrix identity(std::size_t n);
-
   std::size_t rows() const { return rows_; }
   std::size_t cols() const { return cols_; }
   bool empty() const { return data_.empty(); }
@@ -50,25 +48,11 @@ class Matrix {
     return data_[r * cols_ + c];
   }
 
-  Matrix transposed() const;
-  Matrix operator*(const Matrix& rhs) const;
-  Matrix operator+(const Matrix& rhs) const;
-  Matrix operator-(const Matrix& rhs) const;
-  Matrix& operator*=(double s);
-
   /// Matrix * vector.
   std::vector<double> operator*(const std::vector<double>& v) const;
 
-  /// Frobenius norm.
-  double frobenius_norm() const;
-
-  /// Maximum absolute element.
-  double max_abs() const;
-
-  const std::vector<double>& data() const { return data_; }
-
-  /// Raw row-major storage, for the flat-array linalg kernels that back
-  /// the batched LM engine. Size is rows()*cols().
+  /// Raw row-major storage, for handing a Matrix to the flat-array linalg
+  /// kernels. Size is rows()*cols().
   double* mutable_data() { return data_.data(); }
   const double* raw() const { return data_.data(); }
 
@@ -80,12 +64,5 @@ class Matrix {
 
 /// Euclidean norm of a vector.
 double norm2(const std::vector<double>& v);
-
-/// Dot product; sizes must match.
-double dot(const std::vector<double>& a, const std::vector<double>& b);
-
-/// a + s*b, element-wise; sizes must match.
-std::vector<double> axpy(const std::vector<double>& a, double s,
-                         const std::vector<double>& b);
 
 }  // namespace estima::numeric

@@ -14,10 +14,9 @@ PredictionService::PredictionService(ServiceConfig cfg, core::ExecContext base)
     : cfg_(std::move(cfg)),
       base_(base),
       cache_(cfg_.cache_capacity, cfg_.cache_shards, cfg_.cache_ttl_ms) {
-  const core::ExecContext defaults;
   if (base_.deadline != nullptr || base_.trace != nullptr ||
       base_.memo != nullptr || base_.audit != nullptr ||
-      base_.engine != defaults.engine) {
+      base_.engine != nullptr) {
     throw std::invalid_argument(
         "PredictionService: the base context carries only a pool and fit "
         "metrics; deadline, trace, memo and audit are per call");

@@ -1,5 +1,6 @@
-// Shared helper for core tests: builds analytic ground-truth measurement
-// campaigns with known scaling behaviour, independent of the simulator.
+// Analytic ground-truth measurement campaigns with known scaling behaviour,
+// independent of the cycle simulator: the fixtures of the tests, benches
+// and demo examples.
 //
 // The model mirrors how stalls arise on real machines: each core executes
 // its share of the work and *additionally* spends stall cycles whose
@@ -13,7 +14,7 @@
 
 #include "core/measurement.hpp"
 
-namespace estima::testing {
+namespace estima::sim {
 
 struct SyntheticSpec {
   double work_cycles = 1e10;   ///< total useful work (strong scaling)
@@ -81,4 +82,4 @@ inline std::vector<int> counts_up_to(int m) {
   return v;
 }
 
-}  // namespace estima::testing
+}  // namespace estima::sim

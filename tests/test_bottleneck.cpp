@@ -2,14 +2,14 @@
 
 #include <gtest/gtest.h>
 
-#include "synthetic.hpp"
+#include "simmachine/synthetic.hpp"
 
 namespace estima::core {
 namespace {
 
-using estima::testing::counts_up_to;
-using estima::testing::make_synthetic;
-using estima::testing::SyntheticSpec;
+using estima::sim::counts_up_to;
+using estima::sim::make_synthetic;
+using estima::sim::SyntheticSpec;
 
 TEST(Bottleneck, RanksDominantCategoryFirst) {
   SyntheticSpec spec;

@@ -7,8 +7,9 @@
 
 #include "core/fit_engine.hpp"
 #include "numeric/stats.hpp"
+#include "oracle/scalar_fit.hpp"
 #include "parallel/thread_pool.hpp"
-#include "synthetic.hpp"
+#include "simmachine/synthetic.hpp"
 
 namespace estima::core {
 namespace {
@@ -123,13 +124,14 @@ TEST(Extrapolator, ConstantSeriesExtrapolatesFlat) {
 // brute-force loop (one fit_kernel + is_realistic per kernel x prefix x
 // checkpoint-setting combination), in the same order, on realistic
 // synthetic campaigns, while executing each (kernel, prefix) fit once —
-// on both engines, serial and with pool threads writing the slots.
+// on the library engine and the scalar oracle, serial and with pool
+// threads writing the slots.
 TEST(Extrapolator, MemoizedMatchesBruteForceReference) {
-  estima::testing::SyntheticSpec spec;
+  estima::sim::SyntheticSpec spec;
   spec.stm_rate = 1e-4;
   spec.noise = 0.03;
   const auto ms =
-      estima::testing::make_synthetic(spec, estima::testing::counts_up_to(12));
+      estima::sim::make_synthetic(spec, estima::sim::counts_up_to(12));
 
   ExtrapolationConfig cfg;
   cfg.checkpoint_counts = {1, 2, 3, 4};
@@ -171,7 +173,7 @@ TEST(Extrapolator, MemoizedMatchesBruteForceReference) {
       }
     }
 
-    for (const FitEngine engine : {FitEngine::kReference, FitEngine::kBatched}) {
+    for (const FitFillFn engine : {&scalar_fill, FitFillFn{}}) {
       for (parallel::ThreadPool* p :
            {static_cast<parallel::ThreadPool*>(nullptr), &pool}) {
         ExecContext ctx(p);
@@ -207,11 +209,11 @@ TEST(Extrapolator, MemoizedMatchesBruteForceReference) {
 // candidates of a standalone enumeration under that filter — while
 // executing the fits only once and reporting the sharing in the stats.
 TEST(Extrapolator, FilteredSweepSharesFitsAcrossRealismFilters) {
-  estima::testing::SyntheticSpec spec;
+  estima::sim::SyntheticSpec spec;
   spec.stm_rate = 1e-4;
   spec.noise = 0.03;
   const auto ms =
-      estima::testing::make_synthetic(spec, estima::testing::counts_up_to(12));
+      estima::sim::make_synthetic(spec, estima::sim::counts_up_to(12));
 
   ExtrapolationConfig cfg;
   cfg.target_max_cores = 64;

@@ -54,15 +54,15 @@
 #include "service/result_cache.hpp"
 #include "service/routes.hpp"
 #include "service/snapshot.hpp"
-#include "synthetic.hpp"
+#include "simmachine/synthetic.hpp"
 
 namespace estima {
 namespace {
 
 namespace fs = std::filesystem;
-using estima::testing::counts_up_to;
-using estima::testing::make_synthetic;
-using estima::testing::SyntheticSpec;
+using estima::sim::counts_up_to;
+using estima::sim::make_synthetic;
+using estima::sim::SyntheticSpec;
 
 /// Disarms every fault site when a test exits, however it exits: an armed
 /// site leaking into the next test would poison its syscalls.

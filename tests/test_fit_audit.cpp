@@ -1,7 +1,7 @@
 // Fit provenance under the bit-identity contract. The audit sink is an
 // opt-in observer like `trace` and `deadline`: it must never change the
 // prediction, and the records themselves must be byte-identical across
-// {kReference, kBatched} x {serial, pooled} — the golden-corpus rule
+// {scalar oracle, library engine} x {serial, pooled} — the golden-corpus rule
 // extends to audits (ROADMAP PR 9). On top of that:
 //
 //   * the audit must describe the served answer: each series' winner
@@ -26,16 +26,17 @@
 #include "core/predictor.hpp"
 #include "obs/histogram.hpp"
 #include "obs/prometheus.hpp"
+#include "oracle/scalar_fit.hpp"
 #include "parallel/thread_pool.hpp"
 #include "service/campaign_hash.hpp"
-#include "synthetic.hpp"
+#include "simmachine/synthetic.hpp"
 
 namespace estima::core {
 namespace {
 
-using estima::testing::counts_up_to;
-using estima::testing::make_synthetic;
-using estima::testing::SyntheticSpec;
+using estima::sim::counts_up_to;
+using estima::sim::make_synthetic;
+using estima::sim::SyntheticSpec;
 
 MeasurementSet campaign(double mem_rate = 0.3, double noise = 0.02) {
   SyntheticSpec spec;
@@ -102,7 +103,7 @@ TEST(FitAudit, ByteIdenticalAcrossEnginesAndPoolSizes) {
 
   std::string reference;
   bool first = true;
-  for (const FitEngine engine : {FitEngine::kReference, FitEngine::kBatched}) {
+  for (const FitFillFn engine : {&scalar_fill, FitFillFn{}}) {
     for (parallel::ThreadPool* p :
          {static_cast<parallel::ThreadPool*>(nullptr), &pool}) {
       PredictionConfig cfg = base_config();
@@ -124,7 +125,7 @@ TEST(FitAudit, ByteIdenticalAcrossEnginesAndPoolSizes) {
       } else {
         EXPECT_EQ(fp, reference)
             << "audit diverged under engine="
-            << (engine == FitEngine::kBatched ? "batched" : "reference")
+            << (engine == nullptr ? "library" : "scalar oracle")
             << " pool=" << (p != nullptr ? "4" : "serial");
       }
     }
@@ -215,7 +216,8 @@ TEST(FitAudit, EnumerationRejectsAPredictionAuditInItsContext) {
 // Every candidate record's outcome must follow from its own fit: a fit
 // that fit_kernel produces but some realism filter rejects is audited as
 // unrealistic, never as no-fit. Checked against an independent
-// fit_kernel + is_realistic per record, on both engines, for a
+// fit_kernel + is_realistic per record, on the library engine and the
+// scalar oracle, for a
 // single-filter enumeration and for the strict + relaxed sweep predict()
 // runs for the scaling factor.
 TEST(FitAudit, RealismRejectedFitsAreAuditedAsUnrealistic) {
@@ -229,7 +231,7 @@ TEST(FitAudit, RealismRejectedFitsAreAuditedAsUnrealistic) {
   strict.explosion_factor = 5.0;
   const std::vector<double> xs(ms.cores.begin(), ms.cores.end());
 
-  for (const FitEngine engine : {FitEngine::kReference, FitEngine::kBatched}) {
+  for (const FitFillFn engine : {&scalar_fill, FitFillFn{}}) {
     ExecContext ctx;
     ctx.engine = engine;
     for (const std::vector<RealismOptions>& filters :

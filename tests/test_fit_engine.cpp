@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+
+#include "oracle/scalar_fit.hpp"
 
 namespace estima::core {
 namespace {
@@ -239,8 +242,9 @@ TEST(FitBatch, PrefixBatchMatchesScalarFitBitwise) {
 }
 
 // The kernel-major entry point batches MANY prefixes (duplicates included)
-// into one lockstep LM call; every
-// per-prefix result must still be the scalar fit, bit for bit.
+// into one lockstep LM call; every per-prefix result must still be the
+// scalar fit, bit for bit — the fit AND its FitDiag, the half of the fill
+// contract the audit and the memo replay.
 TEST(FitBatch, KernelMajorBatchMatchesScalarFitBitwise) {
   auto xs = core_counts(12);
   const auto ys = saturating_series(xs);
@@ -251,20 +255,35 @@ TEST(FitBatch, KernelMajorBatchMatchesScalarFitBitwise) {
                                              10, 11, 12, 5, 8, 2};
   for (KernelType type : kAllKernels) {
     std::vector<std::optional<FittedFunction>> out(prefixes.size());
+    std::vector<FitDiag> diags(prefixes.size());
     fit_kernel_over_prefixes(type, xs, tables, ys, prefixes.data(),
-                             prefixes.size(), {}, ws, out.data());
+                             prefixes.size(), {}, ws, out.data(),
+                             diags.data());
     for (std::size_t j = 0; j < prefixes.size(); ++j) {
       const std::vector<double> pxs(xs.begin(), xs.begin() + prefixes[j]);
       const std::vector<double> pys(ys.begin(), ys.begin() + prefixes[j]);
-      const auto scalar = fit_kernel(type, pxs, pys, {});
-      ASSERT_EQ(out[j].has_value(), scalar.has_value())
-          << kernel_name(type) << " prefix=" << prefixes[j];
+      FitDiag want;
+      const auto scalar = fit_kernel(type, pxs, pys, {}, &want);
+      const std::string where =
+          kernel_name(type) + " prefix=" + std::to_string(prefixes[j]);
+      const FitDiag& got = diags[j];
+      EXPECT_EQ(got.path, want.path) << where;
+      EXPECT_EQ(got.solved, want.solved) << where;
+      ASSERT_EQ(got.starts.size(), want.starts.size()) << where;
+      for (std::size_t i = 0; i < want.starts.size(); ++i) {
+        const FitDiag::Start& g = got.starts[i];
+        const FitDiag::Start& w = want.starts[i];
+        EXPECT_EQ(g.rmse, w.rmse) << where << " start=" << i;  // bitwise
+        EXPECT_EQ(g.iterations, w.iterations) << where << " start=" << i;
+        EXPECT_EQ(g.model_evals, w.model_evals) << where << " start=" << i;
+        EXPECT_EQ(g.term, w.term) << where << " start=" << i;
+      }
+      ASSERT_EQ(out[j].has_value(), scalar.has_value()) << where;
       if (!scalar) continue;
       for (std::size_t i = 0; i < scalar->params.size(); ++i) {
-        EXPECT_EQ(out[j]->params[i], scalar->params[i])
-            << kernel_name(type) << " prefix=" << prefixes[j];
+        EXPECT_EQ(out[j]->params[i], scalar->params[i]) << where;
       }
-      EXPECT_EQ(out[j]->y_scale, scalar->y_scale) << kernel_name(type);
+      EXPECT_EQ(out[j]->y_scale, scalar->y_scale) << where;
     }
   }
 }

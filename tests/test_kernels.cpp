@@ -5,6 +5,8 @@
 #include <cmath>
 #include <vector>
 
+#include "oracle/scalar_fit.hpp"
+
 namespace estima::core {
 namespace {
 

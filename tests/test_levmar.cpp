@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "numeric/rng.hpp"
+#include "oracle/scalar_fit.hpp"
 
 namespace estima::numeric {
 namespace {

@@ -76,33 +76,21 @@ TEST(Ridge, LargeLambdaShrinksSolution) {
   EXPECT_LT(std::fabs(strong.x[0]), 0.1);
 }
 
-TEST(Triangular, LowerAndUpperSolve) {
-  Matrix L{{2.0, 0.0}, {1.0, 3.0}};
-  std::vector<double> b{4.0, 11.0};
-  auto x = solve_lower_triangular(L, b);
-  EXPECT_NEAR(x[0], 2.0, 1e-12);
-  EXPECT_NEAR(x[1], 3.0, 1e-12);
-
-  Matrix U{{2.0, 1.0}, {0.0, 3.0}};
-  std::vector<double> b2{7.0, 9.0};
-  auto y = solve_upper_triangular(U, b2);
-  EXPECT_NEAR(y[1], 3.0, 1e-12);
-  EXPECT_NEAR(y[0], 2.0, 1e-12);
-}
-
+// The library's Cholesky is the flat-array factor the lockstep LM engine
+// drains its damping queues through (a 2 x 2 here, row-major).
 TEST(Cholesky, FactorsSpdMatrix) {
-  Matrix A{{4.0, 2.0}, {2.0, 3.0}};
-  auto L = cholesky(A);
-  ASSERT_TRUE(L.has_value());
-  Matrix re = *L * L->transposed();
-  EXPECT_NEAR(re(0, 0), 4.0, 1e-12);
-  EXPECT_NEAR(re(0, 1), 2.0, 1e-12);
-  EXPECT_NEAR(re(1, 1), 3.0, 1e-12);
+  const double A[4] = {4.0, 2.0, 2.0, 3.0};
+  double L[4] = {};
+  ASSERT_TRUE(cholesky_factor_raw(A, 2, L));
+  EXPECT_NEAR(L[0] * L[0], 4.0, 1e-12);
+  EXPECT_NEAR(L[2] * L[0], 2.0, 1e-12);
+  EXPECT_NEAR(L[2] * L[2] + L[3] * L[3], 3.0, 1e-12);
 }
 
 TEST(Cholesky, RejectsIndefiniteMatrix) {
-  Matrix A{{1.0, 2.0}, {2.0, 1.0}};  // eigenvalues 3 and -1
-  EXPECT_FALSE(cholesky(A).has_value());
+  const double A[4] = {1.0, 2.0, 2.0, 1.0};  // eigenvalues 3 and -1
+  double L[4] = {};
+  EXPECT_FALSE(cholesky_factor_raw(A, 2, L));
 }
 
 }  // namespace

@@ -24,37 +24,6 @@ TEST(Matrix, RaggedInitializerThrows) {
   EXPECT_THROW((Matrix{{1.0, 2.0}, {3.0}}), std::invalid_argument);
 }
 
-TEST(Matrix, Identity) {
-  Matrix id = Matrix::identity(3);
-  for (std::size_t r = 0; r < 3; ++r)
-    for (std::size_t c = 0; c < 3; ++c)
-      EXPECT_DOUBLE_EQ(id(r, c), r == c ? 1.0 : 0.0);
-}
-
-TEST(Matrix, Transpose) {
-  Matrix m{{1.0, 2.0, 3.0}, {4.0, 5.0, 6.0}};
-  Matrix t = m.transposed();
-  EXPECT_EQ(t.rows(), 3u);
-  EXPECT_EQ(t.cols(), 2u);
-  EXPECT_DOUBLE_EQ(t(2, 1), 6.0);
-}
-
-TEST(Matrix, Multiply) {
-  Matrix a{{1.0, 2.0}, {3.0, 4.0}};
-  Matrix b{{5.0, 6.0}, {7.0, 8.0}};
-  Matrix c = a * b;
-  EXPECT_DOUBLE_EQ(c(0, 0), 19.0);
-  EXPECT_DOUBLE_EQ(c(0, 1), 22.0);
-  EXPECT_DOUBLE_EQ(c(1, 0), 43.0);
-  EXPECT_DOUBLE_EQ(c(1, 1), 50.0);
-}
-
-TEST(Matrix, MultiplyDimensionMismatchThrows) {
-  Matrix a(2, 3);
-  Matrix b(2, 3);
-  EXPECT_THROW(a * b, std::invalid_argument);
-}
-
 TEST(Matrix, MatVec) {
   Matrix a{{1.0, 2.0}, {3.0, 4.0}};
   std::vector<double> v{1.0, -1.0};
@@ -64,30 +33,9 @@ TEST(Matrix, MatVec) {
   EXPECT_DOUBLE_EQ(r[1], -1.0);
 }
 
-TEST(Matrix, AddSub) {
-  Matrix a{{1.0, 2.0}};
-  Matrix b{{3.0, 5.0}};
-  Matrix s = b - a;
-  Matrix p = a + b;
-  EXPECT_DOUBLE_EQ(s(0, 0), 2.0);
-  EXPECT_DOUBLE_EQ(s(0, 1), 3.0);
-  EXPECT_DOUBLE_EQ(p(0, 1), 7.0);
-}
-
-TEST(Matrix, Norms) {
-  Matrix a{{3.0, 4.0}};
-  EXPECT_DOUBLE_EQ(a.frobenius_norm(), 5.0);
-  EXPECT_DOUBLE_EQ(a.max_abs(), 4.0);
-}
-
-TEST(VectorOps, Norm2AndDot) {
+TEST(VectorOps, Norm2) {
   std::vector<double> a{3.0, 4.0};
-  std::vector<double> b{1.0, 2.0};
   EXPECT_DOUBLE_EQ(norm2(a), 5.0);
-  EXPECT_DOUBLE_EQ(dot(a, b), 11.0);
-  auto c = axpy(a, 2.0, b);
-  EXPECT_DOUBLE_EQ(c[0], 5.0);
-  EXPECT_DOUBLE_EQ(c[1], 8.0);
 }
 
 }  // namespace

@@ -60,15 +60,15 @@
 #include "net_support.hpp"
 #include "service/prediction_service.hpp"
 #include "service/routes.hpp"
-#include "synthetic.hpp"
+#include "simmachine/synthetic.hpp"
 
 namespace estima::net {
 namespace {
 
 namespace fs = std::filesystem;
-using estima::testing::counts_up_to;
-using estima::testing::make_synthetic;
-using estima::testing::SyntheticSpec;
+using estima::sim::counts_up_to;
+using estima::sim::make_synthetic;
+using estima::sim::SyntheticSpec;
 
 core::MeasurementSet demo_campaign(int seed = 0, int points = 10) {
   SyntheticSpec spec;

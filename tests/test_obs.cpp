@@ -35,7 +35,7 @@
 #include "obs/trace.hpp"
 #include "parallel/thread_pool.hpp"
 #include "service/prediction_service.hpp"
-#include "synthetic.hpp"
+#include "simmachine/synthetic.hpp"
 
 namespace estima::obs {
 namespace {
@@ -464,11 +464,11 @@ TEST(Trace, ServicePredictObeysSpanAccounting) {
   scfg.prediction.target_cores = estima::core::cores_up_to(16);
   estima::service::PredictionService service(scfg, &pool);
 
-  estima::testing::SyntheticSpec spec;
+  estima::sim::SyntheticSpec spec;
   spec.stm_rate = 1e-4;
   spec.noise = 0.02;
-  const auto ms = estima::testing::make_synthetic(
-      spec, estima::testing::counts_up_to(10), "obs-span-sum");
+  const auto ms = estima::sim::make_synthetic(
+      spec, estima::sim::counts_up_to(10), "obs-span-sum");
 
   Registry reg;
   Tracer tracer(reg, TracerConfig{0, 8});

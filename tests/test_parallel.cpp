@@ -6,7 +6,7 @@
 #include <vector>
 
 #include "core/predictor.hpp"
-#include "synthetic.hpp"
+#include "simmachine/synthetic.hpp"
 
 namespace estima {
 namespace {
@@ -67,10 +67,10 @@ TEST(ParallelFor, ZeroAndOneIndexEdgeCases) {
 // independent (kernel, prefix) fit jobs and category extrapolations into
 // per-index slots, all scoring and selection stays serial.
 TEST(ParallelPredict, BitIdenticalAcrossThreadCounts) {
-  testing::SyntheticSpec spec;
+  sim::SyntheticSpec spec;
   spec.stm_rate = 1e-4;
   spec.noise = 0.02;
-  const auto ms = testing::make_synthetic(spec, testing::counts_up_to(12));
+  const auto ms = sim::make_synthetic(spec, sim::counts_up_to(12));
 
   core::PredictionConfig cfg;
   cfg.target_cores = core::cores_up_to(48);

@@ -7,15 +7,16 @@
 
 #include "core/prediction_io.hpp"
 #include "legacy_writers.hpp"
+#include "oracle/scalar_fit.hpp"
 #include "parallel/thread_pool.hpp"
-#include "synthetic.hpp"
+#include "simmachine/synthetic.hpp"
 
 namespace estima::core {
 namespace {
 
-using estima::testing::counts_up_to;
-using estima::testing::make_synthetic;
-using estima::testing::SyntheticSpec;
+using estima::sim::counts_up_to;
+using estima::sim::make_synthetic;
+using estima::sim::SyntheticSpec;
 
 TEST(Predictor, ScalableWorkloadPredictedToScale) {
   SyntheticSpec spec;
@@ -239,10 +240,11 @@ INSTANTIATE_TEST_SUITE_P(
                       SweepParam{0.03, 0.003, 0.0}));
 
 // Golden bit-identity corpus: for a spread of workload shapes, the
-// serialised prediction record must be byte-equal across the reference and
-// batched fit engines, single-threaded and fanned out across a pool. This
-// is the contract that lets the batched engine replace the reference one
-// and lets servers pick thread counts freely without changing any answer.
+// serialised prediction record must be byte-equal between the library's
+// fit engine and the scalar oracle (tests/oracle/), single-threaded and
+// fanned out across a pool. This is the contract that lets the batched
+// engine stand in for the straightforward one and lets servers pick thread
+// counts freely without changing any answer.
 TEST(Predictor, GoldenCorpusByteEqualAcrossEnginesAndPools) {
   std::vector<SyntheticSpec> corpus(3);
   corpus[0].mem_growth = 0.005;                       // scales to the end
@@ -260,7 +262,7 @@ TEST(Predictor, GoldenCorpusByteEqualAcrossEnginesAndPools) {
 
     // Every record is also held byte-equal to the legacy ostream writer
     // (tests/legacy_writers.hpp), the format's reference bytes.
-    const auto record = [&](FitEngine engine,
+    const auto record = [&](FitFillFn engine,
                             parallel::ThreadPool* p) -> std::string {
       ExecContext ctx(p);
       ctx.engine = engine;
@@ -272,14 +274,14 @@ TEST(Predictor, GoldenCorpusByteEqualAcrossEnginesAndPools) {
       return os.str();
     };
 
-    const std::string golden = record(FitEngine::kReference, nullptr);
+    const std::string golden = record(&scalar_fill, nullptr);
     ASSERT_FALSE(golden.empty());
-    EXPECT_EQ(record(FitEngine::kReference, &pool), golden)
-        << "workload " << w << ": reference engine changed under the pool";
-    EXPECT_EQ(record(FitEngine::kBatched, nullptr), golden)
-        << "workload " << w << ": batched engine diverged (serial)";
-    EXPECT_EQ(record(FitEngine::kBatched, &pool), golden)
-        << "workload " << w << ": batched engine diverged (pooled)";
+    EXPECT_EQ(record(&scalar_fill, &pool), golden)
+        << "workload " << w << ": scalar oracle changed under the pool";
+    EXPECT_EQ(record(nullptr, nullptr), golden)
+        << "workload " << w << ": library engine diverged (serial)";
+    EXPECT_EQ(record(nullptr, &pool), golden)
+        << "workload " << w << ": library engine diverged (pooled)";
   }
 }
 

@@ -10,10 +10,11 @@
 #include <vector>
 
 #include "parallel/thread_pool.hpp"
+#include "oracle/scalar_fit.hpp"
 #include "service/campaign_hash.hpp"
 #include "service/ingest.hpp"
 #include "service/result_cache.hpp"
-#include "synthetic.hpp"
+#include "simmachine/synthetic.hpp"
 #ifdef ESTIMA_BUILD_NET
 #include <sstream>
 
@@ -23,9 +24,9 @@
 namespace estima::service {
 namespace {
 
-using estima::testing::counts_up_to;
-using estima::testing::make_synthetic;
-using estima::testing::SyntheticSpec;
+using estima::sim::counts_up_to;
+using estima::sim::make_synthetic;
+using estima::sim::SyntheticSpec;
 
 core::MeasurementSet campaign(int seed, int points = 12) {
   SyntheticSpec spec;
@@ -271,8 +272,9 @@ TEST(ResultCache, ForEachEntrySurvivesEvictionDuringIteration) {
                                        pred(i));
   std::atomic<bool> stop{false};
   std::thread writer([&] {
-    int k = 1000;
-    while (!stop.load()) big.put(static_cast<std::uint64_t>(++k), pred(k));
+    for (int k = 1001; !stop.load(); ++k) {
+      big.put(static_cast<std::uint64_t>(k), pred(k));
+    }
   });
   for (int round = 0; round < 50; ++round) {
     std::size_t seen = 0;
@@ -468,7 +470,7 @@ TEST(PredictionService, BaseContextCarriesOnlyPoolAndMetrics) {
   EXPECT_THROW(PredictionService service(scfg, with_deadline),
                std::invalid_argument);
   core::ExecContext reference;
-  reference.engine = core::FitEngine::kReference;
+  reference.engine = &core::scalar_fill;
   EXPECT_THROW(PredictionService service(scfg, reference),
                std::invalid_argument);
   parallel::ThreadPool pool(1);

@@ -28,15 +28,15 @@
 #include "legacy_writers.hpp"
 #include "parallel/thread_pool.hpp"
 #include "service/prediction_service.hpp"
-#include "synthetic.hpp"
+#include "simmachine/synthetic.hpp"
 
 namespace estima::service {
 namespace {
 
 namespace fs = std::filesystem;
-using estima::testing::counts_up_to;
-using estima::testing::make_synthetic;
-using estima::testing::SyntheticSpec;
+using estima::sim::counts_up_to;
+using estima::sim::make_synthetic;
+using estima::sim::SyntheticSpec;
 
 // ---------------------------------------------------------------------------
 // Bit-level comparators. EXPECT_EQ on doubles would call NaN != NaN and

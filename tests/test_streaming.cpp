@@ -5,7 +5,8 @@
 // The load-bearing test is the golden one: a prediction computed with a
 // FitMemo attached — cold, warm, and after appends — must serialize
 // byte-identically (write_prediction) to a cold predict() of the same
-// series, across {kReference, kBatched} x {serial, pooled}. Everything
+// series, across {scalar oracle, library engine} x {serial, pooled}.
+// Everything
 // the service layer does with campaigns (sharing one cache entry between
 // memoized and cold computations, invalidating exactly the superseded
 // hash) rests on that identity.
@@ -27,18 +28,19 @@
 #include "core/fit_memo.hpp"
 #include "core/prediction_io.hpp"
 #include "core/predictor.hpp"
+#include "oracle/scalar_fit.hpp"
 #include "parallel/thread_pool.hpp"
 #include "service/campaign_store.hpp"
 #include "service/prediction_service.hpp"
 #include "service/result_cache.hpp"
-#include "synthetic.hpp"
+#include "simmachine/synthetic.hpp"
 
 namespace estima::service {
 namespace {
 
-using estima::testing::counts_up_to;
-using estima::testing::make_synthetic;
-using estima::testing::SyntheticSpec;
+using estima::sim::counts_up_to;
+using estima::sim::make_synthetic;
+using estima::sim::SyntheticSpec;
 
 core::MeasurementSet campaign(int seed, int points = 12) {
   SyntheticSpec spec;
@@ -162,8 +164,8 @@ TEST(FitMemo, LookupInsertAndStats) {
 // streaming path.
 TEST(StreamingGolden, MemoizedByteIdenticalAcrossEnginesAndPools) {
   const auto full = campaign(3, 15);
-  for (const auto engine :
-       {core::FitEngine::kReference, core::FitEngine::kBatched}) {
+  for (const core::FitFillFn engine :
+       {&core::scalar_fill, core::FitFillFn{}}) {
     for (const bool pooled : {false, true}) {
       const auto cfg = serving_config();
       parallel::ThreadPool pool(4);
@@ -181,12 +183,13 @@ TEST(StreamingGolden, MemoizedByteIdenticalAcrossEnginesAndPools) {
         const auto cold = core::predict(ms, cfg, cold_ctx);
         const auto warm = core::predict(ms, cfg, warm_ctx);
         EXPECT_EQ(serialized(cold), serialized(warm))
-            << "engine=" << static_cast<int>(engine) << " pooled=" << pooled
-            << " points=" << k;
+            << "engine=" << (engine == nullptr ? "library" : "oracle")
+            << " pooled=" << pooled << " points=" << k;
       }
       // The growth actually replayed old prefixes from the memo.
       EXPECT_GT(memo.stats().hits, 0u)
-          << "engine=" << static_cast<int>(engine) << " pooled=" << pooled;
+          << "engine=" << (engine == nullptr ? "library" : "oracle")
+          << " pooled=" << pooled;
     }
   }
 }
@@ -256,8 +259,8 @@ TEST(StreamingGolden, AbandonedEnumerationInsertsNothingIntoTheMemo) {
   const std::size_t slots =
       core::kAllKernels.size() *
       (ms.cores.size() - 2 - static_cast<std::size_t>(cfg.min_prefix) + 1);
-  for (const auto engine :
-       {core::FitEngine::kReference, core::FitEngine::kBatched}) {
+  for (const core::FitFillFn engine :
+       {&core::scalar_fill, core::FitFillFn{}}) {
     core::FitMemo memo;
     core::Deadline expired;
     expired.cancel();

@@ -40,7 +40,7 @@ fi
 # Every SoA hot function must contain at least one vectorized loop. A
 # function's range is [its definition line, the next top-level definition).
 HOT_FUNCS="rat22_panel rat23_panel rat33_panel cubicln_panel poly25_panel \
-kernel_eval_batch kernel_eval_panel_v kernel_denominator_panel"
+kernel_eval_panel_v kernel_denominator_panel"
 
 DEF_LINES=$(grep -n '^[A-Za-z_][A-Za-z_0-9:<>& ]*(\|^[A-Za-z_][A-Za-z_0-9:<>& ]* [A-Za-z_]' "$SRC" |
   grep -v ';$' | cut -d: -f1)
