@@ -1,12 +1,13 @@
-// Shared helpers for the table/figure reproduction benches: compact table
-// printing, flag parsing, bit-identity checks and common prediction
-// plumbing.
+// Shared helpers for the benches: compact table printing, bit-identity
+// checks, common prediction plumbing, and the throughput benches' campaign
+// generator, overhead meter and JSON output.
 #pragma once
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -18,6 +19,7 @@
 #include "simmachine/machine.hpp"
 #include "simmachine/presets.hpp"
 #include "simmachine/simulator.hpp"
+#include "simmachine/synthetic.hpp"
 
 namespace estima::bench {
 
@@ -80,27 +82,93 @@ inline void write_latency_json(obs::JsonWriter& w, const std::string& key,
   w.end_object();
 }
 
-/// --name=value flag parsing shared by the throughput benches.
-inline double parse_flag_d(int argc, char** argv, const char* name,
-                           double dflt) {
-  const std::string prefix = std::string("--") + name + "=";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], prefix.c_str(), prefix.size()) == 0) {
-      return std::atof(argv[i] + prefix.size());
-    }
-  }
-  return dflt;
+/// Steady-clock seconds elapsed since `start`.
+inline double seconds_since(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       start)
+      .count();
 }
 
-inline std::string parse_flag_s(int argc, char** argv, const char* name,
-                                const std::string& dflt) {
-  const std::string prefix = std::string("--") + name + "=";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], prefix.c_str(), prefix.size()) == 0) {
-      return std::string(argv[i] + prefix.size());
+/// Writes a finished JSON document to `path` and says so on stdout;
+/// throws std::runtime_error when the file cannot be opened.
+inline void write_json_file(const std::string& path,
+                            const obs::JsonWriter& w) {
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  if (!f) throw std::runtime_error("cannot write " + path);
+  std::fputs(w.str().c_str(), f);
+  std::fclose(f);
+  std::printf("  wrote %s\n", path.c_str());
+}
+
+/// The serving benches' synthetic campaign `seed` (cores 1..points):
+/// memory rate, serial fraction and STM aborts vary with the seed, so
+/// distinct seeds are distinct campaigns. `tag` prefixes the campaign
+/// name.
+inline core::MeasurementSet make_campaign(int seed, int points,
+                                          const std::string& tag) {
+  sim::SyntheticSpec spec;
+  spec.mem_rate = 0.25 + 0.02 * (seed % 7);
+  spec.serial_frac = 0.005 + 0.0015 * (seed % 5);
+  spec.stm_rate = seed % 2 ? 1e-4 : 0.0;
+  spec.noise = 0.02;
+  const std::string name = tag + "-campaign-" + std::to_string(seed);
+  return sim::make_synthetic(spec, sim::counts_up_to(points), name.c_str());
+}
+
+/// The median of `v` (reordered in place; 0 when empty).
+inline double median(std::vector<double>& v) {
+  if (v.empty()) return 0.0;
+  std::sort(v.begin(), v.end());
+  const std::size_t mid = v.size() / 2;
+  return v.size() % 2 ? v[mid] : 0.5 * (v[mid - 1] + v[mid]);
+}
+
+/// What tracing adds to one operation, as interleaved_overhead measures it.
+struct Overhead {
+  double untraced_ns = 0.0;   ///< median over rounds of the trimmed mean
+  double traced_ns = 0.0;     ///< median over rounds of the trimmed mean
+  double overhead_pct = 0.0;  ///< median over rounds of traced vs untraced
+};
+
+/// The observability-overhead meter every serving bench uses. `untraced`
+/// and `traced` each run one operation (a warm batch, an HTTP request)
+/// and strictly alternate inside a `window_s` window, so scheduler stalls
+/// and frequency wander land on both sides alike. Each side's slowest 10%
+/// is trimmed before comparing means: one preempted operation must not
+/// masquerade as tracing cost. The window runs kRounds times and the
+/// medians are reported, so one noisy window cannot move the figure.
+template <typename Untraced, typename Traced>
+Overhead interleaved_overhead(Untraced&& untraced, Traced&& traced,
+                              double window_s) {
+  constexpr int kRounds = 5;
+  const auto timed_ns = [](auto& op) {
+    const auto t0 = std::chrono::steady_clock::now();
+    op();
+    return std::chrono::duration<double, std::nano>(
+               std::chrono::steady_clock::now() - t0)
+        .count();
+  };
+  const auto trimmed_mean = [](std::vector<double>& v) {
+    std::sort(v.begin(), v.end());
+    const std::size_t keep = std::max<std::size_t>(1, v.size() * 9 / 10);
+    double sum = 0.0;
+    for (std::size_t i = 0; i < keep; ++i) sum += v[i];
+    return sum / static_cast<double>(keep);
+  };
+  std::vector<double> untraced_ns, traced_ns, pct;
+  for (int round = 0; round < kRounds; ++round) {
+    std::vector<double> u, t;
+    const auto start = std::chrono::steady_clock::now();
+    while (seconds_since(start) < window_s) {
+      u.push_back(timed_ns(untraced));
+      t.push_back(timed_ns(traced));
     }
+    untraced_ns.push_back(trimmed_mean(u));
+    traced_ns.push_back(trimmed_mean(t));
+    pct.push_back(100.0 * (traced_ns.back() - untraced_ns.back()) /
+                  untraced_ns.back());
   }
-  return dflt;
+  return {median(untraced_ns), median(traced_ns), median(pct)};
 }
 
 /// Bitwise equality of a Prediction's *answer* — everything the campaign

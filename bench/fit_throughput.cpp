@@ -22,23 +22,28 @@
 //   parallel  — the library engine + fit/category fan-out across a pool.
 // The last three produce bit-identical predictions.
 //
+// The modes run in 5 interleaved rounds (each mode seconds/5 per round),
+// so frequency wander and neighbours' load land on every mode alike. The
+// end-to-end speedup is the median over rounds of the fastest mode's rate
+// over the baseline's rate in the same round.
+//
 // Reports predictions/sec, fits/sec and LM kernel point-evals/sec per
 // mode, the duplicate-fits-eliminated counter, and a bit-identical
 // cross-check of single- vs multi-threaded output, as JSON to
 // BENCH_fit_throughput.json (and human-readable text to stdout).
 //
 // Flags:
-//   --seconds=S   measurement window per mode       (default 2.0)
+//   --seconds=S   measurement time per mode, all rounds (default 2.0)
 //   --threads=N   pool size for the parallel mode   (default: hardware)
 //   --points=M    measured core counts 1..M         (default 14)
 //   --target=T    extrapolation horizon             (default 64)
 //   --ckmax=C     checkpoint settings swept, 1..C   (default 5)
 //   --out=PATH    JSON output path                  (default BENCH_fit_throughput.json)
 //   --mode=NAME   restrict to baseline|scalar|memoized|parallel (default: all)
+// An unknown, repeated or malformed flag is an error (exit 1).
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -46,6 +51,7 @@
 
 #include "bench/bench_util.hpp"
 #include "core/predictor.hpp"
+#include "examples/cli_flags.hpp"
 #include "oracle/scalar_fit.hpp"
 #include "parallel/thread_pool.hpp"
 #include "simmachine/synthetic.hpp"
@@ -54,12 +60,15 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 using estima::bench::bit_identical;
-using estima::bench::parse_flag_d;
-using estima::bench::parse_flag_s;
+
+constexpr int kRounds = 5;
 
 struct ModeResult {
   std::string name;
-  double predictions_per_sec = 0.0;
+  std::vector<estima::core::PredictionConfig> cfgs;
+  estima::core::ExecContext ctx;
+  double predictions_per_sec = 0.0;  ///< over all rounds
+  std::vector<double> round_rates;   ///< predictions/sec in each round
   int iterations = 0;
   double seconds = 0.0;
   std::size_t fits_executed = 0;
@@ -120,39 +129,45 @@ void accumulate_stats(const estima::core::Prediction& pred, ModeResult* r) {
   }
 }
 
-// One timed operation of a mode runs predict() once per config in `cfgs`.
-ModeResult run_mode(const std::string& name,
-                    const estima::core::MeasurementSet& ms,
-                    const std::vector<estima::core::PredictionConfig>& cfgs,
-                    const estima::core::ExecContext& ctx, double seconds) {
+// A mode whose one timed operation runs predict() once per config in
+// `cfgs`, warmed up (thread-local LM workspaces, allocator pools, page
+// faults) by one untimed operation that also supplies its fit accounting.
+ModeResult make_mode(const std::string& name,
+                     const estima::core::MeasurementSet& ms,
+                     std::vector<estima::core::PredictionConfig> cfgs,
+                     const estima::core::ExecContext& ctx) {
   ModeResult r;
   r.name = name;
-  // Warm-up: thread-local LM workspaces, allocator pools, page faults.
-  for (const auto& cfg : cfgs) {
-    accumulate_stats(estima::core::predict(ms, cfg, ctx), &r);
+  r.cfgs = std::move(cfgs);
+  r.ctx = ctx;
+  for (const auto& cfg : r.cfgs) {
+    accumulate_stats(estima::core::predict(ms, cfg, r.ctx), &r);
   }
+  return r;
+}
 
+// One round of a mode: operations until the round is `seconds` long and
+// has run three of them.
+void run_round(const estima::core::MeasurementSet& ms, double seconds,
+               ModeResult* r) {
   double sink = 0.0;  // defeat dead-code elimination
   const auto start = Clock::now();
   int iters = 0;
-  for (;;) {
+  double el = 0.0;
+  while (el < seconds || iters < 3) {
     const auto op_start = Clock::now();
-    for (const auto& cfg : cfgs) {
-      sink += estima::core::predict(ms, cfg, ctx).time_s.back();
+    for (const auto& cfg : r->cfgs) {
+      sink += estima::core::predict(ms, cfg, r->ctx).time_s.back();
     }
-    r.latency.record(op_start, Clock::now());
+    r->latency.record(op_start, Clock::now());
     ++iters;
-    const double el =
-        std::chrono::duration<double>(Clock::now() - start).count();
-    if (el >= seconds && iters >= 3) {
-      r.seconds = el;
-      break;
-    }
+    el = estima::bench::seconds_since(start);
   }
-  r.iterations = iters;
-  r.predictions_per_sec = iters / r.seconds;
+  r->iterations += iters;
+  r->seconds += el;
+  r->round_rates.push_back(iters / el);
+  r->predictions_per_sec = r->iterations / r->seconds;
   if (!std::isfinite(sink)) std::printf("(non-finite sink)\n");
-  return r;
 }
 
 }  // namespace
@@ -171,16 +186,17 @@ int main(int argc, char** argv) {
 }
 
 int run_bench(int argc, char** argv) {
-  const double seconds = parse_flag_d(argc, argv, "seconds", 2.0);
-  const int points = static_cast<int>(parse_flag_d(argc, argv, "points", 14));
-  const int target = static_cast<int>(parse_flag_d(argc, argv, "target", 64));
-  const int ckmax = static_cast<int>(parse_flag_d(argc, argv, "ckmax", 5));
+  estima::examples::Flags flags(argc, argv);
+  const double seconds = flags.number("seconds", 2.0);
+  const int points = flags.integer("points", 14);
+  const int target = flags.integer("target", 64);
+  const int ckmax = flags.integer("ckmax", 5);
   const unsigned hw = std::thread::hardware_concurrency();
-  const int threads = static_cast<int>(
-      parse_flag_d(argc, argv, "threads", hw > 0 ? static_cast<double>(hw) : 1.0));
-  const std::string out_path =
-      parse_flag_s(argc, argv, "out", "BENCH_fit_throughput.json");
-  const std::string only_mode = parse_flag_s(argc, argv, "mode", "all");
+  const int threads =
+      flags.integer("threads", hw > 0 ? static_cast<int>(hw) : 1);
+  const std::string out_path = flags.str("out", "BENCH_fit_throughput.json");
+  const std::string only_mode = flags.str("mode", "all");
+  if (const auto err = flags.error()) throw std::invalid_argument(*err);
   if (only_mode != "all" && only_mode != "baseline" && only_mode != "scalar" &&
       only_mode != "memoized" && only_mode != "parallel") {
     std::fprintf(
@@ -211,23 +227,24 @@ int run_bench(int argc, char** argv) {
   const bool all = only_mode == "all";
   const estima::core::FitFillFn oracle = &estima::core::scalar_fill;
   if (all || only_mode == "baseline") {
-    results.push_back(run_mode("baseline", ms,
-                               per_setting_configs(cfg, points),
-                               make_context(oracle, nullptr), seconds));
+    results.push_back(make_mode("baseline", ms,
+                                per_setting_configs(cfg, points),
+                                make_context(oracle, nullptr)));
   }
   if (all || only_mode == "scalar") {
-    results.push_back(run_mode("scalar", ms, {cfg},
-                               make_context(oracle, nullptr), seconds));
+    results.push_back(
+        make_mode("scalar", ms, {cfg}, make_context(oracle, nullptr)));
   }
   if (all || only_mode == "memoized") {
-    results.push_back(run_mode("memoized", ms, {cfg},
-                               make_context(nullptr, nullptr),
-                               seconds));
+    results.push_back(
+        make_mode("memoized", ms, {cfg}, make_context(nullptr, nullptr)));
   }
   if (all || only_mode == "parallel") {
-    results.push_back(run_mode("parallel", ms, {cfg},
-                               make_context(nullptr, &pool),
-                               seconds));
+    results.push_back(
+        make_mode("parallel", ms, {cfg}, make_context(nullptr, &pool)));
+  }
+  for (int round = 0; round < kRounds; ++round) {
+    for (auto& r : results) run_round(ms, seconds / kRounds, &r);
   }
 
   for (const auto& r : results) {
@@ -267,10 +284,17 @@ int run_bench(int argc, char** argv) {
                  baseline->duplicate_fits_eliminated);
   }
   double speedup = 0.0;
-  if (baseline && fastest && baseline->predictions_per_sec > 0.0) {
-    speedup = fastest->predictions_per_sec / baseline->predictions_per_sec;
-    std::printf("  end-to-end speedup (%s vs baseline): %.2fx\n",
-                fastest->name.c_str(), speedup);
+  if (baseline && fastest) {
+    std::vector<double> ratios;
+    for (int round = 0; round < kRounds; ++round) {
+      ratios.push_back(fastest->round_rates[round] /
+                       baseline->round_rates[round]);
+    }
+    speedup = estima::bench::median(ratios);
+    std::printf("  end-to-end speedup (%s vs baseline, median of %d "
+                "rounds): %.2fx (rounds %.2fx..%.2fx)\n",
+                fastest->name.c_str(), kRounds, speedup, ratios.front(),
+                ratios.back());
   }
 
   // Determinism cross-check: single-threaded vs pooled prediction must
@@ -281,11 +305,6 @@ int run_bench(int argc, char** argv) {
   std::printf("  1-thread vs %d-thread output bit-identical: %s\n", threads,
               identical ? "yes" : "NO");
 
-  std::FILE* f = std::fopen(out_path.c_str(), "w");
-  if (!f) {
-    std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-    return 1;
-  }
   estima::obs::JsonWriter w;
   w.begin_object();
   w.kv("bench", "fit_throughput");
@@ -314,11 +333,10 @@ int run_bench(int argc, char** argv) {
   }
   w.end_object();
   w.kv("end_to_end_speedup_vs_baseline", speedup, 3);
+  w.kv("speedup_rounds", kRounds);
   w.kv("multithreaded_bit_identical", identical);
   w.end_object();
-  std::fputs(w.str().c_str(), f);
-  std::fclose(f);
-  std::printf("  wrote %s\n", out_path.c_str());
+  estima::bench::write_json_file(out_path, w);
 
   if (!identical) return 2;
   return baseline_unshared ? 0 : 3;

@@ -30,7 +30,7 @@
 //   --idle-clients=N   idle keep-alive connections    (default 512)
 //   --warm-seconds=S   minimum warm window            (default 0.5)
 //   --out=PATH         JSON output path (default BENCH_net_throughput.json)
-//   --chaos            after the clean bars, re-run the warm window with
+//   --chaos=0|1        after the clean bars, re-run the warm window with
 //                      ~1% socket faults injected on both sides of the
 //                      wire (server read/write, client send/recv) and a
 //                      retrying client; reports throughput retention vs
@@ -38,6 +38,7 @@
 //                      Requires a build with ESTIMA_FAULT_INJECTION=ON;
 //                      otherwise the JSON records chaos as disabled.
 //   --chaos-seed=S     fault-schedule RNG seed        (default 1)
+// An unknown, repeated or malformed flag is an error (exit 1).
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -45,14 +46,16 @@
 #include <chrono>
 #include <cstdio>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "bench/bench_util.hpp"
 #include "core/measurement.hpp"
-#include "fault/fault_injection.hpp"
 #include "core/prediction_io.hpp"
 #include "core/predictor.hpp"
+#include "examples/cli_flags.hpp"
+#include "fault/fault_injection.hpp"
 #include "net/client.hpp"
 #include "net/fd_limit.hpp"
 #include "net/server.hpp"
@@ -61,29 +64,12 @@
 #include "service/prediction_service.hpp"
 #include "service/routes.hpp"
 #include "tests/net_support.hpp"
-#include "simmachine/synthetic.hpp"
 
 namespace {
 
 using Clock = std::chrono::steady_clock;
 using estima::bench::bit_identical;
-using estima::bench::parse_flag_d;
-using estima::bench::parse_flag_s;
-
-estima::core::MeasurementSet make_campaign(int seed, int points) {
-  estima::sim::SyntheticSpec spec;
-  spec.mem_rate = 0.25 + 0.02 * (seed % 7);
-  spec.serial_frac = 0.005 + 0.0015 * (seed % 5);
-  spec.stm_rate = seed % 2 ? 1e-4 : 0.0;
-  spec.noise = 0.02;
-  return estima::sim::make_synthetic(
-      spec, estima::sim::counts_up_to(points),
-      ("net-campaign-" + std::to_string(seed)).c_str());
-}
-
-double seconds_since(Clock::time_point start) {
-  return std::chrono::duration<double>(Clock::now() - start).count();
-}
+using estima::bench::seconds_since;
 
 std::string csv_of(const estima::core::MeasurementSet& ms) {
   std::ostringstream os;
@@ -137,28 +123,22 @@ int main(int argc, char** argv) {
 }
 
 int run_bench(int argc, char** argv) {
-  const int campaigns =
-      static_cast<int>(parse_flag_d(argc, argv, "campaigns", 8));
-  const int points = static_cast<int>(parse_flag_d(argc, argv, "points", 12));
-  const int target = static_cast<int>(parse_flag_d(argc, argv, "target", 48));
-  const int threads = static_cast<int>(parse_flag_d(
-      argc, argv, "threads",
-      static_cast<double>(estima::parallel::ThreadPool::hardware_threads())));
-  const int http_threads =
-      static_cast<int>(parse_flag_d(argc, argv, "http-threads", 4));
-  const int io_threads =
-      static_cast<int>(parse_flag_d(argc, argv, "io-threads", 2));
-  const int idle_clients =
-      static_cast<int>(parse_flag_d(argc, argv, "idle-clients", 512));
-  const double warm_seconds = parse_flag_d(argc, argv, "warm-seconds", 0.5);
-  const std::string out_path =
-      parse_flag_s(argc, argv, "out", "BENCH_net_throughput.json");
-  bool chaos = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::string(argv[i]) == "--chaos") chaos = true;
-  }
-  const auto chaos_seed = static_cast<std::uint64_t>(
-      parse_flag_d(argc, argv, "chaos-seed", 1));
+  estima::examples::Flags flags(argc, argv);
+  const int campaigns = flags.integer("campaigns", 8);
+  const int points = flags.integer("points", 12);
+  const int target = flags.integer("target", 48);
+  const int threads = flags.integer(
+      "threads",
+      static_cast<int>(estima::parallel::ThreadPool::hardware_threads()));
+  const int http_threads = flags.integer("http-threads", 4);
+  const int io_threads = flags.integer("io-threads", 2);
+  const int idle_clients = flags.integer("idle-clients", 512);
+  const double warm_seconds = flags.number("warm-seconds", 0.5);
+  const std::string out_path = flags.str("out", "BENCH_net_throughput.json");
+  bool chaos = flags.integer("chaos", 0) != 0;
+  const auto chaos_seed =
+      static_cast<std::uint64_t>(flags.integer("chaos-seed", 1));
+  if (const auto err = flags.error()) throw std::invalid_argument(*err);
   if (chaos && !estima::fault::compiled_in()) {
     std::fprintf(stderr,
                  "net_throughput: --chaos needs ESTIMA_FAULT_INJECTION=ON; "
@@ -169,7 +149,7 @@ int run_bench(int argc, char** argv) {
   std::vector<estima::core::MeasurementSet> uniques;
   std::vector<std::string> bodies;
   for (int i = 0; i < campaigns; ++i) {
-    uniques.push_back(make_campaign(i, points));
+    uniques.push_back(estima::bench::make_campaign(i, points, "net"));
     bodies.push_back(csv_of(uniques.back()));
   }
 
@@ -208,17 +188,27 @@ int run_bench(int argc, char** argv) {
       });
   server.start();
   estima::net::HttpClient client("127.0.0.1", server.port());
+  // Every clean-path request must answer 200; anything else ends the
+  // bench (exit 1).
+  const auto post = [&client](const char* path, const std::string& body,
+                              const char* type) {
+    auto resp = client.post(path, body, type);
+    if (resp.status != 200) {
+      throw std::runtime_error(std::string(path) + " failed: " +
+                               std::to_string(resp.status) + " " +
+                               resp.body);
+    }
+    return resp;
+  };
+  const auto matches_serial = [&serial](const std::string& record,
+                                        std::size_t i) {
+    std::istringstream is(record);
+    return bit_identical(estima::core::read_prediction(is), serial[i]);
+  };
 
   // Cold: every request computes its campaign.
   const auto cold_start = Clock::now();
-  for (const auto& body : bodies) {
-    const auto resp = client.post("/v1/predict", body, "text/csv");
-    if (resp.status != 200) {
-      std::fprintf(stderr, "cold request failed: %d %s\n", resp.status,
-                   resp.body.c_str());
-      return 1;
-    }
-  }
+  for (const auto& body : bodies) (void)post("/v1/predict", body, "text/csv");
   const double cold_elapsed = seconds_since(cold_start);
   const double cold_rps = campaigns / cold_elapsed;
   const auto after_cold = service.stats();
@@ -246,22 +236,12 @@ int run_bench(int argc, char** argv) {
   double warm_elapsed = 0.0;
   for (int pass = 0;; ++pass) {
     for (int i = 0; i < campaigns; ++i) {
+      const auto idx = static_cast<std::size_t>(i);
       const auto req_start = Clock::now();
-      const auto resp = client.post("/v1/predict", bodies[static_cast<std::size_t>(i)], "text/csv");
-      if (resp.status != 200) {
-        std::fprintf(stderr, "warm request failed: %d %s\n", resp.status,
-                     resp.body.c_str());
-        return 1;
-      }
+      const auto resp = post("/v1/predict", bodies[idx], "text/csv");
       warm_lat.record(req_start, Clock::now());
       ++warm_requests;
-      if (pass == 0) {
-        std::istringstream is(resp.body);
-        const auto got = estima::core::read_prediction(is);
-        if (!bit_identical(got, serial[static_cast<std::size_t>(i)])) {
-          identical = false;
-        }
-      }
+      if (pass == 0 && !matches_serial(resp.body, idx)) identical = false;
     }
     warm_elapsed = seconds_since(warm_start);
     if (warm_elapsed >= warm_seconds && pass >= 1) break;
@@ -276,26 +256,14 @@ int run_bench(int argc, char** argv) {
   const auto batch_start = Clock::now();
   double batch_elapsed = 0.0;
   for (;;) {
-    const auto resp = client.post("/v1/predict_batch", batch_body, "text/plain");
-    if (resp.status != 200) {
-      std::fprintf(stderr, "batch request failed: %d %s\n", resp.status,
-                   resp.body.c_str());
-      return 1;
-    }
+    const auto resp = post("/v1/predict_batch", batch_body, "text/plain");
     ++batch_requests;
     if (batch_requests == 1) {
       const auto records = estima::service::parse_frames(
           resp.body, "prediction", static_cast<std::size_t>(campaigns));
-      if (records.size() != static_cast<std::size_t>(campaigns)) {
-        identical = false;
-      } else {
-        for (int i = 0; i < campaigns; ++i) {
-          std::istringstream is(records[static_cast<std::size_t>(i)]);
-          const auto got = estima::core::read_prediction(is);
-          if (!bit_identical(got, serial[static_cast<std::size_t>(i)])) {
-            identical = false;
-          }
-        }
+      if (records.size() != serial.size()) identical = false;
+      for (std::size_t i = 0; identical && i < records.size(); ++i) {
+        identical = matches_serial(records[i], i);
       }
     }
     batch_elapsed = seconds_since(batch_start);
@@ -306,57 +274,29 @@ int run_bench(int argc, char** argv) {
 
   // Observability overhead over the wire: the same warm request with the
   // server's tracer detached vs attached (set_tracer is an atomic swap),
-  // strictly alternating on one keep-alive connection so both sides see
-  // the same scheduler and the same cache state. Each side's per-request
-  // times are tail-trimmed before comparing means, so one preempted
-  // round trip cannot masquerade as tracing cost. The traced side pays
-  // the full edge path: trace creation, edge.read/parse/queue.wait/
-  // serialize/edge.encode/edge.write spans, stage histograms, and
-  // finish().
+  // alternating on one keep-alive connection so both sides see the same
+  // scheduler and the same cache state. The traced side pays the full
+  // edge path: trace creation, edge.read/parse/queue.wait/serialize/
+  // edge.encode/edge.write spans, stage histograms, and finish().
   estima::obs::Registry registry;
   estima::obs::TracerConfig tcfg;
   tcfg.slow_threshold_ms = -1;  // measuring span cost, not collecting slow
   estima::obs::Tracer tracer(registry, tcfg);
-  std::vector<double> untraced_ns, traced_ns;
-  {
-    const double window_s = std::max(0.3, warm_seconds);
-    const auto start = Clock::now();
-    std::size_t n = 0;
-    while (seconds_since(start) < window_s) {
-      const auto idx = n++ % bodies.size();
-      server.set_tracer(nullptr);
-      const auto u0 = Clock::now();
-      const auto ur = client.post("/v1/predict", bodies[idx], "text/csv");
-      const auto u1 = Clock::now();
-      server.set_tracer(&tracer);
-      const auto t0 = Clock::now();
-      const auto tr = client.post("/v1/predict", bodies[idx], "text/csv");
-      const auto t1 = Clock::now();
-      if (ur.status != 200 || tr.status != 200) {
-        std::fprintf(stderr, "overhead request failed: %d / %d\n", ur.status,
-                     tr.status);
-        return 1;
-      }
-      untraced_ns.push_back(
-          std::chrono::duration<double, std::nano>(u1 - u0).count());
-      traced_ns.push_back(
-          std::chrono::duration<double, std::nano>(t1 - t0).count());
-    }
-    server.set_tracer(nullptr);
-  }
-  const auto trimmed_mean = [](std::vector<double>& v) {
-    std::sort(v.begin(), v.end());
-    const std::size_t keep = std::max<std::size_t>(1, v.size() * 9 / 10);
-    double sum = 0.0;
-    for (std::size_t i = 0; i < keep; ++i) sum += v[i];
-    return sum / static_cast<double>(keep);
+  // The untraced side picks the next body, the traced side repeats it.
+  std::size_t body = 0;
+  const auto warm_request = [&](estima::obs::Tracer* t) {
+    server.set_tracer(t);
+    (void)post("/v1/predict", bodies[body], "text/csv");
   };
-  const double untraced_req_ns = trimmed_mean(untraced_ns);
-  const double traced_req_ns = trimmed_mean(traced_ns);
-  const double untraced_rps = 1e9 / untraced_req_ns;
-  const double traced_rps = 1e9 / traced_req_ns;
-  const double obs_overhead_pct =
-      100.0 * (traced_req_ns - untraced_req_ns) / untraced_req_ns;
+  const estima::bench::Overhead overhead = estima::bench::interleaved_overhead(
+      [&] {
+        body = (body + 1) % bodies.size();
+        warm_request(nullptr);
+      },
+      [&] { warm_request(&tracer); }, std::max(0.3, warm_seconds));
+  server.set_tracer(nullptr);
+  const double untraced_rps = 1e9 / overhead.untraced_ns;
+  const double traced_rps = 1e9 / overhead.traced_ns;
 
   // Chaos window: the same warm traffic with ~1% of socket operations on
   // both sides of the wire failing (or short-writing), driven through the
@@ -474,7 +414,7 @@ int run_bench(int argc, char** argv) {
               identical ? "yes" : "NO");
   std::printf("  traced vs untraced warm: untraced %10.2f/s  traced "
               "%10.2f/s  obs overhead %.2f%%\n",
-              untraced_rps, traced_rps, obs_overhead_pct);
+              untraced_rps, traced_rps, overhead.overhead_pct);
   {
     const auto ls = warm_lat.stats();
     std::printf("  warm latency: p50 %.4fms p90 %.4fms p99 %.4fms "
@@ -496,11 +436,6 @@ int run_bench(int argc, char** argv) {
               static_cast<unsigned long long>(sstats.responses_4xx),
               static_cast<unsigned long long>(sstats.responses_5xx));
 
-  std::FILE* f = std::fopen(out_path.c_str(), "w");
-  if (!f) {
-    std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-    return 1;
-  }
   estima::obs::JsonWriter w;
   w.begin_object();
   w.kv("bench", "net_throughput");
@@ -524,7 +459,7 @@ int run_bench(int argc, char** argv) {
   w.kv("bit_identical_through_wire", identical);
   w.kv("untraced_warm_requests_per_sec", untraced_rps, 3);
   w.kv("traced_warm_requests_per_sec", traced_rps, 3);
-  w.kv("obs_overhead_pct", obs_overhead_pct, 2);
+  w.kv("obs_overhead_pct", overhead.overhead_pct, 2);
   estima::bench::write_latency_json(w, "warm_latency", warm_lat);
   w.begin_object("chaos");
   w.kv("enabled", chaos);
@@ -540,9 +475,7 @@ int run_bench(int argc, char** argv) {
   w.end_object();
   w.kv("speedup_bar_met", speedup_ok);
   w.end_object();
-  std::fputs(w.str().c_str(), f);
-  std::fclose(f);
-  std::printf("  wrote %s\n", out_path.c_str());
+  estima::bench::write_json_file(out_path, w);
 
   // A wrong answer under chaos is a correctness failure, same as a
   // bit-identity failure on the clean path.

@@ -24,6 +24,14 @@
 // to cold at every step and >= 3x faster over the whole append sequence
 // (CI-gated); the bench exits non-zero when either fails.
 //
+// Restart section (always on): the warm service spills its cache with
+// snapshot_to() to a file beside --out, and a fresh service — the
+// restarted process — warms only from that file (removed afterwards) and
+// runs the restored-warm window against the same serial reference. It
+// must restore every entry, recompute nothing and miss nothing, answer
+// bit-identically to serial and serve >= 10x cold serial; the bench exits
+// non-zero when any of those fails.
+//
 // Reports JSON to BENCH_serve_throughput.json (and text to stdout).
 //
 // Flags:
@@ -36,42 +44,53 @@
 //   --streaming=0|1 run the streaming section         (default 1)
 //   --appends=A     points appended one at a time     (default 6)
 //   --out=PATH      JSON output path (default BENCH_serve_throughput.json)
+// An unknown, repeated or malformed flag is an error (exit 1).
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
-#include <cstring>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "bench/bench_util.hpp"
 #include "core/fit_memo.hpp"
 #include "core/predictor.hpp"
+#include "examples/cli_flags.hpp"
 #include "obs/trace.hpp"
 #include "parallel/thread_pool.hpp"
 #include "service/prediction_service.hpp"
-#include "simmachine/synthetic.hpp"
 
 namespace {
 
 using Clock = std::chrono::steady_clock;
 using estima::bench::bit_identical;
-using estima::bench::parse_flag_d;
-using estima::bench::parse_flag_s;
+using estima::bench::seconds_since;
 
-estima::core::MeasurementSet make_campaign(int seed, int points) {
-  estima::sim::SyntheticSpec spec;
-  spec.mem_rate = 0.25 + 0.02 * (seed % 7);
-  spec.serial_frac = 0.005 + 0.0015 * (seed % 5);
-  spec.stm_rate = seed % 2 ? 1e-4 : 0.0;
-  spec.noise = 0.02;
-  return estima::sim::make_synthetic(
-      spec, estima::sim::counts_up_to(points),
-      ("serve-campaign-" + std::to_string(seed)).c_str());
-}
+struct WarmWindow {
+  std::size_t campaigns_served = 0;
+  double seconds = 0.0;
+  std::vector<estima::core::Prediction> out;  ///< the last batch's answers
+  estima::bench::LatencyRecorder batch_latency;
 
-double seconds_since(Clock::time_point start) {
-  return std::chrono::duration<double>(Clock::now() - start).count();
+  double campaigns_per_sec() const { return campaigns_served / seconds; }
+};
+
+/// Serves whole batches until the window is at least `min_seconds` long
+/// and has served two of them.
+WarmWindow run_warm_window(
+    estima::service::PredictionService& service,
+    const std::vector<estima::core::MeasurementSet>& batch,
+    double min_seconds) {
+  WarmWindow w;
+  const auto start = Clock::now();
+  for (int batches = 1;; ++batches) {
+    const auto batch_start = Clock::now();
+    w.out = service.predict_many(batch);
+    w.batch_latency.record(batch_start, Clock::now());
+    w.campaigns_served += batch.size();
+    w.seconds = seconds_since(start);
+    if (w.seconds >= min_seconds && batches >= 2) return w;
+  }
 }
 
 }  // namespace
@@ -88,25 +107,27 @@ int main(int argc, char** argv) {
 }
 
 int run_bench(int argc, char** argv) {
-  const int campaigns =
-      static_cast<int>(parse_flag_d(argc, argv, "campaigns", 8));
-  const int repeat = static_cast<int>(parse_flag_d(argc, argv, "repeat", 4));
-  const int points = static_cast<int>(parse_flag_d(argc, argv, "points", 12));
-  const int target = static_cast<int>(parse_flag_d(argc, argv, "target", 48));
-  const double warm_seconds =
-      parse_flag_d(argc, argv, "warm-seconds", 0.5);
-  const bool streaming = parse_flag_d(argc, argv, "streaming", 1) != 0;
-  const int appends = static_cast<int>(parse_flag_d(argc, argv, "appends", 6));
-  const int threads = static_cast<int>(parse_flag_d(
-      argc, argv, "threads",
-      static_cast<double>(estima::parallel::ThreadPool::hardware_threads())));
+  estima::examples::Flags flags(argc, argv);
+  const int campaigns = flags.integer("campaigns", 8);
+  const int repeat = flags.integer("repeat", 4);
+  const int points = flags.integer("points", 12);
+  const int target = flags.integer("target", 48);
+  const double warm_seconds = flags.number("warm-seconds", 0.5);
+  const bool streaming = flags.integer("streaming", 1) != 0;
+  const int appends = flags.integer("appends", 6);
+  const int threads = flags.integer(
+      "threads",
+      static_cast<int>(estima::parallel::ThreadPool::hardware_threads()));
   const std::string out_path =
-      parse_flag_s(argc, argv, "out", "BENCH_serve_throughput.json");
+      flags.str("out", "BENCH_serve_throughput.json");
+  if (const auto err = flags.error()) throw std::invalid_argument(*err);
 
   // The request stream: C distinct campaigns, each appearing R times per
   // batch, interleaved the way independent clients would submit them.
   std::vector<estima::core::MeasurementSet> uniques;
-  for (int i = 0; i < campaigns; ++i) uniques.push_back(make_campaign(i, points));
+  for (int i = 0; i < campaigns; ++i) {
+    uniques.push_back(estima::bench::make_campaign(i, points, "serve"));
+  }
   std::vector<estima::core::MeasurementSet> batch;
   for (int r = 0; r < repeat; ++r) {
     for (const auto& u : uniques) batch.push_back(u);
@@ -126,6 +147,13 @@ int run_bench(int argc, char** argv) {
   for (const auto& u : uniques) serial.push_back(estima::core::predict(u, cfg));
   const double serial_elapsed = seconds_since(serial_start);
   const double serial_cps = campaigns / serial_elapsed;
+  const auto matches_serial =
+      [&](const std::vector<estima::core::Prediction>& out) {
+        for (std::size_t i = 0; i < out.size(); ++i) {
+          if (!bit_identical(out[i], serial[i % serial.size()])) return false;
+        }
+        return true;
+      };
 
   estima::parallel::ThreadPool pool(
       static_cast<std::size_t>(threads > 0 ? threads : 1));
@@ -134,7 +162,7 @@ int run_bench(int argc, char** argv) {
   // Capacity is split across the cache's 16 shards and keys can skew, so
   // leave enough headroom that even every campaign landing in one shard
   // (per-shard capacity = total/16) cannot evict a live entry — the
-  // warm-pass 100% hit-rate gate must only ever fail for real bugs.
+  // 100% hit-rate gates must only ever fail for real bugs.
   scfg.cache_capacity = static_cast<std::size_t>(64 * campaigns);
   estima::service::PredictionService service(scfg, &pool);
 
@@ -148,19 +176,8 @@ int run_bench(int argc, char** argv) {
   // Warm passes: loop whole batches until the window is long enough to
   // time the cache path honestly. The first warm pass supplies the
   // second-pass hit-rate figure.
-  int warm_batches = 0;
-  std::size_t warm_campaigns_served = 0;
-  std::vector<estima::core::Prediction> warm_out;
-  const auto warm_start = Clock::now();
-  double warm_elapsed = 0.0;
-  for (;;) {
-    warm_out = service.predict_many(batch);
-    ++warm_batches;
-    warm_campaigns_served += batch.size();
-    warm_elapsed = seconds_since(warm_start);
-    if (warm_elapsed >= warm_seconds && warm_batches >= 2) break;
-  }
-  const double warm_cps = warm_campaigns_served / warm_elapsed;
+  const WarmWindow warm = run_warm_window(service, batch, warm_seconds);
+  const double warm_cps = warm.campaigns_per_sec();
   const auto after_warm = service.stats();
 
   // Invariants. Second pass = the first warm batch: its unique lookups
@@ -175,20 +192,41 @@ int run_bench(int argc, char** argv) {
           : 0.0;
   const bool no_new_compute =
       after_warm.predictions_computed == after_cold.predictions_computed;
-
-  bool identical = true;
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    const auto& want = serial[i % static_cast<std::size_t>(campaigns)];
-    if (!bit_identical(cold_out[i], want) ||
-        !bit_identical(warm_out[i], want)) {
-      identical = false;
-      break;
-    }
-  }
-
+  const bool identical = matches_serial(cold_out) && matches_serial(warm.out);
   const double warm_speedup = warm_cps / serial_cps;
   const bool speedup_ok = warm_speedup >= 10.0;
   const bool hit_rate_ok = second_pass_hit_rate == 1.0 && no_new_compute;
+
+  // Restart: spill the warm cache beside --out, then warm a fresh service
+  // from that file alone. A file it cannot use at all counts as an
+  // incomplete restore, not as a crash.
+  const std::string snapshot_path = out_path + ".snapshot";
+  (void)service.snapshot_to(snapshot_path);
+  estima::service::PredictionService restarted(scfg, &pool);
+  estima::service::SnapshotLoadReport restore;
+  bool restore_read = false;
+  const auto restore_start = Clock::now();
+  try {
+    restore = restarted.restore_from(snapshot_path);
+    restore_read = true;
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "serve_throughput: restore failed: %s\n", e.what());
+  }
+  const double restore_elapsed = seconds_since(restore_start);
+  std::remove(snapshot_path.c_str());
+  const bool restore_complete =
+      restore_read &&
+      restore.entries_loaded() == static_cast<std::size_t>(campaigns) &&
+      restore.skipped.empty() && !restore.truncated;
+  const auto after_restore = restarted.stats();
+  const WarmWindow restored = run_warm_window(restarted, batch, warm_seconds);
+  const auto after_restored = restarted.stats();
+  const bool restart_all_hits =
+      after_restored.cache.misses == after_restore.cache.misses &&
+      after_restored.predictions_computed == 0;
+  const bool restart_identical = matches_serial(restored.out);
+  const double restart_speedup = restored.campaigns_per_sec() / serial_cps;
+  const bool restart_speedup_ok = restart_speedup >= 10.0;
 
   // Per-campaign latency percentiles on the warm path (pure cache hits).
   estima::bench::LatencyRecorder warm_lat;
@@ -206,49 +244,24 @@ int run_bench(int argc, char** argv) {
   // Observability overhead at request granularity: one TraceContext per
   // warm batch — exactly what one traced HTTP request pays (context
   // creation, cache.lookup spans, histogram records, finish) — against
-  // the identical untraced call. Traced and untraced batches strictly
-  // alternate inside ONE window, so scheduler stalls and frequency
-  // wander land on both sides alike, and each side's per-batch times are
-  // tail-trimmed before comparing means: a single preempted batch must
-  // not masquerade as tracing cost.
+  // the identical untraced call.
   estima::obs::Registry registry;
   estima::obs::TracerConfig tcfg;
   tcfg.slow_threshold_ms = -1;  // measuring span cost, not collecting slow
   estima::obs::Tracer tracer(registry, tcfg);
-  std::vector<double> untraced_ns, traced_ns;
-  {
-    const double window_s = std::max(0.3, warm_seconds);
-    const auto start = Clock::now();
-    while (seconds_since(start) < window_s) {
-      const auto u0 = Clock::now();
-      (void)service.predict_many(batch);
-      const auto u1 = Clock::now();
-      untraced_ns.push_back(
-          std::chrono::duration<double, std::nano>(u1 - u0).count());
-      const auto t0 = Clock::now();
-      estima::obs::TraceContext tctx(&tracer, tracer.generate_id(), t0);
-      (void)service.predict_many(batch, nullptr, &tctx);
-      const auto t1 = Clock::now();
-      tracer.finish(tctx, t1);
-      traced_ns.push_back(
-          std::chrono::duration<double, std::nano>(t1 - t0).count());
-    }
-  }
-  const auto trimmed_mean = [](std::vector<double>& v) {
-    std::sort(v.begin(), v.end());
-    const std::size_t keep = std::max<std::size_t>(1, v.size() * 9 / 10);
-    double sum = 0.0;
-    for (std::size_t i = 0; i < keep; ++i) sum += v[i];
-    return sum / static_cast<double>(keep);
-  };
-  const double untraced_batch_ns = trimmed_mean(untraced_ns);
-  const double traced_batch_ns = trimmed_mean(traced_ns);
+  const estima::bench::Overhead overhead = estima::bench::interleaved_overhead(
+      [&] { (void)service.predict_many(batch); },
+      [&] {
+        estima::obs::TraceContext tctx(&tracer, tracer.generate_id(),
+                                       Clock::now());
+        (void)service.predict_many(batch, nullptr, &tctx);
+        tracer.finish(tctx, Clock::now());
+      },
+      std::max(0.3, warm_seconds));
   const double untraced_cps =
-      static_cast<double>(batch.size()) * 1e9 / untraced_batch_ns;
+      static_cast<double>(batch.size()) * 1e9 / overhead.untraced_ns;
   const double traced_cps =
-      static_cast<double>(batch.size()) * 1e9 / traced_batch_ns;
-  const double obs_overhead_pct =
-      100.0 * (traced_batch_ns - untraced_batch_ns) / untraced_batch_ns;
+      static_cast<double>(batch.size()) * 1e9 / overhead.traced_ns;
 
   // Streaming: the append-point workflow the campaign store serves. A
   // campaign measured out to points+appends core counts arrives one
@@ -265,7 +278,8 @@ int run_bench(int argc, char** argv) {
   double stream_speedup = 0.0;
   bool stream_ok = true;
   if (streaming) {
-    const auto full = make_campaign(0, points + appends);
+    const auto full =
+        estima::bench::make_campaign(0, points + appends, "serve");
     estima::core::FitMemo memo;
     estima::core::ExecContext memoized;
     memoized.memo = &memo;
@@ -290,16 +304,28 @@ int run_bench(int argc, char** argv) {
   std::printf("  cold  batch      %10.2f campaigns/s  (%zu campaigns in %.3fs)\n",
               cold_cps, batch.size(), cold_elapsed);
   std::printf("  warm  batch      %10.2f campaigns/s  (%zu campaigns in %.3fs)\n",
-              warm_cps, warm_campaigns_served, warm_elapsed);
+              warm_cps, warm.campaigns_served, warm.seconds);
   std::printf("  warm vs cold-serial speedup: %.1fx (bar: >= 10x)\n",
               warm_speedup);
   std::printf("  second-pass hit rate: %.0f%%, no new compute: %s\n",
               100.0 * second_pass_hit_rate, no_new_compute ? "yes" : "NO");
   std::printf("  bit-identical to serial predict(): %s\n",
               identical ? "yes" : "NO");
+  std::printf("  restart: restored %zu entries in %.4fs (%zu skipped), "
+              "restore complete: %s\n",
+              restore.entries_loaded(), restore_elapsed,
+              restore.skipped.size(), restore_complete ? "yes" : "NO");
+  std::printf("  restored-warm    %10.2f campaigns/s  (%zu campaigns in "
+              "%.3fs), %.1fx cold serial (bar: >= 10x)\n",
+              restored.campaigns_per_sec(), restored.campaigns_served,
+              restored.seconds, restart_speedup);
+  std::printf("  restored-warm all hits (0 recomputes, 0 misses): %s, "
+              "bit-identical to serial: %s\n",
+              restart_all_hits ? "yes" : "NO",
+              restart_identical ? "yes" : "NO");
   std::printf("  warm traced vs untraced: untraced %10.2f/s  traced "
               "%10.2f/s  obs overhead %.2f%%\n",
-              untraced_cps, traced_cps, obs_overhead_pct);
+              untraced_cps, traced_cps, overhead.overhead_pct);
   {
     const auto ls = warm_lat.stats();
     std::printf("  warm latency: p50 %.4fms p90 %.4fms p99 %.4fms "
@@ -323,11 +349,6 @@ int run_bench(int argc, char** argv) {
               static_cast<unsigned long long>(after_warm.cache.misses),
               static_cast<unsigned long long>(after_warm.cache.evictions));
 
-  std::FILE* f = std::fopen(out_path.c_str(), "w");
-  if (!f) {
-    std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
-    return 1;
-  }
   estima::obs::JsonWriter w;
   w.begin_object();
   w.kv("bench", "serve_throughput");
@@ -349,10 +370,26 @@ int run_bench(int argc, char** argv) {
   w.kv("cache_evictions", after_warm.cache.evictions);
   w.kv("untraced_warm_campaigns_per_sec", untraced_cps, 3);
   w.kv("traced_warm_campaigns_per_sec", traced_cps, 3);
-  w.kv("obs_overhead_pct", obs_overhead_pct, 2);
+  w.kv("obs_overhead_pct", overhead.overhead_pct, 2);
   estima::bench::write_latency_json(w, "warm_latency", warm_lat);
+  estima::bench::write_latency_json(w, "warm_batch_latency",
+                                    warm.batch_latency);
   w.kv("bit_identical_to_serial", identical);
   w.kv("speedup_bar_met", speedup_ok);
+  w.kv("restart_restore_seconds", restore_elapsed, 6);
+  w.kv("restart_entries_restored",
+       static_cast<std::uint64_t>(restore.entries_loaded()));
+  w.kv("restart_entries_skipped",
+       static_cast<std::uint64_t>(restore.skipped.size()));
+  w.kv("restart_restored_warm_campaigns_per_sec",
+       restored.campaigns_per_sec(), 3);
+  w.kv("restart_restored_warm_speedup_vs_cold", restart_speedup, 3);
+  estima::bench::write_latency_json(w, "restart_warm_batch_latency",
+                                    restored.batch_latency);
+  w.kv("restart_restore_complete", restore_complete);
+  w.kv("restart_all_hits_after_restore", restart_all_hits);
+  w.kv("restart_bit_identical_to_serial", restart_identical);
+  w.kv("restart_speedup_bar_met", restart_speedup_ok);
   if (streaming) {
     w.kv("streaming_appends", appends);
     w.kv("streaming_cold_s", stream_cold_s, 4);
@@ -363,9 +400,11 @@ int run_bench(int argc, char** argv) {
     w.kv("streaming_bar_met", stream_ok);
   }
   w.end_object();
-  std::fputs(w.str().c_str(), f);
-  std::fclose(f);
-  std::printf("  wrote %s\n", out_path.c_str());
+  estima::bench::write_json_file(out_path, w);
 
-  return (identical && hit_rate_ok && speedup_ok && stream_ok) ? 0 : 2;
+  const bool restart_ok = restore_complete && restart_all_hits &&
+                          restart_identical && restart_speedup_ok;
+  return (identical && hit_rate_ok && speedup_ok && stream_ok && restart_ok)
+             ? 0
+             : 2;
 }

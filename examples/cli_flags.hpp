@@ -1,10 +1,12 @@
-// --name=value flag parsing for the serving daemon and its CI checker.
+// --name=value flag parsing for the serving daemon, its CI checker and the
+// throughput benches.
 //
 // Strict on purpose: a flag the program never asks for, a repeated flag,
 // an argument that is not --name=value, or a numeric value that does not
 // parse in full is an error at startup. A daemon that silently ran on the
 // default after a typo ("--thread=2", "--port=80x") would serve with a
-// configuration nobody asked for.
+// configuration nobody asked for, and a bench would gate a measurement
+// nobody asked for.
 #pragma once
 
 #include <cstring>
@@ -50,6 +52,18 @@ class Flags {
     if (!v) {
       note_error("--" + a->name + " needs an integer, got '" + a->value +
                  "'");
+      return dflt;
+    }
+    return *v;
+  }
+
+  /// The whole-cell number value of --name, or `dflt` when absent.
+  double number(const char* name, double dflt) {
+    const Arg* a = take(name);
+    if (!a) return dflt;
+    const auto v = core::textparse::parse_f64(a->value);
+    if (!v) {
+      note_error("--" + a->name + " needs a number, got '" + a->value + "'");
       return dflt;
     }
     return *v;

@@ -33,6 +33,13 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// Pending-connection queue length passed to listen(2).
+constexpr int kListenBacklog = 128;
+/// Wall-time bound on the lingering close that drains a client's unread
+/// bytes after an error response, so the 4xx is not destroyed by a TCP
+/// reset.
+constexpr int kLingerTimeoutMs = 1'000;
+
 void close_quietly(int fd) {
   if (fd >= 0) ::close(fd);
 }
@@ -836,7 +843,7 @@ struct HttpServer::EventLoop {
         c.want_read = true;
         update_poller(c);
       }
-      arm_deadline(c, srv_.cfg_.linger_timeout_ms);
+      arm_deadline(c, kLingerTimeoutMs);
       return;
     }
     if (c.close_after_write) {
@@ -1067,7 +1074,7 @@ void HttpServer::start() {
   }
   if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof addr) <
           0 ||
-      ::listen(listen_fd_, cfg_.listen_backlog) < 0) {
+      ::listen(listen_fd_, kListenBacklog) < 0) {
     const std::string err = std::strerror(errno);
     close_quietly(listen_fd_);
     listen_fd_ = -1;

@@ -77,7 +77,6 @@ struct ServerConfig {
   /// connection; it is kept so existing callers keep their meaning: the
   /// number of concurrently running handlers.)
   std::size_t worker_threads = 4;
-  int listen_backlog = 128;
   ParserLimits limits;
   /// Per-request time budget, started at the request's first byte: a
   /// request (head + body) that has not completed within this long is
@@ -90,10 +89,6 @@ struct ServerConfig {
   /// (deadlines wake the loop earlier; cross-thread work wakes it
   /// immediately via a pipe).
   int poll_interval_ms = 100;
-  /// Wall-time bound on the lingering close that drains a client's unread
-  /// bytes after an error response, so the 4xx is not destroyed by a TCP
-  /// reset.
-  int linger_timeout_ms = 1'000;
   /// Admission cap on concurrently open connections; over the cap a new
   /// connection is answered 503 and closed at accept time. 0 = unlimited.
   std::size_t max_connections = 0;

@@ -6,6 +6,7 @@
 #include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <thread>
 #include <vector>
 
@@ -14,12 +15,8 @@
 #include "service/campaign_hash.hpp"
 #include "service/ingest.hpp"
 #include "service/result_cache.hpp"
-#include "simmachine/synthetic.hpp"
-#ifdef ESTIMA_BUILD_NET
-#include <sstream>
-
 #include "service/routes.hpp"
-#endif
+#include "simmachine/synthetic.hpp"
 
 namespace estima::service {
 namespace {
@@ -477,7 +474,6 @@ TEST(PredictionService, BaseContextCarriesOnlyPoolAndMetrics) {
   EXPECT_NO_THROW(PredictionService service(scfg, &pool));
 }
 
-#ifdef ESTIMA_BUILD_NET
 // Every route that reads a campaign body answers a malformed metadata
 // number or a short column header with 400 and the reader's message —
 // never 500, which the router reserves for exceptions other than
@@ -531,7 +527,6 @@ TEST(ServiceRouter, MalformedCampaignHeadersAnswer400OnEveryCampaignRoute) {
   }
   EXPECT_EQ(request("GET", "/v1/campaigns/d", "").status, 404);
 }
-#endif
 
 }  // namespace
 }  // namespace estima::service

@@ -120,26 +120,29 @@ TEST(Stm, BankTransferConservesTotal) {
 }
 
 TEST(Stm, AbortCyclesAccumulateUnderContention) {
-  // Conflicts require truly parallel execution: on a single hardware core the
-  // threads are timesliced and a short transaction window almost never spans
-  // a preemption, so no abort is guaranteed to happen. (0 means "unknown",
-  // not single-core — keep the test active there.)
-  if (std::thread::hardware_concurrency() == 1) {
-    GTEST_SKIP() << "needs >1 hardware core to produce STM contention";
-  }
+  // Workers 0 and 1 meet at a rendezvous once, in their first attempt
+  // that gets past reading `hot` and before writing it, so both hold a
+  // snapshot of `hot` older than either commit. Whichever commits second
+  // finds `hot`'s lock version above its read version and must abort: the
+  // conflict is forced, not left to the scheduler, so it happens on one
+  // core too.
   Stm stm;
   std::uint64_t hot = 0;
   constexpr int kThreads = 8;
+  std::atomic<int> at_rendezvous{0};
   std::vector<std::thread> pool;
   std::vector<TxStats> stats(kThreads);
   for (int t = 0; t < kThreads; ++t) {
     pool.emplace_back([&, t] {
+      bool met = t >= 2;
       for (int i = 0; i < 3000; ++i) {
         atomically(stm, stats[t], [&](Transaction& tx) {
-          // Widen the window to force conflicts.
           const std::uint64_t v = tx.read(&hot);
-          volatile int spin = 0;
-          for (int k = 0; k < 50; ++k) spin = spin + 1;
+          if (!met) {
+            met = true;
+            at_rendezvous.fetch_add(1);
+            while (at_rendezvous.load() < 2) std::this_thread::yield();
+          }
           tx.write(&hot, v + 1);
         });
       }
