@@ -32,6 +32,10 @@
 // bit-identically to serial and serve >= 10x cold serial; the bench exits
 // non-zero when any of those fails.
 //
+// Render cost (reported, not gated): render_us_per_record is what
+// core::render_prediction takes per record over the warm window's
+// answers, the median over 5 rounds.
+//
 // Reports JSON to BENCH_serve_throughput.json (and text to stdout).
 //
 // Flags:
@@ -54,6 +58,7 @@
 
 #include "bench/bench_util.hpp"
 #include "core/fit_memo.hpp"
+#include "core/prediction_io.hpp"
 #include "core/predictor.hpp"
 #include "examples/cli_flags.hpp"
 #include "obs/trace.hpp"
@@ -91,6 +96,28 @@ WarmWindow run_warm_window(
     w.seconds = seconds_since(start);
     if (w.seconds >= min_seconds && batches >= 2) return w;
   }
+}
+
+/// Microseconds core::render_prediction takes per record over `answers`:
+/// the median over 5 rounds of at least 20 ms each.
+double render_us_per_record(
+    const std::vector<estima::core::Prediction>& answers) {
+  std::vector<double> rounds;
+  for (int r = 0; r < 5; ++r) {
+    std::size_t rendered = 0;
+    const auto start = Clock::now();
+    do {
+      for (const auto& p : answers) {
+        if (estima::core::render_prediction(p).empty()) {
+          throw std::logic_error("render_prediction returned no bytes");
+        }
+      }
+      rendered += answers.size();
+    } while (seconds_since(start) < 0.02);
+    rounds.push_back(seconds_since(start) * 1e6 /
+                     static_cast<double>(rendered));
+  }
+  return estima::bench::median(rounds);
 }
 
 }  // namespace
@@ -196,6 +223,8 @@ int run_bench(int argc, char** argv) {
   const double warm_speedup = warm_cps / serial_cps;
   const bool speedup_ok = warm_speedup >= 10.0;
   const bool hit_rate_ok = second_pass_hit_rate == 1.0 && no_new_compute;
+  // What a warm hit spends rendering its answer as a record.
+  const double render_us = render_us_per_record(warm.out);
 
   // Restart: spill the warm cache beside --out, then warm a fresh service
   // from that file alone. A file it cannot use at all counts as an
@@ -311,6 +340,7 @@ int run_bench(int argc, char** argv) {
               100.0 * second_pass_hit_rate, no_new_compute ? "yes" : "NO");
   std::printf("  bit-identical to serial predict(): %s\n",
               identical ? "yes" : "NO");
+  std::printf("  render: %.2f us per warm record\n", render_us);
   std::printf("  restart: restored %zu entries in %.4fs (%zu skipped), "
               "restore complete: %s\n",
               restore.entries_loaded(), restore_elapsed,
@@ -374,6 +404,7 @@ int run_bench(int argc, char** argv) {
   estima::bench::write_latency_json(w, "warm_latency", warm_lat);
   estima::bench::write_latency_json(w, "warm_batch_latency",
                                     warm.batch_latency);
+  w.kv("render_us_per_record", render_us, 3);
   w.kv("bit_identical_to_serial", identical);
   w.kv("speedup_bar_met", speedup_ok);
   w.kv("restart_restore_seconds", restore_elapsed, 6);

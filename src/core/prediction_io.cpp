@@ -154,10 +154,30 @@ FittedFunction read_fn(std::istream& is, const char* tag) {
   return fn;
 }
 
+/// Bytes render_prediction needs at most, from the record's element
+/// counts: each number cell at its longest form plus a separator, each
+/// line at its longest tag, each category name in full.
+std::size_t record_capacity(const Prediction& p) {
+  constexpr std::size_t kCell = 1 + 24;  // ' ' + longest %.17g or integer
+  constexpr std::size_t kLine = 32;      // tag, element count and '\n'
+  std::size_t cells = p.cores.size() + p.time_s.size() +
+                      p.stalls_per_core.size() + p.factor_fn.params.size() +
+                      3 + 5;  // y_scale, correlation, freq_scale, stats
+  std::size_t bytes = 10 * kLine;
+  for (const auto& cat : p.categories) {
+    cells += cat.values.size() + cat.extrapolation.best.params.size() + 2 +
+             6;  // y_scale, rmse, extrap integers
+    bytes += 4 * kLine + cat.name.size();
+  }
+  return bytes + cells * kCell;
+}
+
 }  // namespace
 
 std::string render_prediction(const Prediction& p) {
-  std::string out = "prediction v=1\n";
+  std::string out;
+  out.reserve(record_capacity(p));
+  out += "prediction v=1\n";
   append_series(out, "cores", p.cores);
   append_series(out, "time_s", p.time_s);
   append_series(out, "stalls_per_core", p.stalls_per_core);

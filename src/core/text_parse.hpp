@@ -6,12 +6,23 @@
 // advertise a bit-exact round-trip, so their emit rules and their
 // accept/reject rules for a numeric cell must never diverge.
 //
-// Emission goes through std::to_chars, never an ostream: the bytes must
-// not depend on a caller's stream flags (fixed, showpos, width) or on the
-// global locale (a decimal comma or digit grouping would produce cells
-// the parsers below reject). append_f64 writes what printf("%.17g")
-// writes — max_digits10 significant digits, "inf"/"-inf"/"nan"/"-nan" for
-// the non-finite values — so every double reads back bit-identical.
+// Emission never goes through an ostream: the bytes must not depend on a
+// caller's stream flags (fixed, showpos, width) or on the global locale (a
+// decimal comma or digit grouping would produce cells the parsers below
+// reject). append_f64 writes what printf("%.17g") writes — max_digits10
+// significant digits, "inf"/"-inf"/"nan"/"-nan" for the non-finite values
+// — so every double reads back bit-identical. It has the parsers' two-step
+// shape (text_parse.cpp):
+//   - Fast path: a normal double with decimal exponent k in [-11, 16]
+//     (1e-11 <= |v| < 1e17). For v = m*2^e and q = 16-k, v*10^q =
+//     m*5^q*2^(e+q) with m*5^q < 2^53*5^27 < 2^116, so one unsigned
+//     __int128 product and shift give the 17-digit integer and its exact
+//     remainder; rounding that remainder half-to-even is printf's rule,
+//     and the digits are laid out the way %g lays them out.
+//   - Fallback: zero, subnormals, inf/nan and every other magnitude take
+//     std::to_chars(v, general, 17) unchanged.
+// Both steps write the correctly rounded 17 digits in the same layout, so
+// which one ran never shows in the bytes.
 //
 // Parsing is defined by strtod/strtoll/strtoull, not istream extraction
 // or stod: strtod accepts "inf"/"-inf"/"nan" (which istream rejects), and
@@ -37,8 +48,9 @@
 // the strtoll/strtoull value, and both double parsers round correctly to
 // nearest. Precondition: the "C" locale for LC_NUMERIC (strtod would
 // otherwise take a locale decimal point) and the default rounding mode
-// (from_chars always rounds to nearest; strtod follows fesetround). The
-// daemon, the benches and the tests never change either.
+// (from_chars and append_f64 always round to nearest; strtod and printf
+// follow fesetround). The daemon, the benches and the tests never change
+// either.
 #pragma once
 
 #include <cerrno>
@@ -58,17 +70,7 @@ namespace estima::core::textparse {
 
 /// Appends `v` as printf("%.17g", v) would, independent of any stream or
 /// locale state.
-inline void append_f64(std::string& out, double v) {
-  // Longest %.17g form: sign, 17 digits, '.', "e-308" = 24 chars.
-  char buf[32];
-  const auto r = std::to_chars(buf, buf + sizeof buf, v,
-                               std::chars_format::general,
-                               std::numeric_limits<double>::max_digits10);
-  if (r.ec != std::errc()) {
-    throw std::logic_error("append_f64: to_chars buffer too small");
-  }
-  out.append(buf, r.ptr);
-}
+void append_f64(std::string& out, double v);
 
 /// Appends a plain decimal integer (no grouping, no '+').
 template <typename Int>

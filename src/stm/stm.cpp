@@ -3,6 +3,19 @@
 #include <algorithm>
 
 namespace estima::stm {
+namespace {
+
+/// Publishes the first sizeof(Int) bytes of a buffered write with a
+/// relaxed atomic store (see detail::WordFor).
+template <typename Int>
+void publish(void* addr, const std::uint64_t& value) {
+  using Word = typename detail::WordFor<Int>::type;
+  Word word;
+  std::memcpy(&word, &value, sizeof word);
+  __atomic_store_n(static_cast<Word*>(addr), word, __ATOMIC_RELAXED);
+}
+
+}  // namespace
 
 void Transaction::commit() {
   if (write_set_.empty()) return;  // read-only: snapshot already validated
@@ -63,7 +76,12 @@ void Transaction::commit() {
 
   // Publish the writes, then release every lock at the new version.
   for (const auto& w : write_set_) {
-    std::memcpy(w.addr, &w.value, w.size);
+    switch (w.size) {
+      case 1: publish<std::uint8_t>(w.addr, w.value); break;
+      case 2: publish<std::uint16_t>(w.addr, w.value); break;
+      case 4: publish<std::uint32_t>(w.addr, w.value); break;
+      default: publish<std::uint64_t>(w.addr, w.value); break;
+    }
   }
   std::atomic_thread_fence(std::memory_order_release);
   for (auto* lock : to_lock) {

@@ -17,6 +17,7 @@
 #include <atomic>
 #include <cstdint>
 #include <cstring>
+#include <type_traits>
 #include <vector>
 
 #include "syncstats/cycles.hpp"
@@ -32,6 +33,31 @@ struct alignas(64) TxStats {
 
   void reset() { *this = TxStats{}; }
 };
+
+namespace detail {
+
+/// The unsigned integer a T's bytes travel through. Transactions read
+/// shared words and commits publish them with relaxed atomics on it: a
+/// read may race a commit (the lock samples around it reject what it saw),
+/// and a plain access there would be a data race. may_alias: the T object
+/// itself is accessed through this type.
+template <typename T>
+struct WordFor {
+  static_assert(std::is_trivially_copyable_v<T>,
+                "word-based STM: trivially copyable types");
+  static_assert(sizeof(T) == 1 || sizeof(T) == 2 || sizeof(T) == 4 ||
+                    sizeof(T) == 8,
+                "word-based STM: 1-, 2-, 4- or 8-byte types");
+  static_assert(alignof(T) == sizeof(T),
+                "word-based STM: naturally aligned types only");
+  using type [[gnu::may_alias]] = std::conditional_t<
+      sizeof(T) == 1, std::uint8_t,
+      std::conditional_t<
+          sizeof(T) == 2, std::uint16_t,
+          std::conditional_t<sizeof(T) == 4, std::uint32_t, std::uint64_t>>>;
+};
+
+}  // namespace detail
 
 /// Thrown (internally) when a conflict forces a retry. User code inside
 /// `atomically` must let it propagate.
@@ -70,8 +96,8 @@ class Stm {
   std::vector<PaddedLock> locks_;
 };
 
-/// One transaction attempt. Word-granularity reads/writes of trivially
-/// copyable types up to 8 bytes.
+/// One transaction attempt. Word-granularity reads/writes of naturally
+/// aligned, trivially copyable 1-, 2-, 4- or 8-byte types.
 class Transaction {
  public:
   Transaction(Stm& stm, TxStats& stats)
@@ -79,7 +105,7 @@ class Transaction {
 
   template <typename T>
   T read(const T* addr) {
-    static_assert(sizeof(T) <= 8, "word-based STM: <= 8-byte types");
+    using Word = typename detail::WordFor<T>::type;
     // Read-own-writes.
     const void* key = addr;
     for (const auto& w : write_set_) {
@@ -92,7 +118,11 @@ class Transaction {
     auto& lock = stm_.lock_for(addr);
     const std::uint64_t v1 = lock.load(std::memory_order_acquire);
     if ((v1 & 1ull) || v1 > rv_) throw TxAbort{};
-    T value = *addr;  // plain load between two lock samples
+    // Relaxed atomic load between two lock samples.
+    const Word bits =
+        __atomic_load_n(reinterpret_cast<const Word*>(addr), __ATOMIC_RELAXED);
+    T value;
+    std::memcpy(&value, &bits, sizeof(T));
     std::atomic_thread_fence(std::memory_order_acquire);
     const std::uint64_t v2 = lock.load(std::memory_order_acquire);
     if (v1 != v2) throw TxAbort{};
@@ -102,7 +132,8 @@ class Transaction {
 
   template <typename T>
   void write(T* addr, T value) {
-    static_assert(sizeof(T) <= 8, "word-based STM: <= 8-byte types");
+    static_assert(sizeof(typename detail::WordFor<T>::type) == sizeof(T),
+                  "word-based STM: a T is published as one word");
     WriteEntry e;
     e.addr = addr;
     std::memcpy(&e.value, &value, sizeof(T));

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cfloat>
 #include <cmath>
 #include <cstdint>
@@ -452,6 +453,113 @@ TEST(PredictionWriter, NumberCellsAreByteEqualToTheLegacyStreamForRandomBits) {
     textparse::append_int(got, n);
     ASSERT_EQ(got, os.str());
   }
+}
+
+TEST(PredictionWriter, ExactFastPathEdgesAreByteEqualToPrintfAndTheStream) {
+  // append_f64 prints decimal exponents -11..16 from an exact integer
+  // product and everything else through to_chars; these values sit on
+  // that path's rounding ties, exponent-estimate boundaries, %g layout
+  // switches and range edges.
+  std::ostringstream os;
+  os.imbue(std::locale::classic());
+  os.precision(std::numeric_limits<double>::max_digits10);
+  std::string got;
+  char want[64];
+  std::size_t checked = 0;
+  std::size_t mismatches = 0;
+  const auto check = [&](double v) {
+    std::snprintf(want, sizeof want, "%.17g", v);
+    os.str("");
+    os << v;
+    got.clear();
+    textparse::append_f64(got, v);
+    ++checked;
+    if ((got != want || os.str() != want) && ++mismatches <= 5) {
+      ADD_FAILURE() << "append_f64 '" << got << "' vs printf '" << want
+                    << "' vs ostream '" << os.str() << "'";
+    }
+  };
+  const auto printed = [&](double v) {
+    got.clear();
+    textparse::append_f64(got, v);
+    return got;
+  };
+
+  // Exact ties at the 17th digit round half to even.
+  EXPECT_EQ(printed((4e15 + 1) / 4), "1000000000000000.2");
+  EXPECT_EQ(printed((4e15 + 3) / 4), "1000000000000000.8");
+  EXPECT_EQ(printed(-(4e15 + 1) / 4), "-1000000000000000.2");
+  EXPECT_EQ(printed((8e14 + 1) / 8), "100000000000000.12");
+  EXPECT_EQ(printed((8e14 + 3) / 8), "100000000000000.38");
+  std::mt19937_64 rng(0x5eed17ull);
+  for (int j = 1; j <= 12; ++j) {
+    // N/2^j for odd 53-bit N, and odd N that put N/2^j at exactly 18
+    // significant digits, the 18th a 5: a tie at the 17th.
+    const double lo = std::ldexp(std::pow(10.0, 17 - j), j);
+    const double hi = std::min(std::ldexp(std::pow(10.0, 18 - j), j),
+                               std::ldexp(1.0, 53));
+    for (int i = 0; i < 20000; ++i) {
+      const std::uint64_t n53 = (rng() >> 11) | (1ull << 52) | 1;
+      check(std::ldexp(static_cast<double>(n53), -j));
+    }
+    if (lo >= hi) continue;  // j = 1: no such N below 2^53
+    std::uniform_int_distribution<std::uint64_t> tie(
+        static_cast<std::uint64_t>(lo), static_cast<std::uint64_t>(hi) - 1);
+    for (int i = 0; i < 20000; ++i) {
+      check(std::ldexp(static_cast<double>(tie(rng) | 1), -j));
+    }
+  }
+
+  // Powers of ten and their neighbours: the exponent estimate's
+  // boundaries, the fast range's edges (1e-11, 1e17) and, through a
+  // rounding carry, the exponent one above the estimate.
+  for (int k = -13; k <= 18; ++k) {
+    const double p = std::pow(10.0, k);
+    for (const double v : {p, std::nextafter(p, 0.0),
+                           std::nextafter(p, HUGE_VAL)}) {
+      check(v);
+      check(-v);
+    }
+  }
+  // %g's fixed/scientific switch points (exponent -4/-5 and 16/17), a few
+  // ulps either side.
+  for (double edge : {1e-4, 1e-5, 1e16, 1e17}) {
+    double down = edge;
+    double up = edge;
+    for (int u = 0; u < 8; ++u) {
+      check(down);
+      check(up);
+      down = std::nextafter(down, 0.0);
+      up = std::nextafter(up, HUGE_VAL);
+    }
+  }
+  EXPECT_EQ(printed(1e16), "10000000000000000");
+  EXPECT_EQ(printed(99999999999999984.0), "99999999999999984");
+  EXPECT_EQ(printed(1e17), "1e+17");
+  EXPECT_EQ(printed(1e-4), "0.0001");
+  EXPECT_EQ(printed(1e-5), "1.0000000000000001e-05");
+
+  // Whole numbers print without a '.'.
+  for (int i = 1; i <= 100000; ++i) check(i);
+  for (int b = 0; b < 57; ++b) check(std::ldexp(1.0, b));
+  EXPECT_EQ(printed(48.0), "48");
+  EXPECT_EQ(printed(-4096.0), "-4096");
+
+  EXPECT_EQ(printed(0.0), "0");
+  EXPECT_EQ(printed(-0.0), "-0");
+  check(0.0);
+  check(-0.0);
+
+  // Uniform in mantissa and in decimal exponent over [1e-12, 1e18].
+  std::uniform_real_distribution<double> mantissa(1.0, 10.0);
+  std::uniform_int_distribution<int> exponent(-12, 17);
+  constexpr int kSamples = 1 << 22;
+  for (int i = 0; i < kSamples; ++i) {
+    const double v = mantissa(rng) * std::pow(10.0, exponent(rng));
+    check(i % 2 ? v : -v);
+  }
+  EXPECT_GE(checked, static_cast<std::size_t>(kSamples));
+  EXPECT_EQ(mismatches, 0u);
 }
 
 TEST(PredictionWriter, ServeDemoCampaignsAreByteEqualToTheLegacyWriters) {
