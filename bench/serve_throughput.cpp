@@ -303,6 +303,7 @@ int run_bench(int argc, char** argv) {
   double stream_cold_s = 0.0;
   double stream_incr_s = 0.0;
   std::uint64_t stream_memo_hits = 0;
+  double stream_bytes_per_entry = 0.0;
   bool stream_identical = true;
   double stream_speedup = 0.0;
   bool stream_ok = true;
@@ -323,7 +324,11 @@ int run_bench(int argc, char** argv) {
       stream_incr_s += seconds_since(i0);
       if (!bit_identical(cold, incr)) stream_identical = false;
     }
-    stream_memo_hits = memo.stats().hits;
+    const estima::core::FitMemoStats memo_stats = memo.stats();
+    stream_memo_hits = memo_stats.hits;
+    stream_bytes_per_entry =
+        static_cast<double>(memo_stats.bytes) /
+        static_cast<double>(std::max<std::uint64_t>(memo_stats.entries, 1));
     stream_speedup = stream_cold_s / stream_incr_s;
     stream_ok = stream_identical && stream_speedup >= 3.0;
   }
@@ -368,6 +373,8 @@ int run_bench(int argc, char** argv) {
                 appends, stream_cold_s, stream_incr_s, stream_speedup,
                 static_cast<unsigned long long>(stream_memo_hits),
                 stream_identical ? "yes" : "NO");
+    std::printf("  streaming memo: %.1f bytes per entry\n",
+                stream_bytes_per_entry);
   }
   std::printf("  service: computed=%llu folded=%llu joins=%llu "
               "hits=%llu misses=%llu evictions=%llu\n",
@@ -427,6 +434,7 @@ int run_bench(int argc, char** argv) {
     w.kv("streaming_incremental_s", stream_incr_s, 4);
     w.kv("streaming_speedup", stream_speedup, 3);
     w.kv("streaming_memo_hits", stream_memo_hits);
+    w.kv("streaming_memo_bytes_per_entry", stream_bytes_per_entry, 2);
     w.kv("streaming_bit_identical", stream_identical);
     w.kv("streaming_bar_met", stream_ok);
   }

@@ -235,7 +235,8 @@ int main(int argc, char** argv) {
                         appended.body);
       }
       for (const char* key : {"\"version\": 2", "\"points\": 12",
-                              "\"appended\": 2", "\"memo_hits\""}) {
+                              "\"appended\": 2", "\"memo_hits\"",
+                              "\"memo_bytes\""}) {
         if (appended.body.find(key) == std::string::npos) {
           return fail("campaign append report",
                       std::string("missing ") + key);

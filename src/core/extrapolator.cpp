@@ -29,7 +29,7 @@ double elapsed_seconds(std::chrono::steady_clock::time_point t0) {
 struct Enumeration {
   FitSlots slots;
   std::vector<int> valid_cs;        ///< checkpoint settings, config order
-  std::vector<std::uint64_t> keys;  ///< memo key per slot (empty: no memo)
+  std::vector<FitMemo::Key> keys;   ///< memo key per slot (empty: no memo)
   EnumerationStats acct;
 };
 
@@ -399,14 +399,16 @@ void score(Enumeration& e, const ExecContext& ctx, FitAudit* audit,
     }
   }
 
-  // Keep the executed fits for the next call. The entries are copies, not
-  // moves: a copy allocates exactly what it holds, and the memo keeps its
-  // entries for the life of the campaign.
+  // Keep the executed fits for the next call, as one batch so the memo
+  // grows its storage once per enumeration.
   if (ctx.memo != nullptr) {
+    std::vector<FitMemo::Fresh> batch;
+    batch.reserve(sl.n_slots);
     for (std::size_t s = 0; s < sl.n_slots; ++s) {
       if (sl.replayed[s]) continue;
-      ctx.memo->insert(e.keys[s], FitMemoEntry{sl.fits[s], sl.diags[s]});
+      batch.push_back(FitMemo::Fresh{e.keys[s], &sl.fits[s], &sl.diags[s]});
     }
+    ctx.memo->insert(batch);
   }
 }
 

@@ -320,7 +320,13 @@ struct HttpServer::EventLoop {
     bool want_write = false;
     bool in_poller = false;
     bool has_deadline = false;
-    std::uint64_t deadline_gen = 0;
+    /// The armed deadline (valid while has_deadline).
+    Clock::time_point deadline{};
+    /// The connection's one live heap entry: its expiry (max() when none
+    /// is queued) and its generation. Entries of an older generation are
+    /// stale and dropped when they surface.
+    Clock::time_point timer_when = Clock::time_point::max();
+    std::uint64_t timer_gen = 0;
     /// When the current request's first byte arrived (valid while
     /// mid_request); anchors the propagated deadline at dispatch.
     Clock::time_point request_start{};
@@ -419,6 +425,8 @@ struct HttpServer::EventLoop {
     }
     incoming_.clear();
     completions_.clear();
+    srv_.on_timers_queued(-static_cast<std::int64_t>(timers_.size()));
+    timers_ = {};
   }
 
   void run() {
@@ -543,15 +551,24 @@ struct HttpServer::EventLoop {
     arm_deadline_at(c, Clock::now() + std::chrono::milliseconds(ms));
   }
 
+  // At most one live heap entry per connection: a deadline at or after
+  // the queued entry's expiry only moves c.deadline, and the entry is
+  // re-queued at c.deadline when it surfaces early (fire_due_timers). Only
+  // a deadline earlier than the queued one pushes, superseding it.
   void arm_deadline_at(Conn& c, Clock::time_point when) {
-    ++c.deadline_gen;
     c.has_deadline = true;
-    timers_.push(TimerEntry{when, c.fd, c.id, c.deadline_gen});
+    c.deadline = when;
+    if (when < c.timer_when) queue_timer(c, when);
+  }
+
+  void queue_timer(Conn& c, Clock::time_point when) {
+    c.timer_when = when;
+    timers_.push(TimerEntry{when, c.fd, c.id, ++c.timer_gen});
+    srv_.on_timers_queued(1);
   }
 
   void disarm_deadline(Conn& c) {
-    ++c.deadline_gen;  // outstanding heap entries become stale
-    c.has_deadline = false;
+    c.has_deadline = false;  // the queued entry is dropped when it surfaces
   }
 
   void close_conn(Conn& c) {
@@ -861,11 +878,18 @@ struct HttpServer::EventLoop {
     while (!timers_.empty() && timers_.top().when <= now) {
       const TimerEntry t = timers_.top();
       timers_.pop();
+      srv_.on_timers_queued(-1);
       const auto it = conns_.find(t.fd);
       if (it == conns_.end()) continue;
       Conn& c = it->second;
-      if (c.id != t.conn_id || c.deadline_gen != t.gen || !c.has_deadline) {
-        continue;  // stale entry for a re-armed or recycled connection
+      if (c.id != t.conn_id || c.timer_gen != t.gen) {
+        continue;  // superseded entry, or a recycled connection's
+      }
+      c.timer_when = Clock::time_point::max();
+      if (!c.has_deadline) continue;  // disarmed since it was queued
+      if (c.deadline > now) {
+        queue_timer(c, c.deadline);  // the deadline moved later
+        continue;
       }
       c.has_deadline = false;
       switch (c.st) {
@@ -1044,6 +1068,11 @@ bool HttpServer::shedding() const {
 void HttpServer::on_shed() {
   std::lock_guard<std::mutex> lock(stats_mu_);
   ++stats_.requests_shed;
+}
+
+void HttpServer::on_timers_queued(std::int64_t delta) {
+  std::lock_guard<std::mutex> lock(stats_mu_);
+  stats_.timers_queued += static_cast<std::uint64_t>(delta);
 }
 
 HttpServer::~HttpServer() { stop(); }

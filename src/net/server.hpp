@@ -180,6 +180,7 @@ class HttpServer {
   void on_timeout();
   void on_parse_error();
   void on_shed();
+  void on_timers_queued(std::int64_t delta);
   void count_response(int status);
 
   ServerConfig cfg_;

@@ -7,11 +7,12 @@
 
 namespace estima::net {
 
-/// Counters are monotonic; open_connections is the one gauge, and the
-/// accounting invariant `connections_accepted == connections_closed +
-/// open_connections` holds at every HttpServer::stats() snapshot (all
-/// fields are updated under one lock). Overflow-rejected connections
-/// count in accepted, closed and overflow_rejections.
+/// Counters are monotonic except the gauges open_connections and
+/// timers_queued. The accounting invariant `connections_accepted ==
+/// connections_closed + open_connections` holds at every
+/// HttpServer::stats() snapshot (all fields are updated under one lock).
+/// Overflow-rejected connections count in accepted, closed and
+/// overflow_rejections.
 struct ServerStats {
   std::uint64_t connections_accepted = 0;
   std::uint64_t connections_closed = 0;
@@ -27,6 +28,10 @@ struct ServerStats {
   /// overflow sheds the oldest queued request; over-age requests are shed
   /// at dequeue). Each shed request is answered 503 with Retry-After.
   std::uint64_t requests_shed = 0;
+  /// Gauge: deadline entries queued in the event loops' timer heaps. Each
+  /// connection keeps at most one live entry; superseded and closed
+  /// connections' entries leave as their expiry passes.
+  std::uint64_t timers_queued = 0;
 };
 
 }  // namespace estima::net

@@ -506,6 +506,7 @@ net::HttpResponse ServiceRouter::handle_campaigns(
     w.kv("memo_hits", info.memo.hits);
     w.kv("memo_misses", info.memo.misses);
     w.kv("memo_entries", info.memo.entries);
+    w.kv("memo_bytes", info.memo.bytes);
     w.end_object();
     return json_response(w);
   }
@@ -666,6 +667,7 @@ net::HttpResponse ServiceRouter::handle_stats() {
     w.kv("overflow_rejections", n.overflow_rejections);
     w.kv("parse_errors", n.parse_errors);
     w.kv("requests_shed", n.requests_shed);
+    w.kv("timers_queued", n.timers_queued);
     w.end_object();
   }
   w.end_object();
@@ -778,6 +780,9 @@ net::HttpResponse ServiceRouter::handle_metrics() {
               "Requests rejected by the HTTP parser.", n.parse_errors);
     w.counter("estima_server_requests_shed_total", "",
               "Queued requests shed by the handler pool.", n.requests_shed);
+    w.gauge("estima_server_timers_queued", "",
+            "Deadline entries queued in the event loops' timer heaps.",
+            static_cast<std::int64_t>(n.timers_queued));
   }
   if (fault::compiled_in()) {
     for (const auto& [site, st] : fault::all_site_stats()) {

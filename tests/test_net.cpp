@@ -698,6 +698,7 @@ TEST_F(NetEndToEnd, CampaignRoutesLifecycleOverHttp) {
   EXPECT_NE(post.body.find("\"appended\": 2"), std::string::npos);
   EXPECT_NE(post.body.find("\"winner_kernel\""), std::string::npos);
   EXPECT_NE(post.body.find("\"memo_hits\""), std::string::npos);
+  EXPECT_NE(post.body.find("\"memo_bytes\""), std::string::npos);
 
   // The grown campaign serves the full series' prediction — byte-equal to
   // a cold in-process predict of all 12 points.
@@ -1552,6 +1553,41 @@ TEST(EventLoopTorture, AdmissionOverflowAnswers503ThenRecovers) {
   server.stop();
   s = server.stats();
   EXPECT_EQ(s.connections_accepted, s.connections_closed);
+}
+
+// A keep-alive connection re-arms its deadline at every dispatch and every
+// return to idle. The loop's timer heap must still hold at most one live
+// entry per connection — not two per request until the idle timeout
+// passes.
+TEST(EventLoopTorture, KeepAliveRequestsQueueAtMostOneTimerPerConnection) {
+  constexpr int kRequests = 10'000;
+  ServerConfig ncfg;
+  ncfg.io_threads = 1;
+  ncfg.worker_threads = 2;
+  ncfg.idle_timeout_ms = 30'000;
+  HttpServer server(ncfg, [](const HttpRequest& req) {
+    HttpResponse resp;
+    resp.body = req.body;
+    return resp;
+  });
+  server.start();
+
+  HttpClient client("127.0.0.1", server.port());
+  for (int i = 0; i < kRequests; ++i) {
+    const std::string body = "req-" + std::to_string(i);
+    const auto resp = client.post("/echo", body);
+    ASSERT_EQ(resp.status, 200);
+    ASSERT_EQ(resp.body, body);
+  }
+  ServerStats s = server.stats();
+  EXPECT_EQ(s.connections_accepted, 1u) << "every request on one connection";
+  EXPECT_EQ(s.requests_served, static_cast<std::uint64_t>(kRequests));
+  EXPECT_LE(s.timers_queued, 2u);
+
+  client.disconnect();
+  server.stop();
+  s = server.stats();
+  EXPECT_EQ(s.timers_queued, 0u);
 }
 
 // ---------------------------------------------------------------------------

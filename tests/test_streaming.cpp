@@ -15,8 +15,12 @@
 
 #include <atomic>
 #include <chrono>
+#include <climits>
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -98,60 +102,279 @@ TEST(FitMemo, KeyDigestsEveryInputDimension) {
   const double xs[] = {1.0, 2.0, 3.0, 4.0};
   const double ys[] = {1.0, 0.6, 0.45, 0.4};
   core::FitOptions opts;
+  const auto digest = [&xs](core::KernelType type, const double* y,
+                            std::size_t prefix, const core::FitOptions& o) {
+    return core::FitMemo::key_of(type, xs, y, prefix, o).digest;
+  };
 
-  const std::uint64_t k =
-      core::FitMemo::key_of(core::KernelType::kRat22, xs, ys, 4, opts);
+  const std::uint64_t k = digest(core::KernelType::kRat22, ys, 4, opts);
   // Deterministic.
-  EXPECT_EQ(core::FitMemo::key_of(core::KernelType::kRat22, xs, ys, 4, opts),
-            k);
+  EXPECT_EQ(digest(core::KernelType::kRat22, ys, 4, opts), k);
   // Kernel, prefix length, and options all participate.
-  EXPECT_NE(core::FitMemo::key_of(core::KernelType::kRat23, xs, ys, 4, opts),
-            k);
-  EXPECT_NE(core::FitMemo::key_of(core::KernelType::kRat22, xs, ys, 3, opts),
-            k);
+  EXPECT_NE(digest(core::KernelType::kRat23, ys, 4, opts), k);
+  EXPECT_NE(digest(core::KernelType::kRat22, ys, 3, opts), k);
   core::FitOptions ridge = opts;
   ridge.ridge_lambda += 1e-6;
-  EXPECT_NE(core::FitMemo::key_of(core::KernelType::kRat22, xs, ys, 4, ridge),
-            k);
+  EXPECT_NE(digest(core::KernelType::kRat22, ys, 4, ridge), k);
   // Data participates by RAW BITS: -0.0 != 0.0 even though they compare
   // equal as doubles. (Replaying a fit against a not-bit-equal input
   // would silently break the byte-identity contract.)
   double ys_zero[] = {0.0, 0.6, 0.45, 0.4};
   double ys_negzero[] = {-0.0, 0.6, 0.45, 0.4};
-  EXPECT_NE(
-      core::FitMemo::key_of(core::KernelType::kRat22, xs, ys_zero, 4, opts),
-      core::FitMemo::key_of(core::KernelType::kRat22, xs, ys_negzero, 4,
-                            opts));
+  EXPECT_NE(digest(core::KernelType::kRat22, ys_zero, 4, opts),
+            digest(core::KernelType::kRat22, ys_negzero, 4, opts));
   // Points past the prefix are NOT part of the key: an append that only
   // adds higher core counts must leave old prefixes' keys untouched.
   double ys_ext[] = {1.0, 0.6, 0.45, 999.0};
-  EXPECT_EQ(
-      core::FitMemo::key_of(core::KernelType::kRat22, xs, ys_ext, 3, opts),
-      core::FitMemo::key_of(core::KernelType::kRat22, xs, ys, 3, opts));
+  EXPECT_EQ(digest(core::KernelType::kRat22, ys_ext, 3, opts),
+            digest(core::KernelType::kRat22, ys, 3, opts));
+  // The key carries the kernel and prefix the record header is checked
+  // against.
+  const core::FitMemo::Key key =
+      core::FitMemo::key_of(core::KernelType::kRat23, xs, ys, 3, opts);
+  EXPECT_EQ(key.kernel, core::KernelType::kRat23);
+  EXPECT_EQ(key.prefix, 3u);
 }
 
 TEST(FitMemo, LookupInsertAndStats) {
   core::FitMemo memo;
+  const core::FitMemo::Key key{42, 4, core::KernelType::kRat22};
   core::FitMemoEntry out;
-  EXPECT_FALSE(memo.lookup(42, &out));
+  EXPECT_FALSE(memo.lookup(key, &out));
 
   core::FitMemoEntry in;
   in.fn = std::nullopt;  // a failed fit is as memoizable as a success
-  memo.insert(42, in);
-  EXPECT_TRUE(memo.lookup(42, &out));
+  memo.insert(key, in);
+  EXPECT_TRUE(memo.lookup(key, &out));
   EXPECT_FALSE(out.fn.has_value());
 
+  const std::uint64_t empty_bytes = core::FitMemo{}.stats().bytes;
   const auto s = memo.stats();
   EXPECT_EQ(s.hits, 1u);
   EXPECT_EQ(s.misses, 1u);
   EXPECT_EQ(s.entries, 1u);
+  EXPECT_GT(s.bytes, empty_bytes);
 
-  // clear() drops the entries (a replaced campaign is a new series) but
-  // keeps the cumulative hit/miss accounting.
+  // clear() drops the entries and frees their storage (a replaced
+  // campaign is a new series) but keeps the cumulative hit/miss
+  // accounting.
   memo.clear();
   EXPECT_EQ(memo.stats().entries, 0u);
+  EXPECT_EQ(memo.stats().bytes, empty_bytes);
   EXPECT_EQ(memo.stats().hits, 1u);
   EXPECT_EQ(memo.stats().misses, 1u);
+}
+
+std::uint64_t bits_of(double v) {
+  std::uint64_t b;
+  std::memcpy(&b, &v, sizeof b);
+  return b;
+}
+
+double from_bits(std::uint64_t b) {
+  double v;
+  std::memcpy(&v, &b, sizeof v);
+  return v;
+}
+
+/// Bit-for-bit equality of two memo entries: NaN payloads and the sign of
+/// zero included, which operator== on doubles cannot see.
+void expect_same_bits(const core::FitMemoEntry& a,
+                      const core::FitMemoEntry& b) {
+  ASSERT_EQ(a.fn.has_value(), b.fn.has_value());
+  if (a.fn) {
+    EXPECT_EQ(a.fn->type, b.fn->type);
+    EXPECT_EQ(bits_of(a.fn->y_scale), bits_of(b.fn->y_scale));
+    ASSERT_EQ(a.fn->params.size(), b.fn->params.size());
+    for (std::size_t i = 0; i < a.fn->params.size(); ++i) {
+      EXPECT_EQ(bits_of(a.fn->params[i]), bits_of(b.fn->params[i])) << i;
+    }
+  }
+  EXPECT_EQ(a.diag.path, b.diag.path);
+  EXPECT_EQ(a.diag.solved, b.diag.solved);
+  ASSERT_EQ(a.diag.starts.size(), b.diag.starts.size());
+  for (std::size_t i = 0; i < a.diag.starts.size(); ++i) {
+    const auto& x = a.diag.starts[i];
+    const auto& y = b.diag.starts[i];
+    EXPECT_EQ(bits_of(x.rmse), bits_of(y.rmse)) << i;
+    EXPECT_EQ(x.iterations, y.iterations) << i;
+    EXPECT_EQ(x.model_evals, y.model_evals) << i;
+    EXPECT_EQ(x.term, y.term) << i;
+  }
+}
+
+TEST(FitMemo, PackedRecordsRoundTripEveryBit) {
+  using Path = core::FitDiag::Path;
+  using Term = numeric::LevMarTermination;
+  const double nan_payload = from_bits(0x7FF0'0000'0000'0001ull);  // sNaN
+  const double neg_nan_payload = from_bits(0xFFF8'0000'DEAD'BEEFull);
+  const double inf = std::numeric_limits<double>::infinity();
+  const Term all_terms[] = {Term::kNone,        Term::kConverged,
+                            Term::kMaxIterations, Term::kNoProgress,
+                            Term::kCholeskyFail,  Term::kNudgeExhausted,
+                            Term::kNonFinite};
+  const std::size_t evals[] = {SIZE_MAX, 0, 127, 128, 1u << 21,
+                               SIZE_MAX - 1, 300};
+  const int iterations[] = {INT_MAX, 0, INT_MIN, -1, 64, 1, 127};
+
+  std::vector<core::FitMemoEntry> entries;
+  // Nonlinear fit, more than three starts: every termination, extreme
+  // counters, NaN-payload / -0.0 / +inf rmse, -0.0 and NaN params.
+  {
+    core::FitMemoEntry e;
+    e.fn = core::FittedFunction{
+        core::KernelType::kRat33,
+        {-0.0, nan_payload, neg_nan_payload, 1.5, -inf, 5e-324, 0.0},
+        from_bits(0x8000'0000'0000'0000ull)};
+    e.diag.path = Path::kNonlinear;
+    e.diag.solved = true;
+    const double rmses[] = {nan_payload, -0.0, inf, neg_nan_payload,
+                            0.125, -inf, 1e300};
+    for (std::size_t i = 0; i < 7; ++i) {
+      e.diag.starts.push_back({rmses[i], iterations[i], evals[i],
+                               all_terms[i]});
+    }
+    entries.push_back(e);
+  }
+  // A nullopt fit that still ran LM starts.
+  {
+    core::FitMemoEntry e;
+    e.diag.path = Path::kNonlinear;
+    e.diag.solved = false;
+    e.diag.starts.push_back({inf, INT_MAX, SIZE_MAX, Term::kNonFinite});
+    e.diag.starts.push_back({nan_payload, 0, 0, Term::kNudgeExhausted});
+    entries.push_back(e);
+  }
+  // Zero starts on every other path, with and without a fit.
+  {
+    core::FitMemoEntry e;
+    e.fn = core::FittedFunction{core::KernelType::kPoly25,
+                                {1.0, -0.0, nan_payload, 2.0}, 3.5};
+    e.diag.path = Path::kLinear;
+    e.diag.solved = true;
+    entries.push_back(e);
+  }
+  {
+    core::FitMemoEntry e;
+    e.diag.path = Path::kGuard;
+    entries.push_back(e);
+  }
+  {
+    core::FitMemoEntry e;
+    e.fn = core::FittedFunction{core::KernelType::kExpRat, {0.0, 0.0, 0.0},
+                                neg_nan_payload};
+    e.diag.path = Path::kTrivial;
+    e.diag.solved = true;
+    entries.push_back(e);
+  }
+  // One fit of every kernel, with an empty params vector on one of them.
+  for (const core::KernelType t : core::kAllKernels) {
+    core::FitMemoEntry e;
+    e.fn = core::FittedFunction{
+        t, std::vector<double>(core::kernel_param_count(t), -0.0), 1.0};
+    e.diag.path = Path::kNonlinear;
+    e.diag.solved = true;
+    e.diag.starts.push_back({0.5, 3, 40, Term::kConverged});
+    entries.push_back(e);
+  }
+  entries.back().fn->params.clear();
+
+  // Half go in one at a time, the rest as one batch; each entry sits
+  // under its own kernel (its fit's, when it has one) and prefix.
+  core::FitMemo memo;
+  std::vector<core::FitMemo::Key> keys;
+  std::vector<core::FitMemo::Fresh> batch;
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    const core::KernelType kernel =
+        entries[i].fn ? entries[i].fn->type : core::KernelType::kRat23;
+    keys.push_back({0x9E37'79B9'7F4A'7C15ull * (i + 1), 200 + i, kernel});
+    if (i % 2 == 0) {
+      memo.insert(keys[i], entries[i]);
+    } else {
+      batch.push_back({keys[i], &entries[i].fn, &entries[i].diag});
+    }
+  }
+  memo.insert(batch);
+  ASSERT_EQ(memo.stats().entries, entries.size());
+
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    SCOPED_TRACE(i);
+    core::FitMemoEntry out;
+    // A reused output entry must come back exactly too.
+    out.fn = core::FittedFunction{core::KernelType::kRat22, {9.0}, 9.0};
+    out.diag.starts.resize(9);
+    ASSERT_TRUE(memo.lookup(keys[i], &out));
+    expect_same_bits(out, entries[i]);
+  }
+}
+
+TEST(FitMemo, DigestMatchUnderAnotherKernelOrPrefixIsAMiss) {
+  core::FitMemo memo;
+  core::FitMemoEntry in;
+  in.fn = core::FittedFunction{core::KernelType::kRat22,
+                               {1.0, 2.0, 3.0, 4.0, 5.0}, 1.0};
+  memo.insert({7, 4, core::KernelType::kRat22}, in);
+
+  core::FitMemoEntry out;
+  EXPECT_FALSE(memo.lookup({7, 5, core::KernelType::kRat22}, &out));
+  EXPECT_FALSE(memo.lookup({7, 4, core::KernelType::kRat23}, &out));
+  EXPECT_FALSE(out.fn.has_value());  // a miss leaves *out untouched
+  EXPECT_EQ(memo.stats().misses, 2u);
+  EXPECT_EQ(memo.stats().hits, 0u);
+
+  // The colliding job is never filed: its digest is taken.
+  memo.insert({7, 5, core::KernelType::kRat22}, core::FitMemoEntry{});
+  EXPECT_EQ(memo.stats().entries, 1u);
+  EXPECT_FALSE(memo.lookup({7, 5, core::KernelType::kRat22}, &out));
+  ASSERT_TRUE(memo.lookup({7, 4, core::KernelType::kRat22}, &out));
+  expect_same_bits(out, in);
+}
+
+TEST(FitMemo, InsertUnderAResidentKeyAppendsNothing) {
+  core::FitMemo memo;
+  const core::FitMemo::Key key{11, 6, core::KernelType::kCubicLn};
+  core::FitMemoEntry first;
+  first.fn = core::FittedFunction{core::KernelType::kCubicLn,
+                                  {1.0, 2.0, 3.0, 4.0}, 2.0};
+  first.diag.path = core::FitDiag::Path::kLinear;
+  memo.insert(key, first);
+  const auto before = memo.stats();
+
+  core::FitMemoEntry second = first;
+  second.fn->params[0] = -1.0;
+  memo.insert(key, second);
+  EXPECT_EQ(memo.stats().entries, before.entries);
+  EXPECT_EQ(memo.stats().bytes, before.bytes);
+
+  // Within one batch, the first occurrence of a digest wins, and a
+  // resident key still appends nothing.
+  const core::FitMemo::Key other{12, 6, core::KernelType::kCubicLn};
+  memo.insert({{other, &first.fn, &first.diag},
+               {other, &second.fn, &second.diag},
+               {key, &second.fn, &second.diag}});
+  EXPECT_EQ(memo.stats().entries, before.entries + 1);
+
+  core::FitMemoEntry out;
+  ASSERT_TRUE(memo.lookup(key, &out));
+  expect_same_bits(out, first);
+  ASSERT_TRUE(memo.lookup(other, &out));
+  expect_same_bits(out, first);
+}
+
+// A real campaign's records stay inside the memo's byte budget: arena and
+// index together at most 128 bytes per (kernel, prefix) entry.
+TEST(FitMemo, StreamedCampaignStaysInsideTheByteBudget) {
+  const auto full = campaign(2, 16);
+  core::FitMemo memo;
+  core::ExecContext ctx;
+  ctx.memo = &memo;
+  for (std::size_t n = 8; n <= full.num_points(); ++n) {
+    (void)core::predict(full.truncated(n), serving_config(), ctx);
+  }
+  const auto s = memo.stats();
+  ASSERT_GT(s.entries, 0u);
+  EXPECT_LE(s.bytes, 128 * s.entries)
+      << s.bytes << " bytes for " << s.entries << " entries";
 }
 
 // ---------------------------------------------------------------------------
@@ -678,8 +901,10 @@ TEST(CampaignStore, ReplaceResetsMemoAndInvalidatesOldHash) {
   EXPECT_FALSE(created);
   EXPECT_EQ(info.version, 2u);
   EXPECT_NE(info.hash, hash_v1);
-  // A replacement is a new series: memo reset, old cache entry dead.
+  // A replacement is a new series: memo reset (its storage freed), old
+  // cache entry dead.
   EXPECT_EQ(info.memo.entries, 0u);
+  EXPECT_EQ(info.memo.bytes, core::FitMemo{}.stats().bytes);
   EXPECT_EQ(svc.stats().cache.invalidations, 1u);
   bool stale = false;
   EXPECT_EQ(svc.cached_or_stale(hash_v1, &stale), nullptr);
