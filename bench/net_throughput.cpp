@@ -172,7 +172,7 @@ int run_bench(int argc, char** argv) {
       static_cast<std::size_t>(threads > 0 ? threads : 1));
   estima::service::ServiceConfig scfg;
   scfg.prediction = cfg;
-  scfg.cache_capacity = static_cast<std::size_t>(64 * campaigns);
+  scfg.cache_capacity = static_cast<std::size_t>(campaigns);  // every unique
   estima::service::PredictionService service(scfg, &pool);
   estima::service::RouterConfig rcfg;
   rcfg.max_batch_campaigns = static_cast<std::size_t>(campaigns) + 16;

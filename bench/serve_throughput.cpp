@@ -186,11 +186,9 @@ int run_bench(int argc, char** argv) {
       static_cast<std::size_t>(threads > 0 ? threads : 1));
   estima::service::ServiceConfig scfg;
   scfg.prediction = cfg;
-  // Capacity is split across the cache's 16 shards and keys can skew, so
-  // leave enough headroom that even every campaign landing in one shard
-  // (per-shard capacity = total/16) cannot evict a live entry — the
-  // 100% hit-rate gates must only ever fail for real bugs.
-  scfg.cache_capacity = static_cast<std::size_t>(64 * campaigns);
+  // One exact LRU holding every unique campaign: the 100% hit-rate gates
+  // can only fail for real bugs.
+  scfg.cache_capacity = static_cast<std::size_t>(campaigns);
   estima::service::PredictionService service(scfg, &pool);
 
   // Cold batch: empty cache, every unique computed once, repeats folded.

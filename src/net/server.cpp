@@ -39,6 +39,10 @@ constexpr int kListenBacklog = 128;
 /// bytes after an error response, so the 4xx is not destroyed by a TCP
 /// reset.
 constexpr int kLingerTimeoutMs = 1'000;
+/// How long the shedding signal (RequestContext::shedding) stays raised
+/// after the last shed, so degraded serving covers the recovery tail
+/// rather than flickering per-request.
+constexpr int kShedRecoveryMs = 1'000;
 
 void close_quietly(int fd) {
   if (fd >= 0) ::close(fd);
@@ -248,7 +252,7 @@ struct HttpServer::HandlerPool {
   }
 
   /// The overload gauge for RequestContext::shedding and /v1/health:
-  /// queue at the cap, or a shed within the last shed_recovery_ms.
+  /// queue at the cap, or a shed within the last kShedRecoveryMs.
   bool shedding() {
     std::lock_guard<std::mutex> lock(mu_);
     if (srv_.cfg_.max_queue_depth > 0 &&
@@ -257,7 +261,7 @@ struct HttpServer::HandlerPool {
     }
     return has_shed_ &&
            Clock::now() - last_shed_ <=
-               std::chrono::milliseconds(srv_.cfg_.shed_recovery_ms);
+               std::chrono::milliseconds(kShedRecoveryMs);
   }
 
   void drain_and_join() {
@@ -1023,8 +1027,8 @@ void HttpServer::HandlerPool::respond_shed(Job& job) {
   // watcher (none today, but the contract is uniform) see it as dead.
   if (job.deadline) job.deadline->cancel();
   HttpResponse resp = plain_response(503, "server overloaded, retry later");
-  resp.headers.emplace_back(
-      "retry-after", std::to_string(std::max(srv_.cfg_.retry_after_s, 0)));
+  resp.headers.emplace_back("retry-after",
+                            std::to_string(kRetryAfterSeconds));
   if (job.trace) {
     resp.headers.emplace_back("x-estima-trace-id",
                               obs::format_trace_id(job.trace->trace_id()));

@@ -66,6 +66,9 @@ struct RequestContext {
   std::shared_ptr<obs::TraceContext> trace;
 };
 
+/// Advertised in shed 503s' Retry-After header (seconds).
+inline constexpr int kRetryAfterSeconds = 1;
+
 struct ServerConfig {
   std::string bind_address = "127.0.0.1";
   /// 0 binds an ephemeral port; read the real one back with port().
@@ -103,12 +106,6 @@ struct ServerConfig {
   /// run: its wait has already consumed its client's patience, and running
   /// it would delay fresher requests behind it. 0 = no age shedding.
   int queue_delay_budget_ms = 0;
-  /// Advertised in shed 503s' Retry-After header (seconds).
-  int retry_after_s = 1;
-  /// How long the shedding signal (RequestContext::shedding) stays raised
-  /// after the last shed, so degraded serving covers the recovery tail
-  /// rather than flickering per-request.
-  int shed_recovery_ms = 1'000;
   /// Observability: when set (borrowed, must outlive the server), every
   /// dispatched request gets a TraceContext recording the edge stages
   /// (edge.read, parse, queue.wait, edge.encode, edge.write) and the
@@ -155,7 +152,7 @@ class HttpServer {
   bool running() const { return running_.load(); }
 
   /// True while the handler pool is shedding load: its queue is at the
-  /// cap, or a request was shed within the last shed_recovery_ms. The
+  /// cap, or a request was shed within the last second. The
   /// /v1/health route reports 503 while this holds.
   bool shedding() const;
 

@@ -117,10 +117,11 @@ LeastSquaresResult ridge(const Matrix& A, const std::vector<double>& b,
   auto res = least_squares(Aug, baug);
   if (res) {
     // Recompute the residual against the original system.
-    auto pred = A * res->x;
     double r2 = 0.0;
     for (std::size_t i = 0; i < m; ++i) {
-      const double d = pred[i] - b[i];
+      double pred = 0.0;
+      for (std::size_t c = 0; c < n; ++c) pred += A(i, c) * res->x[c];
+      const double d = pred - b[i];
       r2 += d * d;
     }
     res->residual_norm = std::sqrt(r2);

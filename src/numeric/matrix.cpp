@@ -4,31 +4,6 @@
 
 namespace estima::numeric {
 
-Matrix::Matrix(std::initializer_list<std::initializer_list<double>> init) {
-  rows_ = init.size();
-  cols_ = rows_ ? init.begin()->size() : 0;
-  data_.reserve(rows_ * cols_);
-  for (const auto& row : init) {
-    if (row.size() != cols_) {
-      throw std::invalid_argument("Matrix: ragged initializer list");
-    }
-    data_.insert(data_.end(), row.begin(), row.end());
-  }
-}
-
-std::vector<double> Matrix::operator*(const std::vector<double>& v) const {
-  if (v.size() != cols_) {
-    throw std::invalid_argument("Matrix*vector: dimension mismatch");
-  }
-  std::vector<double> out(rows_, 0.0);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    double acc = 0.0;
-    for (std::size_t c = 0; c < cols_; ++c) acc += (*this)(r, c) * v[c];
-    out[r] = acc;
-  }
-  return out;
-}
-
 double norm2(const std::vector<double>& v) {
   double acc = 0.0;
   for (double x : v) acc += x * x;

@@ -7,8 +7,6 @@
 
 #include <cassert>
 #include <cstddef>
-#include <initializer_list>
-#include <stdexcept>
 #include <vector>
 
 namespace estima::numeric {
@@ -21,10 +19,6 @@ class Matrix {
   /// Creates a rows x cols matrix filled with `fill`.
   Matrix(std::size_t rows, std::size_t cols, double fill = 0.0)
       : rows_(rows), cols_(cols), data_(rows * cols, fill) {}
-
-  /// Creates a matrix from nested initializer lists; all rows must have the
-  /// same length.
-  Matrix(std::initializer_list<std::initializer_list<double>> init);
 
   std::size_t rows() const { return rows_; }
   std::size_t cols() const { return cols_; }
@@ -47,14 +41,6 @@ class Matrix {
     assert(r < rows_ && c < cols_);
     return data_[r * cols_ + c];
   }
-
-  /// Matrix * vector.
-  std::vector<double> operator*(const std::vector<double>& v) const;
-
-  /// Raw row-major storage, for handing a Matrix to the flat-array linalg
-  /// kernels. Size is rows()*cols().
-  double* mutable_data() { return data_.data(); }
-  const double* raw() const { return data_.data(); }
 
  private:
   std::size_t rows_ = 0;

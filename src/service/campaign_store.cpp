@@ -99,12 +99,12 @@ CampaignInfo CampaignStore::create(const std::string& name,
       c->version = 1;
       c->hash = hash;
       map_.emplace(name, c);
-      ++created_;
+      ++stats_.created;
       if (created != nullptr) *created = true;
       return info_locked(name, *c);
     }
     replaced = it->second;
-    ++replaced_;
+    ++stats_.replaced;
   }
   if (created != nullptr) *created = false;
   // Replace under the campaign's own mutex so in-flight predictions of
@@ -124,7 +124,7 @@ CampaignInfo CampaignStore::create(const std::string& name,
   }
   if (old_hash != hash && service_.invalidate(old_hash)) {
     std::lock_guard<std::mutex> lock(mu_);
-    ++hash_invalidations_;
+    ++stats_.hash_invalidations;
   }
   return out;
 }
@@ -152,14 +152,14 @@ CampaignInfo CampaignStore::append(const std::string& name,
   }
   {
     std::lock_guard<std::mutex> lock(mu_);
-    ++appends_;
+    ++stats_.appends;
   }
   // Exactly the superseded hash dies; every other cache entry (other
   // campaigns, this campaign's older generations already evicted or
   // never cached) is untouched.
   if (old_hash != out.hash && service_.invalidate(old_hash)) {
     std::lock_guard<std::mutex> lock(mu_);
-    ++hash_invalidations_;
+    ++stats_.hash_invalidations;
   }
   return out;
 }
@@ -176,7 +176,7 @@ core::Prediction CampaignStore::predict(const std::string& name,
   std::lock_guard<std::mutex> clock(c->mu);
   {
     std::lock_guard<std::mutex> lock(mu_);
-    ++predictions_;
+    ++stats_.predictions;
   }
   core::Prediction pred =
       service_.predict_one(c->ms, deadline, trace, disposition, &c->memo);
@@ -192,7 +192,7 @@ bool CampaignStore::remove(const std::string& name) {
     if (it == map_.end()) return false;
     victim = std::move(it->second);
     map_.erase(it);
-    ++deleted_;
+    ++stats_.deleted;
   }
   std::uint64_t hash;
   {
@@ -201,7 +201,7 @@ bool CampaignStore::remove(const std::string& name) {
   }
   if (service_.invalidate(hash)) {
     std::lock_guard<std::mutex> lock(mu_);
-    ++hash_invalidations_;
+    ++stats_.hash_invalidations;
   }
   return true;
 }
@@ -214,13 +214,7 @@ CampaignInfo CampaignStore::info(const std::string& name) const {
 
 CampaignStoreStats CampaignStore::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
-  CampaignStoreStats s;
-  s.created = created_;
-  s.replaced = replaced_;
-  s.deleted = deleted_;
-  s.appends = appends_;
-  s.predictions = predictions_;
-  s.hash_invalidations = hash_invalidations_;
+  CampaignStoreStats s = stats_;
   s.active = map_.size();
   return s;
 }

@@ -136,14 +136,9 @@ class CampaignStore {
   PredictionService& service_;
   const std::size_t max_campaigns_;
 
-  mutable std::mutex mu_;  ///< guards map_ and the counters below
+  mutable std::mutex mu_;  ///< guards map_ and stats_
   std::unordered_map<std::string, std::shared_ptr<Campaign>> map_;
-  std::uint64_t created_ = 0;
-  std::uint64_t replaced_ = 0;
-  std::uint64_t deleted_ = 0;
-  std::uint64_t appends_ = 0;
-  std::uint64_t predictions_ = 0;
-  std::uint64_t hash_invalidations_ = 0;
+  CampaignStoreStats stats_;  ///< every field but `active`, which is map_
 };
 
 }  // namespace estima::service

@@ -1,5 +1,6 @@
 #include "service/prediction_service.hpp"
 
+#include <chrono>
 #include <exception>
 #include <stdexcept>
 #include <utility>
@@ -13,7 +14,8 @@ namespace estima::service {
 PredictionService::PredictionService(ServiceConfig cfg, core::ExecContext base)
     : cfg_(std::move(cfg)),
       base_(base),
-      cache_(cfg_.cache_capacity, cfg_.cache_shards, cfg_.cache_ttl_ms) {
+      cache_(cfg_.cache_capacity,
+             std::chrono::milliseconds(cfg_.cache_ttl_ms)) {
   if (base_.deadline != nullptr || base_.trace != nullptr ||
       base_.memo != nullptr || base_.audit != nullptr ||
       base_.engine != nullptr) {
@@ -32,84 +34,77 @@ std::uint64_t PredictionService::hash_of(
   return campaign_hash(ms, cfg_.prediction);
 }
 
-std::shared_ptr<const core::Prediction> PredictionService::compute_or_join(
-    std::uint64_t key, const core::MeasurementSet& ms,
+PredictionService::Claim PredictionService::claim_locked(std::uint64_t key) {
+  // With the owner's publish below also one critical section, a key is
+  // always either cached, in flight, or neither, so a miss here can never
+  // race a completion.
+  Claim claim;
+  claim.hit = cache_.get(key);
+  if (claim.hit) return claim;
+  auto [it, inserted] = inflight_.try_emplace(key);
+  if (inserted) it->second = std::make_shared<InFlight>();
+  claim.flight = it->second;
+  claim.owner = inserted;
+  return claim;
+}
+
+std::shared_ptr<const core::Prediction> PredictionService::settle(
+    std::uint64_t key, const Claim& claim, const core::MeasurementSet& ms,
     const core::Deadline* deadline, obs::TraceContext* trace,
     CacheDisposition* disposition, core::FitMemo* memo) {
-  {
-    obs::SpanTimer lookup_span(trace, obs::Stage::kCacheLookup);
-    if (auto cached = cache_.get(key)) {
-      if (disposition != nullptr) *disposition = CacheDisposition::kHit;
-      return cached;
-    }
-  }
-
-  std::shared_ptr<InFlight> flight;
-  bool owner = false;
-  {
-    std::lock_guard<std::mutex> lock(inflight_mu_);
-    auto it = inflight_.find(key);
-    if (it != inflight_.end()) {
-      flight = it->second;
-    } else {
-      flight = std::make_shared<InFlight>();
-      inflight_.emplace(key, flight);
-      owner = true;
-    }
-  }
-
-  if (!owner) {
-    std::unique_lock<std::mutex> lock(flight->mu);
-    flight->cv.wait(lock, [&] { return flight->done; });
+  InFlight& flight = *claim.flight;
+  if (!claim.owner) {
     {
-      std::lock_guard<std::mutex> slock(stats_mu_);
-      ++inflight_joins_;
+      std::unique_lock<std::mutex> lock(flight.mu);
+      flight.cv.wait(lock, [&] { return flight.done; });
     }
-    if (flight->error) std::rethrow_exception(flight->error);
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      ++stats_.inflight_joins;
+    }
+    if (flight.error) std::rethrow_exception(flight.error);
     if (disposition != nullptr) *disposition = CacheDisposition::kHit;
-    return flight->result;
+    return flight.result;
   }
 
-  // This thread owns the computation. The previous owner (if any) erased
-  // its in-flight entry only after publishing to the cache, so a racing
-  // completion is visible on this re-check and is never recomputed.
-  bool inserted = false;
-  if (auto cached = cache_.peek(key)) {
-    flight->result = cached;
-    if (disposition != nullptr) *disposition = CacheDisposition::kHit;
-  } else {
-    try {
-      auto result = std::make_shared<const core::Prediction>(
-          compute(ms, deadline, trace, memo, nullptr));
-      cache_.put(key, result);
-      flight->result = std::move(result);
-      inserted = true;
-      if (disposition != nullptr) *disposition = CacheDisposition::kMiss;
-      std::lock_guard<std::mutex> slock(stats_mu_);
-      ++predictions_computed_;
-    } catch (const core::DeadlineExceeded&) {
-      flight->error = std::current_exception();
-      std::lock_guard<std::mutex> slock(stats_mu_);
-      ++predictions_cancelled_;
-    } catch (...) {
-      flight->error = std::current_exception();
+  bool cancelled = false;
+  try {
+    flight.result = std::make_shared<const core::Prediction>(
+        compute(ms, deadline, trace, memo, nullptr));
+    if (disposition != nullptr) *disposition = CacheDisposition::kMiss;
+  } catch (const core::DeadlineExceeded&) {
+    flight.error = std::current_exception();
+    cancelled = true;
+  } catch (...) {
+    flight.error = std::current_exception();
+  }
+  bool snapshot_due = false;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (flight.result) {
+      cache_.put(key, flight.result);
+      ++stats_.predictions_computed;
+      if (cfg_.snapshot_every > 0 &&
+          ++insertions_since_snapshot_ >= cfg_.snapshot_every) {
+        insertions_since_snapshot_ = 0;
+        snapshot_due = true;
+      }
+    } else if (cancelled) {
+      ++stats_.predictions_cancelled;
     }
-  }
-  {
-    std::lock_guard<std::mutex> lock(flight->mu);
-    flight->done = true;
-  }
-  flight->cv.notify_all();
-  {
-    std::lock_guard<std::mutex> lock(inflight_mu_);
     inflight_.erase(key);
   }
+  {
+    std::lock_guard<std::mutex> lock(flight.mu);
+    flight.done = true;
+  }
+  flight.cv.notify_all();
   // Only after the result is published and joiners released: a triggered
   // snapshot is a disk write that must not sit between a computed answer
   // and the threads waiting on it.
-  if (inserted) note_insertion_for_auto_snapshot();
-  if (flight->error) std::rethrow_exception(flight->error);
-  return flight->result;
+  if (snapshot_due) write_auto_snapshot();
+  if (flight.error) std::rethrow_exception(flight.error);
+  return flight.result;
 }
 
 core::Prediction PredictionService::compute(
@@ -124,40 +119,37 @@ core::Prediction PredictionService::compute(
   return core::predict(ms, cfg_.prediction, ctx);
 }
 
-void PredictionService::note_insertion_for_auto_snapshot() {
-  if (cfg_.snapshot_every == 0) return;
-  bool trigger = false;
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    if (++insertions_since_snapshot_ >= cfg_.snapshot_every) {
-      insertions_since_snapshot_ = 0;
-      trigger = true;
-    }
-  }
-  if (!trigger) return;
-  // The write races safely against serving (snapshot_to walks the cache
-  // one shard lock at a time) and must never fail the prediction whose
-  // insertion triggered it.
+void PredictionService::write_auto_snapshot() {
+  // The write races safely against serving (snapshot_to copies the
+  // entries under the lock and writes outside it) and must never fail the
+  // prediction whose insertion triggered it.
+  bool ok = true;
   try {
     snapshot_to(cfg_.auto_snapshot_path);
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++auto_snapshots_;
   } catch (const std::exception&) {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++auto_snapshot_failures_;
+    ok = false;
   }
+  std::lock_guard<std::mutex> lock(mu_);
+  ++(ok ? stats_.auto_snapshots : stats_.auto_snapshot_failures);
 }
 
 core::Prediction PredictionService::predict_one(
     const core::MeasurementSet& ms, const core::Deadline* deadline,
     obs::TraceContext* trace, CacheDisposition* disposition,
     core::FitMemo* memo) {
+  const std::uint64_t key = hash_of(ms);
+  Claim claim;
   {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++campaigns_submitted_;
+    obs::SpanTimer lookup_span(trace, obs::Stage::kCacheLookup);
+    std::lock_guard<std::mutex> lock(mu_);
+    ++stats_.campaigns_submitted;
+    claim = claim_locked(key);
   }
-  return *compute_or_join(hash_of(ms), ms, deadline, trace, disposition,
-                          memo);
+  if (claim.hit) {
+    if (disposition != nullptr) *disposition = CacheDisposition::kHit;
+    return *claim.hit;
+  }
+  return *settle(key, claim, ms, deadline, trace, disposition, memo);
 }
 
 core::Prediction PredictionService::explain(const core::MeasurementSet& ms,
@@ -165,21 +157,27 @@ core::Prediction PredictionService::explain(const core::MeasurementSet& ms,
                                             const core::Deadline* deadline,
                                             obs::TraceContext* trace) {
   {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++explains_served_;
+    std::lock_guard<std::mutex> lock(mu_);
+    ++stats_.explains_served;
   }
   return compute(ms, deadline, trace, nullptr, &audit);
 }
 
 std::shared_ptr<const core::Prediction> PredictionService::cached_or_stale(
     std::uint64_t key, bool* stale) {
+  std::lock_guard<std::mutex> lock(mu_);
   StaleLookup found = cache_.lookup_stale(key);
   if (stale != nullptr) *stale = found.stale;
   return found.value;
 }
 
+bool PredictionService::invalidate(std::uint64_t key) {
+  std::lock_guard<std::mutex> lock(mu_);
+  return cache_.erase(key);
+}
+
 std::vector<core::Prediction> PredictionService::predict_many(
-    Span<const core::MeasurementSet> campaigns,
+    const std::vector<core::MeasurementSet>& campaigns,
     const core::Deadline* deadline, obs::TraceContext* trace) {
   const std::size_t n = campaigns.size();
   std::vector<core::Prediction> out;
@@ -190,6 +188,7 @@ std::vector<core::Prediction> PredictionService::predict_many(
   struct Unit {
     std::uint64_t key = 0;
     std::size_t input_idx = 0;  ///< first input with this hash
+    Claim claim;
     std::shared_ptr<const core::Prediction> result;
     std::exception_ptr error;
   };
@@ -199,26 +198,47 @@ std::vector<core::Prediction> PredictionService::predict_many(
   for (std::size_t i = 0; i < n; ++i) {
     const std::uint64_t key = hash_of(campaigns[i]);
     auto [it, inserted] = seen.emplace(key, units.size());
-    if (inserted) units.push_back(Unit{key, i, nullptr, nullptr});
+    if (inserted) units.push_back(Unit{key, i, {}, nullptr, nullptr});
     unit_of[i] = it->second;
   }
+  // One critical section looks up every unit and registers its flight;
+  // nothing between it and the fan-out may throw, or a registered flight
+  // would never be settled.
+  std::vector<Unit*> pending;
+  pending.reserve(units.size());
   {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    campaigns_submitted_ += n;
-    batch_duplicates_folded_ += n - units.size();
+    obs::SpanTimer lookup_span(trace, obs::Stage::kCacheLookup);
+    std::lock_guard<std::mutex> lock(mu_);
+    stats_.campaigns_submitted += n;
+    stats_.batch_duplicates_folded += n - units.size();
+    for (Unit& u : units) {
+      u.claim = claim_locked(u.key);
+      u.result = u.claim.hit;
+    }
   }
 
-  // One campaign per job. Each job writes only its own unit, so the
-  // fan-out cannot change results; the nested per-campaign fit fan-out
-  // shares the same pool safely (caller-participates parallel_for). Jobs
-  // must not throw across the pool boundary — exceptions are parked per
-  // unit and rethrown below.
-  parallel::parallel_for(base_.pool, units.size(), [&](std::size_t u) {
+  // Misses fan out one campaign per job; each job writes only its own
+  // unit, so the fan-out cannot change results, and the nested fit
+  // fan-out shares the same pool safely (caller-participates
+  // parallel_for). A join waits only on a flight claimed before this
+  // batch's claim, so waits cannot form a cycle; owned flights still go
+  // first (parallel_for hands out indices in order), so a flight other
+  // requests may be waiting on never queues behind this batch's joins.
+  // Jobs must not throw across the pool boundary; exceptions are parked
+  // per unit and rethrown below.
+  for (Unit& u : units) {
+    if (!u.result && u.claim.owner) pending.push_back(&u);
+  }
+  for (Unit& u : units) {
+    if (!u.result && !u.claim.owner) pending.push_back(&u);
+  }
+  parallel::parallel_for(base_.pool, pending.size(), [&](std::size_t i) {
+    Unit& u = *pending[i];
     try {
-      units[u].result = compute_or_join(
-          units[u].key, campaigns[units[u].input_idx], deadline, trace);
+      u.result = settle(u.key, u.claim, campaigns[u.input_idx], deadline,
+                        trace);
     } catch (...) {
-      units[u].error = std::current_exception();
+      u.error = std::current_exception();
     }
   });
 
@@ -235,11 +255,10 @@ std::vector<core::Prediction> PredictionService::predict_many(
 SnapshotWriteReport PredictionService::snapshot_to(
     const std::string& path) const {
   std::vector<SnapshotEntry> entries;
-  cache_.for_each_entry(
-      [&entries](std::uint64_t key,
-                 const std::shared_ptr<const core::Prediction>& value) {
-        entries.push_back({key, value});
-      });
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    entries = cache_.entries();
+  }
   return save_snapshot(path, core::config_signature(cfg_.prediction), entries);
 }
 
@@ -249,40 +268,23 @@ SnapshotLoadReport PredictionService::restore_from(const std::string& path) {
   // single entry is read.
   SnapshotLoadReport report =
       load_snapshot(path, core::config_signature(cfg_.prediction));
-  // for_each_entry exported LRU-first per shard, so replaying through
-  // put() in file order restores each shard's recency as well as its
-  // contents.
+  // Count both explicitly skipped frames and frames the header promised
+  // but a truncated file never delivered.
+  std::uint64_t skipped = report.skipped.size();
+  const std::size_t seen = report.entries.size() + report.skipped.size();
+  if (report.entries_declared > seen) skipped += report.entries_declared - seen;
+  std::lock_guard<std::mutex> lock(mu_);
+  // entries() exported LRU first, so replaying through put() in file
+  // order restores the recency as well as the contents.
   for (const auto& e : report.entries) cache_.put(e.key, e.prediction);
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    snapshot_entries_restored_ += report.entries.size();
-    // Count both explicitly skipped frames and frames the header promised
-    // but a truncated file never delivered.
-    std::uint64_t skipped = report.skipped.size();
-    const std::size_t seen = report.entries.size() + report.skipped.size();
-    if (report.entries_declared > seen) {
-      skipped += report.entries_declared - seen;
-    }
-    snapshot_entries_skipped_ += skipped;
-  }
+  stats_.snapshot_entries_restored += report.entries.size();
+  stats_.snapshot_entries_skipped += skipped;
   return report;
 }
 
 ServiceStats PredictionService::stats() const {
-  ServiceStats s;
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    s.campaigns_submitted = campaigns_submitted_;
-    s.predictions_computed = predictions_computed_;
-    s.batch_duplicates_folded = batch_duplicates_folded_;
-    s.inflight_joins = inflight_joins_;
-    s.snapshot_entries_restored = snapshot_entries_restored_;
-    s.snapshot_entries_skipped = snapshot_entries_skipped_;
-    s.auto_snapshots = auto_snapshots_;
-    s.auto_snapshot_failures = auto_snapshot_failures_;
-    s.predictions_cancelled = predictions_cancelled_;
-    s.explains_served = explains_served_;
-  }
+  std::lock_guard<std::mutex> lock(mu_);
+  ServiceStats s = stats_;
   s.cache = cache_.stats();
   return s;
 }

@@ -5,7 +5,7 @@
 // under one immutable PredictionConfig:
 //   1. every campaign is named by its campaign_hash;
 //   2. repeats within the batch fold onto one computation;
-//   3. hits are served from the sharded ResultCache;
+//   3. hits are served from the ResultCache, an exact LRU;
 //   4. misses fan out across the shared parallel::ThreadPool, one campaign
 //      per job — the per-campaign fit fan-out keeps working underneath,
 //      because parallel_for nests safely;
@@ -24,13 +24,20 @@
 // cached; predict_many surfaces the earliest failing input's exception
 // after the batch has been driven, so one bad campaign cannot poison the
 // cache or block the others from being computed and cached.
+//
+// Locking: one mutex guards the cache, the in-flight table and the
+// counters. A lookup and its in-flight registration are one critical
+// section, and an owner's publish (cache insert, in-flight erase, count)
+// is another, so every request either hits, joins a flight, or owns a
+// fresh one — never a completed computation's lost race. Fits, joiner
+// waits and snapshot file writes run outside the lock, and stats() is
+// one consistent picture of the service and cache counters.
 #pragma once
 
 #include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -41,34 +48,9 @@
 
 namespace estima::service {
 
-/// Minimal C++17 stand-in for std::span<const T>: lets the serving API
-/// accept campaigns from any contiguous container without copying.
-template <typename T>
-class Span {
- public:
-  Span() = default;
-  Span(const T* data, std::size_t size) : data_(data), size_(size) {}
-  Span(const std::vector<std::remove_const_t<T>>& v)
-      : data_(v.data()), size_(v.size()) {}
-  template <std::size_t N>
-  Span(const T (&arr)[N]) : data_(arr), size_(N) {}
-
-  const T* data() const { return data_; }
-  std::size_t size() const { return size_; }
-  bool empty() const { return size_ == 0; }
-  const T& operator[](std::size_t i) const { return data_[i]; }
-  const T* begin() const { return data_; }
-  const T* end() const { return data_ + size_; }
-
- private:
-  const T* data_ = nullptr;
-  std::size_t size_ = 0;
-};
-
 struct ServiceConfig {
   core::PredictionConfig prediction;  ///< shared by every campaign served
-  std::size_t cache_capacity = 4096;
-  std::size_t cache_shards = 16;
+  std::size_t cache_capacity = 4096;  ///< answers the LRU holds
   /// TTL for cached predictions in milliseconds; 0 = never expire (the
   /// default — predictions are pure functions of the campaign, so expiry
   /// only matters to deployments that want bounded staleness). Expired
@@ -162,10 +144,11 @@ class PredictionService {
 
   /// Batch entry: results in input order, bit-identical to a serial
   /// predict() loop over the same campaigns. One deadline covers the
-  /// whole batch; one trace too — units run concurrently, so its
-  /// cache.lookup / fit.* cells aggregate overlapping per-unit work.
+  /// whole batch; one trace too — the batch's lookups are one
+  /// cache.lookup span, and units run concurrently, so its fit.* cells
+  /// aggregate overlapping per-unit work.
   std::vector<core::Prediction> predict_many(
-      Span<const core::MeasurementSet> campaigns,
+      const std::vector<core::MeasurementSet>& campaigns,
       const core::Deadline* deadline = nullptr,
       obs::TraceContext* trace = nullptr);
 
@@ -179,19 +162,19 @@ class PredictionService {
   /// true when an entry died. Streaming appends call this with the
   /// campaign's superseded hash so exactly the stale answer is
   /// invalidated — the new hash's entry is computed on the next lookup.
-  bool invalidate(std::uint64_t key) { return cache_.erase(key); }
+  bool invalidate(std::uint64_t key);
 
   /// Spills the current ResultCache to a v1 snapshot at `path` (atomic
   /// write-then-rename), tagged with this service's config signature.
-  /// Safe to call while other threads serve predict_many: the export
-  /// walks the cache one shard lock at a time (for_each_entry), so the
-  /// snapshot is a per-shard-consistent picture of completed answers —
-  /// every entry it contains is a real, fully computed prediction.
+  /// Safe to call while other threads serve predict_many: the entries are
+  /// copied under the service lock and written outside it, so the
+  /// snapshot is one consistent picture of completed answers — every
+  /// entry it contains is a real, fully computed prediction.
   SnapshotWriteReport snapshot_to(const std::string& path) const;
 
   /// Warms the cache from a snapshot written by a service with the same
   /// prediction config. Entries land in the cache as if just computed
-  /// (preserving per-shard recency); damaged entries are skipped, counted
+  /// (preserving recency); damaged entries are skipped, counted
   /// in stats().snapshot_entries_skipped and detailed in the returned
   /// report. Throws std::runtime_error when the file is unusable as a
   /// whole — unreadable, wrong version, or written under a different
@@ -201,7 +184,6 @@ class PredictionService {
 
   ServiceStats stats() const;
   const ServiceConfig& config() const { return cfg_; }
-  const ResultCache& cache() const { return cache_; }
 
  private:
   struct InFlight {
@@ -212,11 +194,24 @@ class PredictionService {
     std::exception_ptr error;
   };
 
-  /// Serves `key` from the cache, joins a computation already in flight on
-  /// another thread, or computes (and caches) it here. Throws what
-  /// predict() threw; errors are published to joiners but never cached.
-  std::shared_ptr<const core::Prediction> compute_or_join(
-      std::uint64_t key, const core::MeasurementSet& ms,
+  /// What one key's lookup found: a cache hit, or the flight the caller
+  /// owns (and must settle by computing) or joins.
+  struct Claim {
+    std::shared_ptr<const core::Prediction> hit;
+    std::shared_ptr<InFlight> flight;
+    bool owner = false;
+  };
+
+  /// The lookup and the in-flight registration, as one step under mu_
+  /// (which the caller holds).
+  Claim claim_locked(std::uint64_t key);
+
+  /// Settles a claim that missed, outside mu_. The owner computes, then
+  /// publishes (cache insert, in-flight erase, count) under mu_ and
+  /// releases its joiners; a joiner waits for the owner's outcome. Throws
+  /// what predict() threw; errors reach joiners but are never cached.
+  std::shared_ptr<const core::Prediction> settle(
+      std::uint64_t key, const Claim& claim, const core::MeasurementSet& ms,
       const core::Deadline* deadline, obs::TraceContext* trace,
       CacheDisposition* disposition = nullptr,
       core::FitMemo* memo = nullptr);
@@ -228,31 +223,21 @@ class PredictionService {
                            obs::TraceContext* trace, core::FitMemo* memo,
                            core::PredictionAudit* audit) const;
 
-  /// Counts one computed insertion toward snapshot_every and writes the
-  /// automatic snapshot when this insertion is the K-th. Exactly one
-  /// thread snapshots per K insertions: the decision is taken under the
-  /// stats lock, the write happens outside it.
-  void note_insertion_for_auto_snapshot();
+  /// Writes the automatic snapshot due after a computed insertion and
+  /// counts its outcome; never throws.
+  void write_auto_snapshot();
 
   ServiceConfig cfg_;
   core::ExecContext base_;
+
+  /// Guards everything below. Never held across a fit, a joiner's wait or
+  /// a file write.
+  mutable std::mutex mu_;
   ResultCache cache_;
-
-  std::mutex inflight_mu_;
   std::unordered_map<std::uint64_t, std::shared_ptr<InFlight>> inflight_;
-
-  mutable std::mutex stats_mu_;
-  std::uint64_t campaigns_submitted_ = 0;
-  std::uint64_t predictions_computed_ = 0;
-  std::uint64_t batch_duplicates_folded_ = 0;
-  std::uint64_t inflight_joins_ = 0;
-  std::uint64_t snapshot_entries_restored_ = 0;
-  std::uint64_t snapshot_entries_skipped_ = 0;
+  ServiceStats stats_;  ///< every field but `cache`, which cache_ keeps
+  /// Computed insertions since the last automatic snapshot.
   std::uint64_t insertions_since_snapshot_ = 0;
-  std::uint64_t auto_snapshots_ = 0;
-  std::uint64_t auto_snapshot_failures_ = 0;
-  std::uint64_t predictions_cancelled_ = 0;
-  std::uint64_t explains_served_ = 0;
 };
 
 }  // namespace estima::service

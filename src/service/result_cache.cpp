@@ -1,174 +1,91 @@
 #include "service/result_cache.hpp"
 
-#include <algorithm>
+#include <utility>
 
 namespace estima::service {
-namespace {
 
-std::size_t floor_pow2(std::size_t v) {
-  std::size_t p = 1;
-  while (p * 2 <= v) p *= 2;
-  return p;
-}
-
-// Campaign hashes are already well mixed, but shard selection uses the
-// high bits via a Fibonacci multiply so that keys differing only in low
-// bits still spread.
-std::size_t mix_to_shard(std::uint64_t key, std::size_t mask) {
-  return static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ull) >> 40) & mask;
-}
-
-}  // namespace
-
-ResultCache::ResultCache(std::size_t capacity, std::size_t shards,
-                         std::uint64_t ttl_ms)
-    : capacity_(capacity == 0 ? 1 : capacity), ttl_ms_(ttl_ms) {
-  shards_count_ = floor_pow2(std::max<std::size_t>(
-      1, std::min(shards == 0 ? 1 : shards, capacity_)));
-  shards_ = std::make_unique<Shard[]>(shards_count_);
-  // Distribute the capacity so the shard totals sum to capacity_ exactly.
-  const std::size_t base = capacity_ / shards_count_;
-  const std::size_t extra = capacity_ % shards_count_;
-  for (std::size_t i = 0; i < shards_count_; ++i) {
-    shards_[i].capacity = base + (i < extra ? 1 : 0);
-  }
-}
-
-ResultCache::Shard& ResultCache::shard_for(std::uint64_t key) {
-  return shards_[mix_to_shard(key, shards_count_ - 1)];
-}
+ResultCache::ResultCache(std::size_t capacity, std::chrono::milliseconds ttl)
+    : capacity_(capacity == 0 ? 1 : capacity), ttl_(ttl) {}
 
 std::shared_ptr<const core::Prediction> ResultCache::get(std::uint64_t key) {
-  Shard& s = shard_for(key);
-  std::lock_guard<std::mutex> lock(s.mu);
-  auto it = s.index.find(key);
-  if (it == s.index.end()) {
-    ++s.misses;
+  auto it = index_.find(key);
+  if (it == index_.end()) {
+    ++stats_.misses;
     return nullptr;
   }
   if (expired(*it->second, Clock::now())) {
     // Resident but past its TTL: a miss to normal lookups. No recency
     // refresh — only a put() (the recompute) revives the entry.
-    ++s.misses;
-    ++s.expired_misses;
+    ++stats_.misses;
+    ++stats_.expired_misses;
     return nullptr;
   }
-  ++s.hits;
-  s.lru.splice(s.lru.begin(), s.lru, it->second);  // refresh recency
-  return it->second->value;
-}
-
-std::shared_ptr<const core::Prediction> ResultCache::peek(
-    std::uint64_t key) const {
-  const Shard& s = const_cast<ResultCache*>(this)->shard_for(key);
-  std::lock_guard<std::mutex> lock(s.mu);
-  auto it = s.index.find(key);
-  if (it == s.index.end()) return nullptr;
-  if (expired(*it->second, Clock::now())) return nullptr;
+  ++stats_.hits;
+  lru_.splice(lru_.begin(), lru_, it->second);  // refresh recency
   return it->second->value;
 }
 
 StaleLookup ResultCache::lookup_stale(std::uint64_t key) {
-  Shard& s = shard_for(key);
-  std::lock_guard<std::mutex> lock(s.mu);
-  auto it = s.index.find(key);
-  if (it == s.index.end()) {
-    ++s.misses;
+  auto it = index_.find(key);
+  if (it == index_.end()) {
+    ++stats_.misses;
     return {};
   }
   StaleLookup out;
   out.value = it->second->value;
   out.stale = expired(*it->second, Clock::now());
   if (out.stale) {
-    ++s.stale_hits;
+    ++stats_.stale_hits;
   } else {
-    ++s.hits;
-    s.lru.splice(s.lru.begin(), s.lru, it->second);
+    ++stats_.hits;
+    lru_.splice(lru_.begin(), lru_, it->second);
   }
   return out;
 }
 
 void ResultCache::put(std::uint64_t key,
                       std::shared_ptr<const core::Prediction> value) {
-  Shard& s = shard_for(key);
-  std::lock_guard<std::mutex> lock(s.mu);
   const auto now = Clock::now();
-  auto it = s.index.find(key);
-  if (it != s.index.end()) {
+  auto it = index_.find(key);
+  if (it != index_.end()) {
     it->second->value = std::move(value);
     it->second->inserted = now;
-    s.lru.splice(s.lru.begin(), s.lru, it->second);
+    lru_.splice(lru_.begin(), lru_, it->second);
     return;
   }
-  while (s.lru.size() >= s.capacity && !s.lru.empty()) {
-    s.index.erase(s.lru.back().key);
-    s.lru.pop_back();
-    ++s.evictions;
+  if (lru_.size() >= capacity_) {
+    index_.erase(lru_.back().key);
+    lru_.pop_back();
+    ++stats_.evictions;
   }
-  s.lru.push_front(Entry{key, std::move(value), now});
-  s.index.emplace(key, s.lru.begin());
+  lru_.push_front(Entry{key, std::move(value), now});
+  index_.emplace(key, lru_.begin());
 }
 
 bool ResultCache::erase(std::uint64_t key) {
-  Shard& s = shard_for(key);
-  std::lock_guard<std::mutex> lock(s.mu);
-  auto it = s.index.find(key);
-  if (it == s.index.end()) return false;
-  s.lru.erase(it->second);
-  s.index.erase(it);
-  ++s.invalidations;
+  auto it = index_.find(key);
+  if (it == index_.end()) return false;
+  lru_.erase(it->second);
+  index_.erase(it);
+  ++stats_.invalidations;
   return true;
 }
 
 CacheStats ResultCache::stats() const {
-  CacheStats out;
-  for (std::size_t i = 0; i < shards_count_; ++i) {
-    const Shard& s = shards_[i];
-    std::lock_guard<std::mutex> lock(s.mu);
-    out.hits += s.hits;
-    out.misses += s.misses;
-    out.evictions += s.evictions;
-    out.entries += s.lru.size();
-    out.expired_misses += s.expired_misses;
-    out.stale_hits += s.stale_hits;
-    out.invalidations += s.invalidations;
-  }
+  CacheStats out = stats_;
+  out.entries = lru_.size();
   return out;
 }
 
-void ResultCache::for_each_entry(
-    const std::function<void(std::uint64_t,
-                             const std::shared_ptr<const core::Prediction>&)>&
-        fn) const {
-  std::vector<std::pair<std::uint64_t, std::shared_ptr<const core::Prediction>>>
-      snapshot;
-  for (std::size_t i = 0; i < shards_count_; ++i) {
-    const Shard& s = shards_[i];
-    snapshot.clear();
-    {
-      std::lock_guard<std::mutex> lock(s.mu);
-      const auto now = Clock::now();
-      snapshot.reserve(s.lru.size());
-      // Back-to-front = LRU first; see the header on why order matters.
-      // Expired entries are skipped: a snapshot replayed through put()
-      // would re-stamp their TTL, reviving pre-snapshot staleness.
-      for (auto it = s.lru.rbegin(); it != s.lru.rend(); ++it) {
-        if (expired(*it, now)) continue;
-        snapshot.emplace_back(it->key, it->value);
-      }
-    }
-    // Lock released: the visitor may re-enter the cache freely.
-    for (const auto& [key, value] : snapshot) fn(key, value);
+std::vector<SnapshotEntry> ResultCache::entries() const {
+  const auto now = Clock::now();
+  std::vector<SnapshotEntry> out;
+  out.reserve(lru_.size());
+  // Back-to-front = LRU first; see the header on why order matters.
+  for (auto it = lru_.rbegin(); it != lru_.rend(); ++it) {
+    if (!expired(*it, now)) out.push_back({it->key, it->value});
   }
-}
-
-void ResultCache::clear() {
-  for (std::size_t i = 0; i < shards_count_; ++i) {
-    Shard& s = shards_[i];
-    std::lock_guard<std::mutex> lock(s.mu);
-    s.lru.clear();
-    s.index.clear();
-  }
+  return out;
 }
 
 }  // namespace estima::service

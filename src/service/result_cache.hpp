@@ -1,32 +1,28 @@
-// Sharded LRU cache of completed Predictions keyed by campaign hash.
+// Exact LRU cache of completed Predictions keyed by campaign hash.
 //
-// Shard-per-mutex keeps concurrent predict_many() batches from serializing
-// on one lock: a key's shard is chosen by mixing its hash, each shard runs
-// an independent LRU list, and hit/miss/eviction counters are aggregated
-// on demand. Values are shared_ptr<const Prediction> so a hit hands out
-// the cached object without copying under the lock; recency is per shard,
-// so global eviction order is only approximately LRU (construct with
-// shards = 1 when exact LRU matters, e.g. in tests).
+// One recency list and one index, no internal locking: the cache is a
+// plain data structure whose owner (PredictionService) holds it, the
+// in-flight table and the service counters under one mutex. Capacity is
+// a hard bound on the number of answers held and eviction is strictly
+// least-recently-used. Values are shared_ptr<const Prediction>, so a hit
+// and an export hand out the cached object without copying it.
 //
-// Entries can carry a TTL (ttl_ms > 0): an expired entry reads as a miss
-// through get()/peek() — forcing a recompute that put() will refresh —
-// but stays resident until evicted or refreshed, so the serving layer can
+// Entries can carry a TTL (ttl > 0): an expired entry reads as a miss
+// through get() — forcing a recompute that put() will refresh — but stays
+// resident until evicted or refreshed, so the serving layer can
 // deliberately fall back to it (lookup_stale) when shedding load. With
-// ttl_ms = 0 (the default) nothing ever expires and behavior is exactly
-// the pre-TTL cache.
+// ttl = 0 (the default) nothing ever expires.
 #pragma once
 
 #include <chrono>
 #include <cstdint>
-#include <functional>
 #include <list>
 #include <memory>
-#include <mutex>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "core/predictor.hpp"
+#include "service/snapshot.hpp"
 
 namespace estima::service {
 
@@ -35,8 +31,8 @@ struct CacheStats {
   std::uint64_t misses = 0;
   std::uint64_t evictions = 0;
   std::uint64_t entries = 0;  ///< currently cached predictions
-  /// get()/peek() finding only an expired entry (counted inside misses
-  /// as well — an expired hit IS a miss to normal lookups).
+  /// get() finding only an expired entry (counted inside misses as well —
+  /// an expired hit IS a miss to normal lookups).
   std::uint64_t expired_misses = 0;
   /// lookup_stale() answers served from an expired entry.
   std::uint64_t stale_hits = 0;
@@ -53,12 +49,11 @@ struct StaleLookup {
 
 class ResultCache {
  public:
-  /// `capacity` = maximum cached predictions in total, split across
-  /// `shards` (rounded down to a power of two, clamped to [1, capacity]).
-  /// `ttl_ms` > 0 makes entries expire that many milliseconds after their
-  /// last put(); 0 = entries never expire.
-  explicit ResultCache(std::size_t capacity, std::size_t shards = 16,
-                       std::uint64_t ttl_ms = 0);
+  /// `capacity` = maximum cached predictions (0 is treated as 1). A
+  /// positive `ttl` makes entries expire that long after their last
+  /// put(); zero = entries never expire.
+  explicit ResultCache(std::size_t capacity,
+                       std::chrono::milliseconds ttl = {});
 
   ResultCache(const ResultCache&) = delete;
   ResultCache& operator=(const ResultCache&) = delete;
@@ -68,18 +63,13 @@ class ResultCache {
   /// gets no recency refresh). Counts one hit or miss.
   std::shared_ptr<const core::Prediction> get(std::uint64_t key);
 
-  /// get() without touching the hit/miss counters or recency: the
-  /// in-flight owner's race re-check, which re-examines a key whose miss
-  /// was already counted. Honors expiry like get().
-  std::shared_ptr<const core::Prediction> peek(std::uint64_t key) const;
-
   /// Degraded-mode lookup: returns whatever is resident for the key, even
   /// expired, flagging staleness. A stale answer counts stale_hits and
   /// does not refresh recency (shedding must not keep dead entries warm);
   /// a fresh one counts a normal hit and does.
   StaleLookup lookup_stale(std::uint64_t key);
 
-  /// Inserts (or refreshes) a completed prediction, evicting the shard's
+  /// Inserts (or refreshes) a completed prediction, evicting the
   /// least-recently-used entry when full.
   ///
   /// TTL semantics (deliberate, relied on by streaming invalidation): a
@@ -87,7 +77,7 @@ class ResultCache {
   /// recency, even when the value is bit-identical to the resident one —
   /// a put() means "this answer was just recomputed", and a recompute is
   /// fresh by definition. The one writer allowed to put() is the
-  /// compute_or_join owner that actually ran predict(); joiners that
+  /// in-flight owner that actually ran predict(); joiners that
   /// merely waited for the owner's result never put(), so a dedup'd join
   /// can never revive a dying entry without a real recompute behind it.
   void put(std::uint64_t key, std::shared_ptr<const core::Prediction> value);
@@ -102,31 +92,14 @@ class ResultCache {
   bool erase(std::uint64_t key);
 
   CacheStats stats() const;
-  std::size_t capacity() const { return capacity_; }
-  std::size_t shard_count() const { return shards_count_; }
-  std::uint64_t ttl_ms() const { return ttl_ms_; }
-  void clear();
 
-  /// Visits every cached entry once, one shard at a time, least- to
-  /// most-recently-used within each shard (so an export replayed through
-  /// put() in visit order reproduces the shard's recency). Each shard's
-  /// entries are copied (key + shared_ptr) under that shard's lock and the
-  /// visitor runs *outside* it, which makes the visit safe against — and
-  /// safe for — concurrent mutation: the visitor may call get/put/clear on
-  /// this cache without deadlocking, and an entry evicted mid-iteration is
-  /// still delivered alive through its shared_ptr. The guarantee is
-  /// per-shard consistency: everything present in a shard at its lock
-  /// instant is visited exactly once; entries inserted or evicted while
-  /// other shards are being visited may or may not appear. Entries
-  /// expired at their shard's lock instant are NOT visited: the visitor's
-  /// main caller is snapshot_to, and restore replays entries through
-  /// put(), which re-stamps the TTL clock — persisting an expired entry
-  /// would resurrect a stale answer as fresh after restart, violating
-  /// bounded staleness.
-  void for_each_entry(
-      const std::function<void(std::uint64_t,
-                               const std::shared_ptr<const core::Prediction>&)>&
-          fn) const;
+  /// The unexpired entries, least- to most-recently-used, so replaying
+  /// them through put() in order reproduces the recency. Entries expired
+  /// now are left out: the main caller is snapshot_to, and restore
+  /// replays entries through put(), which re-stamps the TTL clock —
+  /// persisting an expired entry would resurrect a stale answer as fresh
+  /// after restart, violating bounded staleness.
+  std::vector<SnapshotEntry> entries() const;
 
  private:
   using Clock = std::chrono::steady_clock;
@@ -137,30 +110,16 @@ class ResultCache {
     Clock::time_point inserted;
   };
 
-  struct Shard {
-    mutable std::mutex mu;
-    /// front = most recently used.
-    std::list<Entry> lru;
-    std::unordered_map<std::uint64_t, std::list<Entry>::iterator> index;
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-    std::uint64_t evictions = 0;
-    std::uint64_t expired_misses = 0;
-    std::uint64_t stale_hits = 0;
-    std::uint64_t invalidations = 0;
-    std::size_t capacity = 0;
-  };
-
-  Shard& shard_for(std::uint64_t key);
   bool expired(const Entry& e, Clock::time_point now) const {
-    return ttl_ms_ != 0 &&
-           now - e.inserted > std::chrono::milliseconds(ttl_ms_);
+    return ttl_.count() != 0 && now - e.inserted > ttl_;
   }
 
   std::size_t capacity_;
-  std::size_t shards_count_;
-  std::uint64_t ttl_ms_;
-  std::unique_ptr<Shard[]> shards_;
+  std::chrono::milliseconds ttl_;
+  /// front = most recently used.
+  std::list<Entry> lru_;
+  std::unordered_map<std::uint64_t, std::list<Entry>::iterator> index_;
+  CacheStats stats_;  ///< every field but `entries`, which is lru_.size()
 };
 
 }  // namespace estima::service

@@ -24,6 +24,9 @@ namespace {
 // so a corrupted length cannot be resynced — batch parsing is all-or-400.
 constexpr std::size_t kMaxFrameBytes = std::size_t{1} << 24;
 
+/// The version label of the estima_build_info gauge on /v1/metrics.
+constexpr const char* kBuildVersion = "dev";
+
 net::HttpResponse text_response(int status, const std::string& body) {
   net::HttpResponse resp;
   resp.status = status;
@@ -51,24 +54,6 @@ std::string hash_hex(std::uint64_t h) {
   char buf[24];
   std::snprintf(buf, sizeof buf, "%016" PRIx64, h);
   return buf;
-}
-
-/// Prometheus label-value escaping (backslash, quote, newline) for the
-/// caller-supplied strings in estima_build_info.
-std::string prom_label_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '\\' || c == '"') {
-      out += '\\';
-      out += c;
-    } else if (c == '\n') {
-      out += "\\n";
-    } else {
-      out += c;
-    }
-  }
-  return out;
 }
 
 /// One FitAudit as JSON (keys opened by the caller): the winner block,
@@ -682,7 +667,7 @@ net::HttpResponse ServiceRouter::handle_metrics() {
   // convention for exposing labels rather than a value. The label set is
   // a stable schema; the service always fits with the batched engine.
   w.gauge("estima_build_info",
-          "version=\"" + prom_label_escape(cfg_.build_version) +
+          std::string("version=\"") + kBuildVersion +
               "\",engine=\"batched\",fault_injection=\"" +
               (fault::compiled_in() ? "on" : "off") + "\"",
           "Build and runtime identity; the value is always 1.",

@@ -124,8 +124,6 @@ struct RouterConfig {
   /// re-explaining a retained campaign refreshes its entry in place).
   /// 0 disables retention (the GET route answers 404).
   std::size_t explain_retention = 32;
-  /// Reported by the estima_build_info gauge on /v1/metrics.
-  std::string build_version = "dev";
   /// Ceiling on resident named campaigns in the router's CampaignStore;
   /// a PUT past the bound answers 400.
   std::size_t max_campaigns = 256;

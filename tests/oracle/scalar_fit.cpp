@@ -76,7 +76,7 @@ LevMarResult levenberg_marquardt(const BatchModelFn& f,
 
   out.term = LevMarTermination::kMaxIterations;
   double lambda = opts.initial_lambda;
-  ws.J.resize(m, n);
+  ws.J.assign(m * n, 0.0);
   ws.resid.resize(m);
   ws.pj_vals.resize(m);
 
@@ -108,12 +108,12 @@ LevMarResult levenberg_marquardt(const BatchModelFn& f,
       out.model_evals += m;
       for (std::size_t i = 0; i < m; ++i) {
         const double v = ws.pj_vals[i];
-        ws.J(i, j) = std::isfinite(v) ? (v - ws.vals[i]) / h : 0.0;
+        ws.J[i * n + j] = std::isfinite(v) ? (v - ws.vals[i]) / h : 0.0;
       }
     }
 
     // Normal equations formed directly: J^T J and g = J^T r.
-    normal_equations(ws.J, ws.resid, ws.JtJ, ws.g);
+    normal_equations(ws.J, m, n, ws.resid, ws.JtJ, ws.g);
 
     double gmax = 0.0;
     for (double v : ws.g) gmax = std::max(gmax, std::fabs(v));
@@ -128,17 +128,17 @@ LevMarResult levenberg_marquardt(const BatchModelFn& f,
     for (int tries = 0; tries < 12 && !step_taken; ++tries) {
       ws.damped = ws.JtJ;
       for (std::size_t j = 0; j < n; ++j) {
-        const double d = ws.JtJ(j, j);
-        ws.damped(j, j) += lambda * (d > 0.0 ? d : 1.0);
+        const double d = ws.JtJ[j * n + j];
+        ws.damped[j * n + j] += lambda * (d > 0.0 ? d : 1.0);
       }
-      if (!cholesky_factor(ws.damped, ws.L)) {
+      if (!cholesky_factor(ws.damped, n, ws.L)) {
         factor_failed_last = true;
         lambda *= opts.lambda_up;
         continue;
       }
       ws.neg_g.resize(n);
       for (std::size_t j = 0; j < n; ++j) ws.neg_g[j] = -ws.g[j];
-      cholesky_solve(ws.L, ws.neg_g, ws.tmp, ws.dp);
+      cholesky_solve(ws.L, n, ws.neg_g, ws.tmp, ws.dp);
 
       ws.cand.resize(n);
       for (std::size_t j = 0; j < n; ++j) ws.cand[j] = p[j] + ws.dp[j];
@@ -194,29 +194,26 @@ void normal_equations_raw(const double* J, std::size_t m, std::size_t n,
   }
 }
 
-void normal_equations(const Matrix& J, const std::vector<double>& r,
-                      Matrix& JtJ, std::vector<double>& Jtr) {
-  const std::size_t m = J.rows();
-  const std::size_t n = J.cols();
-  JtJ.resize(n, n);
+void normal_equations(const std::vector<double>& J, std::size_t m,
+                      std::size_t n, const std::vector<double>& r,
+                      std::vector<double>& JtJ, std::vector<double>& Jtr) {
+  JtJ.assign(n * n, 0.0);
   Jtr.assign(n, 0.0);
-  normal_equations_raw(J.raw(), m, n, r.data(), JtJ.mutable_data(),
-                       Jtr.data());
+  normal_equations_raw(J.data(), m, n, r.data(), JtJ.data(), Jtr.data());
 }
 
-bool cholesky_factor(const Matrix& A, Matrix& L) {
-  if (A.rows() != A.cols()) return false;
-  const std::size_t n = A.rows();
-  L.resize(n, n);
-  return cholesky_factor_raw(A.raw(), n, L.mutable_data());
+bool cholesky_factor(const std::vector<double>& A, std::size_t n,
+                     std::vector<double>& L) {
+  L.assign(n * n, 0.0);
+  return cholesky_factor_raw(A.data(), n, L.data());
 }
 
-void cholesky_solve(const Matrix& L, const std::vector<double>& b,
-                    std::vector<double>& tmp, std::vector<double>& x) {
-  const std::size_t n = L.rows();
+void cholesky_solve(const std::vector<double>& L, std::size_t n,
+                    const std::vector<double>& b, std::vector<double>& tmp,
+                    std::vector<double>& x) {
   tmp.assign(n, 0.0);
   x.assign(n, 0.0);
-  cholesky_solve_raw(L.raw(), n, b.data(), tmp.data(), x.data());
+  cholesky_solve_raw(L.data(), n, b.data(), tmp.data(), x.data());
 }
 
 }  // namespace estima::numeric

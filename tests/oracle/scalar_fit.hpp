@@ -15,7 +15,6 @@
 #include "core/fit_slots.hpp"
 #include "core/kernels.hpp"
 #include "numeric/levmar.hpp"
-#include "numeric/matrix.hpp"
 
 namespace estima::numeric {
 
@@ -30,7 +29,8 @@ using BatchModelFn = std::function<void(const std::vector<double>& xs,
 /// equations, Cholesky factor, trial points) live here and are resized in
 /// place, so repeated fits allocate nothing after warm-up.
 struct LevMarWorkspace {
-  Matrix J, JtJ, damped, L;
+  /// Row-major: J is m x n; JtJ, damped and L are n x n.
+  std::vector<double> J, JtJ, damped, L;
   std::vector<double> vals;      ///< model values at the current point
   std::vector<double> pj_vals;   ///< model values at a perturbed point
   std::vector<double> resid;
@@ -56,20 +56,23 @@ LevMarResult levenberg_marquardt(const BatchModelFn& f,
 void normal_equations_raw(const double* J, std::size_t m, std::size_t n,
                           const double* r, double* JtJ, double* Jtr);
 
-/// normal_equations_raw over Matrix/vector buffers, resized in place.
-void normal_equations(const Matrix& J, const std::vector<double>& r,
-                      Matrix& JtJ, std::vector<double>& Jtr);
+/// normal_equations_raw over an m x n J, with JtJ and Jtr resized in place.
+void normal_equations(const std::vector<double>& J, std::size_t m,
+                      std::size_t n, const std::vector<double>& r,
+                      std::vector<double>& JtJ, std::vector<double>& Jtr);
 
-/// Allocation-free Cholesky: factors A into the lower-triangular L (resized
-/// in place). Returns false when A is not (numerically) SPD, in which case
-/// L's contents are unspecified.
-bool cholesky_factor(const Matrix& A, Matrix& L);
+/// Allocation-free Cholesky: factors the n x n A into the lower-triangular
+/// L (resized in place). Returns false when A is not (numerically) SPD, in
+/// which case L's contents are unspecified.
+bool cholesky_factor(const std::vector<double>& A, std::size_t n,
+                     std::vector<double>& L);
 
-/// Solves (L L^T) x = b given a Cholesky factor L, reusing `tmp` for the
-/// intermediate forward-substitution result. x and tmp are resized in
-/// place; no allocation on repeated same-size use.
-void cholesky_solve(const Matrix& L, const std::vector<double>& b,
-                    std::vector<double>& tmp, std::vector<double>& x);
+/// Solves (L L^T) x = b given the n x n Cholesky factor L, reusing `tmp`
+/// for the intermediate forward-substitution result. x and tmp are resized
+/// in place; no allocation on repeated same-size use.
+void cholesky_solve(const std::vector<double>& L, std::size_t n,
+                    const std::vector<double>& b, std::vector<double>& tmp,
+                    std::vector<double>& x);
 
 }  // namespace estima::numeric
 

@@ -8,7 +8,9 @@ namespace estima::numeric {
 namespace {
 
 TEST(LeastSquares, ExactSquareSystem) {
-  Matrix A{{2.0, 0.0}, {0.0, 4.0}};
+  Matrix A(2, 2);
+  A(0, 0) = 2.0;
+  A(1, 1) = 4.0;
   std::vector<double> b{6.0, 8.0};
   auto r = least_squares(A, b);
   ASSERT_TRUE(r.has_value());
@@ -50,7 +52,8 @@ TEST(LeastSquares, UnderdeterminedReturnsNullopt) {
 
 TEST(LeastSquares, RankDeficientReturnsNullopt) {
   // Two identical columns.
-  Matrix A{{1.0, 1.0}, {2.0, 2.0}, {3.0, 3.0}};
+  Matrix A(3, 2);
+  for (int i = 0; i < 3; ++i) A(i, 0) = A(i, 1) = i + 1.0;
   std::vector<double> b{1.0, 2.0, 3.0};
   EXPECT_FALSE(least_squares(A, b).has_value());
 }
@@ -68,12 +71,15 @@ TEST(Ridge, SolvesUnderdetermined) {
 }
 
 TEST(Ridge, LargeLambdaShrinksSolution) {
-  Matrix A{{1.0}, {1.0}};
+  Matrix A(2, 1, 1.0);
   std::vector<double> b{1.0, 1.0};
   auto weak = ridge(A, b, 1e-12);
   auto strong = ridge(A, b, 100.0);
   EXPECT_NEAR(weak.x[0], 1.0, 1e-6);
   EXPECT_LT(std::fabs(strong.x[0]), 0.1);
+  // The residual is measured against the original, unaugmented system.
+  EXPECT_NEAR(strong.residual_norm, std::sqrt(2.0) * (1.0 - strong.x[0]),
+              1e-12);
 }
 
 // The library's Cholesky is the flat-array factor the lockstep LM engine

@@ -4,10 +4,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "parallel/thread_pool.hpp"
@@ -173,8 +175,7 @@ TEST(PredictOne, CacheFronted) {
 }
 
 TEST(ResultCache, LruEvictionAndCounters) {
-  // One shard: global recency order is exact.
-  ResultCache cache(2, 1);
+  ResultCache cache(2);
   auto pred = [](int id) {
     auto p = std::make_shared<core::Prediction>();
     p->cores = {id};
@@ -196,19 +197,30 @@ TEST(ResultCache, LruEvictionAndCounters) {
   EXPECT_EQ(stats.entries, 2u);
 }
 
-TEST(ResultCache, ShardedCapacityIsRespected) {
-  ResultCache cache(8, 4);
-  EXPECT_EQ(cache.shard_count(), 4u);
+TEST(ResultCache, CapacityIsRespected) {
+  // One exact LRU: capacity bounds the entries held, and the survivors are
+  // the most recent puts.
+  ResultCache cache(8);
   auto p = std::make_shared<const core::Prediction>();
   for (std::uint64_t k = 0; k < 100; ++k) cache.put(k * 7919 + 3, p);
-  EXPECT_LE(cache.stats().entries, 8u);
-  cache.clear();
-  EXPECT_EQ(cache.stats().entries, 0u);
+  EXPECT_EQ(cache.stats().entries, 8u);
+  EXPECT_EQ(cache.stats().evictions, 92u);
+  std::vector<std::uint64_t> keys;
+  for (const auto& e : cache.entries()) keys.push_back(e.key);
+  std::vector<std::uint64_t> newest;
+  for (std::uint64_t k = 92; k < 100; ++k) newest.push_back(k * 7919 + 3);
+  EXPECT_EQ(keys, newest);
+
+  // A zero capacity is clamped to one entry.
+  ResultCache one(0);
+  one.put(1, p);
+  one.put(2, p);
+  EXPECT_EQ(one.stats().entries, 1u);
+  EXPECT_NE(one.get(2), nullptr);
 }
 
-TEST(ResultCache, ForEachEntryVisitsEveryEntryLruFirst) {
-  // One shard: the documented LRU-to-MRU visit order is exact.
-  ResultCache cache(4, 1);
+TEST(ResultCache, EntriesListEveryEntryLruFirst) {
+  ResultCache cache(4);
   auto pred = [](int id) {
     auto p = std::make_shared<core::Prediction>();
     p->cores = {id};
@@ -220,21 +232,18 @@ TEST(ResultCache, ForEachEntryVisitsEveryEntryLruFirst) {
   ASSERT_NE(cache.get(10), nullptr);  // 10 becomes most recent
 
   std::vector<std::uint64_t> keys;
-  cache.for_each_entry(
-      [&](std::uint64_t key, const std::shared_ptr<const core::Prediction>& v) {
-        ASSERT_NE(v, nullptr);
-        EXPECT_EQ(v->cores[0], static_cast<int>(key));
-        keys.push_back(key);
-      });
+  for (const auto& e : cache.entries()) {
+    ASSERT_NE(e.prediction, nullptr);
+    EXPECT_EQ(e.prediction->cores[0], static_cast<int>(e.key));
+    keys.push_back(e.key);
+  }
   EXPECT_EQ(keys, (std::vector<std::uint64_t>{11, 12, 10}));
 }
 
-TEST(ResultCache, ForEachEntrySurvivesEvictionDuringIteration) {
-  // The visitor runs outside the shard lock, so it may mutate the cache —
-  // including put()s that evict entries the iteration has not reached yet.
-  // The snapshot taken at lock time must still be delivered intact (the
-  // shared_ptr keeps each evicted value alive) and nothing may deadlock.
-  ResultCache cache(2, 1);
+TEST(ResultCache, ExportedEntriesOutliveTheirEviction) {
+  // An export hands out the cached objects themselves: entries evicted
+  // after the export stay alive and intact through their shared_ptrs.
+  ResultCache cache(2);
   auto pred = [](int id) {
     auto p = std::make_shared<core::Prediction>();
     p->cores = {id};
@@ -242,48 +251,16 @@ TEST(ResultCache, ForEachEntrySurvivesEvictionDuringIteration) {
   };
   cache.put(1, pred(1));
   cache.put(2, pred(2));
-
-  std::vector<std::uint64_t> visited;
-  int next_key = 100;
-  cache.for_each_entry(
-      [&](std::uint64_t key, const std::shared_ptr<const core::Prediction>& v) {
-        visited.push_back(key);
-        EXPECT_EQ(v->cores[0], static_cast<int>(key));
-        // Same-shard put from inside the visitor: fills the cache and
-        // evicts the not-yet-visited LRU survivors.
-        cache.put(next_key, pred(next_key));
-        ++next_key;
-        cache.put(next_key, pred(next_key));
-        ++next_key;
-      });
-
-  // Both entries present at lock time were visited despite being evicted
-  // by the time their turn came.
-  EXPECT_EQ(visited, (std::vector<std::uint64_t>{1, 2}));
-  EXPECT_GE(cache.stats().evictions, 2u);
-  EXPECT_LE(cache.stats().entries, 2u);
-
-  // Multi-shard: concurrent writers racing the iteration never corrupt it.
-  ResultCache big(64, 8);
-  for (int i = 0; i < 32; ++i) big.put(static_cast<std::uint64_t>(i) * 7919,
-                                       pred(i));
-  std::atomic<bool> stop{false};
-  std::thread writer([&] {
-    for (int k = 1001; !stop.load(); ++k) {
-      big.put(static_cast<std::uint64_t>(k), pred(k));
-    }
-  });
-  for (int round = 0; round < 50; ++round) {
-    std::size_t seen = 0;
-    big.for_each_entry(
-        [&](std::uint64_t, const std::shared_ptr<const core::Prediction>& v) {
-          ASSERT_NE(v, nullptr);
-          ++seen;
-        });
-    EXPECT_LE(seen, 64u);  // per-shard snapshots can never exceed capacity
+  const auto exported = cache.entries();
+  cache.put(100, pred(100));
+  cache.put(101, pred(101));  // both exported entries are evicted now
+  EXPECT_EQ(cache.get(1), nullptr);
+  EXPECT_EQ(cache.get(2), nullptr);
+  EXPECT_EQ(cache.stats().evictions, 2u);
+  ASSERT_EQ(exported.size(), 2u);
+  for (const auto& e : exported) {
+    EXPECT_EQ(e.prediction->cores[0], static_cast<int>(e.key));
   }
-  stop = true;
-  writer.join();
 }
 
 TEST(PredictMany, InFlightDedupUnderConcurrentSubmission) {
@@ -318,6 +295,109 @@ TEST(PredictMany, InFlightDedupUnderConcurrentSubmission) {
       expect_bit_identical(results[t][i], results[0][i]);
     }
   }
+}
+
+// One lock guards the cache, the in-flight table and the counters. Race
+// every entry point that takes it on a TTL'd service whose cache is
+// smaller than the campaign set: predict_one (hits, misses, joins),
+// cached_or_stale, invalidate, snapshot_to and stats(). Every answer must
+// equal serial predict(), every stats() must be one consistent picture,
+// and the last snapshot must restore only real answers. The test also
+// runs under TSan in CI.
+TEST(PredictionServiceRace, MixedTrafficOnATtlServiceStaysExact) {
+  namespace fs = std::filesystem;
+  const fs::path path =
+      fs::temp_directory_path() / "estima_service_race_test.snap";
+  constexpr int kCampaigns = 6;
+  constexpr std::size_t kCapacity = 4;
+  std::vector<core::MeasurementSet> campaigns;
+  std::vector<core::Prediction> serial;
+  for (int i = 0; i < kCampaigns; ++i) {
+    campaigns.push_back(campaign(i, 8));
+    serial.push_back(core::predict(campaigns.back(), serving_config()));
+  }
+  ServiceConfig scfg;
+  scfg.prediction = serving_config();
+  scfg.cache_capacity = kCapacity;
+  scfg.cache_ttl_ms = 5;  // short enough to expire mid-run: stale serving
+  PredictionService service(scfg);
+  std::unordered_map<std::uint64_t, int> index_of;
+  std::vector<std::uint64_t> keys;
+  for (int i = 0; i < kCampaigns; ++i) {
+    keys.push_back(service.hash_of(campaigns[i]));
+    index_of[keys.back()] = i;
+  }
+
+  // Predictors mostly share two hot campaigns (hits and joins) and visit
+  // the others every third request (misses and evictions).
+  constexpr int kPredictors = 3;
+  constexpr int kRequests = 30;
+  std::vector<std::thread> predictors;
+  for (int t = 0; t < kPredictors; ++t) {
+    predictors.emplace_back([&, t] {
+      for (int i = 0; i < kRequests; ++i) {
+        const int c = i % 3 == 0 ? (i / 3 + t) % kCampaigns : i % 2;
+        expect_bit_identical(service.predict_one(campaigns[c]), serial[c]);
+      }
+    });
+  }
+  std::atomic<bool> stop{false};
+  std::atomic<int> snapshots{0};
+  std::vector<std::thread> others;
+  others.emplace_back([&] {  // serve-stale reader
+    for (std::size_t i = 0; !stop.load(); ++i) {
+      const std::uint64_t key = keys[i % keys.size()];
+      bool stale = false;
+      if (auto v = service.cached_or_stale(key, &stale)) {
+        expect_bit_identical(*v, serial[index_of.at(key)]);
+      }
+    }
+  });
+  others.emplace_back([&] {  // point invalidation
+    for (std::size_t i = 0; !stop.load(); ++i) {
+      (void)service.invalidate(keys[i % keys.size()]);
+      std::this_thread::sleep_for(std::chrono::milliseconds(3));
+    }
+  });
+  others.emplace_back([&] {  // snapshots
+    while (!stop.load()) {
+      (void)service.snapshot_to(path.string());
+      ++snapshots;
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+  });
+  others.emplace_back([&] {  // stats readers see one consistent picture
+    while (!stop.load()) {
+      const ServiceStats s = service.stats();
+      EXPECT_LE(s.cache.entries, kCapacity);
+      EXPECT_LE(s.predictions_computed + s.predictions_cancelled +
+                    s.inflight_joins,
+                s.cache.misses);
+    }
+  });
+  for (auto& th : predictors) th.join();
+  stop = true;
+  for (auto& th : others) th.join();
+
+  const ServiceStats s = service.stats();
+  EXPECT_EQ(s.campaigns_submitted,
+            static_cast<std::uint64_t>(kPredictors * kRequests));
+  EXPECT_LE(s.cache.entries, kCapacity);
+  EXPECT_LE(s.predictions_computed + s.inflight_joins, s.cache.misses);
+  EXPECT_GT(s.cache.invalidations, 0u);
+  ASSERT_GT(snapshots.load(), 0);
+
+  PredictionService restored(scfg);
+  const SnapshotLoadReport report = restored.restore_from(path.string());
+  EXPECT_TRUE(report.skipped.empty());
+  EXPECT_FALSE(report.truncated);
+  EXPECT_LE(report.entries.size(), kCapacity);
+  for (const auto& e : report.entries) {
+    const auto it = index_of.find(e.key);
+    ASSERT_NE(it, index_of.end()) << "snapshot holds an unknown key";
+    expect_bit_identical(*e.prediction, serial[it->second]);
+  }
+  fs::remove(path);
 }
 
 TEST(PredictMany, ErrorsPropagateAndAreNeverCached) {
@@ -442,7 +522,7 @@ TEST(AutoSnapshot, EveryKInsertionsTriggersExactlyOneSnapshot) {
   EXPECT_EQ(service.stats().auto_snapshots, 2u);
 
   PredictionService restored(
-      ServiceConfig{serving_config(), 4096, 16, 0, 0, ""}, nullptr);
+      ServiceConfig{serving_config(), 4096, 0, 0, ""}, nullptr);
   EXPECT_EQ(restored.restore_from(path.string()).entries_loaded(), 6u);
   EXPECT_EQ(restored.stats().snapshot_entries_restored, 6u);
   fs::remove(path);
@@ -479,7 +559,7 @@ TEST(PredictionService, BaseContextCarriesOnlyPoolAndMetrics) {
 // never 500, which the router reserves for exceptions other than
 // std::invalid_argument (std::stod's std::out_of_range on "1e999" was one).
 TEST(ServiceRouter, MalformedCampaignHeadersAnswer400OnEveryCampaignRoute) {
-  PredictionService service(ServiceConfig{serving_config(), 64, 4, 0, 0, ""});
+  PredictionService service(ServiceConfig{serving_config(), 64, 0, 0, ""});
   ServiceRouter router(service);
   const auto request = [&](const std::string& method,
                            const std::string& target,

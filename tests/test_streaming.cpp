@@ -526,13 +526,13 @@ TEST(StreamingGolden, AbandonedEnumerationInsertsNothingIntoTheMemo) {
 // ---------------------------------------------------------------------------
 
 TEST(ResultCacheErase, RemovesEntryAndCountsInvalidations) {
-  ResultCache cache(4, 1);
+  ResultCache cache(4);
   cache.put(7, dummy_value());
   ASSERT_NE(cache.get(7), nullptr);
 
   EXPECT_TRUE(cache.erase(7));
   EXPECT_EQ(cache.get(7), nullptr);
-  EXPECT_EQ(cache.peek(7), nullptr);
+  EXPECT_TRUE(cache.entries().empty());
   EXPECT_EQ(cache.lookup_stale(7).value, nullptr);
 
   auto s = cache.stats();
@@ -545,7 +545,7 @@ TEST(ResultCacheErase, RemovesEntryAndCountsInvalidations) {
 }
 
 TEST(ResultCacheErase, RemovesExpiredEntryToo) {
-  ResultCache cache(4, 1, /*ttl_ms=*/20);
+  ResultCache cache(4, std::chrono::milliseconds(20));
   cache.put(1, dummy_value());
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
   // Expired but resident (lookup_stale could still serve it) — erase must
@@ -558,7 +558,7 @@ TEST(ResultCacheErase, RemovesExpiredEntryToo) {
 // Satellite: put() on an existing key deliberately re-stamps the TTL —
 // a put means "just recomputed", and a recompute is fresh by definition.
 TEST(ResultCacheTtl, PutRevivesExpiredEntry) {
-  ResultCache cache(4, 1, /*ttl_ms=*/20);
+  ResultCache cache(4, std::chrono::milliseconds(20));
   cache.put(1, dummy_value());
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
   EXPECT_EQ(cache.get(1), nullptr);  // expired reads as a miss
@@ -575,7 +575,7 @@ TEST(ResultCacheTtl, PutRevivesExpiredEntry) {
 // put()s, so repeated joined/hit lookups cannot keep an entry alive past
 // its TTL — only a real recompute revives it.
 TEST(ResultCacheTtl, LookupsDoNotReviveADyingEntry) {
-  ResultCache cache(4, 1, /*ttl_ms=*/60);
+  ResultCache cache(4, std::chrono::milliseconds(60));
   cache.put(1, dummy_value());
   // Keep reading it hot until past the TTL; reads must not re-stamp.
   const auto start = std::chrono::steady_clock::now();
@@ -590,42 +590,25 @@ TEST(ResultCacheTtl, LookupsDoNotReviveADyingEntry) {
 }
 
 // Satellite 1 regression: an entry expired at snapshot time must not be
-// visited, so it can never be resurrected as fresh by a restore.
-TEST(ResultCacheTtl, ForEachEntrySkipsExpired) {
-  ResultCache cache(4, 1, /*ttl_ms=*/20);
+// exported, so it can never be resurrected as fresh by a restore.
+TEST(ResultCacheTtl, EntriesSkipExpired) {
+  ResultCache cache(4, std::chrono::milliseconds(20));
   cache.put(1, dummy_value());
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
   cache.put(2, dummy_value());  // still fresh
 
-  std::vector<std::uint64_t> seen;
-  cache.for_each_entry(
-      [&](std::uint64_t key,
-          const std::shared_ptr<const core::Prediction>&) {
-        seen.push_back(key);
-      });
+  const auto seen = cache.entries();
   ASSERT_EQ(seen.size(), 1u);
-  EXPECT_EQ(seen[0], 2u);
+  EXPECT_EQ(seen[0].key, 2u);
   // The expired entry is still resident (for lookup_stale) — only the
-  // visit skips it.
+  // export skips it.
   EXPECT_EQ(cache.stats().entries, 2u);
-}
-
-TEST(ResultCacheShards, ShardCountClampedToCapacityFloorPow2) {
-  // floor_pow2(min(shards, capacity)): a 3-entry cache cannot usefully
-  // run 16 shards.
-  EXPECT_EQ(ResultCache(3, 16).shard_count(), 2u);
-  EXPECT_EQ(ResultCache(1, 16).shard_count(), 1u);
-  EXPECT_EQ(ResultCache(5, 3).shard_count(), 2u);
-  EXPECT_EQ(ResultCache(4096, 16).shard_count(), 16u);
-  // Degenerate inputs clamp instead of crashing.
-  EXPECT_EQ(ResultCache(0, 0).shard_count(), 1u);
-  EXPECT_GE(ResultCache(0, 0).capacity(), 1u);
 }
 
 TEST(ResultCacheTtl, ExpiredEntriesStillEvictInLruOrder) {
   // Expiry does not unlink entries; capacity pressure still evicts
   // least-recently-used first, expired or not.
-  ResultCache cache(2, 1, /*ttl_ms=*/20);
+  ResultCache cache(2, std::chrono::milliseconds(20));
   cache.put(1, dummy_value());
   cache.put(2, dummy_value());
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
@@ -637,50 +620,6 @@ TEST(ResultCacheTtl, ExpiredEntriesStillEvictInLruOrder) {
   EXPECT_EQ(cache.stats().evictions, 1u);
 }
 
-// Satellite 4: lookup_stale racing put/erase across shards under TSan.
-// The assertions are deliberately weak — the value of this test is the
-// sanitizer run in CI (sanitize + sanitize-thread both build it).
-TEST(ResultCacheTtl, ConcurrentStaleLookupsRacePutAndErase) {
-  ResultCache cache(64, 8, /*ttl_ms=*/5);
-  constexpr int kKeys = 16;
-  std::atomic<bool> stop{false};
-  std::atomic<std::uint64_t> served{0};
-
-  std::vector<std::thread> threads;
-  for (int w = 0; w < 2; ++w) {
-    threads.emplace_back([&cache, &stop, w] {
-      std::uint64_t i = w;
-      while (!stop.load(std::memory_order_relaxed)) {
-        cache.put(i % kKeys, dummy_value());
-        (void)cache.erase((i + 7) % kKeys);
-        ++i;
-      }
-    });
-  }
-  for (int r = 0; r < 4; ++r) {
-    threads.emplace_back([&cache, &stop, &served, r] {
-      std::uint64_t i = r;
-      while (!stop.load(std::memory_order_relaxed)) {
-        const auto l = cache.lookup_stale(i % kKeys);
-        if (l.value != nullptr) {
-          served.fetch_add(1, std::memory_order_relaxed);
-        }
-        (void)cache.get((i + 3) % kKeys);
-        (void)cache.peek((i + 5) % kKeys);
-        ++i;
-      }
-    });
-  }
-  std::this_thread::sleep_for(std::chrono::milliseconds(80));
-  stop.store(true);
-  for (auto& t : threads) t.join();
-
-  const auto s = cache.stats();
-  EXPECT_LE(s.entries, cache.capacity());
-  EXPECT_GT(served.load(), 0u);
-  EXPECT_GT(s.invalidations, 0u);
-}
-
 // ---------------------------------------------------------------------------
 // Service-level TTL: recompute revives, snapshot skips expired
 // ---------------------------------------------------------------------------
@@ -688,7 +627,6 @@ TEST(ResultCacheTtl, ConcurrentStaleLookupsRacePutAndErase) {
 TEST(ServiceTtl, RecomputeRevivesExpiredEntry) {
   ServiceConfig scfg;
   scfg.prediction = serving_config();
-  scfg.cache_shards = 1;
   // Generous TTL: a predict must comfortably fit inside it even under
   // TSan's slowdown, or the post-recompute hit check would flake.
   scfg.cache_ttl_ms = 2000;
@@ -721,7 +659,6 @@ TEST(ServiceTtl, SnapshotSkipsExpiredEntryAcrossRestore) {
 
   ServiceConfig scfg;
   scfg.prediction = serving_config();
-  scfg.cache_shards = 1;
   // Same TSan headroom as above: the fresh entry must survive from its
   // restore-time put() through the checks below.
   scfg.cache_ttl_ms = 2000;
