@@ -182,9 +182,12 @@ int run_bench(int argc, char** argv) {
   ncfg.worker_threads =
       static_cast<std::size_t>(http_threads > 0 ? http_threads : 1);
   ncfg.io_threads = static_cast<std::size_t>(io_threads > 0 ? io_threads : 1);
+  // The daemon's handler: the router sees each request's deadline,
+  // shedding signal and trace, as it does under estima_serve.
   estima::net::HttpServer server(
-      ncfg, [&router](const estima::net::HttpRequest& req) {
-        return router.handle(req);
+      ncfg, [&router](const estima::net::HttpRequest& req,
+                      const estima::net::RequestContext& ctx) {
+        return router.handle(req, ctx);
       });
   server.start();
   estima::net::HttpClient client("127.0.0.1", server.port());
@@ -276,8 +279,9 @@ int run_bench(int argc, char** argv) {
   // server's tracer detached vs attached (set_tracer is an atomic swap),
   // alternating on one keep-alive connection so both sides see the same
   // scheduler and the same cache state. The traced side pays the full
-  // edge path: trace creation, edge.read/parse/queue.wait/serialize/
-  // edge.encode/edge.write spans, stage histograms, and finish().
+  // path: trace creation, the edge's edge.read/parse/queue.wait/
+  // edge.encode/edge.write spans, the router's parse/cache.lookup/
+  // serialize spans and trace-id echo, stage histograms, and finish().
   estima::obs::Registry registry;
   estima::obs::TracerConfig tcfg;
   tcfg.slow_threshold_ms = -1;  // measuring span cost, not collecting slow

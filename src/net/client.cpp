@@ -216,8 +216,7 @@ HttpResponse HttpClient::request_with_retry(
     std::exception_ptr failure;
     try {
       HttpResponse resp = request(method, target, body, headers);
-      const bool retryable_status = retry_.retry_on_503 && resp.status == 503;
-      if (!retryable_status || attempt >= attempts) return resp;
+      if (resp.status != 503 || attempt >= attempts) return resp;
       floor_ms = retry_after_ms(resp);
       // The shed 503 came over a healthy connection, but re-sending on it
       // would race the server's lingering close; start the retry clean.

@@ -32,8 +32,6 @@ struct RetryConfig {
   /// whose delay would push the total past this is not attempted —
   /// the last outcome (response or error) is returned/rethrown instead.
   int budget_ms = 10'000;
-  /// Treat a 503 response as retryable (it is how the server sheds).
-  bool retry_on_503 = true;
   /// Seed for the jitter RNG; fixed seeds make retry timing replayable.
   std::uint64_t seed = 0;
   /// Test seam: called instead of sleeping when set (argument: delay ms).
@@ -58,8 +56,8 @@ class HttpClient {
       const std::vector<std::pair<std::string, std::string>>& headers = {});
 
   /// request() wrapped in the client's RetryConfig: transport failures
-  /// (connect/send/recv/parse) and — when configured — 503 responses are
-  /// retried with decorrelated-jitter backoff until an answer arrives,
+  /// (connect/send/recv/parse) and 503 responses (how the server sheds)
+  /// are retried with decorrelated-jitter backoff until an answer arrives,
   /// attempts run out, or the sleep budget is exhausted; then the last
   /// response is returned or the last transport error rethrown.
   ///

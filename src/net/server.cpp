@@ -18,8 +18,10 @@
 #include <csignal>
 #include <cstring>
 #include <deque>
+#include <limits>
 #include <memory>
-#include <queue>
+#include <optional>
+#include <set>
 #include <stdexcept>
 #include <unordered_map>
 #include <utility>
@@ -43,6 +45,15 @@ constexpr int kLingerTimeoutMs = 1'000;
 /// after the last shed, so degraded serving covers the recovery tail
 /// rather than flickering per-request.
 constexpr int kShedRecoveryMs = 1'000;
+/// Accepts a loop makes per readable event on the listener.
+constexpr int kAcceptBatch = 64;
+/// How long an accept error other than EAGAIN/EINTR/ECONNABORTED (fd
+/// exhaustion, say) takes the listener out of a loop's poller:
+/// level-triggered readiness would otherwise re-report it at once.
+constexpr int kAcceptPauseMs = 10;
+/// Poller ids reserved by every loop; connection ids start above them.
+constexpr std::uint64_t kWakeId = 0;
+constexpr std::uint64_t kListenerId = 1;
 
 void close_quietly(int fd) {
   if (fd >= 0) ::close(fd);
@@ -62,8 +73,9 @@ HttpResponse plain_response(int status, const std::string& reason) {
   return resp;
 }
 
+/// Each fd is registered under a 64-bit id, reported back with its events.
 struct PollerEvent {
-  int fd = -1;
+  std::uint64_t id = 0;
   bool readable = false;
   bool writable = false;
 };
@@ -84,11 +96,11 @@ class Poller {
   Poller(const Poller&) = delete;
   Poller& operator=(const Poller&) = delete;
 
-  void add(int fd, bool want_read, bool want_write) {
-    ctl(EPOLL_CTL_ADD, fd, want_read, want_write);
+  void add(int fd, std::uint64_t id, bool want_read, bool want_write) {
+    ctl(EPOLL_CTL_ADD, fd, id, want_read, want_write);
   }
-  void mod(int fd, bool want_read, bool want_write) {
-    ctl(EPOLL_CTL_MOD, fd, want_read, want_write);
+  void mod(int fd, std::uint64_t id, bool want_read, bool want_write) {
+    ctl(EPOLL_CTL_MOD, fd, id, want_read, want_write);
   }
   void del(int fd) {
     struct epoll_event ev;
@@ -96,27 +108,25 @@ class Poller {
     ::epoll_ctl(epfd_, EPOLL_CTL_DEL, fd, &ev);
   }
 
-  int wait(std::vector<PollerEvent>& out, int timeout_ms) {
+  void wait(std::vector<PollerEvent>& out, int timeout_ms) {
     struct epoll_event evs[64];
     const int n = ::epoll_wait(epfd_, evs, 64, timeout_ms);
     out.clear();
     for (int i = 0; i < n; ++i) {
-      PollerEvent e;
-      e.fd = evs[i].data.fd;
       const auto bits = evs[i].events;
       const bool broken = (bits & (EPOLLERR | EPOLLHUP)) != 0;
-      e.readable = (bits & EPOLLIN) != 0 || broken;
-      e.writable = (bits & EPOLLOUT) != 0 || broken;
-      out.push_back(e);
+      out.push_back(PollerEvent{evs[i].data.u64,
+                                (bits & EPOLLIN) != 0 || broken,
+                                (bits & EPOLLOUT) != 0 || broken});
     }
-    return n;
   }
 
  private:
-  void ctl(int op, int fd, bool want_read, bool want_write) {
+  void ctl(int op, int fd, std::uint64_t id, bool want_read,
+           bool want_write) {
     struct epoll_event ev;
     std::memset(&ev, 0, sizeof ev);
-    ev.data.fd = fd;
+    ev.data.u64 = id;
     if (want_read) ev.events |= EPOLLIN;
     if (want_write) ev.events |= EPOLLOUT;
     ::epoll_ctl(epfd_, op, fd, &ev);
@@ -127,21 +137,20 @@ class Poller {
 
 #else
 
-/// poll(2) fallback with the same interface, for non-Linux POSIX.
+/// poll(2) fallback with the same interface, for non-Linux POSIX: the ids
+/// live in an array beside the pollfds.
 class Poller {
  public:
-  void add(int fd, bool want_read, bool want_write) {
-    struct pollfd pfd;
-    pfd.fd = fd;
-    pfd.events = events_of(want_read, want_write);
-    pfd.revents = 0;
+  void add(int fd, std::uint64_t id, bool want_read, bool want_write) {
     index_[fd] = fds_.size();
-    fds_.push_back(pfd);
+    fds_.push_back(pollfd{fd, events_of(want_read, want_write), 0});
+    ids_.push_back(id);
   }
-  void mod(int fd, bool want_read, bool want_write) {
+  void mod(int fd, std::uint64_t id, bool want_read, bool want_write) {
     const auto it = index_.find(fd);
     if (it == index_.end()) return;
     fds_[it->second].events = events_of(want_read, want_write);
+    ids_[it->second] = id;
   }
   void del(int fd) {
     const auto it = index_.find(fd);
@@ -149,24 +158,22 @@ class Poller {
     const std::size_t pos = it->second;
     index_.erase(it);
     fds_[pos] = fds_.back();
+    ids_[pos] = ids_.back();
     fds_.pop_back();
+    ids_.pop_back();
     if (pos < fds_.size()) index_[fds_[pos].fd] = pos;
   }
 
-  int wait(std::vector<PollerEvent>& out, int timeout_ms) {
+  void wait(std::vector<PollerEvent>& out, int timeout_ms) {
     const int n = ::poll(fds_.data(), fds_.size(), timeout_ms);
     out.clear();
-    if (n <= 0) return n;
-    for (const auto& pfd : fds_) {
-      if (pfd.revents == 0) continue;
-      PollerEvent e;
-      e.fd = pfd.fd;
-      const bool broken = (pfd.revents & (POLLERR | POLLHUP | POLLNVAL)) != 0;
-      e.readable = (pfd.revents & POLLIN) != 0 || broken;
-      e.writable = (pfd.revents & POLLOUT) != 0 || broken;
-      out.push_back(e);
+    for (std::size_t i = 0; n > 0 && i < fds_.size(); ++i) {
+      const short bits = fds_[i].revents;
+      if (bits == 0) continue;
+      const bool broken = (bits & (POLLERR | POLLHUP | POLLNVAL)) != 0;
+      out.push_back(PollerEvent{ids_[i], (bits & POLLIN) != 0 || broken,
+                                (bits & POLLOUT) != 0 || broken});
     }
-    return n;
   }
 
  private:
@@ -178,6 +185,7 @@ class Poller {
   }
 
   std::vector<struct pollfd> fds_;
+  std::vector<std::uint64_t> ids_;
   std::unordered_map<int, std::size_t> index_;
 };
 
@@ -302,11 +310,15 @@ struct HttpServer::HandlerPool {
 
 // ---------------------------------------------------------------------------
 // Event loop: owns its connections end to end. Only the loop thread ever
-// touches a Connection; the acceptor and the handler pool communicate
-// exclusively through the inbox (mutex-guarded queues + wake pipe).
+// touches a Connection; it accepts them itself from the shared listener,
+// and the handler pool communicates with it exclusively through the inbox
+// (a mutex-guarded completion queue + wake pipe).
 
 struct HttpServer::EventLoop {
   enum class St { kReading, kHandling, kWriting, kLingering };
+
+  /// Conn::deadline when no deadline is armed.
+  static constexpr Clock::time_point kUnarmed = Clock::time_point::max();
 
   struct Conn {
     int fd = -1;
@@ -323,14 +335,9 @@ struct HttpServer::EventLoop {
     bool want_read = false;
     bool want_write = false;
     bool in_poller = false;
-    bool has_deadline = false;
-    /// The armed deadline (valid while has_deadline).
-    Clock::time_point deadline{};
-    /// The connection's one live heap entry: its expiry (max() when none
-    /// is queued) and its generation. Entries of an older generation are
-    /// stale and dropped when they surface.
-    Clock::time_point timer_when = Clock::time_point::max();
-    std::uint64_t timer_gen = 0;
+    /// The armed deadline, keyed in timers_ as (deadline, id); kUnarmed
+    /// when none is.
+    Clock::time_point deadline = kUnarmed;
     /// When the current request's first byte arrived (valid while
     /// mid_request); anchors the propagated deadline at dispatch.
     Clock::time_point request_start{};
@@ -354,14 +361,6 @@ struct HttpServer::EventLoop {
     explicit Conn(ParserLimits limits) : parser(limits) {}
   };
 
-  struct TimerEntry {
-    Clock::time_point when;
-    int fd;
-    std::uint64_t conn_id;
-    std::uint64_t gen;
-    bool operator>(const TimerEntry& o) const { return when > o.when; }
-  };
-
   struct Completion {
     std::uint64_t conn_id;
     std::string wire;
@@ -379,7 +378,8 @@ struct HttpServer::EventLoop {
     wake_wr_ = pipe_fds[1];
     set_nonblocking(wake_rd_);
     set_nonblocking(wake_wr_);
-    poller_.add(wake_rd_, /*want_read=*/true, /*want_write=*/false);
+    poller_.add(wake_rd_, kWakeId, /*want_read=*/true, /*want_write=*/false);
+    poller_.add(srv_.listen_fd_, kListenerId, true, false);
   }
 
   ~EventLoop() {
@@ -389,18 +389,6 @@ struct HttpServer::EventLoop {
 
   EventLoop(const EventLoop&) = delete;
   EventLoop& operator=(const EventLoop&) = delete;
-
-  /// Acceptor thread: hand over a freshly accepted, non-blocking socket.
-  /// With `reject`, the loop answers 503 and closes (lingering, so the
-  /// rejection survives whatever the client already sent) instead of
-  /// serving — the acceptor itself must never block on a write.
-  void adopt(int fd, bool reject) {
-    {
-      std::lock_guard<std::mutex> lock(inbox_mu_);
-      incoming_.push_back({fd, reject});
-    }
-    wake();
-  }
 
   /// Handler-pool thread: a response is ready for conn_id.
   void post_completion(std::uint64_t conn_id, std::string wire, bool keep,
@@ -419,38 +407,27 @@ struct HttpServer::EventLoop {
     [[maybe_unused]] const ssize_t r = ::write(wake_wr_, &b, 1);
   }
 
-  /// stop() cleanup after the loop thread has exited: close anything the
-  /// loop never got to (adoptions racing the shutdown).
-  void close_leftovers() {
-    std::lock_guard<std::mutex> lock(inbox_mu_);
-    for (const auto& in : incoming_) {
-      close_quietly(in.first);
-      srv_.on_close();
-    }
-    incoming_.clear();
-    completions_.clear();
-    srv_.on_timers_queued(-static_cast<std::int64_t>(timers_.size()));
-    timers_ = {};
-  }
-
   void run() {
     std::vector<PollerEvent> events;
     for (;;) {
-      const int timeout = next_timeout_ms();
-      poller_.wait(events, timeout);
+      poller_.wait(events, next_timeout_ms());
 
       for (const auto& ev : events) {
-        if (ev.fd == wake_rd_) {
+        if (ev.id == kWakeId) {
           drain_wake_pipe();
           break;
         }
       }
 
-      process_inbox();
+      process_completions();
 
       for (const auto& ev : events) {
-        if (ev.fd == wake_rd_) continue;
-        const auto it = conns_.find(ev.fd);
+        if (ev.id == kWakeId) continue;
+        if (ev.id == kListenerId) {
+          accept_batch();
+          continue;
+        }
+        const auto it = conns_.find(ev.id);
         if (it == conns_.end()) continue;  // closed earlier this round
         Conn& c = it->second;
         if (ev.writable && c.st == St::kWriting) {
@@ -463,29 +440,36 @@ struct HttpServer::EventLoop {
         }
       }
 
+      const bool stopping = srv_.stopping_.load(std::memory_order_acquire);
+      if (listener_resume_ && !stopping && Clock::now() >= *listener_resume_) {
+        poller_.add(srv_.listen_fd_, kListenerId, true, false);
+        listener_resume_.reset();
+      }
       fire_due_timers();
 
-      if (srv_.stopping_.load(std::memory_order_acquire)) {
+      if (stopping) {
         sweep_for_stop();
         std::lock_guard<std::mutex> lock(inbox_mu_);
-        if (conns_.empty() && incoming_.empty() && completions_.empty()) {
-          return;
-        }
+        if (conns_.empty() && completions_.empty()) return;
       }
     }
   }
 
  private:
-  int next_timeout_ms() {
-    int timeout = srv_.cfg_.poll_interval_ms > 0 ? srv_.cfg_.poll_interval_ms
-                                                 : 100;
-    if (!timers_.empty()) {
-      const auto delta = std::chrono::duration_cast<std::chrono::milliseconds>(
-          timers_.top().when - Clock::now());
-      timeout = static_cast<int>(std::clamp<long long>(
-          delta.count() + 1, 0, timeout));
+  /// Sleep until the earliest deadline or the paused listener's resume
+  /// time; with neither, until an event or a wake-pipe byte (-1).
+  int next_timeout_ms() const {
+    Clock::time_point next =
+        timers_.empty() ? kUnarmed : timers_.begin()->first;
+    if (listener_resume_ &&
+        !srv_.stopping_.load(std::memory_order_acquire)) {
+      next = std::min(next, *listener_resume_);
     }
-    return timeout;
+    if (next == kUnarmed) return -1;
+    const auto delta = std::chrono::duration_cast<std::chrono::milliseconds>(
+        next - Clock::now());
+    return static_cast<int>(std::clamp<long long>(
+        delta.count() + 1, 0, std::numeric_limits<int>::max()));
   }
 
   void drain_wake_pipe() {
@@ -494,60 +478,72 @@ struct HttpServer::EventLoop {
     }
   }
 
-  void process_inbox() {
-    std::deque<std::pair<int, bool>> incoming;
+  void process_completions() {
     std::deque<Completion> completions;
     {
       std::lock_guard<std::mutex> lock(inbox_mu_);
-      incoming.swap(incoming_);
       completions.swap(completions_);
-    }
-    for (const auto& [fd, reject] : incoming) {
-      if (srv_.stopping_.load(std::memory_order_acquire)) {
-        close_quietly(fd);
-        srv_.on_close();
-        continue;
-      }
-      const std::uint64_t id = ++next_conn_id_;
-      auto [it, inserted] = conns_.emplace(fd, Conn(srv_.cfg_.limits));
-      if (!inserted) {  // unreachable: a live fd number cannot be re-accepted
-        close_quietly(fd);
-        srv_.on_close();
-        continue;
-      }
-      Conn& c = it->second;
-      c.fd = fd;
-      c.id = id;
-      id_to_fd_[id] = fd;
-      if (reject) {
-        // Admission overflow: a real answer, through the same lingering
-        // write path as every other error — closing straight after the
-        // send would let the client's unread request bytes RST the 503
-        // away before it is read.
-        start_response(
-            c, plain_response(503, "server at connection capacity"),
-            /*keep=*/false, /*linger=*/true);
-        continue;
-      }
-      c.want_read = true;
-      update_poller(c);
-      arm_deadline(c, srv_.cfg_.idle_timeout_ms);
     }
     for (auto& done : completions) {
       apply_completion(done);
     }
   }
 
+  /// The listener is readable: accept up to kAcceptBatch connections.
+  void accept_batch() {
+    for (int i = 0; i < kAcceptBatch; ++i) {
+      const int fd = fault::checked_accept("net.accept", srv_.listen_fd_);
+      if (fd >= 0) {
+        adopt(fd);
+        continue;
+      }
+      if (errno == EINTR || errno == ECONNABORTED) continue;
+      // EAGAIN: the backlog is empty, or another loop won the race.
+      if (errno == EAGAIN || errno == EWOULDBLOCK) return;
+      // Anything else — EMFILE/ENFILE/ENOBUFS/ENOMEM from a connection
+      // flood, or the listener shut down by stop() — would spin under
+      // level-triggered readiness: step out for kAcceptPauseMs (for good
+      // once stopping), then accept again once fds have freed up.
+      poller_.del(srv_.listen_fd_);
+      listener_resume_ =
+          Clock::now() + std::chrono::milliseconds(kAcceptPauseMs);
+      return;
+    }
+  }
+
+  void adopt(int fd) {
+    set_nonblocking(fd);
+    const int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
+    const bool over_cap = srv_.on_accept();
+    const std::uint64_t id = ++next_conn_id_;
+    Conn& c = conns_.emplace(id, Conn(srv_.cfg_.limits)).first->second;
+    c.fd = fd;
+    c.id = id;
+    if (over_cap) {
+      // Admission overflow: a real answer, through the same lingering
+      // write path as every other error — closing straight after the
+      // send would let the client's unread request bytes RST the 503
+      // away before it is read.
+      start_response(c, plain_response(503, "server at connection capacity"),
+                     /*keep=*/false, /*linger=*/true);
+      return;
+    }
+    c.want_read = true;
+    update_poller(c);
+    arm_deadline(c, srv_.cfg_.idle_timeout_ms);
+  }
+
   void update_poller(Conn& c) {
     const bool want = c.want_read || c.want_write;
     if (want && !c.in_poller) {
-      poller_.add(c.fd, c.want_read, c.want_write);
+      poller_.add(c.fd, c.id, c.want_read, c.want_write);
       c.in_poller = true;
     } else if (!want && c.in_poller) {
       poller_.del(c.fd);
       c.in_poller = false;
     } else if (want) {
-      poller_.mod(c.fd, c.want_read, c.want_write);
+      poller_.mod(c.fd, c.id, c.want_read, c.want_write);
     }
   }
 
@@ -555,24 +551,25 @@ struct HttpServer::EventLoop {
     arm_deadline_at(c, Clock::now() + std::chrono::milliseconds(ms));
   }
 
-  // At most one live heap entry per connection: a deadline at or after
-  // the queued entry's expiry only moves c.deadline, and the entry is
-  // re-queued at c.deadline when it surfaces early (fire_due_timers). Only
-  // a deadline earlier than the queued one pushes, superseding it.
+  /// One timer-set entry per armed deadline: re-arming moves the
+  /// connection's entry (reusing its node) instead of adding another.
   void arm_deadline_at(Conn& c, Clock::time_point when) {
-    c.has_deadline = true;
+    if (c.deadline == kUnarmed) {
+      timers_.emplace(when, c.id);
+      srv_.on_timers_queued(1);
+    } else {
+      auto node = timers_.extract({c.deadline, c.id});
+      node.value().first = when;
+      timers_.insert(std::move(node));
+    }
     c.deadline = when;
-    if (when < c.timer_when) queue_timer(c, when);
-  }
-
-  void queue_timer(Conn& c, Clock::time_point when) {
-    c.timer_when = when;
-    timers_.push(TimerEntry{when, c.fd, c.id, ++c.timer_gen});
-    srv_.on_timers_queued(1);
   }
 
   void disarm_deadline(Conn& c) {
-    c.has_deadline = false;  // the queued entry is dropped when it surfaces
+    if (c.deadline == kUnarmed) return;
+    timers_.erase({c.deadline, c.id});
+    c.deadline = kUnarmed;
+    srv_.on_timers_queued(-1);
   }
 
   void close_conn(Conn& c) {
@@ -580,47 +577,27 @@ struct HttpServer::EventLoop {
     // A handler may still be computing for this connection; its client is
     // gone, so expire the propagated deadline and let the fit loop stop.
     if (c.active_deadline) c.active_deadline->cancel();
-    c.want_read = c.want_write = false;
-    update_poller(c);
-    id_to_fd_.erase(c.id);
-    conns_.erase(fd);  // c is dangling from here on
+    disarm_deadline(c);
+    if (c.in_poller) poller_.del(fd);
+    conns_.erase(c.id);  // c is dangling from here on
     close_quietly(fd);
     srv_.on_close();
   }
 
   void on_readable(Conn& c) {
-    char buf[16 * 1024];
-    if (c.st == St::kLingering) {
-      // Discard whatever the client still sends; EOF (or the linger
-      // deadline) ends the connection. The response is already out.
-      // Same per-pass byte bound as the reading path: a post-error
-      // firehose must not monopolise the loop or starve its timers.
-      std::size_t discarded = 0;
-      for (;;) {
-        const ssize_t r = fault::checked_recv("net.read", c.fd, buf,
-                                              sizeof buf);
-        if (r > 0) {
-          discarded += static_cast<std::size_t>(r);
-          if (discarded >= 256 * 1024) return;  // readiness re-fires
-          continue;
-        }
-        if (r == 0 || (errno != EINTR && errno != EAGAIN &&
-                       errno != EWOULDBLOCK)) {
-          close_conn(c);
-          return;
-        }
-        if (errno == EINTR) continue;
-        return;  // EAGAIN: drained for now
-      }
-    }
     // Pull what the kernel has, bounded per pass so one firehose client
-    // cannot monopolise the loop; level-triggered readiness re-fires.
+    // cannot monopolise the loop or starve its timers; level-triggered
+    // readiness re-fires. A lingering connection's response is already
+    // out: its bytes are discarded, and EOF (or the linger deadline) ends
+    // it.
+    const bool lingering = c.st == St::kLingering;
+    char buf[16 * 1024];
     std::size_t pulled = 0;
     for (;;) {
       const ssize_t r = fault::checked_recv("net.read", c.fd, buf,
                                             sizeof buf);
       if (r > 0) {
-        c.carry.append(buf, static_cast<std::size_t>(r));
+        if (!lingering) c.carry.append(buf, static_cast<std::size_t>(r));
         pulled += static_cast<std::size_t>(r);
         if (r < static_cast<ssize_t>(sizeof buf) || pulled >= 256 * 1024) {
           break;
@@ -636,7 +613,11 @@ struct HttpServer::EventLoop {
       close_conn(c);
       return;
     }
-    process(c);
+    if (!lingering) {
+      process(c);
+    } else if (c.read_closed) {
+      close_conn(c);
+    }
   }
 
   /// Drives the kReading state: parse buffered bytes, then either wait
@@ -692,7 +673,7 @@ struct HttpServer::EventLoop {
             c.request_start = Clock::now();
             arm_deadline(c, srv_.cfg_.idle_timeout_ms);
           }
-        } else if (!c.has_deadline) {
+        } else if (c.deadline == kUnarmed) {
           arm_deadline(c, srv_.cfg_.idle_timeout_ms);
         }
         return;
@@ -801,12 +782,12 @@ struct HttpServer::EventLoop {
   }
 
   void apply_completion(Completion& done) {
-    const auto idit = id_to_fd_.find(done.conn_id);
-    if (idit == id_to_fd_.end()) return;  // connection died meanwhile
-    Conn& c = conns_.at(idit->second);
+    const auto it = conns_.find(done.conn_id);
+    if (it == conns_.end()) return;  // connection died meanwhile
+    Conn& c = it->second;
     if (c.st != St::kHandling) return;
     c.active_deadline.reset();  // answered: nothing left to cancel
-    disarm_deadline(c);         // the propagated 408 timer is now stale
+    disarm_deadline(c);         // answered: the propagated 408 is moot
     srv_.count_response(done.status);
     c.out = std::move(done.wire);
     c.out_off = 0;
@@ -834,7 +815,9 @@ struct HttpServer::EventLoop {
         }
         // A peer that stops reading its response gets the same budget a
         // slow sender does.
-        if (!c.has_deadline) arm_deadline(c, srv_.cfg_.idle_timeout_ms);
+        if (c.deadline == kUnarmed) {
+          arm_deadline(c, srv_.cfg_.idle_timeout_ms);
+        }
         return;
       }
       close_conn(c);  // peer reset: response undeliverable
@@ -879,23 +862,9 @@ struct HttpServer::EventLoop {
 
   void fire_due_timers() {
     const auto now = Clock::now();
-    while (!timers_.empty() && timers_.top().when <= now) {
-      const TimerEntry t = timers_.top();
-      timers_.pop();
-      srv_.on_timers_queued(-1);
-      const auto it = conns_.find(t.fd);
-      if (it == conns_.end()) continue;
-      Conn& c = it->second;
-      if (c.id != t.conn_id || c.timer_gen != t.gen) {
-        continue;  // superseded entry, or a recycled connection's
-      }
-      c.timer_when = Clock::time_point::max();
-      if (!c.has_deadline) continue;  // disarmed since it was queued
-      if (c.deadline > now) {
-        queue_timer(c, c.deadline);  // the deadline moved later
-        continue;
-      }
-      c.has_deadline = false;
+    while (!timers_.empty() && timers_.begin()->first <= now) {
+      Conn& c = conns_.at(timers_.begin()->second);
+      disarm_deadline(c);
       switch (c.st) {
         case St::kReading:
           srv_.on_timeout();
@@ -931,34 +900,30 @@ struct HttpServer::EventLoop {
     // Close everything not owed a response; kHandling/kWriting conns
     // finish naturally (the handler pool is drained before loops are
     // asked to exit).
-    std::vector<int> victims;
-    victims.reserve(conns_.size());
-    for (auto& [fd, c] : conns_) {
+    std::vector<std::uint64_t> victims;
+    for (const auto& [id, c] : conns_) {
       if (c.st == St::kReading || c.st == St::kLingering) {
-        victims.push_back(fd);
+        victims.push_back(id);
       }
     }
-    for (int fd : victims) {
-      const auto it = conns_.find(fd);
-      if (it != conns_.end()) close_conn(it->second);
-    }
+    for (const std::uint64_t id : victims) close_conn(conns_.at(id));
   }
 
   HttpServer& srv_;
   Poller poller_;
   int wake_rd_ = -1;
   int wake_wr_ = -1;
+  /// While the listener is out of the poller after an accept error: when
+  /// it comes back (never, once stopping).
+  std::optional<Clock::time_point> listener_resume_;
 
   std::mutex inbox_mu_;
-  std::deque<std::pair<int, bool>> incoming_;  ///< (fd, reject-with-503)
   std::deque<Completion> completions_;
 
-  std::unordered_map<int, Conn> conns_;
-  std::unordered_map<std::uint64_t, int> id_to_fd_;
-  std::priority_queue<TimerEntry, std::vector<TimerEntry>,
-                      std::greater<TimerEntry>>
-      timers_;
-  std::uint64_t next_conn_id_ = 0;
+  std::unordered_map<std::uint64_t, Conn> conns_;
+  /// (deadline, connection id), one entry per armed deadline.
+  std::set<std::pair<Clock::time_point, std::uint64_t>> timers_;
+  std::uint64_t next_conn_id_ = kListenerId;
 };
 
 void HttpServer::HandlerPool::run() {
@@ -1054,14 +1019,6 @@ void HttpServer::HandlerPool::respond_shed(Job& job) {
 
 HttpServer::HttpServer(ServerConfig cfg, Handler handler)
     : cfg_(std::move(cfg)),
-      handler_([h = std::move(handler)](const HttpRequest& req,
-                                        const RequestContext&) {
-        return h(req);
-      }),
-      tracer_(cfg_.tracer) {}
-
-HttpServer::HttpServer(ServerConfig cfg, ContextHandler handler)
-    : cfg_(std::move(cfg)),
       handler_(std::move(handler)),
       tracer_(cfg_.tracer) {}
 
@@ -1118,34 +1075,28 @@ void HttpServer::start() {
   socklen_t len = sizeof addr;
   ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len);
   port_ = ntohs(addr.sin_port);
+  set_nonblocking(listen_fd_);  // every loop accepts; the losers read EAGAIN
 
   stopping_.store(false);
   running_.store(true);
-  next_loop_ = 0;
+  // The pool exists before any loop can accept and dispatch to it.
+  pool_ = std::make_unique<HandlerPool>(
+      *this, cfg_.worker_threads > 0 ? cfg_.worker_threads : 1);
   const std::size_t loops = cfg_.io_threads > 0 ? cfg_.io_threads : 1;
-  loops_.reserve(loops);
-  loop_threads_.reserve(loops);
   for (std::size_t i = 0; i < loops; ++i) {
     loops_.push_back(std::make_unique<EventLoop>(*this));
   }
-  for (std::size_t i = 0; i < loops; ++i) {
-    loop_threads_.emplace_back([loop = loops_[i].get()] { loop->run(); });
+  for (auto& loop : loops_) {
+    loop_threads_.emplace_back([l = loop.get()] { l->run(); });
   }
-  pool_ = std::make_unique<HandlerPool>(
-      *this, cfg_.worker_threads > 0 ? cfg_.worker_threads : 1);
-  acceptor_ = std::thread([this] { acceptor_loop(); });
 }
 
 void HttpServer::stop() {
   if (!running_.exchange(false)) return;
   stopping_.store(true, std::memory_order_release);
-  // Shutting down the listener wakes the acceptor's poll immediately;
-  // the fd is closed only after the acceptor joins, so its number cannot
-  // be reused under a thread still polling it.
+  // Shutting down the listener refuses new connections and wakes every
+  // loop, whose next accept fails and drops the listener for good.
   if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
-  if (acceptor_.joinable()) acceptor_.join();
-  close_quietly(listen_fd_);
-  listen_fd_ = -1;
   // Finish every dispatched request so its response can still be written
   // (the loops are alive and consuming completions while this drains).
   if (pool_) pool_->drain_and_join();
@@ -1153,8 +1104,9 @@ void HttpServer::stop() {
   for (auto& t : loop_threads_) {
     if (t.joinable()) t.join();
   }
-  // Adoptions that raced the shutdown: close them unanswered.
-  for (auto& loop : loops_) loop->close_leftovers();
+  // Closed only now, so its number cannot be reused under a running loop.
+  close_quietly(listen_fd_);
+  listen_fd_ = -1;
   loop_threads_.clear();
   loops_.clear();
   pool_.reset();
@@ -1165,12 +1117,16 @@ ServerStats HttpServer::stats() const {
   return stats_;
 }
 
-void HttpServer::on_accept() {
+bool HttpServer::on_accept() {
   std::lock_guard<std::mutex> lock(stats_mu_);
   ++stats_.connections_accepted;
   ++stats_.open_connections;
   stats_.peak_connections =
       std::max(stats_.peak_connections, stats_.open_connections);
+  const bool over_cap = cfg_.max_connections > 0 &&
+                        stats_.open_connections > cfg_.max_connections;
+  if (over_cap) ++stats_.overflow_rejections;
+  return over_cap;
 }
 
 void HttpServer::on_close() {
@@ -1196,46 +1152,6 @@ void HttpServer::count_response(int status) {
     ++stats_.responses_5xx;
   } else if (status >= 400) {
     ++stats_.responses_4xx;
-  }
-}
-
-void HttpServer::acceptor_loop() {
-  while (!stopping_.load(std::memory_order_relaxed)) {
-    struct pollfd pfd;
-    pfd.fd = listen_fd_;
-    pfd.events = POLLIN;
-    pfd.revents = 0;
-    const int rc = ::poll(&pfd, 1, cfg_.poll_interval_ms);
-    if (rc < 0 && errno != EINTR) break;
-    if (rc <= 0) continue;
-    const int fd = fault::checked_accept("net.accept", listen_fd_);
-    if (fd < 0) {
-      if (errno == EINTR || errno == ECONNABORTED) continue;
-      if (stopping_.load(std::memory_order_relaxed)) break;
-      if (errno == EMFILE || errno == ENFILE || errno == ENOBUFS ||
-          errno == ENOMEM || errno == EAGAIN || errno == EWOULDBLOCK) {
-        // Transient resource exhaustion (fd limit hit by a connection
-        // flood, say): back off and keep accepting once fds free up —
-        // exiting here would silently end all future accepts while the
-        // server still looks alive.
-        std::this_thread::sleep_for(std::chrono::milliseconds(10));
-        continue;
-      }
-      break;  // listener closed by stop()
-    }
-    set_nonblocking(fd);
-    const int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-    on_accept();
-
-    bool over_cap = false;
-    if (cfg_.max_connections > 0) {
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      over_cap = stats_.open_connections > cfg_.max_connections;
-      if (over_cap) ++stats_.overflow_rejections;
-    }
-    loops_[next_loop_]->adopt(fd, over_cap);
-    next_loop_ = (next_loop_ + 1) % loops_.size();
   }
 }
 

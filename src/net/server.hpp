@@ -1,11 +1,11 @@
 // A zero-dependency HTTP/1.1 server over POSIX sockets, built as an
-// event-driven edge: one acceptor thread shards accepted sockets across N
-// I/O event loops (epoll on Linux, poll elsewhere), each loop owning its
-// non-blocking connections as small state machines
-// (reading -> handling -> writing -> lingering-close). Decoded requests
-// are dispatched to a bounded handler pool, so a slow handler (a cold
-// predict() can take a while) never stalls its loop: thousands of idle
-// keep-alive connections cost one fd and a timer entry each, not a
+// event-driven edge: N I/O event loops (epoll on Linux, poll elsewhere)
+// each watch the one non-blocking listening socket, accept for
+// themselves, and own their non-blocking connections as small state
+// machines (reading -> handling -> writing -> lingering-close). Decoded
+// requests are dispatched to a bounded handler pool, so a slow handler
+// (a cold predict() can take a while) never stalls its loop: thousands of
+// idle keep-alive connections cost one fd and a timer entry each, not a
 // thread. The handler runs on a pool thread, so any internal fan-out (the
 // prediction service's ThreadPool) nests underneath exactly as it does
 // for local callers.
@@ -14,15 +14,17 @@
 // over-slow client gets a 4xx/408 response (when a response can still be
 // framed) and its connection closed; it can never crash the server, hold
 // unbounded memory, or corrupt another connection's stream. Per-request
-// deadlines live in a deadline heap per loop, so a slowloris client
+// deadlines live in an ordered timer set per loop, so a slowloris client
 // trickling bytes cannot restart its budget and cannot delay anyone
-// else's request (no head-of-line blocking). Pipelined requests are
-// served in order from the bytes already read; error responses use a
-// lingering close so the 4xx survives the client's unread bytes. When
-// max_connections is set, connections over the cap are answered 503 and
-// closed at accept time. stop() is a graceful drain: the listener closes
-// first (no new connections), in-flight requests finish and are written,
-// then idle connections are closed.
+// else's request (no head-of-line blocking). Nothing wakes on a period:
+// a loop sleeps until its earliest deadline, a paused listener's resume
+// time or a wake-pipe byte. Pipelined requests are served in order from
+// the bytes already read; error responses use a lingering close so the
+// 4xx survives the client's unread bytes. When max_connections is set,
+// connections over the cap are answered 503 and closed at accept time.
+// stop() is a graceful drain: the listener shuts first (no new
+// connections), in-flight requests finish and are written, then idle
+// connections are closed.
 #pragma once
 
 #include <atomic>
@@ -46,7 +48,7 @@ class TraceContext;
 
 namespace estima::net {
 
-/// Per-request context handed to ContextHandler alongside the request.
+/// Per-request context handed to the Handler alongside the request.
 struct RequestContext {
   /// The request's remaining edge budget as a cooperative deadline: set
   /// from the 408 timer at dispatch, cancelled by the event loop if the 408
@@ -73,7 +75,9 @@ struct ServerConfig {
   std::string bind_address = "127.0.0.1";
   /// 0 binds an ephemeral port; read the real one back with port().
   int port = 0;
-  /// Event-loop (I/O) threads; accepted sockets are sharded round-robin.
+  /// Event-loop (I/O) threads. Every loop accepts from the listener, so a
+  /// connection belongs to whichever loop accepts it first (each pending
+  /// connection wakes every loop; the losers read EAGAIN).
   std::size_t io_threads = 2;
   /// Handler-pool threads: how many requests can be *computing* at once.
   /// (The name predates the event loop, when each worker owned one
@@ -88,10 +92,6 @@ struct ServerConfig {
   /// bounds idle silence (closed without a response), and it also bounds
   /// how long a stalled response write may sit unacknowledged.
   int idle_timeout_ms = 30'000;
-  /// Upper bound on an event loop's sleep between housekeeping passes
-  /// (deadlines wake the loop earlier; cross-thread work wakes it
-  /// immediately via a pipe).
-  int poll_interval_ms = 100;
   /// Admission cap on concurrently open connections; over the cap a new
   /// connection is answered 503 and closed at accept time. 0 = unlimited.
   std::size_t max_connections = 0;
@@ -122,24 +122,20 @@ struct ServerConfig {
 
 class HttpServer {
  public:
-  using Handler = std::function<HttpResponse(const HttpRequest&)>;
-  using ContextHandler =
+  using Handler =
       std::function<HttpResponse(const HttpRequest&, const RequestContext&)>;
 
   /// The handler is called once per decoded request (on a handler-pool
-  /// thread); whatever it throws is answered 500 (std::invalid_argument:
-  /// 400, core::DeadlineExceeded: 408) — exceptions never cross into the
-  /// event loop unhandled.
+  /// thread) with the request's RequestContext; whatever it throws is
+  /// answered 500 (std::invalid_argument: 400, core::DeadlineExceeded:
+  /// 408) — exceptions never cross into the event loop unhandled.
   HttpServer(ServerConfig cfg, Handler handler);
-  /// Context-aware form: the handler additionally receives the request's
-  /// RequestContext (deadline + shedding signal).
-  HttpServer(ServerConfig cfg, ContextHandler handler);
   ~HttpServer();
 
   HttpServer(const HttpServer&) = delete;
   HttpServer& operator=(const HttpServer&) = delete;
 
-  /// Binds, listens and spawns the acceptor + event loops + handler pool.
+  /// Binds, listens and spawns the handler pool and the event loops.
   /// Throws std::runtime_error when the socket cannot be bound.
   void start();
 
@@ -170,9 +166,10 @@ class HttpServer {
   friend struct EventLoop;
   friend struct HandlerPool;
 
-  void acceptor_loop();
   /// Stats bookkeeping, all under stats_mu_ so snapshots are consistent.
-  void on_accept();
+  /// on_accept() counts the connection and returns whether it is over
+  /// max_connections (counted as an overflow rejection).
+  bool on_accept();
   void on_close();
   void on_timeout();
   void on_parse_error();
@@ -181,18 +178,16 @@ class HttpServer {
   void count_response(int status);
 
   ServerConfig cfg_;
-  ContextHandler handler_;
+  Handler handler_;
   std::atomic<obs::Tracer*> tracer_{nullptr};
   int listen_fd_ = -1;
   int port_ = 0;
 
   std::atomic<bool> running_{false};
   std::atomic<bool> stopping_{false};
-  std::thread acceptor_;
   std::vector<std::unique_ptr<EventLoop>> loops_;
   std::vector<std::thread> loop_threads_;
   std::unique_ptr<HandlerPool> pool_;
-  std::size_t next_loop_ = 0;  ///< round-robin shard cursor (acceptor only)
 
   mutable std::mutex stats_mu_;
   ServerStats stats_;

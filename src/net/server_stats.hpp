@@ -28,9 +28,9 @@ struct ServerStats {
   /// overflow sheds the oldest queued request; over-age requests are shed
   /// at dequeue). Each shed request is answered 503 with Retry-After.
   std::uint64_t requests_shed = 0;
-  /// Gauge: deadline entries queued in the event loops' timer heaps. Each
-  /// connection keeps at most one live entry; superseded and closed
-  /// connections' entries leave as their expiry passes.
+  /// Gauge: deadlines armed in the event loops' timer sets — exactly one
+  /// entry per armed deadline, removed when it fires, is disarmed or its
+  /// connection closes.
   std::uint64_t timers_queued = 0;
 };
 

@@ -1,5 +1,6 @@
 #include "service/routes.hpp"
 
+#include <cerrno>
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
@@ -242,8 +243,9 @@ net::HttpResponse ServiceRouter::dispatch(const net::HttpRequest& req,
   try {
     if (const std::string* hdr = req.header("x-estima-deadline-ms")) {
       char* end = nullptr;
+      errno = 0;
       const long ms = std::strtol(hdr->c_str(), &end, 10);
-      if (end == hdr->c_str() || *end != '\0' || ms < 0) {
+      if (end == hdr->c_str() || *end != '\0' || ms < 0 || errno == ERANGE) {
         return text_response(400, "bad x-estima-deadline-ms value: " + *hdr);
       }
       if (deadline == nullptr) deadline = &local;
@@ -766,7 +768,7 @@ net::HttpResponse ServiceRouter::handle_metrics() {
     w.counter("estima_server_requests_shed_total", "",
               "Queued requests shed by the handler pool.", n.requests_shed);
     w.gauge("estima_server_timers_queued", "",
-            "Deadline entries queued in the event loops' timer heaps.",
+            "Deadlines armed in the event loops' timer sets.",
             static_cast<std::int64_t>(n.timers_queued));
   }
   if (fault::compiled_in()) {

@@ -133,14 +133,14 @@ class ServiceRouter {
  public:
   explicit ServiceRouter(PredictionService& service, RouterConfig cfg = {});
 
-  /// Total function: every exception becomes a status-mapped response, so
-  /// this can be handed to net::HttpServer verbatim. Equivalent to the
-  /// context form with a default (no deadline, not shedding) context.
+  /// Total function: every exception becomes a status-mapped response.
+  /// Equivalent to the context form with a default (no deadline, not
+  /// shedding, untraced) context, for in-process callers.
   net::HttpResponse handle(const net::HttpRequest& req);
 
-  /// Context-aware form for HttpServer's ContextHandler: predictions run
-  /// under ctx.deadline and /v1/predict may serve stale under
-  /// ctx.shedding (see the header comment).
+  /// The form HttpServer's Handler calls: predictions run under
+  /// ctx.deadline, /v1/predict may serve stale under ctx.shedding (see
+  /// the header comment), and ctx.trace records the router's spans.
   net::HttpResponse handle(const net::HttpRequest& req,
                            const net::RequestContext& ctx);
 

@@ -206,6 +206,12 @@ TEST(Deadline, DefaultIsUnlimitedAndTightenOnlyShrinks) {
   core::Deadline d;
   EXPECT_FALSE(d.limited());
   EXPECT_FALSE(d.expired());
+  // Budgets past the clock's range (10^13 ms overflows int64 nanoseconds)
+  // cannot shrink anything: no overflow, still unlimited.
+  d.tighten(std::chrono::milliseconds(10'000'000'000'000));
+  d.tighten(std::chrono::milliseconds::max());
+  EXPECT_FALSE(d.limited());
+  EXPECT_FALSE(d.expired());
   d.tighten(std::chrono::milliseconds(10'000));
   EXPECT_TRUE(d.limited());
   EXPECT_FALSE(d.expired());
@@ -327,7 +333,6 @@ TEST(DeadlinePropagation, ClientDeadlineHeaderAnswers408AndCountsCancelled) {
   net::ServerConfig ncfg;
   ncfg.io_threads = 1;
   ncfg.worker_threads = 2;
-  ncfg.poll_interval_ms = 10;
   Stack stack(std::move(ncfg));
 
   auto c = stack.client();
@@ -339,7 +344,16 @@ TEST(DeadlinePropagation, ClientDeadlineHeaderAnswers408AndCountsCancelled) {
   EXPECT_EQ(stack.svc->stats().predictions_cancelled, 1u);
   EXPECT_EQ(stack.svc->stats().cache.entries, 0u);
 
-  // Without the header the same campaign computes, and bit-identically.
+  // A budget past the clock's range (10^13 ms) is no budget: the same
+  // campaign computes, and bit-identically.
+  const auto huge = c.request("POST", "/v1/predict", csv_of(ms),
+                              {{"content-type", "text/csv"},
+                               {"x-estima-deadline-ms", "10000000000000"}});
+  ASSERT_EQ(huge.status, 200);
+  EXPECT_EQ(huge.body, record_of(core::predict(ms, stack.cfg)));
+  EXPECT_EQ(stack.svc->stats().predictions_cancelled, 1u);
+
+  // Without the header the answer is the same.
   const auto ok = c.request("POST", "/v1/predict", csv_of(ms),
                             {{"content-type", "text/csv"}});
   ASSERT_EQ(ok.status, 200);
@@ -356,6 +370,12 @@ TEST(DeadlinePropagation, BadDeadlineHeaderIs400) {
                               {{"content-type", "text/csv"},
                                {"x-estima-deadline-ms", "soon"}});
   EXPECT_EQ(resp.status, 400);
+  // Out of strtol's range: rejected, not clamped to LONG_MAX.
+  const auto big =
+      c.request("POST", "/v1/predict", csv_of(demo_campaign(0)),
+                {{"content-type", "text/csv"},
+                 {"x-estima-deadline-ms", "99999999999999999999"}});
+  EXPECT_EQ(big.status, 400);
 }
 
 TEST(DeadlinePropagation, Edge408MidComputeCancelsTheAbandonedFit) {
@@ -370,7 +390,6 @@ TEST(DeadlinePropagation, Edge408MidComputeCancelsTheAbandonedFit) {
   ncfg.io_threads = 1;
   ncfg.worker_threads = 1;
   ncfg.idle_timeout_ms = 50;
-  ncfg.poll_interval_ms = 5;
   Stack stack(std::move(ncfg));
 
   auto c = stack.client();
@@ -415,7 +434,6 @@ TEST(LoadShedding, QueueOverflowShedsTheOldestWith503RetryAfter) {
   ncfg.io_threads = 1;
   ncfg.worker_threads = 1;
   ncfg.max_queue_depth = 1;
-  ncfg.poll_interval_ms = 5;
   net::HttpServer server(
       ncfg, [&release](const net::HttpRequest& req, const net::RequestContext&) {
         if (req.target == "/slow") {
@@ -465,7 +483,6 @@ TEST(LoadShedding, OverAgeRequestIsShedAtDequeue) {
   ncfg.io_threads = 1;
   ncfg.worker_threads = 1;
   ncfg.queue_delay_budget_ms = 50;
-  ncfg.poll_interval_ms = 5;
   net::HttpServer server(
       ncfg, [&release](const net::HttpRequest& req, const net::RequestContext&) {
         if (req.target == "/slow") {
@@ -749,6 +766,42 @@ TEST(PoolFaults, WorkspaceAllocFailureIsAnErrorNeverAWrongAnswer) {
 }
 
 // ---------------------------------------------------------------------------
+// Accept failure: fd exhaustion at the listener
+
+TEST(AcceptFaults, EmfileAtAcceptPausesTheListenerThenServes) {
+  if (!fault::compiled_in()) GTEST_SKIP() << "fault injection compiled out";
+  FaultGuard guard;
+  net::ServerConfig ncfg;
+  ncfg.io_threads = 1;
+  ncfg.worker_threads = 1;
+  net::HttpServer server(
+      ncfg, [](const net::HttpRequest& req, const net::RequestContext&) {
+        net::HttpResponse resp;
+        resp.body = req.body;
+        return resp;
+      });
+  server.start();
+
+  // The loop's first accept fails EMFILE: the listener leaves its poller
+  // for a moment, and the still-pending connection is accepted after.
+  fault::FaultSpec emfile;
+  emfile.trigger = fault::FaultSpec::Trigger::kNth;
+  emfile.nth = 1;
+  emfile.error_errno = EMFILE;
+  fault::arm("net.accept", emfile);
+  net::HttpClient c("127.0.0.1", server.port());
+  const auto resp = c.post("/echo", "after the pause");
+  EXPECT_EQ(resp.status, 200);
+  EXPECT_EQ(resp.body, "after the pause");
+  EXPECT_EQ(fault::site_stats("net.accept").fires, 1u);
+
+  const auto s = server.stats();
+  EXPECT_EQ(s.connections_accepted, 1u);
+  EXPECT_EQ(s.connections_accepted, s.connections_closed + s.open_connections);
+  server.stop();
+}
+
+// ---------------------------------------------------------------------------
 // 5. Chaos: seeded randomized fault schedules over the live stack
 
 struct ChaosOutcome {
@@ -775,7 +828,6 @@ void chaos_round(std::uint64_t seed) {
   ncfg.io_threads = 2;
   ncfg.worker_threads = 3;
   ncfg.idle_timeout_ms = 5'000;
-  ncfg.poll_interval_ms = 10;
   ncfg.max_queue_depth = 16;
   Stack stack(std::move(ncfg), /*cache_ttl_ms=*/0, snap_path);
 

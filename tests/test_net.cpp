@@ -380,9 +380,10 @@ class NetEndToEnd : public ::testing::Test {
     ncfg.worker_threads = 4;
     ncfg.limits.max_body_bytes = 64 * 1024;
     ncfg.idle_timeout_ms = 2000;
-    ncfg.poll_interval_ms = 20;
     server_ = std::make_unique<HttpServer>(
-        ncfg, [this](const HttpRequest& req) { return router_->handle(req); });
+        ncfg, [this](const HttpRequest& req, const RequestContext& ctx) {
+          return router_->handle(req, ctx);
+        });
     router_->set_server_stats_source([this] { return server_->stats(); });
     server_->start();
   }
@@ -799,7 +800,8 @@ TEST(TraceEchoOnError, ErrorResponsesCarryTheTraceIdToo) {
   ServerConfig ncfg;
   ncfg.worker_threads = 2;
   ncfg.tracer = &tracer;
-  HttpServer server(ncfg, [](const HttpRequest& req) -> HttpResponse {
+  HttpServer server(ncfg, [](const HttpRequest& req,
+                             const RequestContext&) -> HttpResponse {
     if (req.target == "/invalid") throw std::invalid_argument("bad input");
     if (req.target == "/boom") throw std::runtime_error("kaput");
     return HttpResponse{200, {}, "ok"};
@@ -1293,7 +1295,9 @@ struct ServedStack {
         *svc, service::RouterConfig{});
     server = std::make_unique<HttpServer>(
         std::move(ncfg),
-        [this](const HttpRequest& req) { return router->handle(req); });
+        [this](const HttpRequest& req, const RequestContext& ctx) {
+          return router->handle(req, ctx);
+        });
     server->start();
   }
   ~ServedStack() { server->stop(); }
@@ -1313,7 +1317,6 @@ TEST(EventLoopTorture, IdleHordeHeldOpenWhileLiveRequestsStayBitIdentical) {
   ncfg.io_threads = 4;
   ncfg.worker_threads = 4;
   ncfg.idle_timeout_ms = 30'000;  // the horde must not time out mid-test
-  ncfg.poll_interval_ms = 20;
   ServedStack stack(std::move(ncfg));
 
   std::vector<int> horde;
@@ -1359,7 +1362,6 @@ TEST(EventLoopTorture, SlowTricklersGet408WithoutHeadOfLineBlocking) {
   ncfg.io_threads = 2;
   ncfg.worker_threads = 2;  // fewer handlers than tricklers, on purpose
   ncfg.idle_timeout_ms = 700;
-  ncfg.poll_interval_ms = 10;
   ServedStack stack(std::move(ncfg));
 
   // Warm one campaign so the live requests below are cache hits whose
@@ -1424,7 +1426,6 @@ TEST(EventLoopTorture, PipelinedBurstSurvivesHalfClosedNeighbours) {
   ncfg.io_threads = 2;
   ncfg.worker_threads = 4;
   ncfg.idle_timeout_ms = 2'000;
-  ncfg.poll_interval_ms = 10;
   ServedStack stack(std::move(ncfg));
 
   const auto a = demo_campaign(40, 8);
@@ -1486,9 +1487,8 @@ TEST(EventLoopTorture, AdmissionOverflowAnswers503ThenRecovers) {
   ncfg.io_threads = 2;
   ncfg.worker_threads = 2;
   ncfg.idle_timeout_ms = 30'000;
-  ncfg.poll_interval_ms = 10;
   ncfg.max_connections = kCap;
-  HttpServer server(ncfg, [](const HttpRequest& req) {
+  HttpServer server(ncfg, [](const HttpRequest& req, const RequestContext&) {
     HttpResponse resp;
     resp.body = req.body;
     return resp;
@@ -1556,16 +1556,16 @@ TEST(EventLoopTorture, AdmissionOverflowAnswers503ThenRecovers) {
 }
 
 // A keep-alive connection re-arms its deadline at every dispatch and every
-// return to idle. The loop's timer heap must still hold at most one live
-// entry per connection — not two per request until the idle timeout
-// passes.
+// return to idle. The loop's timer set must still hold exactly one entry
+// per armed deadline — not two per request until the idle timeout passes
+// — and none once the connection closes.
 TEST(EventLoopTorture, KeepAliveRequestsQueueAtMostOneTimerPerConnection) {
   constexpr int kRequests = 10'000;
   ServerConfig ncfg;
   ncfg.io_threads = 1;
   ncfg.worker_threads = 2;
   ncfg.idle_timeout_ms = 30'000;
-  HttpServer server(ncfg, [](const HttpRequest& req) {
+  HttpServer server(ncfg, [](const HttpRequest& req, const RequestContext&) {
     HttpResponse resp;
     resp.body = req.body;
     return resp;
@@ -1582,9 +1582,15 @@ TEST(EventLoopTorture, KeepAliveRequestsQueueAtMostOneTimerPerConnection) {
   ServerStats s = server.stats();
   EXPECT_EQ(s.connections_accepted, 1u) << "every request on one connection";
   EXPECT_EQ(s.requests_served, static_cast<std::uint64_t>(kRequests));
-  EXPECT_LE(s.timers_queued, 2u);
+  EXPECT_LE(s.timers_queued, 1u);
 
+  // Closing a connection removes its deadline at once: the gauge reads 0
+  // while the server still runs, not after the 30 s expiry passes.
   client.disconnect();
+  ASSERT_TRUE(wait_for_stats(
+      server, [](const ServerStats& s2) { return s2.open_connections == 0; },
+      5'000));
+  EXPECT_EQ(server.stats().timers_queued, 0u);
   server.stop();
   s = server.stats();
   EXPECT_EQ(s.timers_queued, 0u);
@@ -1695,8 +1701,7 @@ void run_schedule_fuzz(std::uint32_t seed) {
   ncfg.io_threads = 2;
   ncfg.worker_threads = 4;
   ncfg.idle_timeout_ms = 60'000;  // the schedule must drive every close
-  ncfg.poll_interval_ms = 10;
-  HttpServer server(ncfg, [](const HttpRequest& req) {
+  HttpServer server(ncfg, [](const HttpRequest& req, const RequestContext&) {
     HttpResponse resp;
     resp.body = req.body;
     return resp;
@@ -1845,8 +1850,7 @@ TEST(HttpClientRetry, StaleKeepAliveRetriesOnlyWhenNoBytesArrived) {
   ncfg.io_threads = 1;
   ncfg.worker_threads = 1;
   ncfg.idle_timeout_ms = 250;  // server hangs up between our requests
-  ncfg.poll_interval_ms = 10;
-  HttpServer server(ncfg, [](const HttpRequest& req) {
+  HttpServer server(ncfg, [](const HttpRequest& req, const RequestContext&) {
     HttpResponse resp;
     resp.body = req.body;
     return resp;
@@ -2055,8 +2059,7 @@ TEST(HttpClientBackoff, A503IsReturnedVerbatimWhenRetriesAreOff) {
 
   HttpClient c("127.0.0.1", server.port());
   RetryConfig rc;
-  rc.max_attempts = 4;
-  rc.retry_on_503 = false;
+  rc.max_attempts = 1;
   std::vector<int> delays;
   rc.sleep_fn = [&delays](int ms) { delays.push_back(ms); };
   c.set_retry_config(rc);
