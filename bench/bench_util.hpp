@@ -123,27 +123,48 @@ inline double median(std::vector<double>& v) {
   return v.size() % 2 ? v[mid] : 0.5 * (v[mid - 1] + v[mid]);
 }
 
+/// Linear-interpolated quantile q in [0, 1] of `v` (0 when empty).
+inline double quantile(std::vector<double> v, double q) {
+  if (v.empty()) return 0.0;
+  std::sort(v.begin(), v.end());
+  const double pos = q * static_cast<double>(v.size() - 1);
+  const std::size_t lo = static_cast<std::size_t>(pos);
+  const std::size_t hi = std::min(lo + 1, v.size() - 1);
+  return v[lo] + (pos - static_cast<double>(lo)) * (v[hi] - v[lo]);
+}
+
+/// The distance between the quartiles of `v`.
+inline double iqr(const std::vector<double>& v) {
+  return quantile(v, 0.75) - quantile(v, 0.25);
+}
+
 /// What tracing adds to one operation, as interleaved_overhead measures it.
 struct Overhead {
-  double untraced_ns = 0.0;   ///< median over rounds of the trimmed mean
-  double traced_ns = 0.0;     ///< median over rounds of the trimmed mean
-  double overhead_pct = 0.0;  ///< median over rounds of traced vs untraced
+  double untraced_ns = 0.0;      ///< median over rounds of the trimmed mean
+  double untraced_iqr_ns = 0.0;  ///< IQR over rounds of the trimmed mean
+  double traced_ns = 0.0;        ///< median over rounds of the trimmed mean
+  double traced_iqr_ns = 0.0;    ///< IQR over rounds of the trimmed mean
+  double overhead_pct = 0.0;     ///< median over rounds of traced vs untraced
 };
 
 /// The observability-overhead meter every serving bench uses. `untraced`
-/// and `traced` each run one operation (a warm batch, an HTTP request)
-/// and strictly alternate inside a `window_s` window, so scheduler stalls
-/// and frequency wander land on both sides alike. Each side's slowest 10%
-/// is trimmed before comparing means: one preempted operation must not
-/// masquerade as tracing cost. The window runs kRounds times and the
-/// medians are reported, so one noisy window cannot move the figure.
+/// and `traced` each run one operation (a warm batch, an HTTP request) on
+/// the step index they are given; within a `window_s` window both sides
+/// run every step, in ABBA order — untraced first on even steps, traced
+/// first on odd ones — so each side follows the other onto the state it
+/// just warmed equally often, and scheduler stalls and frequency wander
+/// land on both sides alike. Each side's slowest 10% is trimmed before
+/// comparing means: one preempted operation must not masquerade as
+/// tracing cost. The window runs kRounds times and the medians are
+/// reported beside each side's IQR over rounds, so one noisy window cannot
+/// move the figure and a wide spread shows.
 template <typename Untraced, typename Traced>
 Overhead interleaved_overhead(Untraced&& untraced, Traced&& traced,
                               double window_s) {
   constexpr int kRounds = 5;
-  const auto timed_ns = [](auto& op) {
+  const auto timed_ns = [](auto& op, std::size_t step) {
     const auto t0 = std::chrono::steady_clock::now();
-    op();
+    op(step);
     return std::chrono::duration<double, std::nano>(
                std::chrono::steady_clock::now() - t0)
         .count();
@@ -156,19 +177,38 @@ Overhead interleaved_overhead(Untraced&& untraced, Traced&& traced,
     return sum / static_cast<double>(keep);
   };
   std::vector<double> untraced_ns, traced_ns, pct;
+  std::size_t step = 0;
   for (int round = 0; round < kRounds; ++round) {
     std::vector<double> u, t;
     const auto start = std::chrono::steady_clock::now();
     while (seconds_since(start) < window_s) {
-      u.push_back(timed_ns(untraced));
-      t.push_back(timed_ns(traced));
+      if (step % 2 == 0) {
+        u.push_back(timed_ns(untraced, step));
+        t.push_back(timed_ns(traced, step));
+      } else {
+        t.push_back(timed_ns(traced, step));
+        u.push_back(timed_ns(untraced, step));
+      }
+      ++step;
     }
     untraced_ns.push_back(trimmed_mean(u));
     traced_ns.push_back(trimmed_mean(t));
     pct.push_back(100.0 * (traced_ns.back() - untraced_ns.back()) /
                   untraced_ns.back());
   }
-  return {median(untraced_ns), median(traced_ns), median(pct)};
+  return {median(untraced_ns), iqr(untraced_ns), median(traced_ns),
+          iqr(traced_ns), median(pct)};
+}
+
+/// Emits an Overhead into an open JSON object: obs_overhead_pct (the
+/// figure CI gates) and each side's per-operation median and IQR over
+/// rounds.
+inline void write_overhead_json(obs::JsonWriter& w, const Overhead& o) {
+  w.kv("obs_overhead_pct", o.overhead_pct, 2);
+  w.kv("obs_untraced_ns_median", o.untraced_ns, 1);
+  w.kv("obs_untraced_ns_iqr", o.untraced_iqr_ns, 1);
+  w.kv("obs_traced_ns_median", o.traced_ns, 1);
+  w.kv("obs_traced_ns_iqr", o.traced_iqr_ns, 1);
 }
 
 /// Bitwise equality of a Prediction's *answer* — everything the campaign

@@ -19,7 +19,8 @@
 //   memoized  — the same with the library's one engine (batched SoA
 //               panels, lockstep multi-LM, panel realism walks),
 //               single-threaded;
-//   parallel  — the library engine + fit/category fan-out across a pool.
+//   parallel  — the library engine, each prediction's fit jobs fanned
+//               out across a pool.
 // The last three produce bit-identical predictions.
 //
 // The modes run in 5 interleaved rounds (each mode seconds/5 per round),

@@ -286,18 +286,15 @@ int run_bench(int argc, char** argv) {
   estima::obs::TracerConfig tcfg;
   tcfg.slow_threshold_ms = -1;  // measuring span cost, not collecting slow
   estima::obs::Tracer tracer(registry, tcfg);
-  // The untraced side picks the next body, the traced side repeats it.
-  std::size_t body = 0;
-  const auto warm_request = [&](estima::obs::Tracer* t) {
+  // Both sides post body `step` of the same sequence.
+  const auto warm_request = [&](estima::obs::Tracer* t, std::size_t step) {
     server.set_tracer(t);
-    (void)post("/v1/predict", bodies[body], "text/csv");
+    (void)post("/v1/predict", bodies[step % bodies.size()], "text/csv");
   };
   const estima::bench::Overhead overhead = estima::bench::interleaved_overhead(
-      [&] {
-        body = (body + 1) % bodies.size();
-        warm_request(nullptr);
-      },
-      [&] { warm_request(&tracer); }, std::max(0.3, warm_seconds));
+      [&](std::size_t step) { warm_request(nullptr, step); },
+      [&](std::size_t step) { warm_request(&tracer, step); },
+      std::max(0.3, warm_seconds));
   server.set_tracer(nullptr);
   const double untraced_rps = 1e9 / overhead.untraced_ns;
   const double traced_rps = 1e9 / overhead.traced_ns;
@@ -463,7 +460,7 @@ int run_bench(int argc, char** argv) {
   w.kv("bit_identical_through_wire", identical);
   w.kv("untraced_warm_requests_per_sec", untraced_rps, 3);
   w.kv("traced_warm_requests_per_sec", traced_rps, 3);
-  w.kv("obs_overhead_pct", overhead.overhead_pct, 2);
+  estima::bench::write_overhead_json(w, overhead);
   estima::bench::write_latency_json(w, "warm_latency", warm_lat);
   w.begin_object("chaos");
   w.kv("enabled", chaos);

@@ -277,8 +277,8 @@ int run_bench(int argc, char** argv) {
   tcfg.slow_threshold_ms = -1;  // measuring span cost, not collecting slow
   estima::obs::Tracer tracer(registry, tcfg);
   const estima::bench::Overhead overhead = estima::bench::interleaved_overhead(
-      [&] { (void)service.predict_many(batch); },
-      [&] {
+      [&](std::size_t) { (void)service.predict_many(batch); },
+      [&](std::size_t) {
         estima::obs::TraceContext tctx(&tracer, tracer.generate_id(),
                                        Clock::now());
         (void)service.predict_many(batch, nullptr, &tctx);
@@ -405,7 +405,7 @@ int run_bench(int argc, char** argv) {
   w.kv("cache_evictions", after_warm.cache.evictions);
   w.kv("untraced_warm_campaigns_per_sec", untraced_cps, 3);
   w.kv("traced_warm_campaigns_per_sec", traced_cps, 3);
-  w.kv("obs_overhead_pct", overhead.overhead_pct, 2);
+  estima::bench::write_overhead_json(w, overhead);
   estima::bench::write_latency_json(w, "warm_latency", warm_lat);
   estima::bench::write_latency_json(w, "warm_batch_latency",
                                     warm.batch_latency);

@@ -291,7 +291,8 @@ int main(int argc, char** argv) {
           "estima_service_campaigns_submitted_total",
           "estima_cache_hits_total", "estima_server_requests_served_total",
           "estima_build_info{", "estima_service_explains_total",
-          "estima_fit_attempts_total{", "estima_fit_seconds_count{"}) {
+          "estima_fit_attempts_total{", "estima_fit_candidates_total{",
+          "estima_fit_seconds_count{"}) {
       if (metrics.body.find(family) == std::string::npos) {
         return fail("metrics content", std::string("missing ") + family);
       }
@@ -322,9 +323,11 @@ int main(int argc, char** argv) {
         return fail("campaign metrics", std::string("missing ") + needle);
       }
     }
-    // The served winner must have been counted by the per-kernel family.
-    const std::string winner_series = "estima_fit_attempts_total{kernel=\"" +
-                                      served_kernel + "\",outcome=\"winner\"}";
+    // The served winner must have been counted by the per-kernel candidate
+    // family (winners are candidate outcomes, never attempt outcomes).
+    const std::string winner_series =
+        "estima_fit_candidates_total{kernel=\"" + served_kernel +
+        "\",outcome=\"winner\"}";
     if (metrics.body.find(winner_series) == std::string::npos) {
       return fail("fit metrics", "missing series " + winner_series);
     }

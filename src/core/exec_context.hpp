@@ -14,6 +14,8 @@
 // Observation stays apart from the computation it observes.
 #pragma once
 
+#include <cstddef>
+
 namespace estima::parallel {
 class ThreadPool;
 }  // namespace estima::parallel
@@ -31,10 +33,13 @@ struct FitSlots;
 struct PredictionAudit;
 struct ExecContext;
 
-/// The fill phase of a candidate enumeration: fits the slots the memo did
-/// not answer, runs the realism filters and predicts (core/fit_slots.hpp
-/// has the contract).
-using FitFillFn = void (*)(FitSlots& slots, const ExecContext& ctx);
+/// One job of the fill phase: fits kernel `kernel`'s slots of `slots` that
+/// the memo did not answer, runs the realism filters and predicts
+/// (core/fit_slots.hpp has the contract). Returns the Levenberg-Marquardt
+/// point evaluations it spent (0 when it does not meter them). May throw
+/// std::bad_alloc, nothing else.
+using FitFillFn = std::size_t (*)(FitSlots& slots, std::size_t kernel,
+                                  const ExecContext& ctx);
 
 struct ExecContext {
   ExecContext() = default;
@@ -42,11 +47,13 @@ struct ExecContext {
   /// pool", and a pool is the knob most callers set.
   ExecContext(parallel::ThreadPool* p) : pool(p) {}
 
-  /// Fan the independent fit jobs (and, in predict(), the independent
-  /// stall categories) out across this pool. Null = single-threaded.
+  /// Fan the independent fit jobs out across this pool: predict() runs
+  /// every (series, kernel) job of a prediction in one parallel_for.
+  /// Null = single-threaded.
   parallel::ThreadPool* pool = nullptr;
-  /// Cooperative cancellation: fit jobs poll this between fits and stop
-  /// early once it expires. An enumeration that observed expiry returns
+  /// Cooperative cancellation: the fill polls this before each fit job
+  /// and skips the remaining jobs once it expires. An enumeration that
+  /// lost a job to expiry returns
   /// EMPTY candidate lists (a partial enumeration must never be scored)
   /// and reports the skips in EnumerationStats::fits_cancelled; it does
   /// not throw — callers decide, in serial context, whether to raise
@@ -62,8 +69,8 @@ struct ExecContext {
   /// takes its FitAudit sink as its own argument and rejects a context
   /// that carries this one. Not thread-safe: one sink per call.
   PredictionAudit* audit = nullptr;
-  /// Per-kernel fit metrics (attempt/outcome counters plus fit-time
-  /// histograms). Thread-safe and shareable process-wide.
+  /// Per-kernel fit metrics (attempt and candidate outcome counters plus
+  /// fit-time histograms). Thread-safe and shareable process-wide.
   FitMetrics* metrics = nullptr;
   /// Cross-prediction (kernel, prefix) fit memo for streaming campaigns:
   /// fit jobs whose full input (kernel, FitOptions, prefix data bits) is

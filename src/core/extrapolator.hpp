@@ -10,13 +10,18 @@
 //
 // The fit of a (kernel, prefix) pair depends only on the prefix, never on
 // the checkpoint setting, so the enumeration executes each pair once and
-// re-scores that one fit against every checkpoint set. The (kernel,
-// prefix) fit jobs are independent and can be fanned out across a
-// parallel::ThreadPool; candidate assembly and scoring stay serial in a
-// fixed order, so results are bit-identical regardless of memo or thread
-// count (core/fit_slots.hpp has the plan / fill / score split).
+// re-scores that one fit against every checkpoint set. An
+// EnumerationBatch plans several enumerations — predict() plans every
+// series of a prediction — and fans all their (enumeration, kernel) fit
+// jobs out in one parallel::parallel_for; candidate assembly and scoring
+// stay serial in a fixed order, so results are bit-identical regardless of
+// memo or thread count (core/fit_slots.hpp has the plan / fill / score
+// split). The single-series entry points below are one-enumeration
+// batches.
 #pragma once
 
+#include <cstddef>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -116,6 +121,63 @@ struct SeriesExtrapolation {
 // context carrying a PredictionAudit (ctx.audit) is rejected with
 // std::invalid_argument: that sink belongs to predict().
 
+/// Enumerations whose fit jobs run in one fan-out. add() plans each
+/// enumeration (slot layout, memo replay), fill() runs every
+/// (enumeration, kernel) job in ONE parallel_for over ctx.pool, heaviest
+/// first, and the caller then scores and settles the enumerations one at
+/// a time in serial context. Each job writes only its own slots, so the
+/// answer is the same at every pool size and in every job order. Not
+/// thread-safe: one batch per caller.
+class EnumerationBatch {
+ public:
+  /// Throws std::invalid_argument when ctx carries a PredictionAudit.
+  explicit EnumerationBatch(const ExecContext& ctx);
+  ~EnumerationBatch();
+  EnumerationBatch(const EnumerationBatch&) = delete;
+  EnumerationBatch& operator=(const EnumerationBatch&) = delete;
+
+  /// Plans one enumeration of (cores, values) under each realism filter
+  /// (1..64 of them, else std::invalid_argument; cfg.realism is ignored)
+  /// and returns its index. The filters are copied; cores, values, cfg
+  /// and audit must outlive the batch.
+  std::size_t add(const std::vector<int>& cores,
+                  const std::vector<double>& values,
+                  const ExtrapolationConfig& cfg,
+                  const std::vector<RealismOptions>& realism_filters,
+                  FitAudit* audit = nullptr);
+
+  /// Runs every planned fit job; call once, after the last add(). Jobs
+  /// never throw: one that finds the deadline expired or its workspace
+  /// allocation failing is counted in its enumeration's stats.
+  void fill();
+
+  /// Work accounting of enumeration i, final once fill() returned.
+  const EnumerationStats& stats(std::size_t i) const;
+
+  /// Scores enumeration i: emits its audit records, feeds the memo —
+  /// unless any job of the fill was cancelled or aborted — and returns one
+  /// candidate list per filter in the fixed (checkpoint setting, prefix,
+  /// kernel) order: empty lists when i itself was abandoned. Frees i's
+  /// slots; call once.
+  std::vector<std::vector<CandidateFit>> score(std::size_t i);
+
+  /// Closes enumeration i once its caller chose `winner` among the scored
+  /// candidates (null: none). The winner's candidate record becomes
+  /// FitOutcome::kWinner, the audit gets the winner scorecard — the
+  /// held-out checkpoint cores, the winning fit's scalar predictions there
+  /// and the measured values — and ctx.metrics counts every candidate
+  /// record of i once, by its final outcome.
+  void settle(std::size_t i, const CandidateFit* winner);
+
+  /// score() + the series selection of extrapolate_series + settle().
+  /// std::nullopt when no realistic candidate exists.
+  std::optional<SeriesExtrapolation> extrapolate(std::size_t i);
+
+ private:
+  struct Impl;
+  std::unique_ptr<Impl> impl_;
+};
+
 /// Extrapolates one series of (cores, values). Returns std::nullopt when no
 /// realistic candidate exists (degenerate input, fewer than min_prefix + 1
 /// points, ...). When `stats` is non-null it receives the enumeration's
@@ -126,10 +188,10 @@ std::optional<SeriesExtrapolation> extrapolate_series(
     const ExtrapolationConfig& cfg, const ExecContext& ctx = {},
     FitAudit* audit = nullptr, EnumerationStats* stats = nullptr);
 
-/// Enumerates every realistic candidate (used by the scaling-factor step,
-/// which selects by correlation rather than checkpoint RMSE, and by tests).
-/// Candidate order is fixed (checkpoint setting, then prefix, then kernel)
-/// and identical for every memo / pool combination. Each (kernel,
+/// Enumerates every realistic candidate (used by tests and benches; the
+/// scaling-factor step selects by correlation rather than checkpoint
+/// RMSE). Candidate order is fixed (checkpoint setting, then prefix, then
+/// kernel) and identical for every memo / pool combination. Each (kernel,
 /// prefix) pair is fitted once and scored under every checkpoint setting
 /// whose fitting range contains the prefix. When `stats` is non-null it
 /// receives the work accounting of this enumeration.
@@ -152,17 +214,5 @@ std::vector<std::vector<CandidateFit>> enumerate_candidates_filtered(
     const std::vector<RealismOptions>& realism_filters,
     const ExecContext& ctx = {}, FitAudit* audit = nullptr,
     EnumerationStats* stats = nullptr);
-
-/// Marks `best` as the winner of an enumeration in `audit`: upgrades the
-/// matching candidate record to FitOutcome::kWinner and fills the winner
-/// scorecard — the held-out checkpoint cores, the winning fit's scalar
-/// predictions there, and the measured values (scalar evaluation, so the
-/// scorecard is bit-identical however the candidates were fitted). Bumps
-/// the per-kernel winner counter when `metrics` is set. No-op when both
-/// are null.
-void audit_mark_winner(FitAudit* audit, FitMetrics* metrics,
-                       const CandidateFit& best,
-                       const std::vector<int>& cores,
-                       const std::vector<double>& values);
 
 }  // namespace estima::core

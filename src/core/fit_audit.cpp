@@ -1,7 +1,9 @@
 #include "core/fit_audit.hpp"
 
 #include <cmath>
+#include <string>
 
+#include "core/fit_engine.hpp"
 #include "obs/histogram.hpp"
 
 namespace estima::core {
@@ -38,18 +40,57 @@ FitOutcome fit_outcome_from_term(numeric::LevMarTermination t) {
   return FitOutcome::kNoFit;
 }
 
-void FitMetrics::init(obs::Registry& reg) {
-  for (std::size_t k = 0; k < kKernels; ++k) {
-    const std::string kname = kernel_name(kAllKernels[k]);
-    for (std::size_t o = 0; o < kFitOutcomeCount; ++o) {
-      attempts[k][o] = reg.counter(
-          "estima_fit_attempts_total",
-          "kernel=\"" + kname + "\",outcome=\"" +
-              fit_outcome_name(static_cast<FitOutcome>(o)) + "\"",
-          "Fit attempts and candidate scorings by kernel and outcome");
+namespace {
+
+bool is_attempt_outcome(FitOutcome o) {
+  return o <= FitOutcome::kNoFit || o == FitOutcome::kCancelled;
+}
+
+bool is_candidate_outcome(FitOutcome o) {
+  return o >= FitOutcome::kNoFit && o <= FitOutcome::kWinner;
+}
+
+void add(obs::Counter* const (&family)[FitMetrics::kKernels][kFitOutcomeCount],
+         KernelType kernel, FitOutcome outcome, std::uint64_t n) {
+  if (n == 0) return;
+  for (std::size_t k = 0; k < FitMetrics::kKernels; ++k) {
+    if (kAllKernels[k] == kernel) {
+      obs::Counter* c = family[k][static_cast<std::size_t>(outcome)];
+      if (c != nullptr) c->add(n);
+      return;
     }
+  }
+}
+
+}  // namespace
+
+void FitMetrics::init(obs::Registry& reg) {
+  // One family at a time: the exposition keeps a family's series together.
+  const auto labels = [](std::size_t k, std::size_t o) {
+    return "kernel=\"" + kernel_name(kAllKernels[k]) + "\",outcome=\"" +
+           fit_outcome_name(static_cast<FitOutcome>(o)) + "\"";
+  };
+  for (std::size_t k = 0; k < kKernels; ++k) {
+    for (std::size_t o = 0; o < kFitOutcomeCount; ++o) {
+      if (!is_attempt_outcome(static_cast<FitOutcome>(o))) continue;
+      attempts[k][o] = reg.counter(
+          "estima_fit_attempts_total", labels(k, o),
+          "Fit attempts (LM starts and direct solves) by kernel and "
+          "outcome, plus the fits of cancelled jobs");
+    }
+  }
+  for (std::size_t k = 0; k < kKernels; ++k) {
+    for (std::size_t o = 0; o < kFitOutcomeCount; ++o) {
+      if (!is_candidate_outcome(static_cast<FitOutcome>(o))) continue;
+      candidates[k][o] = reg.counter(
+          "estima_fit_candidates_total", labels(k, o),
+          "Scored (kernel, prefix) candidates by kernel and final outcome");
+    }
+  }
+  for (std::size_t k = 0; k < kKernels; ++k) {
     fit_seconds[k] = reg.histogram(
-        "estima_fit_seconds", "kernel=\"" + kname + "\"",
+        "estima_fit_seconds",
+        "kernel=\"" + kernel_name(kAllKernels[k]) + "\"",
         "Wall time of one fit job (every prefix of one kernel that the "
         "memo did not answer) by kernel");
   }
@@ -57,14 +98,22 @@ void FitMetrics::init(obs::Registry& reg) {
 
 void FitMetrics::count(KernelType kernel, FitOutcome outcome,
                        std::uint64_t n) {
-  if (n == 0) return;
-  for (std::size_t k = 0; k < kKernels; ++k) {
-    if (kAllKernels[k] == kernel) {
-      obs::Counter* c = attempts[k][static_cast<std::size_t>(outcome)];
-      if (c != nullptr) c->add(n);
-      return;
+  add(attempts, kernel, outcome, n);
+}
+
+void FitMetrics::count_attempts(KernelType kernel, const FitDiag& diag) {
+  if (diag.path == FitDiag::Path::kNonlinear && !diag.starts.empty()) {
+    for (const FitDiag::Start& st : diag.starts) {
+      count(kernel, fit_outcome_from_term(st.term));
     }
+  } else {
+    count(kernel, diag.solved ? FitOutcome::kConverged : FitOutcome::kNoFit);
   }
+}
+
+void FitMetrics::count_candidate(KernelType kernel, FitOutcome outcome,
+                                 std::uint64_t n) {
+  add(candidates, kernel, outcome, n);
 }
 
 void FitMetrics::record_fit_seconds(KernelType kernel, double seconds) {

@@ -9,9 +9,10 @@
 // golden-corpus bit-identity rule extends to audits.
 //
 // Per-kernel fit metrics (estima_fit_attempts_total{kernel,outcome},
-// estima_fit_seconds{kernel}) piggyback on the same records; wall-clock
-// timing deliberately lives only in the metrics, never in the audit,
-// because audits are bit-identity-checked and clocks are not.
+// estima_fit_candidates_total{kernel,outcome}, estima_fit_seconds{kernel})
+// piggyback on the same records; wall-clock timing deliberately lives only
+// in the metrics, never in the audit, because audits are
+// bit-identity-checked and clocks are not.
 #pragma once
 
 #include <cstdint>
@@ -30,9 +31,13 @@ class Histogram;
 
 namespace estima::core {
 
+struct FitDiag;
+
 /// Final disposition of one fit attempt or candidate. The first block
-/// mirrors LevMarTermination (attempt level); the second block is
-/// candidate level (how the enumeration scored the fit).
+/// mirrors LevMarTermination (attempt level; kNoFit also ends a direct
+/// solve that produced nothing); the second block is candidate level (how
+/// the enumeration scored the fit, kNoFit for a slot holding no fit);
+/// kCancelled counts fits of abandoned jobs.
 enum class FitOutcome : std::uint8_t {
   kConverged = 0,      ///< LM stopped on a tolerance
   kMaxIter,            ///< LM iteration budget exhausted
@@ -108,8 +113,7 @@ struct FitAudit {
 
 /// The audit of one full predict(): one FitAudit per stall category plus
 /// the scaling-factor enumeration's audit. predict() hands each
-/// category's enumeration its own sink, so the parallel category fan-out
-/// never shares one.
+/// enumeration its own sink.
 struct PredictionAudit {
   struct Category {
     std::string name;
@@ -122,17 +126,36 @@ struct PredictionAudit {
 
 /// Registry-backed per-kernel fit metrics, shared by every enumeration of
 /// a process (Counter/Histogram recording is lock-free). Outcome counts
-/// piggyback on the audit records; fit wall time is recorded by the fill
-/// per fit job and is deliberately absent from FitAudit.
+/// piggyback on the audit records, one family per record kind:
+///   * estima_fit_attempts_total{kernel,outcome} counts the FitAttempt
+///     outcomes (converged, max-iter, no-progress, cholesky-fail,
+///     nudge-exhausted, no-fit) of executed fits and the fits of
+///     cancelled jobs;
+///   * estima_fit_candidates_total{kernel,outcome} counts each scored
+///     candidate once, by its final FitCandidate outcome (no-fit,
+///     unrealistic-strict, unrealistic-relaxed, worse-rmse, winner).
+/// Fit wall time is recorded by the fill per fit job and is deliberately
+/// absent from FitAudit.
 struct FitMetrics {
   static constexpr std::size_t kKernels = kAllKernels.size();
+  /// Indexed by FitOutcome; null where the family has no such series.
   obs::Counter* attempts[kKernels][kFitOutcomeCount] = {};
+  obs::Counter* candidates[kKernels][kFitOutcomeCount] = {};
   obs::Histogram* fit_seconds[kKernels] = {};
 
   /// Registers (or re-finds) every family in `reg`. Call once at startup.
   void init(obs::Registry& reg);
 
+  /// An attempt outcome (or kCancelled) into estima_fit_attempts_total.
   void count(KernelType kernel, FitOutcome outcome, std::uint64_t n = 1);
+  /// The attempts of one executed fit, by the rule the audit's FitAttempt
+  /// records follow: one per LM start, else one direct solve (converged
+  /// when it produced a fit, no-fit otherwise). Fill jobs call it as they
+  /// fit; a memo replay executes no attempt and counts none.
+  void count_attempts(KernelType kernel, const FitDiag& diag);
+  /// A candidate outcome into estima_fit_candidates_total.
+  void count_candidate(KernelType kernel, FitOutcome outcome,
+                       std::uint64_t n = 1);
   void record_fit_seconds(KernelType kernel, double seconds);
 };
 

@@ -40,11 +40,11 @@
 // exactly. Both arrays grow to exactly what an insert batch needs (no
 // doubling slack) and clear() frees them.
 //
-// Thread safety: all methods are safe to call concurrently; one memo is
-// shared by the parallel category fan-out. Each enumeration looks up all
-// its (kernel, prefix) slots before its fit jobs run and inserts the
-// executed ones in one batch after they all completed, never from inside
-// a job. Like `pool` and `audit`, the memo rides in the ExecContext,
+// Thread safety: all methods are safe to call concurrently; one memo may
+// serve concurrent predictions. Each enumeration looks up all its
+// (kernel, prefix) slots before the fit jobs run and inserts the executed
+// ones in one batch after the whole fill completed, never from inside a
+// job. Like `pool` and `audit`, the memo rides in the ExecContext,
 // outside config_signature — it cannot change produced values, only how
 // fast they are produced.
 #pragma once

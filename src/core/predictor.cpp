@@ -9,7 +9,6 @@
 #include "core/hash.hpp"
 #include "numeric/stats.hpp"
 #include "obs/trace.hpp"
-#include "parallel/thread_pool.hpp"
 
 namespace estima::core {
 namespace {
@@ -144,15 +143,12 @@ Prediction predict(const MeasurementSet& ms, const PredictionConfig& cfg,
   // aggregate worker CPU time within this window.
   obs::SpanTimer enumerate_span(ctx.trace, obs::Stage::kFitEnumerate);
 
-  // (B) Extrapolate every stall category independently; weak scaling
-  // multiplies the extrapolated stall volume by the dataset factor. The
-  // categories are independent series, so they fan out across the pool
-  // (nested with the per-category fit fan-out; parallel_for nests safely).
-  // Each slot is written by exactly one job and assembled serially below,
-  // keeping the output bit-identical to a single-threaded run.
-  std::vector<std::optional<SeriesExtrapolation>> exts(
-      input.categories.size());
-  std::vector<EnumerationStats> ext_stats(input.categories.size());
+  // Every series of the prediction is planned first and all their fit
+  // jobs run in ONE fan-out: (B) each stall category, extrapolated
+  // independently, and (C) the scaling factor time(n) = f(n) * spc(n),
+  // whose measured values depend only on the input. Scoring and selection
+  // then run serially in a fixed order, so the output is bit-identical to
+  // a single-threaded run.
   if (audit != nullptr) {
     audit->categories.clear();
     audit->categories.resize(input.categories.size());
@@ -162,35 +158,72 @@ Prediction predict(const MeasurementSet& ms, const PredictionConfig& cfg,
     audit->factor = FitAudit{};
     audit->factor_used_relaxed = false;
   }
-  parallel::parallel_for(
-      ctx.pool, input.categories.size(), [&](std::size_t i) {
-        exts[i] = extrapolate_series(
-            input.cores, input.categories[i].values, extrap, fits,
-            audit != nullptr ? &audit->categories[i].audit : nullptr,
-            &ext_stats[i]);
-      });
+  EnumerationBatch batch(fits);
+  for (std::size_t i = 0; i < input.categories.size(); ++i) {
+    batch.add(input.cores, input.categories[i].values, extrap, {extrap.realism},
+              audit != nullptr ? &audit->categories[i].audit : nullptr);
+  }
+
+  // The scaling factor (seconds per stalled-cycle-per-core) varies slowly
+  // with n — it never explodes the way stall volumes can. Bound its
+  // extrapolation to a small multiple of the measured range so pathological
+  // fits cannot win the correlation contest below; fall back to the default
+  // (loose) realism before giving up. The two passes differ only in the
+  // realism filter, so they score one shared fit execution instead of
+  // refitting everything on the retry (auditable via factor_stats).
+  const std::vector<double> spc_meas =
+      input.stalls_per_core(cfg.include_frontend, cfg.use_software_stalls);
+  std::vector<double> factor_meas(input.num_points());
+  bool zero_spc = false;
+  for (std::size_t i = 0; i < input.num_points(); ++i) {
+    if (spc_meas[i] <= 0.0) {
+      zero_spc = true;
+      break;
+    }
+    factor_meas[i] = input.time_s[i] * out.freq_scale / spc_meas[i];
+  }
+  RealismOptions strict_realism = extrap.realism;
+  strict_realism.explosion_factor = 5.0;
+  const std::vector<RealismOptions> factor_filters = {strict_realism,
+                                                      extrap.realism};
+  const std::size_t factor =
+      zero_spc ? 0
+               : batch.add(input.cores, factor_meas, extrap, factor_filters,
+                           audit != nullptr ? &audit->factor : nullptr);
+  batch.fill();
+
   // A category whose enumeration was abandoned mid-way reads as "no
   // realistic fit" — indistinguishable from a legitimately unfittable
   // series — so the abandonment check must run before the
   // constant-extension fallback below can capture it.
-  for (const auto& stats : ext_stats) {
-    raise_if_abandoned(stats, "category extrapolation");
+  for (std::size_t i = 0; i < input.categories.size(); ++i) {
+    raise_if_abandoned(batch.stats(i), "category extrapolation");
   }
+  if (zero_spc) {
+    throw std::invalid_argument(
+        "predict: zero stalls-per-core at a measured point");
+  }
+  out.factor_stats = batch.stats(factor);
+  raise_if_abandoned(out.factor_stats, "scaling-factor enumeration");
+
+  // (B) Weak scaling multiplies the extrapolated stall volume by the
+  // dataset factor. Each category's candidates are selected and dropped
+  // before the next is scored.
   out.categories.reserve(input.categories.size());
   for (std::size_t i = 0; i < input.categories.size(); ++i) {
     const auto& cat = input.categories[i];
     CategoryPrediction cp;
     cp.name = cat.name;
     cp.domain = cat.domain;
-    if (exts[i]) {
-      cp.extrapolation = std::move(*exts[i]);
+    if (auto ext = batch.extrapolate(i)) {
+      cp.extrapolation = std::move(*ext);
     } else {
       cp.extrapolation = constant_extension(cat.values.back());
       // The enumeration still ran; keep its work accounting visible.
-      cp.extrapolation.candidates_considered = ext_stats[i].candidates_attempted;
-      cp.extrapolation.fits_executed = ext_stats[i].fits_executed;
-      cp.extrapolation.duplicate_fits_eliminated =
-          ext_stats[i].duplicate_fits_eliminated;
+      const EnumerationStats& st = batch.stats(i);
+      cp.extrapolation.candidates_considered = st.candidates_attempted;
+      cp.extrapolation.fits_executed = st.fits_executed;
+      cp.extrapolation.duplicate_fits_eliminated = st.duplicate_fits_eliminated;
     }
     cp.values = cp.extrapolation.predict(cfg.target_cores);
     for (double& v : cp.values) v *= cfg.dataset_scale;
@@ -205,34 +238,9 @@ Prediction predict(const MeasurementSet& ms, const PredictionConfig& cfg,
     out.stalls_per_core[i] = total / static_cast<double>(cfg.target_cores[i]);
   }
 
-  // (C) Scaling factor: time(n) = f(n) * spc(n). Compute measured factor
-  // values, enumerate kernel fits, choose the one whose induced prediction
-  // correlates best with stalls-per-core (Section 3.1.3).
-  const std::vector<double> spc_meas =
-      input.stalls_per_core(cfg.include_frontend, cfg.use_software_stalls);
-  std::vector<double> factor_meas(input.num_points());
-  for (std::size_t i = 0; i < input.num_points(); ++i) {
-    const double spc = spc_meas[i];
-    if (spc <= 0.0) {
-      throw std::invalid_argument(
-          "predict: zero stalls-per-core at a measured point");
-    }
-    factor_meas[i] = input.time_s[i] * out.freq_scale / spc;
-  }
-
-  // The scaling factor (seconds per stalled-cycle-per-core) varies slowly
-  // with n — it never explodes the way stall volumes can. Bound its
-  // extrapolation to a small multiple of the measured range so pathological
-  // fits cannot win the correlation contest below; fall back to the default
-  // (loose) realism before giving up. The two passes differ only in the
-  // realism filter, so they score one shared fit execution instead of
-  // refitting everything on the retry (auditable via factor_stats).
-  RealismOptions strict_realism = extrap.realism;
-  strict_realism.explosion_factor = 5.0;
-  auto factor_passes = enumerate_candidates_filtered(
-      input.cores, factor_meas, extrap, {strict_realism, extrap.realism}, fits,
-      audit != nullptr ? &audit->factor : nullptr, &out.factor_stats);
-  raise_if_abandoned(out.factor_stats, "scaling-factor enumeration");
+  // (C) Choose the factor fit whose induced prediction correlates best
+  // with stalls-per-core (Section 3.1.3).
+  auto factor_passes = batch.score(factor);
   enumerate_span.stop();
   out.factor_used_relaxed_realism = factor_passes[0].empty();
   if (audit != nullptr) {
@@ -241,6 +249,7 @@ Prediction predict(const MeasurementSet& ms, const PredictionConfig& cfg,
   std::vector<CandidateFit> factor_candidates = std::move(
       out.factor_used_relaxed_realism ? factor_passes[1] : factor_passes[0]);
   if (factor_candidates.empty()) {
+    batch.settle(factor, nullptr);
     throw std::invalid_argument(
         "predict: no realistic scaling-factor fit found");
   }
@@ -288,6 +297,7 @@ Prediction predict(const MeasurementSet& ms, const PredictionConfig& cfg,
         {&cand, numeric::pearson(time_pred, out.stalls_per_core)});
   }
   if (scored.empty()) {
+    batch.settle(factor, nullptr);
     throw std::invalid_argument(
         "predict: every scaling-factor candidate produced degenerate times");
   }
@@ -307,10 +317,8 @@ Prediction predict(const MeasurementSet& ms, const PredictionConfig& cfg,
   out.factor_fn = chosen->fn;
   out.factor_correlation = chosen_corr;
   // The factor winner is chosen here (by correlation), not inside the
-  // enumeration, so the winner upgrade happens here too. Metrics-only
-  // callers still get their winner counter bumped.
-  audit_mark_winner(audit != nullptr ? &audit->factor : nullptr,
-                    ctx.metrics, *chosen, input.cores, factor_meas);
+  // enumeration, so the winner upgrade happens here too.
+  batch.settle(factor, chosen);
 
   // The factor (seconds per stalled-cycle-per-core) is a slowly varying
   // link between two quantities that already carry the scaling trend, so

@@ -71,22 +71,25 @@ struct Prediction {
 /// The answer is a function of (ms, cfg) alone; `ctx` only says how it is
 /// executed, and a prediction that returns is byte-identical for every
 /// context:
-///   * ctx.pool fans the stall categories and their fit jobs out;
-///   * ctx.deadline is polled between fits — once it expires the pipeline
-///     stops within one fit and throws DeadlineExceeded;
+///   * ctx.pool runs the prediction's fit jobs — one per (series, kernel)
+///     over every stall category and the scaling factor — in one
+///     parallel_for, heaviest first;
+///   * ctx.deadline is polled before each fit job — once it expires the
+///     remaining jobs are skipped and predict throws DeadlineExceeded;
 ///   * ctx.trace receives a `fit.enumerate` wall span over the
 ///     extrapolation + scaling-factor phases and, inside the fit jobs,
 ///     nested `fit.levmar` / `fit.realism` spans;
-///   * ctx.audit receives one FitAudit per stall category (each category
-///     writes its own, so the parallel fan-out never shares one) plus the
+///   * ctx.audit receives one FitAudit per stall category plus the
 ///     scaling-factor enumeration's audit with its winner scorecard,
 ///     collected in serial slot order so it too is bit-identical across
 ///     pool sizes;
-///   * ctx.metrics counts fit outcomes and fit time per kernel;
+///   * ctx.metrics counts fit attempt and candidate outcomes and fit time
+///     per kernel;
 ///   * ctx.memo replays fits whose exact input it already holds and keeps
-///     the executed ones — the streaming-campaign path threads a
-///     per-campaign memo here so an append-then-repredict executes only
-///     the fits the new point created;
+///     the executed ones (none when any fit job was abandoned) — the
+///     streaming-campaign path threads a per-campaign memo here so an
+///     append-then-repredict executes only the fits the new point
+///     created;
 ///   * ctx.engine is the test seam that swaps in another fill (the scalar
 ///     oracle); null, the library's one engine, everywhere else.
 Prediction predict(const MeasurementSet& ms, const PredictionConfig& cfg,

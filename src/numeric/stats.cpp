@@ -37,10 +37,17 @@ double rmse(const std::vector<double>& a, const std::vector<double>& b) {
 double rmse_at(const std::vector<double>& pred,
                const std::vector<double>& truth,
                const std::vector<std::size_t>& indices) {
+  assert(std::all_of(indices.begin(), indices.end(), [&](std::size_t i) {
+    return i < pred.size() && i < truth.size();
+  }));
+  return rmse_at(pred.data(), truth.data(), indices);
+}
+
+double rmse_at(const double* pred, const double* truth,
+               const std::vector<std::size_t>& indices) {
   if (indices.empty()) return 0.0;
   double acc = 0.0;
   for (std::size_t idx : indices) {
-    assert(idx < pred.size() && idx < truth.size());
     const double d = pred[idx] - truth[idx];
     acc += d * d;
   }

@@ -18,6 +18,10 @@ double rmse_at(const std::vector<double>& pred,
                const std::vector<double>& truth,
                const std::vector<std::size_t>& indices);
 
+/// rmse_at over raw arrays; every index must be in range of both.
+double rmse_at(const double* pred, const double* truth,
+               const std::vector<std::size_t>& indices);
+
 /// Pearson correlation coefficient in [-1, 1]. Returns 0 when either series
 /// is constant (correlation undefined); callers treat that as "no signal".
 double pearson(const std::vector<double>& a, const std::vector<double>& b);

@@ -1,18 +1,20 @@
 // A small fixed-size thread pool and a deterministic parallel_for.
 //
 // ESTIMA's fitting pipeline fans out thousands of independent
-// (kernel, prefix) fits per prediction, and the stall categories of a
-// prediction are themselves independent. Both loops are embarrassingly
-// parallel with per-index result slots, so parallelism never changes
-// results: every index writes its own slot and the surrounding reduction
-// stays serial, making multi-threaded output bit-identical to
-// single-threaded.
+// (kernel, prefix) fits per prediction. predict() runs them as one
+// parallel_for over every (series, kernel) job of the prediction — the
+// stall categories and the scaling factor alike — with per-job result
+// slots, so parallelism never changes results: every index writes its own
+// slot and the surrounding reduction stays serial, making multi-threaded
+// output bit-identical to single-threaded.
 //
 // parallel_for is nesting-safe by construction: the calling thread claims
 // indices from the shared counter alongside the workers, so an outer
-// parallel_for (categories) whose body runs an inner parallel_for (fits)
-// can never deadlock even when every pool worker is busy — the caller
-// simply drains the remaining indices itself.
+// parallel_for whose body runs an inner one can never deadlock even when
+// every pool worker is busy — the caller simply drains the remaining
+// indices itself. predict() itself does not nest; the serving layer's
+// predict_many does, fanning a batch's missed campaigns out on the same
+// pool each predict() fans its fit jobs onto.
 #pragma once
 
 #include <condition_variable>

@@ -1,20 +1,15 @@
 #include "oracle/scalar_fit.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <new>
 
-#include "core/deadline.hpp"
 #include "core/fit_audit.hpp"
 #include "core/kernel_points.hpp"
-#include "fault/fault_injection.hpp"
 #include "numeric/linalg.hpp"
 #include "obs/trace.hpp"
-#include "parallel/thread_pool.hpp"
 
 namespace estima::numeric {
 namespace {
@@ -440,58 +435,47 @@ std::optional<FittedFunction> fit_kernel(KernelType type,
   return fit_nonlinear_kernel(type, xs, ys_scaled, scale, opts, diag);
 }
 
-void scalar_fill(FitSlots& sl, const ExecContext& ctx) {
+std::size_t scalar_fill(FitSlots& sl, std::size_t k, const ExecContext& ctx) {
   const std::vector<double>& xs = sl.xs;
   const std::vector<double>& values = *sl.values;
-  FitDiag* const diag_base = sl.diags.empty() ? nullptr : sl.diags.data();
-  std::atomic<std::size_t> jobs_cancelled{0};
-  std::atomic<std::size_t> jobs_aborted{0};
-  parallel::parallel_for(ctx.pool, sl.n_slots, [&](std::size_t s) {
-    if (ctx.deadline != nullptr && ctx.deadline->expired()) {
-      jobs_cancelled.fetch_add(1, std::memory_order_relaxed);
+  const KernelType type = kAllKernels[k];
+  for (std::size_t s = k; s < sl.n_slots; s += FitSlots::K) {
+    if (!sl.replayed[s]) {
+      const int i = sl.prefix_of(s);
+      const std::vector<double> pxs(xs.begin(), xs.begin() + i);
+      const std::vector<double> pys(values.begin(), values.begin() + i);
+      obs::SpanTimer levmar_span(ctx.trace, obs::Stage::kFitLevmar);
+      std::chrono::steady_clock::time_point t0;
+      if (ctx.metrics != nullptr) t0 = std::chrono::steady_clock::now();
+      FitDiag local;  // the attempts metrics read when no slot keeps one
+      FitDiag* diag = !sl.diags.empty()      ? &sl.diags[s]
+                      : ctx.metrics != nullptr ? &local
+                                               : nullptr;
+      sl.fits[s] = fit_kernel(type, pxs, pys, *sl.fit, diag);
       if (ctx.metrics != nullptr) {
-        ctx.metrics->count(sl.kernel_of(s), FitOutcome::kCancelled);
+        ctx.metrics->record_fit_seconds(type, elapsed_seconds(t0));
+        ctx.metrics->count_attempts(type, *diag);
       }
-      return;
     }
-    try {
-      if (fault::fault_point("alloc.workspace")) throw std::bad_alloc();
-      const KernelType type = sl.kernel_of(s);
-      if (!sl.replayed[s]) {
-        const int i = sl.prefix_of(s);
-        const std::vector<double> pxs(xs.begin(), xs.begin() + i);
-        const std::vector<double> pys(values.begin(), values.begin() + i);
-        obs::SpanTimer levmar_span(ctx.trace, obs::Stage::kFitLevmar);
-        std::chrono::steady_clock::time_point t0;
-        if (ctx.metrics != nullptr) t0 = std::chrono::steady_clock::now();
-        sl.fits[s] = fit_kernel(type, pxs, pys, *sl.fit,
-                                diag_base ? diag_base + s : nullptr);
-        if (ctx.metrics != nullptr) {
-          ctx.metrics->record_fit_seconds(type, elapsed_seconds(t0));
+    if (!sl.fits[s]) continue;
+    const FittedFunction& fn = *sl.fits[s];
+    std::uint64_t mask = 0;
+    {
+      obs::SpanTimer realism_span(ctx.trace, obs::Stage::kFitRealism);
+      for (std::size_t v = 0; v < sl.filters.size(); ++v) {
+        if (is_realistic(fn, sl.filters[v], sl.vmax, sl.nonneg)) {
+          mask |= std::uint64_t{1} << v;
         }
       }
-      if (!sl.fits[s]) return;
-      const FittedFunction& fn = *sl.fits[s];
-      std::uint64_t mask = 0;
-      {
-        obs::SpanTimer realism_span(ctx.trace, obs::Stage::kFitRealism);
-        for (std::size_t v = 0; v < sl.filters.size(); ++v) {
-          if (is_realistic(fn, sl.filters[v], sl.vmax, sl.nonneg)) {
-            mask |= std::uint64_t{1} << v;
-          }
-        }
-      }
-      sl.realistic[s] = mask;
-      if (mask == 0) return;
-      std::vector<double>& pred = sl.preds[s];
-      pred.resize(xs.size());
-      for (std::size_t j = 0; j < pred.size(); ++j) pred[j] = fn(xs[j]);
-    } catch (const std::bad_alloc&) {
-      jobs_aborted.fetch_add(1, std::memory_order_relaxed);
     }
-  });
-  sl.fits_cancelled = jobs_cancelled.load(std::memory_order_relaxed);
-  sl.fits_aborted = jobs_aborted.load(std::memory_order_relaxed);
+    sl.realistic[s] = mask;
+    if (mask == 0) continue;
+    double* pred = sl.pred(s);
+    for (std::size_t j = sl.pred_lo; j < xs.size(); ++j) {
+      pred[j - sl.pred_lo] = fn(xs[j]);
+    }
+  }
+  return 0;
 }
 
 }  // namespace estima::core

@@ -1,5 +1,5 @@
 // The scalar fit oracle: one fit_kernel / is_realistic call per (kernel,
-// prefix) job over a single-problem Levenberg-Marquardt. The library's one
+// prefix) slot over a single-problem Levenberg-Marquardt. The library's one
 // engine (the batched fill in src/core/extrapolator.cpp) must reproduce it
 // bit for bit; scalar_fill plugs into ExecContext::engine so the golden
 // tests and fit_throughput's baseline can run it. Both share the start
@@ -108,10 +108,12 @@ std::optional<FittedFunction> fit_kernel(KernelType type,
                                          const FitOptions& opts = {},
                                          FitDiag* diag = nullptr);
 
-/// The scalar fill (core/fit_slots.hpp has the contract): one job per
-/// slot, fanned out across ctx.pool, each a fit_kernel call, one
-/// is_realistic call per filter and a FittedFunction evaluation per
-/// measured core. Select it with `ctx.engine = &scalar_fill`.
-void scalar_fill(FitSlots& slots, const ExecContext& ctx);
+/// The scalar fill job (core/fit_slots.hpp has the contract): for each of
+/// kernel k's slots in turn, a fit_kernel call, one is_realistic call per
+/// filter and a FittedFunction evaluation per measured core. It runs in
+/// the library's one fan-out; select it with `ctx.engine = &scalar_fill`.
+/// Meters no LM evaluations (returns 0).
+std::size_t scalar_fill(FitSlots& slots, std::size_t k,
+                        const ExecContext& ctx);
 
 }  // namespace estima::core

@@ -9,8 +9,9 @@
 //     and exactly one candidate per decided series carries kWinner;
 //   * attaching an audit or FitMetrics must not move config_signature
 //     (a warm snapshot stays loadable when observability is toggled);
-//   * FitMetrics piggybacks on the same records: per-kernel winner
-//     counters and fit-seconds histograms fill in, and the rendered
+//   * FitMetrics piggybacks on the same records: per-kernel attempt and
+//     candidate counters (one family each, the winner among the
+//     candidates) and fit-seconds histograms fill in, and the rendered
 //     registry still passes the Prometheus validator.
 #include "core/fit_audit.hpp"
 
@@ -20,9 +21,11 @@
 #include <cmath>
 #include <cstdio>
 #include <string>
+#include <utility>
 
 #include "core/extrapolator.hpp"
 #include "core/fit_engine.hpp"
+#include "core/fit_memo.hpp"
 #include "core/predictor.hpp"
 #include "obs/histogram.hpp"
 #include "obs/prometheus.hpp"
@@ -292,6 +295,9 @@ TEST(FitAudit, RealismRejectedFitsAreAuditedAsUnrealistic) {
   }
 }
 
+// One meaning per family: estima_fit_attempts_total counts the audit's
+// FitAttempt records, estima_fit_candidates_total counts each FitCandidate
+// record once, by its final outcome (the winner under "winner" only).
 TEST(FitMetrics, CountsWinnersAndRecordsFitSeconds) {
   const MeasurementSet ms = campaign();
   obs::Registry reg;
@@ -304,20 +310,49 @@ TEST(FitMetrics, CountsWinnersAndRecordsFitSeconds) {
   ctx.metrics = &metrics;
   const Prediction pred = predict(ms, cfg, ctx);
 
-  // One winner per decided series: every category plus the factor.
-  std::uint64_t winners = 0;
-  std::uint64_t attempts = 0;
+  std::uint64_t attempts = 0, candidates = 0, winners = 0, worse = 0;
   std::uint64_t fits_timed = 0;
   for (std::size_t k = 0; k < FitMetrics::kKernels; ++k) {
     for (std::size_t o = 0; o < kFitOutcomeCount; ++o) {
-      const std::uint64_t v = metrics.attempts[k][o]->value();
-      attempts += v;
-      if (static_cast<FitOutcome>(o) == FitOutcome::kWinner) winners += v;
+      const FitOutcome outcome = static_cast<FitOutcome>(o);
+      const bool attempt_series =
+          outcome <= FitOutcome::kNoFit || outcome == FitOutcome::kCancelled;
+      const bool candidate_series =
+          outcome >= FitOutcome::kNoFit && outcome <= FitOutcome::kWinner;
+      ASSERT_EQ(metrics.attempts[k][o] != nullptr, attempt_series)
+          << fit_outcome_name(outcome);
+      ASSERT_EQ(metrics.candidates[k][o] != nullptr, candidate_series)
+          << fit_outcome_name(outcome);
+      if (attempt_series) attempts += metrics.attempts[k][o]->value();
+      if (candidate_series) {
+        const std::uint64_t v = metrics.candidates[k][o]->value();
+        candidates += v;
+        if (outcome == FitOutcome::kWinner) winners += v;
+        if (outcome == FitOutcome::kWorseRmse) worse += v;
+      }
     }
     fits_timed += metrics.fit_seconds[k]->snapshot().count;
   }
+  std::size_t audit_attempts = audit.factor.attempts.size();
+  std::size_t audit_candidates = audit.factor.candidates.size();
+  std::size_t audit_worse = 0;
+  for (const auto& cat : audit.categories) {
+    audit_attempts += cat.audit.attempts.size();
+    audit_candidates += cat.audit.candidates.size();
+  }
+  const auto count_worse = [&](const FitAudit& a) {
+    for (const FitCandidate& c : a.candidates) {
+      audit_worse += c.outcome == FitOutcome::kWorseRmse;
+    }
+  };
+  count_worse(audit.factor);
+  for (const auto& cat : audit.categories) count_worse(cat.audit);
+
+  // One winner per decided series: every category plus the factor.
   EXPECT_EQ(winners, pred.categories.size() + 1);
-  EXPECT_GT(attempts, winners);
+  EXPECT_EQ(attempts, audit_attempts);
+  EXPECT_EQ(candidates, audit_candidates);
+  EXPECT_EQ(worse, audit_worse);
   EXPECT_GT(fits_timed, 0u);
 
   // The winner's own series must have been counted under its kernel.
@@ -325,7 +360,7 @@ TEST(FitMetrics, CountsWinnersAndRecordsFitSeconds) {
   for (std::size_t k = 0; k < FitMetrics::kKernels; ++k) {
     if (kAllKernels[k] == pred.factor_fn.type) {
       winner_counted =
-          metrics.attempts[k][static_cast<std::size_t>(FitOutcome::kWinner)]
+          metrics.candidates[k][static_cast<std::size_t>(FitOutcome::kWinner)]
               ->value() > 0;
     }
   }
@@ -337,8 +372,46 @@ TEST(FitMetrics, CountsWinnersAndRecordsFitSeconds) {
   EXPECT_FALSE(err.has_value()) << *err;
   EXPECT_NE(w.str().find("estima_fit_attempts_total{kernel=\""),
             std::string::npos);
+  EXPECT_NE(w.str().find("estima_fit_candidates_total{kernel=\""),
+            std::string::npos);
+  EXPECT_EQ(w.str().find("estima_fit_attempts_total{kernel=\"Rat22\","
+                         "outcome=\"winner\"}"),
+            std::string::npos);
   EXPECT_NE(w.str().find("estima_fit_seconds_bucket{kernel=\""),
             std::string::npos);
+}
+
+// A memo replay executes no fit, so it counts no attempt; its candidates
+// are still scored, and counted, like fresh ones.
+TEST(FitMetrics, MemoReplaysCountCandidatesButNoAttempts) {
+  const MeasurementSet ms = campaign();
+  obs::Registry reg;
+  FitMetrics metrics;
+  metrics.init(reg);
+  FitMemo memo;
+  ExecContext ctx;
+  ctx.metrics = &metrics;
+  ctx.memo = &memo;
+  const auto totals = [&] {
+    std::uint64_t attempts = 0, candidates = 0;
+    for (std::size_t k = 0; k < FitMetrics::kKernels; ++k) {
+      for (std::size_t o = 0; o < kFitOutcomeCount; ++o) {
+        if (metrics.attempts[k][o]) attempts += metrics.attempts[k][o]->value();
+        if (metrics.candidates[k][o]) {
+          candidates += metrics.candidates[k][o]->value();
+        }
+      }
+    }
+    return std::make_pair(attempts, candidates);
+  };
+  (void)predict(ms, base_config(), ctx);
+  const auto cold = totals();
+  ASSERT_GT(cold.first, 0u);
+  ASSERT_GT(cold.second, 0u);
+  (void)predict(ms, base_config(), ctx);
+  const auto warm = totals();
+  EXPECT_EQ(warm.first, cold.first) << "a memo replay counted attempts";
+  EXPECT_EQ(warm.second, 2 * cold.second);
 }
 
 TEST(FitOutcome, NamesAreTheStableKebabCaseSchema) {

@@ -64,8 +64,8 @@ TEST(ParallelFor, ZeroAndOneIndexEdgeCases) {
 
 // The acceptance bar for the parallel pipeline: predict() output must be
 // bit-identical with and without pool threads — parallelism only fans out
-// independent (kernel, prefix) fit jobs and category extrapolations into
-// per-index slots, all scoring and selection stays serial.
+// independent (series, kernel) fit jobs into per-index slots, all scoring
+// and selection stays serial.
 TEST(ParallelPredict, BitIdenticalAcrossThreadCounts) {
   sim::SyntheticSpec spec;
   spec.stm_rate = 1e-4;

@@ -2,11 +2,20 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <sstream>
+#include <string>
+#include <thread>
+#include <vector>
 
+#include "core/deadline.hpp"
+#include "core/fit_audit.hpp"
+#include "core/fit_memo.hpp"
+#include "core/fit_slots.hpp"
 #include "core/prediction_io.hpp"
 #include "legacy_writers.hpp"
+#include "obs/histogram.hpp"
 #include "oracle/scalar_fit.hpp"
 #include "parallel/thread_pool.hpp"
 #include "simmachine/synthetic.hpp"
@@ -254,11 +263,15 @@ TEST(Predictor, GoldenCorpusByteEqualAcrossEnginesAndPools) {
   corpus[2].stm_rate = 0.002;                         // abort-dominated
 
   parallel::ThreadPool pool(4);
+  // More workers than a prediction has fit jobs: most claim nothing.
+  parallel::ThreadPool wide(64);
   for (std::size_t w = 0; w < corpus.size(); ++w) {
     const auto measured = make_synthetic(corpus[w], counts_up_to(12));
 
     PredictionConfig cfg;
     cfg.target_cores = counts_up_to(48);
+    ASSERT_GT(wide.size(),
+              (measured.categories.size() + 1) * kAllKernels.size());
 
     // Every record is also held byte-equal to the legacy ostream writer
     // (tests/legacy_writers.hpp), the format's reference bytes.
@@ -282,6 +295,141 @@ TEST(Predictor, GoldenCorpusByteEqualAcrossEnginesAndPools) {
         << "workload " << w << ": library engine diverged (serial)";
     EXPECT_EQ(record(nullptr, &pool), golden)
         << "workload " << w << ": library engine diverged (pooled)";
+    EXPECT_EQ(record(&scalar_fill, &wide), golden)
+        << "workload " << w << ": scalar oracle changed under the wide pool";
+    EXPECT_EQ(record(nullptr, &wide), golden)
+        << "workload " << w << ": library engine diverged (wide pool)";
+  }
+}
+
+// predict() runs every fit job of a prediction in one fan-out. The tests
+// below hold that schedule to the old one's exception order, its memo
+// rule and its answers under concurrent callers.
+
+// The deadline a cancelling_job cancels when it runs first.
+std::atomic<Deadline*> g_cancel_on_first_job{nullptr};
+
+// A fill job that cancels the prediction's deadline when it is the first
+// job to run, then fills like the scalar oracle.
+std::size_t cancelling_job(FitSlots& slots, std::size_t k,
+                           const ExecContext& ctx) {
+  if (Deadline* d = g_cancel_on_first_job.exchange(nullptr)) d->cancel();
+  return scalar_fill(slots, k, ctx);
+}
+
+TEST(PredictSchedule, CancelledFirstJobRaisesCategoryDeadlineAndFeedsNoMemo) {
+  SyntheticSpec spec;
+  spec.mem_growth = 0.01;
+  spec.lock_rate = 0.002;
+  const auto measured = make_synthetic(spec, counts_up_to(12));
+  PredictionConfig cfg;
+  cfg.target_cores = counts_up_to(48);
+
+  parallel::ThreadPool pool(2);
+  for (parallel::ThreadPool* p : {static_cast<parallel::ThreadPool*>(nullptr),
+                                  &pool}) {
+    obs::Registry reg;
+    FitMetrics metrics;
+    metrics.init(reg);
+    FitMemo memo;
+    Deadline deadline;
+    g_cancel_on_first_job = &deadline;
+    ExecContext ctx(p);
+    ctx.engine = &cancelling_job;
+    ctx.deadline = &deadline;
+    ctx.memo = &memo;
+    ctx.metrics = &metrics;
+    try {
+      (void)predict(measured, cfg, ctx);
+      FAIL() << "a cancelled fill must not produce an answer";
+    } catch (const DeadlineExceeded& e) {
+      EXPECT_STREQ(e.what(),
+                   "predict: deadline expired during category extrapolation");
+    }
+    EXPECT_EQ(g_cancel_on_first_job.load(), nullptr);
+    EXPECT_EQ(memo.stats().entries, 0u) << "an abandoned fill fed the memo";
+    std::uint64_t cancelled = 0;
+    for (std::size_t k = 0; k < FitMetrics::kKernels; ++k) {
+      cancelled +=
+          metrics.attempts[k][static_cast<std::size_t>(FitOutcome::kCancelled)]
+              ->value();
+    }
+    EXPECT_GT(cancelled, 0u);
+  }
+}
+
+TEST(PredictSchedule, ZeroStallsPerCoreRaisesTheSameMessage) {
+  SyntheticSpec spec;
+  spec.mem_growth = 0.005;
+  auto measured = make_synthetic(spec, counts_up_to(12));
+  for (auto& cat : measured.categories) cat.values[5] = 0.0;
+  PredictionConfig cfg;
+  cfg.target_cores = counts_up_to(48);
+  parallel::ThreadPool pool(2);
+  for (const FitFillFn engine : {&scalar_fill, FitFillFn{}}) {
+    ExecContext ctx(&pool);
+    ctx.engine = engine;
+    try {
+      (void)predict(measured, cfg, ctx);
+      FAIL() << "a zero stalls-per-core point must be rejected";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_STREQ(e.what(),
+                   "predict: zero stalls-per-core at a measured point");
+    }
+  }
+}
+
+// The daemon's shape: two request threads calling predict() on one
+// 2-worker pool, whose fan-outs interleave on the same workers.
+TEST(PredictSchedule, ConcurrentCallersOnOnePoolMatchSerialRecords) {
+  std::vector<SyntheticSpec> corpus(3);
+  corpus[0].mem_growth = 0.005;
+  corpus[1].mem_growth = 0.01;
+  corpus[1].lock_rate = 0.002;
+  corpus[2].mem_growth = 0.01;
+  corpus[2].stm_rate = 0.002;
+  std::vector<MeasurementSet> campaigns;
+  for (const auto& spec : corpus) {
+    campaigns.push_back(make_synthetic(spec, counts_up_to(12)));
+  }
+  PredictionConfig cfg;
+  cfg.target_cores = counts_up_to(48);
+  const auto record = [&](const MeasurementSet& ms, const ExecContext& ctx) {
+    std::ostringstream os;
+    write_prediction(os, predict(ms, cfg, ctx));
+    return os.str();
+  };
+  std::vector<std::string> serial;
+  for (const auto& ms : campaigns) serial.push_back(record(ms, {}));
+
+  parallel::ThreadPool pool(2);
+  for (const FitFillFn engine : {&scalar_fill, FitFillFn{}}) {
+    ExecContext ctx(&pool);
+    ctx.engine = engine;
+    std::vector<std::string> got[2];
+    const auto caller = [&](int t) {
+      for (int round = 0; round < 2; ++round) {
+        for (std::size_t c = 0; c < campaigns.size(); ++c) {
+          // The two callers walk the corpus in opposite orders.
+          const std::size_t i = t == 0 ? c : campaigns.size() - 1 - c;
+          got[t].push_back(record(campaigns[i], ctx));
+        }
+      }
+    };
+    std::thread a(caller, 0);
+    std::thread b(caller, 1);
+    a.join();
+    b.join();
+    for (int t = 0; t < 2; ++t) {
+      ASSERT_EQ(got[t].size(), 2 * campaigns.size());
+      for (std::size_t j = 0; j < got[t].size(); ++j) {
+        const std::size_t c = j % campaigns.size();
+        const std::size_t i = t == 0 ? c : campaigns.size() - 1 - c;
+        EXPECT_EQ(got[t][j], serial[i])
+            << "caller " << t << " campaign " << i << " engine "
+            << (engine == nullptr ? "library" : "oracle");
+      }
+    }
   }
 }
 
