@@ -182,12 +182,18 @@ int run_bench(int argc, char** argv) {
   ncfg.worker_threads =
       static_cast<std::size_t>(http_threads > 0 ? http_threads : 1);
   ncfg.io_threads = static_cast<std::size_t>(io_threads > 0 ? io_threads : 1);
-  // The daemon's handler: the router sees each request's deadline,
-  // shedding signal and trace, as it does under estima_serve.
+  // The daemon's wiring: cache hits answered on the event loop, the
+  // rest on the handler pool, where the router sees each request's
+  // deadline, shedding signal and trace, as it does under estima_serve.
   estima::net::HttpServer server(
-      ncfg, [&router](const estima::net::HttpRequest& req,
-                      const estima::net::RequestContext& ctx) {
+      ncfg,
+      [&router](const estima::net::HttpRequest& req,
+                const estima::net::RequestContext& ctx) {
         return router.handle(req, ctx);
+      },
+      [&router](const estima::net::HttpRequest& req,
+                const estima::net::RequestContext& ctx) {
+        return router.answer_on_loop(req, ctx);
       });
   server.start();
   estima::net::HttpClient client("127.0.0.1", server.port());

@@ -13,9 +13,13 @@
 //   * drives a full streaming-campaign lifecycle (PUT create -> POST
 //     points append -> GET re-predict -> DELETE) and holds the
 //     estima_service_campaign_* counter families to it;
+//   * repeats a known campaign and holds the event loops' answer counter
+//     (estima_server_requests_answered_on_loop_total) to it: cache hits
+//     are answered on the loop, each still echoing its trace id;
 //   * with --event-log=PATH, parses every line of the server's JSONL
 //     event log as a flat JSON object with the stable key schema, and
-//     asserts the campaign lifecycle's disposition lines are among them.
+//     asserts the campaign lifecycle's disposition lines are among them,
+//     and a hit line with its trace id for each repeated campaign.
 //
 //   ./example_check_metrics [--port=P] [--host=H] [--requests=N]
 //                           [--event-log=PATH]
@@ -28,6 +32,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "core/measurement.hpp"
 #include "core/prediction_io.hpp"
@@ -99,6 +104,18 @@ bool valid_event_line(const std::string& line) {
   return true;
 }
 
+/// The value of the sample line starting with `series` followed by a
+/// space; -1 when the exposition has no such line.
+double sample_value(const std::string& text, const std::string& series) {
+  const std::string needle = "\n" + series + " ";
+  const std::size_t at = text.find(needle);
+  if (at == std::string::npos) return -1;
+  return std::atof(text.c_str() + at + needle.size());
+}
+
+/// Repeats of the explain campaign that must be answered on the loop.
+constexpr int kLoopHits = 3;
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -116,6 +133,7 @@ int main(int argc, char** argv) {
   net::HttpClient client(host, port);
   std::string explain_csv;      // campaign re-used by the explain checks
   std::string served_kernel;    // /v1/predict's factor kernel for it
+  std::vector<std::string> hit_ids;  // trace ids of the repeated campaign
   try {
     // Exercise the full pipeline (cold computes + warm cache hits) so the
     // stage histograms have samples, not just registrations.
@@ -150,6 +168,45 @@ int main(int argc, char** argv) {
         std::istringstream is(resp.body);
         served_kernel =
             core::kernel_name(core::read_prediction(is).factor_fn.type);
+      }
+    }
+
+    // Cache hits are answered on the event loops: repeating a campaign
+    // the loop above computed raises the loop's answer counter, and each
+    // hit still echoes its trace id (and is logged as a hit, checked with
+    // the event log below).
+    {
+      const char* const series =
+          "estima_server_requests_answered_on_loop_total";
+      const auto loop_answers = [&]() -> double {
+        const net::HttpResponse m = client.get("/v1/metrics");
+        return m.status == 200 ? sample_value(m.body, series) : -1;
+      };
+      const double before = loop_answers();
+      if (before < 0) {
+        return fail("metrics content", std::string("missing ") + series);
+      }
+      for (int i = 0; i < kLoopHits; ++i) {
+        const std::string id = obs::format_trace_id(0xbeef0000u + i);
+        const net::HttpResponse resp =
+            client.request("POST", "/v1/predict", explain_csv,
+                           {{"content-type", "text/plain"},
+                            {"x-estima-trace-id", id}});
+        const std::string* echoed = resp.header("x-estima-trace-id");
+        if (resp.status != 200 || echoed == nullptr || *echoed != id) {
+          return fail("loop hit", "status " + std::to_string(resp.status) +
+                                      ", trace id " +
+                                      (echoed ? *echoed : "missing") +
+                                      " for " + id);
+        }
+        hit_ids.push_back(id);
+      }
+      const double after = loop_answers();
+      if (after - before < kLoopHits) {
+        return fail("loop hits",
+                    std::string(series) + " rose by " +
+                        std::to_string(after - before) + ", expected " +
+                        std::to_string(kLoopHits));
       }
     }
 
@@ -352,14 +409,17 @@ int main(int argc, char** argv) {
     // GET right after it is a hit (the append warmed the cache).
     bool append_miss = false;
     bool get_hit = false;
+    std::size_t hits_logged = 0;
     for (int attempt = 0;
-         attempt < 30 && (event_lines == 0 || !append_miss || !get_hit);
+         attempt < 30 && (event_lines == 0 || !append_miss || !get_hit ||
+                          hits_logged < hit_ids.size());
          ++attempt) {
       std::this_thread::sleep_for(std::chrono::milliseconds(100));
       std::ifstream in(event_log);
       if (!in) continue;
       std::string line;
       std::size_t seen = 0;
+      hits_logged = 0;
       while (std::getline(in, line)) {
         if (line.empty()) continue;
         if (!valid_event_line(line)) {
@@ -375,6 +435,12 @@ int main(int argc, char** argv) {
             line.find("\"disposition\":\"hit\"") != std::string::npos) {
           get_hit = true;
         }
+        for (const std::string& id : hit_ids) {
+          if (line.find("\"trace_id\":\"" + id + "\"") != std::string::npos &&
+              line.find("\"disposition\":\"hit\"") != std::string::npos) {
+            ++hits_logged;
+          }
+        }
         ++seen;
       }
       event_lines = seen;
@@ -389,6 +455,12 @@ int main(int argc, char** argv) {
     if (!get_hit) {
       return fail("event log",
                   "no hit-disposition line for the campaign GET");
+    }
+    if (hits_logged < hit_ids.size()) {
+      return fail("event log",
+                  std::to_string(hit_ids.size() - hits_logged) +
+                      " repeated /v1/predict hit(s) without a hit line "
+                      "carrying their trace id");
     }
   }
 

@@ -247,10 +247,15 @@ int main(int argc, char** argv) {
   ncfg.queue_delay_budget_ms = queue_delay_ms > 0 ? queue_delay_ms : 0;
   ncfg.tracer = &tracer;
   ncfg.event_log = event_log.get();
+  // Cache hits are answered on the event loops; the handler pool
+  // computes the rest.
   net::HttpServer server(
-      ncfg, [&router](const net::HttpRequest& req,
-                      const net::RequestContext& ctx) {
+      ncfg,
+      [&router](const net::HttpRequest& req, const net::RequestContext& ctx) {
         return router.handle(req, ctx);
+      },
+      [&router](const net::HttpRequest& req, const net::RequestContext& ctx) {
+        return router.answer_on_loop(req, ctx);
       });
   router.set_server_stats_source([&server] { return server.stats(); });
   try {

@@ -1,11 +1,13 @@
 #include "core/prediction_io.hpp"
 
 #include <cstdlib>
+#include <cstring>
 #include <istream>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <type_traits>
 #include <vector>
 
@@ -85,49 +87,6 @@ std::vector<double> read_f64_series(std::istream& is, const char* tag) {
   return out;
 }
 
-using textparse::append_f64;
-using textparse::append_int;
-
-/// `tag <n> v0 v1 ... v{n-1}`.
-template <typename T>
-void append_series(std::string& out, const char* tag,
-                   const std::vector<T>& values) {
-  out += tag;
-  out += ' ';
-  append_int(out, values.size());
-  for (const T v : values) {
-    out += ' ';
-    if constexpr (std::is_floating_point_v<T>) {
-      append_f64(out, v);
-    } else {
-      append_int(out, v);
-    }
-  }
-  out += '\n';
-}
-
-void append_fn(std::string& out, const char* tag, const FittedFunction& fn) {
-  out += tag;
-  out += ' ';
-  out += kernel_name(fn.type);
-  out += ' ';
-  append_f64(out, fn.y_scale);
-  out += ' ';
-  append_int(out, fn.params.size());
-  for (const double p : fn.params) {
-    out += ' ';
-    append_f64(out, p);
-  }
-  out += '\n';
-}
-
-/// Space-separated integers closing a line: ` v0 v1 ...\n`.
-template <typename... Int>
-void append_ints(std::string& out, Int... values) {
-  ((out += ' ', append_int(out, values)), ...);
-  out += '\n';
-}
-
 /// Expects `tag <kernel> <y_scale> <np> p0 ...` with np matching the
 /// kernel's parameter count — except np == 0, which denotes a
 /// default-constructed function (predict() leaves factor_fn empty when a
@@ -154,66 +113,128 @@ FittedFunction read_fn(std::istream& is, const char* tag) {
   return fn;
 }
 
-/// Bytes render_prediction needs at most, from the record's element
-/// counts: each number cell at its longest form plus a separator, each
-/// line at its longest tag, each category name in full.
+/// An upper bound on the bytes render_prediction writes, plus the room
+/// the last number store may reach past its text: every number (element
+/// counts included) at its longest form with a separator, every line's
+/// tag and punctuation at the longest tag's length, and every name in
+/// full.
 std::size_t record_capacity(const Prediction& p) {
   constexpr std::size_t kCell = 1 + 24;  // ' ' + longest %.17g or integer
-  constexpr std::size_t kLine = 32;      // tag, element count and '\n'
+  constexpr std::size_t kLine = 32;      // longest tag, spaces and '\n'
+  const auto fn_cells = [](const FittedFunction& fn) {
+    return fn.params.size() + 2;  // y_scale, count, params
+  };
+  std::size_t lines = 11;
   std::size_t cells = p.cores.size() + p.time_s.size() +
-                      p.stalls_per_core.size() + p.factor_fn.params.size() +
-                      3 + 5;  // y_scale, correlation, freq_scale, stats
-  std::size_t bytes = 10 * kLine;
+                      p.stalls_per_core.size() + 3 + fn_cells(p.factor_fn) +
+                      2 + 5 + 1;  // correlation, freq_scale, stats, count
+  std::size_t names = kernel_name(p.factor_fn.type).size();
   for (const auto& cat : p.categories) {
-    cells += cat.values.size() + cat.extrapolation.best.params.size() + 2 +
-             6;  // y_scale, rmse, extrap integers
-    bytes += 4 * kLine + cat.name.size();
+    lines += 4;
+    cells += cat.values.size() + 1 + fn_cells(cat.extrapolation.best) + 1 + 6;
+    names += stall_domain_prefix(cat.domain).size() + cat.name.size() +
+             kernel_name(cat.extrapolation.best.type).size();
   }
-  return bytes + cells * kCell;
+  return lines * kLine + cells * kCell + names + textparse::kNumberRoom;
 }
+
+/// The record's one write cursor: render_prediction sizes the buffer with
+/// record_capacity once, and every tag, name and number is stored through
+/// here with no bounds check and no reallocation.
+class RecordWriter {
+ public:
+  explicit RecordWriter(char* at) : p_(at) {}
+  char* end() const { return p_; }
+
+  RecordWriter& text(std::string_view s) {
+    std::memcpy(p_, s.data(), s.size());
+    p_ += s.size();
+    return *this;
+  }
+  RecordWriter& ch(char c) {
+    *p_++ = c;
+    return *this;
+  }
+  RecordWriter& f64(double v) {
+    p_ = textparse::write_f64(p_, v);
+    return *this;
+  }
+  template <typename Int>
+  RecordWriter& integer(Int v) {
+    p_ = textparse::write_int(p_, v);
+    return *this;
+  }
+
+  /// `tag <n> v0 v1 ... v{n-1}\n`.
+  template <typename T>
+  void series(std::string_view tag, const std::vector<T>& values) {
+    text(tag).ch(' ').integer(values.size());
+    for (const T v : values) {
+      ch(' ');
+      if constexpr (std::is_floating_point_v<T>) {
+        f64(v);
+      } else {
+        integer(v);
+      }
+    }
+    ch('\n');
+  }
+
+  /// `tag <kernel> <y_scale> <np> p0 ...\n`.
+  void fn(std::string_view tag, const FittedFunction& f) {
+    text(tag).ch(' ').text(kernel_name(f.type)).ch(' ').f64(f.y_scale);
+    ch(' ').integer(f.params.size());
+    for (const double v : f.params) ch(' ').f64(v);
+    ch('\n');
+  }
+
+  /// Space-separated integers closing a line: ` v0 v1 ...\n`.
+  template <typename... Int>
+  void ints(Int... values) {
+    ((ch(' '), integer(values)), ...);
+    ch('\n');
+  }
+
+ private:
+  char* p_;
+};
 
 }  // namespace
 
 std::string render_prediction(const Prediction& p) {
-  std::string out;
-  out.reserve(record_capacity(p));
-  out += "prediction v=1\n";
-  append_series(out, "cores", p.cores);
-  append_series(out, "time_s", p.time_s);
-  append_series(out, "stalls_per_core", p.stalls_per_core);
-  append_fn(out, "factor_fn", p.factor_fn);
-  out += "factor_correlation ";
-  append_f64(out, p.factor_correlation);
-  out += "\nfreq_scale ";
-  append_f64(out, p.freq_scale);
-  out += "\nfactor_stats";
-  append_ints(out, p.factor_stats.candidates_attempted,
-              p.factor_stats.fits_executed,
-              p.factor_stats.duplicate_fits_eliminated,
-              p.factor_stats.realism_variants,
-              p.factor_stats.variant_refits_avoided);
-  out += "factor_used_relaxed_realism ";
-  out += p.factor_used_relaxed_realism ? "1\n" : "0\n";
+  std::string out(record_capacity(p), '\0');
+  RecordWriter w(out.data());
+  w.text("prediction v=1\n");
+  w.series("cores", p.cores);
+  w.series("time_s", p.time_s);
+  w.series("stalls_per_core", p.stalls_per_core);
+  w.fn("factor_fn", p.factor_fn);
+  w.text("factor_correlation ").f64(p.factor_correlation);
+  w.text("\nfreq_scale ").f64(p.freq_scale);
+  w.text("\nfactor_stats");
+  w.ints(p.factor_stats.candidates_attempted, p.factor_stats.fits_executed,
+         p.factor_stats.duplicate_fits_eliminated,
+         p.factor_stats.realism_variants,
+         p.factor_stats.variant_refits_avoided);
+  w.text("factor_used_relaxed_realism ")
+      .text(p.factor_used_relaxed_realism ? "1\n" : "0\n");
 
-  out += "categories";
-  append_ints(out, p.categories.size());
+  w.text("categories");
+  w.ints(p.categories.size());
   for (const auto& cat : p.categories) {
     // The name is the remainder of the line: spaces and commas round-trip.
-    out += "category ";
-    out += stall_domain_prefix(cat.domain);
-    out += ' ';
-    out += cat.name;
-    out += '\n';
-    append_series(out, "values", cat.values);
-    append_fn(out, "best", cat.extrapolation.best);
+    w.text("category ").text(stall_domain_prefix(cat.domain)).ch(' ');
+    w.text(cat.name).ch('\n');
+    w.series("values", cat.values);
+    w.fn("best", cat.extrapolation.best);
     const SeriesExtrapolation& x = cat.extrapolation;
-    out += "extrap ";
-    append_f64(out, x.checkpoint_rmse);
-    append_ints(out, x.chosen_prefix, x.chosen_checkpoints,
-                x.candidates_considered, x.candidates_realistic,
-                x.fits_executed, x.duplicate_fits_eliminated);
+    w.text("extrap ").f64(x.checkpoint_rmse);
+    w.ints(x.chosen_prefix, x.chosen_checkpoints, x.candidates_considered,
+           x.candidates_realistic, x.fits_executed,
+           x.duplicate_fits_eliminated);
   }
-  out += "end prediction\n";
+  w.text("end prediction\n");
+  out.resize(static_cast<std::size_t>(w.end() - out.data()));
   return out;
 }
 

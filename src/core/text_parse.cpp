@@ -17,10 +17,34 @@ constexpr auto kPow5 = [] {
 constexpr std::uint64_t kTen16 = 10000000000000000ull;
 constexpr std::uint64_t kTen17 = 100000000000000000ull;
 
-constexpr char kDigitPairs[] =
-    "00010203040506070809101112131415161718192021222324252627282930313233343536"
-    "37383940414243444546474849505152535455565758596061626364656667686970717273"
-    "7475767778798081828384858687888990919293949596979899";
+// "00".."17": the exponents the exact path prints (x in [-11, 17]).
+constexpr char kDigitPairs[] = "000102030405060708091011121314151617";
+
+constexpr std::uint64_t kAsciiZeros = 0x3030303030303030ull;
+
+/// The eight decimal digits of v < 10^8 as the bytes of one word, first
+/// digit in the lowest byte (so a little-endian store writes them in
+/// order), each byte the digit's value 0..9. Three splitting steps run on
+/// every lane at once: 4+4 digits in 32-bit lanes, 2+2 in 16-bit lanes,
+/// 1+1 in bytes. The reciprocal multiplications are exact in range: y/100
+/// is (y*10486)>>20 for y < 43699, and z/10 is (z*103)>>10 for z < 179,
+/// and no lane's product reaches the next lane.
+std::uint64_t digits8(std::uint32_t v) {
+  std::uint64_t x = (v / 10000) | (static_cast<std::uint64_t>(v % 10000)
+                                   << 32);
+  const std::uint64_t hundreds = ((x * 10486) >> 20) & 0x0000007f0000007full;
+  x = hundreds | ((x - hundreds * 100) << 16);
+  const std::uint64_t tens = ((x * 103) >> 10) & 0x000f000f000f000full;
+  return tens | ((x - tens * 10) << 8);
+}
+
+/// Stores the word's bytes lowest first, at any alignment.
+void store8(char* at, std::uint64_t word) {
+#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_BIG_ENDIAN__
+  word = __builtin_bswap64(word);
+#endif
+  std::memcpy(at, &word, sizeof word);
+}
 
 /// Writes |v| as %.17g to `p` and returns the end, or nullptr when v is
 /// zero, subnormal, non-finite or has a decimal exponent outside [-11, 16].
@@ -73,45 +97,53 @@ char* format_exact(char* p, double v) {
     ++x;
   }
 
-  // 17 digits: one, then two 8-digit halves written as independent
-  // 4-digit groups. The '0' padding lets the layout below copy 16 bytes
-  // from any digit position.
-  char d[33];
-  std::memset(d + 17, '0', 16);
+  // 17 digits: one, then two 8-digit words stored as they are, or with
+  // the '.' spliced in by a shifted re-store. Each store writes 8 bytes;
+  // only the returned end depends on the digit count, and every byte
+  // before it is a digit or the '.'.
   const std::uint64_t top = n / 100000000;
-  const auto halves = [&](char* at, std::uint32_t v8) {
-    const std::uint32_t hi4 = v8 / 10000;
-    const std::uint32_t lo4 = v8 % 10000;
-    std::memcpy(at, kDigitPairs + 2 * (hi4 / 100), 2);
-    std::memcpy(at + 2, kDigitPairs + 2 * (hi4 % 100), 2);
-    std::memcpy(at + 4, kDigitPairs + 2 * (lo4 / 100), 2);
-    std::memcpy(at + 6, kDigitPairs + 2 * (lo4 % 100), 2);
-  };
-  d[0] = static_cast<char>('0' + top / 100000000);
-  halves(d + 1, static_cast<std::uint32_t>(top % 100000000));
-  halves(d + 9, static_cast<std::uint32_t>(n % 100000000));
+  const char lead = static_cast<char>('0' + top / 100000000);
+  const std::uint64_t w1 = digits8(static_cast<std::uint32_t>(top % 100000000));
+  const std::uint64_t w2 = digits8(static_cast<std::uint32_t>(n % 100000000));
+  // Trailing zeros of the 17 digits: a zero digit is a zero byte before
+  // the ASCII bias, and the last digit is the word's top byte.
   int len = 17;
-  while (len > 1 && d[len - 1] == '0') --len;
+  if (w2 == 0) {
+    len = w1 == 0 ? 1 : 9 - __builtin_clzll(w1) / 8;
+  } else {
+    len = 17 - __builtin_clzll(w2) / 8;
+  }
+  const std::uint64_t a1 = w1 + kAsciiZeros;
+  const std::uint64_t a2 = w2 + kAsciiZeros;
 
-  // Fixed-size copies (the caller's 48-byte buffer has room for them);
-  // only the returned end depends on the digit count.
   if (x >= 0 && x < 17) {
-    const int whole_digits = x + 1;
-    std::memcpy(p, d, 17);
-    if (len <= whole_digits) return p + whole_digits;
-    p[whole_digits] = '.';
-    std::memcpy(p + whole_digits + 1, d + whole_digits, 16);
+    const int whole = x + 1;  // digits before the '.'
+    p[0] = lead;
+    store8(p + 1, a1);
+    store8(p + 9, a2);
+    if (len <= whole) return p + whole;
+    // Shift the fraction's digits one byte right, then place the '.'.
+    if (whole <= 8) {
+      store8(p + whole + 1, a1 >> (8 * (whole - 1)));
+      store8(p + 10, a2);
+    } else {
+      store8(p + whole + 1, a2 >> (8 * (whole - 9)));
+    }
+    p[whole] = '.';
     return p + len + 1;
   }
   if (x >= -4 && x < 0) {
     std::memcpy(p, "0.000", 5);
     p += 1 - x;
-    std::memcpy(p, d, 17);
+    p[0] = lead;
+    store8(p + 1, a1);
+    store8(p + 9, a2);
     return p + len;
   }
-  p[0] = d[0];
+  p[0] = lead;
   p[1] = '.';
-  std::memcpy(p + 2, d + 1, 16);
+  store8(p + 2, a1);
+  store8(p + 10, a2);
   p += len > 1 ? len + 1 : 1;
   *p++ = 'e';
   *p++ = x < 0 ? '-' : '+';
@@ -123,23 +155,17 @@ char* format_exact(char* p, double v) {
 
 }  // namespace
 
-void append_f64(std::string& out, double v) {
-  // Longest %.17g form: sign, 17 digits, '.', "e-308" = 24 chars;
-  // format_exact's fixed-size copies reach byte 36.
-  char buf[48];
-  char* p = buf;
+char* write_f64(char* out, double v) {
+  char* p = out;
   if (std::signbit(v)) *p++ = '-';
-  if (char* end = format_exact(p, v)) {
-    out.append(buf, end);
-    return;
-  }
-  const auto r = std::to_chars(buf, buf + sizeof buf, v,
+  if (char* end = format_exact(p, v)) return end;
+  const auto r = std::to_chars(out, out + kNumberRoom, v,
                                std::chars_format::general,
                                std::numeric_limits<double>::max_digits10);
   if (r.ec != std::errc()) {
-    throw std::logic_error("append_f64: to_chars buffer too small");
+    throw std::logic_error("write_f64: to_chars buffer too small");
   }
-  out.append(buf, r.ptr);
+  return r.ptr;
 }
 
 }  // namespace estima::core::textparse

@@ -9,7 +9,7 @@
 // Emission never goes through an ostream: the bytes must not depend on a
 // caller's stream flags (fixed, showpos, width) or on the global locale (a
 // decimal comma or digit grouping would produce cells the parsers below
-// reject). append_f64 writes what printf("%.17g") writes — max_digits10
+// reject). write_f64 writes what printf("%.17g") writes — max_digits10
 // significant digits, "inf"/"-inf"/"nan"/"-nan" for the non-finite values
 // — so every double reads back bit-identical. It has the parsers' two-step
 // shape (text_parse.cpp):
@@ -17,8 +17,10 @@
 //     (1e-11 <= |v| < 1e17). For v = m*2^e and q = 16-k, v*10^q =
 //     m*5^q*2^(e+q) with m*5^q < 2^53*5^27 < 2^116, so one unsigned
 //     __int128 product and shift give the 17-digit integer and its exact
-//     remainder; rounding that remainder half-to-even is printf's rule,
-//     and the digits are laid out the way %g lays them out.
+//     remainder; rounding that remainder half-to-even is printf's rule.
+//     The digits are one leading digit and two 8-digit words, each word
+//     turned into eight ASCII bytes at once in a 64-bit register (SWAR),
+//     and stored straight into the output the way %g lays them out.
 //   - Fallback: zero, subnormals, inf/nan and every other magnitude take
 //     std::to_chars(v, general, 17) unchanged.
 // Both steps write the correctly rounded 17 digits in the same layout, so
@@ -56,6 +58,7 @@
 #include <cerrno>
 #include <charconv>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <cstdlib>
 #include <limits>
@@ -68,21 +71,42 @@
 
 namespace estima::core::textparse {
 
-/// Appends `v` as printf("%.17g", v) would, independent of any stream or
-/// locale state.
-void append_f64(std::string& out, double v);
+/// Bytes write_f64 and write_int may store from `out`. The text itself
+/// is at most 24 bytes (sign, 17 digits, '.', "e-308"); the rest is room
+/// for the fixed-size word stores past it, which the next write
+/// overwrites.
+inline constexpr std::size_t kNumberRoom = 32;
 
-/// Appends a plain decimal integer (no grouping, no '+').
+/// Writes `v` as printf("%.17g", v) would, independent of any stream or
+/// locale state, and returns the end of the text. `out` must have
+/// kNumberRoom bytes of room.
+char* write_f64(char* out, double v);
+
+/// Appends `v` as write_f64 writes it.
+inline void append_f64(std::string& out, double v) {
+  char buf[kNumberRoom];
+  out.append(buf, write_f64(buf, v));
+}
+
+/// Writes a plain decimal integer (no grouping, no '+') and returns the
+/// end of the text. `out` must have kNumberRoom bytes of room.
+template <typename Int>
+inline char* write_int(char* out, Int v) {
+  static_assert(std::is_integral_v<Int> && !std::is_same_v<Int, bool>,
+                "write_int takes an integer");
+  // 20 digits of a u64, or a sign and 19 digits of an i64.
+  const auto r = std::to_chars(out, out + kNumberRoom, v);
+  if (r.ec != std::errc()) {
+    throw std::logic_error("write_int: to_chars buffer too small");
+  }
+  return r.ptr;
+}
+
+/// Appends `v` as write_int writes it.
 template <typename Int>
 inline void append_int(std::string& out, Int v) {
-  static_assert(std::is_integral_v<Int> && !std::is_same_v<Int, bool>,
-                "append_int takes an integer");
-  char buf[24];  // 20 digits of a u64, or a sign and 19 digits of an i64
-  const auto r = std::to_chars(buf, buf + sizeof buf, v);
-  if (r.ec != std::errc()) {
-    throw std::logic_error("append_int: to_chars buffer too small");
-  }
-  out.append(buf, r.ptr);
+  char buf[kNumberRoom];
+  out.append(buf, write_int(buf, v));
 }
 
 /// Drops a trailing '\r' so CRLF files parse identically to LF files on

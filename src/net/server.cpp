@@ -620,15 +620,32 @@ struct HttpServer::EventLoop {
     }
   }
 
-  /// Drives the kReading state: parse buffered bytes, then either wait
-  /// for more (arming the right deadline), reject, or dispatch.
+  /// Drives the kReading state over every request already buffered. A
+  /// request the loop answers and writes at once is followed here by the
+  /// next pipelined one — iterating, not recursing through try_write, so
+  /// a burst of pipelined hits cannot grow the stack.
   void process(Conn& c) {
-    if (c.st != St::kReading) return;
+    const std::uint64_t id = c.id;
+    processing_ = id;
+    for (Conn* conn = &c; process_one(*conn);) {
+      const auto it = conns_.find(id);
+      if (it == conns_.end()) break;  // closed after its answer
+      conn = &it->second;
+    }
+    processing_ = 0;
+  }
+
+  /// One step of the kReading state: parse buffered bytes, then either
+  /// wait for more (arming the right deadline), reject, dispatch, or
+  /// answer on the loop. True only after a loop answer, when the
+  /// connection may hold the next request (or be gone: look it up).
+  bool process_one(Conn& c) {
+    if (c.st != St::kReading) return false;
     if (srv_.stopping_.load(std::memory_order_acquire)) {
       // Drain mode: requests already dispatched finish; new ones don't
       // start (matching the threaded server's stop semantics).
       close_conn(c);
-      return;
+      return false;
     }
     obs::Tracer* const tracer = srv_.tracer_.load(std::memory_order_relaxed);
     if (!c.carry.empty() &&
@@ -658,7 +675,7 @@ struct HttpServer::EventLoop {
           // Peer closed mid-request (or idled out its own connection):
           // nothing to answer.
           close_conn(c);
-          return;
+          return false;
         }
         if (!c.want_read) {
           c.want_read = true;
@@ -676,7 +693,7 @@ struct HttpServer::EventLoop {
         } else if (c.deadline == kUnarmed) {
           arm_deadline(c, srv_.cfg_.idle_timeout_ms);
         }
-        return;
+        return false;
       }
       case RequestParser::State::kError: {
         srv_.on_parse_error();
@@ -686,13 +703,17 @@ struct HttpServer::EventLoop {
         start_response(c, plain_response(c.parser.error_status(),
                                          c.parser.error_reason()),
                        /*keep=*/false, /*linger=*/true);
-        return;
+        return false;
       }
       case RequestParser::State::kComplete: {
         HttpRequest req = c.parser.request();
         c.parser.reset();
         const bool was_mid = c.mid_request;
         c.mid_request = false;
+        if (tracer != nullptr) start_trace(c, req, tracer, was_mid);
+        c.parse_ns = 0;
+        const bool keep = req.keep_alive();
+        if (answer_on_loop(c, req, keep)) return true;
         c.st = St::kHandling;
         c.want_read = false;  // bound buffering while the handler runs
         c.want_write = false;
@@ -715,43 +736,67 @@ struct HttpServer::EventLoop {
         } else {
           disarm_deadline(c);
         }
-        std::shared_ptr<obs::TraceContext> trace;
-        if (tracer != nullptr) {
-          std::uint64_t id = 0;
-          if (const std::string* h = req.header("x-estima-trace-id")) {
-            id = obs::parse_trace_id(*h).value_or(0);
-          }
-          const Clock::time_point dispatched = Clock::now();
-          // The trace's origin is the request's first byte, matching the
-          // 408 budget's anchor; edge.read is the wire time up to
-          // dispatch minus the parsing already accounted separately.
-          const Clock::time_point t0 =
-              was_mid ? c.request_start : dispatched;
-          trace = tracer->start(id, t0);
-          const std::uint64_t wire_ns = static_cast<std::uint64_t>(
-              std::chrono::duration_cast<std::chrono::nanoseconds>(
-                  dispatched - t0)
-                  .count());
-          const std::uint64_t parse_ns = std::min(c.parse_ns, wire_ns);
-          trace->add_ns(obs::Stage::kEdgeRead, 0, wire_ns - parse_ns);
-          if (parse_ns > 0) {
-            trace->add_ns(obs::Stage::kParse, 0, parse_ns);
-          }
-          c.trace = trace;
-        }
-        c.parse_ns = 0;
-        const bool keep = req.keep_alive();
         if (!srv_.pool_->submit(HandlerPool::Job{this, c.id, std::move(req),
                                                  keep, std::move(deadline),
-                                                 Clock::now(),
-                                                 std::move(trace)})) {
+                                                 Clock::now(), c.trace})) {
           // Raced stop(): the pool is draining and this job would never
           // run. Close unanswered, like any request stop() didn't reach.
           close_conn(c);
         }
-        return;
+        return false;
       }
     }
+    return false;
+  }
+
+  /// Starts the request's trace at dispatch. Its origin is the request's
+  /// first byte, matching the 408 budget's anchor; edge.read is the wire
+  /// time up to dispatch minus the parsing already accounted separately.
+  void start_trace(Conn& c, const HttpRequest& req, obs::Tracer* tracer,
+                   bool was_mid) {
+    std::uint64_t id = 0;
+    if (const std::string* h = req.header("x-estima-trace-id")) {
+      id = obs::parse_trace_id(*h).value_or(0);
+    }
+    const Clock::time_point dispatched = Clock::now();
+    const Clock::time_point t0 = was_mid ? c.request_start : dispatched;
+    c.trace = tracer->start(id, t0);
+    const std::uint64_t wire_ns = static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(dispatched - t0)
+            .count());
+    const std::uint64_t parse_ns = std::min(c.parse_ns, wire_ns);
+    c.trace->add_ns(obs::Stage::kEdgeRead, 0, wire_ns - parse_ns);
+    if (parse_ns > 0) c.trace->add_ns(obs::Stage::kParse, 0, parse_ns);
+  }
+
+  /// Offers a complete request to the server's LoopAnswer, on this
+  /// thread. True when it answered and the response is being written;
+  /// false — nothing sent, nothing counted — hands the request to the
+  /// pool. A body above limits.max_header_bytes is never offered: the
+  /// loop spends at most a request head's worth of parsing on an offer.
+  /// The answer gets no propagated deadline (it computes nothing), and
+  /// the connection keeps its read interest, so a write that completes
+  /// at once costs no poller update.
+  bool answer_on_loop(Conn& c, const HttpRequest& req, bool keep) {
+    if (!srv_.loop_answer_ ||
+        req.body.size() > srv_.cfg_.limits.max_header_bytes) {
+      return false;
+    }
+    std::optional<HttpResponse> resp;
+    try {
+      resp = srv_.loop_answer_(req, RequestContext{nullptr, false, c.trace});
+    } catch (const std::exception&) {
+      return false;  // the pool runs it again and maps the error
+    }
+    if (!resp) return false;
+    keep = keep && !srv_.stopping_.load(std::memory_order_acquire);
+    std::string wire;
+    {
+      obs::SpanTimer span(c.trace.get(), obs::Stage::kEdgeEncode);
+      wire = serialize_response(*resp, keep);
+    }
+    begin_write(c, std::move(wire), keep, resp->status, /*on_loop=*/true);
+    return true;
   }
 
   /// Serializes and starts writing a loop-generated response (errors,
@@ -787,11 +832,19 @@ struct HttpServer::EventLoop {
     Conn& c = it->second;
     if (c.st != St::kHandling) return;
     c.active_deadline.reset();  // answered: nothing left to cancel
-    disarm_deadline(c);         // answered: the propagated 408 is moot
-    srv_.count_response(done.status);
-    c.out = std::move(done.wire);
+    begin_write(c, std::move(done.wire), done.keep, done.status,
+                /*on_loop=*/false);
+  }
+
+  /// Starts writing an answer to the request: the pool's completion or
+  /// the loop's own. Answered, the request's 408 deadline is moot.
+  void begin_write(Conn& c, std::string wire, bool keep, int status,
+                   bool on_loop) {
+    disarm_deadline(c);
+    srv_.count_response(status, on_loop);
+    c.out = std::move(wire);
     c.out_off = 0;
-    c.close_after_write = !done.keep;
+    c.close_after_write = !keep;
     c.linger_after_write = false;
     c.st = St::kWriting;
     if (c.trace) c.write_start = Clock::now();
@@ -809,8 +862,11 @@ struct HttpServer::EventLoop {
       }
       if (errno == EINTR) continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        if (!c.want_write) {
+        // Wait for room; stop reading meanwhile (a loop answer starts
+        // its write with read interest still set).
+        if (!c.want_write || c.want_read) {
           c.want_write = true;
+          c.want_read = false;
           update_poller(c);
         }
         // A peer that stops reading its response gets the same budget a
@@ -855,9 +911,11 @@ struct HttpServer::EventLoop {
       return;
     }
     // Keep-alive: next message may already be buffered (pipelining).
+    // Inside process() (a loop answer written at once) the caller's
+    // iteration takes it.
     c.st = St::kReading;
     c.mid_request = false;
-    process(c);
+    if (c.id != processing_) process(c);
   }
 
   void fire_due_timers() {
@@ -924,6 +982,8 @@ struct HttpServer::EventLoop {
   /// (deadline, connection id), one entry per armed deadline.
   std::set<std::pair<Clock::time_point, std::uint64_t>> timers_;
   std::uint64_t next_conn_id_ = kListenerId;
+  /// The connection process() is iterating over (0: none).
+  std::uint64_t processing_ = 0;
 };
 
 void HttpServer::HandlerPool::run() {
@@ -1017,9 +1077,11 @@ void HttpServer::HandlerPool::respond_shed(Job& job) {
 // ---------------------------------------------------------------------------
 // HttpServer
 
-HttpServer::HttpServer(ServerConfig cfg, Handler handler)
+HttpServer::HttpServer(ServerConfig cfg, Handler handler,
+                       LoopAnswer loop_answer)
     : cfg_(std::move(cfg)),
       handler_(std::move(handler)),
+      loop_answer_(std::move(loop_answer)),
       tracer_(cfg_.tracer) {}
 
 bool HttpServer::shedding() const {
@@ -1145,9 +1207,10 @@ void HttpServer::on_parse_error() {
   ++stats_.parse_errors;
 }
 
-void HttpServer::count_response(int status) {
+void HttpServer::count_response(int status, bool on_loop) {
   std::lock_guard<std::mutex> lock(stats_mu_);
   ++stats_.requests_served;
+  if (on_loop) ++stats_.requests_answered_on_loop;
   if (status >= 500) {
     ++stats_.responses_5xx;
   } else if (status >= 400) {

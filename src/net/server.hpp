@@ -2,10 +2,14 @@
 // event-driven edge: N I/O event loops (epoll on Linux, poll elsewhere)
 // each watch the one non-blocking listening socket, accept for
 // themselves, and own their non-blocking connections as small state
-// machines (reading -> handling -> writing -> lingering-close). Decoded
-// requests are dispatched to a bounded handler pool, so a slow handler
-// (a cold predict() can take a while) never stalls its loop: thousands of
-// idle keep-alive connections cost one fd and a timer entry each, not a
+// machines (reading -> handling -> writing -> lingering-close). Loops
+// answer what needs no computing; the pool computes; a loop never blocks.
+// A decoded request is first offered to the optional LoopAnswer on its
+// loop (the service answers a fresh cache hit there: parse, hash, look
+// up, render, write — no thread handoff). Whatever the offer declines is
+// dispatched to a bounded handler pool, so a slow handler (a cold
+// predict() can take a while) never stalls its loop: thousands of idle
+// keep-alive connections cost one fd and a timer entry each, not a
 // thread. The handler runs on a pool thread, so any internal fan-out (the
 // prediction service's ThreadPool) nests underneath exactly as it does
 // for local callers.
@@ -32,6 +36,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -48,23 +53,26 @@ class TraceContext;
 
 namespace estima::net {
 
-/// Per-request context handed to the Handler alongside the request.
+/// Per-request context handed to the Handler (and the LoopAnswer)
+/// alongside the request.
 struct RequestContext {
   /// The request's remaining edge budget as a cooperative deadline: set
   /// from the 408 timer at dispatch, cancelled by the event loop if the 408
   /// fires or the connection dies while the handler runs — so an abandoned
   /// cold predict() stops burning pool CPU. Handlers poll it and abandon
-  /// work the client will never see. Null when idle_timeout_ms <= 0.
+  /// work the client will never see. Null when idle_timeout_ms <= 0, and
+  /// always null for the LoopAnswer, which computes nothing.
   std::shared_ptr<core::Deadline> deadline;
   /// True when the handler pool is currently shedding load — the
   /// handler's cue to prefer degraded answers (serve-stale) over fresh
-  /// computation.
+  /// computation. Always false for the LoopAnswer.
   bool shedding = false;
   /// Per-request trace, created at dispatch when the server has a tracer
   /// attached (ServerConfig::tracer): carries the 64-bit trace id (from
-  /// X-Estima-Trace-Id or generated) with edge.read / queue.wait / parse
-  /// spans already recorded; handlers add their own stages through it.
-  /// Null when tracing is off.
+  /// X-Estima-Trace-Id or generated) with edge.read / parse spans already
+  /// recorded, and queue.wait too on the pool; handlers add their own
+  /// stages through it. A request the LoopAnswer declines reaches the
+  /// handler with the same trace. Null when tracing is off.
   std::shared_ptr<obs::TraceContext> trace;
 };
 
@@ -108,9 +116,9 @@ struct ServerConfig {
   int queue_delay_budget_ms = 0;
   /// Observability: when set (borrowed, must outlive the server), every
   /// dispatched request gets a TraceContext recording the edge stages
-  /// (edge.read, parse, queue.wait, edge.encode, edge.write) and the
-  /// request-duration histogram; the trace id is echoed by the router in
-  /// X-Estima-Trace-Id. Null (the default) keeps the hot path untraced —
+  /// (edge.read, parse, edge.encode, edge.write, and queue.wait when it
+  /// goes to the handler pool) and the request-duration histogram; the
+  /// trace id is echoed by the router in X-Estima-Trace-Id. Null (the default) keeps the hot path untraced —
   /// one relaxed atomic load per event. Swappable at runtime via
   /// set_tracer() (benches use this to measure the overhead delta).
   obs::Tracer* tracer = nullptr;
@@ -124,12 +132,27 @@ class HttpServer {
  public:
   using Handler =
       std::function<HttpResponse(const HttpRequest&, const RequestContext&)>;
+  /// Answers a request on its event loop, or declines with std::nullopt.
+  using LoopAnswer = std::function<std::optional<HttpResponse>(
+      const HttpRequest&, const RequestContext&)>;
 
-  /// The handler is called once per decoded request (on a handler-pool
-  /// thread) with the request's RequestContext; whatever it throws is
-  /// answered 500 (std::invalid_argument: 400, core::DeadlineExceeded:
-  /// 408) — exceptions never cross into the event loop unhandled.
-  HttpServer(ServerConfig cfg, Handler handler);
+  /// The handler is called once per decoded request the LoopAnswer did
+  /// not answer (on a handler-pool thread) with the request's
+  /// RequestContext; whatever it throws is answered 500
+  /// (std::invalid_argument: 400, core::DeadlineExceeded: 408) —
+  /// exceptions never cross into the event loop unhandled.
+  ///
+  /// The LoopAnswer (optional) is offered each complete request whose
+  /// body is at most limits.max_header_bytes, on the event loop thread,
+  /// before any handoff. It must answer only what costs no more than a
+  /// parse and a lookup — never compute, wait on another request, or
+  /// write a file — and must decline (nullopt) with no visible effect,
+  /// since the handler then serves the same request. An exception it
+  /// throws counts as a decline. Its answers are counted in
+  /// ServerStats::requests_answered_on_loop. Without one, every request
+  /// goes to the handler pool.
+  HttpServer(ServerConfig cfg, Handler handler,
+             LoopAnswer loop_answer = nullptr);
   ~HttpServer();
 
   HttpServer(const HttpServer&) = delete;
@@ -175,10 +198,11 @@ class HttpServer {
   void on_parse_error();
   void on_shed();
   void on_timers_queued(std::int64_t delta);
-  void count_response(int status);
+  void count_response(int status, bool on_loop = false);
 
   ServerConfig cfg_;
   Handler handler_;
+  LoopAnswer loop_answer_;
   std::atomic<obs::Tracer*> tracer_{nullptr};
   int listen_fd_ = -1;
   int port_ = 0;

@@ -19,6 +19,10 @@ struct ServerStats {
   std::uint64_t open_connections = 0;     ///< gauge: accepted - closed
   std::uint64_t peak_connections = 0;     ///< high-water mark of the gauge
   std::uint64_t requests_served = 0;      ///< responses written, any status
+  /// Requests the event loops answered themselves through the server's
+  /// LoopAnswer (cache hits), never handed to the handler pool. Counted
+  /// with requests_served, so it never exceeds it at any snapshot.
+  std::uint64_t requests_answered_on_loop = 0;
   std::uint64_t responses_4xx = 0;        ///< parse/route rejections
   std::uint64_t responses_5xx = 0;
   std::uint64_t connections_timed_out = 0;

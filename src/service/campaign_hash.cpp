@@ -38,9 +38,14 @@ std::uint64_t measurement_hash(const core::MeasurementSet& ms) {
 
 std::uint64_t campaign_hash(const core::MeasurementSet& ms,
                             const core::PredictionConfig& cfg) {
+  return campaign_hash(ms, core::config_signature(cfg));
+}
+
+std::uint64_t campaign_hash(const core::MeasurementSet& ms,
+                            std::uint64_t config_signature) {
   core::Fnv1a h;
   h.u64(measurement_hash(ms));
-  h.u64(core::config_signature(cfg));
+  h.u64(config_signature);
   return h.value();
 }
 

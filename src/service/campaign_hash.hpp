@@ -34,4 +34,9 @@ std::uint64_t measurement_hash(const core::MeasurementSet& ms);
 std::uint64_t campaign_hash(const core::MeasurementSet& ms,
                             const core::PredictionConfig& cfg);
 
+/// The same key from a config_signature computed once: a server's config
+/// is immutable, so it need not re-hash it on every request.
+std::uint64_t campaign_hash(const core::MeasurementSet& ms,
+                            std::uint64_t config_signature);
+
 }  // namespace estima::service

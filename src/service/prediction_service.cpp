@@ -14,6 +14,7 @@ namespace estima::service {
 PredictionService::PredictionService(ServiceConfig cfg, core::ExecContext base)
     : cfg_(std::move(cfg)),
       base_(base),
+      config_signature_(core::config_signature(cfg_.prediction)),
       cache_(cfg_.cache_capacity,
              std::chrono::milliseconds(cfg_.cache_ttl_ms)) {
   if (base_.deadline != nullptr || base_.trace != nullptr ||
@@ -31,7 +32,7 @@ PredictionService::PredictionService(ServiceConfig cfg, core::ExecContext base)
 
 std::uint64_t PredictionService::hash_of(
     const core::MeasurementSet& ms) const {
-  return campaign_hash(ms, cfg_.prediction);
+  return campaign_hash(ms, config_signature_);
 }
 
 PredictionService::Claim PredictionService::claim_locked(std::uint64_t key) {
@@ -152,6 +153,14 @@ core::Prediction PredictionService::predict_one(
   return *settle(key, claim, ms, deadline, trace, disposition, memo);
 }
 
+std::shared_ptr<const core::Prediction> PredictionService::lookup_hit(
+    std::uint64_t key) {
+  std::lock_guard<std::mutex> lock(mu_);
+  std::shared_ptr<const core::Prediction> hit = cache_.get_if_fresh(key);
+  if (hit) ++stats_.campaigns_submitted;
+  return hit;
+}
+
 core::Prediction PredictionService::explain(const core::MeasurementSet& ms,
                                             core::PredictionAudit& audit,
                                             const core::Deadline* deadline,
@@ -259,7 +268,7 @@ SnapshotWriteReport PredictionService::snapshot_to(
     std::lock_guard<std::mutex> lock(mu_);
     entries = cache_.entries();
   }
-  return save_snapshot(path, core::config_signature(cfg_.prediction), entries);
+  return save_snapshot(path, config_signature_, entries);
 }
 
 SnapshotLoadReport PredictionService::restore_from(const std::string& path) {
@@ -267,7 +276,7 @@ SnapshotLoadReport PredictionService::restore_from(const std::string& path) {
   // checksummed header: a foreign-config snapshot is rejected before a
   // single entry is read.
   SnapshotLoadReport report =
-      load_snapshot(path, core::config_signature(cfg_.prediction));
+      load_snapshot(path, config_signature_);
   // Count both explicitly skipped frames and frames the header promised
   // but a truncated file never delivered.
   std::uint64_t skipped = report.skipped.size();

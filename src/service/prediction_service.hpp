@@ -131,6 +131,14 @@ class PredictionService {
                                CacheDisposition* disposition = nullptr,
                                core::FitMemo* memo = nullptr);
 
+  /// The hit step alone, for callers that must not compute or wait (the
+  /// HTTP edge's event loops): the fresh cached answer for `key`, counted
+  /// as predict_one counts a hit (one submitted campaign, one cache hit).
+  /// On a miss, an expired entry or a key whose computation is in flight
+  /// it returns null and counts nothing — the caller hands the request to
+  /// predict_one, which counts it once.
+  std::shared_ptr<const core::Prediction> lookup_hit(std::uint64_t key);
+
   /// Audited prediction for POST /v1/explain: runs the full pipeline
   /// fresh with `audit` attached, bypassing the cache and the in-flight
   /// table — the bit-identity contract guarantees the answer equals the
@@ -229,6 +237,9 @@ class PredictionService {
 
   ServiceConfig cfg_;
   core::ExecContext base_;
+  /// config_signature(cfg_.prediction), computed once: every campaign
+  /// key and every snapshot header carries it.
+  const std::uint64_t config_signature_;
 
   /// Guards everything below. Never held across a fit, a joiner's wait or
   /// a file write.

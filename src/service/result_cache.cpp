@@ -25,6 +25,17 @@ std::shared_ptr<const core::Prediction> ResultCache::get(std::uint64_t key) {
   return it->second->value;
 }
 
+std::shared_ptr<const core::Prediction> ResultCache::get_if_fresh(
+    std::uint64_t key) {
+  auto it = index_.find(key);
+  if (it == index_.end() || expired(*it->second, Clock::now())) {
+    return nullptr;
+  }
+  ++stats_.hits;
+  lru_.splice(lru_.begin(), lru_, it->second);
+  return it->second->value;
+}
+
 StaleLookup ResultCache::lookup_stale(std::uint64_t key) {
   auto it = index_.find(key);
   if (it == index_.end()) {

@@ -63,6 +63,12 @@ class ResultCache {
   /// gets no recency refresh). Counts one hit or miss.
   std::shared_ptr<const core::Prediction> get(std::uint64_t key);
 
+  /// The hit-only lookup: a fresh entry is a hit exactly as through get()
+  /// (counted, recency refreshed); anything else — absent or expired —
+  /// returns nullptr and counts nothing, so the caller can fall back to
+  /// get() and have the request counted once.
+  std::shared_ptr<const core::Prediction> get_if_fresh(std::uint64_t key);
+
   /// Degraded-mode lookup: returns whatever is resident for the key, even
   /// expired, flagging staleness. A stale answer counts stale_hits and
   /// does not refresh recency (shedding must not keep dead entries warm);

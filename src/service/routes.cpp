@@ -198,36 +198,60 @@ net::HttpResponse ServiceRouter::handle(const net::HttpRequest& req,
   const auto start = std::chrono::steady_clock::now();
   RequestEvent ev;
   net::HttpResponse resp = dispatch(req, ctx, ev);
+  finish(req, ctx, ev, start, resp);
+  return resp;
+}
+
+std::optional<net::HttpResponse> ServiceRouter::answer_on_loop(
+    const net::HttpRequest& req, const net::RequestContext& ctx) {
+  // Only a request the pool would answer from the cache without a
+  // deadline of its own: a client deadline header (valid or not) goes to
+  // the pool, which owns the 400 for a bad one.
+  if (req.target != "/v1/predict" || req.method != "POST" ||
+      req.header("x-estima-deadline-ms") != nullptr) {
+    return std::nullopt;
+  }
+  const auto start = std::chrono::steady_clock::now();
+  RequestEvent ev;
+  std::optional<net::HttpResponse> resp =
+      predict_hit(req, ctx.trace.get(), ev);
+  if (resp) finish(req, ctx, ev, start, *resp);
+  return resp;
+}
+
+void ServiceRouter::finish(const net::HttpRequest& req,
+                           const net::RequestContext& ctx,
+                           const RequestEvent& ev,
+                           std::chrono::steady_clock::time_point start,
+                           net::HttpResponse& resp) {
   // Echo the request's trace id on every response — success or mapped
   // error — so clients can correlate answers with /v1/trace entries.
   if (ctx.trace) {
     resp.headers.emplace_back("x-estima-trace-id",
                               obs::format_trace_id(ctx.trace->trace_id()));
   }
-  if (event_log_ != nullptr) {
-    // One line per request. The handler reported the cache disposition;
-    // an error response overrides it (408 = the deadline cancelled the
-    // computation, other 4xx/5xx = error), because the handler's answer
-    // never reached the client.
-    const char* disposition = ev.disposition;
-    if (resp.status == 408) {
-      disposition = "cancelled";
-    } else if (resp.status >= 400) {
-      disposition = "error";
-    }
-    const double latency_ms =
-        static_cast<double>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                std::chrono::steady_clock::now() - start)
-                .count()) /
-        1e6;
-    event_log_->emit(obs::format_request_event(
-        ctx.trace ? obs::format_trace_id(ctx.trace->trace_id()) : "",
-        req.target, resp.status,
-        ev.has_campaign ? hash_hex(ev.campaign_hash) : "", disposition,
-        ev.winner_kernel, latency_ms));
+  if (event_log_ == nullptr) return;
+  // One line per request. The handler reported the cache disposition; an
+  // error response overrides it (408 = the deadline cancelled the
+  // computation, other 4xx/5xx = error), because the handler's answer
+  // never reached the client.
+  const char* disposition = ev.disposition;
+  if (resp.status == 408) {
+    disposition = "cancelled";
+  } else if (resp.status >= 400) {
+    disposition = "error";
   }
-  return resp;
+  const double latency_ms =
+      static_cast<double>(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(
+              std::chrono::steady_clock::now() - start)
+              .count()) /
+      1e6;
+  event_log_->emit(obs::format_request_event(
+      ctx.trace ? obs::format_trace_id(ctx.trace->trace_id()) : "",
+      req.target, resp.status,
+      ev.has_campaign ? hash_hex(ev.campaign_hash) : "", disposition,
+      ev.winner_kernel, latency_ms));
 }
 
 net::HttpResponse ServiceRouter::dispatch(const net::HttpRequest& req,
@@ -305,6 +329,43 @@ net::HttpResponse ServiceRouter::dispatch(const net::HttpRequest& req,
   }
 }
 
+std::optional<net::HttpResponse> ServiceRouter::predict_hit(
+    const net::HttpRequest& req, obs::TraceContext* trace,
+    RequestEvent& ev) {
+  // The spans are added only once the request is answered here: a
+  // declined attempt leaves the trace to the pool path unchanged.
+  using Clock = std::chrono::steady_clock;
+  const Clock::time_point parse_begin =
+      trace != nullptr ? Clock::now() : Clock::time_point{};
+  core::MeasurementSet ms;
+  try {
+    ms = core::read_csv(req.body);
+  } catch (const std::exception&) {
+    return std::nullopt;  // a 4xx is the pool's to answer
+  }
+  const Clock::time_point parse_end =
+      trace != nullptr ? Clock::now() : Clock::time_point{};
+  const std::uint64_t key = service_.hash_of(ms);
+  // As on the pool path, the hash is in no span and the lookup is.
+  const Clock::time_point lookup_begin =
+      trace != nullptr ? Clock::now() : Clock::time_point{};
+  const std::shared_ptr<const core::Prediction> hit = service_.lookup_hit(key);
+  if (!hit) return std::nullopt;
+  if (trace != nullptr) {
+    trace->add(obs::Stage::kParse, parse_begin, parse_end);
+    trace->add(obs::Stage::kCacheLookup, lookup_begin, Clock::now());
+  }
+  ev.has_campaign = true;
+  ev.campaign_hash = key;
+  ev.disposition = "hit";
+  try {
+    return predict_response(*hit, /*stale=*/false, trace, ev);
+  } catch (const std::exception& e) {
+    // Counted as a hit already, so answered here, as dispatch() would.
+    return text_response(500, e.what());
+  }
+}
+
 net::HttpResponse ServiceRouter::handle_predict(
     const net::HttpRequest& req, const net::RequestContext& ctx,
     const core::Deadline* deadline, RequestEvent& ev) {
@@ -323,25 +384,25 @@ net::HttpResponse ServiceRouter::handle_predict(
     if (const auto cached =
             service_.cached_or_stale(ev.campaign_hash, &stale)) {
       ev.disposition = stale ? "stale" : "hit";
-      ev.winner_kernel = core::kernel_name(cached->factor_fn.type);
-      obs::SpanTimer serialize_span(trace, obs::Stage::kSerialize);
-      net::HttpResponse resp;
-      resp.status = 200;
-      resp.headers.emplace_back("content-type", "text/plain");
-      if (stale) resp.headers.emplace_back("x-estima-stale", "1");
-      resp.body = core::render_prediction(*cached);
-      return resp;
+      return predict_response(*cached, stale, trace, ev);
     }
   }
   CacheDisposition disp = CacheDisposition::kUnknown;
   const core::Prediction pred =
       service_.predict_one(ms, deadline, trace, &disp);
   ev.disposition = disp == CacheDisposition::kMiss ? "miss" : "hit";
+  return predict_response(pred, /*stale=*/false, trace, ev);
+}
+
+net::HttpResponse ServiceRouter::predict_response(
+    const core::Prediction& pred, bool stale, obs::TraceContext* trace,
+    RequestEvent& ev) {
   ev.winner_kernel = core::kernel_name(pred.factor_fn.type);
   obs::SpanTimer serialize_span(trace, obs::Stage::kSerialize);
   net::HttpResponse resp;
   resp.status = 200;
   resp.headers.emplace_back("content-type", "text/plain");
+  if (stale) resp.headers.emplace_back("x-estima-stale", "1");
   resp.body = core::render_prediction(pred);
   return resp;
 }
@@ -648,6 +709,7 @@ net::HttpResponse ServiceRouter::handle_stats() {
     w.kv("open_connections", n.open_connections);
     w.kv("peak_connections", n.peak_connections);
     w.kv("requests_served", n.requests_served);
+    w.kv("requests_answered_on_loop", n.requests_answered_on_loop);
     w.kv("responses_4xx", n.responses_4xx);
     w.kv("responses_5xx", n.responses_5xx);
     w.kv("connections_timed_out", n.connections_timed_out);
@@ -753,6 +815,10 @@ net::HttpResponse ServiceRouter::handle_metrics() {
             static_cast<std::int64_t>(n.peak_connections));
     w.counter("estima_server_requests_served_total", "",
               "Requests answered (any status).", n.requests_served);
+    w.counter("estima_server_requests_answered_on_loop_total", "",
+              "Requests the event loops answered without the handler pool "
+              "(cache hits).",
+              n.requests_answered_on_loop);
     w.counter("estima_server_responses_4xx_total", "",
               "Responses with a 4xx status.", n.responses_4xx);
     w.counter("estima_server_responses_5xx_total", "",

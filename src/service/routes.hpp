@@ -1,7 +1,8 @@
 // The HTTP surface of PredictionService: route table, body formats, and
 // status mapping — everything between a decoded net::HttpRequest and the
 // serving layer, with no socket code in sight (net/server.cpp calls
-// ServiceRouter::handle as its Handler; tests call it directly).
+// ServiceRouter::answer_on_loop as its LoopAnswer and ServiceRouter::handle
+// as its Handler; tests call them directly).
 //
 // Routes:
 //   POST /v1/predict        one campaign, CSV body (write_csv format) ->
@@ -89,11 +90,13 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -107,6 +110,7 @@
 namespace estima::obs {
 class EventLog;
 class Registry;
+class TraceContext;
 class Tracer;
 }  // namespace estima::obs
 
@@ -143,6 +147,17 @@ class ServiceRouter {
   /// the header comment), and ctx.trace records the router's spans.
   net::HttpResponse handle(const net::HttpRequest& req,
                            const net::RequestContext& ctx);
+
+  /// HttpServer's LoopAnswer: the hit step of POST /v1/predict, run on
+  /// an event loop. A fresh cache hit is answered here — parse, hash,
+  /// look up, render, with the trace echo and event-log line handle()
+  /// would write — in the same bytes and counts as handle(). Everything
+  /// else is declined (nullopt) with nothing counted or logged: a miss,
+  /// a key in flight, an expired entry, a body the reader rejects, an
+  /// X-Estima-Deadline-Ms header, any other route. handle() then serves
+  /// it on the pool.
+  std::optional<net::HttpResponse> answer_on_loop(
+      const net::HttpRequest& req, const net::RequestContext& ctx);
 
   /// Flips /v1/health to 503 "draining" — called by the daemon when a
   /// shutdown signal arrives, so load balancers drain this instance
@@ -200,10 +215,27 @@ class ServiceRouter {
   net::HttpResponse dispatch(const net::HttpRequest& req,
                              const net::RequestContext& ctx,
                              RequestEvent& ev);
+  /// What every answered request gets, on either path: the trace id
+  /// echo and one event-log line.
+  void finish(const net::HttpRequest& req, const net::RequestContext& ctx,
+              const RequestEvent& ev,
+              std::chrono::steady_clock::time_point start,
+              net::HttpResponse& resp);
+  /// /v1/predict's hit step (answer_on_loop): the response for a fresh
+  /// cache hit, or nullopt with nothing counted.
+  std::optional<net::HttpResponse> predict_hit(const net::HttpRequest& req,
+                                               obs::TraceContext* trace,
+                                               RequestEvent& ev);
+  /// /v1/predict's compute step (the pool): serve-stale while shedding,
+  /// else predict_one — hit, join or fit.
   net::HttpResponse handle_predict(const net::HttpRequest& req,
                                    const net::RequestContext& ctx,
                                    const core::Deadline* deadline,
                                    RequestEvent& ev);
+  /// The one renderer of a /v1/predict answer, for both steps.
+  net::HttpResponse predict_response(const core::Prediction& pred,
+                                     bool stale, obs::TraceContext* trace,
+                                     RequestEvent& ev);
   net::HttpResponse handle_predict_batch(const net::HttpRequest& req,
                                          const net::RequestContext& ctx,
                                          const core::Deadline* deadline);

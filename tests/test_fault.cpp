@@ -301,6 +301,9 @@ struct Stack {
         std::move(ncfg),
         [this](const net::HttpRequest& req, const net::RequestContext& ctx) {
           return router->handle(req, ctx);
+        },
+        [this](const net::HttpRequest& req, const net::RequestContext& ctx) {
+          return router->answer_on_loop(req, ctx);
         });
     router->set_server_stats_source([this] { return server->stats(); });
     server->start();

@@ -36,11 +36,14 @@
 #include <atomic>
 #include <cctype>
 #include <chrono>
+#include <condition_variable>
 #include <cstring>
 #include <deque>
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <mutex>
+#include <optional>
 #include <random>
 #include <sstream>
 #include <string>
@@ -381,8 +384,12 @@ class NetEndToEnd : public ::testing::Test {
     ncfg.limits.max_body_bytes = 64 * 1024;
     ncfg.idle_timeout_ms = 2000;
     server_ = std::make_unique<HttpServer>(
-        ncfg, [this](const HttpRequest& req, const RequestContext& ctx) {
+        ncfg,
+        [this](const HttpRequest& req, const RequestContext& ctx) {
           return router_->handle(req, ctx);
+        },
+        [this](const HttpRequest& req, const RequestContext& ctx) {
+          return router_->answer_on_loop(req, ctx);
         });
     router_->set_server_stats_source([this] { return server_->stats(); });
     server_->start();
@@ -1297,6 +1304,9 @@ struct ServedStack {
         std::move(ncfg),
         [this](const HttpRequest& req, const RequestContext& ctx) {
           return router->handle(req, ctx);
+        },
+        [this](const HttpRequest& req, const RequestContext& ctx) {
+          return router->answer_on_loop(req, ctx);
         });
     server->start();
   }
@@ -1701,11 +1711,24 @@ void run_schedule_fuzz(std::uint32_t seed) {
   ncfg.io_threads = 2;
   ncfg.worker_threads = 4;
   ncfg.idle_timeout_ms = 60'000;  // the schedule must drive every close
-  HttpServer server(ncfg, [](const HttpRequest& req, const RequestContext&) {
-    HttpResponse resp;
-    resp.body = req.body;
-    return resp;
-  });
+  // Odd tokens are answered on the loop, even ones by the pool, so the
+  // pipelined runs interleave both paths.
+  HttpServer server(
+      ncfg,
+      [](const HttpRequest& req, const RequestContext&) {
+        HttpResponse resp;
+        resp.body = req.body;
+        return resp;
+      },
+      [](const HttpRequest& req,
+         const RequestContext&) -> std::optional<HttpResponse> {
+        if (req.body.empty() || (req.body.back() - '0') % 2 == 0) {
+          return std::nullopt;
+        }
+        HttpResponse resp;
+        resp.body = req.body;
+        return resp;
+      });
   server.start();
 
   constexpr int kConns = 24;
@@ -1726,6 +1749,8 @@ void run_schedule_fuzz(std::uint32_t seed) {
     EXPECT_GE(s.connections_timed_out, prev.connections_timed_out);
     EXPECT_GE(s.overflow_rejections, prev.overflow_rejections);
     EXPECT_GE(s.parse_errors, prev.parse_errors);
+    EXPECT_GE(s.requests_answered_on_loop, prev.requests_answered_on_loop);
+    EXPECT_LE(s.requests_answered_on_loop, s.requests_served);
     EXPECT_EQ(s.connections_accepted,
               s.connections_closed + s.open_connections);
     prev = s;
@@ -1787,6 +1812,243 @@ TEST(EventLoopFuzz, SeededSchedulesKeepInvariantsAndLoseNothing) {
     fuzz::run_schedule_fuzz(seed);
     if (::testing::Test::HasFatalFailure()) return;
   }
+}
+
+// ---------------------------------------------------------------------------
+// 6. Loop answers: what the LoopAnswer takes never waits for a handler
+// thread, what it declines reaches the handler exactly once, and the
+// stats invariants hold across both paths.
+
+/// One-shot latch: wait() returns once count_down() ran `n` times.
+class Latch {
+ public:
+  explicit Latch(int n) : n_(n) {}
+  void count_down() {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (--n_ <= 0) cv_.notify_all();
+  }
+  void wait() {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [&] { return n_ <= 0; });
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  int n_;
+};
+
+HttpResponse body_response(std::string body) {
+  HttpResponse resp;
+  resp.body = std::move(body);
+  return resp;
+}
+
+TEST(LoopAnswer, HitIsAnsweredWhileEveryHandlerThreadIsHeld) {
+  ServerConfig ncfg;
+  ncfg.io_threads = 1;
+  ncfg.worker_threads = 2;
+  Latch held(2), release(1);
+  HttpServer server(
+      ncfg,
+      [&](const HttpRequest& req, const RequestContext&) {
+        held.count_down();
+        release.wait();
+        return body_response("computed " + req.body);
+      },
+      [](const HttpRequest& req,
+         const RequestContext& ctx) -> std::optional<HttpResponse> {
+        if (req.target != "/hit") return std::nullopt;
+        EXPECT_EQ(ctx.deadline, nullptr) << "a loop answer computes nothing";
+        EXPECT_FALSE(ctx.shedding);
+        return body_response("hit " + req.body);
+      });
+  server.start();
+  std::vector<std::thread> fits;
+  for (int i = 0; i < 2; ++i) {
+    fits.emplace_back([&, i] {
+      HttpClient c("127.0.0.1", server.port());
+      const auto resp = c.post("/fit", std::to_string(i), "text/plain");
+      EXPECT_EQ(resp.body, "computed " + std::to_string(i));
+    });
+  }
+  held.wait();  // every handler thread is inside the handler
+
+  HttpClient c("127.0.0.1", server.port());
+  const auto hit = c.post("/hit", "k", "text/plain");
+  EXPECT_EQ(hit.status, 200);
+  EXPECT_EQ(hit.body, "hit k");
+  const ServerStats s = server.stats();
+  EXPECT_EQ(s.requests_answered_on_loop, 1u);
+  EXPECT_EQ(s.requests_served, 1u);
+
+  release.count_down();
+  for (auto& t : fits) t.join();
+  EXPECT_EQ(server.stats().requests_served, 3u);
+  server.stop();
+}
+
+TEST(LoopAnswer, DeclinedOrThrowingOffersReachTheHandlerOnce) {
+  ServerConfig ncfg;
+  ncfg.io_threads = 1;
+  ncfg.worker_threads = 1;
+  std::atomic<int> handled{0};
+  HttpServer server(
+      ncfg,
+      [&](const HttpRequest& req, const RequestContext& ctx) {
+        ++handled;
+        EXPECT_NE(ctx.deadline, nullptr) << "the pool path keeps its 408";
+        return body_response("pool " + req.target);
+      },
+      [](const HttpRequest& req,
+         const RequestContext&) -> std::optional<HttpResponse> {
+        if (req.target == "/throw") throw std::runtime_error("boom");
+        if (req.target == "/decline") return std::nullopt;
+        return body_response("loop " + req.target);
+      });
+  server.start();
+  HttpClient c("127.0.0.1", server.port());
+  EXPECT_EQ(c.post("/throw", "x", "text/plain").body, "pool /throw");
+  EXPECT_EQ(c.post("/decline", "x", "text/plain").body, "pool /decline");
+  EXPECT_EQ(c.post("/hit", "x", "text/plain").body, "loop /hit");
+  EXPECT_EQ(handled.load(), 2);
+  const ServerStats s = server.stats();
+  EXPECT_EQ(s.requests_served, 3u);
+  EXPECT_EQ(s.requests_answered_on_loop, 1u);
+  server.stop();
+}
+
+// The loop spends at most a request head's worth of parsing on an offer:
+// a body above limits.max_header_bytes goes straight to the pool.
+TEST(LoopAnswer, BodiesAboveTheBoundAreNeverOffered) {
+  ServerConfig ncfg;
+  ncfg.io_threads = 1;
+  ncfg.worker_threads = 1;
+  ncfg.limits.max_header_bytes = 1024;
+  std::atomic<std::size_t> largest{0};
+  HttpServer server(
+      ncfg,
+      [](const HttpRequest&, const RequestContext&) {
+        return body_response("pool");
+      },
+      [&](const HttpRequest& req,
+          const RequestContext&) -> std::optional<HttpResponse> {
+        largest = std::max(largest.load(), req.body.size());
+        return body_response("loop");
+      });
+  server.start();
+  HttpClient c("127.0.0.1", server.port());
+  for (const std::size_t n : {0u, 1023u, 1024u}) {
+    EXPECT_EQ(c.post("/x", std::string(n, 'b'), "text/plain").body, "loop")
+        << n;
+  }
+  for (const std::size_t n : {1025u, 64u * 1024}) {
+    EXPECT_EQ(c.post("/x", std::string(n, 'b'), "text/plain").body, "pool")
+        << n;
+  }
+  EXPECT_EQ(largest.load(), 1024u);
+  EXPECT_EQ(server.stats().requests_answered_on_loop, 3u);
+  server.stop();
+}
+
+// Thousands of pipelined requests in one burst, long runs answered on the
+// loop and a tail alternating with the pool: every answer arrives once,
+// in order. The loop takes each next pipelined request by iterating, so a
+// burst cannot grow its stack (the sanitizer jobs run this too).
+TEST(LoopAnswer, PipelinedBurstIsAnsweredInOrderAcrossBothPaths) {
+  ServerConfig ncfg;
+  ncfg.io_threads = 1;
+  ncfg.worker_threads = 2;
+  HttpServer server(
+      ncfg,
+      [](const HttpRequest& req, const RequestContext&) {
+        return body_response("pool " + req.body);
+      },
+      [](const HttpRequest& req,
+         const RequestContext&) -> std::optional<HttpResponse> {
+        if (req.body[0] != 'L') return std::nullopt;
+        return body_response("loop " + req.body);
+      });
+  server.start();
+  constexpr int kRequests = 4000;
+  std::vector<std::string> tokens;
+  std::string burst;
+  int on_loop = 0;
+  for (int i = 0; i < kRequests; ++i) {
+    const bool loop = i < 3000 || i % 3 != 0;
+    on_loop += loop;
+    tokens.push_back((loop ? "L" : "P") + std::to_string(i));
+    burst += serialize_request("POST", "/echo", tokens.back(), {});
+  }
+  RawConnection conn(server.port());
+  // Sent from a second thread: the server's answers fill this side's
+  // receive buffer while the burst is still going out.
+  std::thread sender([&] { conn.send_bytes(burst); });
+  const std::vector<HttpResponse> responses = conn.read_responses(kRequests);
+  sender.join();
+  ASSERT_EQ(responses.size(), static_cast<std::size_t>(kRequests));
+  for (int i = 0; i < kRequests; ++i) {
+    const std::string want =
+        (tokens[i][0] == 'L' ? "loop " : "pool ") + tokens[i];
+    ASSERT_EQ(responses[i].body, want) << "response " << i;
+  }
+  EXPECT_EQ(server.stats().requests_answered_on_loop,
+            static_cast<std::uint64_t>(on_loop));
+  server.stop();
+}
+
+// stop() while clients are mid-stream with cache hits (answered on the
+// loop) and misses (computing on the pool): every answer that arrives is
+// right, and the connection books balance.
+TEST(LoopAnswer, StopWithHitsAndMissesInFlightKeepsTheBooks) {
+  ServerConfig ncfg;
+  ncfg.io_threads = 2;
+  ncfg.worker_threads = 2;
+  ServedStack stack(std::move(ncfg));
+  const core::MeasurementSet warm = demo_campaign(0, 8);
+  const std::string warm_body = csv_of(warm);
+  const std::string warm_record = record_of(core::predict(warm, stack.cfg));
+  {
+    HttpClient c("127.0.0.1", stack.server->port());
+    ASSERT_EQ(c.post("/v1/predict", warm_body, "text/csv").body, warm_record);
+  }
+
+  Latch answered(4);  // every client has had one answer
+  std::vector<std::thread> clients;
+  for (int k = 0; k < 4; ++k) {
+    clients.emplace_back([&, k] {
+      const bool hits = k < 2;
+      HttpClient c("127.0.0.1", stack.server->port());
+      bool counted = false;
+      for (int i = 0; i < 100'000; ++i) {
+        const std::string body =
+            hits ? warm_body : csv_of(demo_campaign(10 + 4 * i + k, 8));
+        HttpResponse resp;
+        try {
+          resp = c.post("/v1/predict", body, "text/csv");
+        } catch (const std::runtime_error&) {
+          break;  // stop() closed the connection
+        }
+        EXPECT_EQ(resp.status, 200);
+        if (hits) EXPECT_EQ(resp.body, warm_record);
+        if (!counted) {
+          counted = true;
+          answered.count_down();
+        }
+      }
+      if (!counted) answered.count_down();
+    });
+  }
+  answered.wait();
+  stack.server->stop();
+  for (auto& t : clients) t.join();
+
+  const ServerStats s = stack.server->stats();
+  EXPECT_EQ(s.connections_accepted, s.connections_closed + s.open_connections);
+  EXPECT_EQ(s.open_connections, 0u);
+  EXPECT_GT(s.requests_answered_on_loop, 0u);
+  EXPECT_LE(s.requests_answered_on_loop, s.requests_served);
+  EXPECT_EQ(s.responses_5xx, 0u);
 }
 
 // ---------------------------------------------------------------------------

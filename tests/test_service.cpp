@@ -5,13 +5,22 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <mutex>
 #include <sstream>
 #include <thread>
 #include <unordered_map>
 #include <vector>
 
+#include "core/prediction_io.hpp"
+#include "net/client.hpp"
+#include "net/server.hpp"
+#include "obs/event_log.hpp"
+#include "obs/histogram.hpp"
+#include "obs/trace.hpp"
 #include "parallel/thread_pool.hpp"
 #include "oracle/scalar_fit.hpp"
 #include "service/campaign_hash.hpp"
@@ -606,6 +615,334 @@ TEST(ServiceRouter, MalformedCampaignHeadersAnswer400OnEveryCampaignRoute) {
     EXPECT_EQ(resp.body, "campaign frame 1: " + message + "\n");
   }
   EXPECT_EQ(request("GET", "/v1/campaigns/d", "").status, 404);
+}
+
+// ---------------------------------------------------------------------------
+// The event loop's hit step (ServiceRouter::answer_on_loop) against the
+// pool-only path: same bytes, same counters, same event-log lines.
+
+std::string csv_text(const core::MeasurementSet& ms) {
+  std::ostringstream os;
+  core::write_csv(os, ms);
+  return os.str();
+}
+
+/// One-shot latch: wait() returns once count_down() ran `n` times.
+class Latch {
+ public:
+  explicit Latch(int n) : n_(n) {}
+  void count_down() {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (--n_ <= 0) cv_.notify_all();
+  }
+  void wait() {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [&] { return n_ <= 0; });
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  int n_;
+};
+
+/// A served PredictionService with an event log: the daemon's wiring,
+/// or the pool-only wiring when `loop_answers` is false. `hold`, when
+/// set, runs on the handler thread before the router does.
+struct ServedService {
+  ServedService(bool loop_answers, std::uint64_t ttl_ms,
+                const std::string& log_path,
+                std::function<void(const net::HttpRequest&)> hold = {})
+      : pool(2),
+        svc(ServiceConfig{serving_config(), 64, ttl_ms, 0, ""}, &pool),
+        router(svc),
+        log(obs::EventLogConfig{log_path, 1024, 0, 5}),
+        hold_(std::move(hold)) {
+    router.set_event_log(&log);
+    net::ServerConfig ncfg;
+    ncfg.io_threads = 1;
+    ncfg.worker_threads = 2;
+    net::HttpServer::LoopAnswer loop;
+    if (loop_answers) {
+      loop = [this](const net::HttpRequest& req,
+                    const net::RequestContext& ctx) {
+        return router.answer_on_loop(req, ctx);
+      };
+    }
+    server = std::make_unique<net::HttpServer>(
+        ncfg,
+        [this](const net::HttpRequest& req, const net::RequestContext& ctx) {
+          if (hold_) hold_(req);
+          return router.handle(req, ctx);
+        },
+        std::move(loop));
+    server->start();
+  }
+
+  net::HttpResponse post(
+      const std::string& body,
+      const std::vector<std::pair<std::string, std::string>>& headers = {},
+      const std::string& target = "/v1/predict") {
+    net::HttpClient c("127.0.0.1", server->port());
+    return c.request("POST", target, body, headers);
+  }
+
+  /// Stops serving and returns the event log, each line cut before its
+  /// latency (the one field that differs run to run), sorted.
+  std::vector<std::string> stop_and_read_log() {
+    server->stop();
+    log.stop();
+    std::ifstream in(log.config().path);
+    std::vector<std::string> lines;
+    for (std::string line; std::getline(in, line);) {
+      lines.push_back(line.substr(0, line.find("\"latency_ms\"")));
+    }
+    std::sort(lines.begin(), lines.end());
+    return lines;
+  }
+
+  parallel::ThreadPool pool;
+  PredictionService svc;
+  ServiceRouter router;
+  obs::EventLog log;
+  std::function<void(const net::HttpRequest&)> hold_;
+  std::unique_ptr<net::HttpServer> server;
+};
+
+/// The counters the hit step must leave exactly as the pool-only path
+/// leaves them.
+struct Books {
+  std::uint64_t submitted, hits, misses, expired_misses, joins, computed;
+  bool operator==(const Books& o) const {
+    return submitted == o.submitted && hits == o.hits &&
+           misses == o.misses && expired_misses == o.expired_misses &&
+           joins == o.joins && computed == o.computed;
+  }
+};
+
+std::ostream& operator<<(std::ostream& os, const Books& b) {
+  return os << "{submitted " << b.submitted << ", hits " << b.hits
+            << ", misses " << b.misses << ", expired " << b.expired_misses
+            << ", joins " << b.joins << ", computed " << b.computed << "}";
+}
+
+Books books_of(const PredictionService& svc) {
+  const ServiceStats s = svc.stats();
+  return Books{s.campaigns_submitted, s.cache.hits,     s.cache.misses,
+               s.cache.expired_misses, s.inflight_joins, s.predictions_computed};
+}
+
+struct SequenceResult {
+  Books books;
+  std::vector<std::string> log;
+  std::vector<std::string> bodies;  ///< response status + body, in order
+  net::ServerStats server;
+};
+
+/// The fixed sequence: miss, loop-eligible hit, hit with a deadline
+/// header, bad deadline header, malformed CSV, a hit whose body is above
+/// the loop's bound, then an in-flight join (the joiner's handler waits
+/// until the owner has claimed the key; the owner's cold 128-point fit
+/// outlasts the joiner's parse and claim by orders of magnitude).
+SequenceResult run_main_sequence(bool loop_answers) {
+  const auto log_path = std::filesystem::temp_directory_path() /
+                        (loop_answers ? "estima_loop_parity_loop.jsonl"
+                                      : "estima_loop_parity_pool.jsonl");
+  std::filesystem::remove(log_path);
+  const std::string a = csv_text(campaign(1, 8));
+  const std::string b = csv_text(campaign(2, 128));
+  std::string padded = a;
+  while (padded.size() <= 64 * 1024) padded += "# padding past the bound\n";
+
+  Latch owner_claimed(1);
+  ServedService s(loop_answers, 0, log_path.string(),
+                  [&](const net::HttpRequest& req) {
+                    if (req.header("x-test-joiner") != nullptr) {
+                      owner_claimed.wait();
+                    }
+                  });
+  SequenceResult out;
+  const auto record = [&](const net::HttpResponse& r) {
+    out.bodies.push_back(std::to_string(r.status) + " " + r.body);
+  };
+  record(s.post(a));
+  record(s.post(a));
+  record(s.post(a, {{"x-estima-deadline-ms", "600000"}}));
+  record(s.post(a, {{"x-estima-deadline-ms", "soon"}}));
+  record(s.post("cores,time_s\n1,oops\n"));
+  record(s.post(padded));
+
+  const std::uint64_t before = s.svc.stats().campaigns_submitted;
+  net::HttpResponse owner, joiner;
+  std::thread owner_thread([&] { owner = s.post(b); });
+  std::thread joiner_thread(
+      [&] { joiner = s.post(b, {{"x-test-joiner", "1"}}); });
+  // The owner's claim and its submitted count are one critical section.
+  while (s.svc.stats().campaigns_submitted == before) {
+    std::this_thread::yield();
+  }
+  owner_claimed.count_down();
+  owner_thread.join();
+  joiner_thread.join();
+  record(owner);
+  record(joiner);
+
+  out.books = books_of(s.svc);
+  out.server = s.server->stats();
+  out.log = s.stop_and_read_log();
+  std::filesystem::remove(log_path);
+  return out;
+}
+
+TEST(LoopHits, EveryCounterAndLogLineMatchesThePoolOnlyPath) {
+  const SequenceResult pool = run_main_sequence(false);
+  const SequenceResult loop = run_main_sequence(true);
+  EXPECT_EQ(loop.bodies, pool.bodies);
+  EXPECT_EQ(loop.books, pool.books);
+  EXPECT_EQ(loop.log, pool.log);
+  ASSERT_EQ(pool.bodies.size(), 8u);
+  EXPECT_EQ(pool.log.size(), 8u) << "one event line per request";
+  // The sequence did what it says: two computed misses (the first
+  // request and the join's owner), three hits (fresh, deadline header,
+  // padded body), one join (a miss that waited for the owner).
+  EXPECT_EQ(pool.books, (Books{6, 3, 3, 0, 1, 2}));
+  for (const std::size_t i : {0u, 1u, 2u, 5u, 6u, 7u}) {
+    EXPECT_EQ(pool.bodies[i].substr(0, 4), "200 ") << i;
+  }
+  EXPECT_EQ(pool.bodies[1], pool.bodies[0]);
+  EXPECT_EQ(pool.bodies[5], pool.bodies[0]);
+  EXPECT_EQ(pool.bodies[7], pool.bodies[6]);
+  EXPECT_EQ(pool.bodies[3].substr(0, 4), "400 ");
+  EXPECT_EQ(pool.bodies[4].substr(0, 4), "400 ");
+  // Only the plain fresh hit was answered on the loop: the deadline
+  // header, the body above 64 KiB and the in-flight key went to the pool.
+  EXPECT_EQ(pool.server.requests_answered_on_loop, 0u);
+  EXPECT_EQ(loop.server.requests_answered_on_loop, 1u);
+  EXPECT_EQ(loop.server.requests_served, pool.server.requests_served);
+}
+
+TEST(LoopHits, AnExpiredEntryIsDeclinedWithoutATrace) {
+  const auto run = [](bool loop_answers) {
+    const auto log_path = std::filesystem::temp_directory_path() /
+                          (loop_answers ? "estima_loop_ttl_loop.jsonl"
+                                        : "estima_loop_ttl_pool.jsonl");
+    std::filesystem::remove(log_path);
+    const std::string c = csv_text(campaign(3, 8));
+    constexpr auto kTtl = std::chrono::milliseconds(1);
+    ServedService s(loop_answers, kTtl.count(), log_path.string());
+    SequenceResult out;
+    const auto first = s.post(c);
+    // The entry was put before its answer was sent: once a TTL has
+    // passed since the answer arrived, it is expired for certain.
+    std::this_thread::sleep_until(std::chrono::steady_clock::now() +
+                                  2 * kTtl);
+    const auto second = s.post(c);
+    out.bodies = {first.body, second.body};
+    out.books = books_of(s.svc);
+    out.server = s.server->stats();
+    out.log = s.stop_and_read_log();
+    std::filesystem::remove(log_path);
+    return out;
+  };
+  const SequenceResult pool = run(false);
+  const SequenceResult loop = run(true);
+  EXPECT_EQ(pool.books, (Books{2, 0, 2, 1, 0, 2}));
+  EXPECT_EQ(loop.books, pool.books);
+  EXPECT_EQ(loop.log, pool.log);
+  EXPECT_EQ(loop.bodies, pool.bodies);
+  EXPECT_EQ(loop.server.requests_answered_on_loop, 0u);
+}
+
+// Every handler thread is busy (held at a latch, standing in for two
+// long fits); a warm campaign on another connection is still answered,
+// bit-identical to serial predict().
+TEST(LoopHits, AHitNeverQueuesBehindTheHandlerPool) {
+  const auto log_path =
+      std::filesystem::temp_directory_path() / "estima_loop_busy.jsonl";
+  Latch held(2), release(1);
+  ServedService s(true, 0, log_path.string(),
+                  [&](const net::HttpRequest& req) {
+                    if (req.header("x-test-hold") != nullptr) {
+                      held.count_down();
+                      release.wait();
+                    }
+                  });
+  const core::MeasurementSet ms = campaign(4, 8);
+  const std::string body = csv_text(ms);
+  ASSERT_EQ(s.post(body).status, 200);  // warm: computed on the pool
+
+  // Explains always compute, so they go to the pool.
+  std::vector<std::thread> busy;
+  for (int i = 0; i < 2; ++i) {
+    busy.emplace_back([&] {
+      EXPECT_EQ(s.post(body, {{"x-test-hold", "1"}}, "/v1/explain").status,
+                200);
+    });
+  }
+  held.wait();
+  const net::HttpResponse hit = s.post(body);
+  EXPECT_EQ(hit.status, 200);
+  EXPECT_EQ(hit.body,
+            core::render_prediction(core::predict(ms, serving_config())));
+  EXPECT_EQ(s.server->stats().requests_answered_on_loop, 1u);
+  release.count_down();
+  for (auto& t : busy) t.join();
+  s.stop_and_read_log();
+  std::filesystem::remove(log_path);
+}
+
+// A traced hit answered on the loop: the trace id is echoed, the trace
+// has no queue.wait (nothing queued), and its non-nested spans fit
+// inside its total.
+TEST(LoopHits, TracedLoopHitRecordsNoQueueWait) {
+  obs::Registry registry;
+  obs::TracerConfig tcfg;
+  tcfg.slow_threshold_ms = 0;  // retain every request
+  tcfg.ring_capacity = 8;
+  obs::Tracer tracer(registry, tcfg);
+  parallel::ThreadPool pool(2);
+  PredictionService svc(ServiceConfig{serving_config(), 64, 0, 0, ""}, &pool);
+  ServiceRouter router(svc);
+  net::ServerConfig ncfg;
+  ncfg.io_threads = 1;
+  ncfg.worker_threads = 2;
+  ncfg.tracer = &tracer;
+  net::HttpServer server(
+      ncfg,
+      [&](const net::HttpRequest& req, const net::RequestContext& ctx) {
+        return router.handle(req, ctx);
+      },
+      [&](const net::HttpRequest& req, const net::RequestContext& ctx) {
+        return router.answer_on_loop(req, ctx);
+      });
+  server.start();
+  net::HttpClient c("127.0.0.1", server.port());
+  const std::string body = csv_text(campaign(5, 8));
+  ASSERT_EQ(c.post("/v1/predict", body, "text/csv").status, 200);
+  const std::string id = obs::format_trace_id(0xabc123u);
+  const auto hit = c.request("POST", "/v1/predict", body,
+                             {{"x-estima-trace-id", id}});
+  ASSERT_EQ(hit.status, 200);
+  ASSERT_NE(hit.header("x-estima-trace-id"), nullptr);
+  EXPECT_EQ(*hit.header("x-estima-trace-id"), id);
+  EXPECT_EQ(server.stats().requests_answered_on_loop, 1u);
+  server.stop();  // every trace is finished once its response is written
+
+  bool found = false;
+  for (const obs::SlowTrace& t : tracer.slow_traces()) {
+    if (obs::format_trace_id(t.trace_id) != id) continue;
+    found = true;
+    std::uint64_t non_nested_ns = 0;
+    bool saw_lookup = false;
+    for (const auto& sp : t.spans) {
+      EXPECT_NE(sp.stage, obs::Stage::kQueueWait);
+      saw_lookup |= sp.stage == obs::Stage::kCacheLookup;
+      if (!sp.nested) non_nested_ns += sp.total_ns;
+    }
+    EXPECT_TRUE(saw_lookup);
+    EXPECT_LE(non_nested_ns, t.total_ns);
+  }
+  EXPECT_TRUE(found) << "the loop hit's trace was not retained";
 }
 
 }  // namespace
