@@ -24,9 +24,6 @@
 //                          (default 256, 0 = unbounded)
 //     --queue-delay-ms=D   a request queued longer than D ms is shed at
 //                          dequeue instead of run (default 0 = off)
-//     --cache-ttl-ms=T     cached predictions older than T ms read as
-//                          misses but stay resident for serve-stale
-//                          degradation (default 0 = never expire)
 //     --slow-trace-ms=T    requests slower than T ms land in the slow
 //                          ring served by GET /v1/trace and dumped on
 //                          SIGUSR1 (default 250; 0 retains every
@@ -64,8 +61,10 @@
 //
 // Resilience: each request's 408 budget is propagated into the predictor
 // as a cooperative deadline (plus any X-Estima-Deadline-Ms the client
-// sends), overload sheds with 503 + Retry-After, and under shedding
-// /v1/predict may serve an expired cache entry (X-Estima-Stale: 1).
+// sends), and overload sheds the oldest queued request with 503 +
+// Retry-After while /v1/health answers 503 "shedding". Cached answers
+// never expire: a campaign's hash folds in the config, so one key has
+// one answer.
 //
 // Observability: every request is traced (edge.read, queue.wait, parse,
 // cache.lookup, fit.enumerate, fit.levmar, fit.realism, serialize,
@@ -143,7 +142,6 @@ int main(int argc, char** argv) {
   const int snapshot_every = flags.integer("snapshot-every", 0);
   const int max_queue_depth = flags.integer("max-queue-depth", 256);
   const int queue_delay_ms = flags.integer("queue-delay-ms", 0);
-  const int cache_ttl_ms = flags.integer("cache-ttl-ms", 0);
   const int slow_trace_ms = flags.integer("slow-trace-ms", 250);
   const int trace_ring = flags.integer("trace-ring", 64);
   const std::string event_log_path = flags.str("event-log", "");
@@ -187,8 +185,6 @@ int main(int argc, char** argv) {
   scfg.prediction.target_cores = core::cores_up_to(target);
   scfg.cache_capacity = static_cast<std::size_t>(
       cache_capacity > 0 ? cache_capacity : 4096);
-  scfg.cache_ttl_ms =
-      static_cast<std::uint64_t>(cache_ttl_ms > 0 ? cache_ttl_ms : 0);
   if (snapshot_every > 0) {
     if (snapshot_file.empty()) {
       std::fprintf(stderr,

@@ -354,6 +354,12 @@ struct HttpServer::EventLoop {
     /// into the `parse` span at dispatch. Only advanced while a tracer
     /// is attached.
     std::uint64_t parse_ns = 0;
+    /// When the latest readable pass's first recv returned bytes, and
+    /// the copy of it taken when the current message's first byte was
+    /// parsed: the trace's origin. Both are stamped only while a tracer
+    /// is attached; the 408 budget keeps its own anchor (request_start).
+    Clock::time_point read_at{};
+    Clock::time_point message_start{};
     /// When the in-flight response's write began (valid while st ==
     /// kWriting and trace != null); anchors the edge.write span.
     Clock::time_point write_start{};
@@ -591,12 +597,15 @@ struct HttpServer::EventLoop {
     // out: its bytes are discarded, and EOF (or the linger deadline) ends
     // it.
     const bool lingering = c.st == St::kLingering;
+    const bool traced =
+        srv_.tracer_.load(std::memory_order_relaxed) != nullptr;
     char buf[16 * 1024];
     std::size_t pulled = 0;
     for (;;) {
       const ssize_t r = fault::checked_recv("net.read", c.fd, buf,
                                             sizeof buf);
       if (r > 0) {
+        if (traced && pulled == 0) c.read_at = Clock::now();
         if (!lingering) c.carry.append(buf, static_cast<std::size_t>(r));
         pulled += static_cast<std::size_t>(r);
         if (r < static_cast<ssize_t>(sizeof buf) || pulled >= 256 * 1024) {
@@ -652,7 +661,12 @@ struct HttpServer::EventLoop {
         c.parser.state() == RequestParser::State::kNeedMore) {
       // Parse time is accumulated per pass (a request's head and body can
       // arrive over many readable events) and becomes the `parse` span at
-      // dispatch; untraced servers skip the clock reads entirely.
+      // dispatch; untraced servers skip the clock reads entirely. A pass
+      // that starts a message takes the time its bytes were read as the
+      // trace's origin.
+      if (tracer != nullptr && !c.parser.mid_message()) {
+        c.message_start = c.read_at;
+      }
       const Clock::time_point parse_begin =
           tracer != nullptr ? Clock::now() : Clock::time_point{};
       while (!c.carry.empty() &&
@@ -710,7 +724,7 @@ struct HttpServer::EventLoop {
         c.parser.reset();
         const bool was_mid = c.mid_request;
         c.mid_request = false;
-        if (tracer != nullptr) start_trace(c, req, tracer, was_mid);
+        if (tracer != nullptr) start_trace(c, req, tracer);
         c.parse_ns = 0;
         const bool keep = req.keep_alive();
         if (answer_on_loop(c, req, keep)) return true;
@@ -749,17 +763,21 @@ struct HttpServer::EventLoop {
     return false;
   }
 
-  /// Starts the request's trace at dispatch. Its origin is the request's
-  /// first byte, matching the 408 budget's anchor; edge.read is the wire
-  /// time up to dispatch minus the parsing already accounted separately.
-  void start_trace(Conn& c, const HttpRequest& req, obs::Tracer* tracer,
-                   bool was_mid) {
+  /// Starts the request's trace at dispatch. Its origin is the return of
+  /// the recv that delivered the message's first byte, so a request read
+  /// in one segment still has its wire time and its HTTP parse; edge.read
+  /// is the time from there to dispatch minus the parsing, which is the
+  /// `parse` span. (A message whose start was read before a tracer was
+  /// attached starts at dispatch.)
+  void start_trace(Conn& c, const HttpRequest& req, obs::Tracer* tracer) {
     std::uint64_t id = 0;
     if (const std::string* h = req.header("x-estima-trace-id")) {
       id = obs::parse_trace_id(*h).value_or(0);
     }
     const Clock::time_point dispatched = Clock::now();
-    const Clock::time_point t0 = was_mid ? c.request_start : dispatched;
+    const Clock::time_point t0 =
+        c.message_start != Clock::time_point{} ? c.message_start : dispatched;
+    c.message_start = {};
     c.trace = tracer->start(id, t0);
     const std::uint64_t wire_ns = static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(dispatched - t0)

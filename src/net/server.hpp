@@ -5,7 +5,7 @@
 // machines (reading -> handling -> writing -> lingering-close). Loops
 // answer what needs no computing; the pool computes; a loop never blocks.
 // A decoded request is first offered to the optional LoopAnswer on its
-// loop (the service answers a fresh cache hit there: parse, hash, look
+// loop (the service answers a cache hit there: parse, hash, look
 // up, render, write — no thread handoff). Whatever the offer declines is
 // dispatched to a bounded handler pool, so a slow handler (a cold
 // predict() can take a while) never stalls its loop: thousands of idle
@@ -63,9 +63,10 @@ struct RequestContext {
   /// work the client will never see. Null when idle_timeout_ms <= 0, and
   /// always null for the LoopAnswer, which computes nothing.
   std::shared_ptr<core::Deadline> deadline;
-  /// True when the handler pool is currently shedding load — the
-  /// handler's cue to prefer degraded answers (serve-stale) over fresh
-  /// computation. Always false for the LoopAnswer.
+  /// True when the handler pool is currently shedding load, for the
+  /// handler's health report (the service router answers GET /v1/health
+  /// 503 "shedding"; it changes no other answer). Always false for the
+  /// LoopAnswer.
   bool shedding = false;
   /// Per-request trace, created at dispatch when the server has a tracer
   /// attached (ServerConfig::tracer): carries the 64-bit trace id (from

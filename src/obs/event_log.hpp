@@ -102,7 +102,7 @@ class EventLog {
 ///   {"trace_id":"...","target":"...","status":N,"campaign_hash":"...",
 ///    "disposition":"...","winner_kernel":"...","latency_ms":N.NNN}
 /// trace_id / campaign_hash / winner_kernel are "" when not applicable;
-/// disposition is one of hit|miss|stale|cancelled|shed|error|none.
+/// disposition is one of hit|miss|cancelled|shed|error|none.
 std::string format_request_event(const std::string& trace_id,
                                  const std::string& target, int status,
                                  const std::string& campaign_hash,

@@ -1,7 +1,8 @@
 // Per-request trace spans over a stable stage schema.
 //
 // A TraceContext is created at the serving edge when a request is
-// dispatched (carrying a 64-bit trace id taken from X-Estima-Trace-Id
+// dispatched, with its origin at the read that delivered the request's
+// first byte (carrying a 64-bit trace id taken from X-Estima-Trace-Id
 // or generated) and threaded by pointer through RequestContext ->
 // routes -> PredictionService -> the fit loop — the same seam the
 // cooperative Deadline already rides. Every stage records into a

@@ -1,6 +1,5 @@
 #include "service/prediction_service.hpp"
 
-#include <chrono>
 #include <exception>
 #include <stdexcept>
 #include <utility>
@@ -15,8 +14,7 @@ PredictionService::PredictionService(ServiceConfig cfg, core::ExecContext base)
     : cfg_(std::move(cfg)),
       base_(base),
       config_signature_(core::config_signature(cfg_.prediction)),
-      cache_(cfg_.cache_capacity,
-             std::chrono::milliseconds(cfg_.cache_ttl_ms)) {
+      cache_(cfg_.cache_capacity) {
   if (base_.deadline != nullptr || base_.trace != nullptr ||
       base_.memo != nullptr || base_.audit != nullptr ||
       base_.engine != nullptr) {
@@ -156,7 +154,7 @@ core::Prediction PredictionService::predict_one(
 std::shared_ptr<const core::Prediction> PredictionService::lookup_hit(
     std::uint64_t key) {
   std::lock_guard<std::mutex> lock(mu_);
-  std::shared_ptr<const core::Prediction> hit = cache_.get_if_fresh(key);
+  std::shared_ptr<const core::Prediction> hit = cache_.get_if_resident(key);
   if (hit) ++stats_.campaigns_submitted;
   return hit;
 }
@@ -170,14 +168,6 @@ core::Prediction PredictionService::explain(const core::MeasurementSet& ms,
     ++stats_.explains_served;
   }
   return compute(ms, deadline, trace, nullptr, &audit);
-}
-
-std::shared_ptr<const core::Prediction> PredictionService::cached_or_stale(
-    std::uint64_t key, bool* stale) {
-  std::lock_guard<std::mutex> lock(mu_);
-  StaleLookup found = cache_.lookup_stale(key);
-  if (stale != nullptr) *stale = found.stale;
-  return found.value;
 }
 
 bool PredictionService::invalidate(std::uint64_t key) {

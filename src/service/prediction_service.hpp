@@ -51,12 +51,6 @@ namespace estima::service {
 struct ServiceConfig {
   core::PredictionConfig prediction;  ///< shared by every campaign served
   std::size_t cache_capacity = 4096;  ///< answers the LRU holds
-  /// TTL for cached predictions in milliseconds; 0 = never expire (the
-  /// default — predictions are pure functions of the campaign, so expiry
-  /// only matters to deployments that want bounded staleness). Expired
-  /// entries read as misses but stay resident for cached_or_stale(), the
-  /// serve-stale degradation path.
-  std::uint64_t cache_ttl_ms = 0;
   /// When > 0, every K-th newly *computed* prediction inserted into the
   /// cache triggers exactly one automatic snapshot_to(auto_snapshot_path)
   /// (cache hits, joins and restores do not count). The snapshot runs on
@@ -132,11 +126,11 @@ class PredictionService {
                                core::FitMemo* memo = nullptr);
 
   /// The hit step alone, for callers that must not compute or wait (the
-  /// HTTP edge's event loops): the fresh cached answer for `key`, counted
-  /// as predict_one counts a hit (one submitted campaign, one cache hit).
-  /// On a miss, an expired entry or a key whose computation is in flight
-  /// it returns null and counts nothing — the caller hands the request to
-  /// predict_one, which counts it once.
+  /// HTTP edge's event loops): the cached answer for `key`, counted as
+  /// predict_one counts a hit (one submitted campaign, one cache hit).
+  /// On a miss or a key whose computation is in flight it returns null
+  /// and counts nothing — the caller hands the request to predict_one,
+  /// which counts it once.
   std::shared_ptr<const core::Prediction> lookup_hit(std::uint64_t key);
 
   /// Audited prediction for POST /v1/explain: runs the full pipeline
@@ -160,16 +154,10 @@ class PredictionService {
       const core::Deadline* deadline = nullptr,
       obs::TraceContext* trace = nullptr);
 
-  /// Degraded-mode lookup for the serve-stale path: whatever the cache
-  /// holds for `key`, even past its TTL (*stale set accordingly); null
-  /// when nothing is resident. Never computes.
-  std::shared_ptr<const core::Prediction> cached_or_stale(std::uint64_t key,
-                                                          bool* stale);
-
-  /// Drops `key` from the result cache (resident or expired); returns
-  /// true when an entry died. Streaming appends call this with the
-  /// campaign's superseded hash so exactly the stale answer is
-  /// invalidated — the new hash's entry is computed on the next lookup.
+  /// Drops `key` from the result cache; returns true when an entry died.
+  /// Streaming appends call this with the campaign's superseded hash so
+  /// exactly the superseded answer is invalidated — the new hash's entry
+  /// is computed on the next lookup.
   bool invalidate(std::uint64_t key);
 
   /// Spills the current ResultCache to a v1 snapshot at `path` (atomic

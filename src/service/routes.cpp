@@ -359,7 +359,7 @@ std::optional<net::HttpResponse> ServiceRouter::predict_hit(
   ev.campaign_hash = key;
   ev.disposition = "hit";
   try {
-    return predict_response(*hit, /*stale=*/false, trace, ev);
+    return predict_response(*hit, trace, ev);
   } catch (const std::exception& e) {
     // Counted as a hit already, so answered here, as dispatch() would.
     return text_response(500, e.what());
@@ -375,34 +375,21 @@ net::HttpResponse ServiceRouter::handle_predict(
   parse_span.stop();
   ev.has_campaign = true;
   ev.campaign_hash = service_.hash_of(ms);
-  // Serve-stale degradation: while the edge sheds load, an
-  // expired-but-resident cached answer beats both a fresh computation
-  // (CPU the overloaded server does not have) and a shed 503 (an answer
-  // the client does not get). Marked so clients can tell.
-  if (ctx.shedding) {
-    bool stale = false;
-    if (const auto cached =
-            service_.cached_or_stale(ev.campaign_hash, &stale)) {
-      ev.disposition = stale ? "stale" : "hit";
-      return predict_response(*cached, stale, trace, ev);
-    }
-  }
   CacheDisposition disp = CacheDisposition::kUnknown;
   const core::Prediction pred =
       service_.predict_one(ms, deadline, trace, &disp);
   ev.disposition = disp == CacheDisposition::kMiss ? "miss" : "hit";
-  return predict_response(pred, /*stale=*/false, trace, ev);
+  return predict_response(pred, trace, ev);
 }
 
 net::HttpResponse ServiceRouter::predict_response(
-    const core::Prediction& pred, bool stale, obs::TraceContext* trace,
+    const core::Prediction& pred, obs::TraceContext* trace,
     RequestEvent& ev) {
   ev.winner_kernel = core::kernel_name(pred.factor_fn.type);
   obs::SpanTimer serialize_span(trace, obs::Stage::kSerialize);
   net::HttpResponse resp;
   resp.status = 200;
   resp.headers.emplace_back("content-type", "text/plain");
-  if (stale) resp.headers.emplace_back("x-estima-stale", "1");
   resp.body = core::render_prediction(pred);
   return resp;
 }
@@ -685,8 +672,6 @@ net::HttpResponse ServiceRouter::handle_stats() {
   w.kv("misses", s.cache.misses);
   w.kv("evictions", s.cache.evictions);
   w.kv("entries", s.cache.entries);
-  w.kv("expired_misses", s.cache.expired_misses);
-  w.kv("stale_hits", s.cache.stale_hits);
   w.kv("invalidations", s.cache.invalidations);
   w.end_object();
   {
@@ -770,12 +755,6 @@ net::HttpResponse ServiceRouter::handle_metrics() {
             s.cache.misses);
   w.counter("estima_cache_evictions_total", "", "Result-cache evictions.",
             s.cache.evictions);
-  w.counter("estima_cache_expired_misses_total", "",
-            "Lookups that found only an expired entry.",
-            s.cache.expired_misses);
-  w.counter("estima_cache_stale_hits_total", "",
-            "Expired entries served anyway under load shedding.",
-            s.cache.stale_hits);
   w.counter("estima_cache_invalidations_total", "",
             "Entries erased by point invalidation (campaign appends).",
             s.cache.invalidations);

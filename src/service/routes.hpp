@@ -70,9 +70,10 @@
 //     request's X-Estima-Deadline-Ms header when present; an expired
 //     budget answers 408 instead of burning pool CPU on an abandoned
 //     answer.
-//   * serve-stale — while ctx.shedding holds, /v1/predict may answer
-//     from an expired-but-resident cache entry, marked X-Estima-Stale: 1,
-//     instead of computing fresh: a degraded answer beats a shed 503.
+//   * shedding — ctx.shedding flips GET /v1/health to 503 "shedding";
+//     every other route, /v1/predict included, answers exactly as when
+//     the pool is not shedding (the edge itself sheds the oldest queued
+//     requests with 503 + Retry-After).
 //
 // Batch framing (mirrors the snapshot file's length-framed style — length
 // gives binary framing, so a frame can contain anything, and truncation is
@@ -143,19 +144,18 @@ class ServiceRouter {
   net::HttpResponse handle(const net::HttpRequest& req);
 
   /// The form HttpServer's Handler calls: predictions run under
-  /// ctx.deadline, /v1/predict may serve stale under ctx.shedding (see
-  /// the header comment), and ctx.trace records the router's spans.
+  /// ctx.deadline, /v1/health reports ctx.shedding (see the header
+  /// comment), and ctx.trace records the router's spans.
   net::HttpResponse handle(const net::HttpRequest& req,
                            const net::RequestContext& ctx);
 
   /// HttpServer's LoopAnswer: the hit step of POST /v1/predict, run on
-  /// an event loop. A fresh cache hit is answered here — parse, hash,
-  /// look up, render, with the trace echo and event-log line handle()
-  /// would write — in the same bytes and counts as handle(). Everything
-  /// else is declined (nullopt) with nothing counted or logged: a miss,
-  /// a key in flight, an expired entry, a body the reader rejects, an
-  /// X-Estima-Deadline-Ms header, any other route. handle() then serves
-  /// it on the pool.
+  /// an event loop. A cache hit is answered here — parse, hash, look up,
+  /// render, with the trace echo and event-log line handle() would
+  /// write — in the same bytes and counts as handle(). Everything else
+  /// is declined (nullopt) with nothing counted or logged: a miss, a key
+  /// in flight, a body the reader rejects, an X-Estima-Deadline-Ms
+  /// header, any other route. handle() then serves it on the pool.
   std::optional<net::HttpResponse> answer_on_loop(
       const net::HttpRequest& req, const net::RequestContext& ctx);
 
@@ -221,20 +221,20 @@ class ServiceRouter {
               const RequestEvent& ev,
               std::chrono::steady_clock::time_point start,
               net::HttpResponse& resp);
-  /// /v1/predict's hit step (answer_on_loop): the response for a fresh
-  /// cache hit, or nullopt with nothing counted.
+  /// /v1/predict's hit step (answer_on_loop): the response for a cache
+  /// hit, or nullopt with nothing counted.
   std::optional<net::HttpResponse> predict_hit(const net::HttpRequest& req,
                                                obs::TraceContext* trace,
                                                RequestEvent& ev);
-  /// /v1/predict's compute step (the pool): serve-stale while shedding,
-  /// else predict_one — hit, join or fit.
+  /// /v1/predict's compute step (the pool): parse, hash, predict_one —
+  /// hit, join or fit — and render, shedding or not.
   net::HttpResponse handle_predict(const net::HttpRequest& req,
                                    const net::RequestContext& ctx,
                                    const core::Deadline* deadline,
                                    RequestEvent& ev);
   /// The one renderer of a /v1/predict answer, for both steps.
   net::HttpResponse predict_response(const core::Prediction& pred,
-                                     bool stale, obs::TraceContext* trace,
+                                     obs::TraceContext* trace,
                                      RequestEvent& ev);
   net::HttpResponse handle_predict_batch(const net::HttpRequest& req,
                                          const net::RequestContext& ctx,

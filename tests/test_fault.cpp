@@ -11,10 +11,10 @@
 //      trickle case where the edge's 408 fires while the handler is
 //      mid-compute; a deadline can only replace an answer with an
 //      exception, never alter it.
-//   3. Load shedding + degraded serving — queue overflow sheds the oldest
-//      request 503 + Retry-After, over-age requests are shed at dequeue,
-//      /v1/health flips under drain/shed, and a shedding /v1/predict
-//      serves an expired cache entry marked X-Estima-Stale: 1.
+//   3. Load shedding — queue overflow sheds the oldest request 503 +
+//      Retry-After, over-age requests are shed at dequeue, /v1/health
+//      flips under drain/shed, and a /v1/predict that reaches the router
+//      while shedding is served and counted exactly as without shedding.
 //   4. Snapshot I/O faults — injected ENOSPC / short writes / rename
 //      failures surface as SnapshotIoError with the temp file unlinked
 //      (no *.tmp litter), short writes are resumed, and a failed auto
@@ -51,7 +51,6 @@
 #include "net/server.hpp"
 #include "parallel/thread_pool.hpp"
 #include "service/prediction_service.hpp"
-#include "service/result_cache.hpp"
 #include "service/routes.hpp"
 #include "service/snapshot.hpp"
 #include "simmachine/synthetic.hpp"
@@ -286,12 +285,11 @@ TEST(Deadline, CacheHitIsServedEvenWithAnExpiredDeadline) {
 // tests below.
 
 struct Stack {
-  explicit Stack(net::ServerConfig ncfg, std::uint64_t cache_ttl_ms = 0,
+  explicit Stack(net::ServerConfig ncfg,
                  const std::string& snapshot_path = "") {
     pool = std::make_unique<parallel::ThreadPool>(2);
     service::ServiceConfig scfg;
     scfg.prediction.target_cores = core::cores_up_to(24);
-    scfg.cache_ttl_ms = cache_ttl_ms;
     cfg = scfg.prediction;
     svc = std::make_unique<service::PredictionService>(scfg, pool.get());
     service::RouterConfig rcfg;
@@ -429,7 +427,7 @@ TEST(DeadlinePropagation, Edge408MidComputeCancelsTheAbandonedFit) {
 }
 
 // ---------------------------------------------------------------------------
-// 3. Load shedding + health + serve-stale
+// 3. Load shedding + health
 
 TEST(LoadShedding, QueueOverflowShedsTheOldestWith503RetryAfter) {
   std::atomic<int> release{0};
@@ -546,66 +544,70 @@ TEST(Health, ReportsServingDrainingAndShedding) {
   EXPECT_EQ(shed.body, "shedding\n");
 }
 
-TEST(ServeStale, SheddingPredictServesExpiredEntryMarkedStale) {
+/// The counters one /v1/predict request moves.
+struct Counts {
+  std::uint64_t submitted, hits, misses, computed;
+  bool operator==(const Counts& o) const {
+    return submitted == o.submitted && hits == o.hits &&
+           misses == o.misses && computed == o.computed;
+  }
+};
+
+std::ostream& operator<<(std::ostream& os, const Counts& c) {
+  return os << "{submitted " << c.submitted << ", hits " << c.hits
+            << ", misses " << c.misses << ", computed " << c.computed << "}";
+}
+
+// Shedding is the edge's business: a /v1/predict that reaches the router
+// while the pool sheds is served, and counted, exactly as one that
+// arrives while it does not — a resident key is one submitted campaign
+// and one hit, an absent key one submitted campaign, one miss and one
+// computed prediction.
+TEST(LoadShedding, SheddingPredictCountsAsWithoutShedding) {
   net::ServerConfig ncfg;
   ncfg.io_threads = 1;
   ncfg.worker_threads = 2;
-  Stack stack(std::move(ncfg), /*cache_ttl_ms=*/1);
+  Stack stack(std::move(ncfg));
 
-  const auto ms = demo_campaign(6, 8);
-  auto c = stack.client();
-  const auto fresh = c.post("/v1/predict", csv_of(ms), "text/csv");
-  ASSERT_EQ(fresh.status, 200);
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));  // let it expire
+  const auto counts = [&] {
+    const service::ServiceStats s = stack.svc->stats();
+    return Counts{s.campaigns_submitted, s.cache.hits, s.cache.misses,
+                  s.predictions_computed};
+  };
+  // POSTs `ms` through the router under `ctx`, stores the 200's body in
+  // `body` and returns the counters the request moved.
+  const auto predict = [&](const core::MeasurementSet& ms,
+                           const net::RequestContext& ctx,
+                           std::string* body) {
+    net::HttpRequest req;
+    req.method = "POST";
+    req.target = "/v1/predict";
+    req.body = csv_of(ms);
+    const Counts before = counts();
+    const net::HttpResponse resp = stack.router->handle(req, ctx);
+    EXPECT_EQ(resp.status, 200);
+    *body = resp.body;
+    const Counts after = counts();
+    return Counts{after.submitted - before.submitted,
+                  after.hits - before.hits, after.misses - before.misses,
+                  after.computed - before.computed};
+  };
+  net::RequestContext shedding;
+  shedding.shedding = true;
+  const net::RequestContext calm;
 
-  net::HttpRequest req;
-  req.method = "POST";
-  req.target = "/v1/predict";
-  req.body = csv_of(ms);
-  net::RequestContext shedding_ctx;
-  shedding_ctx.shedding = true;
-  const auto computed_before = stack.svc->stats().predictions_computed;
-  const auto degraded = stack.router->handle(req, shedding_ctx);
-  ASSERT_EQ(degraded.status, 200);
-  ASSERT_NE(degraded.header("x-estima-stale"), nullptr);
-  EXPECT_EQ(*degraded.header("x-estima-stale"), "1");
-  EXPECT_EQ(degraded.body, fresh.body) << "stale answer is the cached one";
-  EXPECT_EQ(stack.svc->stats().predictions_computed, computed_before)
-      << "serve-stale must not compute";
-  EXPECT_EQ(stack.svc->stats().cache.stale_hits, 1u);
-
-  // Not shedding: the expired entry reads as a miss and is recomputed —
-  // bit-identically, so the refresh is invisible to correctness.
-  const auto recomputed = stack.router->handle(req, net::RequestContext{});
-  ASSERT_EQ(recomputed.status, 200);
-  EXPECT_EQ(recomputed.header("x-estima-stale"), nullptr);
-  EXPECT_EQ(recomputed.body, fresh.body);
-  EXPECT_EQ(stack.svc->stats().predictions_computed, computed_before + 1);
-  EXPECT_GE(stack.svc->stats().cache.expired_misses, 1u);
-}
-
-TEST(ServeStale, ResultCacheTtlSemantics) {
-  service::ResultCache cache(4, std::chrono::milliseconds(1));
-  const auto value = std::make_shared<const core::Prediction>();
-  cache.put(1, value);
-  EXPECT_NE(cache.get(1), nullptr);
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-
-  EXPECT_EQ(cache.get(1), nullptr) << "expired entry reads as a miss";
-  auto st = cache.lookup_stale(1);
-  EXPECT_EQ(st.value, value) << "but stays resident for degraded serving";
-  EXPECT_TRUE(st.stale);
-  const auto stats = cache.stats();
-  EXPECT_EQ(stats.entries, 1u);
-  EXPECT_EQ(stats.expired_misses, 1u);
-  EXPECT_EQ(stats.stale_hits, 1u);
-  EXPECT_EQ(stats.hits, 1u);    // the pre-expiry get
-  EXPECT_EQ(stats.misses, 1u);  // the post-expiry get
-
-  // put() re-stamps the TTL clock: the entry is fresh again.
-  cache.put(1, value);
-  EXPECT_NE(cache.get(1), nullptr);
-  EXPECT_FALSE(cache.lookup_stale(1).stale);
+  for (const bool shed : {false, true}) {
+    SCOPED_TRACE(shed ? "shedding" : "not shedding");
+    const net::RequestContext& ctx = shed ? shedding : calm;
+    const core::MeasurementSet ms = demo_campaign(shed ? 6 : 7, 8);
+    std::string computed, served;
+    EXPECT_EQ(predict(ms, ctx, &computed), (Counts{1, 0, 1, 1}))
+        << "an absent key: one submitted, one miss, one computed";
+    EXPECT_EQ(predict(ms, ctx, &served), (Counts{1, 1, 0, 0}))
+        << "a resident key: one submitted, one hit";
+    EXPECT_EQ(served, computed);
+    EXPECT_EQ(computed, record_of(core::predict(ms, stack.cfg)));
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -832,7 +834,7 @@ void chaos_round(std::uint64_t seed) {
   ncfg.worker_threads = 3;
   ncfg.idle_timeout_ms = 5'000;
   ncfg.max_queue_depth = 16;
-  Stack stack(std::move(ncfg), /*cache_ttl_ms=*/0, snap_path);
+  Stack stack(std::move(ncfg), snap_path);
 
   // Ground truth, computed clean before any fault is armed.
   constexpr int kCampaigns = 6;

@@ -1079,8 +1079,8 @@ TEST_F(NetEndToEnd, StatsJsonStaysWellFormedWithServerCounters) {
        "batch_duplicates_folded", "inflight_joins",
        "snapshot_entries_restored", "snapshot_entries_skipped",
        "auto_snapshots", "auto_snapshot_failures", "predictions_cancelled",
-       "cache", "hits", "misses", "evictions", "entries", "expired_misses",
-       "stale_hits", "server", "connections_accepted", "connections_closed",
+       "cache", "hits", "misses", "evictions", "entries", "server",
+       "connections_accepted", "connections_closed",
        "open_connections", "peak_connections", "requests_served",
        "responses_4xx", "responses_5xx", "connections_timed_out",
        "overflow_rejections", "parse_errors", "requests_shed"});
@@ -1265,6 +1265,64 @@ TEST(TraceStages, WarmPredictRecordsOneSerializeAndOneEdgeEncodeSpan) {
   EXPECT_EQ(serialize, 1u);
   EXPECT_EQ(encode, 1u);
   EXPECT_EQ(enumerate, 0u) << "a warm hit must not enter the fit pipeline";
+
+  server.stop();
+}
+
+// A request read in one segment still has its wire time: the trace's
+// origin is the recv that delivered its first byte, not its dispatch, so
+// the edge's own HTTP parse is a `parse` span (the health route parses no
+// body of its own), and the non-nested spans still fit inside the total.
+TEST(TraceStages, OneSegmentRequestRecordsTheEdgeParse) {
+  obs::Registry registry;
+  obs::TracerConfig tcfg;
+  tcfg.slow_threshold_ms = 0;  // retain every request
+  tcfg.ring_capacity = 8;
+  obs::Tracer tracer(registry, tcfg);
+
+  service::ServiceConfig scfg;
+  scfg.prediction.target_cores = core::cores_up_to(24);
+  service::PredictionService svc(scfg);
+  service::ServiceRouter router(svc);
+
+  ServerConfig ncfg;
+  ncfg.io_threads = 1;
+  ncfg.worker_threads = 1;
+  ncfg.tracer = &tracer;
+  HttpServer server(ncfg,
+                    [&router](const HttpRequest& req,
+                              const RequestContext& ctx) {
+                      return router.handle(req, ctx);
+                    });
+  server.start();
+
+  // HttpClient writes a request with one send(); a head this small is one
+  // segment on loopback.
+  HttpClient c("127.0.0.1", server.port());
+  const std::uint64_t id = 0x0e5e6e170000001ull;
+  const auto resp = c.request("GET", "/v1/health", "",
+                              {{"x-estima-trace-id", obs::format_trace_id(id)}});
+  ASSERT_EQ(resp.status, 200);
+
+  // The trace closes after its last byte is written, which may land just
+  // after the client has read the response.
+  std::optional<obs::SlowTrace> trace;
+  const auto give_up = std::chrono::steady_clock::now() +
+                       std::chrono::seconds(5);
+  while (!trace && std::chrono::steady_clock::now() < give_up) {
+    for (const auto& t : tracer.slow_traces()) {
+      if (t.trace_id == id) trace = t;
+    }
+    if (!trace) std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  ASSERT_TRUE(trace.has_value()) << "the request never reached the ring";
+  std::uint64_t parse_ns = 0, non_nested_ns = 0;
+  for (const auto& sp : trace->spans) {
+    if (sp.stage == obs::Stage::kParse) parse_ns = sp.total_ns;
+    if (!sp.nested) non_nested_ns += sp.total_ns;
+  }
+  EXPECT_GT(parse_ns, 0u) << "the edge's HTTP parse was dropped";
+  EXPECT_LE(non_nested_ns, trace->total_ns);
 
   server.stop();
 }

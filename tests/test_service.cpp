@@ -307,13 +307,13 @@ TEST(PredictMany, InFlightDedupUnderConcurrentSubmission) {
 }
 
 // One lock guards the cache, the in-flight table and the counters. Race
-// every entry point that takes it on a TTL'd service whose cache is
-// smaller than the campaign set: predict_one (hits, misses, joins),
-// cached_or_stale, invalidate, snapshot_to and stats(). Every answer must
-// equal serial predict(), every stats() must be one consistent picture,
-// and the last snapshot must restore only real answers. The test also
-// runs under TSan in CI.
-TEST(PredictionServiceRace, MixedTrafficOnATtlServiceStaysExact) {
+// every entry point that takes it on a service whose cache is smaller
+// than the campaign set: predict_one (hits, misses, joins), lookup_hit,
+// invalidate, snapshot_to and stats(). Every answer must equal serial
+// predict(), every stats() must be one consistent picture, and the last
+// snapshot must restore only real answers. The test also runs under
+// TSan in CI.
+TEST(PredictionServiceRace, MixedTrafficStaysExact) {
   namespace fs = std::filesystem;
   const fs::path path =
       fs::temp_directory_path() / "estima_service_race_test.snap";
@@ -328,7 +328,6 @@ TEST(PredictionServiceRace, MixedTrafficOnATtlServiceStaysExact) {
   ServiceConfig scfg;
   scfg.prediction = serving_config();
   scfg.cache_capacity = kCapacity;
-  scfg.cache_ttl_ms = 5;  // short enough to expire mid-run: stale serving
   PredictionService service(scfg);
   std::unordered_map<std::uint64_t, int> index_of;
   std::vector<std::uint64_t> keys;
@@ -352,13 +351,14 @@ TEST(PredictionServiceRace, MixedTrafficOnATtlServiceStaysExact) {
   }
   std::atomic<bool> stop{false};
   std::atomic<int> snapshots{0};
+  std::uint64_t reader_hits = 0;  // read after the reader is joined
   std::vector<std::thread> others;
-  others.emplace_back([&] {  // serve-stale reader
+  others.emplace_back([&] {  // hit-only reader (the event loops' lookup)
     for (std::size_t i = 0; !stop.load(); ++i) {
       const std::uint64_t key = keys[i % keys.size()];
-      bool stale = false;
-      if (auto v = service.cached_or_stale(key, &stale)) {
+      if (auto v = service.lookup_hit(key)) {
         expect_bit_identical(*v, serial[index_of.at(key)]);
+        ++reader_hits;
       }
     }
   });
@@ -389,8 +389,11 @@ TEST(PredictionServiceRace, MixedTrafficOnATtlServiceStaysExact) {
   for (auto& th : others) th.join();
 
   const ServiceStats s = service.stats();
+  // A lookup_hit hit counts one submitted campaign, as predict_one does.
   EXPECT_EQ(s.campaigns_submitted,
-            static_cast<std::uint64_t>(kPredictors * kRequests));
+            static_cast<std::uint64_t>(kPredictors * kRequests) +
+                reader_hits);
+  EXPECT_GE(s.cache.hits, reader_hits);
   EXPECT_LE(s.cache.entries, kCapacity);
   EXPECT_LE(s.predictions_computed + s.inflight_joins, s.cache.misses);
   EXPECT_GT(s.cache.invalidations, 0u);
@@ -531,7 +534,7 @@ TEST(AutoSnapshot, EveryKInsertionsTriggersExactlyOneSnapshot) {
   EXPECT_EQ(service.stats().auto_snapshots, 2u);
 
   PredictionService restored(
-      ServiceConfig{serving_config(), 4096, 0, 0, ""}, nullptr);
+      ServiceConfig{serving_config(), 4096, 0, ""}, nullptr);
   EXPECT_EQ(restored.restore_from(path.string()).entries_loaded(), 6u);
   EXPECT_EQ(restored.stats().snapshot_entries_restored, 6u);
   fs::remove(path);
@@ -568,7 +571,7 @@ TEST(PredictionService, BaseContextCarriesOnlyPoolAndMetrics) {
 // never 500, which the router reserves for exceptions other than
 // std::invalid_argument (std::stod's std::out_of_range on "1e999" was one).
 TEST(ServiceRouter, MalformedCampaignHeadersAnswer400OnEveryCampaignRoute) {
-  PredictionService service(ServiceConfig{serving_config(), 64, 0, 0, ""});
+  PredictionService service(ServiceConfig{serving_config(), 64, 0, ""});
   ServiceRouter router(service);
   const auto request = [&](const std::string& method,
                            const std::string& target,
@@ -650,11 +653,10 @@ class Latch {
 /// or the pool-only wiring when `loop_answers` is false. `hold`, when
 /// set, runs on the handler thread before the router does.
 struct ServedService {
-  ServedService(bool loop_answers, std::uint64_t ttl_ms,
-                const std::string& log_path,
+  ServedService(bool loop_answers, const std::string& log_path,
                 std::function<void(const net::HttpRequest&)> hold = {})
       : pool(2),
-        svc(ServiceConfig{serving_config(), 64, ttl_ms, 0, ""}, &pool),
+        svc(ServiceConfig{serving_config(), 64, 0, ""}, &pool),
         router(svc),
         log(obs::EventLogConfig{log_path, 1024, 0, 5}),
         hold_(std::move(hold)) {
@@ -712,24 +714,23 @@ struct ServedService {
 /// The counters the hit step must leave exactly as the pool-only path
 /// leaves them.
 struct Books {
-  std::uint64_t submitted, hits, misses, expired_misses, joins, computed;
+  std::uint64_t submitted, hits, misses, joins, computed;
   bool operator==(const Books& o) const {
     return submitted == o.submitted && hits == o.hits &&
-           misses == o.misses && expired_misses == o.expired_misses &&
-           joins == o.joins && computed == o.computed;
+           misses == o.misses && joins == o.joins && computed == o.computed;
   }
 };
 
 std::ostream& operator<<(std::ostream& os, const Books& b) {
   return os << "{submitted " << b.submitted << ", hits " << b.hits
-            << ", misses " << b.misses << ", expired " << b.expired_misses
-            << ", joins " << b.joins << ", computed " << b.computed << "}";
+            << ", misses " << b.misses << ", joins " << b.joins
+            << ", computed " << b.computed << "}";
 }
 
 Books books_of(const PredictionService& svc) {
   const ServiceStats s = svc.stats();
-  return Books{s.campaigns_submitted, s.cache.hits,     s.cache.misses,
-               s.cache.expired_misses, s.inflight_joins, s.predictions_computed};
+  return Books{s.campaigns_submitted, s.cache.hits, s.cache.misses,
+               s.inflight_joins, s.predictions_computed};
 }
 
 struct SequenceResult {
@@ -755,7 +756,7 @@ SequenceResult run_main_sequence(bool loop_answers) {
   while (padded.size() <= 64 * 1024) padded += "# padding past the bound\n";
 
   Latch owner_claimed(1);
-  ServedService s(loop_answers, 0, log_path.string(),
+  ServedService s(loop_answers, log_path.string(),
                   [&](const net::HttpRequest& req) {
                     if (req.header("x-test-joiner") != nullptr) {
                       owner_claimed.wait();
@@ -803,9 +804,9 @@ TEST(LoopHits, EveryCounterAndLogLineMatchesThePoolOnlyPath) {
   ASSERT_EQ(pool.bodies.size(), 8u);
   EXPECT_EQ(pool.log.size(), 8u) << "one event line per request";
   // The sequence did what it says: two computed misses (the first
-  // request and the join's owner), three hits (fresh, deadline header,
+  // request and the join's owner), three hits (plain, deadline header,
   // padded body), one join (a miss that waited for the owner).
-  EXPECT_EQ(pool.books, (Books{6, 3, 3, 0, 1, 2}));
+  EXPECT_EQ(pool.books, (Books{6, 3, 3, 1, 2}));
   for (const std::size_t i : {0u, 1u, 2u, 5u, 6u, 7u}) {
     EXPECT_EQ(pool.bodies[i].substr(0, 4), "200 ") << i;
   }
@@ -814,43 +815,11 @@ TEST(LoopHits, EveryCounterAndLogLineMatchesThePoolOnlyPath) {
   EXPECT_EQ(pool.bodies[7], pool.bodies[6]);
   EXPECT_EQ(pool.bodies[3].substr(0, 4), "400 ");
   EXPECT_EQ(pool.bodies[4].substr(0, 4), "400 ");
-  // Only the plain fresh hit was answered on the loop: the deadline
-  // header, the body above 64 KiB and the in-flight key went to the pool.
+  // Only the plain hit was answered on the loop: the deadline header,
+  // the body above 64 KiB and the in-flight key went to the pool.
   EXPECT_EQ(pool.server.requests_answered_on_loop, 0u);
   EXPECT_EQ(loop.server.requests_answered_on_loop, 1u);
   EXPECT_EQ(loop.server.requests_served, pool.server.requests_served);
-}
-
-TEST(LoopHits, AnExpiredEntryIsDeclinedWithoutATrace) {
-  const auto run = [](bool loop_answers) {
-    const auto log_path = std::filesystem::temp_directory_path() /
-                          (loop_answers ? "estima_loop_ttl_loop.jsonl"
-                                        : "estima_loop_ttl_pool.jsonl");
-    std::filesystem::remove(log_path);
-    const std::string c = csv_text(campaign(3, 8));
-    constexpr auto kTtl = std::chrono::milliseconds(1);
-    ServedService s(loop_answers, kTtl.count(), log_path.string());
-    SequenceResult out;
-    const auto first = s.post(c);
-    // The entry was put before its answer was sent: once a TTL has
-    // passed since the answer arrived, it is expired for certain.
-    std::this_thread::sleep_until(std::chrono::steady_clock::now() +
-                                  2 * kTtl);
-    const auto second = s.post(c);
-    out.bodies = {first.body, second.body};
-    out.books = books_of(s.svc);
-    out.server = s.server->stats();
-    out.log = s.stop_and_read_log();
-    std::filesystem::remove(log_path);
-    return out;
-  };
-  const SequenceResult pool = run(false);
-  const SequenceResult loop = run(true);
-  EXPECT_EQ(pool.books, (Books{2, 0, 2, 1, 0, 2}));
-  EXPECT_EQ(loop.books, pool.books);
-  EXPECT_EQ(loop.log, pool.log);
-  EXPECT_EQ(loop.bodies, pool.bodies);
-  EXPECT_EQ(loop.server.requests_answered_on_loop, 0u);
 }
 
 // Every handler thread is busy (held at a latch, standing in for two
@@ -860,7 +829,7 @@ TEST(LoopHits, AHitNeverQueuesBehindTheHandlerPool) {
   const auto log_path =
       std::filesystem::temp_directory_path() / "estima_loop_busy.jsonl";
   Latch held(2), release(1);
-  ServedService s(true, 0, log_path.string(),
+  ServedService s(true, log_path.string(),
                   [&](const net::HttpRequest& req) {
                     if (req.header("x-test-hold") != nullptr) {
                       held.count_down();
@@ -901,7 +870,7 @@ TEST(LoopHits, TracedLoopHitRecordsNoQueueWait) {
   tcfg.ring_capacity = 8;
   obs::Tracer tracer(registry, tcfg);
   parallel::ThreadPool pool(2);
-  PredictionService svc(ServiceConfig{serving_config(), 64, 0, 0, ""}, &pool);
+  PredictionService svc(ServiceConfig{serving_config(), 64, 0, ""}, &pool);
   ServiceRouter router(svc);
   net::ServerConfig ncfg;
   ncfg.io_threads = 1;

@@ -1,6 +1,6 @@
 // Streaming-campaign suite: the FitMemo identity contract, the result
-// cache's point invalidation + TTL semantics the streaming path leans on,
-// and the CampaignStore lifecycle itself.
+// cache's point invalidation the streaming path leans on, and the
+// CampaignStore lifecycle itself.
 //
 // The load-bearing test is the golden one: a prediction computed with a
 // FitMemo attached — cold, warm, and after appends — must serialize
@@ -14,7 +14,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <climits>
 #include <cstdint>
 #include <cstdio>
@@ -522,7 +521,7 @@ TEST(StreamingGolden, AbandonedEnumerationInsertsNothingIntoTheMemo) {
 }
 
 // ---------------------------------------------------------------------------
-// ResultCache: point invalidation + TTL semantics (satellites)
+// ResultCache: point invalidation
 // ---------------------------------------------------------------------------
 
 TEST(ResultCacheErase, RemovesEntryAndCountsInvalidations) {
@@ -533,7 +532,6 @@ TEST(ResultCacheErase, RemovesEntryAndCountsInvalidations) {
   EXPECT_TRUE(cache.erase(7));
   EXPECT_EQ(cache.get(7), nullptr);
   EXPECT_TRUE(cache.entries().empty());
-  EXPECT_EQ(cache.lookup_stale(7).value, nullptr);
 
   auto s = cache.stats();
   EXPECT_EQ(s.invalidations, 1u);
@@ -542,158 +540,6 @@ TEST(ResultCacheErase, RemovesEntryAndCountsInvalidations) {
   // Erasing a dead key is not an invalidation.
   EXPECT_FALSE(cache.erase(7));
   EXPECT_EQ(cache.stats().invalidations, 1u);
-}
-
-TEST(ResultCacheErase, RemovesExpiredEntryToo) {
-  ResultCache cache(4, std::chrono::milliseconds(20));
-  cache.put(1, dummy_value());
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  // Expired but resident (lookup_stale could still serve it) — erase must
-  // kill it so it can never be served for the campaign's old hash.
-  ASSERT_TRUE(cache.lookup_stale(1).stale);
-  EXPECT_TRUE(cache.erase(1));
-  EXPECT_EQ(cache.lookup_stale(1).value, nullptr);
-}
-
-// Satellite: put() on an existing key deliberately re-stamps the TTL —
-// a put means "just recomputed", and a recompute is fresh by definition.
-TEST(ResultCacheTtl, PutRevivesExpiredEntry) {
-  ResultCache cache(4, std::chrono::milliseconds(20));
-  cache.put(1, dummy_value());
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  EXPECT_EQ(cache.get(1), nullptr);  // expired reads as a miss
-  EXPECT_TRUE(cache.lookup_stale(1).stale);
-
-  cache.put(1, dummy_value());  // the owner recomputed
-  EXPECT_NE(cache.get(1), nullptr);
-  const auto l = cache.lookup_stale(1);
-  EXPECT_NE(l.value, nullptr);
-  EXPECT_FALSE(l.stale);
-}
-
-// Satellite (the dedup'd-join half of the revive contract): a join never
-// put()s, so repeated joined/hit lookups cannot keep an entry alive past
-// its TTL — only a real recompute revives it.
-TEST(ResultCacheTtl, LookupsDoNotReviveADyingEntry) {
-  ResultCache cache(4, std::chrono::milliseconds(60));
-  cache.put(1, dummy_value());
-  // Keep reading it hot until past the TTL; reads must not re-stamp.
-  const auto start = std::chrono::steady_clock::now();
-  while (std::chrono::steady_clock::now() - start <
-         std::chrono::milliseconds(100)) {
-    (void)cache.get(1);
-    (void)cache.lookup_stale(1);
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  EXPECT_EQ(cache.get(1), nullptr);
-  EXPECT_TRUE(cache.lookup_stale(1).stale);
-}
-
-// Satellite 1 regression: an entry expired at snapshot time must not be
-// exported, so it can never be resurrected as fresh by a restore.
-TEST(ResultCacheTtl, EntriesSkipExpired) {
-  ResultCache cache(4, std::chrono::milliseconds(20));
-  cache.put(1, dummy_value());
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  cache.put(2, dummy_value());  // still fresh
-
-  const auto seen = cache.entries();
-  ASSERT_EQ(seen.size(), 1u);
-  EXPECT_EQ(seen[0].key, 2u);
-  // The expired entry is still resident (for lookup_stale) — only the
-  // export skips it.
-  EXPECT_EQ(cache.stats().entries, 2u);
-}
-
-TEST(ResultCacheTtl, ExpiredEntriesStillEvictInLruOrder) {
-  // Expiry does not unlink entries; capacity pressure still evicts
-  // least-recently-used first, expired or not.
-  ResultCache cache(2, std::chrono::milliseconds(20));
-  cache.put(1, dummy_value());
-  cache.put(2, dummy_value());
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  cache.put(3, dummy_value());  // evicts key 1 (LRU), not key 2
-  EXPECT_EQ(cache.lookup_stale(1).value, nullptr);
-  EXPECT_NE(cache.lookup_stale(2).value, nullptr);
-  EXPECT_TRUE(cache.lookup_stale(2).stale);
-  EXPECT_NE(cache.get(3), nullptr);
-  EXPECT_EQ(cache.stats().evictions, 1u);
-}
-
-// ---------------------------------------------------------------------------
-// Service-level TTL: recompute revives, snapshot skips expired
-// ---------------------------------------------------------------------------
-
-TEST(ServiceTtl, RecomputeRevivesExpiredEntry) {
-  ServiceConfig scfg;
-  scfg.prediction = serving_config();
-  // Generous TTL: a predict must comfortably fit inside it even under
-  // TSan's slowdown, or the post-recompute hit check would flake.
-  scfg.cache_ttl_ms = 2000;
-  PredictionService svc(scfg);
-  const auto ms = campaign(1);
-
-  CacheDisposition d = CacheDisposition::kUnknown;
-  (void)svc.predict_one(ms, nullptr, nullptr, &d);
-  EXPECT_EQ(d, CacheDisposition::kMiss);
-  (void)svc.predict_one(ms, nullptr, nullptr, &d);
-  EXPECT_EQ(d, CacheDisposition::kHit);
-
-  std::this_thread::sleep_for(std::chrono::milliseconds(2200));
-  // Expired: the next lookup recomputes, and that recompute's put()
-  // revives the entry for the request after it.
-  (void)svc.predict_one(ms, nullptr, nullptr, &d);
-  EXPECT_EQ(d, CacheDisposition::kMiss);
-  (void)svc.predict_one(ms, nullptr, nullptr, &d);
-  EXPECT_EQ(d, CacheDisposition::kHit);
-}
-
-// Satellite 1, end to end: insert -> expire -> snapshot -> restore ->
-// the expired campaign MUST miss (recompute), while a fresh one rides
-// the snapshot into a warm hit.
-TEST(ServiceTtl, SnapshotSkipsExpiredEntryAcrossRestore) {
-  const auto dir = std::filesystem::temp_directory_path() /
-                   "estima_streaming_ttl_snapshot_test";
-  std::filesystem::create_directories(dir);
-  const auto path = (dir / "cache.snap").string();
-
-  ServiceConfig scfg;
-  scfg.prediction = serving_config();
-  // Same TSan headroom as above: the fresh entry must survive from its
-  // restore-time put() through the checks below.
-  scfg.cache_ttl_ms = 2000;
-
-  const auto expired_ms = campaign(1);
-  const auto fresh_ms = campaign(2);
-  {
-    PredictionService svc(scfg);
-    (void)svc.predict_one(expired_ms);
-    std::this_thread::sleep_for(std::chrono::milliseconds(2200));
-    (void)svc.predict_one(fresh_ms);  // computed after the sleep: fresh
-    const auto report = svc.snapshot_to(path);
-    EXPECT_EQ(report.entries_written, 1u);
-  }
-
-  PredictionService restored(scfg);
-  const auto load = restored.restore_from(path);
-  EXPECT_EQ(load.entries_loaded(), 1u);
-  EXPECT_TRUE(load.skipped.empty());
-
-  // The expired entry never made it into the file: not even resident.
-  bool stale = false;
-  EXPECT_EQ(restored.cached_or_stale(restored.hash_of(expired_ms), &stale),
-            nullptr);
-  EXPECT_NE(restored.cached_or_stale(restored.hash_of(fresh_ms), &stale),
-            nullptr);
-  EXPECT_FALSE(stale);
-
-  CacheDisposition d = CacheDisposition::kUnknown;
-  (void)restored.predict_one(expired_ms, nullptr, nullptr, &d);
-  EXPECT_EQ(d, CacheDisposition::kMiss);
-  (void)restored.predict_one(fresh_ms, nullptr, nullptr, &d);
-  EXPECT_EQ(d, CacheDisposition::kHit);
-
-  std::filesystem::remove_all(dir);
 }
 
 // ---------------------------------------------------------------------------
@@ -732,8 +578,7 @@ TEST(CampaignStore, CreateAppendPredictDeleteLifecycle) {
   EXPECT_NE(info.hash, hash_v1);
   EXPECT_EQ(info.hash, svc.hash_of(full));
   EXPECT_EQ(svc.stats().cache.invalidations, 1u);
-  bool stale = false;
-  EXPECT_EQ(svc.cached_or_stale(hash_v1, &stale), nullptr);
+  EXPECT_EQ(svc.lookup_hit(hash_v1), nullptr);
 
   // Re-prediction is a miss under the new hash, byte-identical to cold,
   // and rides the memo (old prefixes replay).
@@ -843,8 +688,7 @@ TEST(CampaignStore, ReplaceResetsMemoAndInvalidatesOldHash) {
   EXPECT_EQ(info.memo.entries, 0u);
   EXPECT_EQ(info.memo.bytes, core::FitMemo{}.stats().bytes);
   EXPECT_EQ(svc.stats().cache.invalidations, 1u);
-  bool stale = false;
-  EXPECT_EQ(svc.cached_or_stale(hash_v1, &stale), nullptr);
+  EXPECT_EQ(svc.lookup_hit(hash_v1), nullptr);
 
   CacheDisposition d = CacheDisposition::kUnknown;
   const auto p = store.predict("c", nullptr, nullptr, &d);
