@@ -45,6 +45,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -185,18 +186,10 @@ int run_bench(int argc, char** argv) {
   // The daemon's wiring: cache hits answered on the event loop, the
   // rest on the handler pool, where the router sees each request's
   // deadline, shedding signal and trace, as it does under estima_serve.
-  estima::net::HttpServer server(
-      ncfg,
-      [&router](const estima::net::HttpRequest& req,
-                const estima::net::RequestContext& ctx) {
-        return router.handle(req, ctx);
-      },
-      [&router](const estima::net::HttpRequest& req,
-                const estima::net::RequestContext& ctx) {
-        return router.answer_on_loop(req, ctx);
-      });
-  server.start();
-  estima::net::HttpClient client("127.0.0.1", server.port());
+  const std::unique_ptr<estima::net::HttpServer> server =
+      estima::service::make_server(router, ncfg);
+  server->start();
+  estima::net::HttpClient client("127.0.0.1", server->port());
   // Every clean-path request must answer 200; anything else ends the
   // bench (exit 1).
   const auto post = [&client](const char* path, const std::string& body,
@@ -228,7 +221,7 @@ int run_bench(int argc, char** argv) {
   // must serve warm traffic at full speed past them.
   estima::net::raise_fd_limit(
       static_cast<rlim_t>(2 * idle_clients + 256));
-  std::vector<int> horde = open_idle_clients(server.port(), idle_clients);
+  std::vector<int> horde = open_idle_clients(server->port(), idle_clients);
   const int horde_connected = static_cast<int>(
       std::count_if(horde.begin(), horde.end(), [](int fd) { return fd >= 0; }));
   if (horde_connected < idle_clients) {
@@ -286,22 +279,22 @@ int run_bench(int argc, char** argv) {
   // alternating on one keep-alive connection so both sides see the same
   // scheduler and the same cache state. The traced side pays the full
   // path: trace creation, the edge's edge.read/parse/queue.wait/
-  // edge.encode/edge.write spans, the router's parse/cache.lookup/
-  // serialize spans and trace-id echo, stage histograms, and finish().
+  // edge.encode/edge.write spans and trace-id echo, the router's
+  // parse/cache.lookup/serialize spans, stage histograms, and finish().
   estima::obs::Registry registry;
   estima::obs::TracerConfig tcfg;
   tcfg.slow_threshold_ms = -1;  // measuring span cost, not collecting slow
   estima::obs::Tracer tracer(registry, tcfg);
   // Both sides post body `step` of the same sequence.
   const auto warm_request = [&](estima::obs::Tracer* t, std::size_t step) {
-    server.set_tracer(t);
+    server->set_tracer(t);
     (void)post("/v1/predict", bodies[step % bodies.size()], "text/csv");
   };
   const estima::bench::Overhead overhead = estima::bench::interleaved_overhead(
       [&](std::size_t step) { warm_request(nullptr, step); },
       [&](std::size_t step) { warm_request(&tracer, step); },
       std::max(0.3, warm_seconds));
-  server.set_tracer(nullptr);
+  server->set_tracer(nullptr);
   const double untraced_rps = 1e9 / overhead.untraced_ns;
   const double traced_rps = 1e9 / overhead.traced_ns;
 
@@ -323,7 +316,7 @@ int run_bench(int argc, char** argv) {
       estima::core::write_prediction(os, p);
       expected.push_back(os.str());
     }
-    estima::net::HttpClient cclient("127.0.0.1", server.port());
+    estima::net::HttpClient cclient("127.0.0.1", server->port());
     estima::net::RetryConfig rc;
     rc.max_attempts = 5;
     rc.base_delay_ms = 1;
@@ -397,14 +390,14 @@ int run_bench(int argc, char** argv) {
 
   // The horde must have been fully connected (and still open) while the
   // warm rate was measured: the idle clients + the bench client itself.
-  const auto sstats = server.stats();
+  const auto sstats = server->stats();
   const bool idle_held =
       horde_connected == idle_clients &&
       sstats.open_connections >= static_cast<std::uint64_t>(idle_clients);
   for (int fd : horde) {
     if (fd >= 0) ::close(fd);
   }
-  server.stop();
+  server->stop();
 
   std::printf("  cold  /v1/predict %10.2f requests/s  (%d in %.3fs)\n",
               cold_rps, campaigns, cold_elapsed);

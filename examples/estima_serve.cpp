@@ -12,18 +12,14 @@
 //                          0 = unlimited)
 //     --cache-capacity=N   cached predictions (default 4096)
 //     --target=T           extrapolation horizon in cores (default 48)
-//     --snapshot-file=PATH snapshot location: restored on startup when
-//                          present (--restore=0 disables), spilled on
-//                          SIGINT/SIGTERM drain, and enables POST
-//                          /v1/snapshot
-//     --restore=0|1        restore from --snapshot-file at startup (1)
-//     --snapshot-every=K   auto-snapshot after every K computed
-//                          predictions (0 = only on shutdown)
+//     --snapshot-file=PATH snapshot location: restored on startup
+//                          whenever the file exists (remove it to start
+//                          cold), spilled on SIGINT/SIGTERM drain, and
+//                          enables POST /v1/snapshot (call it on a
+//                          schedule for periodic snapshots)
 //     --max-queue-depth=N  handler-pool queue bound; over it the oldest
 //                          queued request is shed 503 + Retry-After
 //                          (default 256, 0 = unbounded)
-//     --queue-delay-ms=D   a request queued longer than D ms is shed at
-//                          dequeue instead of run (default 0 = off)
 //     --slow-trace-ms=T    requests slower than T ms land in the slow
 //                          ring served by GET /v1/trace and dumped on
 //                          SIGUSR1 (default 250; 0 retains every
@@ -61,7 +57,8 @@
 //
 // Resilience: each request's 408 budget is propagated into the predictor
 // as a cooperative deadline (plus any X-Estima-Deadline-Ms the client
-// sends), and overload sheds the oldest queued request with 503 +
+// sends; both count from the request's arrival, so queueing spends
+// them), and overload sheds the oldest queued request with 503 +
 // Retry-After while /v1/health answers 503 "shedding". Cached answers
 // never expire: a campaign's hash folds in the config, so one key has
 // one answer.
@@ -138,10 +135,7 @@ int main(int argc, char** argv) {
   const int cache_capacity = flags.integer("cache-capacity", 4096);
   const int target = flags.integer("target", 48);
   const std::string snapshot_file = flags.str("snapshot-file", "");
-  const bool restore = flags.integer("restore", 1) != 0;
-  const int snapshot_every = flags.integer("snapshot-every", 0);
   const int max_queue_depth = flags.integer("max-queue-depth", 256);
-  const int queue_delay_ms = flags.integer("queue-delay-ms", 0);
   const int slow_trace_ms = flags.integer("slow-trace-ms", 250);
   const int trace_ring = flags.integer("trace-ring", 64);
   const std::string event_log_path = flags.str("event-log", "");
@@ -185,23 +179,11 @@ int main(int argc, char** argv) {
   scfg.prediction.target_cores = core::cores_up_to(target);
   scfg.cache_capacity = static_cast<std::size_t>(
       cache_capacity > 0 ? cache_capacity : 4096);
-  if (snapshot_every > 0) {
-    if (snapshot_file.empty()) {
-      std::fprintf(stderr,
-                   "--snapshot-every=%d needs --snapshot-file: there is "
-                   "nowhere to write the periodic snapshots\n",
-                   snapshot_every);
-      return 1;
-    }
-    scfg.snapshot_every = static_cast<std::size_t>(snapshot_every);
-    scfg.auto_snapshot_path = snapshot_file;
-  }
   core::ExecContext base(&pool);
   base.metrics = &fit_metrics;
   service::PredictionService svc(scfg, base);
 
-  if (restore && !snapshot_file.empty() &&
-      std::filesystem::exists(snapshot_file)) {
+  if (!snapshot_file.empty() && std::filesystem::exists(snapshot_file)) {
     try {
       const auto restored = svc.restore_from(snapshot_file);
       std::printf("restored %zu cached predictions from %s (%zu skipped)\n",
@@ -240,22 +222,14 @@ int main(int argc, char** argv) {
       static_cast<std::size_t>(max_connections > 0 ? max_connections : 0);
   ncfg.max_queue_depth =
       static_cast<std::size_t>(max_queue_depth > 0 ? max_queue_depth : 0);
-  ncfg.queue_delay_budget_ms = queue_delay_ms > 0 ? queue_delay_ms : 0;
   ncfg.tracer = &tracer;
   ncfg.event_log = event_log.get();
   // Cache hits are answered on the event loops; the handler pool
   // computes the rest.
-  net::HttpServer server(
-      ncfg,
-      [&router](const net::HttpRequest& req, const net::RequestContext& ctx) {
-        return router.handle(req, ctx);
-      },
-      [&router](const net::HttpRequest& req, const net::RequestContext& ctx) {
-        return router.answer_on_loop(req, ctx);
-      });
-  router.set_server_stats_source([&server] { return server.stats(); });
+  const std::unique_ptr<net::HttpServer> server =
+      service::make_server(router, ncfg);
   try {
-    server.start();
+    server->start();
   } catch (const std::exception& e) {
     std::fprintf(stderr, "%s\n", e.what());
     return 1;
@@ -263,11 +237,10 @@ int main(int argc, char** argv) {
   std::printf("estima_serve listening on %s:%d "
               "(%d prediction threads, %d handler workers, %d io loops, "
               "cache %d, max %d connections)\n",
-              address.c_str(), server.port(), threads, http_threads,
+              address.c_str(), server->port(), threads, http_threads,
               io_threads, cache_capacity, max_connections);
   if (!snapshot_file.empty()) {
-    std::printf("snapshot file: %s (auto every %d computed predictions)\n",
-                snapshot_file.c_str(), snapshot_every);
+    std::printf("snapshot file: %s\n", snapshot_file.c_str());
   }
   if (event_log) {
     std::printf("event log: %s (rotate at %d MiB)\n", event_log_path.c_str(),
@@ -285,7 +258,7 @@ int main(int argc, char** argv) {
   // Health goes dark before the listener does, so a load balancer polling
   // /v1/health stops routing here while the drain still answers.
   router.set_draining(true);
-  server.stop();
+  server->stop();
 
   if (!snapshot_file.empty()) {
     try {
@@ -304,11 +277,9 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(event_log->lines_dropped()));
   }
   const auto stats = svc.stats();
-  std::printf("served: submitted=%llu computed=%llu hits=%llu "
-              "auto_snapshots=%llu\n",
+  std::printf("served: submitted=%llu computed=%llu hits=%llu\n",
               static_cast<unsigned long long>(stats.campaigns_submitted),
               static_cast<unsigned long long>(stats.predictions_computed),
-              static_cast<unsigned long long>(stats.cache.hits),
-              static_cast<unsigned long long>(stats.auto_snapshots));
+              static_cast<unsigned long long>(stats.cache.hits));
   return 0;
 }

@@ -41,13 +41,14 @@ class Deadline {
   Deadline(const Deadline&) = delete;
   Deadline& operator=(const Deadline&) = delete;
 
-  /// Moves the expiry earlier, to `from_now` out; never extends it. A
-  /// budget reaching past the clock's range leaves the expiry unchanged.
-  void tighten(std::chrono::milliseconds from_now) {
-    const std::int64_t now = ns_of(Clock::now());
-    const std::int64_t ms = from_now.count();
-    if (ms > (kUnlimited - now) / 1'000'000) return;
-    const std::int64_t cand = now + ms * 1'000'000;
+  /// Moves the expiry earlier, to `budget` after `from`; never extends
+  /// it. A budget reaching past the clock's range leaves the expiry
+  /// unchanged.
+  void tighten(Clock::time_point from, std::chrono::milliseconds budget) {
+    const std::int64_t start = ns_of(from);
+    const std::int64_t ms = budget.count();
+    if (ms > (kUnlimited - start) / 1'000'000) return;
+    const std::int64_t cand = start + ms * 1'000'000;
     std::int64_t cur = tp_ns_.load(std::memory_order_relaxed);
     while (cand < cur && !tp_ns_.compare_exchange_weak(
                              cur, cand, std::memory_order_relaxed)) {

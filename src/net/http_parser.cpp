@@ -145,13 +145,19 @@ std::string status_reason(int status) {
   }
 }
 
-std::string serialize_response(const HttpResponse& resp, bool keep_alive) {
+std::string serialize_response(const HttpResponse& resp, bool keep_alive,
+                               std::string_view trace_id) {
   std::string out;
   out.reserve(resp.body.size() + 256);
   out += "HTTP/1.1 " + std::to_string(resp.status) + ' ' +
          status_reason(resp.status) + "\r\n";
   for (const auto& h : resp.headers) {
     out += h.first + ": " + h.second + "\r\n";
+  }
+  if (!trace_id.empty()) {
+    out += "x-estima-trace-id: ";
+    out += trace_id;
+    out += "\r\n";
   }
   out += "Content-Length: " + std::to_string(resp.body.size()) + "\r\n";
   out += keep_alive ? "Connection: keep-alive\r\n" : "Connection: close\r\n";

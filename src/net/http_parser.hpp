@@ -24,6 +24,7 @@
 
 #include <cstddef>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -66,10 +67,12 @@ struct HttpResponse {
 /// The reason phrase for every status this edge emits.
 std::string status_reason(int status);
 
-/// Wire form of a response: status line, caller headers, then
+/// Wire form of a response: status line, caller headers, an
+/// x-estima-trace-id header when `trace_id` is non-empty, then
 /// Content-Length and Connection (from `keep_alive`) — the two the server
 /// owns — and the body.
-std::string serialize_response(const HttpResponse& resp, bool keep_alive);
+std::string serialize_response(const HttpResponse& resp, bool keep_alive,
+                               std::string_view trace_id = {});
 
 /// Wire form of a request, for HttpClient and the benches.
 std::string serialize_request(

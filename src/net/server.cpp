@@ -73,6 +73,18 @@ HttpResponse plain_response(int status, const std::string& reason) {
   return resp;
 }
 
+/// The one encoder of a response for the wire, whichever path built it
+/// (the handler, a thrown error, a shed, the LoopAnswer, an edge 408): a
+/// traced request's response carries its trace id in exactly one
+/// X-Estima-Trace-Id header, so a client can correlate every answer —
+/// failures included — with /v1/trace and the event log.
+std::string encode(const HttpResponse& resp, bool keep,
+                   const obs::TraceContext* trace) {
+  if (trace == nullptr) return serialize_response(resp, keep);
+  return serialize_response(resp, keep,
+                            obs::format_trace_id(trace->trace_id()));
+}
+
 /// Each fd is registered under a 64-bit id, reported back with its events.
 struct PollerEvent {
   std::uint64_t id = 0;
@@ -200,15 +212,14 @@ class Poller {
 // guarantee each dispatched request still gets its response written.
 //
 // Load shedding lives here because the queue is where overload shows up
-// first. Two policies, both answering 503 + Retry-After:
-//   * overflow (max_queue_depth): a dispatch that would exceed the cap
-//     sheds the OLDEST queued request and admits the new one — the oldest
-//     has burned the most of its client's patience already;
-//   * age (queue_delay_budget_ms): a job that waited too long is shed at
-//     dequeue instead of run, so a drained backlog doesn't burn CPU on
-//     requests whose clients have likely given up.
-// A shed request still gets a real response through the normal completion
-// path, so every dispatched request remains answered-or-closed.
+// first: a dispatch that would exceed max_queue_depth sheds the OLDEST
+// queued request with 503 + Retry-After and admits the new one — the
+// oldest has burned the most of its client's patience already. A queued
+// request's wait is otherwise bounded by its propagated 408 deadline: an
+// abandoned one costs a deadline poll (a hit is served, a miss stops at
+// its first fit boundary). A shed request still gets a real response
+// through the normal completion path, so every dispatched request
+// remains answered-or-closed.
 
 struct HttpServer::HandlerPool {
   struct Job {
@@ -217,6 +228,7 @@ struct HttpServer::HandlerPool {
     HttpRequest req;
     bool keep = false;
     std::shared_ptr<core::Deadline> deadline;  ///< null when not propagated
+    Clock::time_point arrived;  ///< the request's first byte
     Clock::time_point enqueued;
     std::shared_ptr<obs::TraceContext> trace;  ///< null when untraced
   };
@@ -263,13 +275,7 @@ struct HttpServer::HandlerPool {
   /// queue at the cap, or a shed within the last kShedRecoveryMs.
   bool shedding() {
     std::lock_guard<std::mutex> lock(mu_);
-    if (srv_.cfg_.max_queue_depth > 0 &&
-        jobs_.size() >= srv_.cfg_.max_queue_depth) {
-      return true;
-    }
-    return has_shed_ &&
-           Clock::now() - last_shed_ <=
-               std::chrono::milliseconds(kShedRecoveryMs);
+    return shedding_locked();
   }
 
   void drain_and_join() {
@@ -287,10 +293,15 @@ struct HttpServer::HandlerPool {
  private:
   void run();
 
-  void note_shed() {
-    std::lock_guard<std::mutex> lock(mu_);
-    last_shed_ = Clock::now();
-    has_shed_ = true;
+  /// shedding(), with mu_ held by the caller.
+  bool shedding_locked() const {
+    if (srv_.cfg_.max_queue_depth > 0 &&
+        jobs_.size() >= srv_.cfg_.max_queue_depth) {
+      return true;
+    }
+    return has_shed_ &&
+           Clock::now() - last_shed_ <=
+               std::chrono::milliseconds(kShedRecoveryMs);
   }
 
   /// Answers a shed job 503 + Retry-After through the normal completion
@@ -531,8 +542,7 @@ struct HttpServer::EventLoop {
       // write path as every other error — closing straight after the
       // send would let the client's unread request bytes RST the 503
       // away before it is read.
-      start_response(c, plain_response(503, "server at connection capacity"),
-                     /*keep=*/false, /*linger=*/true);
+      respond_error(c, 503, "server at connection capacity");
       return;
     }
     c.want_read = true;
@@ -714,9 +724,7 @@ struct HttpServer::EventLoop {
         // Nothing after a malformed head is a trustworthy boundary; the
         // lingering close keeps the 4xx readable past the client's
         // still-unread bytes.
-        start_response(c, plain_response(c.parser.error_status(),
-                                         c.parser.error_reason()),
-                       /*keep=*/false, /*linger=*/true);
+        respond_error(c, c.parser.error_status(), c.parser.error_reason());
         return false;
       }
       case RequestParser::State::kComplete: {
@@ -732,6 +740,8 @@ struct HttpServer::EventLoop {
         c.want_read = false;  // bound buffering while the handler runs
         c.want_write = false;
         update_poller(c);
+        const Clock::time_point arrived =
+            was_mid ? c.request_start : Clock::now();
         std::shared_ptr<core::Deadline> deadline;
         if (srv_.cfg_.idle_timeout_ms > 0) {
           // The handler inherits the REMAINDER of the request's 408
@@ -740,10 +750,8 @@ struct HttpServer::EventLoop {
           // the 408 can fire while the handler runs (kHandling). When it
           // does, the deadline is cancelled and the handler's late
           // completion dropped.
-          const Clock::time_point start =
-              was_mid ? c.request_start : Clock::now();
           const Clock::time_point expiry =
-              start + std::chrono::milliseconds(srv_.cfg_.idle_timeout_ms);
+              arrived + std::chrono::milliseconds(srv_.cfg_.idle_timeout_ms);
           deadline = std::make_shared<core::Deadline>(expiry);
           c.active_deadline = deadline;
           arm_deadline_at(c, expiry);
@@ -752,7 +760,8 @@ struct HttpServer::EventLoop {
         }
         if (!srv_.pool_->submit(HandlerPool::Job{this, c.id, std::move(req),
                                                  keep, std::move(deadline),
-                                                 Clock::now(), c.trace})) {
+                                                 arrived, Clock::now(),
+                                                 c.trace})) {
           // Raced stop(): the pool is draining and this job would never
           // run. Close unanswered, like any request stop() didn't reach.
           close_conn(c);
@@ -802,7 +811,9 @@ struct HttpServer::EventLoop {
     }
     std::optional<HttpResponse> resp;
     try {
-      resp = srv_.loop_answer_(req, RequestContext{nullptr, false, c.trace});
+      RequestContext ctx;
+      ctx.trace = c.trace;
+      resp = srv_.loop_answer_(req, ctx);
     } catch (const std::exception&) {
       return false;  // the pool runs it again and maps the error
     }
@@ -811,37 +822,19 @@ struct HttpServer::EventLoop {
     std::string wire;
     {
       obs::SpanTimer span(c.trace.get(), obs::Stage::kEdgeEncode);
-      wire = serialize_response(*resp, keep);
+      wire = encode(*resp, keep, c.trace.get());
     }
     begin_write(c, std::move(wire), keep, resp->status, /*on_loop=*/true);
     return true;
   }
 
-  /// Serializes and starts writing a loop-generated response (errors,
-  /// timeouts). Handler responses arrive via apply_completion instead.
-  /// Takes the response by value: loop-generated errors never pass
-  /// through the router, so the trace id (when the request got far enough
-  /// to have one — the propagated-408 path) is echoed here.
-  void start_response(Conn& c, HttpResponse resp, bool keep, bool linger) {
-    if (c.trace && resp.status >= 400) {
-      resp.headers.emplace_back("x-estima-trace-id",
-                                obs::format_trace_id(c.trace->trace_id()));
-    }
-    srv_.count_response(resp.status);
-    // Stop reading while the response goes out: with level-triggered
-    // readiness, leaving EPOLLIN armed over still-buffered bytes would
-    // spin the loop (the bytes are drained later by the lingering close,
-    // or dropped with the connection).
-    c.want_read = false;
-    update_poller(c);
-    c.out = serialize_response(resp, keep);
-    c.out_off = 0;
-    c.close_after_write = !keep;
-    c.linger_after_write = linger;
-    c.st = St::kWriting;
-    if (c.trace) c.write_start = Clock::now();
-    disarm_deadline(c);
-    try_write(c);
+  /// An error the edge answers itself (admission overflow, a malformed
+  /// request, a 408), closed after a lingering write so the answer
+  /// survives the client's still-unread bytes.
+  void respond_error(Conn& c, int status, const std::string& reason) {
+    begin_write(c,
+                encode(plain_response(status, reason), false, c.trace.get()),
+                /*keep=*/false, status, /*on_loop=*/false, /*linger=*/true);
   }
 
   void apply_completion(Completion& done) {
@@ -854,16 +847,20 @@ struct HttpServer::EventLoop {
                 /*on_loop=*/false);
   }
 
-  /// Starts writing an answer to the request: the pool's completion or
-  /// the loop's own. Answered, the request's 408 deadline is moot.
+  /// The one write starter, for every response: the pool's completion,
+  /// the loop's answer or the edge's own error. Answered, the request's
+  /// 408 deadline is moot. `linger` drains the client's unread bytes
+  /// after the write, then closes. Read interest is left as it is: a
+  /// write that completes at once costs no poller update, and one that
+  /// blocks drops it in try_write.
   void begin_write(Conn& c, std::string wire, bool keep, int status,
-                   bool on_loop) {
+                   bool on_loop, bool linger = false) {
     disarm_deadline(c);
     srv_.count_response(status, on_loop);
     c.out = std::move(wire);
     c.out_off = 0;
     c.close_after_write = !keep;
-    c.linger_after_write = false;
+    c.linger_after_write = linger;
     c.st = St::kWriting;
     if (c.trace) c.write_start = Clock::now();
     try_write(c);
@@ -945,8 +942,7 @@ struct HttpServer::EventLoop {
         case St::kReading:
           srv_.on_timeout();
           if (c.mid_request) {
-            start_response(c, plain_response(408, "request timed out"),
-                           /*keep=*/false, /*linger=*/true);
+            respond_error(c, 408, "request timed out");
           } else {
             close_conn(c);  // idle keep-alive silence: close unanswered
           }
@@ -965,8 +961,7 @@ struct HttpServer::EventLoop {
             c.active_deadline->cancel();
             c.active_deadline.reset();
           }
-          start_response(c, plain_response(408, "request timed out"),
-                         /*keep=*/false, /*linger=*/true);
+          respond_error(c, 408, "request timed out");
           break;
       }
     }
@@ -1007,48 +1002,32 @@ struct HttpServer::EventLoop {
 void HttpServer::HandlerPool::run() {
   for (;;) {
     Job job;
+    bool shedding_now = false;
     {
       std::unique_lock<std::mutex> lock(mu_);
       cv_.wait(lock, [&] { return draining_ || !jobs_.empty(); });
       if (jobs_.empty()) return;  // draining and nothing left
       job = std::move(jobs_.front());
       jobs_.pop_front();
-    }
-    // Age shedding: a job that out-waited its queue-delay budget is
-    // answered 503 instead of run — its client's patience went into the
-    // queue, and running it now would delay fresher requests behind it.
-    // (Drain is exempt: stop() promised these jobs a real run.)
-    const int budget = srv_.cfg_.queue_delay_budget_ms;
-    if (budget > 0 && !srv_.stopping_.load(std::memory_order_acquire) &&
-        Clock::now() - job.enqueued > std::chrono::milliseconds(budget)) {
-      note_shed();
-      respond_shed(job);
-      continue;
+      shedding_now = shedding_locked();
     }
     if (job.trace) {
       job.trace->add(obs::Stage::kQueueWait, job.enqueued, Clock::now());
     }
-    const RequestContext ctx{job.deadline, shedding(), job.trace};
+    RequestContext ctx;
+    ctx.deadline = job.deadline;
+    ctx.arrived = job.arrived;
+    ctx.shedding = shedding_now;
+    ctx.trace = job.trace;
     HttpResponse resp;
-    bool threw = false;
     try {
       resp = srv_.handler_(job.req, ctx);
     } catch (const core::DeadlineExceeded& e) {
       resp = plain_response(408, e.what());
-      threw = true;
     } catch (const std::invalid_argument& e) {
       resp = plain_response(400, e.what());
-      threw = true;
     } catch (const std::exception& e) {
       resp = plain_response(500, e.what());
-      threw = true;
-    }
-    // The router echoes the trace id on every response it builds; a
-    // handler that threw bypassed it, so the pool echoes here instead
-    // (the `threw` guard keeps the header single).
-    if (threw && job.trace) {
-      resp.headers.emplace_back("x-estima-trace-id",
-                                obs::format_trace_id(job.trace->trace_id()));
     }
     const bool keep =
         job.keep && !srv_.stopping_.load(std::memory_order_acquire);
@@ -1057,7 +1036,7 @@ void HttpServer::HandlerPool::run() {
       // Wire assembly is its own stage: `serialize` is the router's body
       // rendering, recorded once per request.
       obs::SpanTimer span(job.trace.get(), obs::Stage::kEdgeEncode);
-      wire = serialize_response(resp, keep);
+      wire = encode(resp, keep, job.trace.get());
     }
     job.loop->post_completion(job.conn_id, std::move(wire), keep,
                               resp.status);
@@ -1072,10 +1051,6 @@ void HttpServer::HandlerPool::respond_shed(Job& job) {
   HttpResponse resp = plain_response(503, "server overloaded, retry later");
   resp.headers.emplace_back("retry-after",
                             std::to_string(kRetryAfterSeconds));
-  if (job.trace) {
-    resp.headers.emplace_back("x-estima-trace-id",
-                              obs::format_trace_id(job.trace->trace_id()));
-  }
   // A shed request never reaches the router (the usual event emitter), so
   // the edge writes its line: queue wait is the only latency it ever had.
   if (srv_.cfg_.event_log != nullptr) {
@@ -1088,8 +1063,9 @@ void HttpServer::HandlerPool::respond_shed(Job& job) {
   }
   const bool keep =
       job.keep && !srv_.stopping_.load(std::memory_order_acquire);
-  job.loop->post_completion(job.conn_id, serialize_response(resp, keep),
-                            keep, resp.status);
+  job.loop->post_completion(job.conn_id,
+                            encode(resp, keep, job.trace.get()), keep,
+                            resp.status);
 }
 
 // ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -63,6 +64,13 @@ struct RequestContext {
   /// work the client will never see. Null when idle_timeout_ms <= 0, and
   /// always null for the LoopAnswer, which computes nothing.
   std::shared_ptr<core::Deadline> deadline;
+  /// When the request's first byte arrived, the instant the edge's 408
+  /// budget counts from; a budget the handler derives from the request
+  /// (an X-Estima-Deadline-Ms header) counts from here too, so time spent
+  /// queued is charged against it. Default (the clock's epoch) for
+  /// in-process calls and the LoopAnswer: a budget then counts from the
+  /// call.
+  std::chrono::steady_clock::time_point arrived{};
   /// True when the handler pool is currently shedding load, for the
   /// handler's health report (the service router answers GET /v1/health
   /// 503 "shedding"; it changes no other answer). Always false for the
@@ -111,15 +119,13 @@ struct ServerConfig {
   /// and is the likeliest to be answered into a dead connection.
   /// 0 = unbounded (no overflow shedding).
   std::size_t max_queue_depth = 0;
-  /// A queued request older than this at dequeue time is shed instead of
-  /// run: its wait has already consumed its client's patience, and running
-  /// it would delay fresher requests behind it. 0 = no age shedding.
-  int queue_delay_budget_ms = 0;
   /// Observability: when set (borrowed, must outlive the server), every
   /// dispatched request gets a TraceContext recording the edge stages
   /// (edge.read, parse, edge.encode, edge.write, and queue.wait when it
-  /// goes to the handler pool) and the request-duration histogram; the
-  /// trace id is echoed by the router in X-Estima-Trace-Id. Null (the default) keeps the hot path untraced —
+  /// goes to the handler pool) and the request-duration histogram, and
+  /// every response to a traced request echoes its id in exactly one
+  /// X-Estima-Trace-Id header, added where the response is encoded for
+  /// the wire. Null (the default) keeps the hot path untraced —
   /// one relaxed atomic load per event. Swappable at runtime via
   /// set_tracer() (benches use this to measure the overhead delta).
   obs::Tracer* tracer = nullptr;

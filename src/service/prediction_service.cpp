@@ -22,10 +22,6 @@ PredictionService::PredictionService(ServiceConfig cfg, core::ExecContext base)
         "PredictionService: the base context carries only a pool and fit "
         "metrics; deadline, trace, memo and audit are per call");
   }
-  if (cfg_.snapshot_every > 0 && cfg_.auto_snapshot_path.empty()) {
-    throw std::invalid_argument(
-        "PredictionService: snapshot_every requires auto_snapshot_path");
-  }
 }
 
 std::uint64_t PredictionService::hash_of(
@@ -77,17 +73,11 @@ std::shared_ptr<const core::Prediction> PredictionService::settle(
   } catch (...) {
     flight.error = std::current_exception();
   }
-  bool snapshot_due = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (flight.result) {
       cache_.put(key, flight.result);
       ++stats_.predictions_computed;
-      if (cfg_.snapshot_every > 0 &&
-          ++insertions_since_snapshot_ >= cfg_.snapshot_every) {
-        insertions_since_snapshot_ = 0;
-        snapshot_due = true;
-      }
     } else if (cancelled) {
       ++stats_.predictions_cancelled;
     }
@@ -98,10 +88,6 @@ std::shared_ptr<const core::Prediction> PredictionService::settle(
     flight.done = true;
   }
   flight.cv.notify_all();
-  // Only after the result is published and joiners released: a triggered
-  // snapshot is a disk write that must not sit between a computed answer
-  // and the threads waiting on it.
-  if (snapshot_due) write_auto_snapshot();
   if (flight.error) std::rethrow_exception(flight.error);
   return flight.result;
 }
@@ -116,20 +102,6 @@ core::Prediction PredictionService::compute(
   ctx.memo = memo;
   ctx.audit = audit;
   return core::predict(ms, cfg_.prediction, ctx);
-}
-
-void PredictionService::write_auto_snapshot() {
-  // The write races safely against serving (snapshot_to copies the
-  // entries under the lock and writes outside it) and must never fail the
-  // prediction whose insertion triggered it.
-  bool ok = true;
-  try {
-    snapshot_to(cfg_.auto_snapshot_path);
-  } catch (const std::exception&) {
-    ok = false;
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  ++(ok ? stats_.auto_snapshots : stats_.auto_snapshot_failures);
 }
 
 core::Prediction PredictionService::predict_one(

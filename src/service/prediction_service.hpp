@@ -51,14 +51,6 @@ namespace estima::service {
 struct ServiceConfig {
   core::PredictionConfig prediction;  ///< shared by every campaign served
   std::size_t cache_capacity = 4096;  ///< answers the LRU holds
-  /// When > 0, every K-th newly *computed* prediction inserted into the
-  /// cache triggers exactly one automatic snapshot_to(auto_snapshot_path)
-  /// (cache hits, joins and restores do not count). The snapshot runs on
-  /// the inserting thread, racing safely against concurrent serving; a
-  /// failed write is counted in stats, never thrown at the client whose
-  /// prediction triggered it. Requires a non-empty auto_snapshot_path.
-  std::size_t snapshot_every = 0;
-  std::string auto_snapshot_path;
 };
 
 /// How predict_one sourced its answer, reported for the event log:
@@ -77,10 +69,6 @@ struct ServiceStats {
   /// restores.
   std::uint64_t snapshot_entries_restored = 0;
   std::uint64_t snapshot_entries_skipped = 0;
-  /// Periodic persistence (ServiceConfig::snapshot_every) accounting:
-  /// snapshots actually written, and trigger points whose write failed.
-  std::uint64_t auto_snapshots = 0;
-  std::uint64_t auto_snapshot_failures = 0;
   /// Computations that ended in DeadlineExceeded (the client's budget ran
   /// out mid-fit and the pipeline stopped cooperatively).
   std::uint64_t predictions_cancelled = 0;
@@ -98,7 +86,7 @@ class PredictionService {
   /// service adds the per-call deadline, trace, memo and audit itself and
   /// always serves from the default (batched, memoized) fit pipeline, so
   /// `base` carries nothing else. Throws std::invalid_argument when it
-  /// does, or when snapshot_every > 0 without an auto_snapshot_path.
+  /// does.
   explicit PredictionService(ServiceConfig cfg, core::ExecContext base = {});
 
   /// Campaign key under this service's config.
@@ -219,10 +207,6 @@ class PredictionService {
                            obs::TraceContext* trace, core::FitMemo* memo,
                            core::PredictionAudit* audit) const;
 
-  /// Writes the automatic snapshot due after a computed insertion and
-  /// counts its outcome; never throws.
-  void write_auto_snapshot();
-
   ServiceConfig cfg_;
   core::ExecContext base_;
   /// config_signature(cfg_.prediction), computed once: every campaign
@@ -235,8 +219,6 @@ class PredictionService {
   ResultCache cache_;
   std::unordered_map<std::uint64_t, std::shared_ptr<InFlight>> inflight_;
   ServiceStats stats_;  ///< every field but `cache`, which cache_ keeps
-  /// Computed insertions since the last automatic snapshot.
-  std::uint64_t insertions_since_snapshot_ = 0;
 };
 
 }  // namespace estima::service

@@ -173,6 +173,21 @@ std::vector<std::string> parse_frames(const std::string& body,
   }
 }
 
+std::unique_ptr<net::HttpServer> make_server(ServiceRouter& router,
+                                             net::ServerConfig cfg) {
+  auto server = std::make_unique<net::HttpServer>(
+      std::move(cfg),
+      [&router](const net::HttpRequest& req, const net::RequestContext& ctx) {
+        return router.handle(req, ctx);
+      },
+      [&router](const net::HttpRequest& req, const net::RequestContext& ctx) {
+        return router.answer_on_loop(req, ctx);
+      });
+  router.set_server_stats_source(
+      [s = server.get()] { return s->stats(); });
+  return server;
+}
+
 ServiceRouter::ServiceRouter(PredictionService& service, RouterConfig cfg)
     : service_(service),
       cfg_(std::move(cfg)),
@@ -198,7 +213,7 @@ net::HttpResponse ServiceRouter::handle(const net::HttpRequest& req,
   const auto start = std::chrono::steady_clock::now();
   RequestEvent ev;
   net::HttpResponse resp = dispatch(req, ctx, ev);
-  finish(req, ctx, ev, start, resp);
+  log_request(req, ctx, ev, start, resp);
   return resp;
 }
 
@@ -215,21 +230,15 @@ std::optional<net::HttpResponse> ServiceRouter::answer_on_loop(
   RequestEvent ev;
   std::optional<net::HttpResponse> resp =
       predict_hit(req, ctx.trace.get(), ev);
-  if (resp) finish(req, ctx, ev, start, *resp);
+  if (resp) log_request(req, ctx, ev, start, *resp);
   return resp;
 }
 
-void ServiceRouter::finish(const net::HttpRequest& req,
-                           const net::RequestContext& ctx,
-                           const RequestEvent& ev,
-                           std::chrono::steady_clock::time_point start,
-                           net::HttpResponse& resp) {
-  // Echo the request's trace id on every response — success or mapped
-  // error — so clients can correlate answers with /v1/trace entries.
-  if (ctx.trace) {
-    resp.headers.emplace_back("x-estima-trace-id",
-                              obs::format_trace_id(ctx.trace->trace_id()));
-  }
+void ServiceRouter::log_request(const net::HttpRequest& req,
+                                const net::RequestContext& ctx,
+                                const RequestEvent& ev,
+                                std::chrono::steady_clock::time_point start,
+                                const net::HttpResponse& resp) {
   if (event_log_ == nullptr) return;
   // One line per request. The handler reported the cache disposition; an
   // error response overrides it (408 = the deadline cancelled the
@@ -258,7 +267,9 @@ net::HttpResponse ServiceRouter::dispatch(const net::HttpRequest& req,
                                           const net::RequestContext& ctx,
                                           RequestEvent& ev) {
   // The effective deadline: the edge's propagated 408 budget, tightened
-  // by the client's own X-Estima-Deadline-Ms header. A client header with
+  // by the client's own X-Estima-Deadline-Ms header. Both count from the
+  // request's arrival, so time spent queued is charged against the
+  // header's budget as it is against the edge's. A client header with
   // no propagated budget gets a request-local deadline instead — the
   // stack object outlives every fit this request runs, because handle()
   // does not return until predict() does.
@@ -273,7 +284,10 @@ net::HttpResponse ServiceRouter::dispatch(const net::HttpRequest& req,
         return text_response(400, "bad x-estima-deadline-ms value: " + *hdr);
       }
       if (deadline == nullptr) deadline = &local;
-      deadline->tighten(std::chrono::milliseconds(ms));
+      const auto from = ctx.arrived == std::chrono::steady_clock::time_point{}
+                            ? std::chrono::steady_clock::now()
+                            : ctx.arrived;
+      deadline->tighten(from, std::chrono::milliseconds(ms));
     }
     if (req.target == "/v1/predict") {
       if (req.method != "POST") return method_not_allowed("POST");
@@ -663,8 +677,6 @@ net::HttpResponse ServiceRouter::handle_stats() {
   w.kv("inflight_joins", s.inflight_joins);
   w.kv("snapshot_entries_restored", s.snapshot_entries_restored);
   w.kv("snapshot_entries_skipped", s.snapshot_entries_skipped);
-  w.kv("auto_snapshots", s.auto_snapshots);
-  w.kv("auto_snapshot_failures", s.auto_snapshot_failures);
   w.kv("predictions_cancelled", s.predictions_cancelled);
   w.kv("explains_served", s.explains_served);
   w.begin_object("cache");
@@ -739,11 +751,6 @@ net::HttpResponse ServiceRouter::handle_metrics() {
   w.counter("estima_service_snapshot_entries_skipped_total", "",
             "Snapshot entries dropped during restore.",
             s.snapshot_entries_skipped);
-  w.counter("estima_service_auto_snapshots_total", "",
-            "Automatic cache snapshots written.", s.auto_snapshots);
-  w.counter("estima_service_auto_snapshot_failures_total", "",
-            "Automatic cache snapshots that failed.",
-            s.auto_snapshot_failures);
   w.counter("estima_service_predictions_cancelled_total", "",
             "Predictions abandoned at a deadline boundary.",
             s.predictions_cancelled);

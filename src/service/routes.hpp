@@ -1,8 +1,8 @@
 // The HTTP surface of PredictionService: route table, body formats, and
 // status mapping — everything between a decoded net::HttpRequest and the
-// serving layer, with no socket code in sight (net/server.cpp calls
-// ServiceRouter::answer_on_loop as its LoopAnswer and ServiceRouter::handle
-// as its Handler; tests call them directly).
+// serving layer, with no socket code in sight (make_server, below, wires
+// ServiceRouter::answer_on_loop into an HttpServer as its LoopAnswer and
+// ServiceRouter::handle as its Handler; tests call them directly).
 //
 // Routes:
 //   POST /v1/predict        one campaign, CSV body (write_csv format) ->
@@ -67,9 +67,9 @@
 // exactly as before):
 //   * deadline — the context form runs predictions under
 //     ctx.deadline (the server's propagated 408 budget), tightened by the
-//     request's X-Estima-Deadline-Ms header when present; an expired
-//     budget answers 408 instead of burning pool CPU on an abandoned
-//     answer.
+//     request's X-Estima-Deadline-Ms header when present, counted from
+//     ctx.arrived; an expired budget answers 408 instead of burning pool
+//     CPU on an abandoned answer.
 //   * shedding — ctx.shedding flips GET /v1/health to 503 "shedding";
 //     every other route, /v1/predict included, answers exactly as when
 //     the pool is not shedding (the edge itself sheds the oldest queued
@@ -96,6 +96,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -151,11 +152,11 @@ class ServiceRouter {
 
   /// HttpServer's LoopAnswer: the hit step of POST /v1/predict, run on
   /// an event loop. A cache hit is answered here — parse, hash, look up,
-  /// render, with the trace echo and event-log line handle() would
-  /// write — in the same bytes and counts as handle(). Everything else
-  /// is declined (nullopt) with nothing counted or logged: a miss, a key
-  /// in flight, a body the reader rejects, an X-Estima-Deadline-Ms
-  /// header, any other route. handle() then serves it on the pool.
+  /// render, with the event-log line handle() would write — in the same
+  /// bytes and counts as handle(). Everything else is declined (nullopt)
+  /// with nothing counted or logged: a miss, a key in flight, a body the
+  /// reader rejects, an X-Estima-Deadline-Ms header, any other route.
+  /// handle() then serves it on the pool.
   std::optional<net::HttpResponse> answer_on_loop(
       const net::HttpRequest& req, const net::RequestContext& ctx);
 
@@ -215,12 +216,12 @@ class ServiceRouter {
   net::HttpResponse dispatch(const net::HttpRequest& req,
                              const net::RequestContext& ctx,
                              RequestEvent& ev);
-  /// What every answered request gets, on either path: the trace id
-  /// echo and one event-log line.
-  void finish(const net::HttpRequest& req, const net::RequestContext& ctx,
-              const RequestEvent& ev,
-              std::chrono::steady_clock::time_point start,
-              net::HttpResponse& resp);
+  /// What every answered request gets, on either path: one event-log
+  /// line.
+  void log_request(const net::HttpRequest& req,
+                   const net::RequestContext& ctx, const RequestEvent& ev,
+                   std::chrono::steady_clock::time_point start,
+                   const net::HttpResponse& resp);
   /// /v1/predict's hit step (answer_on_loop): the response for a cache
   /// hit, or nullopt with nothing counted.
   std::optional<net::HttpResponse> predict_hit(const net::HttpRequest& req,
@@ -269,6 +270,13 @@ class ServiceRouter {
   std::mutex explain_mu_;
   std::deque<std::pair<std::uint64_t, std::string>> explains_;
 };
+
+/// The daemon's HTTP stack over `router` (borrowed, must outlive the
+/// server): cache hits answered on the event loops by answer_on_loop,
+/// everything else by handle on the handler pool, and the server's
+/// ServerStats reported by /v1/stats and /v1/metrics. Not yet started.
+std::unique_ptr<net::HttpServer> make_server(ServiceRouter& router,
+                                             net::ServerConfig cfg);
 
 /// Assembles a predict_batch request body. Inverse of parse_frames.
 std::string frame_bodies(const std::vector<std::string>& bodies,

@@ -497,56 +497,6 @@ TEST(Ingest, NonexistentDirectoryThrowsRuntimeErrorNamingThePath) {
   fs::remove(file);
 }
 
-TEST(AutoSnapshot, EveryKInsertionsTriggersExactlyOneSnapshot) {
-  namespace fs = std::filesystem;
-  const fs::path path =
-      fs::temp_directory_path() / "estima_auto_snapshot_test.v1";
-  fs::remove(path);
-
-  ServiceConfig scfg;
-  scfg.prediction = serving_config();
-  scfg.snapshot_every = 3;
-  scfg.auto_snapshot_path = path.string();
-  PredictionService service(scfg);
-
-  // Two computed insertions: below K, nothing written.
-  service.predict_one(campaign(0, 8));
-  service.predict_one(campaign(1, 8));
-  EXPECT_EQ(service.stats().auto_snapshots, 0u);
-  EXPECT_FALSE(fs::exists(path));
-
-  // A cache hit is not an insertion and must not advance the counter.
-  service.predict_one(campaign(0, 8));
-  EXPECT_EQ(service.stats().auto_snapshots, 0u);
-
-  // The third computed insertion is the K-th: exactly one snapshot.
-  service.predict_one(campaign(2, 8));
-  EXPECT_EQ(service.stats().auto_snapshots, 1u);
-  EXPECT_EQ(service.stats().auto_snapshot_failures, 0u);
-  ASSERT_TRUE(fs::exists(path));
-
-  // The counter restarted: two more computes stay below the next trigger,
-  // the third writes snapshot number two with all six answers.
-  service.predict_one(campaign(3, 8));
-  service.predict_one(campaign(4, 8));
-  EXPECT_EQ(service.stats().auto_snapshots, 1u);
-  service.predict_one(campaign(5, 8));
-  EXPECT_EQ(service.stats().auto_snapshots, 2u);
-
-  PredictionService restored(
-      ServiceConfig{serving_config(), 4096, 0, ""}, nullptr);
-  EXPECT_EQ(restored.restore_from(path.string()).entries_loaded(), 6u);
-  EXPECT_EQ(restored.stats().snapshot_entries_restored, 6u);
-  fs::remove(path);
-}
-
-TEST(AutoSnapshot, SnapshotEveryWithoutPathIsRejected) {
-  ServiceConfig scfg;
-  scfg.prediction = serving_config();
-  scfg.snapshot_every = 2;
-  EXPECT_THROW(PredictionService service(scfg), std::invalid_argument);
-}
-
 // The service adds each call's deadline, trace, memo and audit itself and
 // serves from the batched engine, so a base context carrying any of those
 // would be ignored: it is refused instead.
@@ -571,7 +521,7 @@ TEST(PredictionService, BaseContextCarriesOnlyPoolAndMetrics) {
 // never 500, which the router reserves for exceptions other than
 // std::invalid_argument (std::stod's std::out_of_range on "1e999" was one).
 TEST(ServiceRouter, MalformedCampaignHeadersAnswer400OnEveryCampaignRoute) {
-  PredictionService service(ServiceConfig{serving_config(), 64, 0, ""});
+  PredictionService service(ServiceConfig{serving_config(), 64});
   ServiceRouter router(service);
   const auto request = [&](const std::string& method,
                            const std::string& target,
@@ -656,7 +606,7 @@ struct ServedService {
   ServedService(bool loop_answers, const std::string& log_path,
                 std::function<void(const net::HttpRequest&)> hold = {})
       : pool(2),
-        svc(ServiceConfig{serving_config(), 64, 0, ""}, &pool),
+        svc(ServiceConfig{serving_config(), 64}, &pool),
         router(svc),
         log(obs::EventLogConfig{log_path, 1024, 0, 5}),
         hold_(std::move(hold)) {
@@ -860,6 +810,51 @@ TEST(LoopHits, AHitNeverQueuesBehindTheHandlerPool) {
   std::filesystem::remove(log_path);
 }
 
+// X-Estima-Deadline-Ms counts from the request's arrival, as the edge's
+// own 408 budget does: a cold campaign whose 100 ms budget ran out while
+// it sat queued behind two held handler threads is cancelled at its first
+// fit boundary (408, nothing cached), not granted a fresh 100 ms when a
+// thread finally picks it up.
+TEST(DeadlinePropagation, HeaderBudgetIsSpentWhileTheRequestIsQueued) {
+  const auto log_path =
+      std::filesystem::temp_directory_path() / "estima_deadline_anchor.jsonl";
+  Latch held(2), release(1);
+  ServedService s(true, log_path.string(),
+                  [&](const net::HttpRequest& req) {
+                    if (req.header("x-test-hold") != nullptr) {
+                      held.count_down();
+                      release.wait();
+                    }
+                  });
+  const std::string warm = csv_text(campaign(4, 8));
+  ASSERT_EQ(s.post(warm).status, 200);
+  std::vector<std::thread> busy;
+  for (int i = 0; i < 2; ++i) {
+    busy.emplace_back([&] {
+      EXPECT_EQ(s.post(warm, {{"x-test-hold", "1"}}, "/v1/explain").status,
+                200);
+    });
+  }
+  held.wait();
+  const ServiceStats before = s.svc.stats();
+  net::HttpResponse late;
+  std::thread queued([&] {
+    late = s.post(csv_text(campaign(7, 8)), {{"x-estima-deadline-ms", "100"}});
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  release.count_down();
+  queued.join();
+  for (auto& t : busy) t.join();
+
+  EXPECT_EQ(late.status, 408) << late.body;
+  const ServiceStats after = s.svc.stats();
+  EXPECT_EQ(after.predictions_cancelled, before.predictions_cancelled + 1);
+  EXPECT_EQ(after.predictions_computed, before.predictions_computed);
+  EXPECT_EQ(after.cache.entries, before.cache.entries) << "nothing cached";
+  s.stop_and_read_log();
+  std::filesystem::remove(log_path);
+}
+
 // A traced hit answered on the loop: the trace id is echoed, the trace
 // has no queue.wait (nothing queued), and its non-nested spans fit
 // inside its total.
@@ -870,22 +865,15 @@ TEST(LoopHits, TracedLoopHitRecordsNoQueueWait) {
   tcfg.ring_capacity = 8;
   obs::Tracer tracer(registry, tcfg);
   parallel::ThreadPool pool(2);
-  PredictionService svc(ServiceConfig{serving_config(), 64, 0, ""}, &pool);
+  PredictionService svc(ServiceConfig{serving_config(), 64}, &pool);
   ServiceRouter router(svc);
   net::ServerConfig ncfg;
   ncfg.io_threads = 1;
   ncfg.worker_threads = 2;
   ncfg.tracer = &tracer;
-  net::HttpServer server(
-      ncfg,
-      [&](const net::HttpRequest& req, const net::RequestContext& ctx) {
-        return router.handle(req, ctx);
-      },
-      [&](const net::HttpRequest& req, const net::RequestContext& ctx) {
-        return router.answer_on_loop(req, ctx);
-      });
-  server.start();
-  net::HttpClient c("127.0.0.1", server.port());
+  const std::unique_ptr<net::HttpServer> server = make_server(router, ncfg);
+  server->start();
+  net::HttpClient c("127.0.0.1", server->port());
   const std::string body = csv_text(campaign(5, 8));
   ASSERT_EQ(c.post("/v1/predict", body, "text/csv").status, 200);
   const std::string id = obs::format_trace_id(0xabc123u);
@@ -894,8 +882,14 @@ TEST(LoopHits, TracedLoopHitRecordsNoQueueWait) {
   ASSERT_EQ(hit.status, 200);
   ASSERT_NE(hit.header("x-estima-trace-id"), nullptr);
   EXPECT_EQ(*hit.header("x-estima-trace-id"), id);
-  EXPECT_EQ(server.stats().requests_answered_on_loop, 1u);
-  server.stop();  // every trace is finished once its response is written
+  EXPECT_EQ(std::count_if(hit.headers.begin(), hit.headers.end(),
+                          [](const auto& h) {
+                            return h.first == "x-estima-trace-id";
+                          }),
+            1)
+      << "exactly one copy of the echo";
+  EXPECT_EQ(server->stats().requests_answered_on_loop, 1u);
+  server->stop();  // every trace is finished once its response is written
 
   bool found = false;
   for (const obs::SlowTrace& t : tracer.slow_traces()) {
