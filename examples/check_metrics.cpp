@@ -15,7 +15,9 @@
 //     estima_service_campaign_* counter families to it;
 //   * repeats a known campaign and holds the event loops' answer counter
 //     (estima_server_requests_answered_on_loop_total) to it: cache hits
-//     are answered on the loop, each still echoing its trace id;
+//     are answered on the loop, each still echoing its trace id, every
+//     repeat in the same bytes, and the loop keeps the rendered record
+//     (the estima_cache_record_bytes gauge is then above 0);
 //   * with --event-log=PATH, parses every line of the server's JSONL
 //     event log as a flat JSON object with the stable key schema, and
 //     asserts the campaign lifecycle's disposition lines are among them,
@@ -186,6 +188,7 @@ int main(int argc, char** argv) {
       if (before < 0) {
         return fail("metrics content", std::string("missing ") + series);
       }
+      std::string first_hit;
       for (int i = 0; i < kLoopHits; ++i) {
         const std::string id = obs::format_trace_id(0xbeef0000u + i);
         const net::HttpResponse resp =
@@ -200,6 +203,11 @@ int main(int argc, char** argv) {
                                       " for " + id);
         }
         hit_ids.push_back(id);
+        if (i == 0) first_hit = resp.body;
+        if (resp.body != first_hit) {
+          return fail("loop hit", "repeat " + std::to_string(i) +
+                                      " answered different bytes");
+        }
       }
       const double after = loop_answers();
       if (after - before < kLoopHits) {
@@ -207,6 +215,14 @@ int main(int argc, char** argv) {
                     std::string(series) + " rose by " +
                         std::to_string(after - before) + ", expected " +
                         std::to_string(kLoopHits));
+      }
+      const char* const gauge = "estima_cache_record_bytes";
+      const net::HttpResponse m = client.get("/v1/metrics");
+      const double kept = m.status == 200 ? sample_value(m.body, gauge) : -1;
+      if (kept <= 0) {
+        return fail("kept records",
+                    std::string(gauge) + " reads " + std::to_string(kept) +
+                        " after loop hits (missing is -1)");
       }
     }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <utility>
 
 namespace estima::net {
 namespace {
@@ -198,6 +199,12 @@ void RequestParser::reset() {
   error_status_ = 0;
   error_reason_.clear();
   request_ = HttpRequest{};
+}
+
+HttpRequest RequestParser::take_request() {
+  HttpRequest out = std::move(request_);
+  reset();
+  return out;
 }
 
 void RequestParser::fail(int status, const std::string& reason) {

@@ -116,6 +116,10 @@ class RequestParser {
   /// Valid only in kComplete.
   const HttpRequest& request() const { return request_; }
 
+  /// Valid only in kComplete: moves the request out and reset()s, so a
+  /// server hands each request on without copying its body or headers.
+  HttpRequest take_request();
+
   /// Back to a fresh parser (same limits) for the next keep-alive message.
   void reset();
 

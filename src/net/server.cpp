@@ -728,8 +728,7 @@ struct HttpServer::EventLoop {
         return false;
       }
       case RequestParser::State::kComplete: {
-        HttpRequest req = c.parser.request();
-        c.parser.reset();
+        HttpRequest req = c.parser.take_request();
         const bool was_mid = c.mid_request;
         c.mid_request = false;
         if (tracer != nullptr) start_trace(c, req, tracer);

@@ -14,7 +14,8 @@
 //   fit.levmar, fit.realism, serialize, edge.write, edge.encode
 // Renaming one is a breaking change for anything scraping /v1/metrics
 // or /v1/trace; new stages are appended, so existing indices keep their
-// values. `serialize` is the router rendering the response body;
+// values. `serialize` is the router rendering the response body, or
+// copying the answer's kept record when the cache holds one;
 // `edge.encode` is the HTTP layer assembling status line, headers and
 // body into wire bytes.
 //

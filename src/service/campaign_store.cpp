@@ -164,11 +164,11 @@ CampaignInfo CampaignStore::append(const std::string& name,
   return out;
 }
 
-core::Prediction CampaignStore::predict(const std::string& name,
-                                        const core::Deadline* deadline,
-                                        obs::TraceContext* trace,
-                                        CacheDisposition* disposition,
-                                        CampaignInfo* info) {
+CachedAnswer CampaignStore::answer(const std::string& name,
+                                   const core::Deadline* deadline,
+                                   obs::TraceContext* trace,
+                                   CacheDisposition* disposition,
+                                   CampaignInfo* info) {
   auto c = find(name);
   // The campaign mutex spans the prediction: appends to THIS campaign
   // order with it (an appended point is never half-visible), while other
@@ -178,10 +178,18 @@ core::Prediction CampaignStore::predict(const std::string& name,
     std::lock_guard<std::mutex> lock(mu_);
     ++stats_.predictions;
   }
-  core::Prediction pred =
-      service_.predict_one(c->ms, deadline, trace, disposition, &c->memo);
+  CachedAnswer out =
+      service_.answer(c->hash, c->ms, deadline, trace, disposition, &c->memo);
   if (info != nullptr) *info = info_locked(name, *c);
-  return pred;
+  return out;
+}
+
+core::Prediction CampaignStore::predict(const std::string& name,
+                                        const core::Deadline* deadline,
+                                        obs::TraceContext* trace,
+                                        CacheDisposition* disposition,
+                                        CampaignInfo* info) {
+  return *answer(name, deadline, trace, disposition, info).prediction;
 }
 
 bool CampaignStore::remove(const std::string& name) {

@@ -104,8 +104,18 @@ class CampaignStore {
   /// GET: predict the campaign's current state through the shared
   /// service — cache-fronted and in-flight-deduped under the current
   /// hash, with the campaign's persistent FitMemo attached so misses
-  /// refit only what the latest appends created. `info`, when non-null,
-  /// receives the state the prediction corresponds to.
+  /// refit only what the latest appends created. Returns the cached
+  /// answer itself (PredictionService::answer, keyed by the hash the
+  /// campaign already holds), with its kept record when there is one.
+  /// `info`, when non-null, receives the state the prediction
+  /// corresponds to.
+  CachedAnswer answer(const std::string& name,
+                      const core::Deadline* deadline = nullptr,
+                      obs::TraceContext* trace = nullptr,
+                      CacheDisposition* disposition = nullptr,
+                      CampaignInfo* info = nullptr);
+
+  /// answer(), by value.
   core::Prediction predict(const std::string& name,
                            const core::Deadline* deadline = nullptr,
                            obs::TraceContext* trace = nullptr,

@@ -34,8 +34,8 @@ PredictionService::Claim PredictionService::claim_locked(std::uint64_t key) {
   // always either cached, in flight, or neither, so a miss here can never
   // race a completion.
   Claim claim;
-  claim.hit = cache_.get(key);
-  if (claim.hit) return claim;
+  claim.hit = cache_.get_answer(key);
+  if (claim.hit.prediction) return claim;
   auto [it, inserted] = inflight_.try_emplace(key);
   if (inserted) it->second = std::make_shared<InFlight>();
   claim.flight = it->second;
@@ -104,11 +104,12 @@ core::Prediction PredictionService::compute(
   return core::predict(ms, cfg_.prediction, ctx);
 }
 
-core::Prediction PredictionService::predict_one(
-    const core::MeasurementSet& ms, const core::Deadline* deadline,
-    obs::TraceContext* trace, CacheDisposition* disposition,
-    core::FitMemo* memo) {
-  const std::uint64_t key = hash_of(ms);
+CachedAnswer PredictionService::answer(std::uint64_t key,
+                                       const core::MeasurementSet& ms,
+                                       const core::Deadline* deadline,
+                                       obs::TraceContext* trace,
+                                       CacheDisposition* disposition,
+                                       core::FitMemo* memo) {
   Claim claim;
   {
     obs::SpanTimer lookup_span(trace, obs::Stage::kCacheLookup);
@@ -116,19 +117,40 @@ core::Prediction PredictionService::predict_one(
     ++stats_.campaigns_submitted;
     claim = claim_locked(key);
   }
-  if (claim.hit) {
+  if (claim.hit.prediction) {
     if (disposition != nullptr) *disposition = CacheDisposition::kHit;
-    return *claim.hit;
+    return claim.hit;
   }
-  return *settle(key, claim, ms, deadline, trace, disposition, memo);
+  return {settle(key, claim, ms, deadline, trace, disposition, memo),
+          nullptr};
+}
+
+core::Prediction PredictionService::predict_one(
+    const core::MeasurementSet& ms, const core::Deadline* deadline,
+    obs::TraceContext* trace, CacheDisposition* disposition,
+    core::FitMemo* memo) {
+  return *answer(hash_of(ms), ms, deadline, trace, disposition, memo)
+              .prediction;
 }
 
 std::shared_ptr<const core::Prediction> PredictionService::lookup_hit(
-    std::uint64_t key) {
+    std::uint64_t key, std::shared_ptr<const std::string>* record) {
   std::lock_guard<std::mutex> lock(mu_);
-  std::shared_ptr<const core::Prediction> hit = cache_.get_if_resident(key);
-  if (hit) ++stats_.campaigns_submitted;
-  return hit;
+  CachedAnswer hit = cache_.get_if_resident(key);
+  if (hit.prediction) ++stats_.campaigns_submitted;
+  if (record != nullptr) *record = std::move(hit.record);
+  return std::move(hit.prediction);
+}
+
+bool PredictionService::keep_record(std::uint64_t key,
+                                    const core::Prediction* answer,
+                                    const std::string& record) {
+  // Constructed from (data, size), so the copy holds exactly the
+  // record's bytes, not the renderer's upper-bound buffer.
+  auto kept = std::make_shared<const std::string>(record.data(),
+                                                  record.size());
+  std::lock_guard<std::mutex> lock(mu_);
+  return cache_.keep_record(key, answer, std::move(kept));
 }
 
 core::Prediction PredictionService::explain(const core::MeasurementSet& ms,
@@ -184,7 +206,7 @@ std::vector<core::Prediction> PredictionService::predict_many(
     stats_.batch_duplicates_folded += n - units.size();
     for (Unit& u : units) {
       u.claim = claim_locked(u.key);
-      u.result = u.claim.hit;
+      u.result = u.claim.hit.prediction;
     }
   }
 

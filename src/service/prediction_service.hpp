@@ -5,7 +5,9 @@
 // under one immutable PredictionConfig:
 //   1. every campaign is named by its campaign_hash;
 //   2. repeats within the batch fold onto one computation;
-//   3. hits are served from the ResultCache, an exact LRU;
+//   3. hits are served from the ResultCache, an exact LRU (an entry the
+//      event loops answered also keeps its rendered record, see
+//      result_cache.hpp and keep_record);
 //   4. misses fan out across the shared parallel::ThreadPool, one campaign
 //      per job — the per-campaign fit fan-out keeps working underneath,
 //      because parallel_for nests safely;
@@ -30,8 +32,9 @@
 // section, and an owner's publish (cache insert, in-flight erase, count)
 // is another, so every request either hits, joins a flight, or owns a
 // fresh one — never a completed computation's lost race. Fits, joiner
-// waits and snapshot file writes run outside the lock, and stats() is
-// one consistent picture of the service and cache counters.
+// waits, record copies and snapshot file writes run outside the lock,
+// and stats() is one consistent picture of the service and cache
+// counters.
 #pragma once
 
 #include <condition_variable>
@@ -92,7 +95,11 @@ class PredictionService {
   /// Campaign key under this service's config.
   std::uint64_t hash_of(const core::MeasurementSet& ms) const;
 
-  /// Single-campaign entry: cache-fronted, in-flight-deduped predict().
+  /// Single-campaign entry: cache-fronted, in-flight-deduped predict()
+  /// of `ms`, whose key the caller already has (`key` must be
+  /// hash_of(ms)). Returns the cached object itself, with its kept
+  /// record when an event loop has kept one (see result_cache.hpp); a
+  /// miss or a join returns no record.
   /// With a deadline, throws core::DeadlineExceeded once it expires (the
   /// fit loop polls it cooperatively); a cache hit is served regardless —
   /// it costs nothing. Joining a computation owned by another request
@@ -107,6 +114,13 @@ class PredictionService {
   /// campaign's persistent FitMemo so an append re-predicts
   /// incrementally. The memo cannot change the answer (see predictor.hpp)
   /// so memoized and cold computations share one cache entry.
+  CachedAnswer answer(std::uint64_t key, const core::MeasurementSet& ms,
+                      const core::Deadline* deadline = nullptr,
+                      obs::TraceContext* trace = nullptr,
+                      CacheDisposition* disposition = nullptr,
+                      core::FitMemo* memo = nullptr);
+
+  /// answer() under hash_of(ms), by value.
   core::Prediction predict_one(const core::MeasurementSet& ms,
                                const core::Deadline* deadline = nullptr,
                                obs::TraceContext* trace = nullptr,
@@ -115,11 +129,22 @@ class PredictionService {
 
   /// The hit step alone, for callers that must not compute or wait (the
   /// HTTP edge's event loops): the cached answer for `key`, counted as
-  /// predict_one counts a hit (one submitted campaign, one cache hit).
-  /// On a miss or a key whose computation is in flight it returns null
-  /// and counts nothing — the caller hands the request to predict_one,
-  /// which counts it once.
-  std::shared_ptr<const core::Prediction> lookup_hit(std::uint64_t key);
+  /// answer() counts a hit (one submitted campaign, one cache hit), and,
+  /// when `record` is non-null, the entry's kept record there (null when
+  /// none is kept). On a miss or a key whose computation is in flight it
+  /// returns null and counts nothing — the caller hands the request to
+  /// answer(), which counts it once.
+  std::shared_ptr<const core::Prediction> lookup_hit(
+      std::uint64_t key, std::shared_ptr<const std::string>* record = nullptr);
+
+  /// The event loop's keep step, after a lookup_hit that found no record:
+  /// keeps an exact-size copy of `record` (render_prediction(*answer))
+  /// beside `key`'s entry if that entry still holds `answer` itself and
+  /// no record yet — the first keep wins — and returns whether it did.
+  /// The copy is made outside the lock; the check and the install are
+  /// one critical section. Counts nothing.
+  bool keep_record(std::uint64_t key, const core::Prediction* answer,
+                   const std::string& record);
 
   /// Audited prediction for POST /v1/explain: runs the full pipeline
   /// fresh with `audit` attached, bypassing the cache and the in-flight
@@ -181,7 +206,7 @@ class PredictionService {
   /// What one key's lookup found: a cache hit, or the flight the caller
   /// owns (and must settle by computing) or joins.
   struct Claim {
-    std::shared_ptr<const core::Prediction> hit;
+    CachedAnswer hit;
     std::shared_ptr<InFlight> flight;
     bool owner = false;
   };

@@ -8,44 +8,68 @@ ResultCache::ResultCache(std::size_t capacity)
     : capacity_(capacity == 0 ? 1 : capacity) {}
 
 std::shared_ptr<const core::Prediction> ResultCache::get(std::uint64_t key) {
-  std::shared_ptr<const core::Prediction> hit = get_if_resident(key);
-  if (!hit) ++stats_.misses;
+  return get_answer(key).prediction;
+}
+
+CachedAnswer ResultCache::get_answer(std::uint64_t key) {
+  CachedAnswer hit = get_if_resident(key);
+  if (!hit.prediction) ++stats_.misses;
   return hit;
 }
 
-std::shared_ptr<const core::Prediction> ResultCache::get_if_resident(
-    std::uint64_t key) {
+CachedAnswer ResultCache::get_if_resident(std::uint64_t key) {
   auto it = index_.find(key);
-  if (it == index_.end()) return nullptr;
+  if (it == index_.end()) return {};
   ++stats_.hits;
   lru_.splice(lru_.begin(), lru_, it->second);  // refresh recency
-  return it->second->value;
+  return {it->second->value, it->second->record};
 }
 
 void ResultCache::put(std::uint64_t key,
                       std::shared_ptr<const core::Prediction> value) {
   auto it = index_.find(key);
   if (it != index_.end()) {
+    drop_record(*it->second);
     it->second->value = std::move(value);
     lru_.splice(lru_.begin(), lru_, it->second);
     return;
   }
   if (lru_.size() >= capacity_) {
+    drop_record(lru_.back());
     index_.erase(lru_.back().key);
     lru_.pop_back();
     ++stats_.evictions;
   }
-  lru_.push_front(Entry{key, std::move(value)});
+  lru_.push_front(Entry{key, std::move(value), nullptr});
   index_.emplace(key, lru_.begin());
+}
+
+bool ResultCache::keep_record(std::uint64_t key,
+                              const core::Prediction* answer,
+                              std::shared_ptr<const std::string> record) {
+  auto it = index_.find(key);
+  if (it == index_.end()) return false;
+  Entry& e = *it->second;
+  if (e.value.get() != answer || e.record) return false;
+  stats_.record_bytes += record->size();
+  e.record = std::move(record);
+  return true;
 }
 
 bool ResultCache::erase(std::uint64_t key) {
   auto it = index_.find(key);
   if (it == index_.end()) return false;
+  drop_record(*it->second);
   lru_.erase(it->second);
   index_.erase(it);
   ++stats_.invalidations;
   return true;
+}
+
+void ResultCache::drop_record(Entry& e) {
+  if (!e.record) return;
+  stats_.record_bytes -= e.record->size();
+  e.record.reset();
 }
 
 CacheStats ResultCache::stats() const {

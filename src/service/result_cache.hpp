@@ -11,11 +11,25 @@
 // and the config, and the key (campaign_hash) folds in both, so a
 // resident answer is the answer for as long as it is resident. An entry
 // leaves only by LRU eviction or erase().
+//
+// Kept records. An entry may also hold the `prediction v=1` record bytes
+// of its answer, byte-equal to render_prediction(*value), so a repeat
+// read copies them instead of rendering again. Only the event loop's hit
+// step keeps one (PredictionService::keep_record), after it rendered the
+// answer itself; misses, pool hits, batches and snapshot restores keep
+// nothing, so records cost memory only where reads repeat. A record is
+// stored at its exact size (the renderer's buffer is an upper bound,
+// ~1.6x larger) and CacheStats::record_bytes is the exact sum of their
+// sizes. A record dies with its entry — eviction, erase() and a put()
+// over a resident key all drop it — and is never snapshotted or
+// restored: a snapshot holds answers, a record is a cache of their bytes.
+// Worst case the cache holds capacity x (answer + record).
 #pragma once
 
 #include <cstdint>
 #include <list>
 #include <memory>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -32,6 +46,15 @@ struct CacheStats {
   /// erase() calls that removed a resident entry (streaming appends
   /// invalidating a campaign's superseded hash).
   std::uint64_t invalidations = 0;
+  /// Sum of the sizes of the records currently kept (bytes).
+  std::uint64_t record_bytes = 0;
+};
+
+/// A cached answer: the prediction, and its kept record when an event
+/// loop has kept one (null otherwise). Both null on a miss.
+struct CachedAnswer {
+  std::shared_ptr<const core::Prediction> prediction;
+  std::shared_ptr<const std::string> record;
 };
 
 class ResultCache {
@@ -46,15 +69,28 @@ class ResultCache {
   /// nullptr on miss. Counts one hit or miss.
   std::shared_ptr<const core::Prediction> get(std::uint64_t key);
 
+  /// get() with the entry's kept record.
+  CachedAnswer get_answer(std::uint64_t key);
+
   /// The hit-only lookup: a resident entry is a hit exactly as through
-  /// get() (counted, recency refreshed); an absent one returns nullptr
-  /// and counts nothing, so the caller can fall back to get() and have
-  /// the request counted once.
-  std::shared_ptr<const core::Prediction> get_if_resident(std::uint64_t key);
+  /// get() (counted, recency refreshed); an absent one returns nulls and
+  /// counts nothing, so the caller can fall back to get() and have the
+  /// request counted once.
+  CachedAnswer get_if_resident(std::uint64_t key);
 
   /// Inserts (or replaces) a completed prediction as most-recently-used,
-  /// evicting the least-recently-used entry when full.
+  /// evicting the least-recently-used entry when full. Replacing drops
+  /// the entry's kept record.
   void put(std::uint64_t key, std::shared_ptr<const core::Prediction> value);
+
+  /// Keeps `record` (render_prediction(*answer), exact size) beside the
+  /// entry for `key`, when that entry still holds `answer` itself and has
+  /// no record yet; returns whether it did. The caller still owns a
+  /// reference to `answer`, so no other object can have taken its address
+  /// and the pointer comparison is exact. Counts nothing and leaves
+  /// recency alone: the hit that rendered the record was counted already.
+  bool keep_record(std::uint64_t key, const core::Prediction* answer,
+                   std::shared_ptr<const std::string> record);
 
   /// Removes the entry for `key` so the next lookup recomputes; returns
   /// true when an entry was removed and counts it in
@@ -73,7 +109,11 @@ class ResultCache {
   struct Entry {
     std::uint64_t key = 0;
     std::shared_ptr<const core::Prediction> value;
+    std::shared_ptr<const std::string> record;
   };
+
+  /// Forgets `e`'s record, if any, in stats_.record_bytes.
+  void drop_record(Entry& e);
 
   std::size_t capacity_;
   /// front = most recently used.

@@ -51,6 +51,12 @@ net::HttpResponse json_response(const obs::JsonWriter& w) {
   return resp;
 }
 
+/// The `prediction v=1` record of a cached answer: a copy of its kept
+/// record when there is one, rendered otherwise — the same bytes.
+std::string record_of(const CachedAnswer& a) {
+  return a.record ? *a.record : core::render_prediction(*a.prediction);
+}
+
 std::string hash_hex(std::uint64_t h) {
   char buf[24];
   std::snprintf(buf, sizeof buf, "%016" PRIx64, h);
@@ -363,8 +369,9 @@ std::optional<net::HttpResponse> ServiceRouter::predict_hit(
   // As on the pool path, the hash is in no span and the lookup is.
   const Clock::time_point lookup_begin =
       trace != nullptr ? Clock::now() : Clock::time_point{};
-  const std::shared_ptr<const core::Prediction> hit = service_.lookup_hit(key);
-  if (!hit) return std::nullopt;
+  CachedAnswer hit;
+  hit.prediction = service_.lookup_hit(key, &hit.record);
+  if (!hit.prediction) return std::nullopt;
   if (trace != nullptr) {
     trace->add(obs::Stage::kParse, parse_begin, parse_end);
     trace->add(obs::Stage::kCacheLookup, lookup_begin, Clock::now());
@@ -373,7 +380,12 @@ std::optional<net::HttpResponse> ServiceRouter::predict_hit(
   ev.campaign_hash = key;
   ev.disposition = "hit";
   try {
-    return predict_response(*hit, trace, ev);
+    net::HttpResponse resp = predict_response(hit, trace, ev);
+    // The first loop answer of an entry keeps its bytes for every later
+    // one; a keep that loses to another loop's, or to the entry changing
+    // since the lookup, is dropped.
+    if (!hit.record) service_.keep_record(key, hit.prediction.get(), resp.body);
+    return resp;
   } catch (const std::exception& e) {
     // Counted as a hit already, so answered here, as dispatch() would.
     return text_response(500, e.what());
@@ -390,21 +402,21 @@ net::HttpResponse ServiceRouter::handle_predict(
   ev.has_campaign = true;
   ev.campaign_hash = service_.hash_of(ms);
   CacheDisposition disp = CacheDisposition::kUnknown;
-  const core::Prediction pred =
-      service_.predict_one(ms, deadline, trace, &disp);
+  const CachedAnswer answer =
+      service_.answer(ev.campaign_hash, ms, deadline, trace, &disp);
   ev.disposition = disp == CacheDisposition::kMiss ? "miss" : "hit";
-  return predict_response(pred, trace, ev);
+  return predict_response(answer, trace, ev);
 }
 
-net::HttpResponse ServiceRouter::predict_response(
-    const core::Prediction& pred, obs::TraceContext* trace,
-    RequestEvent& ev) {
-  ev.winner_kernel = core::kernel_name(pred.factor_fn.type);
+net::HttpResponse ServiceRouter::predict_response(const CachedAnswer& answer,
+                                                  obs::TraceContext* trace,
+                                                  RequestEvent& ev) {
+  ev.winner_kernel = core::kernel_name(answer.prediction->factor_fn.type);
   obs::SpanTimer serialize_span(trace, obs::Stage::kSerialize);
   net::HttpResponse resp;
   resp.status = 200;
   resp.headers.emplace_back("content-type", "text/plain");
-  resp.body = core::render_prediction(pred);
+  resp.body = record_of(answer);
   return resp;
 }
 
@@ -538,12 +550,12 @@ net::HttpResponse ServiceRouter::handle_campaigns(
     parse_span.stop();
     CampaignInfo info = campaigns_.append(name, delta);
     CacheDisposition disp = CacheDisposition::kUnknown;
-    const core::Prediction pred =
-        campaigns_.predict(name, deadline, trace, &disp, &info);
+    const std::shared_ptr<const core::Prediction> pred =
+        campaigns_.answer(name, deadline, trace, &disp, &info).prediction;
     ev.has_campaign = true;
     ev.campaign_hash = info.hash;
     ev.disposition = disp == CacheDisposition::kMiss ? "miss" : "hit";
-    ev.winner_kernel = core::kernel_name(pred.factor_fn.type);
+    ev.winner_kernel = core::kernel_name(pred->factor_fn.type);
     obs::JsonWriter w;
     w.begin_object();
     w.kv("name", info.name);
@@ -551,7 +563,7 @@ net::HttpResponse ServiceRouter::handle_campaigns(
     w.kv("campaign_hash", hash_hex(info.hash));
     w.kv("points", static_cast<std::uint64_t>(info.points));
     w.kv("appended", static_cast<std::uint64_t>(delta.num_points()));
-    w.kv("winner_kernel", core::kernel_name(pred.factor_fn.type));
+    w.kv("winner_kernel", core::kernel_name(pred->factor_fn.type));
     w.kv("memo_hits", info.memo.hits);
     w.kv("memo_misses", info.memo.misses);
     w.kv("memo_entries", info.memo.entries);
@@ -589,12 +601,12 @@ net::HttpResponse ServiceRouter::handle_campaigns(
     // a miss.
     CampaignInfo info;
     CacheDisposition disp = CacheDisposition::kUnknown;
-    const core::Prediction pred =
-        campaigns_.predict(name, deadline, trace, &disp, &info);
+    const CachedAnswer answer =
+        campaigns_.answer(name, deadline, trace, &disp, &info);
     ev.has_campaign = true;
     ev.campaign_hash = info.hash;
     ev.disposition = disp == CacheDisposition::kMiss ? "miss" : "hit";
-    ev.winner_kernel = core::kernel_name(pred.factor_fn.type);
+    ev.winner_kernel = core::kernel_name(answer.prediction->factor_fn.type);
     obs::SpanTimer serialize_span(trace, obs::Stage::kSerialize);
     net::HttpResponse resp;
     resp.status = 200;
@@ -602,7 +614,7 @@ net::HttpResponse ServiceRouter::handle_campaigns(
     resp.headers.emplace_back("x-estima-campaign-version",
                               std::to_string(info.version));
     resp.headers.emplace_back("x-estima-campaign-hash", hash_hex(info.hash));
-    resp.body = core::render_prediction(pred);
+    resp.body = record_of(answer);
     return resp;
   }
   if (req.method == "DELETE") {
@@ -685,6 +697,7 @@ net::HttpResponse ServiceRouter::handle_stats() {
   w.kv("evictions", s.cache.evictions);
   w.kv("entries", s.cache.entries);
   w.kv("invalidations", s.cache.invalidations);
+  w.kv("record_bytes", s.cache.record_bytes);
   w.end_object();
   {
     const CampaignStoreStats c = campaigns_.stats();
@@ -767,6 +780,10 @@ net::HttpResponse ServiceRouter::handle_metrics() {
             s.cache.invalidations);
   w.gauge("estima_cache_entries", "", "Resident result-cache entries.",
           static_cast<std::int64_t>(s.cache.entries));
+  w.gauge("estima_cache_record_bytes", "",
+          "Bytes of answer records kept beside cache entries for repeat "
+          "reads on the event loops.",
+          static_cast<std::int64_t>(s.cache.record_bytes));
   {
     const CampaignStoreStats c = campaigns_.stats();
     w.counter("estima_service_campaign_creates_total", "",

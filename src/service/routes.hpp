@@ -152,8 +152,9 @@ class ServiceRouter {
 
   /// HttpServer's LoopAnswer: the hit step of POST /v1/predict, run on
   /// an event loop. A cache hit is answered here — parse, hash, look up,
-  /// render, with the event-log line handle() would write — in the same
-  /// bytes and counts as handle(). Everything else is declined (nullopt)
+  /// copy the entry's kept record or render (and keep) it, with the
+  /// event-log line handle() would write — in the same bytes and counts
+  /// as handle(). Everything else is declined (nullopt)
   /// with nothing counted or logged: a miss, a key in flight, a body the
   /// reader rejects, an X-Estima-Deadline-Ms header, any other route.
   /// handle() then serves it on the pool.
@@ -223,18 +224,25 @@ class ServiceRouter {
                    std::chrono::steady_clock::time_point start,
                    const net::HttpResponse& resp);
   /// /v1/predict's hit step (answer_on_loop): the response for a cache
-  /// hit, or nullopt with nothing counted.
+  /// hit, or nullopt with nothing counted. The only keeper of records: a
+  /// hit whose entry has none renders the answer, then keeps an
+  /// exact-size copy beside the entry (PredictionService::keep_record,
+  /// first keep wins), so every later hit of the entry, on either path,
+  /// copies those bytes instead of rendering.
   std::optional<net::HttpResponse> predict_hit(const net::HttpRequest& req,
                                                obs::TraceContext* trace,
                                                RequestEvent& ev);
-  /// /v1/predict's compute step (the pool): parse, hash, predict_one —
-  /// hit, join or fit — and render, shedding or not.
+  /// /v1/predict's compute step (the pool): parse, hash, answer — hit,
+  /// join or fit — and render (or copy a kept record), shedding or not.
+  /// Keeps nothing.
   net::HttpResponse handle_predict(const net::HttpRequest& req,
                                    const net::RequestContext& ctx,
                                    const core::Deadline* deadline,
                                    RequestEvent& ev);
-  /// The one renderer of a /v1/predict answer, for both steps.
-  net::HttpResponse predict_response(const core::Prediction& pred,
+  /// The one writer of a /v1/predict answer, for both steps: a copy of
+  /// the answer's kept record when it has one, rendered otherwise, in
+  /// the `serialize` span either way.
+  net::HttpResponse predict_response(const CachedAnswer& answer,
                                      obs::TraceContext* trace,
                                      RequestEvent& ev);
   net::HttpResponse handle_predict_batch(const net::HttpRequest& req,

@@ -1089,7 +1089,8 @@ TEST_F(NetEndToEnd, StatsJsonStaysWellFormedWithServerCounters) {
        "batch_duplicates_folded", "inflight_joins",
        "snapshot_entries_restored", "snapshot_entries_skipped",
        "predictions_cancelled",
-       "cache", "hits", "misses", "evictions", "entries", "server",
+       "cache", "hits", "misses", "evictions", "entries", "record_bytes",
+       "server",
        "connections_accepted", "connections_closed",
        "open_connections", "peak_connections", "requests_served",
        "responses_4xx", "responses_5xx", "connections_timed_out",

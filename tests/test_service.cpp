@@ -6,11 +6,14 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <functional>
 #include <mutex>
+#include <optional>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -20,6 +23,7 @@
 #include "net/server.hpp"
 #include "obs/event_log.hpp"
 #include "obs/histogram.hpp"
+#include "obs/prometheus.hpp"
 #include "obs/trace.hpp"
 #include "parallel/thread_pool.hpp"
 #include "oracle/scalar_fit.hpp"
@@ -906,6 +910,345 @@ TEST(LoopHits, TracedLoopHitRecordsNoQueueWait) {
     EXPECT_LE(non_nested_ns, t.total_ns);
   }
   EXPECT_TRUE(found) << "the loop hit's trace was not retained";
+}
+
+
+// ---------------------------------------------------------------------------
+// Kept records: the loop's first hit of an entry renders the answer and
+// keeps its bytes beside the entry; later hits copy them. Nothing else
+// keeps one, and a record dies with its entry.
+
+net::HttpRequest predict_request(const std::string& body,
+                                 const std::string& target = "/v1/predict",
+                                 const std::string& method = "POST") {
+  net::HttpRequest req;
+  req.method = method;
+  req.target = target;
+  req.body = body;
+  return req;
+}
+
+/// The event loop's call, as HttpServer makes it.
+std::optional<net::HttpResponse> loop_answer(ServiceRouter& router,
+                                             const std::string& body) {
+  return router.answer_on_loop(predict_request(body), net::RequestContext{});
+}
+
+/// `ms`'s last point alone, as a campaign append's body.
+core::MeasurementSet last_point(const core::MeasurementSet& ms) {
+  core::MeasurementSet last = ms;
+  last.cores = {ms.cores.back()};
+  last.time_s = {ms.time_s.back()};
+  for (auto& cat : last.categories) cat.values = {cat.values.back()};
+  return last;
+}
+
+std::uint64_t record_bytes(const PredictionService& svc) {
+  return svc.stats().cache.record_bytes;
+}
+
+TEST(ResultCache, KeptRecordsAreCountedAndDieWithTheirEntry) {
+  ResultCache cache(2);
+  auto pred = [](int id) {
+    auto p = std::make_shared<core::Prediction>();
+    p->cores = {id};
+    return std::shared_ptr<const core::Prediction>(p);
+  };
+  auto rec = [](std::size_t n) {
+    return std::make_shared<const std::string>(n, 'r');
+  };
+  const auto one = pred(1);
+  cache.put(1, one);
+  EXPECT_FALSE(cache.keep_record(1, pred(1).get(), rec(10)))
+      << "another object under the key";
+  EXPECT_FALSE(cache.keep_record(9, one.get(), rec(10))) << "absent key";
+  EXPECT_TRUE(cache.keep_record(1, one.get(), rec(10)));
+  EXPECT_FALSE(cache.keep_record(1, one.get(), rec(20))) << "first keep wins";
+  EXPECT_EQ(cache.stats().record_bytes, 10u);
+  const CacheStats before = cache.stats();
+  EXPECT_EQ(before.hits, 0u) << "keeping counts nothing";
+  ASSERT_NE(cache.get_answer(1).record, nullptr);
+  EXPECT_EQ(cache.get_answer(1).record->size(), 10u);
+
+  cache.put(1, one);  // a put over a resident key drops the record
+  EXPECT_EQ(cache.stats().record_bytes, 0u);
+  EXPECT_EQ(cache.get_answer(1).record, nullptr);
+
+  EXPECT_TRUE(cache.keep_record(1, one.get(), rec(10)));
+  cache.put(2, pred(2));
+  EXPECT_TRUE(cache.keep_record(2, cache.get(2).get(), rec(7)));
+  EXPECT_EQ(cache.stats().record_bytes, 17u);
+  ASSERT_NE(cache.get(2), nullptr);  // 1 is least recently used now
+  cache.put(3, pred(3));             // eviction drops 1's record
+  EXPECT_EQ(cache.stats().record_bytes, 7u);
+  EXPECT_TRUE(cache.erase(2));       // erase drops 2's
+  EXPECT_EQ(cache.stats().record_bytes, 0u);
+}
+
+TEST(KeptRecords, FirstLoopHitKeepsTheRecordAndLaterHitsServeIt) {
+  PredictionService svc(ServiceConfig{serving_config(), 64});
+  ServiceRouter router(svc);
+  const core::MeasurementSet ms = campaign(3, 8);
+  const std::string body = csv_text(ms);
+  const std::string expected =
+      core::render_prediction(core::predict(ms, serving_config()));
+  ASSERT_EQ(router.handle(predict_request(body)).status, 200);  // miss
+  EXPECT_EQ(record_bytes(svc), 0u);
+
+  constexpr int kReads = 5;
+  std::vector<std::string> answers;
+  std::shared_ptr<const std::string> kept;
+  for (int i = 0; i < kReads; ++i) {
+    const auto resp = loop_answer(router, body);
+    ASSERT_TRUE(resp.has_value()) << i;
+    ASSERT_EQ(resp->status, 200);
+    answers.push_back(resp->body);
+    std::shared_ptr<const std::string> now;
+    const auto cached = svc.lookup_hit(svc.hash_of(ms), &now);
+    ASSERT_NE(now, nullptr) << "read " << i << " left no record";
+    EXPECT_EQ(*now, core::render_prediction(*cached));
+    if (i == 0) kept = now;
+    EXPECT_EQ(now, kept) << "read " << i << " replaced the kept record";
+  }
+  for (const std::string& a : answers) EXPECT_EQ(a, expected);
+  EXPECT_EQ(kept->size(), expected.size());
+  EXPECT_EQ(kept->capacity(), kept->size()) << "kept at exact size";
+  EXPECT_EQ(record_bytes(svc), expected.size());
+  // Reads and the test's own lookups count as hits, keeps count nothing.
+  const ServiceStats s = svc.stats();
+  EXPECT_EQ(s.cache.hits, 2u * kReads);
+  EXPECT_EQ(s.campaigns_submitted, 1u + 2u * kReads);
+  EXPECT_EQ(s.predictions_computed, 1u);
+}
+
+// A kept record is what every later hit answers, on either path: a
+// stand-in record kept through the service's own keep step comes back
+// verbatim from the loop, from a pool hit and from a campaign GET.
+TEST(KeptRecords, EveryLaterHitAnswersTheKeptBytes) {
+  PredictionService svc(ServiceConfig{serving_config(), 64});
+  ServiceRouter router(svc);
+  const core::MeasurementSet ms = campaign(2, 8);
+  const std::string body = csv_text(ms);
+  ASSERT_EQ(router.handle(predict_request(body, "/v1/campaigns/k", "PUT"))
+                .status,
+            201);
+  ASSERT_EQ(router.handle(predict_request(body)).status, 200);
+  const std::uint64_t key = svc.hash_of(ms);
+  const auto cached = svc.lookup_hit(key);
+  ASSERT_NE(cached, nullptr);
+  EXPECT_FALSE(svc.keep_record(key, nullptr, "other object"));
+  ASSERT_TRUE(svc.keep_record(key, cached.get(), "kept bytes\n"));
+  EXPECT_EQ(record_bytes(svc), 11u);
+
+  const auto on_loop = loop_answer(router, body);
+  ASSERT_TRUE(on_loop.has_value());
+  EXPECT_EQ(on_loop->body, "kept bytes\n");
+  EXPECT_EQ(router.handle(predict_request(body)).body, "kept bytes\n");
+  EXPECT_EQ(router.handle(predict_request("", "/v1/campaigns/k", "GET")).body,
+            "kept bytes\n");
+  EXPECT_EQ(record_bytes(svc), 11u);
+}
+
+TEST(KeptRecords, EraseEvictionAndPutOverAResidentKeyDropTheRecord) {
+  namespace fs = std::filesystem;
+  PredictionService svc(ServiceConfig{serving_config(), 2});
+  ServiceRouter router(svc);
+  const core::MeasurementSet full = campaign(6, 9);
+  const core::MeasurementSet head = full.truncated(8);
+  const std::string head_csv = csv_text(head);
+  const auto render_of = [&](const core::MeasurementSet& ms) {
+    return core::render_prediction(core::predict(ms, serving_config()));
+  };
+
+  // A campaign append erases the superseded hash, record and all.
+  ASSERT_EQ(router.handle(predict_request(head_csv, "/v1/campaigns/c", "PUT"))
+                .status,
+            201);
+  ASSERT_EQ(router.handle(predict_request("", "/v1/campaigns/c", "GET"))
+                .status,
+            200);
+  ASSERT_TRUE(loop_answer(router, head_csv).has_value());
+  EXPECT_EQ(record_bytes(svc), render_of(head).size());
+  const std::string delta_csv = csv_text(last_point(full));
+  ASSERT_EQ(router.handle(predict_request(delta_csv, "/v1/campaigns/c/points"))
+                .status,
+            200);
+  EXPECT_EQ(svc.stats().cache.invalidations, 1u);
+  EXPECT_EQ(record_bytes(svc), 0u) << "the append's erase kept the record";
+  EXPECT_FALSE(loop_answer(router, head_csv).has_value()) << "erased";
+  const std::string full_csv = csv_text(full);
+  const auto again = loop_answer(router, full_csv);
+  ASSERT_TRUE(again.has_value());
+  EXPECT_EQ(again->body, render_of(full)) << "renders again";
+  EXPECT_EQ(record_bytes(svc), render_of(full).size());
+
+  // LRU eviction (capacity 2): two other campaigns push it out.
+  ASSERT_EQ(router.handle(predict_request(csv_text(campaign(7, 8)))).status,
+            200);
+  ASSERT_EQ(router.handle(predict_request(csv_text(campaign(8, 8)))).status,
+            200);
+  EXPECT_EQ(svc.stats().cache.evictions, 1u);
+  EXPECT_EQ(record_bytes(svc), 0u) << "eviction kept the record";
+  EXPECT_FALSE(loop_answer(router, full_csv).has_value()) << "evicted";
+
+  // A put over a resident key (snapshot restore) drops the record.
+  const std::string b_csv = csv_text(campaign(8, 8));
+  ASSERT_TRUE(loop_answer(router, b_csv).has_value());
+  const std::uint64_t b_bytes = record_bytes(svc);
+  ASSERT_GT(b_bytes, 0u);
+  const fs::path path = fs::temp_directory_path() / "estima_kept_record.snap";
+  (void)svc.snapshot_to(path.string());
+  (void)svc.restore_from(path.string());
+  fs::remove(path);
+  EXPECT_EQ(record_bytes(svc), 0u) << "restore kept a record";
+  const auto restored = loop_answer(router, b_csv);
+  ASSERT_TRUE(restored.has_value());
+  EXPECT_EQ(restored->body, render_of(campaign(8, 8))) << "renders again";
+  EXPECT_EQ(record_bytes(svc), b_bytes);
+}
+
+TEST(KeptRecords, OnlyTheLoopHitKeepsARecord) {
+  PredictionService svc(ServiceConfig{serving_config(), 64});
+  ServiceRouter router(svc);
+  const std::string a = csv_text(campaign(1, 8));
+  const std::string b = csv_text(campaign(2, 8));
+  const auto stats_record_bytes = [&] {
+    const std::string json = router.handle(predict_request("", "/v1/stats",
+                                                           "GET"))
+                                 .body;
+    const std::size_t at = json.find("\"record_bytes\": ");
+    EXPECT_NE(at, std::string::npos) << json;
+    return at == std::string::npos
+               ? ~0ull
+               : std::strtoull(json.c_str() + at + 16, nullptr, 10);
+  };
+
+  // Misses, pool hits (a deadline header keeps a hit on the pool) and a
+  // batch of both.
+  ASSERT_EQ(router.handle(predict_request(a)).status, 200);
+  ASSERT_EQ(router.handle(predict_request(b)).status, 200);
+  auto with_deadline = predict_request(a);
+  with_deadline.headers.emplace_back("x-estima-deadline-ms", "600000");
+  ASSERT_EQ(router.handle(with_deadline).status, 200);
+  ASSERT_EQ(router.handle(predict_request(a)).status, 200);  // pool hit
+  ASSERT_EQ(router.handle(predict_request(frame_bodies({a, b, a}, "campaign"),
+                                          "/v1/predict_batch"))
+                .status,
+            200);
+  EXPECT_EQ(stats_record_bytes(), 0u) << "miss/pool-hit/batch kept a record";
+
+  // A campaign's PUT, GETs and append.
+  const core::MeasurementSet full = campaign(9, 9);
+  ASSERT_EQ(router.handle(predict_request(csv_text(full.truncated(8)),
+                                          "/v1/campaigns/s", "PUT"))
+                .status,
+            201);
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_EQ(router.handle(predict_request("", "/v1/campaigns/s", "GET"))
+                  .status,
+              200);
+  }
+  ASSERT_EQ(router.handle(predict_request(csv_text(last_point(full)),
+                                          "/v1/campaigns/s/points"))
+                .status,
+            200);
+  ASSERT_EQ(router.handle(predict_request("", "/v1/campaigns/s", "GET"))
+                .status,
+            200);
+  EXPECT_EQ(stats_record_bytes(), 0u)
+      << "a campaign GET or append kept a record";
+
+  // The loop's hit keeps one; a pool hit after it serves the same bytes.
+  const auto hit = loop_answer(router, a);
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_EQ(stats_record_bytes(), hit->body.size());
+  EXPECT_EQ(router.handle(with_deadline).body, hit->body);
+  EXPECT_EQ(router.handle(predict_request(a)).body, hit->body);
+  EXPECT_EQ(stats_record_bytes(), hit->body.size());
+
+  const std::string metrics =
+      router.handle(predict_request("", "/v1/metrics", "GET")).body;
+  EXPECT_FALSE(obs::validate_prometheus_text(metrics).has_value());
+  EXPECT_NE(metrics.find("\nestima_cache_record_bytes " +
+                         std::to_string(hit->body.size()) + "\n"),
+            std::string::npos);
+}
+
+// Two event loops answer one key's first hits at the same moment: both
+// render, the first keep wins, and every answer is the same bytes. Each
+// round restores the cache from a snapshot, which replaces the entry
+// with a fresh object and no record. Runs under TSan in CI.
+TEST(KeptRecords, TwoLoopsRacingOneKeyKeepExactlyOneRecord) {
+  namespace fs = std::filesystem;
+  PredictionService svc(ServiceConfig{serving_config(), 64});
+  ServiceRouter router(svc);
+  const core::MeasurementSet ms = campaign(5, 8);
+  const std::string body = csv_text(ms);
+  const std::string expected =
+      core::render_prediction(core::predict(ms, serving_config()));
+  ASSERT_EQ(router.handle(predict_request(body)).status, 200);
+  const fs::path path = fs::temp_directory_path() / "estima_keep_race.snap";
+  (void)svc.snapshot_to(path.string());
+
+  constexpr int kRounds = 40;
+  for (int round = 0; round < kRounds; ++round) {
+    (void)svc.restore_from(path.string());
+    ASSERT_EQ(record_bytes(svc), 0u);
+    std::atomic<int> ready{0};
+    std::string answers[2];
+    std::vector<std::thread> loops;
+    for (int t = 0; t < 2; ++t) {
+      loops.emplace_back([&, t] {
+        ready.fetch_add(1);
+        while (ready.load() < 2) {
+        }
+        const auto resp = loop_answer(router, body);
+        answers[t] = resp ? resp->body : "declined";
+      });
+    }
+    for (auto& th : loops) th.join();
+    EXPECT_EQ(answers[0], expected) << "round " << round;
+    EXPECT_EQ(answers[1], expected) << "round " << round;
+    EXPECT_EQ(record_bytes(svc), expected.size()) << "round " << round;
+  }
+  fs::remove(path);
+}
+
+/// The repeat sequence: a miss, the plain hit three times (the loop
+/// renders and keeps on the first, copies on the other two), then a hit
+/// with a deadline header (the pool serves the kept record).
+SequenceResult run_repeat_sequence(bool loop_answers) {
+  const auto log_path = std::filesystem::temp_directory_path() /
+                        (loop_answers ? "estima_repeat_parity_loop.jsonl"
+                                      : "estima_repeat_parity_pool.jsonl");
+  std::filesystem::remove(log_path);
+  const std::string a = csv_text(campaign(3, 8));
+  ServedService s(loop_answers, log_path.string());
+  SequenceResult out;
+  const auto record = [&](const net::HttpResponse& r) {
+    out.bodies.push_back(std::to_string(r.status) + " " + r.body);
+  };
+  for (int i = 0; i < 4; ++i) record(s.post(a));
+  record(s.post(a, {{"x-estima-deadline-ms", "600000"}}));
+  out.books = books_of(s.svc);
+  out.server = s.server->stats();
+  out.log = s.stop_and_read_log();
+  std::filesystem::remove(log_path);
+  return out;
+}
+
+TEST(LoopHits, RepeatedHitsServedFromTheKeptRecordMatchThePoolOnlyPath) {
+  const SequenceResult pool = run_repeat_sequence(false);
+  const SequenceResult loop = run_repeat_sequence(true);
+  EXPECT_EQ(loop.bodies, pool.bodies);
+  EXPECT_EQ(loop.books, pool.books);
+  EXPECT_EQ(loop.log, pool.log);
+  ASSERT_EQ(pool.bodies.size(), 5u);
+  EXPECT_EQ(pool.log.size(), 5u) << "one event line per request";
+  EXPECT_EQ(pool.books, (Books{5, 4, 1, 0, 1}));
+  for (const std::string& b : pool.bodies) EXPECT_EQ(b, pool.bodies[0]);
+  EXPECT_EQ(pool.server.requests_answered_on_loop, 0u);
+  EXPECT_EQ(loop.server.requests_answered_on_loop, 3u);
 }
 
 }  // namespace
