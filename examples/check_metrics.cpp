@@ -16,8 +16,10 @@
 //   * repeats a known campaign and holds the event loops' answer counter
 //     (estima_server_requests_answered_on_loop_total) to it: cache hits
 //     are answered on the loop, each still echoing its trace id, every
-//     repeat in the same bytes, and the loop keeps the rendered record
-//     (the estima_cache_record_bytes gauge is then above 0);
+//     repeat in the same bytes, and the loop keeps the rendered record and
+//     the request body (the estima_cache_record_bytes and
+//     estima_cache_body_bytes gauges are then above 0); a CRLF copy of
+//     the campaign, a second accepted encoding, answers the same bytes;
 //   * with --event-log=PATH, parses every line of the server's JSONL
 //     event log as a flat JSON object with the stable key schema, and
 //     asserts the campaign lifecycle's disposition lines are among them,
@@ -216,13 +218,33 @@ int main(int argc, char** argv) {
                         std::to_string(after - before) + ", expected " +
                         std::to_string(kLoopHits));
       }
-      const char* const gauge = "estima_cache_record_bytes";
       const net::HttpResponse m = client.get("/v1/metrics");
-      const double kept = m.status == 200 ? sample_value(m.body, gauge) : -1;
-      if (kept <= 0) {
-        return fail("kept records",
-                    std::string(gauge) + " reads " + std::to_string(kept) +
-                        " after loop hits (missing is -1)");
+      for (const char* gauge :
+           {"estima_cache_record_bytes", "estima_cache_body_bytes"}) {
+        const double kept =
+            m.status == 200 ? sample_value(m.body, gauge) : -1;
+        if (kept <= 0) {
+          return fail("kept records",
+                      std::string(gauge) + " reads " + std::to_string(kept) +
+                          " after loop hits (missing is -1)");
+        }
+      }
+      // The same campaign in another accepted encoding (CRLF line ends)
+      // is not the kept body's bytes, so it takes the full parse-and-hash
+      // path, and must still be answered with the canonical bytes.
+      std::string crlf;
+      for (const char c : explain_csv) {
+        if (c == '\n') crlf += '\r';
+        crlf += c;
+      }
+      const net::HttpResponse other = client.request(
+          "POST", "/v1/predict", crlf, {{"content-type", "text/plain"}});
+      if (other.status != 200 || other.body != first_hit) {
+        return fail("encodings", "a CRLF copy of a warm campaign answered " +
+                                     std::to_string(other.status) +
+                                     (other.body == first_hit
+                                          ? ""
+                                          : " with different bytes"));
       }
     }
 

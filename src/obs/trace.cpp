@@ -2,7 +2,6 @@
 
 #include <cctype>
 #include <chrono>
-#include <cstdio>
 
 namespace estima::obs {
 
@@ -35,10 +34,13 @@ const char* stage_name(Stage s) {
 }
 
 std::string format_trace_id(std::uint64_t id) {
-  char buf[17];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(id));
-  return std::string(buf, 16);
+  // Every traced response echoes its id, so the 16 nibbles are written
+  // from a table, most significant first: the bytes of
+  // snprintf("%016llx") without its format parsing.
+  static constexpr char kHex[] = "0123456789abcdef";
+  std::string out(16, '0');
+  for (int i = 15; i >= 0; --i, id >>= 4) out[i] = kHex[id & 0xf];
+  return out;
 }
 
 std::optional<std::uint64_t> parse_trace_id(const std::string& s) {

@@ -142,15 +142,28 @@ std::shared_ptr<const core::Prediction> PredictionService::lookup_hit(
   return std::move(hit.prediction);
 }
 
+CachedAnswer PredictionService::lookup_body(std::size_t digest,
+                                            std::string_view body,
+                                            std::uint64_t* key) {
+  std::lock_guard<std::mutex> lock(mu_);
+  CachedAnswer hit = cache_.get_by_body(digest, body, key);
+  if (hit.prediction) ++stats_.campaigns_submitted;
+  return hit;
+}
+
 bool PredictionService::keep_record(std::uint64_t key,
                                     const core::Prediction* answer,
-                                    const std::string& record) {
-  // Constructed from (data, size), so the copy holds exactly the
-  // record's bytes, not the renderer's upper-bound buffer.
+                                    const std::string& record,
+                                    std::string_view body,
+                                    std::size_t body_digest) {
+  // Constructed from (data, size), so the copies hold exactly the bytes,
+  // not the renderer's upper-bound buffer.
   auto kept = std::make_shared<const std::string>(record.data(),
                                                   record.size());
+  std::string kept_body(body.data(), body.size());
   std::lock_guard<std::mutex> lock(mu_);
-  return cache_.keep_record(key, answer, std::move(kept));
+  return cache_.keep_record(key, answer, std::move(kept),
+                            std::move(kept_body), body_digest);
 }
 
 core::Prediction PredictionService::explain(const core::MeasurementSet& ms,

@@ -6,8 +6,8 @@
 //   1. every campaign is named by its campaign_hash;
 //   2. repeats within the batch fold onto one computation;
 //   3. hits are served from the ResultCache, an exact LRU (an entry the
-//      event loops answered also keeps its rendered record, see
-//      result_cache.hpp and keep_record);
+//      event loops answered also keeps its rendered record and the
+//      request body that named it, see result_cache.hpp and keep_record);
 //   4. misses fan out across the shared parallel::ThreadPool, one campaign
 //      per job — the per-campaign fit fan-out keeps working underneath,
 //      because parallel_for nests safely;
@@ -32,8 +32,8 @@
 // section, and an owner's publish (cache insert, in-flight erase, count)
 // is another, so every request either hits, joins a flight, or owns a
 // fresh one — never a completed computation's lost race. Fits, joiner
-// waits, record copies and snapshot file writes run outside the lock,
-// and stats() is one consistent picture of the service and cache
+// waits, record and body copies and snapshot file writes run outside the
+// lock, and stats() is one consistent picture of the service and cache
 // counters.
 #pragma once
 
@@ -41,6 +41,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -137,14 +138,26 @@ class PredictionService {
   std::shared_ptr<const core::Prediction> lookup_hit(
       std::uint64_t key, std::shared_ptr<const std::string>* record = nullptr);
 
+  /// The event loop's body step, before it parses anything: the cached
+  /// answer whose entry keeps a body byte-equal to `body` (`digest` is
+  /// std::hash<std::string_view>{}(body)), counted exactly as lookup_hit
+  /// counts a hit, with the entry's key in `*key`. Returns nulls and
+  /// counts nothing when no kept body matches — the caller then parses
+  /// and takes lookup_hit.
+  CachedAnswer lookup_body(std::size_t digest, std::string_view body,
+                           std::uint64_t* key);
+
   /// The event loop's keep step, after a lookup_hit that found no record:
   /// keeps an exact-size copy of `record` (render_prediction(*answer))
   /// beside `key`'s entry if that entry still holds `answer` itself and
   /// no record yet — the first keep wins — and returns whether it did.
-  /// The copy is made outside the lock; the check and the install are
-  /// one critical section. Counts nothing.
+  /// A non-empty `body`, the request body that named `key`, is kept with
+  /// it under `body_digest` (see result_cache.hpp). The copies are made
+  /// outside the lock; the check and the install are one critical
+  /// section. Counts nothing.
   bool keep_record(std::uint64_t key, const core::Prediction* answer,
-                   const std::string& record);
+                   const std::string& record, std::string_view body = {},
+                   std::size_t body_digest = 0);
 
   /// Audited prediction for POST /v1/explain: runs the full pipeline
   /// fresh with `audit` attached, bypassing the cache and the in-flight

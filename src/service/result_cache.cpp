@@ -25,6 +25,17 @@ CachedAnswer ResultCache::get_if_resident(std::uint64_t key) {
   return {it->second->value, it->second->record};
 }
 
+CachedAnswer ResultCache::get_by_body(std::size_t digest,
+                                      std::string_view body,
+                                      std::uint64_t* key) {
+  auto it = bodies_.find(digest);
+  if (it == bodies_.end() || it->second->body != body) return {};
+  ++stats_.hits;
+  lru_.splice(lru_.begin(), lru_, it->second);  // refresh recency
+  *key = it->second->key;
+  return {it->second->value, it->second->record};
+}
+
 void ResultCache::put(std::uint64_t key,
                       std::shared_ptr<const core::Prediction> value) {
   auto it = index_.find(key);
@@ -40,19 +51,25 @@ void ResultCache::put(std::uint64_t key,
     lru_.pop_back();
     ++stats_.evictions;
   }
-  lru_.push_front(Entry{key, std::move(value), nullptr});
+  lru_.push_front(Entry{key, std::move(value), nullptr, {}, 0});
   index_.emplace(key, lru_.begin());
 }
 
 bool ResultCache::keep_record(std::uint64_t key,
                               const core::Prediction* answer,
-                              std::shared_ptr<const std::string> record) {
+                              std::shared_ptr<const std::string> record,
+                              std::string body, std::size_t body_digest) {
   auto it = index_.find(key);
   if (it == index_.end()) return false;
   Entry& e = *it->second;
   if (e.value.get() != answer || e.record) return false;
   stats_.record_bytes += record->size();
   e.record = std::move(record);
+  if (!body.empty() && bodies_.emplace(body_digest, it->second).second) {
+    stats_.body_bytes += body.size();
+    e.body = std::move(body);
+    e.body_digest = body_digest;
+  }
   return true;
 }
 
@@ -67,9 +84,15 @@ bool ResultCache::erase(std::uint64_t key) {
 }
 
 void ResultCache::drop_record(Entry& e) {
-  if (!e.record) return;
-  stats_.record_bytes -= e.record->size();
-  e.record.reset();
+  if (e.record) {
+    stats_.record_bytes -= e.record->size();
+    e.record.reset();
+  }
+  if (!e.body.empty()) {
+    bodies_.erase(e.body_digest);
+    stats_.body_bytes -= e.body.size();
+    std::string().swap(e.body);  // frees the bytes; clear() would keep them
+  }
 }
 
 CacheStats ResultCache::stats() const {

@@ -20,16 +20,33 @@
 // nothing, so records cost memory only where reads repeat. A record is
 // stored at its exact size (the renderer's buffer is an upper bound,
 // ~1.6x larger) and CacheStats::record_bytes is the exact sum of their
-// sizes. A record dies with its entry — eviction, erase() and a put()
-// over a resident key all drop it — and is never snapshotted or
-// restored: a snapshot holds answers, a record is a cache of their bytes.
-// Worst case the cache holds capacity x (answer + record).
+// sizes.
+//
+// Kept bodies. The same keep also stores the request body that named the
+// entry and a digest of it (std::hash<std::string_view>, computed by the
+// caller and never persisted); a second index maps digest -> entry. A
+// later request whose body is byte-equal to a kept one is answered by
+// get_by_body() without parsing or hashing the campaign: a key is a pure
+// function of the body bytes and the fixed config, so an exact match can
+// never name another answer. The digest only finds the candidate; the
+// byte compare decides. When another entry already holds a body's digest
+// the keep stores the record without the body, so a collision costs the
+// full path, never a wrong answer. CacheStats::body_bytes is the exact
+// sum of kept body sizes.
+//
+// Record and body live and die with their entry, together: eviction,
+// erase() and a put() over a resident key drop both (and free the body's
+// index slot), and neither is ever snapshotted or restored — a snapshot
+// holds answers, a record and a body are caches of bytes. Worst case the
+// cache holds capacity x (answer + record + body), where a body kept by
+// an event loop is at most the edge's max_header_bytes.
 #pragma once
 
 #include <cstdint>
 #include <list>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -48,6 +65,8 @@ struct CacheStats {
   std::uint64_t invalidations = 0;
   /// Sum of the sizes of the records currently kept (bytes).
   std::uint64_t record_bytes = 0;
+  /// Sum of the sizes of the request bodies currently kept (bytes).
+  std::uint64_t body_bytes = 0;
 };
 
 /// A cached answer: the prediction, and its kept record when an event
@@ -78,19 +97,31 @@ class ResultCache {
   /// request counted once.
   CachedAnswer get_if_resident(std::uint64_t key);
 
+  /// The body lookup: when an entry keeps a body under `digest` that is
+  /// byte-equal to `body`, a hit exactly as through get_if_resident()
+  /// (counted, recency refreshed), with the entry's key in `*key`. Any
+  /// other outcome — no body under the digest, or different bytes —
+  /// returns nulls and counts nothing.
+  CachedAnswer get_by_body(std::size_t digest, std::string_view body,
+                           std::uint64_t* key);
+
   /// Inserts (or replaces) a completed prediction as most-recently-used,
   /// evicting the least-recently-used entry when full. Replacing drops
-  /// the entry's kept record.
+  /// the entry's kept record and body.
   void put(std::uint64_t key, std::shared_ptr<const core::Prediction> value);
 
   /// Keeps `record` (render_prediction(*answer), exact size) beside the
   /// entry for `key`, when that entry still holds `answer` itself and has
   /// no record yet; returns whether it did. The caller still owns a
   /// reference to `answer`, so no other object can have taken its address
-  /// and the pointer comparison is exact. Counts nothing and leaves
-  /// recency alone: the hit that rendered the record was counted already.
+  /// and the pointer comparison is exact. A non-empty `body` (the request
+  /// body that named `key`, exact size) is kept with the record under
+  /// `body_digest` unless another entry holds that digest. Counts nothing
+  /// and leaves recency alone: the hit that rendered the record was
+  /// counted already.
   bool keep_record(std::uint64_t key, const core::Prediction* answer,
-                   std::shared_ptr<const std::string> record);
+                   std::shared_ptr<const std::string> record,
+                   std::string body = {}, std::size_t body_digest = 0);
 
   /// Removes the entry for `key` so the next lookup recomputes; returns
   /// true when an entry was removed and counts it in
@@ -110,15 +141,19 @@ class ResultCache {
     std::uint64_t key = 0;
     std::shared_ptr<const core::Prediction> value;
     std::shared_ptr<const std::string> record;
+    std::string body;  ///< empty when none is kept
+    std::size_t body_digest = 0;
   };
 
-  /// Forgets `e`'s record, if any, in stats_.record_bytes.
+  /// Forgets `e`'s record and body, if any, in stats_ and the body index.
   void drop_record(Entry& e);
 
   std::size_t capacity_;
   /// front = most recently used.
   std::list<Entry> lru_;
   std::unordered_map<std::uint64_t, std::list<Entry>::iterator> index_;
+  /// body digest -> the entry keeping that body.
+  std::unordered_map<std::size_t, std::list<Entry>::iterator> bodies_;
   CacheStats stats_;  ///< every field but `entries`, which is lru_.size()
 };
 

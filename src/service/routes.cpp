@@ -5,7 +5,9 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <stdexcept>
+#include <string_view>
 
 #include "core/deadline.hpp"
 #include "core/fit_audit.hpp"
@@ -355,23 +357,34 @@ std::optional<net::HttpResponse> ServiceRouter::predict_hit(
   // The spans are added only once the request is answered here: a
   // declined attempt leaves the trace to the pool path unchanged.
   using Clock = std::chrono::steady_clock;
-  const Clock::time_point parse_begin =
-      trace != nullptr ? Clock::now() : Clock::time_point{};
-  core::MeasurementSet ms;
-  try {
-    ms = core::read_csv(req.body);
-  } catch (const std::exception&) {
-    return std::nullopt;  // a 4xx is the pool's to answer
+  const auto now = [trace] {
+    return trace != nullptr ? Clock::now() : Clock::time_point{};
+  };
+  // A body byte-equal to one an earlier loop hit kept names the same key,
+  // so it is answered without parsing or hashing the campaign. The digest
+  // is this path's `parse`.
+  const Clock::time_point parse_begin = now();
+  const std::size_t digest = std::hash<std::string_view>{}(req.body);
+  Clock::time_point parse_end = now();
+  Clock::time_point lookup_begin = parse_end;
+  std::uint64_t key = 0;
+  CachedAnswer hit = service_.lookup_body(digest, req.body, &key);
+  if (!hit.prediction) {
+    // The full path; its parse span also covers the digest and the
+    // body lookup that missed.
+    core::MeasurementSet ms;
+    try {
+      ms = core::read_csv(req.body);
+    } catch (const std::exception&) {
+      return std::nullopt;  // a 4xx is the pool's to answer
+    }
+    parse_end = now();
+    key = service_.hash_of(ms);
+    // As on the pool path, the hash is in no span and the lookup is.
+    lookup_begin = now();
+    hit.prediction = service_.lookup_hit(key, &hit.record);
+    if (!hit.prediction) return std::nullopt;
   }
-  const Clock::time_point parse_end =
-      trace != nullptr ? Clock::now() : Clock::time_point{};
-  const std::uint64_t key = service_.hash_of(ms);
-  // As on the pool path, the hash is in no span and the lookup is.
-  const Clock::time_point lookup_begin =
-      trace != nullptr ? Clock::now() : Clock::time_point{};
-  CachedAnswer hit;
-  hit.prediction = service_.lookup_hit(key, &hit.record);
-  if (!hit.prediction) return std::nullopt;
   if (trace != nullptr) {
     trace->add(obs::Stage::kParse, parse_begin, parse_end);
     trace->add(obs::Stage::kCacheLookup, lookup_begin, Clock::now());
@@ -381,10 +394,13 @@ std::optional<net::HttpResponse> ServiceRouter::predict_hit(
   ev.disposition = "hit";
   try {
     net::HttpResponse resp = predict_response(hit, trace, ev);
-    // The first loop answer of an entry keeps its bytes for every later
-    // one; a keep that loses to another loop's, or to the entry changing
-    // since the lookup, is dropped.
-    if (!hit.record) service_.keep_record(key, hit.prediction.get(), resp.body);
+    // The first loop answer of an entry keeps its bytes, and the body
+    // that named it, for every later one; a keep that loses to another
+    // loop's, or to the entry changing since the lookup, is dropped.
+    if (!hit.record) {
+      service_.keep_record(key, hit.prediction.get(), resp.body, req.body,
+                           digest);
+    }
     return resp;
   } catch (const std::exception& e) {
     // Counted as a hit already, so answered here, as dispatch() would.
@@ -698,6 +714,7 @@ net::HttpResponse ServiceRouter::handle_stats() {
   w.kv("entries", s.cache.entries);
   w.kv("invalidations", s.cache.invalidations);
   w.kv("record_bytes", s.cache.record_bytes);
+  w.kv("body_bytes", s.cache.body_bytes);
   w.end_object();
   {
     const CampaignStoreStats c = campaigns_.stats();
@@ -784,6 +801,10 @@ net::HttpResponse ServiceRouter::handle_metrics() {
           "Bytes of answer records kept beside cache entries for repeat "
           "reads on the event loops.",
           static_cast<std::int64_t>(s.cache.record_bytes));
+  w.gauge("estima_cache_body_bytes", "",
+          "Bytes of request bodies kept beside cache entries, so a "
+          "byte-equal repeat is answered without parsing.",
+          static_cast<std::int64_t>(s.cache.body_bytes));
   {
     const CampaignStoreStats c = campaigns_.stats();
     w.counter("estima_service_campaign_creates_total", "",

@@ -151,12 +151,13 @@ class ServiceRouter {
                            const net::RequestContext& ctx);
 
   /// HttpServer's LoopAnswer: the hit step of POST /v1/predict, run on
-  /// an event loop. A cache hit is answered here — parse, hash, look up,
-  /// copy the entry's kept record or render (and keep) it, with the
-  /// event-log line handle() would write — in the same bytes and counts
-  /// as handle(). Everything else is declined (nullopt)
-  /// with nothing counted or logged: a miss, a key in flight, a body the
-  /// reader rejects, an X-Estima-Deadline-Ms header, any other route.
+  /// an event loop. A cache hit is answered here — find it by a
+  /// byte-equal kept body, or parse, hash and look up; then copy the
+  /// entry's kept record or render (and keep) it, with the event-log line
+  /// handle() would write — in the same bytes and counts as handle().
+  /// Everything else is declined (nullopt) with nothing counted or
+  /// logged: a miss, a key in flight, a body the reader rejects, an
+  /// X-Estima-Deadline-Ms header, any other route.
   /// handle() then serves it on the pool.
   std::optional<net::HttpResponse> answer_on_loop(
       const net::HttpRequest& req, const net::RequestContext& ctx);
@@ -224,11 +225,17 @@ class ServiceRouter {
                    std::chrono::steady_clock::time_point start,
                    const net::HttpResponse& resp);
   /// /v1/predict's hit step (answer_on_loop): the response for a cache
-  /// hit, or nullopt with nothing counted. The only keeper of records: a
-  /// hit whose entry has none renders the answer, then keeps an
-  /// exact-size copy beside the entry (PredictionService::keep_record,
-  /// first keep wins), so every later hit of the entry, on either path,
-  /// copies those bytes instead of rendering.
+  /// hit, or nullopt with nothing counted. It digests the body first
+  /// (std::hash<std::string_view>, the `parse` span) and tries
+  /// PredictionService::lookup_body: a body byte-equal to one an earlier
+  /// loop hit kept is answered from that entry with no CSV parse and no
+  /// campaign hash. Otherwise it parses, hashes and takes lookup_hit.
+  /// The only keeper of records and bodies: a hit whose entry has no
+  /// record renders the answer, then keeps an exact-size copy and the
+  /// request body beside the entry (PredictionService::keep_record, first
+  /// keep wins), so every later hit of the entry, on either path, copies
+  /// those bytes instead of rendering, and a byte-equal body skips the
+  /// parse too.
   std::optional<net::HttpResponse> predict_hit(const net::HttpRequest& req,
                                                obs::TraceContext* trace,
                                                RequestEvent& ev);

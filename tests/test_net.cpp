@@ -1090,6 +1090,7 @@ TEST_F(NetEndToEnd, StatsJsonStaysWellFormedWithServerCounters) {
        "snapshot_entries_restored", "snapshot_entries_skipped",
        "predictions_cancelled",
        "cache", "hits", "misses", "evictions", "entries", "record_bytes",
+       "body_bytes",
        "server",
        "connections_accepted", "connections_closed",
        "open_connections", "peak_connections", "requests_served",

@@ -24,6 +24,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <cstdio>
 #include <random>
 #include <string>
 #include <thread>
@@ -322,6 +323,24 @@ TEST(TraceId, WireFormatRoundTrips) {
   const std::uint64_t ids[] = {0, 1, UINT64_MAX, 0x123456789abcdefull};
   for (const std::uint64_t id : ids) {
     EXPECT_EQ(parse_trace_id(format_trace_id(id)), id);
+  }
+}
+
+// format_trace_id writes nibbles from a table; snprintf("%016llx") is
+// its oracle, on the extremes and on 10k seeded ids.
+TEST(TraceId, FormatMatchesSnprintf) {
+  const auto oracle = [](std::uint64_t id) {
+    char buf[17];
+    std::snprintf(buf, sizeof buf, "%016llx",
+                  static_cast<unsigned long long>(id));
+    return std::string(buf, 16);
+  };
+  EXPECT_EQ(format_trace_id(0), oracle(0));
+  EXPECT_EQ(format_trace_id(UINT64_MAX), oracle(UINT64_MAX));
+  std::mt19937_64 rng(31);
+  for (int i = 0; i < 10000; ++i) {
+    const std::uint64_t id = rng();
+    ASSERT_EQ(format_trace_id(id), oracle(id)) << i;
   }
 }
 

@@ -14,6 +14,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -608,9 +609,10 @@ class Latch {
 /// set, runs on the handler thread before the router does.
 struct ServedService {
   ServedService(bool loop_answers, const std::string& log_path,
-                std::function<void(const net::HttpRequest&)> hold = {})
+                std::function<void(const net::HttpRequest&)> hold = {},
+                std::size_t cache_capacity = 64)
       : pool(2),
-        svc(ServiceConfig{serving_config(), 64}, &pool),
+        svc(ServiceConfig{serving_config(), cache_capacity}, &pool),
         router(svc),
         log(obs::EventLogConfig{log_path, 1024, 0, 5}),
         hold_(std::move(hold)) {
@@ -1249,6 +1251,370 @@ TEST(LoopHits, RepeatedHitsServedFromTheKeptRecordMatchThePoolOnlyPath) {
   for (const std::string& b : pool.bodies) EXPECT_EQ(b, pool.bodies[0]);
   EXPECT_EQ(pool.server.requests_answered_on_loop, 0u);
   EXPECT_EQ(loop.server.requests_answered_on_loop, 3u);
+}
+
+
+// ---------------------------------------------------------------------------
+// Kept bodies: the loop's keep also stores the request body that named the
+// entry, and a later byte-equal body is answered from it without parsing
+// or hashing. Nothing but exact bytes finds it, and it dies with its entry.
+
+std::size_t digest_of(std::string_view body) {
+  return std::hash<std::string_view>{}(body);
+}
+
+std::uint64_t body_bytes(const PredictionService& svc) {
+  return svc.stats().cache.body_bytes;
+}
+
+/// A stand-in answer, told apart by its one core count.
+std::shared_ptr<const core::Prediction> pred(int id) {
+  auto p = std::make_shared<core::Prediction>();
+  p->cores = {id};
+  return p;
+}
+
+TEST(ResultCache, KeptBodiesAreFoundOnlyByTheirExactBytes) {
+  ResultCache cache(2);
+  auto rec = std::make_shared<const std::string>("record\n");
+  const auto one = pred(1);
+  const auto two = pred(2);
+  cache.put(1, one);
+  cache.put(2, two);
+  ASSERT_TRUE(cache.keep_record(1, one.get(), rec, "body-one", 42));
+  EXPECT_EQ(cache.stats().body_bytes, 8u);
+
+  // Another body under the same digest: not served, nothing counted.
+  std::uint64_t key = 0;
+  CacheStats before = cache.stats();
+  EXPECT_EQ(cache.get_by_body(42, "body-two", &key).prediction, nullptr);
+  EXPECT_EQ(cache.get_by_body(42, "body-on", &key).prediction, nullptr);
+  EXPECT_EQ(cache.get_by_body(7, "body-one", &key).prediction, nullptr);
+  EXPECT_EQ(cache.stats().hits, before.hits);
+  EXPECT_EQ(cache.stats().misses, before.misses);
+
+  // The exact bytes: a hit with the key, the record and fresh recency
+  // (2 is least recently used now, so 3 evicts it, not 1).
+  const CachedAnswer hit = cache.get_by_body(42, "body-one", &key);
+  EXPECT_EQ(hit.prediction, one);
+  EXPECT_EQ(hit.record, rec);
+  EXPECT_EQ(key, 1u);
+  EXPECT_EQ(cache.stats().hits, before.hits + 1);
+  cache.put(3, pred(3));
+  EXPECT_NE(cache.get_answer(1).prediction, nullptr);
+  EXPECT_EQ(cache.get_answer(2).prediction, nullptr);
+
+  // A second entry whose body collides on the digest keeps its record
+  // but no body, and the first body still answers only its own bytes.
+  const auto three = cache.get(3);
+  EXPECT_TRUE(cache.keep_record(3, three.get(), rec, "body-two", 42));
+  EXPECT_NE(cache.get_answer(3).record, nullptr);
+  EXPECT_EQ(cache.stats().body_bytes, 8u);
+  EXPECT_EQ(cache.get_by_body(42, "body-two", &key).prediction, nullptr);
+  EXPECT_EQ(cache.get_by_body(42, "body-one", &key).prediction, one);
+}
+
+TEST(ResultCache, EraseEvictionAndPutDropTheBodyAndFreeItsSlot) {
+  ResultCache cache(1);
+  auto rec = std::make_shared<const std::string>("record\n");
+  std::uint64_t key = 0;
+  // Each drop leaves no bytes counted, no lookup, and the digest free for
+  // the next entry to keep its body under.
+  const auto expect_dropped = [&](const char* how) {
+    EXPECT_EQ(cache.stats().body_bytes, 0u) << how;
+    EXPECT_EQ(cache.stats().record_bytes, 0u) << how;
+    EXPECT_EQ(cache.get_by_body(5, "body", &key).prediction, nullptr) << how;
+  };
+
+  auto p = pred(1);
+  cache.put(1, p);
+  ASSERT_TRUE(cache.keep_record(1, p.get(), rec, "body", 5));
+  EXPECT_TRUE(cache.erase(1));
+  expect_dropped("erase");
+
+  p = pred(2);
+  cache.put(2, p);
+  ASSERT_TRUE(cache.keep_record(2, p.get(), rec, "body", 5));
+  EXPECT_EQ(cache.stats().body_bytes, 4u) << "erase left the slot taken";
+  cache.put(3, pred(3));  // capacity 1: evicts 2
+  expect_dropped("eviction");
+
+  p = cache.get(3);
+  ASSERT_TRUE(cache.keep_record(3, p.get(), rec, "body", 5));
+  EXPECT_EQ(cache.stats().body_bytes, 4u) << "eviction left the slot taken";
+  cache.put(3, pred(3));  // a put over the resident key
+  expect_dropped("put over a resident key");
+  p = cache.get(3);
+  ASSERT_TRUE(cache.keep_record(3, p.get(), rec, "body", 5));
+  EXPECT_EQ(cache.stats().body_bytes, 4u) << "put left the slot taken";
+  EXPECT_EQ(cache.get_by_body(5, "body", &key).prediction, p);
+}
+
+/// The body sequence, on a cache of two: misses of a and b, their first
+/// loop hits (each keeps a record and a body), a byte-equal repeat of a,
+/// a miss of c (evicting b, the least recently used only if the repeat
+/// refreshed a), a's repeat again and b again (a miss).
+SequenceResult run_body_sequence(bool loop_answers,
+                                 std::uint64_t* kept_body_bytes) {
+  const auto log_path = std::filesystem::temp_directory_path() /
+                        (loop_answers ? "estima_body_parity_loop.jsonl"
+                                      : "estima_body_parity_pool.jsonl");
+  std::filesystem::remove(log_path);
+  const std::string a = csv_text(campaign(1, 8));
+  const std::string b = csv_text(campaign(2, 8));
+  const std::string c = csv_text(campaign(3, 8));
+  ServedService s(loop_answers, log_path.string(), {}, 2);
+  SequenceResult out;
+  for (const std::string* body : {&a, &b, &a, &b, &a, &c, &a, &b}) {
+    const net::HttpResponse r = s.post(*body);
+    out.bodies.push_back(std::to_string(r.status) + " " + r.body);
+  }
+  out.books = books_of(s.svc);
+  out.server = s.server->stats();
+  *kept_body_bytes = body_bytes(s.svc);
+  out.log = s.stop_and_read_log();
+  std::filesystem::remove(log_path);
+  return out;
+}
+
+TEST(LoopHits, ByteEqualRepeatsAnsweredFromTheKeptBodyMatchThePoolOnlyPath) {
+  std::uint64_t pool_bytes = 0, loop_bytes = 0;
+  const SequenceResult pool = run_body_sequence(false, &pool_bytes);
+  const SequenceResult loop = run_body_sequence(true, &loop_bytes);
+  EXPECT_EQ(loop.bodies, pool.bodies);
+  EXPECT_EQ(loop.books, pool.books);
+  EXPECT_EQ(loop.log, pool.log);
+  ASSERT_EQ(pool.bodies.size(), 8u);
+  EXPECT_EQ(pool.books, (Books{8, 4, 4, 0, 4}));
+  EXPECT_EQ(pool.bodies[2], pool.bodies[0]);
+  EXPECT_EQ(pool.bodies[4], pool.bodies[0]);
+  EXPECT_EQ(pool.bodies[6], pool.bodies[0]);
+  EXPECT_EQ(pool.bodies[7], pool.bodies[1]);
+  EXPECT_EQ(loop.server.requests_answered_on_loop, 4u);
+  // Only a's body is left: b's died with its evicted entry, and b's
+  // recomputed entry has had no loop hit yet.
+  EXPECT_EQ(pool_bytes, 0u);
+  EXPECT_EQ(loop_bytes, csv_text(campaign(1, 8)).size());
+}
+
+TEST(KeptBodies, TheFirstLoopHitKeepsTheBodyThatNamedTheEntry) {
+  PredictionService svc(ServiceConfig{serving_config(), 64});
+  ServiceRouter router(svc);
+  const core::MeasurementSet ms = campaign(3, 8);
+  const std::string body = csv_text(ms);
+  std::uint64_t key = 0;
+  ASSERT_EQ(router.handle(predict_request(body)).status, 200);  // miss
+  EXPECT_EQ(svc.lookup_body(digest_of(body), body, &key).prediction, nullptr)
+      << "a miss kept the body";
+  ASSERT_EQ(router.handle(predict_request(body)).status, 200);  // pool hit
+  EXPECT_EQ(body_bytes(svc), 0u) << "a pool hit kept the body";
+  const ServiceStats before = svc.stats();
+  EXPECT_EQ(before.campaigns_submitted, 2u) << "a body miss counted";
+
+  const auto first = loop_answer(router, body);
+  ASSERT_TRUE(first.has_value());
+  EXPECT_EQ(body_bytes(svc), body.size());
+  const auto again = loop_answer(router, body);
+  ASSERT_TRUE(again.has_value());
+  EXPECT_EQ(again->body, first->body);
+  EXPECT_EQ(body_bytes(svc), body.size()) << "a repeat kept a second body";
+
+  const CachedAnswer hit = svc.lookup_body(digest_of(body), body, &key);
+  ASSERT_NE(hit.prediction, nullptr);
+  EXPECT_EQ(key, svc.hash_of(ms));
+  ASSERT_NE(hit.record, nullptr);
+  EXPECT_EQ(*hit.record, first->body);
+  // Counted as lookup_hit counts: one submitted campaign, one cache hit.
+  const ServiceStats after = svc.stats();
+  EXPECT_EQ(after.campaigns_submitted, before.campaigns_submitted + 3);
+  EXPECT_EQ(after.cache.hits, before.cache.hits + 3);
+  EXPECT_EQ(after.cache.misses, before.cache.misses);
+}
+
+TEST(KeptBodies, AnotherEncodingOfTheCampaignTakesTheFullPath) {
+  PredictionService svc(ServiceConfig{serving_config(), 64});
+  ServiceRouter router(svc);
+  const std::string body = csv_text(campaign(4, 8));
+  std::string crlf;
+  for (const char ch : body) {
+    if (ch == '\n') crlf += '\r';
+    crlf += ch;
+  }
+  std::string commented = body;
+  commented.insert(commented.find('\n', commented.find('\n') + 1) + 1,
+                   "# a comment row\n");
+  ASSERT_EQ(router.handle(predict_request(body)).status, 200);
+  const auto canonical = loop_answer(router, body);
+  ASSERT_TRUE(canonical.has_value());
+  ASSERT_EQ(body_bytes(svc), body.size());
+
+  for (const std::string* other : {&crlf, &commented}) {
+    std::uint64_t key = 0;
+    ASSERT_EQ(svc.lookup_body(digest_of(*other), *other, &key).prediction,
+              nullptr);
+    const ServiceStats before = svc.stats();
+    const auto resp = loop_answer(router, *other);
+    ASSERT_TRUE(resp.has_value()) << "the full path declined a hit";
+    EXPECT_EQ(resp->body, canonical->body);
+    EXPECT_EQ(svc.stats().cache.hits, before.cache.hits + 1);
+    EXPECT_EQ(body_bytes(svc), body.size()) << "kept a second body";
+    EXPECT_EQ(svc.lookup_body(digest_of(*other), *other, &key).prediction,
+              nullptr);
+  }
+}
+
+TEST(KeptBodies, ABodyOneDigitDifferentIsNeverServedTheKeptAnswer) {
+  PredictionService svc(ServiceConfig{serving_config(), 64});
+  ServiceRouter router(svc);
+  const std::string body = csv_text(campaign(5, 8));
+  ASSERT_EQ(router.handle(predict_request(body)).status, 200);
+  const auto kept = loop_answer(router, body);
+  ASSERT_TRUE(kept.has_value());
+
+  // The first data row's time_s, its leading digit changed.
+  std::string other = body;
+  const std::size_t row = other.find('\n', other.find('\n') + 1) + 1;
+  char& digit = other[other.find(',', row) + 1];
+  ASSERT_TRUE(digit >= '0' && digit <= '9');
+  digit = digit == '9' ? '1' : static_cast<char>(digit + 1);
+  const std::string expected = core::render_prediction(
+      core::predict(core::read_csv(other), serving_config()));
+  ASSERT_NE(expected, kept->body);
+
+  const ServiceStats before = svc.stats();
+  EXPECT_FALSE(loop_answer(router, other).has_value()) << "not cached yet";
+  EXPECT_EQ(svc.stats().campaigns_submitted, before.campaigns_submitted);
+  EXPECT_EQ(svc.stats().cache.hits, before.cache.hits);
+  EXPECT_EQ(svc.stats().cache.misses, before.cache.misses);
+  EXPECT_EQ(router.handle(predict_request(other)).body, expected);
+  const auto hit = loop_answer(router, other);
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_EQ(hit->body, expected);
+  const auto repeat = loop_answer(router, other);
+  ASSERT_TRUE(repeat.has_value());
+  EXPECT_EQ(repeat->body, expected);
+  EXPECT_EQ(loop_answer(router, body)->body, kept->body);
+  EXPECT_EQ(body_bytes(svc), body.size() + other.size());
+}
+
+TEST(KeptBodies, EraseEvictionAndPutOverAResidentKeyDropTheBody) {
+  namespace fs = std::filesystem;
+  PredictionService svc(ServiceConfig{serving_config(), 2});
+  ServiceRouter router(svc);
+  const core::MeasurementSet full = campaign(6, 9);
+  const std::string head_csv = csv_text(full.truncated(8));
+  std::uint64_t key = 0;
+  const auto resident = [&](const std::string& body) {
+    return svc.lookup_body(digest_of(body), body, &key).prediction != nullptr;
+  };
+
+  // A campaign append erases the superseded hash, body and all.
+  ASSERT_EQ(router.handle(predict_request(head_csv, "/v1/campaigns/c", "PUT"))
+                .status,
+            201);
+  ASSERT_EQ(router.handle(predict_request("", "/v1/campaigns/c", "GET"))
+                .status,
+            200);
+  ASSERT_TRUE(loop_answer(router, head_csv).has_value());
+  EXPECT_EQ(body_bytes(svc), head_csv.size());
+  ASSERT_EQ(router.handle(predict_request(csv_text(last_point(full)),
+                                          "/v1/campaigns/c/points"))
+                .status,
+            200);
+  EXPECT_EQ(body_bytes(svc), 0u) << "the append's erase kept the body";
+  EXPECT_FALSE(resident(head_csv));
+  EXPECT_FALSE(loop_answer(router, head_csv).has_value()) << "erased";
+
+  // LRU eviction (capacity 2).
+  const std::string full_csv = csv_text(full);
+  ASSERT_TRUE(loop_answer(router, full_csv).has_value());
+  EXPECT_EQ(body_bytes(svc), full_csv.size());
+  ASSERT_EQ(router.handle(predict_request(csv_text(campaign(7, 8)))).status,
+            200);
+  ASSERT_EQ(router.handle(predict_request(csv_text(campaign(8, 8)))).status,
+            200);
+  EXPECT_EQ(body_bytes(svc), 0u) << "eviction kept the body";
+  EXPECT_FALSE(resident(full_csv));
+
+  // A put over a resident key (snapshot restore) drops the body; the
+  // next loop hit keeps it again under the freed digest.
+  const std::string b_csv = csv_text(campaign(8, 8));
+  ASSERT_TRUE(loop_answer(router, b_csv).has_value());
+  ASSERT_EQ(body_bytes(svc), b_csv.size());
+  const fs::path path = fs::temp_directory_path() / "estima_kept_body.snap";
+  (void)svc.snapshot_to(path.string());
+  (void)svc.restore_from(path.string());
+  fs::remove(path);
+  EXPECT_EQ(body_bytes(svc), 0u) << "restore kept a body";
+  EXPECT_FALSE(resident(b_csv));
+  ASSERT_TRUE(loop_answer(router, b_csv).has_value());
+  EXPECT_EQ(body_bytes(svc), b_csv.size());
+  EXPECT_TRUE(resident(b_csv));
+}
+
+TEST(KeptBodies, BodyBytesAreInStatsAndMetrics) {
+  PredictionService svc(ServiceConfig{serving_config(), 64});
+  ServiceRouter router(svc);
+  const std::string a = csv_text(campaign(1, 8));
+  const std::string b = csv_text(campaign(2, 8));
+  for (const std::string* body : {&a, &b}) {
+    ASSERT_EQ(router.handle(predict_request(*body)).status, 200);
+    ASSERT_TRUE(loop_answer(router, *body).has_value());
+    ASSERT_TRUE(loop_answer(router, *body).has_value());
+  }
+  const std::string kept = std::to_string(a.size() + b.size());
+  const std::string json =
+      router.handle(predict_request("", "/v1/stats", "GET")).body;
+  EXPECT_NE(json.find("\"body_bytes\": " + kept), std::string::npos) << json;
+  const std::string metrics =
+      router.handle(predict_request("", "/v1/metrics", "GET")).body;
+  EXPECT_FALSE(obs::validate_prometheus_text(metrics).has_value());
+  EXPECT_NE(metrics.find("\nestima_cache_body_bytes " + kept + "\n"),
+            std::string::npos);
+}
+
+// Two event loops answer one key's first hits at the same moment: both
+// parse, both render, the first keep wins, and exactly one body is kept.
+// Each round restores the cache from a snapshot, which replaces the entry
+// with a fresh object and nothing kept. Runs under TSan in CI.
+TEST(KeptBodies, TwoLoopsRacingOneKeyKeepExactlyOneBody) {
+  namespace fs = std::filesystem;
+  PredictionService svc(ServiceConfig{serving_config(), 64});
+  ServiceRouter router(svc);
+  const core::MeasurementSet ms = campaign(5, 8);
+  const std::string body = csv_text(ms);
+  const std::string expected =
+      core::render_prediction(core::predict(ms, serving_config()));
+  ASSERT_EQ(router.handle(predict_request(body)).status, 200);
+  const fs::path path = fs::temp_directory_path() / "estima_body_race.snap";
+  (void)svc.snapshot_to(path.string());
+
+  constexpr int kRounds = 40;
+  for (int round = 0; round < kRounds; ++round) {
+    (void)svc.restore_from(path.string());
+    ASSERT_EQ(body_bytes(svc), 0u);
+    std::atomic<int> ready{0};
+    std::string answers[2];
+    std::vector<std::thread> loops;
+    for (int t = 0; t < 2; ++t) {
+      loops.emplace_back([&, t] {
+        ready.fetch_add(1);
+        while (ready.load() < 2) {
+        }
+        // The first answer may keep; the second is a byte-equal repeat.
+        const auto resp = loop_answer(router, body);
+        const auto repeat = loop_answer(router, body);
+        answers[t] = resp && repeat && repeat->body == resp->body
+                         ? resp->body
+                         : "declined or differed";
+      });
+    }
+    for (auto& th : loops) th.join();
+    EXPECT_EQ(answers[0], expected) << "round " << round;
+    EXPECT_EQ(answers[1], expected) << "round " << round;
+    EXPECT_EQ(body_bytes(svc), body.size()) << "round " << round;
+  }
+  fs::remove(path);
 }
 
 }  // namespace
