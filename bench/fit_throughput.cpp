@@ -26,7 +26,11 @@
 // The modes run in 5 interleaved rounds (each mode seconds/5 per round),
 // so frequency wander and neighbours' load land on every mode alike. The
 // end-to-end speedup is the median over rounds of the fastest mode's rate
-// over the baseline's rate in the same round.
+// over the baseline's rate in the same round. Each parallel round also
+// records the pool's delivered parallelism, process CPU time over wall
+// time (parallel_cpu_per_wall in the JSON, per round and median): a
+// speedup read on a host that delivered ~1 core says nothing about the
+// pool, and this figure shows when that happened.
 //
 // Reports predictions/sec, fits/sec and LM kernel point-evals/sec per
 // mode, the duplicate-fits-eliminated counter, and a bit-identical
@@ -45,6 +49,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <ctime>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -70,6 +75,8 @@ struct ModeResult {
   estima::core::ExecContext ctx;
   double predictions_per_sec = 0.0;  ///< over all rounds
   std::vector<double> round_rates;   ///< predictions/sec in each round
+  /// Process CPU seconds per wall second in each round.
+  std::vector<double> round_cpu_per_wall;
   int iterations = 0;
   double seconds = 0.0;
   std::size_t fits_executed = 0;
@@ -147,11 +154,20 @@ ModeResult make_mode(const std::string& name,
   return r;
 }
 
+/// CPU time consumed so far by every thread of this process, in seconds.
+double process_cpu_seconds() {
+  timespec ts{};
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) +
+         1e-9 * static_cast<double>(ts.tv_nsec);
+}
+
 // One round of a mode: operations until the round is `seconds` long and
 // has run three of them.
 void run_round(const estima::core::MeasurementSet& ms, double seconds,
                ModeResult* r) {
   double sink = 0.0;  // defeat dead-code elimination
+  const double cpu_start = process_cpu_seconds();
   const auto start = Clock::now();
   int iters = 0;
   double el = 0.0;
@@ -167,6 +183,7 @@ void run_round(const estima::core::MeasurementSet& ms, double seconds,
   r->iterations += iters;
   r->seconds += el;
   r->round_rates.push_back(iters / el);
+  r->round_cpu_per_wall.push_back((process_cpu_seconds() - cpu_start) / el);
   r->predictions_per_sec = r->iterations / r->seconds;
   if (!std::isfinite(sink)) std::printf("(non-finite sink)\n");
 }
@@ -298,6 +315,19 @@ int run_bench(int argc, char** argv) {
                 ratios.back());
   }
 
+  std::vector<double> parallel_cpu_per_wall;
+  for (const auto& r : results) {
+    if (r.name == "parallel") parallel_cpu_per_wall = r.round_cpu_per_wall;
+  }
+  std::vector<double> cpu_per_wall_sorted = parallel_cpu_per_wall;
+  const double cpu_per_wall = estima::bench::median(cpu_per_wall_sorted);
+  if (!parallel_cpu_per_wall.empty()) {
+    std::printf("  parallel CPU/wall (delivered cores, median of %d "
+                "rounds): %.2f (rounds %.2f..%.2f)\n",
+                kRounds, cpu_per_wall, cpu_per_wall_sorted.front(),
+                cpu_per_wall_sorted.back());
+  }
+
   // Determinism cross-check: single-threaded vs pooled prediction must
   // agree bit-for-bit.
   const auto serial = estima::core::predict(ms, cfg);
@@ -335,6 +365,12 @@ int run_bench(int argc, char** argv) {
   w.end_object();
   w.kv("end_to_end_speedup_vs_baseline", speedup, 3);
   w.kv("speedup_rounds", kRounds);
+  if (!parallel_cpu_per_wall.empty()) {
+    w.kv("parallel_cpu_per_wall", cpu_per_wall, 3);
+    w.begin_array("parallel_cpu_per_wall_rounds");
+    for (const double v : parallel_cpu_per_wall) w.value(v, 3);
+    w.end_array();
+  }
   w.kv("multithreaded_bit_identical", identical);
   w.end_object();
   estima::bench::write_json_file(out_path, w);

@@ -14,12 +14,13 @@
 //     points append -> GET re-predict -> DELETE) and holds the
 //     estima_service_campaign_* counter families to it;
 //   * repeats a known campaign and holds the event loops' answer counter
-//     (estima_server_requests_answered_on_loop_total) to it: cache hits
-//     are answered on the loop, each still echoing its trace id, every
-//     repeat in the same bytes, and the loop keeps the rendered record and
-//     the request body (the estima_cache_record_bytes and
-//     estima_cache_body_bytes gauges are then above 0); a CRLF copy of
-//     the campaign, a second accepted encoding, answers the same bytes;
+//     (estima_server_requests_answered_on_loop_total) to it: a hit on the
+//     handler pool keeps the rendered record and the request body (the
+//     estima_cache_record_bytes and estima_cache_body_bytes gauges are
+//     then above 0), and byte-equal repeats are answered on the loop,
+//     each still echoing its trace id, every repeat in the same bytes; a
+//     CRLF copy of the campaign, a second accepted encoding, answers the
+//     same bytes;
 //   * with --event-log=PATH, parses every line of the server's JSONL
 //     event log as a flat JSON object with the stable key schema, and
 //     asserts the campaign lifecycle's disposition lines are among them,
@@ -175,11 +176,17 @@ int main(int argc, char** argv) {
       }
     }
 
-    // Cache hits are answered on the event loops: repeating a campaign
-    // the loop above computed raises the loop's answer counter, and each
-    // hit still echoes its trace id (and is logged as a hit, checked with
-    // the event log below).
+    // Byte-equal repeats are answered on the event loops: once a hit on
+    // the pool has kept the campaign's body (the warm-up below; with
+    // enough --requests the loop above already did), repeating it raises
+    // the loop's answer counter, and each hit still echoes its trace id
+    // (and is logged as a hit, checked with the event log below).
     {
+      const net::HttpResponse warm = client.request(
+          "POST", "/v1/predict", explain_csv, {{"content-type", "text/plain"}});
+      if (warm.status != 200) {
+        return fail("warm-up hit", "status " + std::to_string(warm.status));
+      }
       const char* const series =
           "estima_server_requests_answered_on_loop_total";
       const auto loop_answers = [&]() -> double {
@@ -230,8 +237,8 @@ int main(int argc, char** argv) {
         }
       }
       // The same campaign in another accepted encoding (CRLF line ends)
-      // is not the kept body's bytes, so it takes the full parse-and-hash
-      // path, and must still be answered with the canonical bytes.
+      // is not the kept body's bytes, so the pool parses and hashes it,
+      // and must still answer the canonical bytes.
       std::string crlf;
       for (const char c : explain_csv) {
         if (c == '\n') crlf += '\r';

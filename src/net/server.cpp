@@ -798,16 +798,12 @@ struct HttpServer::EventLoop {
   /// Offers a complete request to the server's LoopAnswer, on this
   /// thread. True when it answered and the response is being written;
   /// false — nothing sent, nothing counted — hands the request to the
-  /// pool. A body above limits.max_header_bytes is never offered: the
-  /// loop spends at most a request head's worth of parsing on an offer.
-  /// The answer gets no propagated deadline (it computes nothing), and
-  /// the connection keeps its read interest, so a write that completes
-  /// at once costs no poller update.
+  /// pool. Which requests it answers, and how large a body it reads, is
+  /// the LoopAnswer's to decide. The answer gets no propagated deadline
+  /// (it computes nothing), and the connection keeps its read interest,
+  /// so a write that completes at once costs no poller update.
   bool answer_on_loop(Conn& c, const HttpRequest& req, bool keep) {
-    if (!srv_.loop_answer_ ||
-        req.body.size() > srv_.cfg_.limits.max_header_bytes) {
-      return false;
-    }
+    if (!srv_.loop_answer_) return false;
     std::optional<HttpResponse> resp;
     try {
       RequestContext ctx;

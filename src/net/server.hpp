@@ -149,13 +149,14 @@ class HttpServer {
   /// (std::invalid_argument: 400, core::DeadlineExceeded: 408) —
   /// exceptions never cross into the event loop unhandled.
   ///
-  /// The LoopAnswer (optional) is offered each complete request whose
-  /// body is at most limits.max_header_bytes, on the event loop thread,
-  /// before any handoff. It must answer only what costs no more than a
-  /// parse and a lookup — never compute, wait on another request, or
-  /// write a file — and must decline (nullopt) with no visible effect,
-  /// since the handler then serves the same request. An exception it
-  /// throws counts as a decline. Its answers are counted in
+  /// The LoopAnswer (optional) is offered each complete request, on the
+  /// event loop thread, before any handoff. It must answer only what
+  /// costs no more than a digest and a lookup — never parse a body,
+  /// compute, wait on another request, or write a file — and bounds the
+  /// body size it reads itself, declining a larger one unread. It must
+  /// decline (nullopt) with no visible effect, since the handler then
+  /// serves the same request. An exception it throws counts as a
+  /// decline. Its answers are counted in
   /// ServerStats::requests_answered_on_loop. Without one, every request
   /// goes to the handler pool.
   HttpServer(ServerConfig cfg, Handler handler,

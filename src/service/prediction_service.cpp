@@ -34,7 +34,7 @@ PredictionService::Claim PredictionService::claim_locked(std::uint64_t key) {
   // always either cached, in flight, or neither, so a miss here can never
   // race a completion.
   Claim claim;
-  claim.hit = cache_.get_answer(key);
+  claim.hit = cache_.get(key);
   if (claim.hit.prediction) return claim;
   auto [it, inserted] = inflight_.try_emplace(key);
   if (inserted) it->second = std::make_shared<InFlight>();
@@ -133,15 +133,6 @@ core::Prediction PredictionService::predict_one(
               .prediction;
 }
 
-std::shared_ptr<const core::Prediction> PredictionService::lookup_hit(
-    std::uint64_t key, std::shared_ptr<const std::string>* record) {
-  std::lock_guard<std::mutex> lock(mu_);
-  CachedAnswer hit = cache_.get_if_resident(key);
-  if (hit.prediction) ++stats_.campaigns_submitted;
-  if (record != nullptr) *record = std::move(hit.record);
-  return std::move(hit.prediction);
-}
-
 CachedAnswer PredictionService::lookup_body(std::size_t digest,
                                             std::string_view body,
                                             std::uint64_t* key) {
@@ -152,17 +143,20 @@ CachedAnswer PredictionService::lookup_body(std::size_t digest,
 }
 
 bool PredictionService::keep_record(std::uint64_t key,
-                                    const core::Prediction* answer,
-                                    const std::string& record,
+                                    const CachedAnswer& hit,
+                                    std::string_view record,
                                     std::string_view body,
                                     std::size_t body_digest) {
   // Constructed from (data, size), so the copies hold exactly the bytes,
-  // not the renderer's upper-bound buffer.
-  auto kept = std::make_shared<const std::string>(record.data(),
-                                                  record.size());
+  // not the renderer's upper-bound buffer. A hit that came with a record
+  // copies none: the entry's first keep already won.
+  std::shared_ptr<const std::string> kept;
+  if (!hit.record) {
+    kept = std::make_shared<const std::string>(record.data(), record.size());
+  }
   std::string kept_body(body.data(), body.size());
   std::lock_guard<std::mutex> lock(mu_);
-  return cache_.keep_record(key, answer, std::move(kept),
+  return cache_.keep_record(key, hit.prediction.get(), std::move(kept),
                             std::move(kept_body), body_digest);
 }
 

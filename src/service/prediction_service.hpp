@@ -5,8 +5,8 @@
 // under one immutable PredictionConfig:
 //   1. every campaign is named by its campaign_hash;
 //   2. repeats within the batch fold onto one computation;
-//   3. hits are served from the ResultCache, an exact LRU (an entry the
-//      event loops answered also keeps its rendered record and the
+//   3. hits are served from the ResultCache, an exact LRU (an entry a
+//      /v1/predict hit was rendered for also keeps that record and the
 //      request body that named it, see result_cache.hpp and keep_record);
 //   4. misses fan out across the shared parallel::ThreadPool, one campaign
 //      per job — the per-campaign fit fan-out keeps working underneath,
@@ -99,8 +99,8 @@ class PredictionService {
   /// Single-campaign entry: cache-fronted, in-flight-deduped predict()
   /// of `ms`, whose key the caller already has (`key` must be
   /// hash_of(ms)). Returns the cached object itself, with its kept
-  /// record when an event loop has kept one (see result_cache.hpp); a
-  /// miss or a join returns no record.
+  /// record when a hit has kept one (see result_cache.hpp); a miss or a
+  /// join returns no record.
   /// With a deadline, throws core::DeadlineExceeded once it expires (the
   /// fit loop polls it cooperatively); a cache hit is served regardless —
   /// it costs nothing. Joining a computation owned by another request
@@ -128,36 +128,27 @@ class PredictionService {
                                CacheDisposition* disposition = nullptr,
                                core::FitMemo* memo = nullptr);
 
-  /// The hit step alone, for callers that must not compute or wait (the
-  /// HTTP edge's event loops): the cached answer for `key`, counted as
-  /// answer() counts a hit (one submitted campaign, one cache hit), and,
-  /// when `record` is non-null, the entry's kept record there (null when
-  /// none is kept). On a miss or a key whose computation is in flight it
-  /// returns null and counts nothing — the caller hands the request to
-  /// answer(), which counts it once.
-  std::shared_ptr<const core::Prediction> lookup_hit(
-      std::uint64_t key, std::shared_ptr<const std::string>* record = nullptr);
-
-  /// The event loop's body step, before it parses anything: the cached
-  /// answer whose entry keeps a body byte-equal to `body` (`digest` is
-  /// std::hash<std::string_view>{}(body)), counted exactly as lookup_hit
-  /// counts a hit, with the entry's key in `*key`. Returns nulls and
-  /// counts nothing when no kept body matches — the caller then parses
-  /// and takes lookup_hit.
+  /// The event loop's whole step, for callers that must not parse,
+  /// compute or wait: the cached answer whose entry keeps a body
+  /// byte-equal to `body` (`digest` is std::hash<std::string_view>{}(body)),
+  /// with its kept record and the entry's key in `*key`, counted as
+  /// answer() counts a hit (one submitted campaign, one cache hit).
+  /// Returns nulls and counts nothing when no kept body matches — the
+  /// caller then hands the request to answer(), which counts it once.
   CachedAnswer lookup_body(std::size_t digest, std::string_view body,
                            std::uint64_t* key);
 
-  /// The event loop's keep step, after a lookup_hit that found no record:
-  /// keeps an exact-size copy of `record` (render_prediction(*answer))
-  /// beside `key`'s entry if that entry still holds `answer` itself and
-  /// no record yet — the first keep wins — and returns whether it did.
-  /// A non-empty `body`, the request body that named `key`, is kept with
-  /// it under `body_digest` (see result_cache.hpp). The copies are made
-  /// outside the lock; the check and the install are one critical
-  /// section. Counts nothing.
-  bool keep_record(std::uint64_t key, const core::Prediction* answer,
-                   const std::string& record, std::string_view body = {},
-                   std::size_t body_digest = 0);
+  /// The keep step, after a hit `hit` (from answer(), under `key`) was
+  /// rendered into `record`: keeps an exact-size copy of `record` beside
+  /// the entry when `hit` came without one (the first keep wins), and of
+  /// `body`, the request body that named `key`, under `body_digest`
+  /// (replacing a different kept body; see result_cache.hpp) — if the
+  /// entry still holds `hit.prediction` itself. Returns whether it kept
+  /// either. The copies are made outside the lock; the check and the
+  /// install are one critical section. Counts nothing.
+  bool keep_record(std::uint64_t key, const CachedAnswer& hit,
+                   std::string_view record, std::string_view body,
+                   std::size_t body_digest);
 
   /// Audited prediction for POST /v1/explain: runs the full pipeline
   /// fresh with `audit` attached, bypassing the cache and the in-flight

@@ -7,19 +7,12 @@ namespace estima::service {
 ResultCache::ResultCache(std::size_t capacity)
     : capacity_(capacity == 0 ? 1 : capacity) {}
 
-std::shared_ptr<const core::Prediction> ResultCache::get(std::uint64_t key) {
-  return get_answer(key).prediction;
-}
-
-CachedAnswer ResultCache::get_answer(std::uint64_t key) {
-  CachedAnswer hit = get_if_resident(key);
-  if (!hit.prediction) ++stats_.misses;
-  return hit;
-}
-
-CachedAnswer ResultCache::get_if_resident(std::uint64_t key) {
+CachedAnswer ResultCache::get(std::uint64_t key) {
   auto it = index_.find(key);
-  if (it == index_.end()) return {};
+  if (it == index_.end()) {
+    ++stats_.misses;
+    return {};
+  }
   ++stats_.hits;
   lru_.splice(lru_.begin(), lru_, it->second);  // refresh recency
   return {it->second->value, it->second->record};
@@ -62,14 +55,23 @@ bool ResultCache::keep_record(std::uint64_t key,
   auto it = index_.find(key);
   if (it == index_.end()) return false;
   Entry& e = *it->second;
-  if (e.value.get() != answer || e.record) return false;
-  stats_.record_bytes += record->size();
-  e.record = std::move(record);
-  if (!body.empty() && bodies_.emplace(body_digest, it->second).second) {
-    stats_.body_bytes += body.size();
-    e.body = std::move(body);
-    e.body_digest = body_digest;
+  if (e.value.get() != answer) return false;
+  bool kept = false;
+  if (!e.record && record) {
+    stats_.record_bytes += record->size();
+    e.record = std::move(record);
+    kept = true;
   }
+  if (!e.record || body.empty() || body == e.body) return kept;
+  // The digest's slot is free, or holds this entry's own (different)
+  // body; another entry's slot keeps the old body in place.
+  const auto [slot, fresh] = bodies_.try_emplace(body_digest, it->second);
+  if (!fresh && slot->second != it->second) return kept;
+  if (fresh && !e.body.empty()) bodies_.erase(e.body_digest);
+  stats_.body_bytes -= e.body.size();
+  stats_.body_bytes += body.size();
+  e.body = std::move(body);  // frees the replaced body's bytes
+  e.body_digest = body_digest;
   return true;
 }
 

@@ -14,13 +14,13 @@
 //
 // Kept records. An entry may also hold the `prediction v=1` record bytes
 // of its answer, byte-equal to render_prediction(*value), so a repeat
-// read copies them instead of rendering again. Only the event loop's hit
-// step keeps one (PredictionService::keep_record), after it rendered the
-// answer itself; misses, pool hits, batches and snapshot restores keep
-// nothing, so records cost memory only where reads repeat. A record is
-// stored at its exact size (the renderer's buffer is an upper bound,
-// ~1.6x larger) and CacheStats::record_bytes is the exact sum of their
-// sizes.
+// read copies them instead of rendering again. Only a /v1/predict hit
+// answered on the handler pool keeps one (PredictionService::keep_record,
+// after the pool rendered the answer); misses, batches, campaign routes
+// and snapshot restores keep nothing, so records cost memory only where
+// reads repeat. A record is stored at its exact size (the renderer's
+// buffer is an upper bound, ~1.6x larger), the first keep wins, and
+// CacheStats::record_bytes is the exact sum of their sizes.
 //
 // Kept bodies. The same keep also stores the request body that named the
 // entry and a digest of it (std::hash<std::string_view>, computed by the
@@ -29,17 +29,19 @@
 // get_by_body() without parsing or hashing the campaign: a key is a pure
 // function of the body bytes and the fixed config, so an exact match can
 // never name another answer. The digest only finds the candidate; the
-// byte compare decides. When another entry already holds a body's digest
-// the keep stores the record without the body, so a collision costs the
-// full path, never a wrong answer. CacheStats::body_bytes is the exact
-// sum of kept body sizes.
+// byte compare decides. An entry keeps one body, the one its latest keep
+// brought: a different body replaces it and frees its digest slot, unless
+// another entry already holds the new digest — then the old body stays,
+// so a collision costs the full path, never a wrong answer. A body is
+// kept only beside a record, so get_by_body() always finds one.
+// CacheStats::body_bytes is the exact sum of kept body sizes.
 //
 // Record and body live and die with their entry, together: eviction,
 // erase() and a put() over a resident key drop both (and free the body's
 // index slot), and neither is ever snapshotted or restored — a snapshot
 // holds answers, a record and a body are caches of bytes. Worst case the
-// cache holds capacity x (answer + record + body), where a body kept by
-// an event loop is at most the edge's max_header_bytes.
+// cache holds capacity x (answer + record + body), where a kept body is
+// at most the router's ServiceRouter::kMaxKeptBodyBytes.
 #pragma once
 
 #include <cstdint>
@@ -69,8 +71,8 @@ struct CacheStats {
   std::uint64_t body_bytes = 0;
 };
 
-/// A cached answer: the prediction, and its kept record when an event
-/// loop has kept one (null otherwise). Both null on a miss.
+/// A cached answer: the prediction, and its kept record when a hit has
+/// kept one (null otherwise). Both null on a miss.
 struct CachedAnswer {
   std::shared_ptr<const core::Prediction> prediction;
   std::shared_ptr<const std::string> record;
@@ -84,24 +86,15 @@ class ResultCache {
   ResultCache(const ResultCache&) = delete;
   ResultCache& operator=(const ResultCache&) = delete;
 
-  /// Returns the cached prediction and marks it most-recently-used, or
-  /// nullptr on miss. Counts one hit or miss.
-  std::shared_ptr<const core::Prediction> get(std::uint64_t key);
-
-  /// get() with the entry's kept record.
-  CachedAnswer get_answer(std::uint64_t key);
-
-  /// The hit-only lookup: a resident entry is a hit exactly as through
-  /// get() (counted, recency refreshed); an absent one returns nulls and
-  /// counts nothing, so the caller can fall back to get() and have the
-  /// request counted once.
-  CachedAnswer get_if_resident(std::uint64_t key);
+  /// The cached answer, marked most-recently-used, or nulls on a miss.
+  /// Counts one hit or miss.
+  CachedAnswer get(std::uint64_t key);
 
   /// The body lookup: when an entry keeps a body under `digest` that is
-  /// byte-equal to `body`, a hit exactly as through get_if_resident()
-  /// (counted, recency refreshed), with the entry's key in `*key`. Any
-  /// other outcome — no body under the digest, or different bytes —
-  /// returns nulls and counts nothing.
+  /// byte-equal to `body`, a hit exactly as through get() (counted,
+  /// recency refreshed), with the entry's key in `*key`. Any other
+  /// outcome — no body under the digest, or different bytes — returns
+  /// nulls and counts nothing.
   CachedAnswer get_by_body(std::size_t digest, std::string_view body,
                            std::uint64_t* key);
 
@@ -110,15 +103,17 @@ class ResultCache {
   /// the entry's kept record and body.
   void put(std::uint64_t key, std::shared_ptr<const core::Prediction> value);
 
-  /// Keeps `record` (render_prediction(*answer), exact size) beside the
-  /// entry for `key`, when that entry still holds `answer` itself and has
-  /// no record yet; returns whether it did. The caller still owns a
-  /// reference to `answer`, so no other object can have taken its address
-  /// and the pointer comparison is exact. A non-empty `body` (the request
-  /// body that named `key`, exact size) is kept with the record under
-  /// `body_digest` unless another entry holds that digest. Counts nothing
-  /// and leaves recency alone: the hit that rendered the record was
-  /// counted already.
+  /// Keeps bytes beside the entry for `key` when that entry still holds
+  /// `answer` itself: `record` (render_prediction(*answer), exact size)
+  /// when the entry has no record yet — the first keep wins — and a
+  /// non-empty `body` (the request body that named `key`, exact size)
+  /// under `body_digest`, replacing a different kept body unless another
+  /// entry holds that digest. A null `record` keeps a body only beside an
+  /// existing record. Returns whether it kept either. The caller still
+  /// owns a reference to `answer`, so no other object can have taken its
+  /// address and the pointer comparison is exact. Counts nothing and
+  /// leaves recency alone: the hit that rendered the record was counted
+  /// already.
   bool keep_record(std::uint64_t key, const core::Prediction* answer,
                    std::shared_ptr<const std::string> record,
                    std::string body = {}, std::size_t body_digest = 0);

@@ -227,11 +227,12 @@ net::HttpResponse ServiceRouter::handle(const net::HttpRequest& req,
 
 std::optional<net::HttpResponse> ServiceRouter::answer_on_loop(
     const net::HttpRequest& req, const net::RequestContext& ctx) {
-  // Only a request the pool would answer from the cache without a
-  // deadline of its own: a client deadline header (valid or not) goes to
-  // the pool, which owns the 400 for a bad one.
-  if (req.target != "/v1/predict" || req.method != "POST" ||
-      req.header("x-estima-deadline-ms") != nullptr) {
+  // Only a body the cache can keep, of a request the pool would answer
+  // from the cache without a deadline of its own: a client deadline
+  // header (valid or not) goes to the pool, which owns the 400 for a bad
+  // one.
+  if (req.body.size() > kMaxKeptBodyBytes || req.target != "/v1/predict" ||
+      req.method != "POST" || req.header("x-estima-deadline-ms") != nullptr) {
     return std::nullopt;
   }
   const auto start = std::chrono::steady_clock::now();
@@ -355,53 +356,27 @@ std::optional<net::HttpResponse> ServiceRouter::predict_hit(
     const net::HttpRequest& req, obs::TraceContext* trace,
     RequestEvent& ev) {
   // The spans are added only once the request is answered here: a
-  // declined attempt leaves the trace to the pool path unchanged.
+  // declined attempt leaves the trace to the pool path unchanged. The
+  // digest is this path's `parse`.
   using Clock = std::chrono::steady_clock;
   const auto now = [trace] {
     return trace != nullptr ? Clock::now() : Clock::time_point{};
   };
-  // A body byte-equal to one an earlier loop hit kept names the same key,
-  // so it is answered without parsing or hashing the campaign. The digest
-  // is this path's `parse`.
   const Clock::time_point parse_begin = now();
   const std::size_t digest = std::hash<std::string_view>{}(req.body);
-  Clock::time_point parse_end = now();
-  Clock::time_point lookup_begin = parse_end;
+  const Clock::time_point parse_end = now();
   std::uint64_t key = 0;
-  CachedAnswer hit = service_.lookup_body(digest, req.body, &key);
-  if (!hit.prediction) {
-    // The full path; its parse span also covers the digest and the
-    // body lookup that missed.
-    core::MeasurementSet ms;
-    try {
-      ms = core::read_csv(req.body);
-    } catch (const std::exception&) {
-      return std::nullopt;  // a 4xx is the pool's to answer
-    }
-    parse_end = now();
-    key = service_.hash_of(ms);
-    // As on the pool path, the hash is in no span and the lookup is.
-    lookup_begin = now();
-    hit.prediction = service_.lookup_hit(key, &hit.record);
-    if (!hit.prediction) return std::nullopt;
-  }
+  const CachedAnswer hit = service_.lookup_body(digest, req.body, &key);
+  if (!hit.prediction) return std::nullopt;
   if (trace != nullptr) {
     trace->add(obs::Stage::kParse, parse_begin, parse_end);
-    trace->add(obs::Stage::kCacheLookup, lookup_begin, Clock::now());
+    trace->add(obs::Stage::kCacheLookup, parse_end, Clock::now());
   }
   ev.has_campaign = true;
   ev.campaign_hash = key;
   ev.disposition = "hit";
   try {
-    net::HttpResponse resp = predict_response(hit, trace, ev);
-    // The first loop answer of an entry keeps its bytes, and the body
-    // that named it, for every later one; a keep that loses to another
-    // loop's, or to the entry changing since the lookup, is dropped.
-    if (!hit.record) {
-      service_.keep_record(key, hit.prediction.get(), resp.body, req.body,
-                           digest);
-    }
-    return resp;
+    return predict_response(hit, trace, ev);
   } catch (const std::exception& e) {
     // Counted as a hit already, so answered here, as dispatch() would.
     return text_response(500, e.what());
@@ -421,7 +396,15 @@ net::HttpResponse ServiceRouter::handle_predict(
   const CachedAnswer answer =
       service_.answer(ev.campaign_hash, ms, deadline, trace, &disp);
   ev.disposition = disp == CacheDisposition::kMiss ? "miss" : "hit";
-  return predict_response(answer, trace, ev);
+  net::HttpResponse resp = predict_response(answer, trace, ev);
+  // A hit keeps its bytes and its body, so the next byte-equal repeat is
+  // a loop answer; a miss keeps nothing, so computing a campaign never
+  // costs a record's memory.
+  if (disp == CacheDisposition::kHit && req.body.size() <= kMaxKeptBodyBytes) {
+    service_.keep_record(ev.campaign_hash, answer, resp.body, req.body,
+                         std::hash<std::string_view>{}(req.body));
+  }
+  return resp;
 }
 
 net::HttpResponse ServiceRouter::predict_response(const CachedAnswer& answer,
@@ -798,12 +781,12 @@ net::HttpResponse ServiceRouter::handle_metrics() {
   w.gauge("estima_cache_entries", "", "Resident result-cache entries.",
           static_cast<std::int64_t>(s.cache.entries));
   w.gauge("estima_cache_record_bytes", "",
-          "Bytes of answer records kept beside cache entries for repeat "
-          "reads on the event loops.",
+          "Bytes of answer records kept beside cache entries by "
+          "/v1/predict hits on the handler pool, copied by later hits.",
           static_cast<std::int64_t>(s.cache.record_bytes));
   w.gauge("estima_cache_body_bytes", "",
-          "Bytes of request bodies kept beside cache entries, so a "
-          "byte-equal repeat is answered without parsing.",
+          "Bytes of request bodies kept beside cache entries, so the "
+          "event loops answer a byte-equal repeat without parsing.",
           static_cast<std::int64_t>(s.cache.body_bytes));
   {
     const CampaignStoreStats c = campaigns_.stats();

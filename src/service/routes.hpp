@@ -58,6 +58,13 @@
 // Unknown campaign names answer 404; appends invalidate exactly the
 // superseded hash's cache entry.
 //
+// Two steps serve POST /v1/predict, and one rule splits them: a loop
+// digests, looks up and copies; the pool parses, computes, renders and
+// keeps. answer_on_loop answers a body byte-equal to one the cache keeps
+// from the entry's kept record and declines everything else unread;
+// handle() parses, hashes and answers, and a hit it renders keeps the
+// record and the body beside its entry for the loop's next repeat.
+//
 // Both stats-style endpoints are built from one consistent snapshot per
 // request: ServiceStats and ServerStats are each taken whole under their
 // owning lock (never field-by-field from live atomics), so a scrape can
@@ -150,15 +157,20 @@ class ServiceRouter {
   net::HttpResponse handle(const net::HttpRequest& req,
                            const net::RequestContext& ctx);
 
-  /// HttpServer's LoopAnswer: the hit step of POST /v1/predict, run on
-  /// an event loop. A cache hit is answered here — find it by a
-  /// byte-equal kept body, or parse, hash and look up; then copy the
-  /// entry's kept record or render (and keep) it, with the event-log line
-  /// handle() would write — in the same bytes and counts as handle().
-  /// Everything else is declined (nullopt) with nothing counted or
-  /// logged: a miss, a key in flight, a body the reader rejects, an
-  /// X-Estima-Deadline-Ms header, any other route.
-  /// handle() then serves it on the pool.
+  /// The largest request body an event loop digests and the cache keeps
+  /// (64 KiB): answer_on_loop declines a larger one before reading it,
+  /// and the pool keeps none, so a kept body is never larger.
+  static constexpr std::size_t kMaxKeptBodyBytes = 64 * 1024;
+
+  /// HttpServer's LoopAnswer: the byte-cache step of POST /v1/predict,
+  /// run on an event loop. A body byte-equal to one the cache keeps is
+  /// answered here — a digest, a lookup and a copy of the entry's kept
+  /// record, with the event-log line handle() would write — in the same
+  /// bytes and counts as handle(). Everything else is declined (nullopt)
+  /// with nothing counted or logged: a body no entry keeps (a miss, a
+  /// key in flight, a first hit, another encoding, a body the reader
+  /// rejects), a body over kMaxKeptBodyBytes, an X-Estima-Deadline-Ms
+  /// header, any other route. handle() then serves it on the pool.
   std::optional<net::HttpResponse> answer_on_loop(
       const net::HttpRequest& req, const net::RequestContext& ctx);
 
@@ -224,24 +236,21 @@ class ServiceRouter {
                    const net::RequestContext& ctx, const RequestEvent& ev,
                    std::chrono::steady_clock::time_point start,
                    const net::HttpResponse& resp);
-  /// /v1/predict's hit step (answer_on_loop): the response for a cache
-  /// hit, or nullopt with nothing counted. It digests the body first
-  /// (std::hash<std::string_view>, the `parse` span) and tries
-  /// PredictionService::lookup_body: a body byte-equal to one an earlier
-  /// loop hit kept is answered from that entry with no CSV parse and no
-  /// campaign hash. Otherwise it parses, hashes and takes lookup_hit.
-  /// The only keeper of records and bodies: a hit whose entry has no
-  /// record renders the answer, then keeps an exact-size copy and the
-  /// request body beside the entry (PredictionService::keep_record, first
-  /// keep wins), so every later hit of the entry, on either path, copies
-  /// those bytes instead of rendering, and a byte-equal body skips the
-  /// parse too.
+  /// /v1/predict's loop step (answer_on_loop): the response for a body
+  /// byte-equal to a kept one, or nullopt with nothing counted. It
+  /// digests the body (std::hash<std::string_view>, the `parse` span),
+  /// takes PredictionService::lookup_body (`cache.lookup`) and copies the
+  /// entry's kept record (`serialize`); it never parses the CSV, hashes
+  /// the campaign, renders or keeps.
   std::optional<net::HttpResponse> predict_hit(const net::HttpRequest& req,
                                                obs::TraceContext* trace,
                                                RequestEvent& ev);
   /// /v1/predict's compute step (the pool): parse, hash, answer — hit,
   /// join or fit — and render (or copy a kept record), shedding or not.
-  /// Keeps nothing.
+  /// The only keeper of records and bodies: a hit (a join included)
+  /// whose body is at most kMaxKeptBodyBytes keeps the rendered record
+  /// and the request body beside its entry (PredictionService::
+  /// keep_record), so the next byte-equal repeat is a loop answer.
   net::HttpResponse handle_predict(const net::HttpRequest& req,
                                    const net::RequestContext& ctx,
                                    const core::Deadline* deadline,
@@ -287,9 +296,10 @@ class ServiceRouter {
 };
 
 /// The daemon's HTTP stack over `router` (borrowed, must outlive the
-/// server): cache hits answered on the event loops by answer_on_loop,
-/// everything else by handle on the handler pool, and the server's
-/// ServerStats reported by /v1/stats and /v1/metrics. Not yet started.
+/// server): repeats of kept bodies answered on the event loops by
+/// answer_on_loop, everything else by handle on the handler pool, and
+/// the server's ServerStats reported by /v1/stats and /v1/metrics. Not
+/// yet started.
 std::unique_ptr<net::HttpServer> make_server(ServiceRouter& router,
                                              net::ServerConfig cfg);
 

@@ -1981,9 +1981,10 @@ TEST(LoopAnswer, DeclinedOrThrowingOffersReachTheHandlerOnce) {
   server.stop();
 }
 
-// The loop spends at most a request head's worth of parsing on an offer:
-// a body above limits.max_header_bytes goes straight to the pool.
-TEST(LoopAnswer, BodiesAboveTheBoundAreNeverOffered) {
+// The edge offers every complete request, whatever its body size: how
+// large a body a loop reads is the LoopAnswer's own bound (the router's
+// ServiceRouter::kMaxKeptBodyBytes), not the header limit's.
+TEST(LoopAnswer, EveryCompleteRequestIsOffered) {
   ServerConfig ncfg;
   ncfg.io_threads = 1;
   ncfg.worker_threads = 1;
@@ -2001,16 +2002,12 @@ TEST(LoopAnswer, BodiesAboveTheBoundAreNeverOffered) {
       });
   server.start();
   HttpClient c("127.0.0.1", server.port());
-  for (const std::size_t n : {0u, 1023u, 1024u}) {
+  for (const std::size_t n : {0u, 1024u, 1025u, 64u * 1024 + 1}) {
     EXPECT_EQ(c.post("/x", std::string(n, 'b'), "text/plain").body, "loop")
         << n;
   }
-  for (const std::size_t n : {1025u, 64u * 1024}) {
-    EXPECT_EQ(c.post("/x", std::string(n, 'b'), "text/plain").body, "pool")
-        << n;
-  }
-  EXPECT_EQ(largest.load(), 1024u);
-  EXPECT_EQ(server.stats().requests_answered_on_loop, 3u);
+  EXPECT_EQ(largest.load(), 64u * 1024 + 1);
+  EXPECT_EQ(server.stats().requests_answered_on_loop, 4u);
   server.stop();
 }
 
@@ -2072,7 +2069,9 @@ TEST(LoopAnswer, StopWithHitsAndMissesInFlightKeepsTheBooks) {
   const std::string warm_body = csv_of(warm);
   const std::string warm_record = record_of(core::predict(warm, stack.cfg));
   {
+    // A miss, then a hit on the pool that keeps the body for the loop.
     HttpClient c("127.0.0.1", stack.server->port());
+    ASSERT_EQ(c.post("/v1/predict", warm_body, "text/csv").body, warm_record);
     ASSERT_EQ(c.post("/v1/predict", warm_body, "text/csv").body, warm_record);
   }
 

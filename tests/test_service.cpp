@@ -57,6 +57,24 @@ core::PredictionConfig serving_config() {
   return cfg;
 }
 
+std::string csv_text(const core::MeasurementSet& ms) {
+  std::ostringstream os;
+  core::write_csv(os, ms);
+  return os.str();
+}
+
+/// The body digest the router hands the cache's body index.
+std::size_t digest_of(std::string_view body) {
+  return std::hash<std::string_view>{}(body);
+}
+
+/// A stand-in answer, told apart by its one core count.
+std::shared_ptr<const core::Prediction> pred(int id) {
+  auto p = std::make_shared<core::Prediction>();
+  p->cores = {id};
+  return p;
+}
+
 void expect_bit_identical(const core::Prediction& a,
                           const core::Prediction& b) {
   EXPECT_EQ(a.cores, b.cores);
@@ -190,19 +208,14 @@ TEST(PredictOne, CacheFronted) {
 
 TEST(ResultCache, LruEvictionAndCounters) {
   ResultCache cache(2);
-  auto pred = [](int id) {
-    auto p = std::make_shared<core::Prediction>();
-    p->cores = {id};
-    return std::shared_ptr<const core::Prediction>(p);
-  };
   cache.put(1, pred(1));
   cache.put(2, pred(2));
-  ASSERT_NE(cache.get(1), nullptr);  // 1 becomes most recent
-  cache.put(3, pred(3));             // evicts 2, the LRU entry
-  EXPECT_EQ(cache.get(2), nullptr);
-  ASSERT_NE(cache.get(1), nullptr);
-  ASSERT_NE(cache.get(3), nullptr);
-  EXPECT_EQ(cache.get(3)->cores[0], 3);
+  ASSERT_NE(cache.get(1).prediction, nullptr);  // 1 becomes most recent
+  cache.put(3, pred(3));  // evicts 2, the LRU entry
+  EXPECT_EQ(cache.get(2).prediction, nullptr);
+  ASSERT_NE(cache.get(1).prediction, nullptr);
+  ASSERT_NE(cache.get(3).prediction, nullptr);
+  EXPECT_EQ(cache.get(3).prediction->cores[0], 3);
 
   const auto stats = cache.stats();
   EXPECT_EQ(stats.evictions, 1u);
@@ -230,20 +243,15 @@ TEST(ResultCache, CapacityIsRespected) {
   one.put(1, p);
   one.put(2, p);
   EXPECT_EQ(one.stats().entries, 1u);
-  EXPECT_NE(one.get(2), nullptr);
+  EXPECT_NE(one.get(2).prediction, nullptr);
 }
 
 TEST(ResultCache, EntriesListEveryEntryLruFirst) {
   ResultCache cache(4);
-  auto pred = [](int id) {
-    auto p = std::make_shared<core::Prediction>();
-    p->cores = {id};
-    return std::shared_ptr<const core::Prediction>(p);
-  };
   cache.put(10, pred(10));
   cache.put(11, pred(11));
   cache.put(12, pred(12));
-  ASSERT_NE(cache.get(10), nullptr);  // 10 becomes most recent
+  ASSERT_NE(cache.get(10).prediction, nullptr);  // 10 becomes most recent
 
   std::vector<std::uint64_t> keys;
   for (const auto& e : cache.entries()) {
@@ -258,18 +266,13 @@ TEST(ResultCache, ExportedEntriesOutliveTheirEviction) {
   // An export hands out the cached objects themselves: entries evicted
   // after the export stay alive and intact through their shared_ptrs.
   ResultCache cache(2);
-  auto pred = [](int id) {
-    auto p = std::make_shared<core::Prediction>();
-    p->cores = {id};
-    return std::shared_ptr<const core::Prediction>(p);
-  };
   cache.put(1, pred(1));
   cache.put(2, pred(2));
   const auto exported = cache.entries();
   cache.put(100, pred(100));
   cache.put(101, pred(101));  // both exported entries are evicted now
-  EXPECT_EQ(cache.get(1), nullptr);
-  EXPECT_EQ(cache.get(2), nullptr);
+  EXPECT_EQ(cache.get(1).prediction, nullptr);
+  EXPECT_EQ(cache.get(2).prediction, nullptr);
   EXPECT_EQ(cache.stats().evictions, 2u);
   ASSERT_EQ(exported.size(), 2u);
   for (const auto& e : exported) {
@@ -313,11 +316,12 @@ TEST(PredictMany, InFlightDedupUnderConcurrentSubmission) {
 
 // One lock guards the cache, the in-flight table and the counters. Race
 // every entry point that takes it on a service whose cache is smaller
-// than the campaign set: predict_one (hits, misses, joins), lookup_hit,
-// invalidate, snapshot_to and stats(). Every answer must equal serial
-// predict(), every stats() must be one consistent picture, and the last
-// snapshot must restore only real answers. The test also runs under
-// TSan in CI.
+// than the campaign set: answer (hits, misses, joins) with the pool's
+// keep step after each hit, lookup_body (the event loops' step),
+// invalidate, snapshot_to and stats(). Every answer and every kept
+// record must equal serial predict(), every stats() must be one
+// consistent picture, and the last snapshot must restore only real
+// answers. The test also runs under TSan in CI.
 TEST(PredictionServiceRace, MixedTrafficStaysExact) {
   namespace fs = std::filesystem;
   const fs::path path =
@@ -326,9 +330,12 @@ TEST(PredictionServiceRace, MixedTrafficStaysExact) {
   constexpr std::size_t kCapacity = 4;
   std::vector<core::MeasurementSet> campaigns;
   std::vector<core::Prediction> serial;
+  std::vector<std::string> bodies, records;
   for (int i = 0; i < kCampaigns; ++i) {
     campaigns.push_back(campaign(i, 8));
     serial.push_back(core::predict(campaigns.back(), serving_config()));
+    bodies.push_back(csv_text(campaigns.back()));
+    records.push_back(core::render_prediction(serial.back()));
   }
   ServiceConfig scfg;
   scfg.prediction = serving_config();
@@ -350,7 +357,14 @@ TEST(PredictionServiceRace, MixedTrafficStaysExact) {
     predictors.emplace_back([&, t] {
       for (int i = 0; i < kRequests; ++i) {
         const int c = i % 3 == 0 ? (i / 3 + t) % kCampaigns : i % 2;
-        expect_bit_identical(service.predict_one(campaigns[c]), serial[c]);
+        CacheDisposition d = CacheDisposition::kUnknown;
+        const CachedAnswer a =
+            service.answer(keys[c], campaigns[c], nullptr, nullptr, &d);
+        expect_bit_identical(*a.prediction, serial[c]);
+        if (d == CacheDisposition::kHit) {
+          (void)service.keep_record(keys[c], a, records[c], bodies[c],
+                                    digest_of(bodies[c]));
+        }
       }
     });
   }
@@ -358,11 +372,17 @@ TEST(PredictionServiceRace, MixedTrafficStaysExact) {
   std::atomic<int> snapshots{0};
   std::uint64_t reader_hits = 0;  // read after the reader is joined
   std::vector<std::thread> others;
-  others.emplace_back([&] {  // hit-only reader (the event loops' lookup)
+  others.emplace_back([&] {  // body reader (the event loops' lookup)
     for (std::size_t i = 0; !stop.load(); ++i) {
-      const std::uint64_t key = keys[i % keys.size()];
-      if (auto v = service.lookup_hit(key)) {
-        expect_bit_identical(*v, serial[index_of.at(key)]);
+      const std::size_t c = i % bodies.size();
+      std::uint64_t key = 0;
+      const CachedAnswer v =
+          service.lookup_body(digest_of(bodies[c]), bodies[c], &key);
+      if (v.prediction) {
+        EXPECT_EQ(key, keys[c]);
+        expect_bit_identical(*v.prediction, serial[c]);
+        ASSERT_NE(v.record, nullptr) << "a body kept without its record";
+        EXPECT_EQ(*v.record, records[c]);
         ++reader_hits;
       }
     }
@@ -394,7 +414,7 @@ TEST(PredictionServiceRace, MixedTrafficStaysExact) {
   for (auto& th : others) th.join();
 
   const ServiceStats s = service.stats();
-  // A lookup_hit hit counts one submitted campaign, as predict_one does.
+  // A lookup_body hit counts one submitted campaign, as answer does.
   EXPECT_EQ(s.campaigns_submitted,
             static_cast<std::uint64_t>(kPredictors * kRequests) +
                 reader_hits);
@@ -576,14 +596,9 @@ TEST(ServiceRouter, MalformedCampaignHeadersAnswer400OnEveryCampaignRoute) {
 }
 
 // ---------------------------------------------------------------------------
-// The event loop's hit step (ServiceRouter::answer_on_loop) against the
-// pool-only path: same bytes, same counters, same event-log lines.
-
-std::string csv_text(const core::MeasurementSet& ms) {
-  std::ostringstream os;
-  core::write_csv(os, ms);
-  return os.str();
-}
+// The event loop's step (ServiceRouter::answer_on_loop) against the
+// pool-only path: same bytes, same counters, same event-log lines, and
+// the same bytes kept — the pool keeps whether or not a loop is wired.
 
 /// One-shot latch: wait() returns once count_down() ran `n` times.
 class Latch {
@@ -689,18 +704,38 @@ Books books_of(const PredictionService& svc) {
                s.inflight_joins, s.predictions_computed};
 }
 
+/// The kept bytes: CacheStats::record_bytes and body_bytes.
+struct Kept {
+  std::uint64_t records, bodies;
+  bool operator==(const Kept& o) const {
+    return records == o.records && bodies == o.bodies;
+  }
+};
+
+std::ostream& operator<<(std::ostream& os, const Kept& k) {
+  return os << "{records " << k.records << ", bodies " << k.bodies << "}";
+}
+
+Kept kept_of(const PredictionService& svc) {
+  const ServiceStats s = svc.stats();
+  return Kept{s.cache.record_bytes, s.cache.body_bytes};
+}
+
 struct SequenceResult {
   Books books;
+  Kept kept;
   std::vector<std::string> log;
   std::vector<std::string> bodies;  ///< response status + body, in order
   net::ServerStats server;
 };
 
-/// The fixed sequence: miss, loop-eligible hit, hit with a deadline
+/// The fixed sequence: miss, a first hit (the pool keeps its record and
+/// body), a byte-equal repeat (loop-eligible), hit with a deadline
 /// header, bad deadline header, malformed CSV, a hit whose body is above
-/// the loop's bound, then an in-flight join (the joiner's handler waits
-/// until the owner has claimed the key; the owner's cold 128-point fit
-/// outlasts the joiner's parse and claim by orders of magnitude).
+/// the loop's bound (never kept), then an in-flight join (the joiner's
+/// handler waits until the owner has claimed the key; the owner's cold
+/// 128-point fit outlasts the joiner's parse and claim by orders of
+/// magnitude; the join is a hit, so it keeps b's record and body).
 SequenceResult run_main_sequence(bool loop_answers) {
   const auto log_path = std::filesystem::temp_directory_path() /
                         (loop_answers ? "estima_loop_parity_loop.jsonl"
@@ -724,6 +759,7 @@ SequenceResult run_main_sequence(bool loop_answers) {
   };
   record(s.post(a));
   record(s.post(a));
+  record(s.post(a));
   record(s.post(a, {{"x-estima-deadline-ms", "600000"}}));
   record(s.post(a, {{"x-estima-deadline-ms", "soon"}}));
   record(s.post("cores,time_s\n1,oops\n"));
@@ -745,6 +781,7 @@ SequenceResult run_main_sequence(bool loop_answers) {
   record(joiner);
 
   out.books = books_of(s.svc);
+  out.kept = kept_of(s.svc);
   out.server = s.server->stats();
   out.log = s.stop_and_read_log();
   std::filesystem::remove(log_path);
@@ -756,23 +793,33 @@ TEST(LoopHits, EveryCounterAndLogLineMatchesThePoolOnlyPath) {
   const SequenceResult loop = run_main_sequence(true);
   EXPECT_EQ(loop.bodies, pool.bodies);
   EXPECT_EQ(loop.books, pool.books);
+  EXPECT_EQ(loop.kept, pool.kept);
   EXPECT_EQ(loop.log, pool.log);
-  ASSERT_EQ(pool.bodies.size(), 8u);
-  EXPECT_EQ(pool.log.size(), 8u) << "one event line per request";
+  ASSERT_EQ(pool.bodies.size(), 9u);
+  EXPECT_EQ(pool.log.size(), 9u) << "one event line per request";
   // The sequence did what it says: two computed misses (the first
-  // request and the join's owner), three hits (plain, deadline header,
-  // padded body), one join (a miss that waited for the owner).
-  EXPECT_EQ(pool.books, (Books{6, 3, 3, 1, 2}));
-  for (const std::size_t i : {0u, 1u, 2u, 5u, 6u, 7u}) {
+  // request and the join's owner), four hits (first, repeat, deadline
+  // header, padded body), one join (a miss that waited for the owner).
+  EXPECT_EQ(pool.books, (Books{7, 4, 3, 1, 2}));
+  for (const std::size_t i : {0u, 1u, 2u, 3u, 6u, 7u, 8u}) {
     EXPECT_EQ(pool.bodies[i].substr(0, 4), "200 ") << i;
   }
   EXPECT_EQ(pool.bodies[1], pool.bodies[0]);
-  EXPECT_EQ(pool.bodies[5], pool.bodies[0]);
-  EXPECT_EQ(pool.bodies[7], pool.bodies[6]);
-  EXPECT_EQ(pool.bodies[3].substr(0, 4), "400 ");
+  EXPECT_EQ(pool.bodies[2], pool.bodies[0]);
+  EXPECT_EQ(pool.bodies[6], pool.bodies[0]);
+  EXPECT_EQ(pool.bodies[8], pool.bodies[7]);
   EXPECT_EQ(pool.bodies[4].substr(0, 4), "400 ");
-  // Only the plain hit was answered on the loop: the deadline header,
-  // the body above 64 KiB and the in-flight key went to the pool.
+  EXPECT_EQ(pool.bodies[5].substr(0, 4), "400 ");
+  // a's first hit kept a's body and the join kept b's; the padded body,
+  // a hit on a's entry above 64 KiB, kept nothing.
+  const std::string a = csv_text(campaign(1, 8));
+  const std::string b = csv_text(campaign(2, 128));
+  EXPECT_EQ(pool.kept.bodies, a.size() + b.size());
+  EXPECT_EQ(pool.kept.records, pool.bodies[0].size() - 4 +
+                                   pool.bodies[7].size() - 4);
+  // Only the byte-equal repeat was answered on the loop: the first hit,
+  // the deadline header, the body above 64 KiB and the in-flight key
+  // went to the pool.
   EXPECT_EQ(pool.server.requests_answered_on_loop, 0u);
   EXPECT_EQ(loop.server.requests_answered_on_loop, 1u);
   EXPECT_EQ(loop.server.requests_served, pool.server.requests_served);
@@ -794,7 +841,8 @@ TEST(LoopHits, AHitNeverQueuesBehindTheHandlerPool) {
                   });
   const core::MeasurementSet ms = campaign(4, 8);
   const std::string body = csv_text(ms);
-  ASSERT_EQ(s.post(body).status, 200);  // warm: computed on the pool
+  ASSERT_EQ(s.post(body).status, 200);  // computed on the pool
+  ASSERT_EQ(s.post(body).status, 200);  // a pool hit keeps the body
 
   // Explains always compute, so they go to the pool.
   std::vector<std::thread> busy;
@@ -881,7 +929,8 @@ TEST(LoopHits, TracedLoopHitRecordsNoQueueWait) {
   server->start();
   net::HttpClient c("127.0.0.1", server->port());
   const std::string body = csv_text(campaign(5, 8));
-  ASSERT_EQ(c.post("/v1/predict", body, "text/csv").status, 200);
+  ASSERT_EQ(c.post("/v1/predict", body, "text/csv").status, 200);  // miss
+  ASSERT_EQ(c.post("/v1/predict", body, "text/csv").status, 200);  // keeps
   const std::string id = obs::format_trace_id(0xabc123u);
   const auto hit = c.request("POST", "/v1/predict", body,
                              {{"x-estima-trace-id", id}});
@@ -916,9 +965,9 @@ TEST(LoopHits, TracedLoopHitRecordsNoQueueWait) {
 
 
 // ---------------------------------------------------------------------------
-// Kept records: the loop's first hit of an entry renders the answer and
-// keeps its bytes beside the entry; later hits copy them. Nothing else
-// keeps one, and a record dies with its entry.
+// Kept records: a /v1/predict hit on the pool renders the answer and keeps
+// its bytes beside the entry; later hits copy them. Nothing else keeps
+// one, and a record dies with its entry.
 
 net::HttpRequest predict_request(const std::string& body,
                                  const std::string& target = "/v1/predict",
@@ -936,6 +985,20 @@ std::optional<net::HttpResponse> loop_answer(ServiceRouter& router,
   return router.answer_on_loop(predict_request(body), net::RequestContext{});
 }
 
+/// The handler pool's call for a /v1/predict body.
+net::HttpResponse pool_answer(ServiceRouter& router, const std::string& body) {
+  return router.handle(predict_request(body));
+}
+
+/// What HttpServer does with a /v1/predict body: offer it to the loop,
+/// then hand a decline to the pool. `*on_loop` says which answered.
+net::HttpResponse serve(ServiceRouter& router, const std::string& body,
+                        bool* on_loop) {
+  std::optional<net::HttpResponse> resp = loop_answer(router, body);
+  *on_loop = resp.has_value();
+  return resp ? *std::move(resp) : pool_answer(router, body);
+}
+
 /// `ms`'s last point alone, as a campaign append's body.
 core::MeasurementSet last_point(const core::MeasurementSet& ms) {
   core::MeasurementSet last = ms;
@@ -949,13 +1012,12 @@ std::uint64_t record_bytes(const PredictionService& svc) {
   return svc.stats().cache.record_bytes;
 }
 
+std::uint64_t body_bytes(const PredictionService& svc) {
+  return svc.stats().cache.body_bytes;
+}
+
 TEST(ResultCache, KeptRecordsAreCountedAndDieWithTheirEntry) {
   ResultCache cache(2);
-  auto pred = [](int id) {
-    auto p = std::make_shared<core::Prediction>();
-    p->cores = {id};
-    return std::shared_ptr<const core::Prediction>(p);
-  };
   auto rec = [](std::size_t n) {
     return std::make_shared<const std::string>(n, 'r');
   };
@@ -969,57 +1031,62 @@ TEST(ResultCache, KeptRecordsAreCountedAndDieWithTheirEntry) {
   EXPECT_EQ(cache.stats().record_bytes, 10u);
   const CacheStats before = cache.stats();
   EXPECT_EQ(before.hits, 0u) << "keeping counts nothing";
-  ASSERT_NE(cache.get_answer(1).record, nullptr);
-  EXPECT_EQ(cache.get_answer(1).record->size(), 10u);
+  ASSERT_NE(cache.get(1).record, nullptr);
+  EXPECT_EQ(cache.get(1).record->size(), 10u);
 
   cache.put(1, one);  // a put over a resident key drops the record
   EXPECT_EQ(cache.stats().record_bytes, 0u);
-  EXPECT_EQ(cache.get_answer(1).record, nullptr);
+  EXPECT_EQ(cache.get(1).record, nullptr);
 
   EXPECT_TRUE(cache.keep_record(1, one.get(), rec(10)));
   cache.put(2, pred(2));
-  EXPECT_TRUE(cache.keep_record(2, cache.get(2).get(), rec(7)));
+  EXPECT_TRUE(cache.keep_record(2, cache.get(2).prediction.get(), rec(7)));
   EXPECT_EQ(cache.stats().record_bytes, 17u);
-  ASSERT_NE(cache.get(2), nullptr);  // 1 is least recently used now
-  cache.put(3, pred(3));             // eviction drops 1's record
+  ASSERT_NE(cache.get(2).prediction, nullptr);  // 1 is least recent now
+  cache.put(3, pred(3));  // eviction drops 1's record
   EXPECT_EQ(cache.stats().record_bytes, 7u);
-  EXPECT_TRUE(cache.erase(2));       // erase drops 2's
+  EXPECT_TRUE(cache.erase(2));  // erase drops 2's
   EXPECT_EQ(cache.stats().record_bytes, 0u);
 }
 
-TEST(KeptRecords, FirstLoopHitKeepsTheRecordAndLaterHitsServeIt) {
+// The loop declines a first hit, whose entry keeps no body yet, and counts
+// nothing; the pool answers it and keeps the record and the body; every
+// later byte-equal repeat is a loop answer copying that one record.
+TEST(KeptRecords, ThePoolKeepsAFirstHitTheLoopDeclined) {
   PredictionService svc(ServiceConfig{serving_config(), 64});
   ServiceRouter router(svc);
   const core::MeasurementSet ms = campaign(3, 8);
   const std::string body = csv_text(ms);
   const std::string expected =
       core::render_prediction(core::predict(ms, serving_config()));
-  ASSERT_EQ(router.handle(predict_request(body)).status, 200);  // miss
-  EXPECT_EQ(record_bytes(svc), 0u);
+  ASSERT_EQ(pool_answer(router, body).status, 200);  // miss
+  EXPECT_EQ(kept_of(svc), (Kept{0, 0})) << "a miss kept bytes";
+
+  const Books before = books_of(svc);
+  EXPECT_FALSE(loop_answer(router, body).has_value());
+  EXPECT_EQ(books_of(svc), before) << "a declined loop offer counted";
+  EXPECT_EQ(pool_answer(router, body).body, expected);
+  EXPECT_EQ(kept_of(svc), (Kept{expected.size(), body.size()}));
 
   constexpr int kReads = 5;
-  std::vector<std::string> answers;
   std::shared_ptr<const std::string> kept;
   for (int i = 0; i < kReads; ++i) {
     const auto resp = loop_answer(router, body);
-    ASSERT_TRUE(resp.has_value()) << i;
-    ASSERT_EQ(resp->status, 200);
-    answers.push_back(resp->body);
-    std::shared_ptr<const std::string> now;
-    const auto cached = svc.lookup_hit(svc.hash_of(ms), &now);
-    ASSERT_NE(now, nullptr) << "read " << i << " left no record";
-    EXPECT_EQ(*now, core::render_prediction(*cached));
-    if (i == 0) kept = now;
-    EXPECT_EQ(now, kept) << "read " << i << " replaced the kept record";
+    ASSERT_TRUE(resp.has_value()) << "read " << i;
+    EXPECT_EQ(resp->body, expected);
+    std::uint64_t key = 0;
+    const CachedAnswer now = svc.lookup_body(digest_of(body), body, &key);
+    ASSERT_NE(now.record, nullptr) << "read " << i << " left no record";
+    if (i == 0) kept = now.record;
+    EXPECT_EQ(now.record, kept) << "read " << i << " replaced the record";
   }
-  for (const std::string& a : answers) EXPECT_EQ(a, expected);
-  EXPECT_EQ(kept->size(), expected.size());
   EXPECT_EQ(kept->capacity(), kept->size()) << "kept at exact size";
-  EXPECT_EQ(record_bytes(svc), expected.size());
-  // Reads and the test's own lookups count as hits, keeps count nothing.
+  EXPECT_EQ(kept_of(svc), (Kept{expected.size(), body.size()}));
+  // The pool hit, the reads and the test's own lookups count as hits;
+  // keeps count nothing.
   const ServiceStats s = svc.stats();
-  EXPECT_EQ(s.cache.hits, 2u * kReads);
-  EXPECT_EQ(s.campaigns_submitted, 1u + 2u * kReads);
+  EXPECT_EQ(s.cache.hits, 1u + 2u * kReads);
+  EXPECT_EQ(s.campaigns_submitted, 2u + 2u * kReads);
   EXPECT_EQ(s.predictions_computed, 1u);
 }
 
@@ -1034,21 +1101,23 @@ TEST(KeptRecords, EveryLaterHitAnswersTheKeptBytes) {
   ASSERT_EQ(router.handle(predict_request(body, "/v1/campaigns/k", "PUT"))
                 .status,
             201);
-  ASSERT_EQ(router.handle(predict_request(body)).status, 200);
   const std::uint64_t key = svc.hash_of(ms);
-  const auto cached = svc.lookup_hit(key);
-  ASSERT_NE(cached, nullptr);
-  EXPECT_FALSE(svc.keep_record(key, nullptr, "other object"));
-  ASSERT_TRUE(svc.keep_record(key, cached.get(), "kept bytes\n"));
-  EXPECT_EQ(record_bytes(svc), 11u);
+  const CachedAnswer hit = svc.answer(key, ms);
+  ASSERT_NE(hit.prediction, nullptr);
+  ASSERT_EQ(hit.record, nullptr) << "a campaign PUT kept a record";
+  EXPECT_FALSE(svc.keep_record(key, CachedAnswer{pred(1), nullptr},
+                               "other object", body, digest_of(body)));
+  ASSERT_TRUE(svc.keep_record(key, hit, "kept bytes\n", body,
+                              digest_of(body)));
+  EXPECT_EQ(kept_of(svc), (Kept{11, body.size()}));
 
   const auto on_loop = loop_answer(router, body);
   ASSERT_TRUE(on_loop.has_value());
   EXPECT_EQ(on_loop->body, "kept bytes\n");
-  EXPECT_EQ(router.handle(predict_request(body)).body, "kept bytes\n");
+  EXPECT_EQ(pool_answer(router, body).body, "kept bytes\n");
   EXPECT_EQ(router.handle(predict_request("", "/v1/campaigns/k", "GET")).body,
             "kept bytes\n");
-  EXPECT_EQ(record_bytes(svc), 11u);
+  EXPECT_EQ(kept_of(svc), (Kept{11, body.size()}));
 }
 
 TEST(KeptRecords, EraseEvictionAndPutOverAResidentKeyDropTheRecord) {
@@ -1069,7 +1138,7 @@ TEST(KeptRecords, EraseEvictionAndPutOverAResidentKeyDropTheRecord) {
   ASSERT_EQ(router.handle(predict_request("", "/v1/campaigns/c", "GET"))
                 .status,
             200);
-  ASSERT_TRUE(loop_answer(router, head_csv).has_value());
+  ASSERT_EQ(pool_answer(router, head_csv).status, 200);  // a hit keeps
   EXPECT_EQ(record_bytes(svc), render_of(head).size());
   const std::string delta_csv = csv_text(last_point(full));
   ASSERT_EQ(router.handle(predict_request(delta_csv, "/v1/campaigns/c/points"))
@@ -1079,23 +1148,20 @@ TEST(KeptRecords, EraseEvictionAndPutOverAResidentKeyDropTheRecord) {
   EXPECT_EQ(record_bytes(svc), 0u) << "the append's erase kept the record";
   EXPECT_FALSE(loop_answer(router, head_csv).has_value()) << "erased";
   const std::string full_csv = csv_text(full);
-  const auto again = loop_answer(router, full_csv);
-  ASSERT_TRUE(again.has_value());
-  EXPECT_EQ(again->body, render_of(full)) << "renders again";
+  EXPECT_EQ(pool_answer(router, full_csv).body, render_of(full))
+      << "renders again";
   EXPECT_EQ(record_bytes(svc), render_of(full).size());
 
   // LRU eviction (capacity 2): two other campaigns push it out.
-  ASSERT_EQ(router.handle(predict_request(csv_text(campaign(7, 8)))).status,
-            200);
-  ASSERT_EQ(router.handle(predict_request(csv_text(campaign(8, 8)))).status,
-            200);
+  ASSERT_EQ(pool_answer(router, csv_text(campaign(7, 8))).status, 200);
+  ASSERT_EQ(pool_answer(router, csv_text(campaign(8, 8))).status, 200);
   EXPECT_EQ(svc.stats().cache.evictions, 1u);
   EXPECT_EQ(record_bytes(svc), 0u) << "eviction kept the record";
   EXPECT_FALSE(loop_answer(router, full_csv).has_value()) << "evicted";
 
   // A put over a resident key (snapshot restore) drops the record.
   const std::string b_csv = csv_text(campaign(8, 8));
-  ASSERT_TRUE(loop_answer(router, b_csv).has_value());
+  ASSERT_EQ(pool_answer(router, b_csv).status, 200);
   const std::uint64_t b_bytes = record_bytes(svc);
   ASSERT_GT(b_bytes, 0u);
   const fs::path path = fs::temp_directory_path() / "estima_kept_record.snap";
@@ -1103,13 +1169,13 @@ TEST(KeptRecords, EraseEvictionAndPutOverAResidentKeyDropTheRecord) {
   (void)svc.restore_from(path.string());
   fs::remove(path);
   EXPECT_EQ(record_bytes(svc), 0u) << "restore kept a record";
-  const auto restored = loop_answer(router, b_csv);
-  ASSERT_TRUE(restored.has_value());
-  EXPECT_EQ(restored->body, render_of(campaign(8, 8))) << "renders again";
+  EXPECT_FALSE(loop_answer(router, b_csv).has_value()) << "restore kept a body";
+  EXPECT_EQ(pool_answer(router, b_csv).body, render_of(campaign(8, 8)))
+      << "renders again";
   EXPECT_EQ(record_bytes(svc), b_bytes);
 }
 
-TEST(KeptRecords, OnlyTheLoopHitKeepsARecord) {
+TEST(KeptRecords, OnlyAPredictHitKeepsARecord) {
   PredictionService svc(ServiceConfig{serving_config(), 64});
   ServiceRouter router(svc);
   const std::string a = csv_text(campaign(1, 8));
@@ -1125,19 +1191,14 @@ TEST(KeptRecords, OnlyTheLoopHitKeepsARecord) {
                : std::strtoull(json.c_str() + at + 16, nullptr, 10);
   };
 
-  // Misses, pool hits (a deadline header keeps a hit on the pool) and a
-  // batch of both.
-  ASSERT_EQ(router.handle(predict_request(a)).status, 200);
-  ASSERT_EQ(router.handle(predict_request(b)).status, 200);
-  auto with_deadline = predict_request(a);
-  with_deadline.headers.emplace_back("x-estima-deadline-ms", "600000");
-  ASSERT_EQ(router.handle(with_deadline).status, 200);
-  ASSERT_EQ(router.handle(predict_request(a)).status, 200);  // pool hit
+  // Misses, then a batch of hits.
+  ASSERT_EQ(pool_answer(router, a).status, 200);
+  ASSERT_EQ(pool_answer(router, b).status, 200);
   ASSERT_EQ(router.handle(predict_request(frame_bodies({a, b, a}, "campaign"),
                                           "/v1/predict_batch"))
                 .status,
             200);
-  EXPECT_EQ(stats_record_bytes(), 0u) << "miss/pool-hit/batch kept a record";
+  EXPECT_EQ(stats_record_bytes(), 0u) << "a miss or a batch kept a record";
 
   // A campaign's PUT, GETs and append.
   const core::MeasurementSet full = campaign(9, 9);
@@ -1160,27 +1221,32 @@ TEST(KeptRecords, OnlyTheLoopHitKeepsARecord) {
   EXPECT_EQ(stats_record_bytes(), 0u)
       << "a campaign GET or append kept a record";
 
-  // The loop's hit keeps one; a pool hit after it serves the same bytes.
-  const auto hit = loop_answer(router, a);
-  ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(stats_record_bytes(), hit->body.size());
-  EXPECT_EQ(router.handle(with_deadline).body, hit->body);
-  EXPECT_EQ(router.handle(predict_request(a)).body, hit->body);
-  EXPECT_EQ(stats_record_bytes(), hit->body.size());
+  // A /v1/predict hit keeps one, a deadline header or not; later hits on
+  // either path serve the same bytes.
+  auto with_deadline = predict_request(a);
+  with_deadline.headers.emplace_back("x-estima-deadline-ms", "600000");
+  const net::HttpResponse hit = router.handle(with_deadline);
+  ASSERT_EQ(hit.status, 200);
+  EXPECT_EQ(stats_record_bytes(), hit.body.size());
+  const auto on_loop = loop_answer(router, a);
+  ASSERT_TRUE(on_loop.has_value());
+  EXPECT_EQ(on_loop->body, hit.body);
+  EXPECT_EQ(pool_answer(router, a).body, hit.body);
+  EXPECT_EQ(stats_record_bytes(), hit.body.size());
 
   const std::string metrics =
       router.handle(predict_request("", "/v1/metrics", "GET")).body;
   EXPECT_FALSE(obs::validate_prometheus_text(metrics).has_value());
   EXPECT_NE(metrics.find("\nestima_cache_record_bytes " +
-                         std::to_string(hit->body.size()) + "\n"),
+                         std::to_string(hit.body.size()) + "\n"),
             std::string::npos);
 }
 
-// Two event loops answer one key's first hits at the same moment: both
-// render, the first keep wins, and every answer is the same bytes. Each
-// round restores the cache from a snapshot, which replaces the entry
+// Two handler threads answer one key's first hits at the same moment:
+// both render, the first keep wins, and every answer is the same bytes.
+// Each round restores the cache from a snapshot, which replaces the entry
 // with a fresh object and no record. Runs under TSan in CI.
-TEST(KeptRecords, TwoLoopsRacingOneKeyKeepExactlyOneRecord) {
+TEST(KeptRecords, TwoPoolHitsRacingOneKeyKeepExactlyOneRecord) {
   namespace fs = std::filesystem;
   PredictionService svc(ServiceConfig{serving_config(), 64});
   ServiceRouter router(svc);
@@ -1188,7 +1254,7 @@ TEST(KeptRecords, TwoLoopsRacingOneKeyKeepExactlyOneRecord) {
   const std::string body = csv_text(ms);
   const std::string expected =
       core::render_prediction(core::predict(ms, serving_config()));
-  ASSERT_EQ(router.handle(predict_request(body)).status, 200);
+  ASSERT_EQ(pool_answer(router, body).status, 200);
   const fs::path path = fs::temp_directory_path() / "estima_keep_race.snap";
   (void)svc.snapshot_to(path.string());
 
@@ -1198,27 +1264,29 @@ TEST(KeptRecords, TwoLoopsRacingOneKeyKeepExactlyOneRecord) {
     ASSERT_EQ(record_bytes(svc), 0u);
     std::atomic<int> ready{0};
     std::string answers[2];
-    std::vector<std::thread> loops;
+    std::vector<std::thread> pool;
     for (int t = 0; t < 2; ++t) {
-      loops.emplace_back([&, t] {
+      pool.emplace_back([&, t] {
         ready.fetch_add(1);
         while (ready.load() < 2) {
         }
-        const auto resp = loop_answer(router, body);
-        answers[t] = resp ? resp->body : "declined";
+        answers[t] = pool_answer(router, body).body;
       });
     }
-    for (auto& th : loops) th.join();
+    for (auto& th : pool) th.join();
     EXPECT_EQ(answers[0], expected) << "round " << round;
     EXPECT_EQ(answers[1], expected) << "round " << round;
     EXPECT_EQ(record_bytes(svc), expected.size()) << "round " << round;
+    const auto repeat = loop_answer(router, body);
+    ASSERT_TRUE(repeat.has_value()) << "round " << round;
+    EXPECT_EQ(repeat->body, expected) << "round " << round;
   }
   fs::remove(path);
 }
 
-/// The repeat sequence: a miss, the plain hit three times (the loop
-/// renders and keeps on the first, copies on the other two), then a hit
-/// with a deadline header (the pool serves the kept record).
+/// The repeat sequence: a miss, the plain hit three times (the pool
+/// renders and keeps on the first, the loop copies on the other two),
+/// then a hit with a deadline header (the pool serves the kept record).
 SequenceResult run_repeat_sequence(bool loop_answers) {
   const auto log_path = std::filesystem::temp_directory_path() /
                         (loop_answers ? "estima_repeat_parity_loop.jsonl"
@@ -1233,6 +1301,7 @@ SequenceResult run_repeat_sequence(bool loop_answers) {
   for (int i = 0; i < 4; ++i) record(s.post(a));
   record(s.post(a, {{"x-estima-deadline-ms", "600000"}}));
   out.books = books_of(s.svc);
+  out.kept = kept_of(s.svc);
   out.server = s.server->stats();
   out.log = s.stop_and_read_log();
   std::filesystem::remove(log_path);
@@ -1244,35 +1313,61 @@ TEST(LoopHits, RepeatedHitsServedFromTheKeptRecordMatchThePoolOnlyPath) {
   const SequenceResult loop = run_repeat_sequence(true);
   EXPECT_EQ(loop.bodies, pool.bodies);
   EXPECT_EQ(loop.books, pool.books);
+  EXPECT_EQ(loop.kept, pool.kept);
   EXPECT_EQ(loop.log, pool.log);
   ASSERT_EQ(pool.bodies.size(), 5u);
   EXPECT_EQ(pool.log.size(), 5u) << "one event line per request";
   EXPECT_EQ(pool.books, (Books{5, 4, 1, 0, 1}));
   for (const std::string& b : pool.bodies) EXPECT_EQ(b, pool.bodies[0]);
+  EXPECT_EQ(pool.kept, (Kept{pool.bodies[0].size() - 4,
+                             csv_text(campaign(3, 8)).size()}));
   EXPECT_EQ(pool.server.requests_answered_on_loop, 0u);
-  EXPECT_EQ(loop.server.requests_answered_on_loop, 3u);
+  EXPECT_EQ(loop.server.requests_answered_on_loop, 2u);
+}
+
+// The loop's bound is the router's: a body of exactly kMaxKeptBodyBytes is
+// kept by its pool hit and answered on the loop after; one byte more is
+// never kept, so the pool answers every repeat of it. Kept past the
+// router (the service has no bound of its own), a body above the bound is
+// still declined by the loop before it is digested.
+TEST(LoopHits, BodiesAboveTheBoundAreNeverKeptNorAnsweredOnTheLoop) {
+  PredictionService svc(ServiceConfig{serving_config(), 64});
+  ServiceRouter router(svc);
+  const core::MeasurementSet ms = campaign(6, 8);
+  const std::string body = csv_text(ms);
+  const auto padded_to = [&](std::size_t size) {
+    return body + "#" + std::string(size - body.size() - 2, 'p') + "\n";
+  };
+  const std::string at_bound = padded_to(ServiceRouter::kMaxKeptBodyBytes);
+  const std::string over = padded_to(ServiceRouter::kMaxKeptBodyBytes + 1);
+  const std::string expected = pool_answer(router, body).body;  // miss
+  bool on_loop = true;
+  EXPECT_EQ(serve(router, at_bound, &on_loop).body, expected);
+  EXPECT_FALSE(on_loop) << "a first hit";
+  EXPECT_EQ(body_bytes(svc), at_bound.size());
+  EXPECT_EQ(serve(router, at_bound, &on_loop).body, expected);
+  EXPECT_TRUE(on_loop) << "a body at the bound";
+  for (int i = 0; i < 2; ++i) {
+    EXPECT_EQ(serve(router, over, &on_loop).body, expected);
+    EXPECT_FALSE(on_loop) << "a body above the bound, repeat " << i;
+  }
+  EXPECT_EQ(body_bytes(svc), at_bound.size()) << "kept a body above the bound";
+
+  const std::uint64_t key = svc.hash_of(ms);
+  ASSERT_TRUE(svc.keep_record(key, svc.answer(key, ms), expected, over,
+                              digest_of(over)));
+  EXPECT_EQ(body_bytes(svc), over.size());
+  const Books before = books_of(svc);
+  EXPECT_FALSE(loop_answer(router, over).has_value());
+  EXPECT_EQ(books_of(svc), before);
 }
 
 
 // ---------------------------------------------------------------------------
-// Kept bodies: the loop's keep also stores the request body that named the
-// entry, and a later byte-equal body is answered from it without parsing
-// or hashing. Nothing but exact bytes finds it, and it dies with its entry.
-
-std::size_t digest_of(std::string_view body) {
-  return std::hash<std::string_view>{}(body);
-}
-
-std::uint64_t body_bytes(const PredictionService& svc) {
-  return svc.stats().cache.body_bytes;
-}
-
-/// A stand-in answer, told apart by its one core count.
-std::shared_ptr<const core::Prediction> pred(int id) {
-  auto p = std::make_shared<core::Prediction>();
-  p->cores = {id};
-  return p;
-}
+// Kept bodies: the pool's keep also stores the request body that named the
+// entry, and a later byte-equal body is answered on the loop from it
+// without parsing or hashing. Nothing but exact bytes finds it, an entry
+// keeps the body of its latest keep, and it dies with its entry.
 
 TEST(ResultCache, KeptBodiesAreFoundOnlyByTheirExactBytes) {
   ResultCache cache(2);
@@ -1301,17 +1396,61 @@ TEST(ResultCache, KeptBodiesAreFoundOnlyByTheirExactBytes) {
   EXPECT_EQ(key, 1u);
   EXPECT_EQ(cache.stats().hits, before.hits + 1);
   cache.put(3, pred(3));
-  EXPECT_NE(cache.get_answer(1).prediction, nullptr);
-  EXPECT_EQ(cache.get_answer(2).prediction, nullptr);
+  EXPECT_NE(cache.get(1).prediction, nullptr);
+  EXPECT_EQ(cache.get(2).prediction, nullptr);
 
   // A second entry whose body collides on the digest keeps its record
   // but no body, and the first body still answers only its own bytes.
-  const auto three = cache.get(3);
+  const auto three = cache.get(3).prediction;
   EXPECT_TRUE(cache.keep_record(3, three.get(), rec, "body-two", 42));
-  EXPECT_NE(cache.get_answer(3).record, nullptr);
+  EXPECT_NE(cache.get(3).record, nullptr);
   EXPECT_EQ(cache.stats().body_bytes, 8u);
   EXPECT_EQ(cache.get_by_body(42, "body-two", &key).prediction, nullptr);
   EXPECT_EQ(cache.get_by_body(42, "body-one", &key).prediction, one);
+}
+
+// An entry keeps the body of its latest keep: a different body replaces
+// the kept one and frees its digest slot, unless another entry holds the
+// new digest. The record stays the first one kept, and a body is kept
+// only beside a record.
+TEST(ResultCache, AKeepReplacesADifferentBodyAndFreesItsSlot) {
+  ResultCache cache(2);
+  auto rec = std::make_shared<const std::string>("record\n");
+  const auto one = pred(1);
+  const auto two = pred(2);
+  cache.put(1, one);
+  cache.put(2, two);
+  std::uint64_t key = 0;
+  ASSERT_TRUE(cache.keep_record(1, one.get(), rec, "crlf-body", 10));
+  EXPECT_FALSE(cache.keep_record(1, one.get(), nullptr, "crlf-body", 10))
+      << "the same body again";
+  EXPECT_TRUE(cache.keep_record(
+      1, one.get(), std::make_shared<const std::string>("other\n"), "body",
+      11));
+  EXPECT_EQ(cache.get(1).record, rec) << "the first record keep wins";
+  EXPECT_EQ(cache.stats().record_bytes, rec->size());
+  EXPECT_EQ(cache.stats().body_bytes, 4u);
+  EXPECT_EQ(cache.get_by_body(10, "crlf-body", &key).prediction, nullptr);
+  EXPECT_EQ(cache.get_by_body(11, "body", &key).prediction, one);
+
+  // The freed digest takes another entry's body...
+  ASSERT_TRUE(cache.keep_record(2, two.get(), rec, "two-body", 10));
+  EXPECT_EQ(cache.get_by_body(10, "two-body", &key).prediction, two);
+  // ...and then a body under it leaves 1's kept body alone.
+  EXPECT_FALSE(cache.keep_record(1, one.get(), nullptr, "collides", 10));
+  EXPECT_EQ(cache.get_by_body(11, "body", &key).prediction, one);
+  EXPECT_EQ(cache.stats().body_bytes, 4u + 8u);
+
+  // Different bytes under the entry's own digest replace them in place.
+  EXPECT_TRUE(cache.keep_record(1, one.get(), nullptr, "bode", 11));
+  EXPECT_EQ(cache.get_by_body(11, "body", &key).prediction, nullptr);
+  EXPECT_EQ(cache.get_by_body(11, "bode", &key).prediction, one);
+  EXPECT_EQ(cache.stats().body_bytes, 4u + 8u);
+
+  cache.put(1, one);  // drops 1's record and body
+  EXPECT_FALSE(cache.keep_record(1, one.get(), nullptr, "body", 11))
+      << "a body without a record";
+  EXPECT_EQ(cache.stats().body_bytes, 8u);
 }
 
 TEST(ResultCache, EraseEvictionAndPutDropTheBodyAndFreeItsSlot) {
@@ -1339,23 +1478,22 @@ TEST(ResultCache, EraseEvictionAndPutDropTheBodyAndFreeItsSlot) {
   cache.put(3, pred(3));  // capacity 1: evicts 2
   expect_dropped("eviction");
 
-  p = cache.get(3);
+  p = cache.get(3).prediction;
   ASSERT_TRUE(cache.keep_record(3, p.get(), rec, "body", 5));
   EXPECT_EQ(cache.stats().body_bytes, 4u) << "eviction left the slot taken";
   cache.put(3, pred(3));  // a put over the resident key
   expect_dropped("put over a resident key");
-  p = cache.get(3);
+  p = cache.get(3).prediction;
   ASSERT_TRUE(cache.keep_record(3, p.get(), rec, "body", 5));
   EXPECT_EQ(cache.stats().body_bytes, 4u) << "put left the slot taken";
   EXPECT_EQ(cache.get_by_body(5, "body", &key).prediction, p);
 }
 
 /// The body sequence, on a cache of two: misses of a and b, their first
-/// loop hits (each keeps a record and a body), a byte-equal repeat of a,
-/// a miss of c (evicting b, the least recently used only if the repeat
-/// refreshed a), a's repeat again and b again (a miss).
-SequenceResult run_body_sequence(bool loop_answers,
-                                 std::uint64_t* kept_body_bytes) {
+/// hits (the pool keeps a record and a body for each), a byte-equal
+/// repeat of a, a miss of c (evicting b, the least recently used only if
+/// the repeat refreshed a), a's repeat again and b again (a miss).
+SequenceResult run_body_sequence(bool loop_answers) {
   const auto log_path = std::filesystem::temp_directory_path() /
                         (loop_answers ? "estima_body_parity_loop.jsonl"
                                       : "estima_body_parity_pool.jsonl");
@@ -1370,19 +1508,19 @@ SequenceResult run_body_sequence(bool loop_answers,
     out.bodies.push_back(std::to_string(r.status) + " " + r.body);
   }
   out.books = books_of(s.svc);
+  out.kept = kept_of(s.svc);
   out.server = s.server->stats();
-  *kept_body_bytes = body_bytes(s.svc);
   out.log = s.stop_and_read_log();
   std::filesystem::remove(log_path);
   return out;
 }
 
 TEST(LoopHits, ByteEqualRepeatsAnsweredFromTheKeptBodyMatchThePoolOnlyPath) {
-  std::uint64_t pool_bytes = 0, loop_bytes = 0;
-  const SequenceResult pool = run_body_sequence(false, &pool_bytes);
-  const SequenceResult loop = run_body_sequence(true, &loop_bytes);
+  const SequenceResult pool = run_body_sequence(false);
+  const SequenceResult loop = run_body_sequence(true);
   EXPECT_EQ(loop.bodies, pool.bodies);
   EXPECT_EQ(loop.books, pool.books);
+  EXPECT_EQ(loop.kept, pool.kept);
   EXPECT_EQ(loop.log, pool.log);
   ASSERT_EQ(pool.bodies.size(), 8u);
   EXPECT_EQ(pool.books, (Books{8, 4, 4, 0, 4}));
@@ -1390,30 +1528,29 @@ TEST(LoopHits, ByteEqualRepeatsAnsweredFromTheKeptBodyMatchThePoolOnlyPath) {
   EXPECT_EQ(pool.bodies[4], pool.bodies[0]);
   EXPECT_EQ(pool.bodies[6], pool.bodies[0]);
   EXPECT_EQ(pool.bodies[7], pool.bodies[1]);
-  EXPECT_EQ(loop.server.requests_answered_on_loop, 4u);
+  EXPECT_EQ(loop.server.requests_answered_on_loop, 2u);
   // Only a's body is left: b's died with its evicted entry, and b's
-  // recomputed entry has had no loop hit yet.
-  EXPECT_EQ(pool_bytes, 0u);
-  EXPECT_EQ(loop_bytes, csv_text(campaign(1, 8)).size());
+  // recomputed entry has had no hit yet.
+  EXPECT_EQ(pool.kept.bodies, csv_text(campaign(1, 8)).size());
 }
 
-TEST(KeptBodies, TheFirstLoopHitKeepsTheBodyThatNamedTheEntry) {
+TEST(KeptBodies, APoolHitKeepsTheBodyThatNamedTheEntry) {
   PredictionService svc(ServiceConfig{serving_config(), 64});
   ServiceRouter router(svc);
   const core::MeasurementSet ms = campaign(3, 8);
   const std::string body = csv_text(ms);
   std::uint64_t key = 0;
-  ASSERT_EQ(router.handle(predict_request(body)).status, 200);  // miss
+  ASSERT_EQ(pool_answer(router, body).status, 200);  // miss
   EXPECT_EQ(svc.lookup_body(digest_of(body), body, &key).prediction, nullptr)
       << "a miss kept the body";
-  ASSERT_EQ(router.handle(predict_request(body)).status, 200);  // pool hit
-  EXPECT_EQ(body_bytes(svc), 0u) << "a pool hit kept the body";
+  EXPECT_FALSE(loop_answer(router, body).has_value());
+  ASSERT_EQ(pool_answer(router, body).status, 200);  // hit
+  EXPECT_EQ(body_bytes(svc), body.size());
   const ServiceStats before = svc.stats();
   EXPECT_EQ(before.campaigns_submitted, 2u) << "a body miss counted";
 
   const auto first = loop_answer(router, body);
   ASSERT_TRUE(first.has_value());
-  EXPECT_EQ(body_bytes(svc), body.size());
   const auto again = loop_answer(router, body);
   ASSERT_TRUE(again.has_value());
   EXPECT_EQ(again->body, first->body);
@@ -1424,14 +1561,19 @@ TEST(KeptBodies, TheFirstLoopHitKeepsTheBodyThatNamedTheEntry) {
   EXPECT_EQ(key, svc.hash_of(ms));
   ASSERT_NE(hit.record, nullptr);
   EXPECT_EQ(*hit.record, first->body);
-  // Counted as lookup_hit counts: one submitted campaign, one cache hit.
+  // Counted as answer() counts a hit: one submitted campaign, one hit.
   const ServiceStats after = svc.stats();
   EXPECT_EQ(after.campaigns_submitted, before.campaigns_submitted + 3);
   EXPECT_EQ(after.cache.hits, before.cache.hits + 3);
   EXPECT_EQ(after.cache.misses, before.cache.misses);
 }
 
-TEST(KeptBodies, AnotherEncodingOfTheCampaignTakesTheFullPath) {
+// An entry keeps the body of its latest pool hit, so a first hit in
+// another accepted encoding (CRLF line ends, a comment row) does not
+// shut the canonical bytes out of the loop for the entry's lifetime: the
+// first canonical repeat after it is a pool hit that keeps its own body,
+// and the repeats after that are loop answers.
+TEST(KeptBodies, APoolHitReplacesAnotherEncodingOfTheKeptBody) {
   PredictionService svc(ServiceConfig{serving_config(), 64});
   ServiceRouter router(svc);
   const std::string body = csv_text(campaign(4, 8));
@@ -1443,31 +1585,33 @@ TEST(KeptBodies, AnotherEncodingOfTheCampaignTakesTheFullPath) {
   std::string commented = body;
   commented.insert(commented.find('\n', commented.find('\n') + 1) + 1,
                    "# a comment row\n");
-  ASSERT_EQ(router.handle(predict_request(body)).status, 200);
-  const auto canonical = loop_answer(router, body);
-  ASSERT_TRUE(canonical.has_value());
-  ASSERT_EQ(body_bytes(svc), body.size());
-
-  for (const std::string* other : {&crlf, &commented}) {
-    std::uint64_t key = 0;
-    ASSERT_EQ(svc.lookup_body(digest_of(*other), *other, &key).prediction,
-              nullptr);
-    const ServiceStats before = svc.stats();
-    const auto resp = loop_answer(router, *other);
-    ASSERT_TRUE(resp.has_value()) << "the full path declined a hit";
-    EXPECT_EQ(resp->body, canonical->body);
-    EXPECT_EQ(svc.stats().cache.hits, before.cache.hits + 1);
-    EXPECT_EQ(body_bytes(svc), body.size()) << "kept a second body";
-    EXPECT_EQ(svc.lookup_body(digest_of(*other), *other, &key).prediction,
-              nullptr);
+  const std::string expected = pool_answer(router, body).body;  // miss
+  bool on_loop = true;
+  EXPECT_EQ(serve(router, crlf, &on_loop).body, expected);
+  EXPECT_FALSE(on_loop) << "a first hit";
+  EXPECT_EQ(body_bytes(svc), crlf.size());
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(serve(router, body, &on_loop).body, expected);
+    EXPECT_EQ(on_loop, i > 0) << "canonical repeat " << i;
   }
+  EXPECT_EQ(body_bytes(svc), body.size());
+  std::uint64_t key = 0;
+  EXPECT_EQ(svc.lookup_body(digest_of(crlf), crlf, &key).prediction, nullptr)
+      << "the replaced body still answers";
+
+  EXPECT_EQ(serve(router, commented, &on_loop).body, expected);
+  EXPECT_FALSE(on_loop);
+  EXPECT_EQ(serve(router, commented, &on_loop).body, expected);
+  EXPECT_TRUE(on_loop);
+  EXPECT_EQ(body_bytes(svc), commented.size());
 }
 
 TEST(KeptBodies, ABodyOneDigitDifferentIsNeverServedTheKeptAnswer) {
   PredictionService svc(ServiceConfig{serving_config(), 64});
   ServiceRouter router(svc);
   const std::string body = csv_text(campaign(5, 8));
-  ASSERT_EQ(router.handle(predict_request(body)).status, 200);
+  ASSERT_EQ(pool_answer(router, body).status, 200);  // miss
+  ASSERT_EQ(pool_answer(router, body).status, 200);  // hit: keeps
   const auto kept = loop_answer(router, body);
   ASSERT_TRUE(kept.has_value());
 
@@ -1481,15 +1625,11 @@ TEST(KeptBodies, ABodyOneDigitDifferentIsNeverServedTheKeptAnswer) {
       core::predict(core::read_csv(other), serving_config()));
   ASSERT_NE(expected, kept->body);
 
-  const ServiceStats before = svc.stats();
-  EXPECT_FALSE(loop_answer(router, other).has_value()) << "not cached yet";
-  EXPECT_EQ(svc.stats().campaigns_submitted, before.campaigns_submitted);
-  EXPECT_EQ(svc.stats().cache.hits, before.cache.hits);
-  EXPECT_EQ(svc.stats().cache.misses, before.cache.misses);
-  EXPECT_EQ(router.handle(predict_request(other)).body, expected);
-  const auto hit = loop_answer(router, other);
-  ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(hit->body, expected);
+  const Books before = books_of(svc);
+  EXPECT_FALSE(loop_answer(router, other).has_value()) << "not kept";
+  EXPECT_EQ(books_of(svc), before);
+  EXPECT_EQ(pool_answer(router, other).body, expected);  // miss
+  EXPECT_EQ(pool_answer(router, other).body, expected);  // hit: keeps
   const auto repeat = loop_answer(router, other);
   ASSERT_TRUE(repeat.has_value());
   EXPECT_EQ(repeat->body, expected);
@@ -1515,7 +1655,7 @@ TEST(KeptBodies, EraseEvictionAndPutOverAResidentKeyDropTheBody) {
   ASSERT_EQ(router.handle(predict_request("", "/v1/campaigns/c", "GET"))
                 .status,
             200);
-  ASSERT_TRUE(loop_answer(router, head_csv).has_value());
+  ASSERT_EQ(pool_answer(router, head_csv).status, 200);  // a hit keeps
   EXPECT_EQ(body_bytes(svc), head_csv.size());
   ASSERT_EQ(router.handle(predict_request(csv_text(last_point(full)),
                                           "/v1/campaigns/c/points"))
@@ -1527,19 +1667,17 @@ TEST(KeptBodies, EraseEvictionAndPutOverAResidentKeyDropTheBody) {
 
   // LRU eviction (capacity 2).
   const std::string full_csv = csv_text(full);
-  ASSERT_TRUE(loop_answer(router, full_csv).has_value());
+  ASSERT_EQ(pool_answer(router, full_csv).status, 200);
   EXPECT_EQ(body_bytes(svc), full_csv.size());
-  ASSERT_EQ(router.handle(predict_request(csv_text(campaign(7, 8)))).status,
-            200);
-  ASSERT_EQ(router.handle(predict_request(csv_text(campaign(8, 8)))).status,
-            200);
+  ASSERT_EQ(pool_answer(router, csv_text(campaign(7, 8))).status, 200);
+  ASSERT_EQ(pool_answer(router, csv_text(campaign(8, 8))).status, 200);
   EXPECT_EQ(body_bytes(svc), 0u) << "eviction kept the body";
   EXPECT_FALSE(resident(full_csv));
 
   // A put over a resident key (snapshot restore) drops the body; the
-  // next loop hit keeps it again under the freed digest.
+  // next hit keeps it again under the freed digest.
   const std::string b_csv = csv_text(campaign(8, 8));
-  ASSERT_TRUE(loop_answer(router, b_csv).has_value());
+  ASSERT_EQ(pool_answer(router, b_csv).status, 200);
   ASSERT_EQ(body_bytes(svc), b_csv.size());
   const fs::path path = fs::temp_directory_path() / "estima_kept_body.snap";
   (void)svc.snapshot_to(path.string());
@@ -1547,7 +1685,7 @@ TEST(KeptBodies, EraseEvictionAndPutOverAResidentKeyDropTheBody) {
   fs::remove(path);
   EXPECT_EQ(body_bytes(svc), 0u) << "restore kept a body";
   EXPECT_FALSE(resident(b_csv));
-  ASSERT_TRUE(loop_answer(router, b_csv).has_value());
+  ASSERT_EQ(pool_answer(router, b_csv).status, 200);
   EXPECT_EQ(body_bytes(svc), b_csv.size());
   EXPECT_TRUE(resident(b_csv));
 }
@@ -1558,8 +1696,8 @@ TEST(KeptBodies, BodyBytesAreInStatsAndMetrics) {
   const std::string a = csv_text(campaign(1, 8));
   const std::string b = csv_text(campaign(2, 8));
   for (const std::string* body : {&a, &b}) {
-    ASSERT_EQ(router.handle(predict_request(*body)).status, 200);
-    ASSERT_TRUE(loop_answer(router, *body).has_value());
+    ASSERT_EQ(pool_answer(router, *body).status, 200);
+    ASSERT_EQ(pool_answer(router, *body).status, 200);
     ASSERT_TRUE(loop_answer(router, *body).has_value());
   }
   const std::string kept = std::to_string(a.size() + b.size());
@@ -1573,46 +1711,54 @@ TEST(KeptBodies, BodyBytesAreInStatsAndMetrics) {
             std::string::npos);
 }
 
-// Two event loops answer one key's first hits at the same moment: both
-// parse, both render, the first keep wins, and exactly one body is kept.
-// Each round restores the cache from a snapshot, which replaces the entry
-// with a fresh object and nothing kept. Runs under TSan in CI.
-TEST(KeptBodies, TwoLoopsRacingOneKeyKeepExactlyOneBody) {
+// Two handler threads answer one key's first hits at the same moment, one
+// with the canonical body and one with a CRLF copy: both render, the
+// first record keep wins, and the entry keeps exactly one of the two
+// bodies, whose digest alone finds it. Each round restores the cache from
+// a snapshot, which replaces the entry with a fresh object and nothing
+// kept. Runs under TSan in CI.
+TEST(KeptBodies, TwoPoolHitsRacingOneKeyKeepExactlyOneBody) {
   namespace fs = std::filesystem;
   PredictionService svc(ServiceConfig{serving_config(), 64});
   ServiceRouter router(svc);
   const core::MeasurementSet ms = campaign(5, 8);
   const std::string body = csv_text(ms);
+  std::string crlf;
+  for (const char ch : body) {
+    if (ch == '\n') crlf += '\r';
+    crlf += ch;
+  }
+  const std::string* const bodies[2] = {&body, &crlf};
   const std::string expected =
       core::render_prediction(core::predict(ms, serving_config()));
-  ASSERT_EQ(router.handle(predict_request(body)).status, 200);
+  ASSERT_EQ(pool_answer(router, body).status, 200);
   const fs::path path = fs::temp_directory_path() / "estima_body_race.snap";
   (void)svc.snapshot_to(path.string());
 
   constexpr int kRounds = 40;
   for (int round = 0; round < kRounds; ++round) {
     (void)svc.restore_from(path.string());
-    ASSERT_EQ(body_bytes(svc), 0u);
+    ASSERT_EQ(kept_of(svc), (Kept{0, 0}));
     std::atomic<int> ready{0};
     std::string answers[2];
-    std::vector<std::thread> loops;
+    std::vector<std::thread> pool;
     for (int t = 0; t < 2; ++t) {
-      loops.emplace_back([&, t] {
+      pool.emplace_back([&, t] {
         ready.fetch_add(1);
         while (ready.load() < 2) {
         }
-        // The first answer may keep; the second is a byte-equal repeat.
-        const auto resp = loop_answer(router, body);
-        const auto repeat = loop_answer(router, body);
-        answers[t] = resp && repeat && repeat->body == resp->body
-                         ? resp->body
-                         : "declined or differed";
+        answers[t] = pool_answer(router, *bodies[t]).body;
       });
     }
-    for (auto& th : loops) th.join();
+    for (auto& th : pool) th.join();
     EXPECT_EQ(answers[0], expected) << "round " << round;
     EXPECT_EQ(answers[1], expected) << "round " << round;
-    EXPECT_EQ(body_bytes(svc), body.size()) << "round " << round;
+    const bool canonical = loop_answer(router, body).has_value();
+    const bool other = loop_answer(router, crlf).has_value();
+    EXPECT_NE(canonical, other) << "round " << round;
+    EXPECT_EQ(kept_of(svc),
+              (Kept{expected.size(), canonical ? body.size() : crlf.size()}))
+        << "round " << round;
   }
   fs::remove(path);
 }

@@ -527,10 +527,10 @@ TEST(StreamingGolden, AbandonedEnumerationInsertsNothingIntoTheMemo) {
 TEST(ResultCacheErase, RemovesEntryAndCountsInvalidations) {
   ResultCache cache(4);
   cache.put(7, dummy_value());
-  ASSERT_NE(cache.get(7), nullptr);
+  ASSERT_NE(cache.get(7).prediction, nullptr);
 
   EXPECT_TRUE(cache.erase(7));
-  EXPECT_EQ(cache.get(7), nullptr);
+  EXPECT_EQ(cache.get(7).prediction, nullptr);
   EXPECT_TRUE(cache.entries().empty());
 
   auto s = cache.stats();
@@ -578,7 +578,7 @@ TEST(CampaignStore, CreateAppendPredictDeleteLifecycle) {
   EXPECT_NE(info.hash, hash_v1);
   EXPECT_EQ(info.hash, svc.hash_of(full));
   EXPECT_EQ(svc.stats().cache.invalidations, 1u);
-  EXPECT_EQ(svc.lookup_hit(hash_v1), nullptr);
+  EXPECT_FALSE(svc.invalidate(hash_v1)) << "the superseded entry lives";
 
   // Re-prediction is a miss under the new hash, byte-identical to cold,
   // and rides the memo (old prefixes replay).
@@ -688,7 +688,7 @@ TEST(CampaignStore, ReplaceResetsMemoAndInvalidatesOldHash) {
   EXPECT_EQ(info.memo.entries, 0u);
   EXPECT_EQ(info.memo.bytes, core::FitMemo{}.stats().bytes);
   EXPECT_EQ(svc.stats().cache.invalidations, 1u);
-  EXPECT_EQ(svc.lookup_hit(hash_v1), nullptr);
+  EXPECT_FALSE(svc.invalidate(hash_v1)) << "the superseded entry lives";
 
   CacheDisposition d = CacheDisposition::kUnknown;
   const auto p = store.predict("c", nullptr, nullptr, &d);
